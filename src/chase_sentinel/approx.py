@@ -6,6 +6,14 @@ The approximation abstracts foreign terms either to the special constant
 (star) or to one fresh constant per skolem symbol (unique constants); the
 latter is strictly sharper because distinct symbols stay distinct.
 
+Every term of an over-approximation is a fixed point of its abstraction: a
+skeleton term, a fresh per-symbol constant or the special constant. A
+trigger's body variables therefore map to terms that need no abstracting,
+and only the skolem terms of its output do. The fixpoint relies on this: it
+fills compiled head templates whose skolem slots read the term off the
+skeleton or fall back to the symbol's replacement, so no skolem term is
+ever built there.
+
 Reversible constant mappings transport unblockability between triggers of
 the same rule, which is what lets a finite search certify infinitely many
 trigger repetitions.
@@ -15,18 +23,21 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .chase import HeadChoice
-from .matcher import FactSet, Trigger, is_obsolete, match_conjunction
+from .matcher import FactSet, Trigger, is_obsolete, match_conjunction, match_pinned
 from .model import (
     Atom,
     Constant,
     ConstantMapping,
     FunctionalTerm,
+    Rule,
     RuleSet,
+    SkolemSymbol,
     Term,
     UC_PREFIX,
+    Variable,
     birth_facts,
     skeleton,
     star,
@@ -42,7 +53,6 @@ __all__ = [
     "star_abstraction",
     "uc_abstraction",
     "abstract",
-    "abstract_atom",
     "build_over_approx",
     "is_star_unblockable",
     "is_uc_unblockable",
@@ -88,10 +98,6 @@ def abstract(h: TermAbstraction, t: Term) -> Term:
     return star()
 
 
-def abstract_atom(h: TermAbstraction, atom: Atom) -> Atom:
-    return Atom(atom.predicate, tuple(abstract(h, t) for t in atom.terms))
-
-
 @dataclass
 class OverApproximation:
     facts: FactSet
@@ -114,6 +120,90 @@ def _seed_facts(rules: RuleSet, h: TermAbstraction, pivot: Trigger) -> FactSet:
     return facts
 
 
+class _SkolemSlot:
+    """Head slot of a skolem term f(frontier) whose symbol f occurs in the
+    skeleton: the skeleton term when it has the frontier image as its
+    arguments, else f's replacement."""
+
+    __slots__ = ("frontier", "known", "replacement")
+
+    def __init__(self, frontier: tuple[Term, ...],
+                 known: dict[tuple[Term, ...], Term], replacement: Term):
+        self.frontier = frontier
+        self.known = known
+        self.replacement = replacement
+
+    def fill(self, sigma: Mapping[Variable, Term]) -> Term:
+        args = tuple(sigma[v] for v in self.frontier)  # type: ignore[index]
+        return self.known.get(args, self.replacement)
+
+
+# A compiled head disjunct: one (predicate, slots) pair per atom. A slot is a
+# body variable (its image is copied), a constant (the replacement of a
+# skolem symbol with no term in the skeleton) or a _SkolemSlot.
+_Shape = tuple[tuple[str, tuple[Term | _SkolemSlot, ...]], ...]
+
+
+def _compile_heads(rule: Rule, kind: str,
+                   by_symbol: Mapping[SkolemSymbol, dict[tuple[Term, ...], Term]],
+                   ) -> tuple[_Shape, ...]:
+    """Every skolemized head disjunct of the rule, as abstracting slots."""
+    shapes = []
+    for disjunct in rule.sk_heads:
+        atoms = []
+        for atom in disjunct:
+            slots: list[Term | _SkolemSlot] = []
+            for t in atom.terms:
+                if isinstance(t, FunctionalTerm):
+                    replacement = uc_constant(t.symbol) if kind == UC else star()
+                    known = by_symbol.get(t.symbol)
+                    slots.append(replacement if known is None
+                                 else _SkolemSlot(t.args, known, replacement))
+                else:
+                    slots.append(t)
+            atoms.append((atom.predicate, tuple(slots)))
+        shapes.append(tuple(atoms))
+    return tuple(shapes)
+
+
+def _fill(shape: _Shape, sigma: Mapping[Variable, Term]) -> tuple[Atom, ...]:
+    """The abstracted output of one compiled disjunct under sigma."""
+    return tuple([
+        Atom(predicate, tuple([
+            sigma[s] if s.__class__ is Variable  # type: ignore[index]
+            else s.fill(sigma) if s.__class__ is _SkolemSlot  # type: ignore[union-attr]
+            else s
+            for s in slots]))
+        for predicate, slots in shape])
+
+
+def _same_output(trig: Trigger, disjunct: int, pivot_out: frozenset[Atom],
+                 pivot_terms: Mapping[tuple, Term]) -> bool:
+    """Whether the trigger's unabstracted output of one disjunct is pivot_out.
+
+    Skolem terms are looked up among the pivot's output terms instead of
+    being built: a term that is not one of them matches no pivot atom.
+    """
+    sigma = trig.substitution
+    out = set()
+    for atom in trig.rule.sk_heads[disjunct - 1]:
+        terms = []
+        for t in atom.terms:
+            if isinstance(t, FunctionalTerm):
+                found = pivot_terms.get(
+                    (t.symbol, tuple(sigma[v] for v in t.args)))  # type: ignore[index]
+                if found is None:
+                    return False
+                terms.append(found)
+            else:
+                terms.append(sigma[t])  # type: ignore[index]
+        fact = Atom(atom.predicate, tuple(terms))
+        if fact not in pivot_out:
+            return False
+        out.add(fact)
+    return len(out) == len(pivot_out)
+
+
 def build_over_approx(
     rules: RuleSet,
     pivot: Trigger,
@@ -128,62 +218,76 @@ def build_over_approx(
     output unless that output equals the pivot's; without one, disjunction is
     read conjunctively and each loaded trigger contributes all its outputs
     unless it shares the pivot's rule and all of its outputs.
+
+    Every term of the fact set is a fixed point of the abstraction: a
+    skeleton term, a fresh per-symbol constant or the special constant.
+    Body variables of a trigger therefore map to terms that need no
+    abstracting, and only the skolem terms of its output do. Those are
+    never built: each rule's heads are compiled once per build into slots
+    that read a skolem term off the skeleton or fall back to its
+    replacement. Exclusion still compares unabstracted outputs; since
+    abstraction is a function, only triggers whose abstracted output equals
+    the pivot's abstracted output can be excluded, and only those are
+    compared exactly.
     """
     facts = _seed_facts(rules, h, pivot)
-    if hc is not None:
-        pivot_out = frozenset(hc.out(pivot))
-    else:
-        pivot_outs = tuple(frozenset(o) for o in pivot.outputs())
+    by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
+    for t in h.skeleton:
+        if isinstance(t, FunctionalTerm):
+            by_symbol.setdefault(t.symbol, {})[t.args] = t
+    shapes = {rule.id: _compile_heads(rule, h.kind, by_symbol) for rule in rules}
 
-    seen: set[Trigger] = set()
+    # The pivot's outputs per disjunct, unabstracted and abstracted, and the
+    # skolem terms they hold.
+    raw_outs = {i: frozenset(pivot.out(i))
+                for i in range(1, pivot.rule.branching + 1)}
+    abs_outs = {i: frozenset(
+        Atom(a.predicate, tuple(abstract(h, t) for t in a.terms)) for a in out)
+        for i, out in raw_outs.items()}
+    pivot_terms = {
+        (t.symbol, t.args): t
+        for out in raw_outs.values() for a in out for t in a.terms
+        if isinstance(t, FunctionalTerm)
+    }
+    if hc is not None:
+        chosen = hc.choice(pivot.rule)
+        pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
+
+    # Triggers are keyed by rule and body image; one is built only for a key
+    # not seen before.
+    seen: set[tuple] = set()
     queue: deque[Trigger] = deque()
 
-    def enqueue_for(new_facts: Sequence[Atom] | None) -> None:
-        if new_facts is None:
-            for rule in rules:
-                for sub in match_conjunction(rule.body, {}, facts):
-                    trig = Trigger(rule, sub)
-                    if trig not in seen:
-                        seen.add(trig)
-                        queue.append(trig)
-            return
-        for fact in new_facts:
-            for rule, idx in rules.body_index.get(fact.predicate, ()):
-                pinned = rule.body[idx]
-                base: dict = {}
-                ok = True
-                for pat, val in zip(pinned.terms, fact.terms):
-                    cur = base.get(pat)
-                    if cur is None:
-                        base[pat] = val
-                    elif cur != val:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for sub in match_conjunction(rule.body, base, facts):
-                    trig = Trigger(rule, sub)
-                    if trig not in seen:
-                        seen.add(trig)
-                        queue.append(trig)
+    def enqueue(rule: Rule, subs: Iterable[Mapping[Variable, Term]]) -> None:
+        for sub in subs:
+            key = (rule.id, tuple([sub[v] for v in rule.body_vars]))
+            if key not in seen:
+                seen.add(key)
+                queue.append(Trigger(rule, sub))
 
-    enqueue_for(None)
+    for rule in rules:
+        enqueue(rule, match_conjunction(rule.body, {}, facts))
     while queue:
         trig = queue.popleft()
+        rule = trig.rule
+        sigma = trig.substitution
         if hc is not None:
-            if frozenset(hc.out(trig)) == pivot_out:
+            i = hc.choice(rule)
+            contribution = _fill(shapes[rule.id][i - 1], sigma)
+            if contribution[0] in pivot_abs and frozenset(contribution) == pivot_abs \
+                    and _same_output(trig, i, pivot_raw, pivot_terms):
                 continue
-            contribution = hc.out(trig)
         else:
-            if trig.rule.id == pivot.rule.id:
-                outs = tuple(frozenset(o) for o in trig.outputs())
-                if outs == pivot_outs:
-                    continue
-            contribution = tuple(
-                atom for out in trig.outputs() for atom in out)
-        new = facts.update(abstract_atom(h, a) for a in contribution)
-        if new:
-            enqueue_for(new)
+            outs = tuple(_fill(shape, sigma) for shape in shapes[rule.id])
+            if rule.id == pivot.rule.id and all(
+                    frozenset(outs[i - 1]) == abs_outs[i] and
+                    _same_output(trig, i, raw_outs[i], pivot_terms)
+                    for i in raw_outs):
+                continue
+            contribution = tuple(a for o in outs for a in o)
+        for fact in facts.update(contribution):
+            for body_rule, idx in rules.body_index.get(fact.predicate, ()):
+                enqueue(body_rule, match_pinned(body_rule, idx, fact, facts))
     return OverApproximation(facts, pivot, hc, h)
 
 
@@ -195,11 +299,15 @@ class UnblockabilityCache:
 
     Triggers that differ only by a bijective renaming of constants have the
     same unblockability (the renaming is reversible in both directions), so
-    entries are keyed by the trigger's constant-canonical shape.
+    entries are keyed by the trigger's constant-canonical shape. `hits`
+    counts answers served from the memo and `builds` the over-approximations
+    built to answer the rest.
     """
 
     def __init__(self) -> None:
         self.entries: dict[object, bool] = {}
+        self.hits = 0
+        self.builds = 0
 
     @staticmethod
     def _shape(t: Term, renaming: dict[Constant, int]) -> object:
@@ -232,10 +340,12 @@ def is_star_unblockable(
         return True
     key = cache.key(STAR, None, trigger) if cache is not None else None
     if cache is not None and key in cache.entries:
+        cache.hits += 1
         return cache.entries[key]
     approx = build_over_approx(rules, trigger, star_abstraction(rules, trigger))
     answer = not is_obsolete(trigger, approx.facts)
     if cache is not None:
+        cache.builds += 1
         cache.entries[key] = answer
     return answer
 
@@ -251,10 +361,12 @@ def is_uc_unblockable(
         return True
     key = cache.key(UC, hc, trigger) if cache is not None else None
     if cache is not None and key in cache.entries:
+        cache.hits += 1
         return cache.entries[key]
     approx = build_over_approx(rules, trigger, uc_abstraction(rules, trigger), hc)
     answer = not is_obsolete(trigger, approx.facts)
     if cache is not None:
+        cache.builds += 1
         cache.entries[key] = answer
     return answer
 

@@ -452,6 +452,8 @@ def check(
         stats = {
             "notion": canonical,
             "saturations": runs,
+            "approx_builds": cache.builds,
+            "unblockability_cache_hits": cache.hits,
             "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),
         }
         return Verdict(canonical, result, witness, stats)

@@ -21,7 +21,15 @@ from .model import (
     apply_term,
 )
 
-__all__ = ["FactSet", "Trigger", "match_conjunction", "is_loaded", "is_obsolete", "satisfies"]
+__all__ = [
+    "FactSet",
+    "Trigger",
+    "match_conjunction",
+    "match_pinned",
+    "is_loaded",
+    "is_obsolete",
+    "satisfies",
+]
 
 
 class FactSet:
@@ -210,6 +218,64 @@ def match_conjunction(
                 yield from walk(idx + 1, nxt)
 
     return walk(0, binding)
+
+
+def match_pinned(
+    rule: Rule,
+    idx: int,
+    fact: Atom,
+    facts: FactSet,
+) -> Iterator[dict[Variable, Term]]:
+    """Loaded substitutions of the rule's body that map body atom idx to fact.
+
+    The semi-naive step: the pinned atom is unified with the fact (repeated
+    variables must agree) and only the remaining body atoms are joined. The
+    substitutions and their order are those of match_conjunction(rule.body,
+    base, facts), where base is that unifier.
+    """
+    base = _unify_atom(rule.body[idx], fact, {})
+    if base is None or fact not in facts:
+        return
+    rest = rule.body[:idx] + rule.body[idx + 1:]
+    if not rest:
+        yield base
+    elif len(rest) == 1:
+        # Scan the index for the last atom. Bound positions (the first one is
+        # fixed by the index) are compared before the binding is copied.
+        atom = rest[0]
+        bound: list[tuple[int, Term]] = []
+        repeats: list[tuple[int, int]] = []
+        unbound: dict[Term, int] = {}
+        for i, t in enumerate(atom.terms):
+            if t in base:
+                if i:
+                    bound.append((i, base[t]))  # type: ignore[index]
+            elif t in unbound:
+                repeats.append((i, unbound[t]))
+            else:
+                unbound[t] = i
+        if not unbound:
+            if Atom(atom.predicate, tuple(
+                    base[t] for t in atom.terms)) in facts:  # type: ignore[index]
+                yield base
+            return
+        arity = atom.arity
+        first = base.get(atom.terms[0])  # type: ignore[call-overload]
+        for cand in facts.candidates(atom.predicate, first):
+            ct = cand.terms
+            if len(ct) != arity:
+                continue
+            for i, val in bound:
+                if ct[i] != val:
+                    break
+            else:
+                if all(ct[i] == ct[j] for i, j in repeats):
+                    nxt = dict(base)
+                    for v, i in unbound.items():
+                        nxt[v] = ct[i]  # type: ignore[index]
+                    yield nxt
+    else:
+        yield from match_conjunction(rest, base, facts)
 
 
 def is_loaded(trigger: Trigger, facts: FactSet) -> bool:

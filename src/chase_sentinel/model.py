@@ -23,7 +23,6 @@ __all__ = [
     "HeadDisjunct",
     "Rule",
     "RuleSet",
-    "SkolemizedRule",
     "ConstantMapping",
     "RuleError",
     "UnknownSymbolError",
@@ -40,7 +39,6 @@ __all__ = [
     "apply_atoms",
     "compose",
     "subterms",
-    "skolemize",
     "term_depth",
     "is_cyclic",
     "is_k_cyclic",
@@ -503,17 +501,6 @@ class Rule:
 
     def __repr__(self) -> str:
         return f"Rule({self.id})"
-
-
-@dataclass(frozen=True)
-class SkolemizedRule:
-    rule: Rule
-    heads: tuple[tuple[Atom, ...], ...]
-
-
-def skolemize(rule: Rule) -> SkolemizedRule:
-    """Replace each existential y of disjunct i by f[rule.i.y](frontier)."""
-    return SkolemizedRule(rule, rule.sk_heads)
 
 
 class RuleSet:

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from chase_sentinel.matcher import FactSet, Trigger
+from chase_sentinel.matcher import FactSet, Trigger, match_conjunction
 from chase_sentinel.model import (
     Atom,
     Constant,
@@ -150,6 +150,30 @@ def random_rule_set(rng: random.Random, max_rules: int = 4) -> RuleSet:
             return rules_from("\n".join(lines) + "\n")
         except (ParseError, RuleError):
             continue
+
+
+def sample_triggers(rules: RuleSet, depth_cap: int = 3,
+                    limit: int = 24) -> list[Trigger]:
+    """A few loaded triggers per rule, grown from each generating rule's
+    frozen body database plus one round of its own output."""
+    from chase_sentinel.cyclicity import rule_database
+
+    out = []
+    for rho in rules:
+        if not rho.is_generating:
+            continue
+        db = rule_database(rho)
+        facts = FactSet(db.facts)
+        facts.update(Trigger(rho, dict(db.substitution)).out(1))
+        for rule in rules:
+            for sub in match_conjunction(rule.body, {}, facts):
+                lam = Trigger(rule, sub)
+                if max((t.depth for t in lam.frontier_image()), default=0) \
+                        <= depth_cap:
+                    out.append(lam)
+                if len(out) >= limit:
+                    return out
+    return out
 
 
 # ---------------------------------------------------------------------------

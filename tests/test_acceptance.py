@@ -68,6 +68,7 @@ from conftest import (
     naive_saturation,
     oracle_obsolete,
     random_rule_set,
+    sample_triggers,
 )
 
 X, Y = variable("X"), variable("Y")
@@ -248,27 +249,6 @@ def _all_head_choices(rules):
         yield HeadChoice(rules, dict(zip(ids, combo)))
 
 
-def _sample_triggers(rules, depth_cap=3, limit=24):
-    """A few loaded triggers per rule, grown from each generating rule's
-    frozen body database plus one round of its own output."""
-    out = []
-    for rho in rules:
-        if not rho.is_generating:
-            continue
-        db = rule_database(rho)
-        facts = FactSet(db.facts)
-        facts.update(Trigger(rho, dict(db.substitution)).out(1))
-        for rule in rules:
-            for sub in match_conjunction(rule.body, {}, facts):
-                lam = Trigger(rule, sub)
-                if max((t.depth for t in lam.frontier_image()), default=0) \
-                        <= depth_cap:
-                    out.append(lam)
-                if len(out) >= limit:
-                    return out
-    return out
-
-
 def test_criterion_09_theorem_shaped_property_suites():
     t0 = time.monotonic()
     rng = random.Random(424242)
@@ -295,7 +275,7 @@ def test_criterion_09_theorem_shaped_property_suites():
             f"set {i}: simultaneously terminating and cyclic"
 
         # (a) star-unblockable implies uc-unblockable under every head choice
-        for lam in _sample_triggers(rules, limit=6):
+        for lam in sample_triggers(rules, limit=6):
             if is_star_unblockable(rules, lam):
                 star_hits += 1
                 for hc in _all_head_choices(rules):
@@ -340,7 +320,7 @@ def test_criterion_10_oracle_equivalence(monkeypatch):
     for i in range(40):
         rules = random_rule_set(rng)
         hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
-        for pivot in _sample_triggers(rules, depth_cap=2, limit=3):
+        for pivot in sample_triggers(rules, depth_cap=2, limit=3):
             if not pivot.rule.is_generating:
                 continue
             for hc in hcs:

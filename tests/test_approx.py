@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from chase_sentinel.approx import (
 from chase_sentinel.chase import HeadChoice
 from chase_sentinel.matcher import Trigger
 from chase_sentinel.model import (
+    _TERMS,
     Atom,
     ConstantMapping,
     constant,
@@ -28,7 +30,13 @@ from chase_sentinel.model import (
     variable,
 )
 
-from conftest import naive_over_approx, rules_from, bike_subset
+from conftest import (
+    bike_subset,
+    naive_over_approx,
+    random_rule_set,
+    rules_from,
+    sample_triggers,
+)
 
 
 def bike_pivot(rules):
@@ -145,6 +153,111 @@ def test_over_approximation_matches_naive_oracle_on_bike_pivot():
         naive_over_approx(rules, pivot, "star")
 
 
+def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
+    # Sets of five to eight rules, each with two pivots whose frontier holds
+    # a skolem term (so skeleton terms reach the head slots) and one without.
+    rng = random.Random(5)
+    sets = cases = 0
+    while sets < 10:
+        rules = random_rule_set(rng, max_rules=8)
+        if len(rules) < 5:
+            continue
+        sets += 1
+        pivots = sample_triggers(rules, depth_cap=2)
+        deep = [p for p in pivots
+                if any(t.depth > 1 for t in p.frontier_image())]
+        shallow = [p for p in pivots if p not in deep]
+        hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
+        for pivot in deep[:2] + shallow[:1]:
+            for hc in hcs:
+                for kind, h in (("star", star_abstraction(rules, pivot)),
+                                ("uc", uc_abstraction(rules, pivot))):
+                    got = set(build_over_approx(rules, pivot, h, hc).facts)
+                    assert got == naive_over_approx(rules, pivot, kind, hc), \
+                        (sets, pivot, kind, hc)
+                    cases += 1
+    assert cases >= 120
+
+
+def sk(rules, rule_id, var):
+    return next(s for s in rules.by_id[rule_id].sk_symbols if s.var == var)
+
+
+# r1 puts the skolem term f_U(c) into the pivots' skeletons.
+EXCLUSION_RULES = """\
+A(X) -> E(X, U) .
+E(X, Y) -> B(Y) | C(Y, W) .
+F(X, Y) -> B(Y) .
+E(X, Y) -> F(X, Y) .
+E(X, Y) -> R(Y, Qexcl) .
+E(X, Y) -> R(Y, Qkept) .
+E(X, Y), A(Z) -> E(Z, Y) .
+E(X, Y) -> S(Y) | T(X, Y) .
+"""
+
+
+def exclusion_case(pivot_rule, text=EXCLUSION_RULES):
+    rules = rules_from(text)
+    c = constant("c")
+    fuc = functional(sk(rules, "r1", "U"), (c,))
+    pivot = Trigger(rules.by_id[pivot_rule],
+                    {variable("X"): c, variable("Y"): fuc})
+    return rules, pivot, fuc
+
+
+@pytest.mark.parametrize("kind", ["star", "uc"])
+def test_head_choice_excludes_other_rules_with_the_pivot_output(kind):
+    # The chosen disjunct B(Y) of the pivot has no existential, so r3's
+    # trigger on F(c, f_U(c)) has exactly the pivot's output and is
+    # excluded although it belongs to another rule. Read conjunctively,
+    # only pivot-rule triggers are excluded and r3 contributes B(f_U(c)).
+    rules, pivot, fuc = exclusion_case("r2")
+    h = (star_abstraction if kind == "star" else uc_abstraction)(rules, pivot)
+    hc1 = HeadChoice.uniform(rules, 1)
+    with_hc = set(build_over_approx(rules, pivot, h, hc1).facts)
+    assert Atom("F", (constant("c"), fuc)) in with_hc
+    assert Atom("B", (fuc,)) not in with_hc
+    assert with_hc == naive_over_approx(rules, pivot, kind, hc1)
+    conj = set(build_over_approx(rules, pivot, h).facts)
+    assert Atom("B", (fuc,)) in conj
+    assert conj == naive_over_approx(rules, pivot, kind)
+
+
+@pytest.mark.parametrize("kind", ["star", "uc"])
+def test_uninterned_skolem_terms_are_abstracted_not_excluded(kind):
+    # r6 shares the pivot's body image. Its skolem term f_Qkept(f_U(c)) is
+    # never built, so it equals no pivot term: the trigger is kept and the
+    # slot becomes the replacement, which under star makes its abstracted
+    # output equal to the pivot's. The symbol is renamed per case, so that
+    # no other test (nor the oracle run of this one) has built the term.
+    var = f"Qkept{kind}"
+    rules, pivot, fuc = exclusion_case(
+        "r5", EXCLUSION_RULES.replace("Qkept", var))
+    kept = sk(rules, "r6", var)
+    key = (kept, (fuc,))
+    assert key not in _TERMS
+    h = (star_abstraction if kind == "star" else uc_abstraction)(rules, pivot)
+    replacement = star() if kind == "star" else uc_constant(kept)
+    hc1 = HeadChoice.uniform(rules, 1)
+    got = set(build_over_approx(rules, pivot, h, hc1).facts)
+    assert key not in _TERMS
+    assert Atom("R", (fuc, replacement)) in got
+    assert got == naive_over_approx(rules, pivot, kind, hc1)
+
+
+@pytest.mark.parametrize("kind", ["star", "uc"])
+def test_conjunctive_exclusion_needs_every_disjunct(kind):
+    # r7 copies f_U(c) to E(*, f_U(c)); the r8 trigger there has the pivot's
+    # first output S(f_U(c)) but not its second, T(c, f_U(c)), so it is not
+    # excluded and S(f_U(c)) is derived although the pivot is excluded.
+    rules, pivot, fuc = exclusion_case("r8")
+    h = (star_abstraction if kind == "star" else uc_abstraction)(rules, pivot)
+    got = set(build_over_approx(rules, pivot, h).facts)
+    assert Atom("S", (fuc,)) in got
+    assert Atom("T", (star(), fuc)) in got
+    assert got == naive_over_approx(rules, pivot, kind)
+
+
 def test_uc_unblockability_depends_on_the_closing_rule():
     # The regeneration trigger survives in the two-rule set but is blocked
     # once IsIn gets flipped into Has by the third rule.
@@ -194,8 +307,10 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
                     {variable("X"): functional(f_v, (constant("e"),))})
     assert is_uc_unblockable(rules, hc1, lam_d, cache)
     assert len(cache.entries) == 1
+    assert (cache.builds, cache.hits) == (1, 0)
     assert is_uc_unblockable(rules, hc1, lam_e, cache)
     assert len(cache.entries) == 1
+    assert (cache.builds, cache.hits) == (1, 1)
 
 
 def test_reversibility_condition_one():

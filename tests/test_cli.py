@@ -74,6 +74,11 @@ def test_classify_json_structure(capsys):
     assert witness["gLambda"] == {"c_X": "f_W(f_V(c_X))"}
     assert witness["cyclicTerm"] == "f_V(f_W(f_V(c_X)))"
     assert report["timings"]["totalMs"] >= 0
+    for result in report["notionResults"][1:]:
+        stats = result["stats"]
+        assert stats["approx_builds"] >= 0
+        assert stats["unblockability_cache_hits"] >= 0
+    assert report["notionResults"][2]["stats"]["approx_builds"] >= 1
 
 
 def test_classify_single_notion(capsys):

@@ -6,6 +6,7 @@ from chase_sentinel.matcher import (
     is_loaded,
     is_obsolete,
     match_conjunction,
+    match_pinned,
     satisfies,
 )
 from chase_sentinel.model import Atom, constant, functional, variable
@@ -106,6 +107,40 @@ def test_is_obsolete_matches_any_disjunct_with_any_witness():
     split = base.copy()
     split.update([Atom("IsIn", (d, constant("e"))), atom("Bike", "g")])
     assert not is_obsolete(lam, split)
+
+
+def test_match_pinned_enumerates_like_match_conjunction():
+    # Bodies of one, two and three atoms cover the direct yield, the inline
+    # scan and the fallback join; repeated variables cover the unifier.
+    rng = random.Random(12)
+    consts = [constant(n) for n in ("a", "b", "c")]
+    long_bodies = rules_from(
+        "P(X, Y), Q(Y, Z), P(Z, X) -> R(X) .\n"
+        "P(X, X), Q(X, Y) -> R(Y) .\n"
+        "Q(X, Y), P(Y, Y) -> R(X) .\n")
+    compared = 0
+    for i in range(80):
+        rules = long_bodies if i % 4 == 0 else random_rule_set(rng)
+        facts = FactSet()
+        preds = sorted(rules.predicates.items())
+        for _ in range(rng.randint(4, 14)):
+            pred, arity = rng.choice(preds)
+            facts.add(Atom(pred, tuple(
+                rng.choice(consts) for _ in range(arity))))
+        for fact in list(facts):
+            for rule, idx in rules.body_index.get(fact.predicate, ()):
+                base: dict = {}
+                clash = any(base.setdefault(pat, val) != val
+                            for pat, val in zip(rule.body[idx].terms, fact.terms))
+                expected = [] if clash else list(
+                    match_conjunction(rule.body, base, facts))
+                assert list(match_pinned(rule, idx, fact, facts)) == expected
+                compared += 1
+    assert compared >= 300
+
+    rules = rules_from("P(X, Y) -> R(X) .\n")
+    absent = atom("P", "a", "b")
+    assert list(match_pinned(rules.rules[0], 0, absent, FactSet())) == []
 
 
 def test_satisfies_means_every_loaded_trigger_obsolete():
