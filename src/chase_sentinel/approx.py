@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .chase import HeadChoice
-from .matcher import FactSet, Trigger, is_obsolete, match_conjunction, match_pinned
+from .matcher import FactSet, Trigger, discover, is_obsolete
 from .model import (
     Atom,
     Constant,
@@ -258,15 +258,14 @@ def build_over_approx(
     seen: set[tuple] = set()
     queue: deque[Trigger] = deque()
 
-    def enqueue(rule: Rule, subs: Iterable[Mapping[Variable, Term]]) -> None:
-        for sub in subs:
+    def enqueue(found: Iterable[tuple[Rule, Mapping[Variable, Term]]]) -> None:
+        for rule, sub in found:
             key = (rule.id, tuple([sub[v] for v in rule.body_vars]))
             if key not in seen:
                 seen.add(key)
                 queue.append(Trigger(rule, sub))
 
-    for rule in rules:
-        enqueue(rule, match_conjunction(rule.body, {}, facts))
+    enqueue(discover(rules, facts))
     while queue:
         trig = queue.popleft()
         rule = trig.rule
@@ -285,9 +284,7 @@ def build_over_approx(
                     for i in raw_outs):
                 continue
             contribution = tuple(a for o in outs for a in o)
-        for fact in facts.update(contribution):
-            for body_rule, idx in rules.body_index.get(fact.predicate, ()):
-                enqueue(body_rule, match_pinned(body_rule, idx, fact, facts))
+        enqueue(discover(rules, facts, facts.update(contribution)))
     return OverApproximation(facts, pivot, hc, h)
 
 

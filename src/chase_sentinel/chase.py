@@ -7,16 +7,19 @@ head disjunct, and triggers are consumed from FIFO queues so every loaded
 trigger is eventually applied or found obsolete on every branch (fairness).
 Obsolete triggers are re-checked at application time because labels grow
 monotonically along a branch.
+Triggers are found by `matcher.discover`, the shared semi-naive routine:
+each child pins only the facts its disjunct added, in the enumeration order
+of the chase's former pin loop.
 """
 from __future__ import annotations
 
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .matcher import FactSet, Trigger, is_obsolete, match_conjunction
-from .model import Atom, Query, Rule, RuleSet, Substitution
+from .matcher import FactSet, Trigger, discover, is_obsolete, match_conjunction
+from .model import Atom, Query, Rule, RuleSet
 
 __all__ = [
     "HeadChoice",
@@ -32,6 +35,12 @@ __all__ = [
 
 COMPLETE = "complete"
 BUDGET_EXHAUSTED = "budget-exhausted"
+
+# The ChaseBudget limits, as ChaseTree.exhausted names them.
+VERTICES = "vertices"
+DEPTH = "depth"
+TERM_DEPTH = "term-depth"
+TIME = "time"
 
 
 class IncompleteTreeError(RuntimeError):
@@ -113,6 +122,12 @@ class ChaseTree:
         self.database = database
         self.vertices: list[ChaseVertex] = []
         self.status = COMPLETE
+        self.exhausted: str | None = None  # the budget that stopped it, if any
+
+    def _stop(self, budget: str) -> "ChaseTree":
+        self.status = BUDGET_EXHAUSTED
+        self.exhausted = budget
+        return self
 
     @property
     def root(self) -> ChaseVertex:
@@ -178,42 +193,13 @@ class _Branch:
                        deque(self.general), set(self.seen))
 
 
-def _discover_initial(rules: RuleSet, facts: FactSet, branch: _Branch) -> None:
-    for rule in rules:
-        for sub in match_conjunction(rule.body, {}, facts):
-            _enqueue(branch, Trigger(rule, sub))
-
-
-def _discover_new(rules: RuleSet, facts: FactSet, branch: _Branch,
-                  new_facts: Sequence[Atom]) -> None:
-    # Semi-naive: every newly loaded trigger uses at least one new fact, so
-    # pin each new fact to each body atom with a matching predicate.
-    for fact in new_facts:
-        for rule, idx in rules.body_index.get(fact.predicate, ()):
-            pinned = rule.body[idx]
-            base: dict = {}
-            ok = True
-            for pat, val in zip(pinned.terms, fact.terms):
-                cur = base.get(pat)
-                if cur is None:
-                    base[pat] = val
-                elif cur != val:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            for sub in match_conjunction(rule.body, base, facts):
-                _enqueue(branch, Trigger(rule, sub))
-
-
-def _enqueue(branch: _Branch, trigger: Trigger) -> None:
-    if trigger in branch.seen:
-        return
-    branch.seen.add(trigger)
-    if trigger.rule.is_datalog:
-        branch.datalog.append(trigger)
-    else:
-        branch.general.append(trigger)
+def _discover(rules: RuleSet, branch: _Branch,
+              new_facts: Sequence[Atom] | None = None) -> None:
+    for rule, sub in discover(rules, branch.facts, new_facts):
+        trigger = Trigger(rule, sub)
+        if trigger not in branch.seen:
+            branch.seen.add(trigger)
+            (branch.datalog if rule.is_datalog else branch.general).append(trigger)
 
 
 def _next_trigger(branch: _Branch) -> Trigger | None:
@@ -238,7 +224,8 @@ def run_chase(
 
     The returned tree carries status "complete" when every branch ended in a
     vertex satisfying all rules, or "budget-exhausted" when a vertex, depth,
-    term depth, or time limit stopped the expansion.
+    term depth, or time limit stopped the expansion; `exhausted` then names
+    that limit.
     """
     budget = budget or ChaseBudget()
     db = FactSet()
@@ -256,33 +243,29 @@ def run_chase(
         deadline = time.monotonic() + budget.timeout_seconds
 
     start = _Branch(0, db, deque(), deque(), set())
-    _discover_initial(rules, db, start)
+    _discover(rules, start)
     stack: list[_Branch] = [start]
 
     while stack:
         if deadline is not None and time.monotonic() > deadline:
-            tree.status = BUDGET_EXHAUSTED
-            return tree
+            return tree._stop(TIME)
         branch = stack.pop()
         trigger = _next_trigger(branch)
         if trigger is None:
             continue
         vertex = tree.vertices[branch.vertex]
         if budget.max_depth is not None and vertex.depth >= budget.max_depth:
-            tree.status = BUDGET_EXHAUSTED
-            return tree
+            return tree._stop(DEPTH)
         fanout = trigger.rule.branching
         if budget.max_vertices is not None and \
                 len(tree.vertices) + fanout > budget.max_vertices:
-            tree.status = BUDGET_EXHAUSTED
-            return tree
+            return tree._stop(VERTICES)
         outputs = trigger.outputs()
         if budget.max_term_depth is not None:
             for out in outputs:
                 for atom in out:
                     if any(t.depth > budget.max_term_depth for t in atom.terms):
-                        tree.status = BUDGET_EXHAUSTED
-                        return tree
+                        return tree._stop(TERM_DEPTH)
         children: list[_Branch] = []
         for i in range(1, fanout + 1):
             child = branch if i == fanout else branch.fork()
@@ -292,7 +275,7 @@ def run_chase(
             tree.vertices.append(cv)
             vertex.children.append(cv.id)
             child.vertex = cv.id
-            _discover_new(rules, child.facts, child, new)
+            _discover(rules, child, new)
             children.append(child)
         # First disjunct is explored first.
         stack.extend(reversed(children))

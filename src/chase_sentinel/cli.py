@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .chase import BUDGET_EXHAUSTED, ChaseBudget, entails, results, run_chase
+from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
+                    entails, results, run_chase)
 from .cyclicity import (
     CYCLIC,
     CyclicityPrefix,
@@ -281,6 +282,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # chase
 
+# How a stopped chase could go on; the chase command sets no time budget.
+_BUDGET_HINTS = {VERTICES: "raise --max-vertices", DEPTH: "raise --max-depth",
+                 TERM_DEPTH: "the chase may not terminate, see classify"}
+
+
 def cmd_chase(args: argparse.Namespace) -> int:
     program = _load_program(args.rules)
     data = _load_program(args.data) if args.data else None
@@ -296,7 +302,8 @@ def cmd_chase(args: argparse.Namespace) -> int:
     print(f"status: {tree.status}")
     print(f"vertices: {len(tree.vertices)}")
     if tree.status == BUDGET_EXHAUSTED:
-        print("budget-exhausted: no result sets; raise --max-vertices or --max-depth")
+        print(f"budget-exhausted: {tree.exhausted} budget tripped; no result sets; "
+              f"{_BUDGET_HINTS[tree.exhausted]}")
         return EXIT_OK
     result_sets = results(tree)
     print(f"results: {len(result_sets)}")

@@ -1,14 +1,16 @@
-"""Fact storage and conjunction matching.
+"""Fact storage, conjunction matching and trigger discovery.
 
 Matching is a deterministic backtracking join: atoms are ordered most
 selective first (fewest candidate facts under the bindings known at planning
 time, ties broken by source order), and candidate facts are scanned in
 insertion order, so identical inputs always enumerate substitutions in the
-same order.
+same order. `discover` is the semi-naive trigger discovery that the chase,
+the acyclicity check and the over-approximation builds share; it enumerates
+in the order of their former pin loops.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .model import (
     Atom,
@@ -26,6 +28,7 @@ __all__ = [
     "Trigger",
     "match_conjunction",
     "match_pinned",
+    "discover",
     "is_loaded",
     "is_obsolete",
     "satisfies",
@@ -130,7 +133,10 @@ class Trigger:
         """Skolemized output of one head disjunct (1-based)."""
         sigma = self.substitution
         return tuple(
-            Atom(a.predicate, tuple(apply_term(sigma, t) for t in a.terms))
+            Atom(a.predicate, tuple([
+                sigma[t] if t.__class__ is Variable  # type: ignore[index]
+                else apply_term(sigma, t)
+                for t in a.terms]))
             for a in self.rule.sk_heads[disjunct - 1]
         )
 
@@ -278,6 +284,26 @@ def match_pinned(
         yield from match_conjunction(rest, base, facts)
 
 
+def discover(
+    rules: RuleSet,
+    facts: FactSet,
+    new_facts: Iterable[Atom] | None = None,
+) -> Iterator[tuple[Rule, dict[Variable, Term]]]:
+    """Loaded (rule, substitution) pairs: every pair, rule by rule, when
+    new_facts is None; else each pair that uses a new fact (already in the
+    facts), pinned to each body atom of its predicate, so a pair may repeat.
+    """
+    if new_facts is None:
+        for rule in rules:
+            for sub in match_conjunction(rule.body, {}, facts):
+                yield rule, sub
+        return
+    for fact in new_facts:
+        for rule, idx in rules.body_index.get(fact.predicate, ()):
+            for sub in match_pinned(rule, idx, fact, facts):
+                yield rule, sub
+
+
 def is_loaded(trigger: Trigger, facts: FactSet) -> bool:
     """True iff every instantiated body atom is present."""
     return all(f in facts for f in trigger.body_facts())
@@ -288,17 +314,18 @@ def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
 
     The match must extend the trigger substitution on the universally
     quantified head variables; existential witnesses may be any terms of the
-    fact set.
+    fact set. A disjunct without existential variables is ground under the
+    substitution, so it is looked up atom by atom instead of joined.
     """
     sigma = trigger.substitution
     for disjunct in trigger.rule.heads:
-        base = {
-            v: sigma[v]
-            for a in disjunct.atoms
-            for v in a.terms
-            if isinstance(v, Variable) and v in sigma
-        }
-        for _ in match_conjunction(disjunct.atoms, base, facts):
+        if not disjunct.existential_vars:
+            if all(Atom(a.predicate, tuple([
+                    sigma[t] for t in a.terms])) in facts  # type: ignore[index]
+                   for a in disjunct.atoms):
+                return True
+            continue
+        for _ in match_conjunction(disjunct.atoms, sigma, facts):
             return True
     return False
 

@@ -12,7 +12,9 @@ when its head already matches into the derived portion of the saturation,
 the facts outside the critical seed; restriction-aware blocking keeps the
 check from drowning in the seed facts, which satisfy every head vacuously.
 The plain discipline ("mfa") never drops a trigger and is the coarser,
-unconditionally sound variant.
+unconditionally sound variant. Triggers are found by `matcher.discover`,
+the shared semi-naive routine, in the enumeration order of this check's
+former pin loop.
 """
 from __future__ import annotations
 
@@ -23,8 +25,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .cyclicity import SearchBudget
-from .matcher import FactSet, Trigger, is_obsolete, match_conjunction
-from .model import Atom, FunctionalTerm, RuleSet, Term, is_k_cyclic, star
+from .matcher import FactSet, Trigger, discover, is_obsolete
+from .model import (Atom, FunctionalTerm, Rule, RuleSet, Substitution, Term,
+                    is_k_cyclic, star)
 
 __all__ = ["AcyclicityVerdict", "check_acyclic", "critical_instance",
            "RMFA_LIKE", "MFA"]
@@ -96,34 +99,12 @@ def check_acyclic(
     general: deque[Trigger] = deque()
     seen: set[Trigger] = set()
 
-    def enqueue(trigger: Trigger) -> None:
-        if trigger in seen:
-            return
-        seen.add(trigger)
-        (datalog if trigger.rule.is_datalog else general).append(trigger)
-
-    def discover(new_facts: Iterable[Atom] | None) -> None:
-        if new_facts is None:
-            for rule in rules:
-                for sub in match_conjunction(rule.body, {}, facts):
-                    enqueue(Trigger(rule, sub))
-            return
-        for fact in new_facts:
-            for rule, idx in rules.body_index.get(fact.predicate, ()):
-                pinned = rule.body[idx]
-                base: dict = {}
-                ok = True
-                for pat, val in zip(pinned.terms, fact.terms):
-                    cur = base.get(pat)
-                    if cur is None:
-                        base[pat] = val
-                    elif cur != val:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                for sub in match_conjunction(rule.body, base, facts):
-                    enqueue(Trigger(rule, sub))
+    def enqueue(found: Iterable[tuple[Rule, Substitution]]) -> None:
+        for rule, sub in found:
+            trigger = Trigger(rule, sub)
+            if trigger not in seen:
+                seen.add(trigger)
+                (datalog if rule.is_datalog else general).append(trigger)
 
     def verdict(result: str, term: Term | None) -> AcyclicityVerdict:
         stats = {
@@ -134,7 +115,7 @@ def check_acyclic(
         }
         return AcyclicityVerdict(k, result, term, stats)
 
-    discover(None)
+    enqueue(discover(rules, facts))
     while datalog or general:
         if deadline is not None and time.monotonic() > deadline:
             return verdict(RESOURCE_EXHAUSTED, None)
@@ -161,5 +142,5 @@ def check_acyclic(
                     if is_k_cyclic(t, k):
                         return verdict(NOT_DETECTED, t)
         if new:
-            discover(new)
+            enqueue(discover(rules, facts, new))
     return verdict(TERMINATING, None)

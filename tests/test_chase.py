@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from chase_sentinel.chase import (
     BUDGET_EXHAUSTED,
     COMPLETE,
+    DEPTH,
+    TERM_DEPTH,
+    VERTICES,
     ChaseBudget,
     HeadChoice,
     IncompleteTreeError,
@@ -11,9 +16,10 @@ from chase_sentinel.chase import (
     results,
     run_chase,
 )
+from chase_sentinel.matcher import is_loaded, is_obsolete, satisfies
 from chase_sentinel.model import Atom, Query, constant, functional, variable
 
-from conftest import bike_subset, rules_from
+from conftest import bike_subset, random_rule_set, rules_from
 
 
 def atom(pred, *names):
@@ -88,6 +94,7 @@ def test_max_vertices_budget():
     tree = run_chase(rules, [atom("A", "a")],
                      ChaseBudget(max_vertices=6, max_term_depth=None))
     assert tree.status == BUDGET_EXHAUSTED
+    assert tree.exhausted == VERTICES
     with pytest.raises(IncompleteTreeError):
         results(tree)
 
@@ -97,6 +104,7 @@ def test_max_depth_budget():
     tree = run_chase(rules, [atom("A", "a")],
                      ChaseBudget(max_depth=5, max_term_depth=None))
     assert tree.status == BUDGET_EXHAUSTED
+    assert tree.exhausted == DEPTH
     assert max(v.depth for v in tree.vertices) == 5
 
 
@@ -104,9 +112,41 @@ def test_max_term_depth_budget():
     rules = rules_from("A(X) -> R(X, Y), A(Y) .\n")
     tree = run_chase(rules, [atom("A", "a")], ChaseBudget(max_term_depth=3))
     assert tree.status == BUDGET_EXHAUSTED
+    assert tree.exhausted == TERM_DEPTH
     assert entails(rules, [atom("A", "a")],
                    Query((atom("A", "a"),)),
                    ChaseBudget(max_term_depth=3)) == "unknown"
+
+
+def test_complete_trees_end_in_models_of_the_rules():
+    # A discovery step that misses a trigger leaves some leaf label that
+    # violates a rule; one that invents a trigger applies an unloaded or
+    # obsolete one.
+    rng = random.Random(3)
+    consts = [constant(n) for n in ("a", "b", "c")]
+    budget = ChaseBudget(max_vertices=400, max_term_depth=3)
+    complete = leaves = later_disjuncts = 0
+    for _ in range(200):
+        rules = random_rule_set(rng, max_rules=8)
+        preds = sorted(rules.predicates.items())
+        db = []
+        for _ in range(rng.randint(2, 8)):
+            pred, arity = rng.choice(preds)
+            db.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+        tree = run_chase(rules, db, budget)
+        if tree.status != COMPLETE:
+            continue
+        complete += 1
+        for v in tree.vertices[1:]:
+            later_disjuncts += v.disjunct > 1
+            label = tree.label(v.parent)
+            assert is_loaded(v.trigger, label)
+            assert not is_obsolete(v.trigger, label)
+        for leaf in tree.leaves():
+            label = tree.label(leaf.id)
+            assert all(satisfies(label, rule) for rule in rules)
+            leaves += 1
+    assert complete >= 150 and leaves >= 300 and later_disjuncts >= 100
 
 
 def test_entailment_with_query_variables():

@@ -150,6 +150,23 @@ def test_chase_budget_notice(tmp_path, capsys):
     assert "budget-exhausted:" in out
 
 
+def test_chase_budget_notice_names_the_term_depth_budget(tmp_path, capsys):
+    # The term-depth budget stops this chase; no flag raises it, so the
+    # notice must not send the user to the vertex or depth flags.
+    rules = write(tmp_path, "loop.drls", "A(X) -> R(X, Y), A(Y) .\nA(a) .\n")
+    assert main(["chase", rules, "--max-vertices", "1000000",
+                 "--max-depth", "100000"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "status: budget-exhausted" in out
+    notice = next(line for line in out.splitlines()
+                  if line.startswith("budget-exhausted:"))
+    assert "term-depth budget tripped" in notice
+    assert "--max-vertices" not in notice and "--max-depth" not in notice
+    assert main(["chase", rules, "--max-depth", "3"]) == EXIT_OK
+    assert "depth budget tripped; no result sets; raise --max-depth" in \
+        capsys.readouterr().out
+
+
 def test_chase_writes_dot(tmp_path, capsys):
     dot = tmp_path / "tree.dot"
     assert main(["chase", EXAMPLE, "--dot", str(dot)]) == EXIT_OK

@@ -3,6 +3,7 @@ import random
 from chase_sentinel.matcher import (
     FactSet,
     Trigger,
+    discover,
     is_loaded,
     is_obsolete,
     match_conjunction,
@@ -155,17 +156,55 @@ def test_is_obsolete_agrees_with_brute_force_on_random_sets():
     rng = random.Random(11)
     consts = [constant(n) for n in ("a", "b", "c")]
     checked = 0
-    for _ in range(60):
-        rules = random_rule_set(rng)
-        facts = FactSet()
+    # (has existential variables, answer) for single-disjunct rules:
+    # the lookup and the join path must each be seen answering both ways.
+    seen = set()
+    for max_rules in (4, 8):
+        for _ in range(60):
+            rules = random_rule_set(rng, max_rules=max_rules)
+            facts = FactSet()
+            preds = sorted(rules.predicates.items())
+            for _ in range(rng.randint(2, 8)):
+                pred, arity = rng.choice(preds)
+                facts.add(Atom(pred, tuple(
+                    rng.choice(consts) for _ in range(arity))))
+            for rule in rules:
+                for sub in match_conjunction(rule.body, {}, facts):
+                    lam = Trigger(rule, sub)
+                    answer = is_obsolete(lam, facts)
+                    assert answer == oracle_obsolete(lam, facts)
+                    if rule.is_deterministic:
+                        seen.add((bool(rule.heads[0].existential_vars), answer))
+                    checked += 1
+    assert checked >= 250
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_semi_naive_discovery_equals_naive_discovery():
+    # Pairs over old facts plus pairs pinned to the new ones cover every
+    # pair over all facts, and nothing else.
+    rng = random.Random(17)
+    consts = [constant(n) for n in ("a", "b", "c")]
+
+    def pairs(found):
+        return {(rule.id, tuple(sub[v] for v in rule.body_vars))
+                for rule, sub in found}
+
+    checked = 0
+    for _ in range(80):
+        rules = random_rule_set(rng, max_rules=8)
         preds = sorted(rules.predicates.items())
-        for _ in range(rng.randint(2, 8)):
+        old = FactSet()
+        for _ in range(rng.randint(1, 8)):
             pred, arity = rng.choice(preds)
-            facts.add(Atom(pred, tuple(
-                rng.choice(consts) for _ in range(arity))))
-        for rule in rules:
-            for sub in match_conjunction(rule.body, {}, facts):
-                lam = Trigger(rule, sub)
-                assert is_obsolete(lam, facts) == oracle_obsolete(lam, facts)
-                checked += 1
+            old.add(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+        facts = old.copy()
+        new = facts.update(
+            Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
+            for pred, arity in (rng.choice(preds) for _ in range(rng.randint(1, 6))))
+        semi = pairs(discover(rules, old)) | pairs(discover(rules, facts, new))
+        naive = pairs(discover(rules, facts))
+        assert semi == naive
+        assert pairs(discover(rules, facts, [])) == set()
+        checked += len(naive - pairs(discover(rules, old)))
     assert checked >= 100
