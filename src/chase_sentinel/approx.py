@@ -100,10 +100,14 @@ def abstract(h: TermAbstraction, t: Term) -> Term:
 
 @dataclass
 class OverApproximation:
+    """The fact set of one build; triggers counts the distinct (rule, body
+    image) pairs the build queued."""
+
     facts: FactSet
     pivot: Trigger
     hc: HeadChoice | None
     abstraction: TermAbstraction
+    triggers: int
 
 
 def _seed_facts(rules: RuleSet, h: TermAbstraction, pivot: Trigger) -> FactSet:
@@ -177,16 +181,17 @@ def _fill(shape: _Shape, sigma: Mapping[Variable, Term]) -> tuple[Atom, ...]:
         for predicate, slots in shape])
 
 
-def _same_output(trig: Trigger, disjunct: int, pivot_out: frozenset[Atom],
+def _same_output(rule: Rule, sigma: Mapping[Variable, Term], disjunct: int,
+                 pivot_out: frozenset[Atom],
                  pivot_terms: Mapping[tuple, Term]) -> bool:
-    """Whether the trigger's unabstracted output of one disjunct is pivot_out.
+    """Whether the rule's unabstracted output of one disjunct under sigma is
+    pivot_out.
 
     Skolem terms are looked up among the pivot's output terms instead of
     being built: a term that is not one of them matches no pivot atom.
     """
-    sigma = trig.substitution
     out = set()
-    for atom in trig.rule.sk_heads[disjunct - 1]:
+    for atom in rule.sk_heads[disjunct - 1]:
         terms = []
         for t in atom.terms:
             if isinstance(t, FunctionalTerm):
@@ -229,6 +234,10 @@ def build_over_approx(
     abstraction is a function, only triggers whose abstracted output equals
     the pivot's abstracted output can be excluded, and only those are
     compared exactly.
+
+    The fixpoint queues (rule, substitution) pairs, one per distinct rule
+    and body image, found by matcher.discover; no Trigger object is built
+    for them. Their number is returned as OverApproximation.triggers.
     """
     facts = _seed_facts(rules, h, pivot)
     by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
@@ -253,39 +262,39 @@ def build_over_approx(
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
-    # Triggers are keyed by rule and body image; one is built only for a key
-    # not seen before.
+    # Triggers are keyed by rule and body image, and a (rule, substitution)
+    # pair is queued only for a key not seen before. No Trigger is built: its
+    # groundness check could not fail here, because every substitution comes
+    # from matching into a FactSet, which holds only ground atoms.
     seen: set[tuple] = set()
-    queue: deque[Trigger] = deque()
+    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque()
 
     def enqueue(found: Iterable[tuple[Rule, Mapping[Variable, Term]]]) -> None:
         for rule, sub in found:
             key = (rule.id, tuple([sub[v] for v in rule.body_vars]))
             if key not in seen:
                 seen.add(key)
-                queue.append(Trigger(rule, sub))
+                queue.append((rule, sub))
 
     enqueue(discover(rules, facts))
     while queue:
-        trig = queue.popleft()
-        rule = trig.rule
-        sigma = trig.substitution
+        rule, sigma = queue.popleft()
         if hc is not None:
             i = hc.choice(rule)
             contribution = _fill(shapes[rule.id][i - 1], sigma)
             if contribution[0] in pivot_abs and frozenset(contribution) == pivot_abs \
-                    and _same_output(trig, i, pivot_raw, pivot_terms):
+                    and _same_output(rule, sigma, i, pivot_raw, pivot_terms):
                 continue
         else:
             outs = tuple(_fill(shape, sigma) for shape in shapes[rule.id])
             if rule.id == pivot.rule.id and all(
                     frozenset(outs[i - 1]) == abs_outs[i] and
-                    _same_output(trig, i, raw_outs[i], pivot_terms)
+                    _same_output(rule, sigma, i, raw_outs[i], pivot_terms)
                     for i in raw_outs):
                 continue
             contribution = tuple(a for o in outs for a in o)
         enqueue(discover(rules, facts, facts.update(contribution)))
-    return OverApproximation(facts, pivot, hc, h)
+    return OverApproximation(facts, pivot, hc, h, len(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -297,14 +306,15 @@ class UnblockabilityCache:
     Triggers that differ only by a bijective renaming of constants have the
     same unblockability (the renaming is reversible in both directions), so
     entries are keyed by the trigger's constant-canonical shape. `hits`
-    counts answers served from the memo and `builds` the over-approximations
-    built to answer the rest.
+    counts answers served from the memo, `builds` the over-approximations
+    built to answer the rest and `triggers` the triggers those builds queued.
     """
 
     def __init__(self) -> None:
         self.entries: dict[object, bool] = {}
         self.hits = 0
         self.builds = 0
+        self.triggers = 0
 
     @staticmethod
     def _shape(t: Term, renaming: dict[Constant, int]) -> object:
@@ -343,6 +353,7 @@ def is_star_unblockable(
     answer = not is_obsolete(trigger, approx.facts)
     if cache is not None:
         cache.builds += 1
+        cache.triggers += approx.triggers
         cache.entries[key] = answer
     return answer
 
@@ -364,6 +375,7 @@ def is_uc_unblockable(
     answer = not is_obsolete(trigger, approx.facts)
     if cache is not None:
         cache.builds += 1
+        cache.triggers += approx.triggers
         cache.entries[key] = answer
     return answer
 

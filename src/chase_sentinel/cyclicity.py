@@ -453,6 +453,7 @@ def check(
             "notion": canonical,
             "saturations": runs,
             "approx_builds": cache.builds,
+            "approx_triggers": cache.triggers,
             "unblockability_cache_hits": cache.hits,
             "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),
         }

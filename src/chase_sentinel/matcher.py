@@ -7,10 +7,16 @@ insertion order, so identical inputs always enumerate substitutions in the
 same order. `discover` is the semi-naive trigger discovery that the chase,
 the acyclicity check and the over-approximation builds share; it enumerates
 in the order of their former pin loops.
+
+Pinning a new fact to body atom idx of a rule is a join whose shape depends
+only on (rule, idx). Each such join is compiled once per rule set, on first
+use, and held by the rule set next to its body index, so it is freed with
+it. A compiled join yields the substitutions of match_conjunction(rule.body,
+base, facts), in the same order, where base maps the pinned atom to the fact.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
     Atom,
@@ -226,6 +232,106 @@ def match_conjunction(
     return walk(0, binding)
 
 
+class _PinPlan(NamedTuple):
+    """The join of a rule's body with one body atom pinned to a fact, analysed
+    once per (rule, idx) and run by _run_pinned.
+
+    repeats pairs a later position of a variable of the pinned atom with its
+    first. rest holds the other body atoms. For a single one: lookup gives
+    the pinned position of each of its terms when the pinned atom binds them
+    all, else it is scanned through the index, keyed on the pinned position
+    of its first term (None when that term is unbound); bound pairs each
+    later position with the pinned position of its variable, rest_repeats
+    pairs a later occurrence of an unbound variable with its first, and
+    slots gives each unbound variable its first position.
+
+    Plans are tuples and not closures: the dozen cells of a closure per plan
+    gave the garbage collector enough to scan to slow 512-1024-rule sets by
+    a few percent.
+    """
+
+    predicate: str
+    terms: tuple[Term, ...]
+    repeats: tuple[tuple[int, int], ...]
+    rest: tuple[Atom, ...]
+    lookup: tuple[int, ...] | None
+    key: int | None
+    bound: tuple[tuple[int, int], ...]
+    rest_repeats: tuple[tuple[int, int], ...]
+    slots: tuple[tuple[Variable, int], ...]
+
+
+def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
+    terms = rule.body[idx].terms
+    where: dict[Term, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for i, t in enumerate(terms):
+        j = where.setdefault(t, i)
+        if j != i:
+            repeats.append((i, j))
+    rest = rule.body[:idx] + rule.body[idx + 1:]
+    lookup = key = None
+    bound: list[tuple[int, int]] = []
+    rest_repeats: list[tuple[int, int]] = []
+    slots: dict[Variable, int] = {}
+    if len(rest) == 1:
+        last = rest[0].terms
+        if all(t in where for t in last):
+            lookup = tuple(where[t] for t in last)
+        key = where.get(last[0])
+        for i, t in enumerate(last):
+            if t in where:
+                if i:
+                    bound.append((i, where[t]))
+            elif t in slots:
+                rest_repeats.append((i, slots[t]))  # type: ignore[index]
+            else:
+                slots[t] = i  # type: ignore[index]
+    return _PinPlan(rule.body[idx].predicate, terms, tuple(repeats), rest,
+                    lookup, key, tuple(bound), tuple(rest_repeats),
+                    tuple(slots.items()))
+
+
+def _run_pinned(plan: _PinPlan, fact: Atom,
+                facts: FactSet) -> Iterator[dict[Variable, Term]]:
+    predicate, terms, repeats, rest, lookup, key, bound, rest_repeats, slots = plan
+    ft = fact.terms
+    if fact.predicate != predicate or len(ft) != len(terms):
+        return
+    for i, j in repeats:
+        if ft[i] != ft[j]:
+            return
+    if fact not in facts:
+        return
+    if not rest:
+        yield dict(zip(terms, ft))
+    elif len(rest) > 1:
+        yield from match_conjunction(rest, dict(zip(terms, ft)), facts)
+    elif lookup is not None:
+        if Atom(rest[0].predicate, tuple([ft[i] for i in lookup])) in facts:
+            yield dict(zip(terms, ft))
+    else:
+        atom = rest[0]
+        arity = len(atom.terms)
+        for cand in facts.candidates(
+                atom.predicate, None if key is None else ft[key]):
+            ct = cand.terms
+            if len(ct) != arity:
+                continue
+            for i, j in bound:
+                if ct[i] != ft[j]:
+                    break
+            else:
+                for i, j in rest_repeats:
+                    if ct[i] != ct[j]:
+                        break
+                else:
+                    sub = dict(zip(terms, ft))
+                    for v, i in slots:
+                        sub[v] = ct[i]
+                    yield sub
+
+
 def match_pinned(
     rule: Rule,
     idx: int,
@@ -234,54 +340,13 @@ def match_pinned(
 ) -> Iterator[dict[Variable, Term]]:
     """Loaded substitutions of the rule's body that map body atom idx to fact.
 
-    The semi-naive step: the pinned atom is unified with the fact (repeated
+    The semi-naive step: the pinned atom is matched to the fact (repeated
     variables must agree) and only the remaining body atoms are joined. The
     substitutions and their order are those of match_conjunction(rule.body,
-    base, facts), where base is that unifier.
+    base, facts), where base is that unifier. This call compiles the join on
+    the spot; discover runs the same compiled joins, held by the rule set.
     """
-    base = _unify_atom(rule.body[idx], fact, {})
-    if base is None or fact not in facts:
-        return
-    rest = rule.body[:idx] + rule.body[idx + 1:]
-    if not rest:
-        yield base
-    elif len(rest) == 1:
-        # Scan the index for the last atom. Bound positions (the first one is
-        # fixed by the index) are compared before the binding is copied.
-        atom = rest[0]
-        bound: list[tuple[int, Term]] = []
-        repeats: list[tuple[int, int]] = []
-        unbound: dict[Term, int] = {}
-        for i, t in enumerate(atom.terms):
-            if t in base:
-                if i:
-                    bound.append((i, base[t]))  # type: ignore[index]
-            elif t in unbound:
-                repeats.append((i, unbound[t]))
-            else:
-                unbound[t] = i
-        if not unbound:
-            if Atom(atom.predicate, tuple(
-                    base[t] for t in atom.terms)) in facts:  # type: ignore[index]
-                yield base
-            return
-        arity = atom.arity
-        first = base.get(atom.terms[0])  # type: ignore[call-overload]
-        for cand in facts.candidates(atom.predicate, first):
-            ct = cand.terms
-            if len(ct) != arity:
-                continue
-            for i, val in bound:
-                if ct[i] != val:
-                    break
-            else:
-                if all(ct[i] == ct[j] for i, j in repeats):
-                    nxt = dict(base)
-                    for v, i in unbound.items():
-                        nxt[v] = ct[i]  # type: ignore[index]
-                    yield nxt
-    else:
-        yield from match_conjunction(rest, base, facts)
+    return _run_pinned(_compile_pinned(rule, idx), fact, facts)
 
 
 def discover(
@@ -292,15 +357,24 @@ def discover(
     """Loaded (rule, substitution) pairs: every pair, rule by rule, when
     new_facts is None; else each pair that uses a new fact (already in the
     facts), pinned to each body atom of its predicate, so a pair may repeat.
+
+    The pinned joins of a predicate are compiled on first use and kept in
+    rules.pinned_joins, so they live and die with the rule set.
     """
     if new_facts is None:
         for rule in rules:
             for sub in match_conjunction(rule.body, {}, facts):
                 yield rule, sub
         return
+    joins = rules.pinned_joins
     for fact in new_facts:
-        for rule, idx in rules.body_index.get(fact.predicate, ()):
-            for sub in match_pinned(rule, idx, fact, facts):
+        plans = joins.get(fact.predicate)
+        if plans is None:
+            plans = joins[fact.predicate] = [
+                (rule, _compile_pinned(rule, idx))
+                for rule, idx in rules.body_index.get(fact.predicate, ())]
+        for rule, plan in plans:
+            for sub in _run_pinned(plan, fact, facts):
                 yield rule, sub
 
 

@@ -16,7 +16,7 @@ from chase_sentinel.approx import (
     uc_abstraction,
 )
 from chase_sentinel.chase import HeadChoice
-from chase_sentinel.matcher import Trigger
+from chase_sentinel.matcher import Trigger, discover
 from chase_sentinel.model import (
     _TERMS,
     Atom,
@@ -153,6 +153,11 @@ def test_over_approximation_matches_naive_oracle_on_bike_pivot():
         naive_over_approx(rules, pivot, "star")
 
 
+def loaded_triggers(rules, facts):
+    return {(rule.id, tuple(sub[v] for v in rule.body_vars))
+            for rule, sub in discover(rules, facts)}
+
+
 def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
     # Sets of five to eight rules, each with two pivots whose frontier holds
     # a skolem term (so skeleton terms reach the head slots) and one without.
@@ -172,9 +177,12 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
             for hc in hcs:
                 for kind, h in (("star", star_abstraction(rules, pivot)),
                                 ("uc", uc_abstraction(rules, pivot))):
-                    got = set(build_over_approx(rules, pivot, h, hc).facts)
+                    approx = build_over_approx(rules, pivot, h, hc)
+                    got = set(approx.facts)
                     assert got == naive_over_approx(rules, pivot, kind, hc), \
                         (sets, pivot, kind, hc)
+                    # The build queued each loaded trigger of its result once.
+                    assert approx.triggers == len(loaded_triggers(rules, approx.facts))
                     cases += 1
     assert cases >= 120
 
@@ -308,9 +316,12 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     assert is_uc_unblockable(rules, hc1, lam_d, cache)
     assert len(cache.entries) == 1
     assert (cache.builds, cache.hits) == (1, 0)
+    built = build_over_approx(rules, lam_d, uc_abstraction(rules, lam_d), hc1)
+    assert cache.triggers == built.triggers > 0
     assert is_uc_unblockable(rules, hc1, lam_e, cache)
     assert len(cache.entries) == 1
     assert (cache.builds, cache.hits) == (1, 1)
+    assert cache.triggers == built.triggers
 
 
 def test_reversibility_condition_one():

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 from chase_sentinel.matcher import (
     FactSet,
@@ -110,9 +112,37 @@ def test_is_obsolete_matches_any_disjunct_with_any_witness():
     assert not is_obsolete(lam, split)
 
 
+def _pinned_branch(rule, idx, fact, facts, answer):
+    """Which part of the compiled join answers this call, read off the rule."""
+    pinned = rule.body[idx]
+    rest = rule.body[:idx] + rule.body[idx + 1:]
+    base: dict = {}
+    if any(base.setdefault(pat, val) != val
+           for pat, val in zip(pinned.terms, fact.terms)):
+        return {"pinned repeat"}
+    if not rest:
+        return {"no rest"}
+    if len(rest) > 1:
+        return {"fallback"}
+    atom = rest[0]
+    if all(t in base for t in atom.terms):
+        return {"lookup hit" if answer else "lookup miss"}
+    branches = {"scan"}
+    if answer and any(i and t in base for i, t in enumerate(atom.terms)):
+        branches.add("bound scan")
+    for cand in facts.candidates(atom.predicate):
+        if all(base.get(t, val) == val for t, val in zip(atom.terms, cand.terms)):
+            binding = dict(base)
+            if any(binding.setdefault(t, val) != val
+                   for t, val in zip(atom.terms, cand.terms)):
+                branches.add("rest repeat")
+    return branches
+
+
 def test_match_pinned_enumerates_like_match_conjunction():
     # Bodies of one, two and three atoms cover the direct yield, the inline
-    # scan and the fallback join; repeated variables cover the unifier.
+    # scan and the fallback join; repeated variables cover the unifier. The
+    # larger sets that follow must reach every part of the compiled join.
     rng = random.Random(12)
     consts = [constant(n) for n in ("a", "b", "c")]
     long_bodies = rules_from(
@@ -120,8 +150,12 @@ def test_match_pinned_enumerates_like_match_conjunction():
         "P(X, X), Q(X, Y) -> R(Y) .\n"
         "Q(X, Y), P(Y, Y) -> R(X) .\n")
     compared = 0
-    for i in range(80):
-        rules = long_bodies if i % 4 == 0 else random_rule_set(rng)
+    branches: set = set()
+    for i in range(160):
+        if i < 80:
+            rules = long_bodies if i % 4 == 0 else random_rule_set(rng)
+        else:
+            rules = random_rule_set(rng, max_rules=8)
         facts = FactSet()
         preds = sorted(rules.predicates.items())
         for _ in range(rng.randint(4, 14)):
@@ -129,6 +163,7 @@ def test_match_pinned_enumerates_like_match_conjunction():
             facts.add(Atom(pred, tuple(
                 rng.choice(consts) for _ in range(arity))))
         for fact in list(facts):
+            pinned = []
             for rule, idx in rules.body_index.get(fact.predicate, ()):
                 base: dict = {}
                 clash = any(base.setdefault(pat, val) != val
@@ -136,12 +171,30 @@ def test_match_pinned_enumerates_like_match_conjunction():
                 expected = [] if clash else list(
                     match_conjunction(rule.body, base, facts))
                 assert list(match_pinned(rule, idx, fact, facts)) == expected
+                branches |= _pinned_branch(rule, idx, fact, facts, expected)
+                pinned += [(rule, sub) for sub in expected]
                 compared += 1
-    assert compared >= 300
+            # discover runs the joins the rule set holds, in body_index order.
+            assert list(discover(rules, facts, [fact])) == pinned
+    assert compared >= 1500
+    assert branches == {"no rest", "lookup hit", "lookup miss", "scan",
+                        "bound scan", "pinned repeat", "rest repeat",
+                        "fallback"}
 
     rules = rules_from("P(X, Y) -> R(X) .\n")
     absent = atom("P", "a", "b")
     assert list(match_pinned(rules.rules[0], 0, absent, FactSet())) == []
+
+
+def test_pinned_joins_are_freed_with_their_rule_set():
+    rules = rules_from("P(X, Y), Q(Y, Z) -> R(X, Z) .\n")
+    facts = FactSet([atom("P", "a", "b"), atom("Q", "b", "c")])
+    assert len(list(discover(rules, facts, list(facts)))) == 2
+    assert rules.pinned_joins
+    ref = weakref.ref(rules)
+    del rules
+    gc.collect()
+    assert ref() is None
 
 
 def test_satisfies_means_every_loaded_trigger_obsolete():
