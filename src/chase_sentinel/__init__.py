@@ -9,153 +9,9 @@ saturation. The `chase-sentinel` console script fronts all of it.
 from importlib import resources
 from pathlib import Path
 
-from .approx import (
-    NotReversibleError,
-    OverApproximation,
-    ReversibilityCertificate,
-    UnblockabilityCache,
-    build_over_approx,
-    check_reversible,
-    is_star_unblockable,
-    is_uc_unblockable,
-    star_abstraction,
-    transport_trigger,
-    uc_abstraction,
-)
-from .chase import (
-    ChaseBudget,
-    ChaseTree,
-    HeadChoice,
-    IncompleteTreeError,
-    entails,
-    hc_branch,
-    results,
-    run_chase,
-)
-from .cli import ClassificationReport, SoundnessViolationError, classify_rules, main
-from .cyclicity import (
-    CyclicityPrefix,
-    InternalInconsistencyError,
-    RuleDatabase,
-    SearchBudget,
-    Verdict,
-    check,
-    drpc_fact_set,
-    extract_prefix,
-    rpc_fact_set,
-    rule_database,
-    unroll_prefix,
-)
-from .matcher import FactSet, Trigger, is_loaded, is_obsolete, match_conjunction, satisfies
-from .model import (
-    Atom,
-    Constant,
-    ConstantMapping,
-    FunctionalTerm,
-    HeadDisjunct,
-    Query,
-    Rule,
-    RuleError,
-    RuleSet,
-    SkolemSymbol,
-    Term,
-    Variable,
-    birth_facts,
-    constant,
-    functional,
-    is_cyclic,
-    is_k_cyclic,
-    is_rho_cyclic,
-    skeleton,
-    skolem_symbol,
-    star,
-    subterms,
-    term_depth,
-    variable,
-)
-from .ruleio import Namer, ParseError, SourceProgram, parse, render
-from .termination import AcyclicityVerdict, check_acyclic, critical_instance
-
 __version__ = "0.1.0"
 
 
 def corpus_dir() -> Path:
     """Directory holding the bundled example rule sets (*.drls)."""
     return Path(str(resources.files(__package__).joinpath("corpus")))
-
-
-__all__ = [
-    "Atom",
-    "AcyclicityVerdict",
-    "ChaseBudget",
-    "ChaseTree",
-    "ClassificationReport",
-    "Constant",
-    "ConstantMapping",
-    "CyclicityPrefix",
-    "FactSet",
-    "FunctionalTerm",
-    "HeadChoice",
-    "HeadDisjunct",
-    "IncompleteTreeError",
-    "InternalInconsistencyError",
-    "Namer",
-    "NotReversibleError",
-    "OverApproximation",
-    "ParseError",
-    "Query",
-    "ReversibilityCertificate",
-    "Rule",
-    "RuleDatabase",
-    "RuleError",
-    "RuleSet",
-    "SearchBudget",
-    "SkolemSymbol",
-    "SoundnessViolationError",
-    "SourceProgram",
-    "Term",
-    "Trigger",
-    "UnblockabilityCache",
-    "Variable",
-    "Verdict",
-    "birth_facts",
-    "build_over_approx",
-    "check",
-    "check_acyclic",
-    "check_reversible",
-    "classify_rules",
-    "constant",
-    "corpus_dir",
-    "critical_instance",
-    "drpc_fact_set",
-    "entails",
-    "extract_prefix",
-    "functional",
-    "hc_branch",
-    "is_cyclic",
-    "is_k_cyclic",
-    "is_loaded",
-    "is_obsolete",
-    "is_rho_cyclic",
-    "is_star_unblockable",
-    "is_uc_unblockable",
-    "main",
-    "match_conjunction",
-    "parse",
-    "render",
-    "results",
-    "rpc_fact_set",
-    "rule_database",
-    "run_chase",
-    "satisfies",
-    "skeleton",
-    "skolem_symbol",
-    "star",
-    "subterms",
-    "term_depth",
-    "transport_trigger",
-    "uc_abstraction",
-    "star_abstraction",
-    "unroll_prefix",
-    "variable",
-]

@@ -46,12 +46,12 @@ from .model import (
 )
 
 __all__ = [
+    "STAR",
+    "UC",
     "TermAbstraction",
     "OverApproximation",
     "ReversibilityCertificate",
     "NotReversibleError",
-    "star_abstraction",
-    "uc_abstraction",
     "abstract",
     "build_over_approx",
     "is_star_unblockable",
@@ -67,18 +67,11 @@ UC = "uc"
 
 @dataclass(frozen=True)
 class TermAbstraction:
-    """Maps whole terms into a finite universe around one trigger's skeleton."""
+    """Maps whole terms into a finite universe around one trigger's skeleton;
+    built as TermAbstraction(STAR or UC, skeleton(trigger, rules))."""
 
     kind: str
     skeleton: frozenset[Term]
-
-
-def star_abstraction(rules: RuleSet, trigger: Trigger) -> TermAbstraction:
-    return TermAbstraction(STAR, skeleton(trigger, rules))
-
-
-def uc_abstraction(rules: RuleSet, trigger: Trigger) -> TermAbstraction:
-    return TermAbstraction(UC, skeleton(trigger, rules))
 
 
 def abstract(h: TermAbstraction, t: Term) -> Term:
@@ -337,25 +330,36 @@ class UnblockabilityCache:
         return (kind, sig, trigger.rule.id, shape)
 
 
-def is_star_unblockable(
+def _is_unblockable(
     rules: RuleSet,
+    kind: str,
+    hc: HeadChoice | None,
     trigger: Trigger,
-    cache: UnblockabilityCache | None = None,
+    cache: UnblockabilityCache | None,
 ) -> bool:
-    """Datalog triggers always; others iff not obsolete for the star set."""
     if trigger.rule.is_datalog:
         return True
-    key = cache.key(STAR, None, trigger) if cache is not None else None
+    key = cache.key(kind, hc, trigger) if cache is not None else None
     if cache is not None and key in cache.entries:
         cache.hits += 1
         return cache.entries[key]
-    approx = build_over_approx(rules, trigger, star_abstraction(rules, trigger))
+    approx = build_over_approx(
+        rules, trigger, TermAbstraction(kind, skeleton(trigger, rules)), hc)
     answer = not is_obsolete(trigger, approx.facts)
     if cache is not None:
         cache.builds += 1
         cache.triggers += approx.triggers
         cache.entries[key] = answer
     return answer
+
+
+def is_star_unblockable(
+    rules: RuleSet,
+    trigger: Trigger,
+    cache: UnblockabilityCache | None = None,
+) -> bool:
+    """Datalog triggers always; others iff not obsolete for the star set."""
+    return _is_unblockable(rules, STAR, None, trigger, cache)
 
 
 def is_uc_unblockable(
@@ -365,19 +369,7 @@ def is_uc_unblockable(
     cache: UnblockabilityCache | None = None,
 ) -> bool:
     """Datalog triggers always; others iff not obsolete for the uc set."""
-    if trigger.rule.is_datalog:
-        return True
-    key = cache.key(UC, hc, trigger) if cache is not None else None
-    if cache is not None and key in cache.entries:
-        cache.hits += 1
-        return cache.entries[key]
-    approx = build_over_approx(rules, trigger, uc_abstraction(rules, trigger), hc)
-    answer = not is_obsolete(trigger, approx.facts)
-    if cache is not None:
-        cache.builds += 1
-        cache.triggers += approx.triggers
-        cache.entries[key] = answer
-    return answer
+    return _is_unblockable(rules, UC, hc, trigger, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import logging
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -435,14 +434,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         raise CommandError(f"{args.dir}: not a directory", EXIT_IO)
     files = sorted(directory.glob("*.drls"))
 
-    def analyze(path: Path) -> BatchRow:
-        return _analyze_file(path, args.k, args.timeout, args.term_depth)
-
-    if args.jobs > 1 and len(files) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(analyze, files))
-    else:
-        rows = [analyze(f) for f in files]
+    rows = [_analyze_file(f, args.k, args.timeout, args.term_depth)
+            for f in files]
 
     for line in _format_table(rows):
         print(line)
@@ -510,7 +503,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="classify every .drls file in a directory")
     p.add_argument("dir")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--timeout", type=float, default=None, metavar="SECS",
                    help="per-file timeout")

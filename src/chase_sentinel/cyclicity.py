@@ -9,6 +9,12 @@ rule set extended by that database, for any database that loads the pivot
 rule. The provenance of the saturation is sliced backward into a replayable
 trigger prefix whose constant mapping can be pumped forever.
 
+A saturation runs in semi-naive rounds on `matcher.discover`: the first
+round matches every rule, each later one finds only the triggers that use a
+fact the previous round added. A round applies its new triggers sorted on
+rule position, then canonical substitution, so every witness is the one
+that re-matching every rule each round finds.
+
 Three notions are provided: the full search over all head choices, the
 cheaper search over the uniform head choices hc_1..hc_b only, and the
 deterministic-rules-only search with the coarser star abstraction.
@@ -17,8 +23,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Mapping, Sequence
 
 from .approx import (
     UnblockabilityCache,
@@ -27,12 +33,11 @@ from .approx import (
     is_uc_unblockable,
 )
 from .chase import HeadChoice
-from .matcher import FactSet, Trigger, match_conjunction
+from .matcher import FactSet, Trigger, discover
 from .model import (
     Atom,
     ConstantMapping,
     Constant,
-    FunctionalTerm,
     Rule,
     RuleSet,
     Term,
@@ -41,6 +46,7 @@ from .model import (
     is_cyclic,
     is_rho_cyclic,
     skeleton,
+    subterms,
 )
 
 __all__ = [
@@ -127,14 +133,6 @@ class SaturationRun:
     cyclic_term: Term | None
     cyclic_index: int | None
     truncated: bool
-    rounds: int
-
-
-def _preorder(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, FunctionalTerm):
-        for arg in t.args:
-            yield from _preorder(arg)
 
 
 def _canon_key(trigger: Trigger) -> tuple:
@@ -156,16 +154,22 @@ def _saturate(
     output and must be unblockable under the unique-constants abstraction.
     Without one (the deterministic notion), only triggers of deterministic
     rules take part and the star abstraction is used.
+
+    A trigger new in a round uses a fact the previous round added, since
+    every other loaded trigger was a candidate before; `processed` also
+    drops the repeats that pinning yields. Distinct terms of one rule set
+    have distinct reprs, so the sort order is total.
     """
     deterministic_only = hc is None
     db = rule_database(rho)
     facts = FactSet(db.facts)
-    run = SaturationRun(notion, rules, rho, hc, facts, [], {}, None, None, False, 0)
+    run = SaturationRun(notion, rules, rho, hc, facts, [], {}, None, None, False)
     deadline = None
     if budget.timeout_seconds is not None:
         deadline = time.monotonic() + budget.timeout_seconds
 
     known_terms: set[Term] = set(facts.terms())
+    position = {rule.id: i for i, rule in enumerate(rules)}
 
     def out_of(trigger: Trigger) -> tuple[Atom, ...]:
         if hc is not None:
@@ -182,7 +186,7 @@ def _saturate(
             run.derived_by[fact] = index
         for atom in out:
             for arg in atom.terms:
-                for t in _preorder(arg):
+                for t in subterms(arg):
                     if t in known_terms:
                         continue
                     known_terms.add(t)
@@ -197,29 +201,26 @@ def _saturate(
     if record(seed):
         return run
 
+    found = discover(rules, facts)
     while True:
         if deadline is not None and time.monotonic() > deadline:
             run.truncated = True
             return run
-        run.rounds += 1
+        mark = len(run.provenance)
         candidates: list[tuple[int, tuple, Trigger]] = []
-        for rule_index, rule in enumerate(rules):
+        for rule, sub in found:
             if deterministic_only and not rule.is_deterministic:
                 continue
-            for sub in match_conjunction(rule.body, {}, facts):
-                trigger = Trigger(rule, sub)
-                if trigger in processed:
-                    continue
-                candidates.append((rule_index, _canon_key(trigger), trigger))
-        if not candidates:
-            return run
+            trigger = Trigger(rule, sub)
+            if trigger in processed:
+                continue
+            processed.add(trigger)
+            candidates.append((position[rule.id], _canon_key(trigger), trigger))
         candidates.sort(key=lambda c: (c[0], c[1]))
-        progressed = False
         for _, _, trigger in candidates:
             if deadline is not None and time.monotonic() > deadline:
                 run.truncated = True
                 return run
-            processed.add(trigger)
             image = list(trigger.substitution.values())
             if any(is_cyclic(t) for t in image):
                 continue
@@ -240,11 +241,12 @@ def _saturate(
                     len(run.provenance) >= budget.max_triggers:
                 run.truncated = True
                 return run
-            progressed = True
             if record(trigger):
                 return run
-        if not progressed:
+        new = [fact for applied in run.provenance[mark:] for fact in applied.new]
+        if not new:
             return run
+        found = discover(rules, facts, new)
 
 
 def rpc_fact_set(
@@ -365,7 +367,7 @@ def _validate_prefix(run: SaturationRun, triggers: Sequence[Trigger],
         for atom in (triggers[-1].out(run.hc.choice(run.rho)) if run.hc is not None
                      else triggers[-1].out(1))
         for arg in atom.terms
-        for t in _preorder(arg)
+        for t in subterms(arg)
     ):
         raise InternalInconsistencyError("final output carries no cyclic term")
     for trigger in triggers[1:]:

@@ -4,9 +4,10 @@ Matching is a deterministic backtracking join: atoms are ordered most
 selective first (fewest candidate facts under the bindings known at planning
 time, ties broken by source order), and candidate facts are scanned in
 insertion order, so identical inputs always enumerate substitutions in the
-same order. `discover` is the semi-naive trigger discovery that the chase,
-the acyclicity check and the over-approximation builds share; it enumerates
-in the order of their former pin loops.
+same order. `discover` is the semi-naive trigger discovery behind all four
+fixpoint loops: the chase, the acyclicity check, the over-approximation
+builds and the cyclicity saturation. It enumerates in the order of the
+first three's former pin loops; the saturation sorts what it finds.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). Each such join is compiled once per rule set, on first
@@ -358,8 +359,10 @@ def discover(
     new_facts is None; else each pair that uses a new fact (already in the
     facts), pinned to each body atom of its predicate, so a pair may repeat.
 
-    The pinned joins of a predicate are compiled on first use and kept in
-    rules.pinned_joins, so they live and die with the rule set.
+    The chase, the acyclicity check, the over-approximation builds and the
+    cyclicity saturation take their triggers from here. The pinned joins of
+    a predicate are compiled on first use and kept in rules.pinned_joins, so
+    they live and die with the rule set.
     """
     if new_facts is None:
         for rule in rules:

@@ -268,9 +268,13 @@ def is_reserved_name(name: str) -> bool:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """Yield t and every subterm, depth first, without duplicates."""
-    seen: set[Term] = set()
-    stack = [t]
+    """Yield t and every subterm once, in left-to-right preorder; the first
+    cyclic term a saturation reports depends on this order."""
+    yield t
+    if not isinstance(t, FunctionalTerm):
+        return
+    seen: set[Term] = {t}
+    stack = list(reversed(t.args))
     while stack:
         cur = stack.pop()
         if cur in seen:
@@ -278,7 +282,7 @@ def subterms(t: Term) -> Iterator[Term]:
         seen.add(cur)
         yield cur
         if isinstance(cur, FunctionalTerm):
-            stack.extend(cur.args)
+            stack.extend(reversed(cur.args))
 
 
 # ---------------------------------------------------------------------------

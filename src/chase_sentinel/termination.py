@@ -22,12 +22,12 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .cyclicity import SearchBudget
 from .matcher import FactSet, Trigger, discover, is_obsolete
-from .model import (Atom, FunctionalTerm, Rule, RuleSet, Substitution, Term,
-                    is_k_cyclic, star)
+from .model import (Atom, Rule, RuleSet, Substitution, Term, is_k_cyclic, star,
+                    subterms)
 
 __all__ = ["AcyclicityVerdict", "check_acyclic", "critical_instance",
            "RMFA_LIKE", "MFA"]
@@ -54,13 +54,6 @@ def critical_instance(rules: RuleSet) -> list[Atom]:
         Atom(predicate, (star(),) * arity)
         for predicate, arity in rules.predicates.items()
     ]
-
-
-def _preorder(t: Term) -> Iterator[Term]:
-    yield t
-    if isinstance(t, FunctionalTerm):
-        for arg in t.args:
-            yield from _preorder(arg)
 
 
 def check_acyclic(
@@ -135,7 +128,7 @@ def check_acyclic(
             if any(t != seed_constant for t in atom.terms):
                 derived.add(atom)
             for arg in atom.terms:
-                for t in _preorder(arg):
+                for t in subterms(arg):
                     if t in known_terms:
                         continue
                     known_terms.add(t)

@@ -23,6 +23,7 @@ from chase_sentinel.model import (
     apply_atom,
     birth_facts,
     is_cyclic,
+    is_rho_cyclic,
     skeleton,
     star,
     subterms,
@@ -295,6 +296,61 @@ def naive_saturation(rules: RuleSet, rho, hc=None,
                         facts.add(a)
                         changed = True
     return facts
+
+
+def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigger]:
+    """The triggers a saturation applies, in order, with blocking switched
+    off: every round re-matches every rule against all facts, drops the
+    triggers of earlier rounds and applies the rest sorted on rule position
+    and canonical substitution, until a round finds none or an output holds
+    a rho-cyclic term. The reference for the semi-naive rounds of the
+    stubbed saturation engines; injectivity and budgets are as theirs."""
+    from chase_sentinel.cyclicity import SearchBudget, rule_database
+
+    budget = budget or SearchBudget()
+    db = rule_database(rho)
+    facts = FactSet(db.facts)
+    applied: list[Trigger] = []
+
+    def apply(trigger: Trigger) -> bool:
+        applied.append(trigger)
+        out = hc.out(trigger) if hc is not None else trigger.out(1)
+        facts.update(out)
+        return any(is_rho_cyclic(t, rho)
+                   for a in out for x in a.terms for t in subterms(x))
+
+    seed = Trigger(rho, db.substitution)
+    processed = {seed}
+    if apply(seed):
+        return applied
+    while True:
+        candidates = []
+        for position, rule in enumerate(rules):
+            if hc is None and not rule.is_deterministic:
+                continue
+            for sub in match_conjunction(rule.body, {}, facts):
+                trigger = Trigger(rule, sub)
+                if trigger not in processed:
+                    key = tuple(repr(sub[v]) for v in rule.body_vars)
+                    candidates.append(((position, key), trigger))
+        if not candidates:
+            return applied
+        candidates.sort(key=lambda c: c[0])
+        for _, trigger in candidates:
+            processed.add(trigger)
+            image = list(trigger.substitution.values())
+            if any(is_cyclic(t) for t in image):
+                continue
+            if budget.max_term_depth is not None and \
+                    any(t.depth > budget.max_term_depth for t in image):
+                continue
+            if trigger.rule.id == rho.id and len(set(image)) != len(image):
+                continue
+            if budget.max_triggers is not None and \
+                    len(applied) >= budget.max_triggers:
+                return applied
+            if apply(trigger):
+                return applied
 
 
 def terms_of(facts) -> set[Term]:

@@ -13,12 +13,13 @@ import pytest
 
 import chase_sentinel.cyclicity as cyc
 from chase_sentinel.approx import (
+    STAR,
+    UC,
+    TermAbstraction,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
-    star_abstraction,
-    uc_abstraction,
 )
 from chase_sentinel.chase import (
     BUDGET_EXHAUSTED,
@@ -163,17 +164,18 @@ def test_criterion_04_over_approximation_golden_sets():
         Atom("Engine", (c_w,)),
     }
 
-    with_hc = build_over_approx(rules, pivot, uc_abstraction(rules, pivot), hc1)
+    h = TermAbstraction(UC, skeleton(pivot, rules))
+    with_hc = build_over_approx(rules, pivot, h, hc1)
     assert set(with_hc.facts) == expected
 
-    conj = build_over_approx(rules, pivot, uc_abstraction(rules, pivot))
+    conj = build_over_approx(rules, pivot, h)
     assert set(conj.facts) == expected | {Atom("Spare", (c_w,))}
 
     collapse = ConstantMapping({c_v: star(), c_w: star()})
     collapsed = {collapse.apply_atom(a) for a in expected}
     for hc in (hc1, None):
         approx = build_over_approx(
-            rules, pivot, star_abstraction(rules, pivot), hc)
+            rules, pivot, TermAbstraction(STAR, skeleton(pivot, rules)), hc)
         assert set(approx.facts) == collapsed
 
 
@@ -324,8 +326,8 @@ def test_criterion_10_oracle_equivalence(monkeypatch):
             if not pivot.rule.is_generating:
                 continue
             for hc in hcs:
-                for kind, h in (("star", star_abstraction(rules, pivot)),
-                                ("uc", uc_abstraction(rules, pivot))):
+                for kind in (STAR, UC):
+                    h = TermAbstraction(kind, skeleton(pivot, rules))
                     got = set(build_over_approx(rules, pivot, h, hc).facts)
                     assert got == naive_over_approx(rules, pivot, kind, hc), \
                         (i, kind, hc)

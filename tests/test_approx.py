@@ -4,16 +4,17 @@ import random
 import pytest
 
 from chase_sentinel.approx import (
+    STAR,
+    UC,
     NotReversibleError,
+    TermAbstraction,
     UnblockabilityCache,
     abstract,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
-    star_abstraction,
     transport_trigger,
-    uc_abstraction,
 )
 from chase_sentinel.chase import HeadChoice
 from chase_sentinel.matcher import Trigger, discover
@@ -50,7 +51,7 @@ def bike_pivot(rules):
 def test_star_abstraction_maps_skeleton_to_itself_rest_to_star():
     rules = bike_subset(2)
     pivot = bike_pivot(rules)
-    h = star_abstraction(rules, pivot)
+    h = TermAbstraction(STAR, skeleton(pivot, rules))
     d = constant("d")
     f_v = next(s for s in rules.by_id["r1"].sk_symbols if s.var == "V")
     f_w = next(s for s in rules.by_id["r2"].sk_symbols if s.var == "W")
@@ -64,7 +65,7 @@ def test_star_abstraction_maps_skeleton_to_itself_rest_to_star():
 def test_uc_abstraction_names_fresh_terms_per_symbol():
     rules = bike_subset(2)
     pivot = bike_pivot(rules)
-    h = uc_abstraction(rules, pivot)
+    h = TermAbstraction(UC, skeleton(pivot, rules))
     d = constant("d")
     f_v = next(s for s in rules.by_id["r1"].sk_symbols if s.var == "V")
     f_w = next(s for s in rules.by_id["r2"].sk_symbols if s.var == "W")
@@ -108,10 +109,11 @@ def test_uc_over_approximation_golden_set():
     hc1 = HeadChoice.uniform(rules, 1)
     expected, c_v, c_w = expected_uc_facts(rules)
 
-    with_hc = build_over_approx(rules, pivot, uc_abstraction(rules, pivot), hc1)
+    h = TermAbstraction(UC, skeleton(pivot, rules))
+    with_hc = build_over_approx(rules, pivot, h, hc1)
     assert set(with_hc.facts) == expected
 
-    conj = build_over_approx(rules, pivot, uc_abstraction(rules, pivot))
+    conj = build_over_approx(rules, pivot, h)
     assert set(conj.facts) == expected | {Atom("Spare", (c_w,))}
 
 
@@ -125,15 +127,15 @@ def test_star_over_approximation_is_the_constant_collapse():
 
     for hc in (hc1, None):
         approx = build_over_approx(
-            rules, pivot, star_abstraction(rules, pivot), hc)
+            rules, pivot, TermAbstraction(STAR, skeleton(pivot, rules)), hc)
         assert set(approx.facts) == collapsed
 
 
 def test_hc_set_is_contained_in_the_conjunctive_set():
     rules = bike_subset(2)
     pivot = bike_pivot(rules)
-    for kind, h in (("uc", uc_abstraction(rules, pivot)),
-                    ("star", star_abstraction(rules, pivot))):
+    for kind in (UC, STAR):
+        h = TermAbstraction(kind, skeleton(pivot, rules))
         conj = build_over_approx(rules, pivot, h)
         for i in (1, 2):
             hc = HeadChoice.uniform(rules, i)
@@ -146,10 +148,10 @@ def test_over_approximation_matches_naive_oracle_on_bike_pivot():
     pivot = bike_pivot(rules)
     hc1 = HeadChoice.uniform(rules, 1)
     assert set(build_over_approx(
-        rules, pivot, uc_abstraction(rules, pivot), hc1).facts) == \
+        rules, pivot, TermAbstraction(UC, skeleton(pivot, rules)), hc1).facts) == \
         naive_over_approx(rules, pivot, "uc", hc1)
     assert set(build_over_approx(
-        rules, pivot, star_abstraction(rules, pivot)).facts) == \
+        rules, pivot, TermAbstraction(STAR, skeleton(pivot, rules))).facts) == \
         naive_over_approx(rules, pivot, "star")
 
 
@@ -175,8 +177,8 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
         hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
         for pivot in deep[:2] + shallow[:1]:
             for hc in hcs:
-                for kind, h in (("star", star_abstraction(rules, pivot)),
-                                ("uc", uc_abstraction(rules, pivot))):
+                for kind in (STAR, UC):
+                    h = TermAbstraction(kind, skeleton(pivot, rules))
                     approx = build_over_approx(rules, pivot, h, hc)
                     got = set(approx.facts)
                     assert got == naive_over_approx(rules, pivot, kind, hc), \
@@ -220,7 +222,7 @@ def test_head_choice_excludes_other_rules_with_the_pivot_output(kind):
     # excluded although it belongs to another rule. Read conjunctively,
     # only pivot-rule triggers are excluded and r3 contributes B(f_U(c)).
     rules, pivot, fuc = exclusion_case("r2")
-    h = (star_abstraction if kind == "star" else uc_abstraction)(rules, pivot)
+    h = TermAbstraction(kind, skeleton(pivot, rules))
     hc1 = HeadChoice.uniform(rules, 1)
     with_hc = set(build_over_approx(rules, pivot, h, hc1).facts)
     assert Atom("F", (constant("c"), fuc)) in with_hc
@@ -244,7 +246,7 @@ def test_uninterned_skolem_terms_are_abstracted_not_excluded(kind):
     kept = sk(rules, "r6", var)
     key = (kept, (fuc,))
     assert key not in _TERMS
-    h = (star_abstraction if kind == "star" else uc_abstraction)(rules, pivot)
+    h = TermAbstraction(kind, skeleton(pivot, rules))
     replacement = star() if kind == "star" else uc_constant(kept)
     hc1 = HeadChoice.uniform(rules, 1)
     got = set(build_over_approx(rules, pivot, h, hc1).facts)
@@ -259,7 +261,7 @@ def test_conjunctive_exclusion_needs_every_disjunct(kind):
     # first output S(f_U(c)) but not its second, T(c, f_U(c)), so it is not
     # excluded and S(f_U(c)) is derived although the pivot is excluded.
     rules, pivot, fuc = exclusion_case("r8")
-    h = (star_abstraction if kind == "star" else uc_abstraction)(rules, pivot)
+    h = TermAbstraction(kind, skeleton(pivot, rules))
     got = set(build_over_approx(rules, pivot, h).facts)
     assert Atom("S", (fuc,)) in got
     assert Atom("T", (star(), fuc)) in got
@@ -316,7 +318,8 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     assert is_uc_unblockable(rules, hc1, lam_d, cache)
     assert len(cache.entries) == 1
     assert (cache.builds, cache.hits) == (1, 0)
-    built = build_over_approx(rules, lam_d, uc_abstraction(rules, lam_d), hc1)
+    built = build_over_approx(
+        rules, lam_d, TermAbstraction(UC, skeleton(lam_d, rules)), hc1)
     assert cache.triggers == built.triggers > 0
     assert is_uc_unblockable(rules, hc1, lam_e, cache)
     assert len(cache.entries) == 1

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+import chase_sentinel.cyclicity as cyc
 from chase_sentinel.chase import HeadChoice
 from chase_sentinel.cyclicity import (
     AppliedTrigger,
@@ -25,7 +28,8 @@ from chase_sentinel.model import (
     variable,
 )
 
-from conftest import bike_subset, rules_from
+from conftest import (bike_subset, random_rule_set, rematch_saturation,
+                      rules_from)
 
 
 X, Y = variable("X"), variable("Y")
@@ -231,3 +235,37 @@ def test_extract_prefix_traps_corrupted_logs(bike2):
     run.provenance[1] = AppliedTrigger(1, bad, entry.out, entry.new)
     with pytest.raises(InternalInconsistencyError):
         extract_prefix(run)
+
+
+def test_semi_naive_rounds_apply_the_triggers_of_full_rematching(monkeypatch):
+    # With blocking stubbed out, every hc_1, hc_2 and DRPC saturation of
+    # random sets of up to 8 rules applies the triggers that re-matching
+    # every rule each round applies, in the same order.
+    monkeypatch.setattr(cyc, "is_uc_unblockable", lambda *a, **k: True)
+    monkeypatch.setattr(cyc, "is_star_unblockable", lambda *a, **k: True)
+    rng = random.Random(91)
+    budget = SearchBudget(max_triggers=100, max_term_depth=4)
+    runs = cyclic = truncated = long_runs = 0
+    for i in range(150):
+        rules = random_rule_set(rng, max_rules=8)
+        for rho in rules:
+            if not rho.is_generating:
+                continue
+            cases = [(HeadChoice.uniform(rules, 1), "hc_1"),
+                     (HeadChoice.uniform(rules, 2), "hc_2")]
+            if rho.is_deterministic:
+                cases.append((None, "DRPC"))
+            for hc, label in cases:
+                if hc is None:
+                    run = cyc.drpc_fact_set(rules, rho, budget)
+                else:
+                    run = cyc.rpc_fact_set(rules, hc, rho, budget)
+                got = [a.trigger for a in run.provenance]
+                assert got == rematch_saturation(rules, rho, hc, budget), \
+                    (i, rho.id, label)
+                runs += 1
+                cyclic += run.cyclic_term is not None
+                truncated += len(got) == budget.max_triggers
+                long_runs += len(got) > len(rules) + 1
+    assert runs >= 700
+    assert cyclic >= 100 and truncated >= 10 and long_runs >= 100

@@ -92,6 +92,12 @@ def test_subterms_closure():
     f = skolem_symbol("r1", 1, "U", 2)
     t = functional(f, (a, functional(f, (a, b))))
     assert set(subterms(t)) == {t, a, b, functional(f, (a, b))}
+    # Left-to-right preorder, each subterm once: the first cyclic term a
+    # saturation reports depends on this order.
+    g = skolem_symbol("r2", 1, "V", 2)
+    u = functional(g, (functional(f, (b, a)), t))
+    assert list(subterms(u)) == [u, functional(f, (b, a)), b, a, t,
+                                 functional(f, (a, b))]
 
 
 def test_frontier_in_body_occurrence_order():
