@@ -51,13 +51,11 @@ __all__ = [
     "TermAbstraction",
     "OverApproximation",
     "ReversibilityCertificate",
-    "NotReversibleError",
     "abstract",
     "build_over_approx",
     "is_star_unblockable",
     "is_uc_unblockable",
     "check_reversible",
-    "transport_trigger",
     "UnblockabilityCache",
 ]
 
@@ -382,12 +380,6 @@ class ReversibilityCertificate:
     detail: str
 
 
-class NotReversibleError(ValueError):
-    def __init__(self, certificate: ReversibilityCertificate):
-        super().__init__(certificate.detail)
-        self.certificate = certificate
-
-
 def check_reversible(g: ConstantMapping, terms: Iterable[Term]) -> ReversibilityCertificate:
     """Check the three reversibility conditions over a subterm-closed set.
 
@@ -431,13 +423,3 @@ def check_reversible(g: ConstantMapping, terms: Iterable[Term]) -> Reversibility
                 f"image of a constant")
 
     return ReversibilityCertificate(True, None, "reversible")
-
-
-def transport_trigger(rules: RuleSet, trigger: Trigger, g: ConstantMapping) -> Trigger:
-    """Apply g to the trigger's substitution; g must be reversible for the
-    trigger's skeleton."""
-    certificate = check_reversible(g, skeleton(trigger, rules))
-    if not certificate.reversible:
-        raise NotReversibleError(certificate)
-    moved = {v: g.apply(t) for v, t in trigger.substitution.items()}
-    return Trigger(trigger.rule, moved)

@@ -9,7 +9,10 @@ Obsolete triggers are re-checked at application time because labels grow
 monotonically along a branch.
 Triggers are found by `matcher.discover`, the shared semi-naive routine:
 each child pins only the facts its disjunct added, in the enumeration order
-of the chase's former pin loop.
+of the chase's former pin loop. `run_chase` and `entails` share one
+expansion loop; `entails` also pins its query to the facts each child adds,
+closes the branches that match it and stops at the first saturated branch
+that does not.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .matcher import FactSet, Trigger, discover, is_obsolete, match_conjunction
+from .matcher import (FactSet, Trigger, compile_query, discover, is_obsolete,
+                      match_conjunction, query_matched)
 from .model import Atom, Query, Rule, RuleSet
 
 __all__ = [
@@ -30,7 +34,6 @@ __all__ = [
     "run_chase",
     "results",
     "entails",
-    "hc_branch",
 ]
 
 COMPLETE = "complete"
@@ -215,17 +218,19 @@ def _next_trigger(branch: _Branch) -> Trigger | None:
     return None
 
 
-def run_chase(
+def _expand(
     rules: RuleSet,
     database: Iterable[Atom],
-    budget: ChaseBudget | None = None,
-) -> ChaseTree:
-    """Build one restricted chase tree; depth-first, first disjunct first.
+    budget: ChaseBudget | None,
+    query: Query | None,
+) -> tuple[ChaseTree, bool]:
+    """The one expansion loop: depth-first, first disjunct first.
 
-    The returned tree carries status "complete" when every branch ended in a
-    vertex satisfying all rules, or "budget-exhausted" when a vertex, depth,
-    term depth, or time limit stopped the expansion; `exhausted` then names
-    that limit.
+    With a query, a vertex whose facts match it is a closed leaf: it is
+    neither discovered from nor expanded, since every label below it would
+    match too. The search then stops at the first saturated branch, which
+    refutes the query; the flag returned says whether that happened.
+    Without a query every branch runs until it is saturated.
     """
     budget = budget or ChaseBudget()
     db = FactSet()
@@ -238,6 +243,12 @@ def run_chase(
     root = ChaseVertex(0, None, 0, None, None, tuple(seed))
     tree.vertices.append(root)
 
+    pins = None
+    if query is not None:
+        pins = compile_query(query.atoms)
+        for _ in match_conjunction(query.atoms, {}, db):
+            return tree, False
+
     deadline = None
     if budget.timeout_seconds is not None:
         deadline = time.monotonic() + budget.timeout_seconds
@@ -248,24 +259,26 @@ def run_chase(
 
     while stack:
         if deadline is not None and time.monotonic() > deadline:
-            return tree._stop(TIME)
+            return tree._stop(TIME), False
         branch = stack.pop()
         trigger = _next_trigger(branch)
         if trigger is None:
+            if pins is not None:
+                return tree, True
             continue
         vertex = tree.vertices[branch.vertex]
         if budget.max_depth is not None and vertex.depth >= budget.max_depth:
-            return tree._stop(DEPTH)
+            return tree._stop(DEPTH), False
         fanout = trigger.rule.branching
         if budget.max_vertices is not None and \
                 len(tree.vertices) + fanout > budget.max_vertices:
-            return tree._stop(VERTICES)
+            return tree._stop(VERTICES), False
         outputs = trigger.outputs()
         if budget.max_term_depth is not None:
             for out in outputs:
                 for atom in out:
                     if any(t.depth > budget.max_term_depth for t in atom.terms):
-                        return tree._stop(TERM_DEPTH)
+                        return tree._stop(TERM_DEPTH), False
         children: list[_Branch] = []
         for i in range(1, fanout + 1):
             child = branch if i == fanout else branch.fork()
@@ -274,12 +287,29 @@ def run_chase(
                              trigger, i, tuple(new))
             tree.vertices.append(cv)
             vertex.children.append(cv.id)
+            if pins is not None and query_matched(pins, new, child.facts):
+                continue
             child.vertex = cv.id
             _discover(rules, child, new)
             children.append(child)
         # First disjunct is explored first.
         stack.extend(reversed(children))
-    return tree
+    return tree, False
+
+
+def run_chase(
+    rules: RuleSet,
+    database: Iterable[Atom],
+    budget: ChaseBudget | None = None,
+) -> ChaseTree:
+    """Build one restricted chase tree; depth-first, first disjunct first.
+
+    The returned tree carries status "complete" when every branch ended in a
+    vertex satisfying all rules, or "budget-exhausted" when a vertex, depth,
+    term depth, or time limit stopped the expansion; `exhausted` then names
+    that limit.
+    """
+    return _expand(rules, database, budget, None)[0]
 
 
 def results(tree: ChaseTree) -> list[frozenset[Atom]]:
@@ -311,38 +341,15 @@ def entails(
 ) -> str:
     """Decide certain entailment of a boolean conjunctive query.
 
-    Returns "yes" when every result set of the chase tree admits a match,
-    "no" when at least one does not, and "unknown" when the tree could not
-    be completed within the budget.
+    The query is matched while the chase runs. Labels only grow along a
+    branch, so a branch is closed as soon as its facts match the query.
+    Returns "yes" as soon as every open branch has matched, "no" at the
+    first saturated branch that refutes it (its label is a finite model),
+    and "unknown" when a budget ran out first. Budgets count as in
+    run_chase, but closed branches are not expanded, so "unknown" comes up
+    less often than on the full tree.
     """
-    tree = run_chase(rules, database, budget)
+    tree, refuted = _expand(rules, database, budget, query)
     if tree.status != COMPLETE:
         return "unknown"
-    for result in results(tree):
-        facts = FactSet(result)
-        matched = False
-        for _ in match_conjunction(query.atoms, {}, facts):
-            matched = True
-            break
-        if not matched:
-            return "no"
-    return "yes"
-
-
-def hc_branch(tree: ChaseTree, hc: HeadChoice) -> list[ChaseVertex]:
-    """The unique root-to-leaf path that always follows hc's disjunct."""
-    path = [tree.root]
-    while path[-1].children:
-        vertex = path[-1]
-        first_child = tree.vertices[vertex.children[0]]
-        assert first_child.trigger is not None
-        wanted = hc.choice(first_child.trigger.rule)
-        step = None
-        for cid in vertex.children:
-            child = tree.vertices[cid]
-            if child.disjunct == wanted:
-                step = child
-                break
-        assert step is not None, "children must cover every disjunct"
-        path.append(step)
-    return path
+    return "no" if refuted else "yes"

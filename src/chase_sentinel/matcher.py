@@ -14,6 +14,11 @@ only on (rule, idx). Each such join is compiled once per rule set, on first
 use, and held by the rule set next to its body index, so it is freed with
 it. A compiled join yields the substitutions of match_conjunction(rule.body,
 base, facts), in the same order, where base maps the pinned atom to the fact.
+
+Queries are pinned the same way by `compile_query`, once per query, so that
+`query_matched` tests only the matches that use a newly added fact. Query
+atoms may hold constants, which rule bodies never do; only query plans check
+them, so the rule-body joins pay nothing for it.
 """
 from __future__ import annotations
 
@@ -34,11 +39,11 @@ __all__ = [
     "FactSet",
     "Trigger",
     "match_conjunction",
-    "match_pinned",
     "discover",
-    "is_loaded",
     "is_obsolete",
-    "satisfies",
+    "compile_query",
+    "match_query_pinned",
+    "query_matched",
 ]
 
 
@@ -333,23 +338,6 @@ def _run_pinned(plan: _PinPlan, fact: Atom,
                     yield sub
 
 
-def match_pinned(
-    rule: Rule,
-    idx: int,
-    fact: Atom,
-    facts: FactSet,
-) -> Iterator[dict[Variable, Term]]:
-    """Loaded substitutions of the rule's body that map body atom idx to fact.
-
-    The semi-naive step: the pinned atom is matched to the fact (repeated
-    variables must agree) and only the remaining body atoms are joined. The
-    substitutions and their order are those of match_conjunction(rule.body,
-    base, facts), where base is that unifier. This call compiles the join on
-    the spot; discover runs the same compiled joins, held by the rule set.
-    """
-    return _run_pinned(_compile_pinned(rule, idx), fact, facts)
-
-
 def discover(
     rules: RuleSet,
     facts: FactSet,
@@ -381,11 +369,6 @@ def discover(
                 yield rule, sub
 
 
-def is_loaded(trigger: Trigger, facts: FactSet) -> bool:
-    """True iff every instantiated body atom is present."""
-    return all(f in facts for f in trigger.body_facts())
-
-
 def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
     """True iff some original head disjunct matches into the facts.
 
@@ -407,9 +390,74 @@ def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
     return False
 
 
-def satisfies(facts: FactSet, rule: Rule) -> bool:
-    """True iff every loaded trigger of the rule is obsolete."""
-    for sub in match_conjunction(rule.body, {}, facts):
-        if not is_obsolete(Trigger(rule, sub), facts):
-            return False
-    return True
+class _QueryPin(NamedTuple):
+    """A query with one atom pinned to a fact, analysed once per query and
+    run by match_query_pinned.
+
+    Unlike rule bodies, queries hold constants: consts pairs each constant
+    position of the pinned atom with its constant. repeats pairs a later
+    position of a variable with its first, slots gives each variable its
+    first position, and rest holds the other query atoms.
+    """
+
+    predicate: str
+    arity: int
+    consts: tuple[tuple[int, Term], ...]
+    repeats: tuple[tuple[int, int], ...]
+    slots: tuple[tuple[Variable, int], ...]
+    rest: tuple[Atom, ...]
+
+
+def compile_query(atoms: Sequence[Atom]) -> dict[str, tuple[_QueryPin, ...]]:
+    """Per predicate, the query pinned at each of its atoms of that
+    predicate, in query order. Query terms are variables or ground terms."""
+    atoms = tuple(atoms)
+    pins: dict[str, list[_QueryPin]] = {}
+    for idx, atom in enumerate(atoms):
+        consts: list[tuple[int, Term]] = []
+        repeats: list[tuple[int, int]] = []
+        slots: dict[Variable, int] = {}
+        for i, t in enumerate(atom.terms):
+            if isinstance(t, Variable):
+                if t in slots:
+                    repeats.append((i, slots[t]))
+                else:
+                    slots[t] = i
+            elif t.is_ground:
+                consts.append((i, t))
+            else:
+                raise RuleError(f"query term is neither a variable nor ground: {t!r}")
+        pins.setdefault(atom.predicate, []).append(_QueryPin(
+            atom.predicate, atom.arity, tuple(consts), tuple(repeats),
+            tuple(slots.items()), atoms[:idx] + atoms[idx + 1:]))
+    return {p: tuple(v) for p, v in pins.items()}
+
+
+def match_query_pinned(pin: _QueryPin, fact: Atom,
+                       facts: FactSet) -> Iterator[dict[Variable, Term]]:
+    """Matches of the query into the facts that map the pinned atom to fact:
+    those of match_conjunction(query, base, facts), in the same order, where
+    base is the unifier of the pinned atom with fact."""
+    predicate, arity, consts, repeats, slots, rest = pin
+    ft = fact.terms
+    if fact.predicate != predicate or len(ft) != arity:
+        return iter(())
+    for i, c in consts:
+        if ft[i] != c:
+            return iter(())
+    for i, j in repeats:
+        if ft[i] != ft[j]:
+            return iter(())
+    base = {v: ft[i] for v, i in slots}
+    return match_conjunction(rest, base, facts) if rest else iter((base,))
+
+
+def query_matched(pins: dict[str, tuple[_QueryPin, ...]],
+                  new_facts: Iterable[Atom], facts: FactSet) -> bool:
+    """True iff the query matches into the facts using some new fact
+    (already in the facts): the semi-naive step of query-directed chasing."""
+    for fact in new_facts:
+        for pin in pins.get(fact.predicate, ()):
+            for _ in match_query_pinned(pin, fact, facts):
+                return True
+    return False

@@ -36,7 +36,6 @@ __all__ = [
     "is_reserved_name",
     "apply_term",
     "apply_atom",
-    "apply_atoms",
     "compose",
     "subterms",
     "term_depth",

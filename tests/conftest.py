@@ -1,4 +1,5 @@
-"""Shared rule sets, a seeded rule-set generator, and naive reference oracles.
+"""Shared rule sets, a seeded rule-set generator, naive reference oracles,
+and helpers that only tests call.
 
 The oracles re-implement the saturation definitions as direct enumerations
 over the full substitution space. They are slow on purpose: the point is
@@ -12,14 +13,33 @@ import random
 
 import pytest
 
-from chase_sentinel.matcher import FactSet, Trigger, match_conjunction
+from chase_sentinel.approx import ReversibilityCertificate, check_reversible
+from chase_sentinel.chase import (
+    COMPLETE,
+    ChaseTree,
+    ChaseVertex,
+    HeadChoice,
+    results,
+    run_chase,
+)
+from chase_sentinel.matcher import (
+    FactSet,
+    Trigger,
+    _compile_pinned,
+    _run_pinned,
+    is_obsolete,
+    match_conjunction,
+)
 from chase_sentinel.model import (
     Atom,
     Constant,
+    ConstantMapping,
     FunctionalTerm,
+    Rule,
     RuleError,
     RuleSet,
     Term,
+    Variable,
     apply_atom,
     birth_facts,
     is_cyclic,
@@ -360,3 +380,80 @@ def terms_of(facts) -> set[Term]:
         for t in a.terms:
             acc.update(subterms(t))
     return acc
+
+
+def naive_entails(rules: RuleSet, database, query, budget=None) -> str:
+    """Entailment read off the whole chase tree: "yes" when every result
+    set admits a match, "no" when one does not, "unknown" when the tree is
+    not complete. The reference for query-directed `entails`."""
+    tree = run_chase(rules, database, budget)
+    if tree.status != COMPLETE:
+        return "unknown"
+    for result in results(tree):
+        facts = FactSet(result)
+        matched = False
+        for _ in match_conjunction(query.atoms, {}, facts):
+            matched = True
+            break
+        if not matched:
+            return "no"
+    return "yes"
+
+
+# ---------------------------------------------------------------------------
+# Helpers only tests call
+
+def hc_branch(tree: ChaseTree, hc: HeadChoice) -> list[ChaseVertex]:
+    """The unique root-to-leaf path that always follows hc's disjunct."""
+    path = [tree.root]
+    while path[-1].children:
+        vertex = path[-1]
+        first_child = tree.vertices[vertex.children[0]]
+        assert first_child.trigger is not None
+        wanted = hc.choice(first_child.trigger.rule)
+        step = None
+        for cid in vertex.children:
+            child = tree.vertices[cid]
+            if child.disjunct == wanted:
+                step = child
+                break
+        assert step is not None, "children must cover every disjunct"
+        path.append(step)
+    return path
+
+
+def is_loaded(trigger: Trigger, facts: FactSet) -> bool:
+    """True iff every instantiated body atom is present."""
+    return all(f in facts for f in trigger.body_facts())
+
+
+def satisfies(facts: FactSet, rule: Rule) -> bool:
+    """True iff every loaded trigger of the rule is obsolete."""
+    for sub in match_conjunction(rule.body, {}, facts):
+        if not is_obsolete(Trigger(rule, sub), facts):
+            return False
+    return True
+
+
+def match_pinned(rule: Rule, idx: int, fact: Atom,
+                 facts: FactSet) -> list[dict[Variable, Term]]:
+    """The compiled join of the rule's body with atom idx pinned to fact,
+    compiled on the spot; `discover` runs the same joins held by the rule
+    set."""
+    return list(_run_pinned(_compile_pinned(rule, idx), fact, facts))
+
+
+class NotReversibleError(ValueError):
+    def __init__(self, certificate: ReversibilityCertificate):
+        super().__init__(certificate.detail)
+        self.certificate = certificate
+
+
+def transport_trigger(rules: RuleSet, trigger: Trigger, g: ConstantMapping) -> Trigger:
+    """Apply g to the trigger's substitution; g must be reversible for the
+    trigger's skeleton."""
+    certificate = check_reversible(g, skeleton(trigger, rules))
+    if not certificate.reversible:
+        raise NotReversibleError(certificate)
+    moved = {v: g.apply(t) for v, t in trigger.substitution.items()}
+    return Trigger(trigger.rule, moved)

@@ -43,7 +43,6 @@ from chase_sentinel.cyclicity import (
 from chase_sentinel.matcher import (
     FactSet,
     Trigger,
-    is_loaded,
     is_obsolete,
     match_conjunction,
 )
@@ -65,6 +64,7 @@ from chase_sentinel.termination import MFA, TERMINATING, check_acyclic
 
 from conftest import (
     bike_subset,
+    is_loaded,
     naive_over_approx,
     naive_saturation,
     oracle_obsolete,

@@ -6,7 +6,6 @@ import pytest
 from chase_sentinel.approx import (
     STAR,
     UC,
-    NotReversibleError,
     TermAbstraction,
     UnblockabilityCache,
     abstract,
@@ -14,7 +13,6 @@ from chase_sentinel.approx import (
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
-    transport_trigger,
 )
 from chase_sentinel.chase import HeadChoice
 from chase_sentinel.matcher import Trigger, discover
@@ -32,11 +30,13 @@ from chase_sentinel.model import (
 )
 
 from conftest import (
+    NotReversibleError,
     bike_subset,
     naive_over_approx,
     random_rule_set,
     rules_from,
     sample_triggers,
+    transport_trigger,
 )
 
 

@@ -12,14 +12,14 @@ from chase_sentinel.chase import (
     HeadChoice,
     IncompleteTreeError,
     entails,
-    hc_branch,
     results,
     run_chase,
 )
-from chase_sentinel.matcher import is_loaded, is_obsolete, satisfies
+from chase_sentinel.matcher import is_obsolete
 from chase_sentinel.model import Atom, Query, constant, functional, variable
 
-from conftest import bike_subset, random_rule_set, rules_from
+from conftest import (hc_branch, is_loaded, naive_entails, random_rule_set,
+                      rules_from, satisfies)
 
 
 def atom(pred, *names):
@@ -113,9 +113,15 @@ def test_max_term_depth_budget():
     tree = run_chase(rules, [atom("A", "a")], ChaseBudget(max_term_depth=3))
     assert tree.status == BUDGET_EXHAUSTED
     assert tree.exhausted == TERM_DEPTH
+    # The chase never derives B(a), so only the budget stops the search.
+    assert entails(rules, [atom("A", "a")],
+                   Query((atom("B", "a"),)),
+                   ChaseBudget(max_term_depth=3)) == "unknown"
+    # A(a) holds at the root, which closes the only branch before any budget
+    # is reached: a sound "yes" where the full tree gave "unknown".
     assert entails(rules, [atom("A", "a")],
                    Query((atom("A", "a"),)),
-                   ChaseBudget(max_term_depth=3)) == "unknown"
+                   ChaseBudget(max_term_depth=3)) == "yes"
 
 
 def test_complete_trees_end_in_models_of_the_rules():
@@ -147,6 +153,75 @@ def test_complete_trees_end_in_models_of_the_rules():
             assert all(satisfies(label, rule) for rule in rules)
             leaves += 1
     assert complete >= 150 and leaves >= 300 and later_disjuncts >= 100
+
+
+def _random_query(rng, rules, consts, result):
+    """One to three atoms. Terms are constants or variables drawn from a
+    small pool, so variables repeat; or, when a result set is given, facts
+    of it with some terms turned into variables, one per term, so that skolem
+    terms become existential witnesses."""
+    variables = [variable(n) for n in ("X", "Y", "Z")]
+    if result and rng.random() < 0.6:
+        facts = rng.sample(sorted(result, key=repr), min(len(result), rng.randint(1, 3)))
+        renamed = {}
+        atoms = []
+        for fact in facts:
+            terms = []
+            for t in fact.terms:
+                if t in consts and rng.random() < 0.5:
+                    terms.append(t)
+                else:
+                    terms.append(renamed.setdefault(t, variable(f"W{len(renamed)}")))
+            atoms.append(Atom(fact.predicate, tuple(terms)))
+        return Query(tuple(atoms))
+    preds = sorted(rules.predicates.items())
+    atoms = []
+    for _ in range(rng.randint(1, 3)):
+        pred, arity = rng.choice(preds)
+        atoms.append(Atom(pred, tuple(rng.choice(consts + variables)
+                                      for _ in range(arity))))
+    return Query(tuple(atoms))
+
+
+def test_query_directed_entailment_agrees_with_the_full_tree():
+    # Whenever the full tree decides under a budget, entails gives the same
+    # answer under it; and whatever entails decides, the full tree under a
+    # larger budget confirms whenever it completes.
+    rng = random.Random(5)
+    consts = [constant(n) for n in ("a", "b", "c")]
+    large = ChaseBudget(max_vertices=2000, max_term_depth=4)
+    agreed = confirmed = only_directed = 0
+    answers = set()
+    for _ in range(150):
+        rules = random_rule_set(rng, max_rules=8)
+        preds = sorted(rules.predicates.items())
+        db = []
+        for _ in range(rng.randint(2, 8)):
+            pred, arity = rng.choice(preds)
+            db.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+        tree = run_chase(rules, db, large)
+        sets = results(tree) if tree.status == COMPLETE else []
+        for _ in range(4):
+            budget = ChaseBudget(max_vertices=rng.choice((4, 12, 40, 400)),
+                                 max_depth=rng.choice((None, 3, 8)),
+                                 max_term_depth=rng.randint(1, 3))
+            query = _random_query(rng, rules, consts,
+                                  rng.choice(sets) if sets else None)
+            directed = entails(rules, db, query, budget)
+            oracle = naive_entails(rules, db, query, budget)
+            if oracle != "unknown":
+                assert directed == oracle, (rules, db, query, budget)
+                agreed += 1
+            if directed == "unknown":
+                continue
+            answers.add(directed)
+            only_directed += oracle == "unknown"
+            reference = naive_entails(rules, db, query, large)
+            if reference != "unknown":
+                assert directed == reference, (rules, db, query, budget)
+                confirmed += 1
+    assert answers == {"yes", "no"}
+    assert agreed >= 350 and confirmed >= 400 and only_directed >= 60
 
 
 def test_entailment_with_query_variables():

@@ -195,9 +195,13 @@ def test_entails(tmp_path, capsys):
 def test_entails_unknown_under_budget(tmp_path, capsys):
     rules = write(tmp_path, "loop.drls", "A(X) -> R(X, Y), A(Y) .\n")
     data = write(tmp_path, "data.drls", "A(a) .\n")
-    assert main(["entails", rules, data, "--query", "A(a)",
+    assert main(["entails", rules, data, "--query", "B(a)",
                  "--max-depth", "2"]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "unknown"
+    # A(a) is a database fact: the root matches, under the same budget.
+    assert main(["entails", rules, data, "--query", "A(a)",
+                 "--max-depth", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "yes"
 
 
 def test_batch_table_summary_and_csv(tmp_path, capsys):

@@ -18,7 +18,7 @@ from chase_sentinel.cyclicity import (
     rule_database,
     unroll_prefix,
 )
-from chase_sentinel.matcher import FactSet, Trigger, is_loaded
+from chase_sentinel.matcher import FactSet, Trigger
 from chase_sentinel.model import (
     Atom,
     constant,
@@ -28,8 +28,8 @@ from chase_sentinel.model import (
     variable,
 )
 
-from conftest import (bike_subset, random_rule_set, rematch_saturation,
-                      rules_from)
+from conftest import (bike_subset, is_loaded, random_rule_set,
+                      rematch_saturation, rules_from)
 
 
 X, Y = variable("X"), variable("Y")

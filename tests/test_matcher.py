@@ -5,16 +5,17 @@ import weakref
 from chase_sentinel.matcher import (
     FactSet,
     Trigger,
+    compile_query,
     discover,
-    is_loaded,
     is_obsolete,
     match_conjunction,
-    match_pinned,
-    satisfies,
+    match_query_pinned,
+    query_matched,
 )
 from chase_sentinel.model import Atom, constant, functional, variable
 
-from conftest import bike_subset, oracle_obsolete, random_rule_set, rules_from
+from conftest import (bike_subset, is_loaded, match_pinned, oracle_obsolete,
+                      random_rule_set, rules_from, satisfies)
 
 
 def atom(pred, *names):
@@ -170,7 +171,7 @@ def test_match_pinned_enumerates_like_match_conjunction():
                             for pat, val in zip(rule.body[idx].terms, fact.terms))
                 expected = [] if clash else list(
                     match_conjunction(rule.body, base, facts))
-                assert list(match_pinned(rule, idx, fact, facts)) == expected
+                assert match_pinned(rule, idx, fact, facts) == expected
                 branches |= _pinned_branch(rule, idx, fact, facts, expected)
                 pinned += [(rule, sub) for sub in expected]
                 compared += 1
@@ -183,7 +184,7 @@ def test_match_pinned_enumerates_like_match_conjunction():
 
     rules = rules_from("P(X, Y) -> R(X) .\n")
     absent = atom("P", "a", "b")
-    assert list(match_pinned(rules.rules[0], 0, absent, FactSet())) == []
+    assert match_pinned(rules.rules[0], 0, absent, FactSet()) == []
 
 
 def test_pinned_joins_are_freed_with_their_rule_set():
@@ -261,3 +262,68 @@ def test_semi_naive_discovery_equals_naive_discovery():
         assert pairs(discover(rules, facts, [])) == set()
         checked += len(naive - pairs(discover(rules, old)))
     assert checked >= 100
+
+
+def test_query_pins_enumerate_like_match_conjunction():
+    # Queries, unlike rule bodies, hold constants: in the pinned atom, next
+    # to repeated variables, and in the atoms joined after it.
+    rng = random.Random(23)
+    a, b, c = (constant(n) for n in ("a", "b", "c"))
+    X, Y = variable("X"), variable("Y")
+
+    def T(*terms):
+        return Atom("T", terms)
+
+    def R(*terms):
+        return Atom("R", terms)
+
+    queries = [
+        (T(a, X), T(X, a)),
+        (R(X, X),),
+        (R(X, Y), T(Y, b)),
+        (T(a, c),),
+        (R(X, X), T(X, Y), T(Y, X)),
+        (T(X, b), R(b, X)),
+    ]
+
+    def key(subs):
+        return {frozenset(s.items()) for s in subs}
+
+    compared = matched = 0
+    for _ in range(40):
+        def draw(n):
+            return [Atom(rng.choice("TR"), (rng.choice((a, b, c)), rng.choice((a, b, c))))
+                    for _ in range(n)]
+        old = FactSet(draw(rng.randint(1, 6)))
+        facts = old.copy()
+        new = facts.update(draw(rng.randint(1, 4)))
+        for atoms in queries:
+            pins = compile_query(atoms)
+            whole = list(match_conjunction(atoms, {}, facts))
+            found = []
+            for fact in facts:
+                positions = [i for i, q in enumerate(atoms)
+                             if q.predicate == fact.predicate]
+                assert len(pins.get(fact.predicate, ())) == len(positions)
+                for idx, pin in zip(positions, pins.get(fact.predicate, ())):
+                    base: dict = {}
+                    clash = False
+                    for pat, val in zip(atoms[idx].terms, fact.terms):
+                        if pat.is_ground:
+                            clash |= pat != val
+                        else:
+                            clash |= base.setdefault(pat, val) != val
+                    expected = [] if clash else list(
+                        match_conjunction(atoms, base, facts))
+                    got = list(match_query_pinned(pin, fact, facts))
+                    assert got == expected, (atoms, fact)
+                    found += got
+                    compared += 1
+            # Every match maps some atom to some fact.
+            assert key(found) == key(whole)
+            assert query_matched(pins, list(facts), facts) == bool(whole)
+            # Pinned to the new facts: exactly the matches that need one.
+            fresh = key(whole) - key(match_conjunction(atoms, {}, old))
+            assert query_matched(pins, new, facts) == bool(fresh)
+            matched += bool(fresh)
+    assert compared >= 1000 and matched >= 30
