@@ -16,7 +16,6 @@ that does not.
 """
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -43,7 +42,6 @@ BUDGET_EXHAUSTED = "budget-exhausted"
 VERTICES = "vertices"
 DEPTH = "depth"
 TERM_DEPTH = "term-depth"
-TIME = "time"
 
 
 class IncompleteTreeError(RuntimeError):
@@ -99,7 +97,6 @@ class ChaseBudget:
     max_vertices: int | None = 100_000
     max_depth: int | None = None
     max_term_depth: int | None = 8
-    timeout_seconds: float | None = None
 
 
 @dataclass
@@ -249,17 +246,11 @@ def _expand(
         for _ in match_conjunction(query.atoms, {}, db):
             return tree, False
 
-    deadline = None
-    if budget.timeout_seconds is not None:
-        deadline = time.monotonic() + budget.timeout_seconds
-
     start = _Branch(0, db, deque(), deque(), set())
     _discover(rules, start)
     stack: list[_Branch] = [start]
 
     while stack:
-        if deadline is not None and time.monotonic() > deadline:
-            return tree._stop(TIME), False
         branch = stack.pop()
         trigger = _next_trigger(branch)
         if trigger is None:
@@ -305,8 +296,8 @@ def run_chase(
     """Build one restricted chase tree; depth-first, first disjunct first.
 
     The returned tree carries status "complete" when every branch ended in a
-    vertex satisfying all rules, or "budget-exhausted" when a vertex, depth,
-    term depth, or time limit stopped the expansion; `exhausted` then names
+    vertex satisfying all rules, or "budget-exhausted" when the vertex,
+    depth or term-depth limit stopped the expansion; `exhausted` then names
     that limit.
     """
     return _expand(rules, database, budget, None)[0]

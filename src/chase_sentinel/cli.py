@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
                     entails, results, run_chase)
@@ -56,6 +56,8 @@ NEVER_TERMINATING = "never-terminating"
 UNKNOWN = "unknown"
 
 SCHEMA_VERSION = 1
+
+_PIPELINE = ("acyclic", "drpc", "rpcs")
 
 
 class SoundnessViolationError(RuntimeError):
@@ -209,11 +211,19 @@ def _report_json(report: ClassificationReport, namer: Namer) -> dict:
 # ---------------------------------------------------------------------------
 # classify
 
-def _remaining_budget(deadline: float | None, term_depth: int) -> SearchBudget:
-    if deadline is None:
-        return SearchBudget(max_term_depth=term_depth)
-    remaining = max(0.001, deadline - time.monotonic())
-    return SearchBudget(max_term_depth=term_depth, timeout_seconds=remaining)
+def _run_stages(rules: RuleSet, stages: Sequence[str], k: int,
+                deadline: float | None, term_depth: int) -> Iterator:
+    """Run the stages in order and yield each one's verdict; each stage
+    gets the time left before the deadline, but at least 1 ms."""
+    for stage in stages:
+        remaining = None if deadline is None else max(0.001, deadline - time.monotonic())
+        budget = SearchBudget(max_term_depth=term_depth, timeout_seconds=remaining)
+        if stage == "acyclic":
+            verdict = check_acyclic(rules, k, budget)
+        else:
+            verdict = check(rules, stage, budget)
+        log.info("%s: %s", stage, verdict.result)
+        yield verdict
 
 
 def classify_rules(
@@ -233,23 +243,11 @@ def classify_rules(
     """
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
+    stages = (notion,) if notion is not None else _PIPELINE
     notion_results: list = []
-
-    def budget() -> SearchBudget:
-        return _remaining_budget(deadline, term_depth)
-
-    stages = [notion] if notion is not None else ["acyclic", "drpc", "rpcs"]
-    for stage in stages:
-        if stage == "acyclic":
-            verdict = check_acyclic(rules, k, budget())
-        else:
-            verdict = check(rules, stage, budget())
+    for verdict in _run_stages(rules, stages, k, deadline, term_depth):
         notion_results.append(verdict)
-        log.info("%s: %s", stage, verdict.result)
-        if isinstance(verdict, AcyclicityVerdict):
-            if verdict.result == ACYCLIC_TERMINATING:
-                break
-        elif verdict.result == CYCLIC:
+        if verdict.result in (ACYCLIC_TERMINATING, CYCLIC):
             break
 
     combined = _combined_verdict(notion_results)
@@ -281,7 +279,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # chase
 
-# How a stopped chase could go on; the chase command sets no time budget.
+# How a stopped chase could go on.
 _BUDGET_HINTS = {VERTICES: "raise --max-vertices", DEPTH: "raise --max-depth",
                  TERM_DEPTH: "the chase may not terminate, see classify"}
 
@@ -380,13 +378,7 @@ def _analyze_file(path: Path, k: int, timeout: float | None,
                         error=str(exc))
     rules = program.rules
     deadline = None if timeout is None else start + timeout
-
-    def budget() -> SearchBudget:
-        return _remaining_budget(deadline, term_depth)
-
-    acyclic = check_acyclic(rules, k, budget())
-    drpc = check(rules, "drpc", budget())
-    rpcs = check(rules, "rpcs", budget())
+    acyclic, drpc, rpcs = _run_stages(rules, _PIPELINE, k, deadline, term_depth)
     combined = _combined_verdict([acyclic, drpc, rpcs])
     log.info("%s: %s", path.name, combined)
     return BatchRow(path.name, _bucket(rules), acyclic.result, drpc.result,

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Generator, Iterator, Mapping, Sequence
 
 from .approx import (
     UnblockabilityCache,
@@ -422,8 +422,43 @@ class _RecordingHeadChoice(HeadChoice):
         return self.choices[rule.id]
 
 
-def _branching(rules: RuleSet) -> int:
-    return max((r.branching for r in rules), default=1)
+def _drpc_pairs(rules: RuleSet) -> Iterator[tuple[None, Rule]]:
+    for rho in rules:
+        if rho.is_deterministic and rho.is_generating:
+            yield None, rho
+
+
+def _rpcs_pairs(rules: RuleSet) -> Iterator[tuple[HeadChoice, Rule]]:
+    branching = max((r.branching for r in rules), default=1)
+    for i in range(1, branching + 1):
+        hc = HeadChoice.uniform(rules, i)
+        for rho in rules:
+            if rho.is_generating:
+                yield hc, rho
+
+
+def _rpc_pairs(rules: RuleSet) -> Generator[tuple[HeadChoice, Rule], SaturationRun, None]:
+    """The caller sends back each run. A completed run is remembered by the
+    choices it consulted, and a later head choice that agrees on them skips
+    that pivot. A truncated run is not remembered, so an agreeing head
+    choice gets a fresh chance under a fresh clock."""
+    memo: dict[str, list[dict[str, int]]] = {}
+    rule_ids = [r.id for r in rules]
+    for combo in itertools.product(*(range(1, r.branching + 1) for r in rules)):
+        assignment = dict(zip(rule_ids, combo))
+        for rho in rules:
+            if not rho.is_generating or any(
+                    all(assignment[rid] == choice for rid, choice in consulted.items())
+                    for consulted in memo.get(rho.id, ())):
+                continue
+            hc = _RecordingHeadChoice(rules, assignment)
+            run = yield hc, rho
+            if not run.truncated:
+                memo.setdefault(rho.id, []).append(
+                    {rid: assignment[rid] for rid in hc.consulted})
+
+
+_PAIRS = {DRPC: _drpc_pairs, RPC_S: _rpcs_pairs, RPC: _rpc_pairs}
 
 
 def check(
@@ -432,6 +467,13 @@ def check(
     budget: SearchBudget | None = None,
 ) -> Verdict:
     """Run one never-termination notion over every eligible pivot rule.
+
+    Each (head choice, pivot) pair gets one saturation, in the notion's
+    order. DRPC takes the deterministic generating rules in rule order with
+    no head choice. RPC_s takes hc_1..hc_b in turn, and RPC every head
+    choice lexicographically in rule order, each with every generating rule
+    in rule order; RPC skips the pairs `_rpc_pairs` finds answered. The
+    first cyclic term ends the search.
 
     Verdict "cyclic" always carries a validated witness prefix; the other
     results carry none. "resource-exhausted" is reported when a search was
@@ -461,57 +503,18 @@ def check(
         }
         return Verdict(canonical, result, witness, stats)
 
-    if canonical == DRPC:
-        for rho in rules:
-            if not (rho.is_deterministic and rho.is_generating):
-                continue
-            runs += 1
+    pairs = _PAIRS[canonical](rules)
+    run = None
+    while True:
+        try:
+            hc, rho = pairs.send(run)
+        except StopIteration:
+            return finish(RESOURCE_EXHAUSTED if truncated else NOT_DETECTED, None)
+        runs += 1
+        if hc is None:
             run = drpc_fact_set(rules, rho, budget, cache=cache)
-            truncated = truncated or run.truncated
-            if run.cyclic_term is not None:
-                return finish(CYCLIC, extract_prefix(run))
-        return finish(RESOURCE_EXHAUSTED if truncated else NOT_DETECTED, None)
-
-    if canonical == RPC_S:
-        for i in range(1, _branching(rules) + 1):
-            hc = HeadChoice.uniform(rules, i)
-            for rho in rules:
-                if not rho.is_generating:
-                    continue
-                runs += 1
-                run = rpc_fact_set(rules, hc, rho, budget, cache=cache)
-                truncated = truncated or run.truncated
-                if run.cyclic_term is not None:
-                    return finish(CYCLIC, extract_prefix(run))
-        return finish(RESOURCE_EXHAUSTED if truncated else NOT_DETECTED, None)
-
-    # Full search over head choices, lexicographic in rule order. Completed
-    # searches are remembered by the choices they actually consulted, so any
-    # later head choice agreeing on that subset is skipped.
-    memo: dict[str, list[tuple[dict[str, int], bool]]] = {}
-    rule_ids = [r.id for r in rules]
-    for combo in itertools.product(*(range(1, r.branching + 1) for r in rules)):
-        assignment = dict(zip(rule_ids, combo))
-        for rho in rules:
-            if not rho.is_generating:
-                continue
-            skip = False
-            for consulted, _ in memo.get(rho.id, ()):
-                if all(assignment[rid] == choice for rid, choice in consulted.items()):
-                    skip = True
-                    break
-            if skip:
-                continue
-            hc = _RecordingHeadChoice(rules, assignment)
-            runs += 1
+        else:
             run = rpc_fact_set(rules, hc, rho, budget, cache=cache)
-            truncated = truncated or run.truncated
-            if not run.truncated:
-                # A truncated search is not remembered: an agreeing head
-                # choice must get a fresh chance under a fresh clock.
-                consulted = {rid: assignment[rid] for rid in hc.consulted}
-                memo.setdefault(rho.id, []).append(
-                    (consulted, run.cyclic_term is not None))
-            if run.cyclic_term is not None:
-                return finish(CYCLIC, extract_prefix(run))
-    return finish(RESOURCE_EXHAUSTED if truncated else NOT_DETECTED, None)
+        truncated = truncated or run.truncated
+        if run.cyclic_term is not None:
+            return finish(CYCLIC, extract_prefix(run))

@@ -2,7 +2,9 @@
 
 Terms, atoms, rules, substitutions, skolemization, and the term-level
 measures (depth, subterm cyclicity, birth facts, term skeletons) that the
-rest of the package builds on.
+rest of the package builds on. Terms and skolem symbols are interned: the
+factories `constant`, `variable`, `functional` and `skolem_symbol` are the
+only way to build them, and they compare and hash by identity.
 """
 from __future__ import annotations
 
@@ -38,7 +40,6 @@ __all__ = [
     "apply_atom",
     "compose",
     "subterms",
-    "term_depth",
     "is_cyclic",
     "is_k_cyclic",
     "is_rho_cyclic",
@@ -69,26 +70,21 @@ class UnknownSymbolError(KeyError):
 class Term:
     """Base class for constants, variables, and functional terms.
 
-    Terms are interned: constructing the same term twice returns the same
-    object, so equality usually reduces to a pointer check and hashes are
-    computed once. ``_nest`` maps every skolem symbol occurring in the term
-    to the maximal number of its occurrences on one root-to-leaf path, which
-    makes the cyclicity predicates O(#symbols).
+    Terms are interned: the factories `constant`, `variable` and
+    `functional` return the one object per term, so equality and hashing
+    are the built-in identity ones. A term built by calling a class
+    directly equals no interned term. ``depth`` is 1 for non-functional
+    terms, else 1 + the maximal argument depth. ``_nest`` maps every skolem
+    symbol occurring in the term to the maximal number of its occurrences
+    on one root-to-leaf path, which makes the cyclicity predicates
+    O(#symbols).
     """
 
-    __slots__ = ("depth", "is_ground", "_nest", "_hash")
+    __slots__ = ("depth", "is_ground", "_nest")
 
     depth: int
     is_ground: bool
     _nest: Mapping["SkolemSymbol", int]
-    _hash: int
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def function_symbols(self) -> frozenset["SkolemSymbol"]:
-        """All skolem symbols occurring anywhere in the term."""
-        return frozenset(self._nest)
 
 
 class Constant(Term):
@@ -99,15 +95,6 @@ class Constant(Term):
         self.depth = 1
         self.is_ground = True
         self._nest = _EMPTY_NEST
-        self._hash = hash(("c", name))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Constant) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return self.name
@@ -121,45 +108,22 @@ class Variable(Term):
         self.depth = 1
         self.is_ground = False
         self._nest = _EMPTY_NEST
-        self._hash = hash(("v", name))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Variable) and other.name == self.name
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"?{self.name}"
 
 
 class SkolemSymbol:
-    """Function symbol unique for one (rule, disjunct, existential variable)."""
+    """Function symbol unique for one (rule, disjunct, existential variable);
+    interned by `skolem_symbol` like the terms."""
 
-    __slots__ = ("rule_id", "disjunct", "var", "arity", "_hash")
+    __slots__ = ("rule_id", "disjunct", "var", "arity")
 
     def __init__(self, rule_id: str, disjunct: int, var: str, arity: int):
         self.rule_id = rule_id
         self.disjunct = disjunct
         self.var = var
         self.arity = arity
-        self._hash = hash((rule_id, disjunct, var, arity))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, SkolemSymbol)
-            and other.rule_id == self.rule_id
-            and other.disjunct == self.disjunct
-            and other.var == self.var
-            and other.arity == self.arity
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"f[{self.rule_id}.{self.disjunct}.{self.var}]"
@@ -184,20 +148,6 @@ class FunctionalTerm(Term):
                     nest[sym] = count
         nest[symbol] = nest.get(symbol, 0) + 1
         self._nest = nest
-        self._hash = hash((symbol, args))
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, FunctionalTerm)
-            and other._hash == self._hash
-            and other.symbol == self.symbol
-            and other.args == self.args
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"{self.symbol!r}({', '.join(map(repr, self.args))})"
@@ -205,17 +155,18 @@ class FunctionalTerm(Term):
 
 _EMPTY_NEST: Mapping[SkolemSymbol, int] = {}
 
-# Intern tables. dict.setdefault is a single atomic operation in CPython, so
-# concurrent insertion is safe without a lock.
+# Intern tables. They are the only place that decides term identity, so
+# terms and skolem symbols must be built through the four factories below
+# and never by calling their classes.
 _TERMS: dict[object, Term] = {}
-_SYMBOLS: dict[tuple[str, int, str], SkolemSymbol] = {}
+_SYMBOLS: dict[tuple[str, int, str, int], SkolemSymbol] = {}
 
 
 def constant(name: str) -> Constant:
     key = ("c", name)
     t = _TERMS.get(key)
     if t is None:
-        t = _TERMS.setdefault(key, Constant(name))
+        t = _TERMS[key] = Constant(name)
     return t  # type: ignore[return-value]
 
 
@@ -223,7 +174,7 @@ def variable(name: str) -> Variable:
     key = ("v", name)
     t = _TERMS.get(key)
     if t is None:
-        t = _TERMS.setdefault(key, Variable(name))
+        t = _TERMS[key] = Variable(name)
     return t  # type: ignore[return-value]
 
 
@@ -235,7 +186,7 @@ def skolem_symbol(rule_id: str, disjunct: int, var: str, arity: int) -> SkolemSy
     key = (rule_id, disjunct, var, arity)
     s = _SYMBOLS.get(key)
     if s is None:
-        s = _SYMBOLS.setdefault(key, SkolemSymbol(rule_id, disjunct, var, arity))
+        s = _SYMBOLS[key] = SkolemSymbol(rule_id, disjunct, var, arity)
     return s
 
 
@@ -244,7 +195,7 @@ def functional(symbol: SkolemSymbol, args: Sequence[Term]) -> FunctionalTerm:
     key = (symbol, args)
     t = _TERMS.get(key)
     if t is None:
-        t = _TERMS.setdefault(key, FunctionalTerm(symbol, args))
+        t = _TERMS[key] = FunctionalTerm(symbol, args)
     return t  # type: ignore[return-value]
 
 
@@ -553,11 +504,6 @@ class RuleSet:
 
 # ---------------------------------------------------------------------------
 # Term measures
-
-def term_depth(t: Term) -> int:
-    """1 for non-functional terms, else 1 + the maximal argument depth."""
-    return t.depth
-
 
 def is_cyclic(t: Term) -> bool:
     """True iff some subterm f(s) has f occurring again inside s."""

@@ -329,7 +329,4 @@ def render(obj) -> str:
         return "? " + ", ".join(Namer().atom(a) for a in obj.atoms) + " ."
     if isinstance(obj, Atom):
         return Namer().atom(obj)
-    render_text = getattr(obj, "render_text", None)
-    if callable(render_text):
-        return render_text()
     raise TypeError(f"cannot render {obj!r}")

@@ -373,6 +373,30 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
                 return applied
 
 
+def naive_rpc(rules: RuleSet, budget=None):
+    """RPC as the full head-choice enumeration with no memo: every head
+    choice, lexicographic in rule order, times every generating pivot in
+    rule order, each saturated with a fresh unblockability cache. Returns
+    (result, witness, saturations); the reference for the RPC memo."""
+    from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
+                                          RESOURCE_EXHAUSTED, extract_prefix,
+                                          rpc_fact_set)
+
+    runs = 0
+    truncated = False
+    for combo in itertools.product(*(range(1, r.branching + 1) for r in rules)):
+        hc = HeadChoice(rules, dict(zip((r.id for r in rules), combo)))
+        for rho in rules:
+            if not rho.is_generating:
+                continue
+            runs += 1
+            run = rpc_fact_set(rules, hc, rho, budget)
+            truncated = truncated or run.truncated
+            if run.cyclic_term is not None:
+                return CYCLIC, extract_prefix(run), runs
+    return (RESOURCE_EXHAUSTED if truncated else NOT_DETECTED), None, runs
+
+
 def terms_of(facts) -> set[Term]:
     """Every subterm appearing in some fact of the collection."""
     acc: set[Term] = set()

@@ -28,7 +28,7 @@ from chase_sentinel.model import (
     variable,
 )
 
-from conftest import (bike_subset, is_loaded, random_rule_set,
+from conftest import (bike_subset, is_loaded, naive_rpc, random_rule_set,
                       rematch_saturation, rules_from)
 
 
@@ -269,3 +269,24 @@ def test_semi_naive_rounds_apply_the_triggers_of_full_rematching(monkeypatch):
                 long_runs += len(got) > len(rules) + 1
     assert runs >= 700
     assert cyclic >= 100 and truncated >= 10 and long_runs >= 100
+
+
+def test_rpc_memo_agrees_with_the_full_enumeration():
+    # The memo skips a (head choice, pivot) pair only when a completed
+    # saturation consulted a subset of its choices, so the verdict and the
+    # witness are those of saturating every pair in order, in no more runs.
+    rng = random.Random(17)
+    budget = SearchBudget(max_triggers=200)
+    sets = cyclic = skipped = 0
+    while sets < 60:
+        rules = random_rule_set(rng, max_rules=6)
+        if all(r.is_deterministic for r in rules):
+            continue
+        sets += 1
+        verdict = check(rules, "rpc", budget)
+        result, witness, runs = naive_rpc(rules, budget)
+        assert (verdict.result, verdict.witness) == (result, witness), sets
+        assert verdict.stats["saturations"] <= runs, sets
+        cyclic += result == CYCLIC
+        skipped += verdict.stats["saturations"] < runs
+    assert cyclic >= 10 and skipped >= 10

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import chase_sentinel
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
@@ -20,22 +24,62 @@ from chase_sentinel.model import (
     skolem_symbol,
     star,
     subterms,
-    term_depth,
     uc_constant,
     variable,
 )
 from chase_sentinel.matcher import Trigger
-from chase_sentinel.ruleio import ParseError
+from chase_sentinel.ruleio import ParseError, parse
 
 from conftest import bike_subset, rules_from
 
 
 def test_terms_are_interned():
-    assert constant("a") is constant("a")
-    assert variable("X") is variable("X")
+    a, b, x = constant("a"), constant("b"), variable("X")
+    assert a is constant("a")
+    assert x is variable("X")
     f = skolem_symbol("r1", 1, "Y", 1)
     assert f is skolem_symbol("r1", 1, "Y", 1)
-    assert functional(f, (constant("a"),)) is functional(f, (constant("a"),))
+    assert functional(f, (a,)) is functional(f, (a,))
+
+    # Every way of reaching a term hands out the factory's object.
+    program = parse("A(X) -> R(X, Y) .\nA(a) .\n")
+    rule = program.rules.rules[0]
+    assert rule.body[0].terms[0] is x
+    assert program.facts[0].terms[0] is a
+    f_y = next(iter(rule.sk_symbols))
+    assert f_y is skolem_symbol("r1", 1, "Y", 1)
+    assert apply_term({x: a}, functional(f, (x,))) is functional(f, (a,))
+    assert ConstantMapping({a: b}).apply(functional(f, (a,))) is functional(f, (b,))
+    (out,) = Trigger(rule, {x: a}).out(1)
+    assert out.terms[0] is a
+    assert out.terms[1] is functional(f_y, (a,))
+
+
+def test_terms_are_built_only_through_the_factories():
+    # Interning decides term identity, so a term class called directly makes
+    # a term that equals no interned one. Only the factories may call them.
+    factories = {"Constant": "constant", "Variable": "variable",
+                 "FunctionalTerm": "functional", "SkolemSymbol": "skolem_symbol"}
+    package = Path(chase_sentinel.__file__).parent
+    calls = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # ast.walk visits outer functions first, so inner ones overwrite.
+        owner = {node: func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            name = callee.id if isinstance(callee, ast.Name) else \
+                getattr(callee, "attr", None)
+            if name in factories:
+                calls.append((path.name, owner.get(node), name, node.lineno))
+    allowed = {("model.py", factory, cls) for cls, factory in factories.items()}
+    stray = sorted({(f, cls, line) for f, where, cls, line in calls
+                    if (f, where, cls) not in allowed})
+    assert not stray
+    assert {(f, where, cls) for f, where, cls, _ in calls} >= allowed
 
 
 def test_symbol_identity_includes_arity():
@@ -50,9 +94,9 @@ def test_symbol_identity_includes_arity():
 def test_term_depth_counts_nestings():
     a = constant("a")
     f = skolem_symbol("r1", 1, "Y", 1)
-    assert term_depth(a) == 1
-    assert term_depth(functional(f, (a,))) == 2
-    assert term_depth(functional(f, (functional(f, (a,)),))) == 3
+    assert a.depth == 1
+    assert functional(f, (a,)).depth == 2
+    assert functional(f, (functional(f, (a,)),)).depth == 3
 
 
 def test_cyclicity_measures():
@@ -166,7 +210,7 @@ def test_constant_mapping_power_grows_terms():
     a = constant("a")
     f = skolem_symbol("r1", 1, "U", 1)
     g = ConstantMapping({a: functional(f, (a,))})
-    assert term_depth(g.apply_power(a, 4)) == 5
+    assert g.apply_power(a, 4).depth == 5
 
 
 def test_constant_mapping_domain_checked():

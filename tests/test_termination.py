@@ -1,7 +1,7 @@
 import pytest
 
 from chase_sentinel.cyclicity import SearchBudget
-from chase_sentinel.model import Atom, is_k_cyclic, star, term_depth
+from chase_sentinel.model import Atom, is_k_cyclic, star
 from chase_sentinel.termination import (
     MFA,
     RMFA_LIKE,
@@ -39,7 +39,7 @@ def test_unblocked_bike_rules_are_not_certified(bike2):
     assert is_k_cyclic(verdict.cyclic_term, 2)
     f_v = next(iter(bike2.by_id["r1"].sk_symbols))
     assert verdict.cyclic_term.symbol == f_v
-    assert term_depth(verdict.cyclic_term) == 6
+    assert verdict.cyclic_term.depth == 6
 
 
 def test_self_loop_is_k_cyclic_for_every_k():
@@ -47,7 +47,7 @@ def test_self_loop_is_k_cyclic_for_every_k():
     for k in (1, 2, 3):
         verdict = check_acyclic(rules, k=k)
         assert verdict.result == "not-detected"
-        assert term_depth(verdict.cyclic_term) == k + 2
+        assert verdict.cyclic_term.depth == k + 2
 
 
 def test_datalog_rules_terminate_trivially():
