@@ -12,7 +12,8 @@ trigger's body variables therefore map to terms that need no abstracting,
 and only the skolem terms of its output do. The fixpoint relies on this: it
 fills compiled head templates whose skolem slots read the term off the
 skeleton or fall back to the symbol's replacement, so no skolem term is
-ever built there.
+ever built there. These templates are the one statement of the
+abstraction; the pivot's own outputs are abstracted through them too.
 
 Reversible constant mappings transport unblockability between triggers of
 the same rule, which is what lets a finite search certify infinitely many
@@ -36,7 +37,6 @@ from .model import (
     RuleSet,
     SkolemSymbol,
     Term,
-    UC_PREFIX,
     Variable,
     birth_facts,
     skeleton,
@@ -51,7 +51,6 @@ __all__ = [
     "TermAbstraction",
     "OverApproximation",
     "ReversibilityCertificate",
-    "abstract",
     "build_over_approx",
     "is_star_unblockable",
     "is_uc_unblockable",
@@ -70,23 +69,6 @@ class TermAbstraction:
 
     kind: str
     skeleton: frozenset[Term]
-
-
-def abstract(h: TermAbstraction, t: Term) -> Term:
-    """Abstract one term. Skeleton terms survive unchanged.
-
-    Under the unique-constants abstraction a foreign functional term becomes
-    the fresh constant of its outermost symbol and those fresh constants map
-    to themselves; everything else becomes the special constant.
-    """
-    if t in h.skeleton:
-        return t
-    if h.kind == UC:
-        if isinstance(t, FunctionalTerm):
-            return uc_constant(t.symbol)
-        if isinstance(t, Constant) and t.name.startswith(UC_PREFIX):
-            return t
-    return star()
 
 
 @dataclass
@@ -238,12 +220,12 @@ def build_over_approx(
     shapes = {rule.id: _compile_heads(rule, h.kind, by_symbol) for rule in rules}
 
     # The pivot's outputs per disjunct, unabstracted and abstracted, and the
-    # skolem terms they hold.
+    # skolem terms they hold. The pivot's frontier images occur in its birth
+    # facts, so they are skeleton terms and its heads fill exactly.
     raw_outs = {i: frozenset(pivot.out(i))
                 for i in range(1, pivot.rule.branching + 1)}
-    abs_outs = {i: frozenset(
-        Atom(a.predicate, tuple(abstract(h, t) for t in a.terms)) for a in out)
-        for i, out in raw_outs.items()}
+    abs_outs = {i: frozenset(_fill(shape, pivot.substitution))
+                for i, shape in enumerate(shapes[pivot.rule.id], start=1)}
     pivot_terms = {
         (t.symbol, t.args): t
         for out in raw_outs.values() for a in out for t in a.terms

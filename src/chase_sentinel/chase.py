@@ -10,9 +10,10 @@ monotonically along a branch.
 Triggers are found by `matcher.discover`, the shared semi-naive routine:
 each child pins only the facts its disjunct added, in the enumeration order
 of the chase's former pin loop. `run_chase` and `entails` share one
-expansion loop; `entails` also pins its query to the facts each child adds,
-closes the branches that match it and stops at the first saturated branch
-that does not.
+expansion loop; `entails` also unifies each fact a child adds with the
+query atoms of its predicate, joins the other query atoms with
+`matcher.match_conjunction`, closes the branches that match and stops at
+the first saturated branch that does not.
 """
 from __future__ import annotations
 
@@ -84,9 +85,6 @@ class HeadChoice:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, HeadChoice) and other.choices == self.choices
 
-    def __hash__(self) -> int:
-        return hash(self.signature())
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{rid}:{i}" for rid, i in sorted(self.choices.items()))
         return f"HeadChoice({inner})"
@@ -133,36 +131,8 @@ class ChaseTree:
     def root(self) -> ChaseVertex:
         return self.vertices[0]
 
-    def label(self, vertex_id: int) -> FactSet:
-        """Phi(v): the database plus everything added on the path to v."""
-        path: list[ChaseVertex] = []
-        cur: int | None = vertex_id
-        while cur is not None:
-            v = self.vertices[cur]
-            path.append(v)
-            cur = v.parent
-        facts = FactSet()
-        for v in reversed(path):
-            facts.update(v.new_facts)
-        return facts
-
     def leaves(self) -> list[ChaseVertex]:
         return [v for v in self.vertices if v.is_leaf]
-
-    def trace_lines(self) -> list[str]:
-        from .ruleio import Namer
-
-        namer = Namer(self.rules)
-        lines = []
-        for v in self.vertices:
-            if v.trigger is None:
-                origin = "database"
-            else:
-                origin = f"{namer.trigger(v.trigger)} disjunct {v.disjunct}"
-            added = "; ".join(namer.atom(a) for a in v.new_facts) or "-"
-            parent = "-" if v.parent is None else str(v.parent)
-            lines.append(f"vertex {v.id} parent {parent} via {origin}: {added}")
-        return lines
 
     def to_dot(self) -> str:
         from .ruleio import Namer

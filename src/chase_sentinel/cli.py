@@ -36,7 +36,6 @@ from .cyclicity import (
 from .model import Atom, Query, Rule, RuleSet
 from .ruleio import Namer, ParseError, SourceProgram, parse
 from .termination import (
-    RMFA_LIKE,
     TERMINATING as ACYCLIC_TERMINATING,
     AcyclicityVerdict,
     check_acyclic,
@@ -187,7 +186,7 @@ def _verdict_json(v, namer: Namer) -> dict:
 
 def _verdict_lines(v, namer: Namer) -> list[str]:
     if isinstance(v, AcyclicityVerdict):
-        label = f"acyclic k={v.k} ({v.stats.get('mode', RMFA_LIKE)})"
+        label = f"acyclic k={v.k} ({v.stats['mode']})"
         line = f"{label}: {v.result}  [{v.stats['elapsed_ms']} ms]"
         if v.cyclic_term is not None:
             line += f"  first k-cyclic term: {namer.term(v.cyclic_term)}"

@@ -298,10 +298,9 @@ class CyclicityPrefix:
     triggers: tuple[Trigger, ...]
     g: ConstantMapping
     cyclic_term: Term
-    validated: str
 
 
-def extract_prefix(run: SaturationRun, *, validate: bool = True) -> CyclicityPrefix:
+def extract_prefix(run: SaturationRun) -> CyclicityPrefix:
     """Slice the provenance backward from the cyclic trigger.
 
     The slice keeps exactly the triggers whose outputs feed, transitively,
@@ -340,12 +339,9 @@ def extract_prefix(run: SaturationRun, *, validate: bool = True) -> CyclicityPre
             raise InternalInconsistencyError(
                 f"constant mapping ill-defined at {c!r}")
     g = ConstantMapping(mapping)
-
-    if validate:
-        _validate_prefix(run, triggers, g)
-
+    _validate_prefix(run, triggers, g)
     return CyclicityPrefix(run.notion, run.rho, run.hc, triggers, g,
-                           run.cyclic_term, "j=0")
+                           run.cyclic_term)
 
 
 def _validate_prefix(run: SaturationRun, triggers: Sequence[Trigger],

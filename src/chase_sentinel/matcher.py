@@ -15,10 +15,14 @@ use, and held by the rule set next to its body index, so it is freed with
 it. A compiled join yields the substitutions of match_conjunction(rule.body,
 base, facts), in the same order, where base maps the pinned atom to the fact.
 
-Queries are pinned the same way by `compile_query`, once per query, so that
-`query_matched` tests only the matches that use a newly added fact. Query
-atoms may hold constants, which rule bodies never do; only query plans check
-them, so the rule-body joins pay nothing for it.
+Queries are pinned too, but not compiled: `query_matched` unifies a query
+atom with each newly added fact and joins the other atoms with
+`match_conjunction`, so it tests only the matches that use a new fact.
+
+Patterns hold only variables and ground terms. `Rule` ensures this for
+bodies and heads (they hold variables only) and `compile_query` for queries
+(they may hold ground terms too), so matching looks variables up in the
+binding and compares terms by identity, which interning makes exact.
 """
 from __future__ import annotations
 
@@ -42,7 +46,6 @@ __all__ = [
     "discover",
     "is_obsolete",
     "compile_query",
-    "match_query_pinned",
     "query_matched",
 ]
 
@@ -110,11 +113,6 @@ class FactSet:
     def __le__(self, other: "FactSet") -> bool:
         return all(f in other for f in self)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FactSet):
-            return NotImplemented
-        return len(self) == len(other) and all(f in other for f in self)
-
     def __repr__(self) -> str:
         return f"FactSet({len(self)} facts)"
 
@@ -155,9 +153,6 @@ class Trigger:
     def outputs(self) -> tuple[tuple[Atom, ...], ...]:
         return tuple(self.out(i) for i in range(1, self.rule.branching + 1))
 
-    def frontier_image(self) -> tuple[Term, ...]:
-        return tuple(self.substitution[v] for v in self.rule.frontier)
-
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
@@ -190,18 +185,17 @@ def _unify_atom(atom: Atom, fact: Atom, binding: dict[Variable, Term]) -> dict[V
     out = binding
     fresh = False
     for pat, val in zip(atom.terms, fact.terms):
-        if isinstance(pat, Variable):
+        if pat.__class__ is Variable:
             cur = out.get(pat)
             if cur is None:
                 if not fresh:
                     out = dict(out)
                     fresh = True
                 out[pat] = val
-            elif cur != val:
+            elif cur is not val:
                 return None
-        else:
-            if apply_term(out, pat) != val:
-                return None
+        elif pat is not val:
+            return None
     return out
 
 
@@ -212,8 +206,9 @@ def match_conjunction(
 ) -> Iterator[dict[Variable, Term]]:
     """Enumerate extensions of base mapping the pattern into the fact set.
 
-    Yields dictionaries covering dom(base) plus every pattern variable. The
-    enumeration order is deterministic for identical inputs.
+    Pattern terms are variables or ground terms. Yields dictionaries
+    covering dom(base) plus every pattern variable. The enumeration order
+    is deterministic for identical inputs.
     """
     binding: dict[Variable, Term] = dict(base)
     plan = _plan(pattern, facts)
@@ -223,7 +218,7 @@ def match_conjunction(
             yield dict(binding)
             return
         atom = Atom(plan[idx].predicate,
-                    tuple(apply_term(binding, t) for t in plan[idx].terms))
+                    tuple([binding.get(t, t) for t in plan[idx].terms]))  # type: ignore[arg-type]
         if atom.is_ground:
             if atom in facts:
                 yield from walk(idx + 1, binding)
@@ -243,13 +238,13 @@ class _PinPlan(NamedTuple):
     once per (rule, idx) and run by _run_pinned.
 
     repeats pairs a later position of a variable of the pinned atom with its
-    first. rest holds the other body atoms. For a single one: lookup gives
-    the pinned position of each of its terms when the pinned atom binds them
-    all, else it is scanned through the index, keyed on the pinned position
-    of its first term (None when that term is unbound); bound pairs each
-    later position with the pinned position of its variable, rest_repeats
-    pairs a later occurrence of an unbound variable with its first, and
-    slots gives each unbound variable its first position.
+    first. rest holds the other body atoms. A single one is scanned through
+    the index, keyed on the pinned position of its first term (None when
+    that term is unbound); bound pairs each later position with the pinned
+    position of its variable, rest_repeats pairs a later occurrence of an
+    unbound variable with its first, and slots gives each unbound variable
+    its first position. Body atoms hold variables only, so these pairs are
+    the whole join.
 
     Plans are tuples and not closures: the dozen cells of a closure per plan
     gave the garbage collector enough to scan to slow 512-1024-rule sets by
@@ -260,7 +255,6 @@ class _PinPlan(NamedTuple):
     terms: tuple[Term, ...]
     repeats: tuple[tuple[int, int], ...]
     rest: tuple[Atom, ...]
-    lookup: tuple[int, ...] | None
     key: int | None
     bound: tuple[tuple[int, int], ...]
     rest_repeats: tuple[tuple[int, int], ...]
@@ -276,14 +270,12 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
         if j != i:
             repeats.append((i, j))
     rest = rule.body[:idx] + rule.body[idx + 1:]
-    lookup = key = None
+    key = None
     bound: list[tuple[int, int]] = []
     rest_repeats: list[tuple[int, int]] = []
     slots: dict[Variable, int] = {}
     if len(rest) == 1:
         last = rest[0].terms
-        if all(t in where for t in last):
-            lookup = tuple(where[t] for t in last)
         key = where.get(last[0])
         for i, t in enumerate(last):
             if t in where:
@@ -294,13 +286,13 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
             else:
                 slots[t] = i  # type: ignore[index]
     return _PinPlan(rule.body[idx].predicate, terms, tuple(repeats), rest,
-                    lookup, key, tuple(bound), tuple(rest_repeats),
+                    key, tuple(bound), tuple(rest_repeats),
                     tuple(slots.items()))
 
 
 def _run_pinned(plan: _PinPlan, fact: Atom,
                 facts: FactSet) -> Iterator[dict[Variable, Term]]:
-    predicate, terms, repeats, rest, lookup, key, bound, rest_repeats, slots = plan
+    predicate, terms, repeats, rest, key, bound, rest_repeats, slots = plan
     ft = fact.terms
     if fact.predicate != predicate or len(ft) != len(terms):
         return
@@ -313,9 +305,6 @@ def _run_pinned(plan: _PinPlan, fact: Atom,
         yield dict(zip(terms, ft))
     elif len(rest) > 1:
         yield from match_conjunction(rest, dict(zip(terms, ft)), facts)
-    elif lookup is not None:
-        if Atom(rest[0].predicate, tuple([ft[i] for i in lookup])) in facts:
-            yield dict(zip(terms, ft))
     else:
         atom = rest[0]
         arity = len(atom.terms)
@@ -390,74 +379,30 @@ def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
     return False
 
 
-class _QueryPin(NamedTuple):
-    """A query with one atom pinned to a fact, analysed once per query and
-    run by match_query_pinned.
-
-    Unlike rule bodies, queries hold constants: consts pairs each constant
-    position of the pinned atom with its constant. repeats pairs a later
-    position of a variable with its first, slots gives each variable its
-    first position, and rest holds the other query atoms.
-    """
-
-    predicate: str
-    arity: int
-    consts: tuple[tuple[int, Term], ...]
-    repeats: tuple[tuple[int, int], ...]
-    slots: tuple[tuple[Variable, int], ...]
-    rest: tuple[Atom, ...]
-
-
-def compile_query(atoms: Sequence[Atom]) -> dict[str, tuple[_QueryPin, ...]]:
-    """Per predicate, the query pinned at each of its atoms of that
-    predicate, in query order. Query terms are variables or ground terms."""
+def compile_query(atoms: Sequence[Atom]) -> dict[str, tuple[tuple[Atom, tuple[Atom, ...]], ...]]:
+    """Per predicate, each query atom of that predicate paired with the
+    other query atoms, in query order. Query terms must be variables or
+    ground terms, the patterns match_conjunction takes."""
     atoms = tuple(atoms)
-    pins: dict[str, list[_QueryPin]] = {}
+    pins: dict[str, list[tuple[Atom, tuple[Atom, ...]]]] = {}
     for idx, atom in enumerate(atoms):
-        consts: list[tuple[int, Term]] = []
-        repeats: list[tuple[int, int]] = []
-        slots: dict[Variable, int] = {}
-        for i, t in enumerate(atom.terms):
-            if isinstance(t, Variable):
-                if t in slots:
-                    repeats.append((i, slots[t]))
-                else:
-                    slots[t] = i
-            elif t.is_ground:
-                consts.append((i, t))
-            else:
+        for t in atom.terms:
+            if not (t.is_ground or t.__class__ is Variable):
                 raise RuleError(f"query term is neither a variable nor ground: {t!r}")
-        pins.setdefault(atom.predicate, []).append(_QueryPin(
-            atom.predicate, atom.arity, tuple(consts), tuple(repeats),
-            tuple(slots.items()), atoms[:idx] + atoms[idx + 1:]))
+        pins.setdefault(atom.predicate, []).append((atom, atoms[:idx] + atoms[idx + 1:]))
     return {p: tuple(v) for p, v in pins.items()}
 
 
-def match_query_pinned(pin: _QueryPin, fact: Atom,
-                       facts: FactSet) -> Iterator[dict[Variable, Term]]:
-    """Matches of the query into the facts that map the pinned atom to fact:
-    those of match_conjunction(query, base, facts), in the same order, where
-    base is the unifier of the pinned atom with fact."""
-    predicate, arity, consts, repeats, slots, rest = pin
-    ft = fact.terms
-    if fact.predicate != predicate or len(ft) != arity:
-        return iter(())
-    for i, c in consts:
-        if ft[i] != c:
-            return iter(())
-    for i, j in repeats:
-        if ft[i] != ft[j]:
-            return iter(())
-    base = {v: ft[i] for v, i in slots}
-    return match_conjunction(rest, base, facts) if rest else iter((base,))
-
-
-def query_matched(pins: dict[str, tuple[_QueryPin, ...]],
+def query_matched(pins: dict[str, tuple[tuple[Atom, tuple[Atom, ...]], ...]],
                   new_facts: Iterable[Atom], facts: FactSet) -> bool:
     """True iff the query matches into the facts using some new fact
-    (already in the facts): the semi-naive step of query-directed chasing."""
+    (already in the facts): the semi-naive step of query-directed chasing.
+    Each new fact is unified with each query atom of its predicate, and the
+    other atoms are joined under that unifier."""
     for fact in new_facts:
-        for pin in pins.get(fact.predicate, ()):
-            for _ in match_query_pinned(pin, fact, facts):
-                return True
+        for atom, rest in pins.get(fact.predicate, ()):
+            base = _unify_atom(atom, fact, {})
+            if base is not None:
+                for _ in match_conjunction(rest, base, facts):
+                    return True
     return False

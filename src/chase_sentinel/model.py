@@ -321,9 +321,6 @@ class ConstantMapping:
             return functional(t.symbol, tuple(self.apply(a) for a in t.args))
         return t
 
-    def apply_atom(self, atom: Atom) -> Atom:
-        return Atom(atom.predicate, tuple(self.apply(t) for t in atom.terms))
-
     def apply_power(self, t: Term, j: int) -> Term:
         for _ in range(j):
             t = self.apply(t)

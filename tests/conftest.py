@@ -49,7 +49,7 @@ from chase_sentinel.model import (
     subterms,
     uc_constant,
 )
-from chase_sentinel.ruleio import ParseError, parse
+from chase_sentinel.ruleio import Namer, ParseError, parse
 
 # ---------------------------------------------------------------------------
 # Canonical rule sets
@@ -189,7 +189,7 @@ def sample_triggers(rules: RuleSet, depth_cap: int = 3,
         for rule in rules:
             for sub in match_conjunction(rule.body, {}, facts):
                 lam = Trigger(rule, sub)
-                if max((t.depth for t in lam.frontier_image()), default=0) \
+                if max((t.depth for t in frontier_image(lam)), default=0) \
                         <= depth_cap:
                     out.append(lam)
                 if len(out) >= limit:
@@ -444,6 +444,45 @@ def hc_branch(tree: ChaseTree, hc: HeadChoice) -> list[ChaseVertex]:
         assert step is not None, "children must cover every disjunct"
         path.append(step)
     return path
+
+
+def label(tree: ChaseTree, vertex_id: int) -> FactSet:
+    """Phi(v): the database plus everything added on the path to v."""
+    path: list[ChaseVertex] = []
+    cur: int | None = vertex_id
+    while cur is not None:
+        v = tree.vertices[cur]
+        path.append(v)
+        cur = v.parent
+    facts = FactSet()
+    for v in reversed(path):
+        facts.update(v.new_facts)
+    return facts
+
+
+def trace_lines(tree: ChaseTree) -> list[str]:
+    """One line per vertex: its parent, the trigger and disjunct that made
+    it, and the facts it added."""
+    namer = Namer(tree.rules)
+    lines = []
+    for v in tree.vertices:
+        if v.trigger is None:
+            origin = "database"
+        else:
+            origin = f"{namer.trigger(v.trigger)} disjunct {v.disjunct}"
+        added = "; ".join(namer.atom(a) for a in v.new_facts) or "-"
+        parent = "-" if v.parent is None else str(v.parent)
+        lines.append(f"vertex {v.id} parent {parent} via {origin}: {added}")
+    return lines
+
+
+def frontier_image(trigger: Trigger) -> tuple[Term, ...]:
+    return tuple(trigger.substitution[v] for v in trigger.rule.frontier)
+
+
+def map_atom(g: ConstantMapping, atom: Atom) -> Atom:
+    """The constant mapping applied to every term of the atom."""
+    return Atom(atom.predicate, tuple(g.apply(t) for t in atom.terms))
 
 
 def is_loaded(trigger: Trigger, facts: FactSet) -> bool:

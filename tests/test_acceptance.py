@@ -65,6 +65,7 @@ from chase_sentinel.termination import MFA, TERMINATING, check_acyclic
 from conftest import (
     bike_subset,
     is_loaded,
+    map_atom,
     naive_over_approx,
     naive_saturation,
     oracle_obsolete,
@@ -172,7 +173,7 @@ def test_criterion_04_over_approximation_golden_sets():
     assert set(conj.facts) == expected | {Atom("Spare", (c_w,))}
 
     collapse = ConstantMapping({c_v: star(), c_w: star()})
-    collapsed = {collapse.apply_atom(a) for a in expected}
+    collapsed = {map_atom(collapse, a) for a in expected}
     for hc in (hc1, None):
         approx = build_over_approx(
             rules, pivot, TermAbstraction(STAR, skeleton(pivot, rules)), hc)

@@ -8,7 +8,6 @@ from chase_sentinel.approx import (
     UC,
     TermAbstraction,
     UnblockabilityCache,
-    abstract,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
@@ -31,7 +30,10 @@ from chase_sentinel.model import (
 
 from conftest import (
     NotReversibleError,
+    _oracle_abstract,
     bike_subset,
+    frontier_image,
+    map_atom,
     naive_over_approx,
     random_rule_set,
     rules_from,
@@ -48,33 +50,36 @@ def bike_pivot(rules):
     return Trigger(rules.by_id["r2"], {variable("X"): fvd})
 
 
-def test_star_abstraction_maps_skeleton_to_itself_rest_to_star():
+def bike_abstraction(kind):
+    """The oracle abstraction around the bike pivot's skeleton, and the
+    bike symbols f_V and f_W."""
     rules = bike_subset(2)
-    pivot = bike_pivot(rules)
-    h = TermAbstraction(STAR, skeleton(pivot, rules))
-    d = constant("d")
+    skel = skeleton(bike_pivot(rules), rules)
+    uc_names = {uc_constant(s) for r in rules for s in r.sk_symbols}
     f_v = next(s for s in rules.by_id["r1"].sk_symbols if s.var == "V")
     f_w = next(s for s in rules.by_id["r2"].sk_symbols if s.var == "W")
+    return (lambda t: _oracle_abstract(kind, skel, uc_names, t)), f_v, f_w
+
+
+def test_star_abstraction_maps_skeleton_to_itself_rest_to_star():
+    abstract, f_v, f_w = bike_abstraction(STAR)
+    d = constant("d")
     fvd = functional(f_v, (d,))
-    assert abstract(h, d) == d
-    assert abstract(h, fvd) == fvd
-    assert abstract(h, constant("e")) == star()
-    assert abstract(h, functional(f_w, (fvd,))) == star()
+    assert abstract(d) == d
+    assert abstract(fvd) == fvd
+    assert abstract(constant("e")) == star()
+    assert abstract(functional(f_w, (fvd,))) == star()
 
 
 def test_uc_abstraction_names_fresh_terms_per_symbol():
-    rules = bike_subset(2)
-    pivot = bike_pivot(rules)
-    h = TermAbstraction(UC, skeleton(pivot, rules))
+    abstract, f_v, f_w = bike_abstraction(UC)
     d = constant("d")
-    f_v = next(s for s in rules.by_id["r1"].sk_symbols if s.var == "V")
-    f_w = next(s for s in rules.by_id["r2"].sk_symbols if s.var == "W")
     fvd = functional(f_v, (d,))
-    assert abstract(h, fvd) == fvd
-    assert abstract(h, functional(f_w, (fvd,))) == uc_constant(f_w)
-    assert abstract(h, functional(f_v, (constant("e"),))) == uc_constant(f_v)
-    assert abstract(h, uc_constant(f_w)) == uc_constant(f_w)
-    assert abstract(h, constant("e")) == star()
+    assert abstract(fvd) == fvd
+    assert abstract(functional(f_w, (fvd,))) == uc_constant(f_w)
+    assert abstract(functional(f_v, (constant("e"),))) == uc_constant(f_v)
+    assert abstract(uc_constant(f_w)) == uc_constant(f_w)
+    assert abstract(constant("e")) == star()
 
 
 def expected_uc_facts(rules):
@@ -123,7 +128,7 @@ def test_star_over_approximation_is_the_constant_collapse():
     hc1 = HeadChoice.uniform(rules, 1)
     expected, c_v, c_w = expected_uc_facts(rules)
     collapse = ConstantMapping({c_v: star(), c_w: star()})
-    collapsed = {collapse.apply_atom(a) for a in expected}
+    collapsed = {map_atom(collapse, a) for a in expected}
 
     for hc in (hc1, None):
         approx = build_over_approx(
@@ -172,7 +177,7 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
         sets += 1
         pivots = sample_triggers(rules, depth_cap=2)
         deep = [p for p in pivots
-                if any(t.depth > 1 for t in p.frontier_image())]
+                if any(t.depth > 1 for t in frontier_image(p))]
         shallow = [p for p in pivots if p not in deep]
         hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
         for pivot in deep[:2] + shallow[:1]:

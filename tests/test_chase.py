@@ -18,8 +18,8 @@ from chase_sentinel.chase import (
 from chase_sentinel.matcher import is_obsolete
 from chase_sentinel.model import Atom, Query, constant, functional, variable
 
-from conftest import (hc_branch, is_loaded, naive_entails, random_rule_set,
-                      rules_from, satisfies)
+from conftest import (hc_branch, is_loaded, label, naive_entails,
+                      random_rule_set, rules_from, satisfies, trace_lines)
 
 
 def atom(pred, *names):
@@ -145,12 +145,12 @@ def test_complete_trees_end_in_models_of_the_rules():
         complete += 1
         for v in tree.vertices[1:]:
             later_disjuncts += v.disjunct > 1
-            label = tree.label(v.parent)
-            assert is_loaded(v.trigger, label)
-            assert not is_obsolete(v.trigger, label)
+            facts = label(tree, v.parent)
+            assert is_loaded(v.trigger, facts)
+            assert not is_obsolete(v.trigger, facts)
         for leaf in tree.leaves():
-            label = tree.label(leaf.id)
-            assert all(satisfies(label, rule) for rule in rules)
+            facts = label(tree, leaf.id)
+            assert all(satisfies(facts, rule) for rule in rules)
             leaves += 1
     assert complete >= 150 and leaves >= 300 and later_disjuncts >= 100
 
@@ -249,7 +249,7 @@ def test_dot_and_trace_render(bike4):
     dot = tree.to_dot()
     assert dot.startswith("digraph")
     assert dot.count("->") >= 3
-    lines = tree.trace_lines()
+    lines = trace_lines(tree)
     assert lines and any("Engine(d)" in line for line in lines)
 
 
