@@ -73,13 +73,9 @@ class TermAbstraction:
 
 @dataclass
 class OverApproximation:
-    """The fact set of one build; triggers counts the distinct (rule, body
-    image) pairs the build queued."""
+    """The fact set of one build and the number of triggers it queued."""
 
     facts: FactSet
-    pivot: Trigger
-    hc: HeadChoice | None
-    abstraction: TermAbstraction
     triggers: int
 
 
@@ -208,9 +204,9 @@ def build_over_approx(
     the pivot's abstracted output can be excluded, and only those are
     compared exactly.
 
-    The fixpoint queues (rule, substitution) pairs, one per distinct rule
-    and body image, found by matcher.discover; no Trigger object is built
-    for them. Their number is returned as OverApproximation.triggers.
+    The fixpoint queues the (rule, substitution) pairs matcher.discover
+    finds, each pair once, and builds no Trigger for them. Their number is
+    returned as OverApproximation.triggers.
     """
     facts = _seed_facts(rules, h, pivot)
     by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
@@ -235,23 +231,14 @@ def build_over_approx(
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
-    # Triggers are keyed by rule and body image, and a (rule, substitution)
-    # pair is queued only for a key not seen before. No Trigger is built: its
-    # groundness check could not fail here, because every substitution comes
-    # from matching into a FactSet, which holds only ground atoms.
-    seen: set[tuple] = set()
-    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque()
-
-    def enqueue(found: Iterable[tuple[Rule, Mapping[Variable, Term]]]) -> None:
-        for rule, sub in found:
-            key = (rule.id, tuple([sub[v] for v in rule.body_vars]))
-            if key not in seen:
-                seen.add(key)
-                queue.append((rule, sub))
-
-    enqueue(discover(rules, facts))
+    # No Trigger is built: every substitution comes from matching into a
+    # FactSet, which holds only ground atoms, so its check could not fail.
+    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque(
+        discover(rules, facts))
+    popped = 0
     while queue:
         rule, sigma = queue.popleft()
+        popped += 1
         if hc is not None:
             i = hc.choice(rule)
             contribution = _fill(shapes[rule.id][i - 1], sigma)
@@ -266,8 +253,10 @@ def build_over_approx(
                     for i in raw_outs):
                 continue
             contribution = tuple(a for o in outs for a in o)
-        enqueue(discover(rules, facts, facts.update(contribution)))
-    return OverApproximation(facts, pivot, hc, h, len(seen))
+        new = facts.update(contribution)
+        if new:
+            queue.extend(discover(rules, facts, new))
+    return OverApproximation(facts, popped)
 
 
 # ---------------------------------------------------------------------------

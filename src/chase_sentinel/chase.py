@@ -9,11 +9,11 @@ Obsolete triggers are re-checked at application time because labels grow
 monotonically along a branch.
 Triggers are found by `matcher.discover`, the shared semi-naive routine:
 each child pins only the facts its disjunct added, in the enumeration order
-of the chase's former pin loop. `run_chase` and `entails` share one
-expansion loop; `entails` also unifies each fact a child adds with the
-query atoms of its predicate, joins the other query atoms with
-`matcher.match_conjunction`, closes the branches that match and stops at
-the first saturated branch that does not.
+of the chase's former pin loop, so a branch meets each trigger once.
+`run_chase` and `entails` share one expansion loop; `entails` also unifies
+each fact a child adds with the query atoms of its predicate, joins the
+other query atoms with `matcher.match_conjunction`, closes the branches
+that match and stops at the first saturated branch that does not.
 """
 from __future__ import annotations
 
@@ -152,24 +152,23 @@ class ChaseTree:
 
 @dataclass
 class _Branch:
+    """An open branch; a fork copies its label and its trigger queues."""
+
     vertex: int
     facts: FactSet
     datalog: deque[Trigger]
     general: deque[Trigger]
-    seen: set[Trigger]
 
     def fork(self) -> "_Branch":
         return _Branch(self.vertex, self.facts.copy(), deque(self.datalog),
-                       deque(self.general), set(self.seen))
+                       deque(self.general))
 
 
 def _discover(rules: RuleSet, branch: _Branch,
               new_facts: Sequence[Atom] | None = None) -> None:
     for rule, sub in discover(rules, branch.facts, new_facts):
-        trigger = Trigger(rule, sub)
-        if trigger not in branch.seen:
-            branch.seen.add(trigger)
-            (branch.datalog if rule.is_datalog else branch.general).append(trigger)
+        (branch.datalog if rule.is_datalog else branch.general).append(
+            Trigger(rule, sub))
 
 
 def _next_trigger(branch: _Branch) -> Trigger | None:
@@ -216,7 +215,7 @@ def _expand(
         for _ in match_conjunction(query.atoms, {}, db):
             return tree, False
 
-    start = _Branch(0, db, deque(), deque(), set())
+    start = _Branch(0, db, deque(), deque())
     _discover(rules, start)
     stack: list[_Branch] = [start]
 

@@ -156,9 +156,10 @@ def _saturate(
     rules take part and the star abstraction is used.
 
     A trigger new in a round uses a fact the previous round added, since
-    every other loaded trigger was a candidate before; `processed` also
-    drops the repeats that pinning yields. Distinct terms of one rule set
-    have distinct reprs, so the sort order is total.
+    every other loaded trigger was a candidate before, and discover yields
+    it in no other round. Only the seed comes back, from the opening full
+    match. Distinct terms of one rule set have distinct reprs, so the sort
+    order is total.
     """
     deterministic_only = hc is None
     db = rule_database(rho)
@@ -197,7 +198,6 @@ def _saturate(
         return False
 
     seed = Trigger(rho, db.substitution)
-    processed: set[Trigger] = {seed}
     if record(seed):
         return run
 
@@ -212,9 +212,8 @@ def _saturate(
             if deterministic_only and not rule.is_deterministic:
                 continue
             trigger = Trigger(rule, sub)
-            if trigger in processed:
+            if rule.id == rho.id and trigger == seed:
                 continue
-            processed.add(trigger)
             candidates.append((position[rule.id], _canon_key(trigger), trigger))
         candidates.sort(key=lambda c: (c[0], c[1]))
         for _, _, trigger in candidates:

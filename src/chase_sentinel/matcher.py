@@ -7,7 +7,8 @@ insertion order, so identical inputs always enumerate substitutions in the
 same order. `discover` is the semi-naive trigger discovery behind all four
 fixpoint loops: the chase, the acyclicity check, the over-approximation
 builds and the cyclicity saturation. It enumerates in the order of the
-first three's former pin loops; the saturation sorts what it finds.
+first three's former pin loops; the saturation sorts what it finds. No
+loop meets a (rule, substitution) pair twice, so none keeps a seen set.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). Each such join is compiled once per rule set, on first
@@ -118,9 +119,10 @@ class FactSet:
 
 
 class Trigger:
-    """A rule paired with a total substitution for its body variables."""
+    """A rule paired with a total substitution for its body variables; equal
+    to another with the same rule and body image."""
 
-    __slots__ = ("rule", "substitution", "_key", "_hash")
+    __slots__ = ("rule", "substitution")
 
     def __init__(self, rule: Rule, substitution: Substitution):
         sub = {v: substitution[v] for v in rule.body_vars}
@@ -129,8 +131,6 @@ class Trigger:
                 raise RuleError(f"trigger substitution must be ground, {v!r} -> {t!r}")
         self.rule = rule
         self.substitution = sub
-        self._key = (rule.id, tuple(sub[v] for v in rule.body_vars))
-        self._hash = hash(self._key)
 
     def body_facts(self) -> tuple[Atom, ...]:
         sigma = self.substitution
@@ -154,12 +154,11 @@ class Trigger:
         return tuple(self.out(i) for i in range(1, self.rule.branching + 1))
 
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return isinstance(other, Trigger) and other._key == self._key
+        return isinstance(other, Trigger) and other.rule.id == self.rule.id \
+            and other.substitution == self.substitution
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.rule.id, *self.substitution.values()))
 
     def __repr__(self) -> str:
         inner = ", ".join(
@@ -334,12 +333,16 @@ def discover(
 ) -> Iterator[tuple[Rule, dict[Variable, Term]]]:
     """Loaded (rule, substitution) pairs: every pair, rule by rule, when
     new_facts is None; else each pair that uses a new fact (already in the
-    facts), pinned to each body atom of its predicate, so a pair may repeat.
+    facts), pinned to each body atom of its predicate. A pair is yielded
+    at most once per call, at its first occurrence.
 
     The chase, the acyclicity check, the over-approximation builds and the
-    cyclicity saturation take their triggers from here. The pinned joins of
-    a predicate are compiled on first use and kept in rules.pinned_joins, so
-    they live and die with the rule set.
+    cyclicity saturation take their triggers from here. Each consumes a
+    call before adding facts and then pins exactly the facts it added. A
+    pinned pair uses a fact the earlier calls never saw, and a later call
+    pins only facts this one never saw, so no pair ever comes back. The
+    pinned joins of a predicate are compiled on first use and kept in
+    rules.pinned_joins, so they live and die with the rule set.
     """
     if new_facts is None:
         for rule in rules:
@@ -347,6 +350,7 @@ def discover(
                 yield rule, sub
         return
     joins = rules.pinned_joins
+    yielded: set[tuple] = set()
     for fact in new_facts:
         plans = joins.get(fact.predicate)
         if plans is None:
@@ -355,7 +359,10 @@ def discover(
                 for rule, idx in rules.body_index.get(fact.predicate, ())]
         for rule, plan in plans:
             for sub in _run_pinned(plan, fact, facts):
-                yield rule, sub
+                key = (rule, *map(sub.__getitem__, rule.body_vars))
+                if key not in yielded:
+                    yielded.add(key)
+                    yield rule, sub
 
 
 def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:

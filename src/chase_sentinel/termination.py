@@ -14,7 +14,7 @@ check from drowning in the seed facts, which satisfy every head vacuously.
 The plain discipline ("mfa") never drops a trigger and is the coarser,
 unconditionally sound variant. Triggers are found by `matcher.discover`,
 the shared semi-naive routine, in the enumeration order of this check's
-former pin loop.
+former pin loop; it yields each trigger once over the whole saturation.
 """
 from __future__ import annotations
 
@@ -90,14 +90,10 @@ def check_acyclic(
 
     datalog: deque[Trigger] = deque()
     general: deque[Trigger] = deque()
-    seen: set[Trigger] = set()
 
     def enqueue(found: Iterable[tuple[Rule, Substitution]]) -> None:
         for rule, sub in found:
-            trigger = Trigger(rule, sub)
-            if trigger not in seen:
-                seen.add(trigger)
-                (datalog if rule.is_datalog else general).append(trigger)
+            (datalog if rule.is_datalog else general).append(Trigger(rule, sub))
 
     def verdict(result: str, term: Term | None) -> AcyclicityVerdict:
         stats = {

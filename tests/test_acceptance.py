@@ -257,6 +257,7 @@ def test_criterion_09_theorem_shaped_property_suites():
     rng = random.Random(424242)
     budget = SearchBudget(max_triggers=300, max_term_depth=4)
     cases = star_hits = drpc_cyclic = rpcs_cyclic = witnesses = 0
+    mfa_terminating = rmfa_terminating = 0
 
     for i in range(520):
         rules = random_rule_set(rng)
@@ -265,6 +266,8 @@ def test_criterion_09_theorem_shaped_property_suites():
         rpcs = check(rules, "RPC_s", budget=budget)
         drpc = check(rules, "DRPC", budget=budget)
         acyclic = check_acyclic(rules, k=2, mode=MFA)
+        # the mode classify runs
+        rmfa = check_acyclic(rules, k=2)
         if rpcs.result == CYCLIC:
             rpcs_cyclic += 1
 
@@ -274,8 +277,13 @@ def test_criterion_09_theorem_shaped_property_suites():
             assert rpcs.result == CYCLIC, f"set {i}: DRPC cyclic, RPC_s not"
 
         # (c) a proof of termination and a proof of divergence never coexist
-        assert not (acyclic.result == TERMINATING and rpcs.result == CYCLIC), \
-            f"set {i}: simultaneously terminating and cyclic"
+        # in either acyclicity mode
+        for verdict in (acyclic, rmfa):
+            assert not (verdict.result == TERMINATING and
+                        CYCLIC in (rpcs.result, drpc.result)), \
+                f"set {i}: {verdict.stats['mode']} terminating and cyclic"
+        mfa_terminating += acyclic.result == TERMINATING
+        rmfa_terminating += rmfa.result == TERMINATING
 
         # (a) star-unblockable implies uc-unblockable under every head choice
         for lam in sample_triggers(rules, limit=6):
@@ -315,6 +323,8 @@ def test_criterion_09_theorem_shaped_property_suites():
     assert drpc_cyclic >= 20
     assert rpcs_cyclic >= 30
     assert witnesses >= 50
+    assert mfa_terminating >= 300
+    assert rmfa_terminating >= 400
 
 
 def test_criterion_10_oracle_equivalence(monkeypatch):

@@ -178,8 +178,9 @@ def test_match_pinned_enumerates_like_match_conjunction():
                 branches |= _pinned_branch(rule, idx, fact, facts, expected)
                 pinned += [(rule, sub) for sub in expected]
                 compared += 1
-            # discover runs the joins the rule set holds, in body_index order.
-            assert list(discover(rules, facts, [fact])) == pinned
+            # discover runs the joins the rule set holds, in body_index order,
+            # and drops a pair met again through another body atom.
+            assert list(discover(rules, facts, [fact])) == _first_occurrences(pinned)
     assert compared >= 1500
     assert branches == {"no rest", "all-bound scan hit", "all-bound scan miss",
                         "scan", "bound scan", "pinned repeat", "rest repeat",
@@ -193,7 +194,8 @@ def test_match_pinned_enumerates_like_match_conjunction():
 def test_pinned_joins_are_freed_with_their_rule_set():
     rules = rules_from("P(X, Y), Q(Y, Z) -> R(X, Z) .\n")
     facts = FactSet([atom("P", "a", "b"), atom("Q", "b", "c")])
-    assert len(list(discover(rules, facts, list(facts)))) == 2
+    # Both new facts pin the one trigger, which is yielded once.
+    assert len(list(discover(rules, facts, list(facts)))) == 1
     assert rules.pinned_joins
     ref = weakref.ref(rules)
     del rules
@@ -237,34 +239,69 @@ def test_is_obsolete_agrees_with_brute_force_on_random_sets():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
+def _key(pair):
+    rule, sub = pair
+    return rule.id, tuple(sub[v] for v in rule.body_vars)
+
+
+def _first_occurrences(pairs):
+    firsts = {}
+    for pair in pairs:
+        firsts.setdefault(_key(pair), pair)
+    return list(firsts.values())
+
+
 def test_semi_naive_discovery_equals_naive_discovery():
     # Pairs over old facts plus pairs pinned to the new ones cover every
-    # pair over all facts, and nothing else.
+    # pair over all facts, and nothing else. No call yields a pair twice,
+    # and no later round yields a pair again.
     rng = random.Random(17)
     consts = [constant(n) for n in ("a", "b", "c")]
 
     def pairs(found):
-        return {(rule.id, tuple(sub[v] for v in rule.body_vars))
-                for rule, sub in found}
+        found = [_key(pair) for pair in found]
+        assert len(set(found)) == len(found)
+        return set(found)
+
+    def draw(preds, n):
+        return [Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
+                for pred, arity in (rng.choice(preds) for _ in range(n))]
 
     checked = 0
     for _ in range(80):
         rules = random_rule_set(rng, max_rules=8)
         preds = sorted(rules.predicates.items())
-        old = FactSet()
-        for _ in range(rng.randint(1, 8)):
-            pred, arity = rng.choice(preds)
-            old.add(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+        old = FactSet(draw(preds, rng.randint(1, 8)))
         facts = old.copy()
-        new = facts.update(
-            Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
-            for pred, arity in (rng.choice(preds) for _ in range(rng.randint(1, 6))))
+        new = facts.update(draw(preds, rng.randint(1, 6)))
         semi = pairs(discover(rules, old)) | pairs(discover(rules, facts, new))
         naive = pairs(discover(rules, facts))
         assert semi == naive
         assert pairs(discover(rules, facts, [])) == set()
         checked += len(naive - pairs(discover(rules, old)))
     assert checked >= 100
+
+    # Chains of rounds, each pinning the facts the previous one added: every
+    # pair over the final facts comes up in exactly one round.
+    chained = 0
+    for _ in range(200):
+        rules = random_rule_set(rng, max_rules=8)
+        preds = sorted(rules.predicates.items())
+        facts = FactSet(draw(preds, rng.randint(1, 4)))
+        rounds = [pairs(discover(rules, facts))]
+        for _ in range(rng.randint(3, 5)):
+            new = facts.update(draw(preds, rng.randint(1, 3)))
+            rounds.append(pairs(discover(rules, facts, new)))
+        union = set().union(*rounds)
+        assert sum(map(len, rounds)) == len(union)
+        assert union == pairs(discover(rules, facts))
+        chained += len(union)
+    assert chained >= 900
+
+    # One new fact pinned to both atoms of a self-join is one trigger.
+    rules = rules_from("R(X, Y), R(Y, Z) -> S(X, Z) .\n")
+    loop = atom("R", "a", "a")
+    assert len(list(discover(rules, FactSet([loop]), [loop]))) == 1
 
 
 def test_query_matched_finds_exactly_the_matches_through_new_facts():
