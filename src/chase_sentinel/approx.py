@@ -15,6 +15,14 @@ skeleton or fall back to the symbol's replacement, so no skolem term is
 ever built there. These templates are the one statement of the
 abstraction; the pivot's own outputs are abstracted through them too.
 
+Those templates, and the comparison with the pivot's output, read a
+trigger's substitution only on its rule's frontier. A build therefore
+queues each (rule, frontier image) key once. Its seed holds every fact over
+the skeleton's constants plus the special constant (the universe U), so the
+seed's triggers are enumerated over U directly, and only those through the
+pivot's birth facts are matched. Only the resulting fixpoint as a set is
+specified, not the order in which its facts were added.
+
 Reversible constant mappings transport unblockability between triggers of
 the same rule, which is what lets a finite search certify infinitely many
 trigger repetitions.
@@ -73,13 +81,19 @@ class TermAbstraction:
 
 @dataclass
 class OverApproximation:
-    """The fact set of one build and the number of triggers it queued."""
+    """The fact set of one build, equal as a set to the least fixpoint (its
+    insertion order is unspecified), and the number of (rule, frontier
+    image) keys it queued: each key of a trigger loaded in it, once. The
+    seed's keys are enumerated over the universe U, not matched."""
 
     facts: FactSet
     triggers: int
 
 
-def _seed_facts(rules: RuleSet, h: TermAbstraction, pivot: Trigger) -> FactSet:
+def _seed_facts(rules: RuleSet, h: TermAbstraction, pivot: Trigger,
+                ) -> tuple[FactSet, list[Term], list[Atom]]:
+    """The seed facts, their universe U (the skeleton's constants plus the
+    special constant) and the birth facts that are not over U."""
     facts = FactSet()
     consts = sorted(
         (t for t in h.skeleton if isinstance(t, Constant)),
@@ -89,8 +103,8 @@ def _seed_facts(rules: RuleSet, h: TermAbstraction, pivot: Trigger) -> FactSet:
     for predicate, arity in rules.predicates.items():
         for combo in itertools.product(universe, repeat=arity):
             facts.add(Atom(predicate, combo))
-    facts.update(sorted(birth_facts(pivot, rules), key=repr))
-    return facts
+    births = facts.update(sorted(birth_facts(pivot, rules), key=repr))
+    return facts, universe, births
 
 
 class _SkolemSlot:
@@ -204,11 +218,19 @@ def build_over_approx(
     the pivot's abstracted output can be excluded, and only those are
     compared exactly.
 
-    The fixpoint queues the (rule, substitution) pairs matcher.discover
-    finds, each pair once, and builds no Trigger for them. Their number is
-    returned as OverApproximation.triggers.
+    A loaded trigger's contribution and its exclusion read its substitution
+    only on the rule's frontier, so the fixpoint queues each (rule, frontier
+    image) key once per build, and builds no Trigger for it. The seed holds
+    every fact over its universe U, so every assignment of a body into U is
+    loaded: the seed's keys over U are enumerated directly, and only the
+    matches through birth facts outside U are joined. Later keys come from
+    matcher.discover pinned to each new fact. Exclusion depends only on the
+    trigger, so the result is the least fixpoint of a monotone operator and
+    does not depend on queue order; only the fact set as a set is
+    specified, not its insertion order. The number of keys is returned as
+    OverApproximation.triggers.
     """
-    facts = _seed_facts(rules, h, pivot)
+    facts, universe, births = _seed_facts(rules, h, pivot)
     by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
     for t in h.skeleton:
         if isinstance(t, FunctionalTerm):
@@ -231,14 +253,24 @@ def build_over_approx(
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
-    # No Trigger is built: every substitution comes from matching into a
-    # FactSet, which holds only ground atoms, so its check could not fail.
-    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque(
-        discover(rules, facts))
-    popped = 0
+    # No Trigger is built: every substitution comes from U or from matching
+    # into a FactSet, which holds only ground atoms, so its check could not
+    # fail.
+    queued: set[tuple] = set()
+    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque()
+
+    def load(pairs: Iterable[tuple[Rule, Mapping[Variable, Term]]]) -> None:
+        for rule, sigma in pairs:
+            key = (rule, *map(sigma.__getitem__, rule.frontier))
+            if key not in queued:
+                queued.add(key)
+                queue.append((rule, sigma))
+
+    load((rule, dict(zip(rule.frontier, combo))) for rule in rules
+         for combo in itertools.product(universe, repeat=len(rule.frontier)))
+    load(discover(rules, facts, births))
     while queue:
         rule, sigma = queue.popleft()
-        popped += 1
         if hc is not None:
             i = hc.choice(rule)
             contribution = _fill(shapes[rule.id][i - 1], sigma)
@@ -255,8 +287,8 @@ def build_over_approx(
             contribution = tuple(a for o in outs for a in o)
         new = facts.update(contribution)
         if new:
-            queue.extend(discover(rules, facts, new))
-    return OverApproximation(facts, popped)
+            load(discover(rules, facts, new))
+    return OverApproximation(facts, len(queued))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from chase_sentinel.model import (
     _TERMS,
     Atom,
     ConstantMapping,
+    birth_facts,
     constant,
     db_constant,
     functional,
@@ -160,38 +164,82 @@ def test_over_approximation_matches_naive_oracle_on_bike_pivot():
         naive_over_approx(rules, pivot, "star")
 
 
-def loaded_triggers(rules, facts):
-    return {(rule.id, tuple(sub[v] for v in rule.body_vars))
+def loaded_keys(rules, facts, variables):
+    """The (rule id, image) keys of the triggers loaded in the facts, with
+    the image taken on rule.<variables>."""
+    return {(rule.id, tuple(sub[v] for v in getattr(rule, variables)))
             for rule, sub in discover(rules, facts)}
+
+
+def small_rule_sets():
+    rng = random.Random(5)
+    sets = 0
+    while sets < 10:
+        rules = random_rule_set(rng, max_rules=8)
+        if len(rules) >= 5:
+            sets += 1
+            yield rules
+
+
+# classify-random corpus structures of 8, 12 and 16 rules, picked among the
+# first 30 for a naive closure of at most a few seconds: the oracle tries
+# every body assignment over every term, and some 16-rule sets take over
+# 30 s.
+BENCH_STRUCTURES = (0, 3, 13, 25, 23)
+
+
+def bench_rule_sets():
+    """The benchmark's classify-random rule sets on BENCH_STRUCTURES, as
+    perfbench/generators.py draws them."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    generators = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generators  # dataclasses look their module up
+    spec.loader.exec_module(generators)
+    for i in BENCH_STRUCTURES:
+        yield rules_from(generators.random_rule_set(
+            random.Random(f"classify-random-corpus/{i}"), random.Random(i),
+            (8, 12, 16)[i % 3]).text)
 
 
 def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
     # Sets of five to eight rules, each with two pivots whose frontier holds
-    # a skolem term (so skeleton terms reach the head slots) and one without.
-    rng = random.Random(5)
-    sets = cases = 0
-    while sets < 10:
-        rules = random_rule_set(rng, max_rules=8)
-        if len(rules) < 5:
-            continue
-        sets += 1
-        pivots = sample_triggers(rules, depth_cap=2)
-        deep = [p for p in pivots
-                if any(t.depth > 1 for t in frontier_image(p))]
-        shallow = [p for p in pivots if p not in deep]
-        hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
-        for pivot in deep[:2] + shallow[:1]:
-            for hc in hcs:
-                for kind in (STAR, UC):
-                    h = TermAbstraction(kind, skeleton(pivot, rules))
-                    approx = build_over_approx(rules, pivot, h, hc)
-                    got = set(approx.facts)
-                    assert got == naive_over_approx(rules, pivot, kind, hc), \
-                        (sets, pivot, kind, hc)
-                    # The build queued each loaded trigger of its result once.
-                    assert approx.triggers == len(loaded_triggers(rules, approx.facts))
-                    cases += 1
-    assert cases >= 120
+    # a skolem term (so skeleton terms reach the head slots) and one without;
+    # then benchmark-scale sets with one pivot of each sort.
+    counts = dict.fromkeys(("small", "bench", "births_in_seed", "merged"), 0)
+    for scale, rule_sets, deep_pivots in (("small", small_rule_sets(), 2),
+                                          ("bench", bench_rule_sets(), 1)):
+        for rules in rule_sets:
+            pivots = sample_triggers(rules, depth_cap=2)
+            deep = [p for p in pivots
+                    if any(t.depth > 1 for t in frontier_image(p))]
+            shallow = [p for p in pivots if p not in deep]
+            hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
+            for pivot in deep[:deep_pivots] + shallow[:1]:
+                for hc in hcs:
+                    for kind in (STAR, UC):
+                        h = TermAbstraction(kind, skeleton(pivot, rules))
+                        approx = build_over_approx(rules, pivot, h, hc)
+                        got = set(approx.facts)
+                        assert got == naive_over_approx(rules, pivot, kind, hc), \
+                            (scale, rules, pivot, kind, hc)
+                        # The build queued each (rule, frontier image) key
+                        # of a trigger loaded in its result once.
+                        keys = loaded_keys(rules, approx.facts, "frontier")
+                        assert approx.triggers == len(keys)
+                        counts[scale] += 1
+                        if scale == "bench":
+                            # No birth fact outside the seed's universe: the
+                            # seed's keys alone start the fixpoint.
+                            counts["births_in_seed"] += not birth_facts(pivot, rules)
+                            # A body variable outside the frontier made
+                            # several loaded triggers share one key.
+                            counts["merged"] += len(loaded_keys(
+                                rules, approx.facts, "body_vars")) > len(keys)
+    assert counts["small"] >= 120
+    assert counts["bench"] >= 60
+    assert counts["births_in_seed"] >= 30
+    assert counts["merged"] >= 50
 
 
 def sk(rules, rule_id, var):
