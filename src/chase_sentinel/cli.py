@@ -384,13 +384,17 @@ def _analyze_file(path: Path, k: int, timeout: float | None,
                     rpcs.result, combined, elapsed())
 
 
+_COLUMNS = ("file", "bucket", "acyclic", "drpc", "rpcs", "combined", "ms")
+
+
+def _cells(row: BatchRow) -> list[str]:
+    return [row.file, row.bucket, row.acyclic, row.drpc, row.rpcs,
+            row.combined, str(row.ms)]
+
+
 def _format_table(rows: list[BatchRow]) -> list[str]:
-    header = ["file", "bucket", "acyclic", "drpc", "rpcs", "combined", "ms"]
-    cells = [header] + [
-        [r.file, r.bucket, r.acyclic, r.drpc, r.rpcs, r.combined, str(r.ms)]
-        for r in rows
-    ]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    cells = [list(_COLUMNS)] + [_cells(r) for r in rows]
+    widths = [max(len(row[i]) for row in cells) for i in range(len(_COLUMNS))]
     lines = []
     for row in cells:
         lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
@@ -437,11 +441,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         try:
             with open(args.csv, "w", newline="", encoding="utf-8") as handle:
                 writer = csv.writer(handle)
-                writer.writerow(["file", "bucket", "acyclic", "drpc", "rpcs",
-                                 "combined", "ms"])
-                for r in rows:
-                    writer.writerow([r.file, r.bucket, r.acyclic, r.drpc,
-                                     r.rpcs, r.combined, r.ms])
+                writer.writerow(_COLUMNS)
+                writer.writerows(_cells(r) for r in rows)
         except OSError as exc:
             raise CommandError(f"{args.csv}: {exc.strerror or exc}", EXIT_IO)
 

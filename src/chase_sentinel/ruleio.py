@@ -14,12 +14,15 @@ with an underscore are reserved for internal use and rejected. Head
 variables that do not occur in the rule body are existential. Facts must be
 ground, rules must be constant-free, and every predicate must keep one arity
 across the whole program.
+
+One regular expression splits the text into (kind, text, offset) tokens.
+A ParseError names a 1-based line and column; both are worked out from the
+offending token's offset only when the error is raised.
 """
 from __future__ import annotations
 
-import io
+import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .model import (
     Atom,
@@ -61,56 +64,41 @@ class SourceProgram:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-_PUNCT = {"(": "LPAREN", ")": "RPAREN", ",": "COMMA", ".": "DOT", "|": "PIPE", "?": "QMARK"}
+# Whitespace and comments match no group. An identifier matches \w+ and is
+# then checked to start with a letter or "_": the class [^\W\d] would also
+# start one with a numeric such as "²". BAD takes any character left over.
+_TOKEN = re.compile(r"""
+    [ \t\r\n]+ | %[^\n]*
+  | (?P<ARROW>->) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
+  | (?P<DOT>\.) | (?P<PIPE>\|) | (?P<QMARK>\?)
+  | (?P<IDENT>\w+) | (?P<BAD>.)
+""", re.VERBOSE)
+
+_Token = tuple[str, str, int]  # kind, text, offset into the source
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _error(text: str, message: str, offset: int) -> ParseError:
+    """The ParseError at `offset`: a 1-based line and a 1-based column that
+    counts characters, so a tab is one column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1,
+                      offset - line_start + 1)
 
 
 def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == ">":
-            tokens.append(_Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            start_col = col
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-                col += 1
-            tokens.append(_Token("IDENT", text[start:i], line, start_col))
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("EOF", "", line, col))
+        word = m.group()
+        if kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
+            raise _error(text, f"unexpected character {word[0]!r}", m.start())
+        tokens.append((kind, word, m.start()))
+    # A comment that ends the text moves no column, so an error at end of
+    # input points at the comment's start.
+    comment = text.find("%", text.rfind("\n") + 1)
+    tokens.append(("EOF", "", len(text) if comment < 0 else comment))
     return tokens
 
 
@@ -119,12 +107,13 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arities: dict[str, int] = {}
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
 
     def next(self) -> _Token:
         tok = self.tokens[self.pos]
@@ -133,95 +122,93 @@ class _Parser:
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
+        if tok[0] != kind:
+            found = tok[1] or "end of input"
+            raise _error(self.text, f"expected {what}, found {found!r}", tok[2])
         return tok
 
     def parse_term(self) -> Term:
-        tok = self.expect("IDENT", "a term")
-        if is_reserved_name(tok.text):
-            raise ParseError(f"identifier {tok.text!r} is reserved", tok.line, tok.column)
-        if tok.text[0].isupper():
-            return variable(tok.text)
-        return constant(tok.text)
+        _, name, offset = self.expect("IDENT", "a term")
+        if is_reserved_name(name):
+            raise _error(self.text, f"identifier {name!r} is reserved", offset)
+        if name[0].isupper():
+            return variable(name)
+        return constant(name)
 
-    def parse_atom(self) -> tuple[Atom, _Token]:
-        name = self.expect("IDENT", "a predicate name")
-        if is_reserved_name(name.text):
-            raise ParseError(f"identifier {name.text!r} is reserved", name.line, name.column)
+    def parse_atom(self) -> tuple[Atom, int]:
+        _, name, offset = self.expect("IDENT", "a predicate name")
+        if is_reserved_name(name):
+            raise _error(self.text, f"identifier {name!r} is reserved", offset)
         self.expect("LPAREN", "'('")
         terms = [self.parse_term()]
-        while self.peek().kind == "COMMA":
+        while self.peek() == "COMMA":
             self.next()
             terms.append(self.parse_term())
         self.expect("RPAREN", "')'")
-        known = self.arities.setdefault(name.text, len(terms))
+        known = self.arities.setdefault(name, len(terms))
         if known != len(terms):
-            raise ParseError(
-                f"predicate {name.text} used with arity {len(terms)}, "
-                f"previously {known}", name.line, name.column)
-        return Atom(name.text, terms), name
+            raise _error(self.text, f"predicate {name} used with arity {len(terms)}, "
+                         f"previously {known}", offset)
+        return Atom(name, terms), offset
 
-    def parse_conjunction(self) -> tuple[list[Atom], _Token]:
-        atom, first = self.parse_atom()
+    def parse_conjunction(self) -> tuple[list[Atom], int]:
+        atom, start = self.parse_atom()
         atoms = [atom]
-        while self.peek().kind == "COMMA":
+        while self.peek() == "COMMA":
             self.next()
             atoms.append(self.parse_atom()[0])
-        return atoms, first
+        return atoms, start
 
     def parse_program(self) -> SourceProgram:
         rules: list[Rule] = []
         facts: list[Atom] = []
         queries: list[Query] = []
         while True:
-            tok = self.peek()
-            if tok.kind == "EOF":
+            kind = self.peek()
+            if kind == "EOF":
                 break
-            if tok.kind == "QMARK":
+            if kind == "QMARK":
                 self.next()
                 atoms, _ = self.parse_conjunction()
                 self.expect("DOT", "'.'")
                 queries.append(Query(tuple(atoms)))
                 continue
-            atoms, first = self.parse_conjunction()
-            tok = self.next()
-            if tok.kind == "DOT":
+            atoms, start = self.parse_conjunction()
+            kind, word, offset = self.next()
+            if kind == "DOT":
                 if len(atoms) != 1:
-                    raise ParseError("a fact is a single atom", first.line, first.column)
+                    raise _error(self.text, "a fact is a single atom", start)
                 fact = atoms[0]
                 if not fact.is_ground:
-                    raise ParseError(f"fact {fact.predicate} contains a variable",
-                                     first.line, first.column)
+                    raise _error(self.text, f"fact {fact.predicate} contains a variable",
+                                 start)
                 facts.append(fact)
                 continue
-            if tok.kind != "ARROW":
-                raise ParseError(f"expected '->' or '.', found {tok.text!r}",
-                                 tok.line, tok.column)
-            heads = [self.parse_head(first)]
-            while self.peek().kind == "PIPE":
+            if kind != "ARROW":
+                raise _error(self.text, f"expected '->' or '.', found {word!r}", offset)
+            heads = [self.parse_head()]
+            while self.peek() == "PIPE":
                 self.next()
-                heads.append(self.parse_head(first))
+                heads.append(self.parse_head())
             self.expect("DOT", "'.'")
-            rules.append(self.build_rule(atoms, heads, first, len(rules) + 1))
+            rules.append(self.build_rule(atoms, heads, start, len(rules) + 1))
         try:
             rule_set = RuleSet(rules)
         except RuleError as exc:
-            raise ParseError(str(exc), 1, 1) from exc
+            raise _error(self.text, str(exc), 0) from exc
         for fact in facts:
             rule_set.check_fact(fact)
         return SourceProgram(rule_set, tuple(facts), tuple(queries))
 
-    def parse_head(self, origin: _Token) -> list[Atom]:
-        tok = self.peek()
-        if tok.kind in ("DOT", "PIPE"):
-            raise ParseError("empty head disjunct", tok.line, tok.column)
+    def parse_head(self) -> list[Atom]:
+        kind, _, offset = self.tokens[self.pos]
+        if kind in ("DOT", "PIPE"):
+            raise _error(self.text, "empty head disjunct", offset)
         atoms, _ = self.parse_conjunction()
         return atoms
 
     def build_rule(self, body: list[Atom], heads: list[list[Atom]],
-                   origin: _Token, index: int) -> Rule:
+                   offset: int, index: int) -> Rule:
         body_vars = {t for a in body for t in a.terms if isinstance(t, Variable)}
         disjuncts: list[HeadDisjunct] = []
         for head_atoms in heads:
@@ -236,7 +223,7 @@ class _Parser:
         try:
             return Rule(f"r{index}", body, disjuncts)
         except RuleError as exc:
-            raise ParseError(str(exc), origin.line, origin.column) from exc
+            raise _error(self.text, str(exc), offset) from exc
 
 
 def parse(text: str) -> SourceProgram:
@@ -257,11 +244,10 @@ class Namer:
     disambiguation scheme as symbols.
     """
 
-    def __init__(self, rules: RuleSet | None = None):
+    def __init__(self, rules: RuleSet):
         counts: dict[str, int] = {}
-        if rules is not None:
-            for sym in rules.symbol_index:
-                counts[sym.var] = counts.get(sym.var, 0) + 1
+        for sym in rules.symbol_index:
+            counts[sym.var] = counts.get(sym.var, 0) + 1
         self._var_counts = counts
 
     def symbol(self, sym: SkolemSymbol) -> str:
@@ -308,25 +294,7 @@ def _render_rule(rule: Rule, namer: Namer) -> str:
     return f"{body} -> {heads} ."
 
 
-def render(obj) -> str:
-    """Render a program (or one of its pieces) back to surface syntax."""
-    if isinstance(obj, SourceProgram):
-        namer = Namer(obj.rules)
-        out = io.StringIO()
-        for rule in obj.rules:
-            out.write(_render_rule(rule, namer) + "\n")
-        for fact in obj.facts:
-            out.write(namer.atom(fact) + " .\n")
-        for query in obj.queries:
-            out.write("? " + ", ".join(namer.atom(a) for a in query.atoms) + " .\n")
-        return out.getvalue()
-    if isinstance(obj, RuleSet):
-        namer = Namer(obj)
-        return "\n".join(_render_rule(r, namer) for r in obj) + "\n"
-    if isinstance(obj, Rule):
-        return _render_rule(obj, Namer())
-    if isinstance(obj, Query):
-        return "? " + ", ".join(Namer().atom(a) for a in obj.atoms) + " ."
-    if isinstance(obj, Atom):
-        return Namer().atom(obj)
-    raise TypeError(f"cannot render {obj!r}")
+def render(rules: RuleSet) -> str:
+    """Render a rule set back to surface syntax, one rule a line."""
+    namer = Namer(rules)
+    return "\n".join(_render_rule(r, namer) for r in rules) + "\n"

@@ -1,0 +1,78 @@
+"""Verdicts checked against the chase engine.
+
+A `cyclic` witness proves that the restricted chase from the pivot's rule
+database has no finite tree, so `run_chase` from there must stop on a
+budget. A `terminating` verdict proves the opposite for every database, so
+`run_chase` from a few small databases must complete. On that side a budget
+trip is strong evidence, not a proof: a finite chase may still outgrow term
+depth 10 or 3,000 vertices. The engine is fair, so a trip does not come from
+its order of triggers.
+"""
+import random
+
+import pytest
+
+from chase_sentinel.chase import BUDGET_EXHAUSTED, COMPLETE, ChaseBudget, run_chase
+from chase_sentinel.cyclicity import CYCLIC, SearchBudget, check, rule_database
+from chase_sentinel.model import Atom, constant
+from chase_sentinel.termination import MFA, TERMINATING, check_acyclic
+
+from conftest import random_rule_set, rules_from
+
+CYCLIC_BUDGET = ChaseBudget(max_vertices=500, max_term_depth=6)
+TERMINATING_BUDGET = ChaseBudget(max_vertices=3000, max_term_depth=10)
+
+
+def _sample(n: int = 400):
+    """Fixed-seed small rule sets, each with 3 databases over {a, b, c}."""
+    rng = random.Random(777)
+    consts = [constant(name) for name in ("a", "b", "c")]
+    for _ in range(n):
+        rules = random_rule_set(rng)
+        preds = sorted(rules.predicates.items())
+        databases = []
+        for _ in range(3):
+            db = []
+            for _ in range(rng.randint(2, 8)):
+                pred, arity = rng.choice(preds)
+                db.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+            databases.append(db)
+        yield rules, databases
+
+
+def _assert_terminates(rules, databases) -> None:
+    for db in databases:
+        tree = run_chase(rules, db, TERMINATING_BUDGET)
+        assert tree.status == COMPLETE, (rules, db, tree.exhausted)
+
+
+def test_cyclic_witnesses_and_mfa_certificates_agree_with_the_chase():
+    budget = SearchBudget(max_triggers=300, max_term_depth=4)
+    witnesses = certified = 0
+    for rules, databases in _sample():
+        for notion in ("DRPC", "RPC_s"):
+            verdict = check(rules, notion, budget=budget)
+            if verdict.result == CYCLIC:
+                witnesses += 1
+                db = rule_database(verdict.witness.rho).facts
+                tree = run_chase(rules, db, CYCLIC_BUDGET)
+                assert tree.status == BUDGET_EXHAUSTED, (rules, notion)
+        if check_acyclic(rules, k=2, mode=MFA).result == TERMINATING:
+            certified += 1
+            _assert_terminates(rules, databases)
+    # the sample must exercise both halves
+    assert witnesses >= 40 and certified >= 200
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_rmfa_like_certificates_agree_with_the_chase():
+    # The default mode reads disjunction conjunctively, so a fact from one
+    # disjunct can block a trigger on a branch that chose another. The
+    # one-rule set is the smallest case: the first disjunct's chain from
+    # P0(a, b, c) never ends, yet the mode certifies the set.
+    one_rule = rules_from("P0(Y, Z, X) -> P0(Z, X, V) | P1(Z, U) .\n")
+    a, b, c = (constant(n) for n in ("a", "b", "c"))
+    cases = [(one_rule, [[Atom("P0", (a, b, c))]]), *_sample()]
+    for rules, databases in cases:
+        if check_acyclic(rules, k=2).result == TERMINATING:
+            _assert_terminates(rules, databases)
