@@ -336,21 +336,20 @@ def _is_unblockable(
     kind: str,
     hc: HeadChoice | None,
     trigger: Trigger,
-    cache: UnblockabilityCache | None,
+    cache: UnblockabilityCache,
 ) -> bool:
     if trigger.rule.is_datalog:
         return True
-    key = cache.key(kind, hc, trigger) if cache is not None else None
-    if cache is not None and key in cache.entries:
+    key = cache.key(kind, hc, trigger)
+    if key in cache.entries:
         cache.hits += 1
         return cache.entries[key]
     approx = build_over_approx(
         rules, trigger, TermAbstraction(kind, skeleton(trigger, rules)), hc)
     answer = not is_obsolete(trigger, approx.facts)
-    if cache is not None:
-        cache.builds += 1
-        cache.triggers += approx.triggers
-        cache.entries[key] = answer
+    cache.builds += 1
+    cache.triggers += approx.triggers
+    cache.entries[key] = answer
     return answer
 
 
@@ -360,7 +359,8 @@ def is_star_unblockable(
     cache: UnblockabilityCache | None = None,
 ) -> bool:
     """Datalog triggers always; others iff not obsolete for the star set."""
-    return _is_unblockable(rules, STAR, None, trigger, cache)
+    return _is_unblockable(rules, STAR, None, trigger,
+                           cache or UnblockabilityCache())
 
 
 def is_uc_unblockable(
@@ -370,7 +370,8 @@ def is_uc_unblockable(
     cache: UnblockabilityCache | None = None,
 ) -> bool:
     """Datalog triggers always; others iff not obsolete for the uc set."""
-    return _is_unblockable(rules, UC, hc, trigger, cache)
+    return _is_unblockable(rules, UC, hc, trigger,
+                           cache or UnblockabilityCache())
 
 
 # ---------------------------------------------------------------------------

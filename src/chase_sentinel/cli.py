@@ -34,7 +34,7 @@ from .cyclicity import (
     check,
 )
 from .model import Atom, Query, Rule, RuleSet
-from .ruleio import Namer, ParseError, SourceProgram, parse
+from .ruleio import Namer, ParseError, SourceProgram, parse, parse_query
 from .termination import (
     TERMINATING as ACYCLIC_TERMINATING,
     AcyclicityVerdict,
@@ -314,15 +314,13 @@ def cmd_chase(args: argparse.Namespace) -> int:
 # entails
 
 def _parse_query(text: str) -> Query:
-    body = text.strip().lstrip("?").strip()
-    body = body.rstrip(".").strip()
-    if not body:
-        raise CommandError("query: empty query", EXIT_PARSE)
     try:
-        program = parse(f"? {body} .")
+        query = parse_query(text)
     except ParseError as exc:
         raise CommandError(f"query: {exc}", EXIT_PARSE)
-    return program.queries[0]
+    if not query.atoms:
+        raise CommandError("query: empty query", EXIT_PARSE)
+    return query
 
 
 def cmd_entails(args: argparse.Namespace) -> int:

@@ -17,14 +17,16 @@ that re-matching every rule each round finds.
 
 Three notions are provided: the full search over all head choices, the
 cheaper search over the uniform head choices hc_1..hc_b only, and the
-deterministic-rules-only search with the coarser star abstraction.
+deterministic-rules-only search with the coarser star abstraction. `check`
+runs each as one loop that saturates every (head choice, pivot) pair of the
+notion's family in order, with one unblockability cache for the whole loop.
 """
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Generator, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .approx import (
     UnblockabilityCache,
@@ -129,7 +131,6 @@ class SaturationRun:
     hc: HeadChoice | None
     facts: FactSet
     provenance: list[AppliedTrigger]
-    derived_by: dict[Atom, int]
     cyclic_term: Term | None
     cyclic_index: int | None
     truncated: bool
@@ -137,6 +138,12 @@ class SaturationRun:
 
 def _canon_key(trigger: Trigger) -> tuple:
     return tuple(repr(trigger.substitution[v]) for v in trigger.rule.body_vars)
+
+
+def _out(hc: HeadChoice | None, trigger: Trigger) -> tuple[Atom, ...]:
+    """The trigger's output under the head choice; without one, only
+    deterministic rules take part, so their one disjunct."""
+    return trigger.out(1) if hc is None else hc.out(trigger)
 
 
 def _saturate(
@@ -164,7 +171,7 @@ def _saturate(
     deterministic_only = hc is None
     db = rule_database(rho)
     facts = FactSet(db.facts)
-    run = SaturationRun(notion, rules, rho, hc, facts, [], {}, None, None, False)
+    run = SaturationRun(notion, rules, rho, hc, facts, [], None, None, False)
     deadline = None
     if budget.timeout_seconds is not None:
         deadline = time.monotonic() + budget.timeout_seconds
@@ -172,19 +179,12 @@ def _saturate(
     known_terms: set[Term] = set(facts.terms())
     position = {rule.id: i for i, rule in enumerate(rules)}
 
-    def out_of(trigger: Trigger) -> tuple[Atom, ...]:
-        if hc is not None:
-            return hc.out(trigger)
-        return trigger.out(1)
-
     def record(trigger: Trigger) -> bool:
         """Apply one trigger; returns True when a cyclic term was found."""
         index = len(run.provenance)
-        out = out_of(trigger)
+        out = _out(hc, trigger)
         new = facts.update(out)
         run.provenance.append(AppliedTrigger(index, trigger, out, tuple(new)))
-        for fact in new:
-            run.derived_by[fact] = index
         for atom in out:
             for arg in atom.terms:
                 for t in subterms(arg):
@@ -316,11 +316,13 @@ def extract_prefix(run: SaturationRun) -> CyclicityPrefix:
             f"cyclic output produced by {final.trigger.rule.id}, "
             f"expected {run.rho.id}")
 
+    derived_by = {fact: applied.index
+                  for applied in run.provenance for fact in applied.new}
     keep: set[int] = {0, final.index}
     frontier_facts = list(final.trigger.body_facts())
     while frontier_facts:
         fact = frontier_facts.pop()
-        src = run.derived_by.get(fact)
+        src = derived_by.get(fact)
         if src is None or src in keep:
             continue
         keep.add(src)
@@ -351,16 +353,12 @@ def _validate_prefix(run: SaturationRun, triggers: Sequence[Trigger],
             if fact not in facts:
                 raise InternalInconsistencyError(
                     f"prefix trigger {pos} is not loaded during replay")
-        if run.hc is not None:
-            facts.update(run.hc.out(trigger))
-        else:
-            facts.update(trigger.out(1))
+        facts.update(_out(run.hc, trigger))
     if compose(g, triggers[0].substitution) != dict(triggers[-1].substitution):
         raise InternalInconsistencyError("constant mapping does not close the loop")
     if not any(
         is_rho_cyclic(t, run.rho)
-        for atom in (triggers[-1].out(run.hc.choice(run.rho)) if run.hc is not None
-                     else triggers[-1].out(1))
+        for atom in _out(run.hc, triggers[-1])
         for arg in atom.terms
         for t in subterms(arg)
     ):
@@ -403,57 +401,22 @@ class Verdict:
     stats: dict
 
 
-class _RecordingHeadChoice(HeadChoice):
-    """Head choice that remembers which rules were consulted."""
-
-    __slots__ = ("consulted",)
-
-    def __init__(self, rules: RuleSet, choices: Mapping[str, int]):
-        super().__init__(rules, choices)
-        self.consulted: set[str] = set()
-
-    def choice(self, rule: Rule) -> int:
-        self.consulted.add(rule.id)
-        return self.choices[rule.id]
-
-
-def _drpc_pairs(rules: RuleSet) -> Iterator[tuple[None, Rule]]:
-    for rho in rules:
-        if rho.is_deterministic and rho.is_generating:
-            yield None, rho
-
-
-def _rpcs_pairs(rules: RuleSet) -> Iterator[tuple[HeadChoice, Rule]]:
-    branching = max((r.branching for r in rules), default=1)
-    for i in range(1, branching + 1):
-        hc = HeadChoice.uniform(rules, i)
+def _pairs(rules: RuleSet, notion: str) -> Iterator[tuple[HeadChoice | None, Rule]]:
+    """The notion's (head choice, pivot) pairs in search order: each head
+    choice of its family with every eligible pivot in rule order."""
+    if notion == DRPC:
+        family: Iterator[HeadChoice | None] = iter([None])
+    elif notion == RPC_S:
+        branching = max((r.branching for r in rules), default=1)
+        family = (HeadChoice.uniform(rules, i) for i in range(1, branching + 1))
+    else:
+        ids = [r.id for r in rules]
+        family = (HeadChoice(rules, dict(zip(ids, combo))) for combo in
+                  itertools.product(*(range(1, r.branching + 1) for r in rules)))
+    for hc in family:
         for rho in rules:
-            if rho.is_generating:
+            if rho.is_generating and (hc is not None or rho.is_deterministic):
                 yield hc, rho
-
-
-def _rpc_pairs(rules: RuleSet) -> Generator[tuple[HeadChoice, Rule], SaturationRun, None]:
-    """The caller sends back each run. A completed run is remembered by the
-    choices it consulted, and a later head choice that agrees on them skips
-    that pivot. A truncated run is not remembered, so an agreeing head
-    choice gets a fresh chance under a fresh clock."""
-    memo: dict[str, list[dict[str, int]]] = {}
-    rule_ids = [r.id for r in rules]
-    for combo in itertools.product(*(range(1, r.branching + 1) for r in rules)):
-        assignment = dict(zip(rule_ids, combo))
-        for rho in rules:
-            if not rho.is_generating or any(
-                    all(assignment[rid] == choice for rid, choice in consulted.items())
-                    for consulted in memo.get(rho.id, ())):
-                continue
-            hc = _RecordingHeadChoice(rules, assignment)
-            run = yield hc, rho
-            if not run.truncated:
-                memo.setdefault(rho.id, []).append(
-                    {rid: assignment[rid] for rid in hc.consulted})
-
-
-_PAIRS = {DRPC: _drpc_pairs, RPC_S: _rpcs_pairs, RPC: _rpc_pairs}
 
 
 def check(
@@ -464,11 +427,11 @@ def check(
     """Run one never-termination notion over every eligible pivot rule.
 
     Each (head choice, pivot) pair gets one saturation, in the notion's
-    order. DRPC takes the deterministic generating rules in rule order with
-    no head choice. RPC_s takes hc_1..hc_b in turn, and RPC every head
-    choice lexicographically in rule order, each with every generating rule
-    in rule order; RPC skips the pairs `_rpc_pairs` finds answered. The
-    first cyclic term ends the search.
+    order, and all of them share one unblockability cache. DRPC takes the
+    deterministic generating rules in rule order with no head choice. RPC_s
+    takes hc_1..hc_b in turn, and RPC every head choice lexicographically in
+    rule order, each with every generating rule in rule order. The first
+    cyclic term ends the search, so `saturations` counts the pairs up to it.
 
     Verdict "cyclic" always carries a validated witness prefix; the other
     results carry none. "resource-exhausted" is reported when a search was
@@ -480,36 +443,28 @@ def check(
     budget = budget or SearchBudget()
     start = time.monotonic()
     cache = UnblockabilityCache()
-    truncated = False
+    result, witness = NOT_DETECTED, None
     runs = 0
-
-    def finish(result: str, witness: CyclicityPrefix | None) -> Verdict:
-        if witness is not None and witness.notion != canonical:
-            # The saturation itself only knows the uc/star machinery, not
-            # which head-choice family the caller enumerated.
-            witness = replace(witness, notion=canonical)
-        stats = {
-            "notion": canonical,
-            "saturations": runs,
-            "approx_builds": cache.builds,
-            "approx_triggers": cache.triggers,
-            "unblockability_cache_hits": cache.hits,
-            "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),
-        }
-        return Verdict(canonical, result, witness, stats)
-
-    pairs = _PAIRS[canonical](rules)
-    run = None
-    while True:
-        try:
-            hc, rho = pairs.send(run)
-        except StopIteration:
-            return finish(RESOURCE_EXHAUSTED if truncated else NOT_DETECTED, None)
+    for hc, rho in _pairs(rules, canonical):
         runs += 1
         if hc is None:
             run = drpc_fact_set(rules, rho, budget, cache=cache)
         else:
             run = rpc_fact_set(rules, hc, rho, budget, cache=cache)
-        truncated = truncated or run.truncated
+        if run.truncated:
+            result = RESOURCE_EXHAUSTED
         if run.cyclic_term is not None:
-            return finish(CYCLIC, extract_prefix(run))
+            result = CYCLIC
+            # The saturation only knows the uc/star machinery, not which
+            # head-choice family was enumerated.
+            witness = replace(extract_prefix(run), notion=canonical)
+            break
+    stats = {
+        "notion": canonical,
+        "saturations": runs,
+        "approx_builds": cache.builds,
+        "approx_triggers": cache.triggers,
+        "unblockability_cache_hits": cache.hits,
+        "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),
+    }
+    return Verdict(canonical, result, witness, stats)

@@ -44,7 +44,7 @@ from .model import (
     variable,
 )
 
-__all__ = ["ParseError", "SourceProgram", "parse", "render", "Namer"]
+__all__ = ["ParseError", "SourceProgram", "parse", "parse_query", "render", "Namer"]
 
 
 class ParseError(ValueError):
@@ -229,6 +229,22 @@ class _Parser:
 def parse(text: str) -> SourceProgram:
     """Parse a program; raises ParseError with line and column on bad input."""
     return _Parser(text).parse_program()
+
+
+def parse_query(text: str) -> Query:
+    """Parse one query as typed: a conjunction with an optional leading '?'
+    and an optional trailing '.'. Error columns count in `text` itself. A
+    text with no atoms between the two gives a query with no atoms."""
+    parser = _Parser(text)
+    if parser.peek() == "QMARK":
+        parser.next()
+    atoms: list[Atom] = []
+    if parser.peek() not in ("DOT", "EOF"):
+        atoms, _ = parser.parse_conjunction()
+    if parser.peek() != "EOF":
+        parser.expect("DOT", "'.'")
+    parser.expect("EOF", "end of input")
+    return Query(tuple(atoms))
 
 
 # ---------------------------------------------------------------------------

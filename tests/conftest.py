@@ -8,8 +8,12 @@ that they share no indexing or delta logic with the engines under test.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,25 @@ def random_rule_set(rng: random.Random, max_rules: int = 4) -> RuleSet:
             return rules_from("\n".join(lines) + "\n")
         except (ParseError, RuleError):
             continue
+
+
+@functools.cache
+def _perfbench_generators():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    generators = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generators  # dataclasses look their module up
+    spec.loader.exec_module(generators)
+    return generators
+
+
+def bench_rule_set(i: int) -> RuleSet:
+    """Structure i of the benchmark's classify-random corpus, with 8, 12 or
+    16 rules by i mod 3, as perfbench/generators.py draws it with shape seed
+    i."""
+    return rules_from(_perfbench_generators().random_rule_set(
+        random.Random(f"classify-random-corpus/{i}"), random.Random(i),
+        (8, 12, 16)[i % 3]).text)
 
 
 def sample_triggers(rules: RuleSet, depth_cap: int = 3,
@@ -374,10 +397,10 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
 
 
 def naive_rpc(rules: RuleSet, budget=None):
-    """RPC as the full head-choice enumeration with no memo: every head
-    choice, lexicographic in rule order, times every generating pivot in
-    rule order, each saturated with a fresh unblockability cache. Returns
-    (result, witness, saturations); the reference for the RPC memo."""
+    """RPC as the full head-choice enumeration: every head choice,
+    lexicographic in rule order, times every generating pivot in rule order,
+    each saturated with a fresh unblockability cache. Returns (result,
+    witness, saturations); the reference for `check`'s shared cache."""
     from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
                                           RESOURCE_EXHAUSTED, extract_prefix,
                                           rpc_fact_set)

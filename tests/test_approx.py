@@ -1,8 +1,5 @@
-import importlib.util
 import itertools
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -35,6 +32,7 @@ from chase_sentinel.model import (
 from conftest import (
     NotReversibleError,
     _oracle_abstract,
+    bench_rule_set,
     bike_subset,
     frontier_image,
     map_atom,
@@ -188,27 +186,14 @@ def small_rule_sets():
 BENCH_STRUCTURES = (0, 3, 13, 25, 23)
 
 
-def bench_rule_sets():
-    """The benchmark's classify-random rule sets on BENCH_STRUCTURES, as
-    perfbench/generators.py draws them."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
-    generators = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = generators  # dataclasses look their module up
-    spec.loader.exec_module(generators)
-    for i in BENCH_STRUCTURES:
-        yield rules_from(generators.random_rule_set(
-            random.Random(f"classify-random-corpus/{i}"), random.Random(i),
-            (8, 12, 16)[i % 3]).text)
-
-
 def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
     # Sets of five to eight rules, each with two pivots whose frontier holds
     # a skolem term (so skeleton terms reach the head slots) and one without;
     # then benchmark-scale sets with one pivot of each sort.
     counts = dict.fromkeys(("small", "bench", "births_in_seed", "merged"), 0)
+    bench = map(bench_rule_set, BENCH_STRUCTURES)
     for scale, rule_sets, deep_pivots in (("small", small_rule_sets(), 2),
-                                          ("bench", bench_rule_sets(), 1)):
+                                          ("bench", bench, 1)):
         for rules in rule_sets:
             pivots = sample_triggers(rules, depth_cap=2)
             deep = [p for p in pivots

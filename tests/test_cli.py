@@ -204,6 +204,21 @@ def test_entails_unknown_under_budget(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "yes"
 
 
+@pytest.mark.parametrize("query, error", [
+    ("A(X) @ B(X)", "line 1, column 6: unexpected character '@'"),
+    ("  ? A(X), _b(X)", "line 1, column 11: identifier '_b' is reserved"),
+    ("A(X)) .", "line 1, column 5: expected '.', found ')'"),
+    ("??A(X)", "line 1, column 2: expected a predicate name, found '?'"),
+    ("A(X)..", "line 1, column 6: expected end of input, found '.'"),
+    (" ? . ", "empty query"),
+])
+def test_entails_query_errors_count_columns_as_typed(tmp_path, capsys, query, error):
+    rules = write(tmp_path, "rules.drls", BIKE_RULES)
+    data = write(tmp_path, "data.drls", "Engine(d) .\n")
+    assert main(["entails", rules, data, "--query", query]) == EXIT_PARSE
+    assert capsys.readouterr().err.strip() == f"chase-sentinel: query: {error}"
+
+
 def test_batch_table_summary_and_csv(tmp_path, capsys):
     write(tmp_path, "loop.drls", "A(X) -> R(X, Y), A(Y) .\n")
     write(tmp_path, "closure.drls",

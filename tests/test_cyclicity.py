@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,8 +29,8 @@ from chase_sentinel.model import (
     variable,
 )
 
-from conftest import (bike_subset, frontier_image, is_loaded, naive_rpc,
-                      random_rule_set, rematch_saturation, rules_from)
+from conftest import (bench_rule_set, bike_subset, frontier_image, is_loaded,
+                      naive_rpc, random_rule_set, rematch_saturation, rules_from)
 
 
 X, Y = variable("X"), variable("Y")
@@ -270,22 +271,31 @@ def test_semi_naive_rounds_apply_the_triggers_of_full_rematching(monkeypatch):
     assert cyclic >= 100 and truncated >= 10 and long_runs >= 100
 
 
-def test_rpc_memo_agrees_with_the_full_enumeration():
-    # The memo skips a (head choice, pivot) pair only when a completed
-    # saturation consulted a subset of its choices, so the verdict and the
-    # witness are those of saturating every pair in order, in no more runs.
+def rpc_sample():
+    """60 small sets with a disjunctive rule, then the first six 8-rule
+    benchmark structures with one to three disjunctive rules."""
     rng = random.Random(17)
-    budget = SearchBudget(max_triggers=200)
-    sets = cyclic = skipped = 0
+    sets = 0
     while sets < 60:
         rules = random_rule_set(rng, max_rules=6)
-        if all(r.is_deterministic for r in rules):
-            continue
-        sets += 1
+        if not all(r.is_deterministic for r in rules):
+            sets += 1
+            yield rules
+    bench = (bench_rule_set(i) for i in itertools.count(0, 3))
+    yield from itertools.islice(
+        (rules for rules in bench
+         if 1 <= sum(not r.is_deterministic for r in rules) <= 3), 6)
+
+
+def test_rpc_is_the_full_enumeration():
+    # check saturates every (head choice, pivot) pair in order up to the
+    # first cyclic one; the shared cache changes no answer.
+    budget = SearchBudget(max_triggers=200)
+    sets = cyclic = 0
+    for sets, rules in enumerate(rpc_sample(), start=1):
         verdict = check(rules, "rpc", budget)
         result, witness, runs = naive_rpc(rules, budget)
         assert (verdict.result, verdict.witness) == (result, witness), sets
-        assert verdict.stats["saturations"] <= runs, sets
+        assert verdict.stats["saturations"] == runs, sets
         cyclic += result == CYCLIC
-        skipped += verdict.stats["saturations"] < runs
-    assert cyclic >= 10 and skipped >= 10
+    assert sets == 66 and cyclic >= 12

@@ -46,10 +46,12 @@ def _assert_terminates(rules, databases) -> None:
         assert tree.status == COMPLETE, (rules, db, tree.exhausted)
 
 
-def test_cyclic_witnesses_and_mfa_certificates_agree_with_the_chase():
+def check_cyclic_and_mfa_verdicts(n: int) -> tuple[int, int]:
+    """Check the DRPC and RPC_s witnesses and the MFA certificates of the
+    first n sample sets against the chase; returns (witnesses, certified)."""
     budget = SearchBudget(max_triggers=300, max_term_depth=4)
     witnesses = certified = 0
-    for rules, databases in _sample():
+    for rules, databases in _sample(n):
         for notion in ("DRPC", "RPC_s"):
             verdict = check(rules, notion, budget=budget)
             if verdict.result == CYCLIC:
@@ -60,6 +62,11 @@ def test_cyclic_witnesses_and_mfa_certificates_agree_with_the_chase():
         if check_acyclic(rules, k=2, mode=MFA).result == TERMINATING:
             certified += 1
             _assert_terminates(rules, databases)
+    return witnesses, certified
+
+
+def test_cyclic_witnesses_and_mfa_certificates_agree_with_the_chase():
+    witnesses, certified = check_cyclic_and_mfa_verdicts(400)
     # the sample must exercise both halves
     assert witnesses >= 40 and certified >= 200
 
