@@ -23,6 +23,16 @@ seed's triggers are enumerated over U directly, and only those through the
 pivot's birth facts are matched. Only the resulting fixpoint as a set is
 specified, not the order in which its facts were added.
 
+The fixpoint is one loop that hands out each batch of new facts, starting
+with the seed. build_over_approx drains it. An unblockability check only
+asks whether the pivot is obsolete for the fixpoint, and stops at the
+first batch that makes it so: obsolescence is monotone in the fact set and
+the facts only grow, so the pivot is obsolete for the fixpoint iff it is
+for some prefix of batches. The check is complete batch by batch: at the
+first such prefix, some match of a head disjunct uses a fact of the last
+batch, or the pivot would be obsolete one batch earlier. So the seed is
+tested whole and each later batch only through matches using its facts.
+
 Reversible constant mappings transport unblockability between triggers of
 the same rule, which is what lets a finite search certify infinitely many
 trigger repetitions.
@@ -32,10 +42,11 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .chase import HeadChoice
-from .matcher import FactSet, Trigger, discover, is_obsolete
+from .matcher import (FactSet, Trigger, compile_query, discover, is_obsolete,
+                      query_matched)
 from .model import (
     Atom,
     Constant,
@@ -46,6 +57,7 @@ from .model import (
     SkolemSymbol,
     Term,
     Variable,
+    apply_atoms,
     birth_facts,
     skeleton,
     star,
@@ -230,7 +242,47 @@ def build_over_approx(
     specified, not its insertion order. The number of keys is returned as
     OverApproximation.triggers.
     """
+    for facts, _, queued in _batches(rules, pivot, h, hc):
+        pass
+    # The key set is live: it is read once the fixpoint is done.
+    return OverApproximation(facts, len(queued))
+
+
+def _batches(
+    rules: RuleSet,
+    pivot: Trigger,
+    h: TermAbstraction,
+    hc: HeadChoice | None,
+) -> Iterator[tuple[FactSet, Iterable[Atom], set[tuple]]]:
+    """The fixpoint of build_over_approx, one batch of new facts at a time.
+
+    Yields (facts, batch, queued): the fact set so far, the facts just added
+    to it and the live set of queued keys. The first batch is the seed (the
+    whole fact set), handed out once its keys over U are queued; each later
+    one is what one loaded key added, handed out before its matches are
+    queued. Draining the generator runs the fixpoint to its end.
+    """
     facts, universe, births = _seed_facts(rules, h, pivot)
+
+    # No Trigger is built: every substitution comes from U or from matching
+    # into a FactSet, which holds only ground atoms, so its check could not
+    # fail.
+    queued: set[tuple] = set()
+    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque()
+
+    def load(pairs: Iterable[tuple[Rule, Mapping[Variable, Term]]]) -> None:
+        for rule, sigma in pairs:
+            key = (rule, *map(sigma.__getitem__, rule.frontier))
+            if key not in queued:
+                queued.add(key)
+                queue.append((rule, sigma))
+
+    load((rule, dict(zip(rule.frontier, combo))) for rule in rules
+         for combo in itertools.product(universe, repeat=len(rule.frontier)))
+    yield facts, facts, queued
+
+    # What follows is needed only past the seed, where many unblockability
+    # checks already stop.
     by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
     for t in h.skeleton:
         if isinstance(t, FunctionalTerm):
@@ -253,21 +305,6 @@ def build_over_approx(
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
-    # No Trigger is built: every substitution comes from U or from matching
-    # into a FactSet, which holds only ground atoms, so its check could not
-    # fail.
-    queued: set[tuple] = set()
-    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque()
-
-    def load(pairs: Iterable[tuple[Rule, Mapping[Variable, Term]]]) -> None:
-        for rule, sigma in pairs:
-            key = (rule, *map(sigma.__getitem__, rule.frontier))
-            if key not in queued:
-                queued.add(key)
-                queue.append((rule, sigma))
-
-    load((rule, dict(zip(rule.frontier, combo))) for rule in rules
-         for combo in itertools.product(universe, repeat=len(rule.frontier)))
     load(discover(rules, facts, births))
     while queue:
         rule, sigma = queue.popleft()
@@ -287,8 +324,8 @@ def build_over_approx(
             contribution = tuple(a for o in outs for a in o)
         new = facts.update(contribution)
         if new:
+            yield facts, new, queued
             load(discover(rules, facts, new))
-    return OverApproximation(facts, len(queued))
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +335,12 @@ class UnblockabilityCache:
     """Memo for unblockability checks, scoped to one rule set.
 
     Triggers that differ only by a bijective renaming of constants have the
-    same unblockability (the renaming is reversible in both directions), so
-    entries are keyed by the trigger's constant-canonical shape. `hits`
-    counts answers served from the memo, `builds` the over-approximations
-    built to answer the rest and `triggers` the triggers those builds queued.
+    same unblockability (the renaming is reversible in both directions), and
+    the build, its exclusion and the obsolescence test read a trigger only
+    on its rule's frontier. So entries are keyed by the constant-canonical
+    shape of the frontier image. `hits` counts answers served from the memo,
+    `builds` the over-approximations started to answer the rest and
+    `triggers` the keys those builds queued until their answer was known.
     """
 
     def __init__(self) -> None:
@@ -326,7 +365,7 @@ class UnblockabilityCache:
         renaming: dict[Constant, int] = {}
         shape = tuple(
             self._shape(trigger.substitution[v], renaming)
-            for v in trigger.rule.body_vars)
+            for v in trigger.rule.frontier)
         sig = hc.signature() if hc is not None else None
         return (kind, sig, trigger.rule.id, shape)
 
@@ -338,17 +377,34 @@ def _is_unblockable(
     trigger: Trigger,
     cache: UnblockabilityCache,
 ) -> bool:
+    """Whether the trigger is not obsolete for its build's fixpoint, worked
+    out from the build's batches and stopped at the first that blocks it.
+
+    Obsolescence is monotone in the fact set and the build's facts only
+    grow, so the trigger is obsolete for the fixpoint iff it is for some
+    prefix of batches. At the first such prefix, the match of a head
+    disjunct uses a fact of the last batch, or the trigger would already be
+    obsolete one batch earlier. So after testing the seed whole, it is
+    enough to test each later batch semi-naively: its new facts against the
+    disjuncts with the trigger's frontier images filled in and their
+    existential variables left free, as a query.
+    """
     if trigger.rule.is_datalog:
         return True
     key = cache.key(kind, hc, trigger)
     if key in cache.entries:
         cache.hits += 1
         return cache.entries[key]
-    approx = build_over_approx(
-        rules, trigger, TermAbstraction(kind, skeleton(trigger, rules)), hc)
-    answer = not is_obsolete(trigger, approx.facts)
+    queries = [compile_query(apply_atoms(trigger.substitution, d.atoms))
+               for d in trigger.rule.heads]
+    steps = _batches(rules, trigger,
+                     TermAbstraction(kind, skeleton(trigger, rules)), hc)
+    facts, _, queued = next(steps)
+    answer = not (is_obsolete(trigger, facts) or any(
+        query_matched(query, batch, facts)
+        for _, batch, _ in steps for query in queries))
     cache.builds += 1
-    cache.triggers += approx.triggers
+    cache.triggers += len(queued)
     cache.entries[key] = answer
     return answer
 

@@ -8,13 +8,14 @@ from chase_sentinel.approx import (
     UC,
     TermAbstraction,
     UnblockabilityCache,
+    _is_unblockable,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
 )
 from chase_sentinel.chase import HeadChoice
-from chase_sentinel.matcher import Trigger, discover
+from chase_sentinel.matcher import FactSet, Trigger, discover, is_obsolete
 from chase_sentinel.model import (
     _TERMS,
     Atom,
@@ -190,7 +191,8 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
     # Sets of five to eight rules, each with two pivots whose frontier holds
     # a skolem term (so skeleton terms reach the head slots) and one without;
     # then benchmark-scale sets with one pivot of each sort.
-    counts = dict.fromkeys(("small", "bench", "births_in_seed", "merged"), 0)
+    counts = dict.fromkeys(("small", "bench", "births_in_seed", "merged",
+                            "blocked", "unblockable", "stopped"), 0)
     bench = map(bench_rule_set, BENCH_STRUCTURES)
     for scale, rule_sets, deep_pivots in (("small", small_rule_sets(), 2),
                                           ("bench", bench, 1)):
@@ -206,13 +208,26 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
                         h = TermAbstraction(kind, skeleton(pivot, rules))
                         approx = build_over_approx(rules, pivot, h, hc)
                         got = set(approx.facts)
-                        assert got == naive_over_approx(rules, pivot, kind, hc), \
-                            (scale, rules, pivot, kind, hc)
+                        naive = naive_over_approx(rules, pivot, kind, hc)
+                        assert got == naive, (scale, rules, pivot, kind, hc)
                         # The build queued each (rule, frontier image) key
                         # of a trigger loaded in its result once.
                         keys = loaded_keys(rules, approx.facts, "frontier")
                         assert approx.triggers == len(keys)
                         counts[scale] += 1
+                        if not pivot.rule.is_datalog:
+                            # An unblockability build that stops at the
+                            # first batch blocking the pivot answers as the
+                            # whole fixpoint does.
+                            cache = UnblockabilityCache()
+                            unblockable = _is_unblockable(
+                                rules, kind, hc, pivot, cache)
+                            assert unblockable == (
+                                not is_obsolete(pivot, FactSet(naive))), \
+                                (scale, rules, pivot, kind, hc)
+                            counts["unblockable" if unblockable
+                                   else "blocked"] += 1
+                            counts["stopped"] += cache.triggers < approx.triggers
                         if scale == "bench":
                             # No birth fact outside the seed's universe: the
                             # seed's keys alone start the fixpoint.
@@ -225,6 +240,11 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
     assert counts["bench"] >= 60
     assert counts["births_in_seed"] >= 30
     assert counts["merged"] >= 50
+    assert counts["blocked"] >= 120
+    assert counts["unblockable"] >= 30
+    # Builds that queued fewer keys than the fixpoint has: they stopped at
+    # a batch before its end.
+    assert counts["stopped"] >= 80
 
 
 def sk(rules, rule_id, var):
@@ -363,6 +383,20 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     assert len(cache.entries) == 1
     assert (cache.builds, cache.hits) == (1, 1)
     assert cache.triggers == built.triggers
+
+    # Z is a body variable outside the frontier: the two triggers differ
+    # only there, so they share one entry although their body images are
+    # no constant renaming of each other.
+    rules = rules_from("A(X, Z) -> R(X, W) .")
+    cache = UnblockabilityCache()
+    c, d = constant("c"), constant("d")
+    rule = rules.by_id["r1"]
+    lam_cc = Trigger(rule, {variable("X"): c, variable("Z"): c})
+    lam_cd = Trigger(rule, {variable("X"): c, variable("Z"): d})
+    assert is_star_unblockable(rules, lam_cc, cache) == \
+        is_star_unblockable(rules, lam_cd, cache)
+    assert len(cache.entries) == 1
+    assert (cache.builds, cache.hits) == (1, 1)
 
 
 def test_reversibility_condition_one():
