@@ -5,8 +5,13 @@ that is loaded and not obsolete for its label, a non-datalog trigger fires
 only once every datalog rule is satisfied, expansion creates one child per
 head disjunct, and triggers are consumed from FIFO queues so every loaded
 trigger is eventually applied or found obsolete on every branch (fairness).
-Obsolete triggers are re-checked at application time because labels grow
-monotonically along a branch.
+A trigger is tested for obsolescence when it is popped, against the label
+it would extend, and popped together with its outputs. Each disjunct's test
+is `matcher.disjunct_holds`. An existential-free disjunct's output is its
+grounded head, so that one build decides whether the disjunct holds and is
+what the child adds; skolem outputs are built only once no disjunct holds.
+Labels only grow along a branch, so a trigger found obsolete stays
+obsolete and is dropped for good, and the test at the pop is exact.
 Triggers are found by `matcher.discover`, the shared semi-naive routine:
 each child pins only the facts its disjunct added, in the enumeration order
 of the chase's former pin loop, so a branch meets each trigger once.
@@ -21,8 +26,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .matcher import (FactSet, Trigger, compile_query, discover, is_obsolete,
-                      match_conjunction, query_matched)
+from .matcher import (FactSet, Trigger, compile_query, discover,
+                      disjunct_holds, match_conjunction, query_matched)
 from .model import Atom, Query, Rule, RuleSet
 
 __all__ = [
@@ -171,16 +176,25 @@ def _discover(rules: RuleSet, branch: _Branch,
             Trigger(rule, sub))
 
 
-def _next_trigger(branch: _Branch) -> Trigger | None:
+def _next_trigger(
+        branch: _Branch) -> tuple[Trigger, list[tuple[Atom, ...]]] | None:
     # Datalog triggers are drained first, which keeps labels datalog-closed
     # before any non-datalog rule fires. Obsolete entries are dropped for
-    # good: labels only grow, so obsoleteness is permanent.
+    # good: labels only grow, so obsoleteness is permanent. The first active
+    # trigger comes with its outputs: an existential-free disjunct's output
+    # is its grounded head, built once for its test and its child.
     for queue in (branch.datalog, branch.general):
         while queue:
             trigger = queue.popleft()
-            if is_obsolete(trigger, branch.facts):
-                continue
-            return trigger
+            outputs = []
+            for i, head in enumerate(trigger.rule.heads, 1):
+                out = None if head.existential_vars else trigger.out(i)
+                if disjunct_holds(trigger, i, branch.facts, out):
+                    break
+                outputs.append(out)
+            else:
+                return trigger, [trigger.out(i) if out is None else out
+                                 for i, out in enumerate(outputs, 1)]
     return None
 
 
@@ -221,11 +235,12 @@ def _expand(
 
     while stack:
         branch = stack.pop()
-        trigger = _next_trigger(branch)
-        if trigger is None:
+        popped = _next_trigger(branch)
+        if popped is None:
             if pins is not None:
                 return tree, True
             continue
+        trigger, outputs = popped
         vertex = tree.vertices[branch.vertex]
         if budget.max_depth is not None and vertex.depth >= budget.max_depth:
             return tree._stop(DEPTH), False
@@ -233,7 +248,6 @@ def _expand(
         if budget.max_vertices is not None and \
                 len(tree.vertices) + fanout > budget.max_vertices:
             return tree._stop(VERTICES), False
-        outputs = trigger.outputs()
         if budget.max_term_depth is not None:
             for out in outputs:
                 for atom in out:

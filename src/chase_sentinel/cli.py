@@ -453,6 +453,29 @@ def cmd_batch(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # Entry point
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least `low`."""
+    def parse_int(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse_int.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse_int
+
+
+def _positive_float(text: str) -> float:
+    """An argparse type: a number greater than 0."""
+    value = float(text)
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chase-sentinel",
@@ -464,10 +487,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="rule file (.drls)")
     p.add_argument("--notion", choices=["rpcs", "rpc", "drpc", "acyclic"],
                    help="run a single notion instead of the default pipeline")
-    p.add_argument("--k", type=int, default=2,
+    p.add_argument("--k", type=_int_at_least(1), default=2,
                    help="nesting bound for the acyclicity check (default 2)")
-    p.add_argument("--timeout", type=float, default=None, metavar="SECS")
-    p.add_argument("--term-depth", type=int, default=8, dest="term_depth",
+    p.add_argument("--timeout", type=_positive_float, default=None, metavar="SECS")
+    p.add_argument("--term-depth", type=_int_at_least(1), default=8, dest="term_depth",
                    metavar="INT", help="term depth budget (default 8)")
     p.add_argument("--json", action="store_true", dest="as_json",
                    help="emit a JSON report")
@@ -476,8 +499,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chase", help="run the restricted chase")
     p.add_argument("rules", help="rule file; may also hold facts")
     p.add_argument("data", nargs="?", default=None, help="optional fact file")
-    p.add_argument("--max-vertices", type=int, default=100_000, metavar="N")
-    p.add_argument("--max-depth", type=int, default=None, metavar="N")
+    p.add_argument("--max-vertices", type=_int_at_least(1), default=100_000,
+                   metavar="N")
+    p.add_argument("--max-depth", type=_int_at_least(0), default=None, metavar="N")
     p.add_argument("--dot", default=None, metavar="FILE",
                    help="write the chase tree in dot format")
     p.set_defaults(func=cmd_chase)
@@ -487,16 +511,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("data", help="fact file")
     p.add_argument("--query", required=True, metavar="CONJUNCTION",
                    help='e.g. "Spare(d)" or "Has(d, Y), Engine(Y)"')
-    p.add_argument("--max-vertices", type=int, default=100_000, metavar="N")
-    p.add_argument("--max-depth", type=int, default=None, metavar="N")
+    p.add_argument("--max-vertices", type=_int_at_least(1), default=100_000,
+                   metavar="N")
+    p.add_argument("--max-depth", type=_int_at_least(0), default=None, metavar="N")
     p.set_defaults(func=cmd_entails)
 
     p = sub.add_parser("batch", help="classify every .drls file in a directory")
     p.add_argument("dir")
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--timeout", type=float, default=None, metavar="SECS",
+    p.add_argument("--k", type=_int_at_least(1), default=2)
+    p.add_argument("--timeout", type=_positive_float, default=None, metavar="SECS",
                    help="per-file timeout")
-    p.add_argument("--term-depth", type=int, default=8, dest="term_depth",
+    p.add_argument("--term-depth", type=_int_at_least(1), default=8, dest="term_depth",
                    metavar="INT")
     p.add_argument("--csv", default=None, metavar="FILE")
     p.set_defaults(func=cmd_batch)

@@ -16,6 +16,11 @@ use, and held by the rule set next to its body index, so it is freed with
 it. A compiled join yields the substitutions of match_conjunction(rule.body,
 base, facts), in the same order, where base maps the pinned atom to the fact.
 
+Obsolescence is stated once, per head disjunct, in `disjunct_holds`:
+`is_obsolete` asks it of every disjunct, and the chase asks it of each
+disjunct of a popped trigger with the disjunct's output when that output is
+the grounded head, so the one build serves the test and the child.
+
 Queries are pinned too, but not compiled: `query_matched` unifies a query
 atom with each newly added fact and joins the other atoms with
 `match_conjunction`, so it tests only the matches that use a new fact.
@@ -45,6 +50,7 @@ __all__ = [
     "Trigger",
     "match_conjunction",
     "discover",
+    "disjunct_holds",
     "is_obsolete",
     "compile_query",
     "query_matched",
@@ -365,23 +371,34 @@ def discover(
                     yield rule, sub
 
 
-def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
-    """True iff some original head disjunct matches into the facts.
+def disjunct_holds(trigger: Trigger, disjunct: int, facts: FactSet,
+                   out: Sequence[Atom] | None = None) -> bool:
+    """True iff head disjunct `disjunct` (1-based) of the trigger matches
+    into the facts: the obsolescence rule, one disjunct at a time.
 
     The match must extend the trigger substitution on the universally
     quantified head variables; existential witnesses may be any terms of the
     fact set. A disjunct without existential variables is ground under the
-    substitution, so it is looked up atom by atom instead of joined.
+    substitution, where it equals its output trigger.out(disjunct), so its
+    atoms are looked up one by one instead of joined. A caller that has
+    built that output already passes it as `out`.
     """
-    sigma = trigger.substitution
-    for disjunct in trigger.rule.heads:
-        if not disjunct.existential_vars:
-            if all(Atom(a.predicate, tuple([
-                    sigma[t] for t in a.terms])) in facts  # type: ignore[index]
-                   for a in disjunct.atoms):
-                return True
-            continue
-        for _ in match_conjunction(disjunct.atoms, sigma, facts):
+    head = trigger.rule.heads[disjunct - 1]
+    if head.existential_vars:
+        for _ in match_conjunction(head.atoms, trigger.substitution, facts):
+            return True
+        return False
+    for atom in trigger.out(disjunct) if out is None else out:
+        if atom not in facts:
+            return False
+    return True
+
+
+def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
+    """True iff some original head disjunct matches into the facts; see
+    `disjunct_holds`."""
+    for i in range(1, trigger.rule.branching + 1):
+        if disjunct_holds(trigger, i, facts):
             return True
     return False
 

@@ -178,20 +178,22 @@ def random_rule_set(rng: random.Random, max_rules: int = 4) -> RuleSet:
 
 
 @functools.cache
-def _perfbench_generators():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
-    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
-    generators = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = generators  # dataclasses look their module up
-    spec.loader.exec_module(generators)
-    return generators
+def perfbench_module(name: str):
+    """perfbench/<name>.py, loaded by path as module perfbench_<name>: the
+    benchmark's directory is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def bench_rule_set(i: int) -> RuleSet:
     """Structure i of the benchmark's classify-random corpus, with 8, 12 or
     16 rules by i mod 3, as perfbench/generators.py draws it with shape seed
     i."""
-    return rules_from(_perfbench_generators().random_rule_set(
+    return rules_from(perfbench_module("generators").random_rule_set(
         random.Random(f"classify-random-corpus/{i}"), random.Random(i),
         (8, 12, 16)[i % 3]).text)
 

@@ -17,9 +17,11 @@ from chase_sentinel.chase import (
 )
 from chase_sentinel.matcher import is_obsolete
 from chase_sentinel.model import Atom, Query, constant, functional, variable
+from chase_sentinel.ruleio import parse
 
 from conftest import (hc_branch, is_loaded, label, naive_entails,
-                      random_rule_set, rules_from, satisfies, trace_lines)
+                      perfbench_module, random_rule_set, rules_from, satisfies,
+                      trace_lines)
 
 
 def atom(pred, *names):
@@ -124,35 +126,90 @@ def test_max_term_depth_budget():
                    ChaseBudget(max_term_depth=3)) == "yes"
 
 
-def test_complete_trees_end_in_models_of_the_rules():
-    # A discovery step that misses a trigger leaves some leaf label that
-    # violates a rule; one that invents a trigger applies an unloaded or
-    # obsolete one.
-    rng = random.Random(3)
+def _random_instances(rng, count):
+    """count rule sets of up to 8 rules, each with 2-8 facts over {a, b, c}."""
     consts = [constant(n) for n in ("a", "b", "c")]
-    budget = ChaseBudget(max_vertices=400, max_term_depth=3)
-    complete = leaves = later_disjuncts = 0
-    for _ in range(200):
+    for _ in range(count):
         rules = random_rule_set(rng, max_rules=8)
         preds = sorted(rules.predicates.items())
         db = []
         for _ in range(rng.randint(2, 8)):
             pred, arity = rng.choice(preds)
             db.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+        yield rules, db
+
+
+def test_complete_trees_end_in_models_of_the_rules():
+    # A discovery step that misses a trigger leaves some leaf label that
+    # violates a rule.
+    budget = ChaseBudget(max_vertices=400, max_term_depth=3)
+    complete = leaves = later_disjuncts = 0
+    for rules, db in _random_instances(random.Random(3), 200):
         tree = run_chase(rules, db, budget)
         if tree.status != COMPLETE:
             continue
         complete += 1
-        for v in tree.vertices[1:]:
-            later_disjuncts += v.disjunct > 1
-            facts = label(tree, v.parent)
-            assert is_loaded(v.trigger, facts)
-            assert not is_obsolete(v.trigger, facts)
+        later_disjuncts += sum(v.disjunct > 1 for v in tree.vertices[1:])
         for leaf in tree.leaves():
             facts = label(tree, leaf.id)
             assert all(satisfies(facts, rule) for rule in rules)
             leaves += 1
     assert complete >= 150 and leaves >= 300 and later_disjuncts >= 100
+
+
+def _check_vertices(tree):
+    """Each child comes from a trigger that was loaded and not obsolete at
+    its parent, and adds exactly the atoms of its disjunct's output that
+    the parent's label lacks, in output order. Returns the children seen."""
+    for v in tree.vertices[1:]:
+        facts = label(tree, v.parent)
+        assert is_loaded(v.trigger, facts)
+        assert not is_obsolete(v.trigger, facts)
+        out = dict.fromkeys(v.trigger.out(v.disjunct))
+        assert v.new_facts == tuple(f for f in out if f not in facts)
+    return len(tree.vertices) - 1
+
+
+def test_every_vertex_adds_its_trigger_output_minus_its_parent_label():
+    # Complete and budget-stopped trees alike. A trigger popped with the
+    # wrong outputs, or one invented by discovery, fails here.
+    rng = random.Random(8)
+    stopped = checked = 0
+    for rules, db in _random_instances(rng, 300):
+        budget = ChaseBudget(max_vertices=rng.choice((4, 12, 400)),
+                             max_depth=rng.choice((None, 3)),
+                             max_term_depth=rng.randint(1, 3))
+        tree = run_chase(rules, db, budget)
+        stopped += tree.status != COMPLETE
+        checked += _check_vertices(tree)
+    assert stopped >= 60 and checked >= 250
+
+
+def test_benchmark_instances_meet_their_known_answers():
+    # Small transitive closures and path colourings from the benchmark's
+    # generators, checked against the answers their construction fixes,
+    # then cut short by a vertex budget.
+    generators = perfbench_module("generators")
+    checks = perfbench_module("checks")
+    for seed in range(3):
+        tc = generators.transitive_closure(random.Random(f"tc/{seed}"), 12)
+        colour = generators.path_colouring(random.Random(f"colour/{seed}"), 3, 4)
+        for inst, check in (
+                (tc, lambda sets: checks.check_closure(sets, tc.names)),
+                (colour, lambda sets: checks.check_colouring(
+                    sets, colour.names, colour.size))):
+            program = parse(inst.text)
+            tree = run_chase(program.rules, program.facts)
+            assert tree.status == COMPLETE
+            assert check(results(tree)) is None
+            assert _check_vertices(tree) >= 60
+            answers = [entails(program.rules, program.facts, query)
+                       for query in program.queries]
+            assert answers == [want for _, want in inst.queries]
+            cut = run_chase(program.rules, program.facts,
+                            ChaseBudget(max_vertices=40))
+            assert cut.exhausted == VERTICES
+            _check_vertices(cut)
 
 
 def _random_query(rng, rules, consts, result):
@@ -192,13 +249,7 @@ def test_query_directed_entailment_agrees_with_the_full_tree():
     large = ChaseBudget(max_vertices=2000, max_term_depth=4)
     agreed = confirmed = only_directed = 0
     answers = set()
-    for _ in range(150):
-        rules = random_rule_set(rng, max_rules=8)
-        preds = sorted(rules.predicates.items())
-        db = []
-        for _ in range(rng.randint(2, 8)):
-            pred, arity = rng.choice(preds)
-            db.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+    for rules, db in _random_instances(rng, 150):
         tree = run_chase(rules, db, large)
         sets = results(tree) if tree.status == COMPLETE else []
         for _ in range(4):

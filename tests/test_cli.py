@@ -219,6 +219,44 @@ def test_entails_query_errors_count_columns_as_typed(tmp_path, capsys, query, er
     assert capsys.readouterr().err.strip() == f"chase-sentinel: query: {error}"
 
 
+@pytest.mark.parametrize("command, option, value, error", [
+    ("classify", "--k", "0", "must be at least 1, got 0"),
+    ("batch", "--k", "0", "must be at least 1, got 0"),
+    ("classify", "--term-depth", "-1", "must be at least 1, got -1"),
+    ("batch", "--term-depth", "0", "must be at least 1, got 0"),
+    ("chase", "--max-vertices", "-3", "must be at least 1, got -3"),
+    ("entails", "--max-vertices", "0", "must be at least 1, got 0"),
+    ("chase", "--max-depth", "-1", "must be at least 0, got -1"),
+    ("entails", "--max-depth", "-1", "must be at least 0, got -1"),
+    ("classify", "--timeout", "-1", "must be greater than 0, got -1"),
+    ("classify", "--timeout", "0", "must be greater than 0, got 0"),
+    ("batch", "--timeout", "0", "must be greater than 0, got 0"),
+    ("classify", "--k", "two", "invalid int value: 'two'"),
+])
+def test_out_of_range_budgets_are_usage_errors(command, option, value, error,
+                                                capsys):
+    # argparse rejects them before any analysis runs: exit 2, a usage line,
+    # and no traceback or budget verdict.
+    args = {"classify": [EXAMPLE], "batch": [str(CORPUS)], "chase": [EXAMPLE],
+            "entails": [EXAMPLE, EXAMPLE, "--query", "A(a)"]}[command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *args, option, value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: chase-sentinel " + command)
+    assert f"error: argument {option}: {error}" in captured.err
+
+
+def test_smallest_budgets_are_accepted(capsys):
+    assert main(["chase", EXAMPLE, "--max-vertices", "1", "--max-depth", "0"]) \
+        == EXIT_OK
+    assert "status: budget-exhausted" in capsys.readouterr().out
+    assert main(["classify", EXAMPLE, "--k", "1", "--term-depth", "1",
+                 "--timeout", "0.5"]) == EXIT_OK
+    assert "combined:" in capsys.readouterr().out
+
+
 def test_batch_table_summary_and_csv(tmp_path, capsys):
     write(tmp_path, "loop.drls", "A(X) -> R(X, Y), A(Y) .\n")
     write(tmp_path, "closure.drls",
