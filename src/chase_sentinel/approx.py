@@ -119,6 +119,20 @@ def _seed_facts(rules: RuleSet, h: TermAbstraction, pivot: Trigger,
     return facts, universe, births
 
 
+def _seed_blocks(pivot: Trigger) -> bool:
+    """Whether the seed of _seed_facts makes the pivot obsolete, read off
+    the pivot alone: some head disjunct's universal variables all map to
+    constants. The skeleton holds every constant a frontier variable maps
+    to, so these lie in U; with the disjunct's existential variables sent
+    to the special constant, also in U, each of its atoms is a fact over U,
+    and the seed holds every such fact for every predicate."""
+    sigma = pivot.substitution
+    return any(all(sigma[t].__class__ is Constant
+                   for a in d.atoms for t in a.terms
+                   if t not in d.existential_vars)
+               for d in pivot.rule.heads)
+
+
 class _SkolemSlot:
     """Head slot of a skolem term f(frontier) whose symbol f occurs in the
     skeleton: the skeleton term when it has the frontier image as its
@@ -339,8 +353,9 @@ class UnblockabilityCache:
     the build, its exclusion and the obsolescence test read a trigger only
     on its rule's frontier. So entries are keyed by the constant-canonical
     shape of the frontier image. `hits` counts answers served from the memo,
-    `builds` the over-approximations started to answer the rest and
-    `triggers` the keys those builds queued until their answer was known.
+    `builds` the over-approximations started to answer the rest that the
+    seed does not block outright, and `triggers` the keys those builds
+    queued until their answer was known.
     """
 
     def __init__(self) -> None:
@@ -388,6 +403,8 @@ def _is_unblockable(
     enough to test each later batch semi-naively: its new facts against the
     disjuncts with the trigger's frontier images filled in and their
     existential variables left free, as a query.
+
+    A trigger the seed blocks (_seed_blocks) is answered without a build.
     """
     if trigger.rule.is_datalog:
         return True
@@ -395,6 +412,9 @@ def _is_unblockable(
     if key in cache.entries:
         cache.hits += 1
         return cache.entries[key]
+    if _seed_blocks(trigger):
+        cache.entries[key] = False
+        return False
     queries = [compile_query(apply_atoms(trigger.substitution, d.atoms))
                for d in trigger.rule.heads]
     steps = _batches(rules, trigger,

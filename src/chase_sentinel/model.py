@@ -383,9 +383,17 @@ class Rule:
             raise RuleError(f"rule {rule_id}: empty body")
         if not heads or any(not h.atoms for h in heads):
             raise RuleError(f"rule {rule_id}: empty head")
-        for atom in body + tuple(a for h in heads for a in h.atoms):
-            for t in atom.terms:
-                if not isinstance(t, Variable):
+        # The distinct terms of the body and of each disjunct, in order of
+        # first occurrence; every check below reads these, and looks back
+        # at the atoms only to name one in an error.
+        body_vars = {t: None for atom in body for t in atom.terms}
+        head_terms = [{t: None for atom in h.atoms for t in atom.terms}
+                      for h in heads]
+        for terms in (body_vars, *head_terms):
+            for t in terms:
+                if t.__class__ is not Variable:
+                    atom = next(a for a in body + tuple(a for h in heads for a in h.atoms)
+                                if t in a.terms)
                     raise RuleError(
                         f"rule {rule_id}: rules are constant- and function-free, "
                         f"found {t!r} in {atom!r}"
@@ -393,42 +401,33 @@ class Rule:
         self.id = rule_id
         self.body = body
         self.heads = heads
-
-        ordered: list[Variable] = []
-        seen: set[Variable] = set()
-        for atom in body:
-            for t in atom.terms:
-                if t not in seen:
-                    seen.add(t)
-                    ordered.append(t)  # type: ignore[arg-type]
-        self.body_vars = tuple(ordered)
+        self.body_vars = tuple(body_vars)  # type: ignore[arg-type]
 
         used_existentials: set[Variable] = set()
-        for i, h in enumerate(heads, start=1):
+        for i, (h, terms) in enumerate(zip(heads, head_terms), start=1):
             evars = set(h.existential_vars)
-            if evars & seen:
+            if not evars.isdisjoint(body_vars):
                 raise RuleError(
                     f"rule {rule_id}: existential variables must not occur in the body"
                 )
-            if evars & used_existentials:
+            if not evars.isdisjoint(used_existentials):
                 raise RuleError(
                     f"rule {rule_id}: existential variable reused across disjuncts"
                 )
             used_existentials |= evars
-            for atom in h.atoms:
-                for t in atom.terms:
-                    if t not in seen and t not in evars:
-                        raise RuleError(
-                            f"rule {rule_id}: head variable {t!r} neither universal "
-                            f"nor existential in disjunct {i}"
-                        )
+            for t in terms:
+                if t not in body_vars and t not in evars:
+                    raise RuleError(
+                        f"rule {rule_id}: head variable {t!r} neither universal "
+                        f"nor existential in disjunct {i}"
+                    )
 
-        head_vars = {t for h in heads for a in h.atoms for t in a.terms}
-        self.frontier = tuple(v for v in self.body_vars if v in head_vars)
+        head_vars = set().union(*head_terms)
+        self.frontier = tuple([v for v in body_vars if v in head_vars])
 
         self.branching = len(heads)
         self.is_deterministic = self.branching == 1
-        self.is_generating = any(h.existential_vars for h in heads)
+        self.is_generating = bool(used_existentials)
         self.is_datalog = self.is_deterministic and not self.is_generating
         if self.is_generating and not self.frontier:
             raise RuleError(
@@ -436,6 +435,8 @@ class Rule:
                 f"shared with the head (skolem symbols have arity >= 1)"
             )
 
+        # Only the atoms that hold an existential change under skolemization;
+        # the others are kept as given.
         arity = len(self.frontier)
         frontier_terms: tuple[Term, ...] = self.frontier
         sk_heads: list[tuple[Atom, ...]] = []
@@ -446,7 +447,9 @@ class Rule:
                 sym = skolem_symbol(rule_id, i, y.name, arity)
                 symbols.add(sym)
                 sk_map[y] = functional(sym, frontier_terms)
-            sk_heads.append(apply_atoms(sk_map, h.atoms))
+            sk_heads.append(tuple([
+                a if sk_map.keys().isdisjoint(a.terms) else apply_atom(sk_map, a)
+                for a in h.atoms]))
         self.sk_heads = tuple(sk_heads)
         self.sk_symbols = frozenset(symbols)
 

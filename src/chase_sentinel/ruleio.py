@@ -15,12 +15,17 @@ variables that do not occur in the rule body are existential. Facts must be
 ground, rules must be constant-free, and every predicate must keep one arity
 across the whole program.
 
-One regular expression splits the text into (kind, text, offset) tokens.
-A ParseError names a 1-based line and column; both are worked out from the
-offending token's offset only when the error is raised.
+One regular expression, run once with findall, splits the text into a flat
+list of token strings: each match skips whitespace and comments and keeps
+"->", an identifier or any other single character, and the empty string
+marks the end of input. Each distinct token is checked once, before any
+parsing, so every token left is punctuation or an identifier. Offsets are
+not kept: a ParseError names a 1-based line and column, worked out only
+when it is raised, by running the same pattern again up to the failing token.
 """
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -64,41 +69,34 @@ class SourceProgram:
 # ---------------------------------------------------------------------------
 # Tokenizer
 
-# Whitespace and comments match no group. An identifier matches \w+ and is
-# then checked to start with a letter or "_": the class [^\W\d] would also
-# start one with a numeric such as "²". BAD takes any character left over.
-_TOKEN = re.compile(r"""
-    [ \t\r\n]+ | %[^\n]*
-  | (?P<ARROW>->) | (?P<LPAREN>\() | (?P<RPAREN>\)) | (?P<COMMA>,)
-  | (?P<DOT>\.) | (?P<PIPE>\|) | (?P<QMARK>\?)
-  | (?P<IDENT>\w+) | (?P<BAD>.)
-""", re.VERBOSE)
-
-_Token = tuple[str, str, int]  # kind, text, offset into the source
+# The group is empty only at the end of the text. An identifier must start
+# with a letter or "_": [^\W\d] would also start one with a numeric like "²".
+_TOKEN = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*(->|\w+|.|)")
+_PUNCT = frozenset(("->", "(", ")", ",", ".", "|", "?", ""))
 
 
-def _error(text: str, message: str, offset: int) -> ParseError:
-    """The ParseError at `offset`: a 1-based line and a 1-based column that
-    counts characters, so a tab is one column."""
+def _error(text: str, message: str, index: int) -> ParseError:
+    """The ParseError at token `index`: a 1-based line and a 1-based column
+    that counts characters, so a tab is one column."""
+    m = next(itertools.islice(_TOKEN.finditer(text), index, None))
+    offset = m.start(1)
+    # A comment that ends the text moves no column, so an error at end of
+    # input points at the comment's start.
+    if not m.group(1) and (comment := text.find("%", text.rfind("\n") + 1)) >= 0:
+        offset = comment
     line_start = text.rfind("\n", 0, offset) + 1
     return ParseError(message, text.count("\n", 0, offset) + 1,
                       offset - line_start + 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            continue
-        word = m.group()
-        if kind == "BAD" or (kind == "IDENT" and not (word[0].isalpha() or word[0] == "_")):
-            raise _error(text, f"unexpected character {word[0]!r}", m.start())
-        tokens.append((kind, word, m.start()))
-    # A comment that ends the text moves no column, so an error at end of
-    # input points at the comment's start.
-    comment = text.find("%", text.rfind("\n") + 1)
-    tokens.append(("EOF", "", len(text) if comment < 0 else comment))
+def _tokenize(text: str) -> list[str]:
+    """Every token of the text, "" last; the first bad one is reported."""
+    tokens = _TOKEN.findall(text)
+    bad = {w for w in set(tokens)
+           if w not in _PUNCT and not (w[0].isalpha() or w[0] == "_")}
+    if bad:
+        index = next(i for i, word in enumerate(tokens) if word in bad)
+        raise _error(text, f"unexpected character {tokens[index][0]!r}", index)
     return tokens
 
 
@@ -106,76 +104,86 @@ def _tokenize(text: str) -> list[_Token]:
 # Parser
 
 class _Parser:
+    """Walks the token list by index; every token is valid, so one that is
+    not punctuation is an identifier."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arities: dict[str, int] = {}
+        self.terms: dict[str, Term] = {}
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
+    def expected(self, what: str, index: int) -> ParseError:
+        found = self.tokens[index] or "end of input"
+        return _error(self.text, f"expected {what}, found {found!r}", index)
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def expect_dot(self) -> None:
+        if self.tokens[self.pos] != ".":
+            raise self.expected("'.'", self.pos)
         self.pos += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok[0] != kind:
-            found = tok[1] or "end of input"
-            raise _error(self.text, f"expected {what}, found {found!r}", tok[2])
-        return tok
-
-    def parse_term(self) -> Term:
-        _, name, offset = self.expect("IDENT", "a term")
-        if is_reserved_name(name):
-            raise _error(self.text, f"identifier {name!r} is reserved", offset)
-        if name[0].isupper():
-            return variable(name)
-        return constant(name)
-
-    def parse_atom(self) -> tuple[Atom, int]:
-        _, name, offset = self.expect("IDENT", "a predicate name")
-        if is_reserved_name(name):
-            raise _error(self.text, f"identifier {name!r} is reserved", offset)
-        self.expect("LPAREN", "'('")
-        terms = [self.parse_term()]
-        while self.peek() == "COMMA":
-            self.next()
-            terms.append(self.parse_term())
-        self.expect("RPAREN", "')'")
-        known = self.arities.setdefault(name, len(terms))
-        if known != len(terms):
+    def parse_atom(self) -> Atom:
+        tokens, i = self.tokens, self.pos
+        name = tokens[i]
+        known = self.arities.get(name)
+        if known is None:
+            if name in _PUNCT:
+                raise self.expected("a predicate name", i)
+            if is_reserved_name(name):
+                raise _error(self.text, f"identifier {name!r} is reserved", i)
+        if tokens[i + 1] != "(":
+            raise self.expected("'('", i + 1)
+        terms = []
+        j = i + 2
+        while True:
+            word = tokens[j]
+            term = self.terms.get(word)
+            if term is None:
+                if word in _PUNCT:
+                    raise self.expected("a term", j)
+                if is_reserved_name(word):
+                    raise _error(self.text, f"identifier {word!r} is reserved", j)
+                term = self.terms[word] = (
+                    variable(word) if word[0].isupper() else constant(word))
+            terms.append(term)
+            j += 2
+            if tokens[j - 1] != ",":
+                break
+        if tokens[j - 1] != ")":
+            raise self.expected("')'", j - 1)
+        self.pos = j
+        if known is None:
+            self.arities[name] = len(terms)
+        elif known != len(terms):
             raise _error(self.text, f"predicate {name} used with arity {len(terms)}, "
-                         f"previously {known}", offset)
-        return Atom(name, terms), offset
+                         f"previously {known}", i)
+        return Atom(name, terms)
 
-    def parse_conjunction(self) -> tuple[list[Atom], int]:
-        atom, start = self.parse_atom()
-        atoms = [atom]
-        while self.peek() == "COMMA":
-            self.next()
-            atoms.append(self.parse_atom()[0])
-        return atoms, start
+    def parse_conjunction(self) -> list[Atom]:
+        atoms = [self.parse_atom()]
+        while self.tokens[self.pos] == ",":
+            self.pos += 1
+            atoms.append(self.parse_atom())
+        return atoms
 
     def parse_program(self) -> SourceProgram:
+        tokens = self.tokens
         rules: list[Rule] = []
         facts: list[Atom] = []
         queries: list[Query] = []
-        while True:
-            kind = self.peek()
-            if kind == "EOF":
-                break
-            if kind == "QMARK":
-                self.next()
-                atoms, _ = self.parse_conjunction()
-                self.expect("DOT", "'.'")
+        while tokens[self.pos]:
+            start = self.pos
+            if tokens[start] == "?":
+                self.pos += 1
+                atoms = self.parse_conjunction()
+                self.expect_dot()
                 queries.append(Query(tuple(atoms)))
                 continue
-            atoms, start = self.parse_conjunction()
-            kind, word, offset = self.next()
-            if kind == "DOT":
+            atoms = self.parse_conjunction()
+            i = self.pos
+            self.pos += 1
+            if tokens[i] == ".":
                 if len(atoms) != 1:
                     raise _error(self.text, "a fact is a single atom", start)
                 fact = atoms[0]
@@ -184,13 +192,13 @@ class _Parser:
                                  start)
                 facts.append(fact)
                 continue
-            if kind != "ARROW":
-                raise _error(self.text, f"expected '->' or '.', found {word!r}", offset)
+            if tokens[i] != "->":
+                raise _error(self.text, f"expected '->' or '.', found {tokens[i]!r}", i)
             heads = [self.parse_head()]
-            while self.peek() == "PIPE":
-                self.next()
+            while tokens[self.pos] == "|":
+                self.pos += 1
                 heads.append(self.parse_head())
-            self.expect("DOT", "'.'")
+            self.expect_dot()
             rules.append(self.build_rule(atoms, heads, start, len(rules) + 1))
         try:
             rule_set = RuleSet(rules)
@@ -201,29 +209,22 @@ class _Parser:
         return SourceProgram(rule_set, tuple(facts), tuple(queries))
 
     def parse_head(self) -> list[Atom]:
-        kind, _, offset = self.tokens[self.pos]
-        if kind in ("DOT", "PIPE"):
-            raise _error(self.text, "empty head disjunct", offset)
-        atoms, _ = self.parse_conjunction()
-        return atoms
+        if self.tokens[self.pos] in (".", "|"):
+            raise _error(self.text, "empty head disjunct", self.pos)
+        return self.parse_conjunction()
 
     def build_rule(self, body: list[Atom], heads: list[list[Atom]],
-                   offset: int, index: int) -> Rule:
-        body_vars = {t for a in body for t in a.terms if isinstance(t, Variable)}
-        disjuncts: list[HeadDisjunct] = []
-        for head_atoms in heads:
-            evars: list[Variable] = []
-            seen: set[Variable] = set()
-            for atom in head_atoms:
-                for t in atom.terms:
-                    if isinstance(t, Variable) and t not in body_vars and t not in seen:
-                        seen.add(t)
-                        evars.append(t)
-            disjuncts.append(HeadDisjunct(tuple(evars), tuple(head_atoms)))
+                   start: int, index: int) -> Rule:
+        body_vars = {t for a in body for t in a.terms}
+        disjuncts = [
+            HeadDisjunct(tuple(dict.fromkeys(
+                t for a in atoms for t in a.terms
+                if t not in body_vars and isinstance(t, Variable))), tuple(atoms))
+            for atoms in heads]
         try:
             return Rule(f"r{index}", body, disjuncts)
         except RuleError as exc:
-            raise _error(self.text, str(exc), offset) from exc
+            raise _error(self.text, str(exc), start) from exc
 
 
 def parse(text: str) -> SourceProgram:
@@ -236,14 +237,13 @@ def parse_query(text: str) -> Query:
     and an optional trailing '.'. Error columns count in `text` itself. A
     text with no atoms between the two gives a query with no atoms."""
     parser = _Parser(text)
-    if parser.peek() == "QMARK":
-        parser.next()
-    atoms: list[Atom] = []
-    if parser.peek() not in ("DOT", "EOF"):
-        atoms, _ = parser.parse_conjunction()
-    if parser.peek() != "EOF":
-        parser.expect("DOT", "'.'")
-    parser.expect("EOF", "end of input")
+    tokens = parser.tokens
+    parser.pos = int(tokens[0] == "?")
+    atoms = parser.parse_conjunction() if tokens[parser.pos] not in (".", "") else []
+    if tokens[parser.pos]:
+        parser.expect_dot()
+    if tokens[parser.pos]:
+        raise parser.expected("end of input", parser.pos)
     return Query(tuple(atoms))
 
 

@@ -312,7 +312,7 @@ def test_cli_module_runs_under_warnings_as_errors():
 
 def test_corpus_ships_with_the_package():
     files = sorted(p.name for p in CORPUS.glob("*.drls"))
-    assert len(files) == 12
+    assert len(files) == 13
     assert "example1.drls" in files
 
 
@@ -335,3 +335,12 @@ def test_corpus_classifications(capsys):
         assert main(["classify", str(CORPUS / name)]) == EXIT_OK
         out = capsys.readouterr().out
         assert f"combined: {combined}" in out, name
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_disjunctive_chain_is_not_certified(capsys):
+    # The chase of this one-rule set has an infinite fair branch, and no
+    # cyclicity notion can show it, so only unknown is right; the rmfa-like
+    # mode lets the second disjunct's P1 fact block the first's chain.
+    assert main(["classify", str(CORPUS / "disjunctive-chain.drls")]) == EXIT_OK
+    assert "combined: unknown" in capsys.readouterr().out

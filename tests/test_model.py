@@ -1,4 +1,5 @@
 import ast
+import random
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,12 @@ import chase_sentinel
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
+    HeadDisjunct,
     Rule,
     RuleError,
     RuleSet,
     apply_atom,
+    apply_atoms,
     apply_term,
     birth_facts,
     compose,
@@ -28,9 +31,9 @@ from chase_sentinel.model import (
     variable,
 )
 from chase_sentinel.matcher import Trigger
-from chase_sentinel.ruleio import ParseError, parse
+from chase_sentinel.ruleio import ParseError, parse, render
 
-from conftest import bike_subset, rules_from
+from conftest import bike_subset, perfbench_module, random_rule_set, rules_from
 
 
 def test_terms_are_interned():
@@ -160,6 +163,66 @@ def test_skolemized_heads_use_frontier_arguments():
     assert v_term.symbol.var == "V"
     assert v_term.args == (variable("X"),)
     assert second == (Atom("Spare", (variable("X"),)),)
+
+
+def _construction_sets():
+    """300 small sets from conftest.random_rule_set and two 512-rule
+    stratified sets from the benchmark's generator."""
+    rng = random.Random(4321)
+    sets = [random_rule_set(rng) for _ in range(300)]
+    stratified = perfbench_module("generators").stratified_rule_set
+    sets += [rules_from(stratified(random.Random(f"stratified/{seed}"), 512).text)
+             for seed in (1, 2)]
+    return sets
+
+
+def test_skolemized_heads_match_the_reference():
+    # The reference skolemizes every atom of every disjunct; the rule
+    # rebuilds only the atoms that hold an existential.
+    for rules in _construction_sets():
+        for rule in rules:
+            for i, (h, sk) in enumerate(zip(rule.heads, rule.sk_heads), start=1):
+                sk_map = {y: functional(skolem_symbol(rule.id, i, y.name,
+                                                      len(rule.frontier)),
+                                        rule.frontier)
+                          for y in h.existential_vars}
+                assert sk == apply_atoms(sk_map, h.atoms), (rule, i)
+
+
+def test_rule_attributes_survive_a_render_round_trip():
+    def attributes(rule):
+        return (rule.id, rule.frontier, rule.body_vars, rule.is_datalog,
+                rule.is_deterministic, rule.is_generating, rule.sk_symbols)
+
+    for rules in _construction_sets():
+        again = parse(render(rules)).rules
+        assert list(map(attributes, again)) == list(map(attributes, rules))
+
+
+def test_rule_construction_errors():
+    # Rules built directly, not parsed: one case per check, and where a
+    # rule breaks two checks, the one named is the first in this order.
+    x, y, u = variable("X"), variable("Y"), variable("U")
+    a = constant("a")
+    cases = [
+        ([Atom("A", (x,))], [HeadDisjunct((u,), (Atom("B", (x, u)),)),
+                             HeadDisjunct((), (Atom("B", (x, a)),))],
+         "rule r1: rules are constant- and function-free, found a in B(?X, a)"),
+        ([Atom("A", (x,))], [HeadDisjunct((x,), (Atom("B", (x, y)),))],
+         "rule r1: existential variables must not occur in the body"),
+        ([Atom("A", (x,))], [HeadDisjunct((), (Atom("B", (x, y)),))],
+         "rule r1: head variable ?Y neither universal nor existential in "
+         "disjunct 1"),
+        ([Atom("A", (x,))], [HeadDisjunct((u,), (Atom("B", (x, u)),)),
+                             HeadDisjunct((u,), (Atom("B", (u, y)),))],
+         "rule r1: existential variable reused across disjuncts"),
+        ([], [HeadDisjunct((), (Atom("B", (x,)),))], "rule r1: empty body"),
+        ([Atom("A", (x,))], [HeadDisjunct((), ())], "rule r1: empty head"),
+    ]
+    for body, heads, message in cases:
+        with pytest.raises(RuleError) as err:
+            Rule("r1", body, heads)
+        assert str(err.value) == message
 
 
 def test_generating_rule_needs_frontier():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from chase_sentinel.model import Atom, constant, functional, variable
@@ -5,6 +7,7 @@ from chase_sentinel.matcher import Trigger
 from chase_sentinel.ruleio import Namer, ParseError, parse, render
 
 from conftest import BIKE_RULES
+from parse_texts import GOLDEN, outcome
 
 
 FULL_PROGRAM = BIKE_RULES + "\nEngine(d) .\n? Spare(d) .\n"
@@ -121,3 +124,17 @@ def test_namer_disambiguates_same_variable_across_rules():
         key=lambda s: s.rule_id)
     rendered = {names.symbol(s) for s in syms}
     assert len(rendered) == 2
+
+
+def test_parser_replays_golden_fixture():
+    """tests/data/parse_golden.json holds 2,000 texts and what parsing each
+    gave at commit 428532f, before the parser walked a flat token list: the
+    exact ParseError text, or the rule ids, rendered rules, facts and
+    queries. The texts are `parse_texts.texts("parse-golden", 2000)`:
+    mutated corpus windows, generated rule sets and token soup; running
+    tests/parse_texts.py as a script records them again."""
+    cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(cases) == 2000
+    assert sum(not want.startswith("error: ") for _, want in cases) >= 500
+    wrong = [(text, want) for text, want in cases if outcome(text) != want]
+    assert not wrong, wrong[:3]
