@@ -4,7 +4,9 @@ A trigger survives forever (is unblockable) when it stays non-obsolete for a
 finite fact set that over-approximates everything later triggers could add.
 The approximation abstracts foreign terms either to the special constant
 (star) or to one fresh constant per skolem symbol (unique constants); the
-latter is strictly sharper because distinct symbols stay distinct.
+latter is strictly sharper because distinct symbols stay distinct. A build
+is given the trigger it is built around (the pivot) and the kind of
+abstraction, STAR or UC, and works out the pivot's skeleton itself.
 
 Every term of an over-approximation is a fixed point of its abstraction: a
 skeleton term, a fresh per-symbol constant or the special constant. A
@@ -68,7 +70,6 @@ from .model import (
 __all__ = [
     "STAR",
     "UC",
-    "TermAbstraction",
     "OverApproximation",
     "ReversibilityCertificate",
     "build_over_approx",
@@ -82,15 +83,6 @@ STAR = "star"
 UC = "uc"
 
 
-@dataclass(frozen=True)
-class TermAbstraction:
-    """Maps whole terms into a finite universe around one trigger's skeleton;
-    built as TermAbstraction(STAR or UC, skeleton(trigger, rules))."""
-
-    kind: str
-    skeleton: frozenset[Term]
-
-
 @dataclass
 class OverApproximation:
     """The fact set of one build, equal as a set to the least fixpoint (its
@@ -102,13 +94,14 @@ class OverApproximation:
     triggers: int
 
 
-def _seed_facts(rules: RuleSet, h: TermAbstraction, pivot: Trigger,
+def _seed_facts(rules: RuleSet, terms: frozenset[Term], pivot: Trigger,
                 ) -> tuple[FactSet, list[Term], list[Atom]]:
-    """The seed facts, their universe U (the skeleton's constants plus the
-    special constant) and the birth facts that are not over U."""
+    """The seed facts, their universe U (the constants of the pivot's
+    skeleton `terms` plus the special constant) and the birth facts that
+    are not over U."""
     facts = FactSet()
     consts = sorted(
-        (t for t in h.skeleton if isinstance(t, Constant)),
+        (t for t in terms if isinstance(t, Constant)),
         key=lambda c: c.name,
     )
     universe: list[Term] = list(consts) + [star()]
@@ -221,10 +214,12 @@ def _same_output(rule: Rule, sigma: Mapping[Variable, Term], disjunct: int,
 def build_over_approx(
     rules: RuleSet,
     pivot: Trigger,
-    h: TermAbstraction,
+    kind: str,
     hc: HeadChoice | None = None,
 ) -> OverApproximation:
     """Least fact set closed under abstracted outputs of loaded triggers.
+
+    The abstraction is `kind` (STAR or UC) around the pivot's skeleton.
 
     Seeded with every fact over the rule set's predicates and the skeleton's
     constants plus the special constant, together with the pivot's birth
@@ -256,7 +251,7 @@ def build_over_approx(
     specified, not its insertion order. The number of keys is returned as
     OverApproximation.triggers.
     """
-    for facts, _, queued in _batches(rules, pivot, h, hc):
+    for facts, _, queued in _batches(rules, pivot, kind, hc):
         pass
     # The key set is live: it is read once the fixpoint is done.
     return OverApproximation(facts, len(queued))
@@ -265,7 +260,7 @@ def build_over_approx(
 def _batches(
     rules: RuleSet,
     pivot: Trigger,
-    h: TermAbstraction,
+    kind: str,
     hc: HeadChoice | None,
 ) -> Iterator[tuple[FactSet, Iterable[Atom], set[tuple]]]:
     """The fixpoint of build_over_approx, one batch of new facts at a time.
@@ -276,7 +271,8 @@ def _batches(
     one is what one loaded key added, handed out before its matches are
     queued. Draining the generator runs the fixpoint to its end.
     """
-    facts, universe, births = _seed_facts(rules, h, pivot)
+    terms = skeleton(pivot, rules)
+    facts, universe, births = _seed_facts(rules, terms, pivot)
 
     # No Trigger is built: every substitution comes from U or from matching
     # into a FactSet, which holds only ground atoms, so its check could not
@@ -298,10 +294,10 @@ def _batches(
     # What follows is needed only past the seed, where many unblockability
     # checks already stop.
     by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
-    for t in h.skeleton:
+    for t in terms:
         if isinstance(t, FunctionalTerm):
             by_symbol.setdefault(t.symbol, {})[t.args] = t
-    shapes = {rule.id: _compile_heads(rule, h.kind, by_symbol) for rule in rules}
+    shapes = {rule.id: _compile_heads(rule, kind, by_symbol) for rule in rules}
 
     # The pivot's outputs per disjunct, unabstracted and abstracted, and the
     # skolem terms they hold. The pivot's frontier images occur in its birth
@@ -417,8 +413,7 @@ def _is_unblockable(
         return False
     queries = [compile_query(apply_atoms(trigger.substitution, d.atoms))
                for d in trigger.rule.heads]
-    steps = _batches(rules, trigger,
-                     TermAbstraction(kind, skeleton(trigger, rules)), hc)
+    steps = _batches(rules, trigger, kind, hc)
     facts, _, queued = next(steps)
     answer = not (is_obsolete(trigger, facts) or any(
         query_matched(query, batch, facts)

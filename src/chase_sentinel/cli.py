@@ -123,7 +123,7 @@ def _merge_programs(rules_program: SourceProgram,
         extra = list(data_program.rules)
         if extra and any(r.id in {s.id for s in rules} for r in extra):
             offset = len(rules)
-            extra = [Rule(f"r{offset + i}", r.body, r.heads)
+            extra = [Rule(f"r{offset + i}", r.body, [h.atoms for h in r.heads])
                      for i, r in enumerate(extra, start=1)]
         rules.extend(extra)
         facts.extend(data_program.facts)

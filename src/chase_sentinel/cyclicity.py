@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 from .approx import (
     UnblockabilityCache,
@@ -52,7 +52,6 @@ from .model import (
 )
 
 __all__ = [
-    "RuleDatabase",
     "SearchBudget",
     "AppliedTrigger",
     "SaturationRun",
@@ -90,20 +89,11 @@ class InternalInconsistencyError(RuntimeError):
     """A recorded provenance failed to replay; this indicates a bug."""
 
 
-@dataclass(frozen=True)
-class RuleDatabase:
-    """The rule's body with every variable frozen to a fresh constant."""
-
-    rule: Rule
-    substitution: Mapping
-    facts: tuple[Atom, ...]
-
-
-def rule_database(rule: Rule) -> RuleDatabase:
-    sigma = {v: db_constant(v.name) for v in rule.body_vars}
-    facts = tuple(
-        Atom(a.predicate, tuple(sigma[t] for t in a.terms)) for a in rule.body)
-    return RuleDatabase(rule, sigma, facts)
+def rule_database(rule: Rule) -> Trigger:
+    """The seed trigger of the rule's database: every body variable x is
+    frozen to the fresh constant c_x, and its body_facts() are the
+    database."""
+    return Trigger(rule, {v: db_constant(v.name) for v in rule.body_vars})
 
 
 @dataclass(frozen=True)
@@ -115,24 +105,25 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class AppliedTrigger:
-    index: int
+    """One applied trigger and the facts its output added."""
+
     trigger: Trigger
-    out: tuple[Atom, ...]
     new: tuple[Atom, ...]
 
 
 @dataclass
 class SaturationRun:
-    """Outcome of one pivot-rule saturation, with full provenance."""
+    """Outcome of one pivot-rule saturation, with full provenance: the
+    applied triggers in order, starting with the seed. When a cyclic term
+    was found, the last one applied produced it and the run stopped there.
+    Without a head choice only deterministic rules took part."""
 
-    notion: str
     rules: RuleSet
     rho: Rule
     hc: HeadChoice | None
     facts: FactSet
     provenance: list[AppliedTrigger]
     cyclic_term: Term | None
-    cyclic_index: int | None
     truncated: bool
 
 
@@ -151,7 +142,6 @@ def _saturate(
     rho: Rule,
     hc: HeadChoice | None,
     budget: SearchBudget,
-    notion: str,
     cache: UnblockabilityCache,
     injectivity_guard: bool = True,
 ) -> SaturationRun:
@@ -169,9 +159,9 @@ def _saturate(
     order is total.
     """
     deterministic_only = hc is None
-    db = rule_database(rho)
-    facts = FactSet(db.facts)
-    run = SaturationRun(notion, rules, rho, hc, facts, [], None, None, False)
+    seed = rule_database(rho)
+    facts = FactSet(seed.body_facts())
+    run = SaturationRun(rules, rho, hc, facts, [], None, False)
     deadline = None
     if budget.timeout_seconds is not None:
         deadline = time.monotonic() + budget.timeout_seconds
@@ -181,10 +171,9 @@ def _saturate(
 
     def record(trigger: Trigger) -> bool:
         """Apply one trigger; returns True when a cyclic term was found."""
-        index = len(run.provenance)
         out = _out(hc, trigger)
         new = facts.update(out)
-        run.provenance.append(AppliedTrigger(index, trigger, out, tuple(new)))
+        run.provenance.append(AppliedTrigger(trigger, tuple(new)))
         for atom in out:
             for arg in atom.terms:
                 for t in subterms(arg):
@@ -193,11 +182,9 @@ def _saturate(
                     known_terms.add(t)
                     if is_rho_cyclic(t, rho):
                         run.cyclic_term = t
-                        run.cyclic_index = index
                         return True
         return False
 
-    seed = Trigger(rho, db.substitution)
     if record(seed):
         return run
 
@@ -264,7 +251,7 @@ def rpc_fact_set(
     """
     if not rho.is_generating:
         raise ValueError(f"rule {rho.id} is not generating")
-    return _saturate(rules, rho, hc, budget or SearchBudget(), RPC,
+    return _saturate(rules, rho, hc, budget or SearchBudget(),
                      cache or UnblockabilityCache(), injectivity_guard)
 
 
@@ -278,7 +265,7 @@ def drpc_fact_set(
     """Saturation over deterministic rules only, star abstraction."""
     if not (rho.is_generating and rho.is_deterministic):
         raise ValueError(f"rule {rho.id} is not deterministic and generating")
-    return _saturate(rules, rho, None, budget or SearchBudget(), DRPC,
+    return _saturate(rules, rho, None, budget or SearchBudget(),
                      cache or UnblockabilityCache())
 
 
@@ -289,9 +276,10 @@ def drpc_fact_set(
 class CyclicityPrefix:
     """Replayable evidence: a loaded trigger sequence from the rule database
     of rho, ending in a trigger of rho whose output carries a rho-cyclic
-    term, together with the constant mapping that pumps it."""
+    term, together with the constant mapping that pumps it. Without a head
+    choice every trigger fires its one disjunct; the Verdict that carries
+    the prefix names the notion."""
 
-    notion: str
     rho: Rule
     hc: HeadChoice | None
     triggers: tuple[Trigger, ...]
@@ -308,18 +296,18 @@ def extract_prefix(run: SaturationRun) -> CyclicityPrefix:
     its reversibility on the skeleton of every non-seed trigger; a failure
     means the saturation recorded something unsound and is raised loudly.
     """
-    if run.cyclic_term is None or run.cyclic_index is None:
+    if run.cyclic_term is None:
         raise ValueError("saturation found no cyclic term")
-    final = run.provenance[run.cyclic_index]
-    if final.trigger.rule.id != run.rho.id:
+    final = run.provenance[-1].trigger
+    if final.rule.id != run.rho.id:
         raise InternalInconsistencyError(
-            f"cyclic output produced by {final.trigger.rule.id}, "
+            f"cyclic output produced by {final.rule.id}, "
             f"expected {run.rho.id}")
 
-    derived_by = {fact: applied.index
-                  for applied in run.provenance for fact in applied.new}
-    keep: set[int] = {0, final.index}
-    frontier_facts = list(final.trigger.body_facts())
+    derived_by = {fact: index for index, applied in enumerate(run.provenance)
+                  for fact in applied.new}
+    keep: set[int] = {0, len(run.provenance) - 1}
+    frontier_facts = list(final.body_facts())
     while frontier_facts:
         fact = frontier_facts.pop()
         src = derived_by.get(fact)
@@ -341,13 +329,12 @@ def extract_prefix(run: SaturationRun) -> CyclicityPrefix:
                 f"constant mapping ill-defined at {c!r}")
     g = ConstantMapping(mapping)
     _validate_prefix(run, triggers, g)
-    return CyclicityPrefix(run.notion, run.rho, run.hc, triggers, g,
-                           run.cyclic_term)
+    return CyclicityPrefix(run.rho, run.hc, triggers, g, run.cyclic_term)
 
 
 def _validate_prefix(run: SaturationRun, triggers: Sequence[Trigger],
                      g: ConstantMapping) -> None:
-    facts = FactSet(rule_database(run.rho).facts)
+    facts = FactSet(triggers[0].body_facts())
     for pos, trigger in enumerate(triggers):
         for fact in trigger.body_facts():
             if fact not in facts:
@@ -455,9 +442,7 @@ def check(
             result = RESOURCE_EXHAUSTED
         if run.cyclic_term is not None:
             result = CYCLIC
-            # The saturation only knows the uc/star machinery, not which
-            # head-choice family was enumerated.
-            witness = replace(extract_prefix(run), notion=canonical)
+            witness = extract_prefix(run)
             break
     stats = {
         "notion": canonical,

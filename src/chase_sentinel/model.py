@@ -9,7 +9,10 @@ only way to build them, and they compare and hash by identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+
+if TYPE_CHECKING:
+    from .matcher import Trigger
 
 __all__ = [
     "STAR_NAME",
@@ -355,11 +358,15 @@ class Query:
 
 
 class Rule:
-    """One disjunctive existential rule.
+    """One disjunctive existential rule, built from its body atoms and the
+    atoms of each head disjunct.
 
-    Bodies and heads are constant- and function-free. The frontier lists the
-    body variables shared with some head, ordered by first occurrence in the
-    body; skolem terms take exactly this tuple as arguments.
+    Bodies and heads are constant- and function-free. A disjunct's
+    existential variables are its variables that do not occur in the body,
+    in order of first occurrence; no two disjuncts share one. The frontier
+    lists the body variables shared with some head, ordered by first
+    occurrence in the body; skolem terms take exactly this tuple as
+    arguments.
     """
 
     __slots__ = (
@@ -376,23 +383,24 @@ class Rule:
         "sk_symbols",
     )
 
-    def __init__(self, rule_id: str, body: Sequence[Atom], heads: Sequence[HeadDisjunct]):
+    def __init__(self, rule_id: str, body: Sequence[Atom],
+                 heads: Sequence[Sequence[Atom]]):
         body = tuple(body)
-        heads = tuple(heads)
+        head_atoms = tuple(map(tuple, heads))
         if not body:
             raise RuleError(f"rule {rule_id}: empty body")
-        if not heads or any(not h.atoms for h in heads):
+        if not head_atoms or not all(head_atoms):
             raise RuleError(f"rule {rule_id}: empty head")
         # The distinct terms of the body and of each disjunct, in order of
         # first occurrence; every check below reads these, and looks back
         # at the atoms only to name one in an error.
         body_vars = {t: None for atom in body for t in atom.terms}
-        head_terms = [{t: None for atom in h.atoms for t in atom.terms}
-                      for h in heads]
+        head_terms = [{t: None for atom in h for t in atom.terms}
+                      for h in head_atoms]
         for terms in (body_vars, *head_terms):
             for t in terms:
                 if t.__class__ is not Variable:
-                    atom = next(a for a in body + tuple(a for h in heads for a in h.atoms)
+                    atom = next(a for atoms in (body, *head_atoms) for a in atoms
                                 if t in a.terms)
                     raise RuleError(
                         f"rule {rule_id}: rules are constant- and function-free, "
@@ -400,32 +408,24 @@ class Rule:
                     )
         self.id = rule_id
         self.body = body
-        self.heads = heads
         self.body_vars = tuple(body_vars)  # type: ignore[arg-type]
 
         used_existentials: set[Variable] = set()
-        for i, (h, terms) in enumerate(zip(heads, head_terms), start=1):
-            evars = set(h.existential_vars)
-            if not evars.isdisjoint(body_vars):
-                raise RuleError(
-                    f"rule {rule_id}: existential variables must not occur in the body"
-                )
-            if not evars.isdisjoint(used_existentials):
+        disjuncts: list[HeadDisjunct] = []
+        for atoms, terms in zip(head_atoms, head_terms):
+            evars = tuple([t for t in terms if t not in body_vars])
+            if not used_existentials.isdisjoint(evars):
                 raise RuleError(
                     f"rule {rule_id}: existential variable reused across disjuncts"
                 )
-            used_existentials |= evars
-            for t in terms:
-                if t not in body_vars and t not in evars:
-                    raise RuleError(
-                        f"rule {rule_id}: head variable {t!r} neither universal "
-                        f"nor existential in disjunct {i}"
-                    )
+            used_existentials.update(evars)
+            disjuncts.append(HeadDisjunct(evars, atoms))  # type: ignore[arg-type]
+        self.heads = tuple(disjuncts)
 
         head_vars = set().union(*head_terms)
         self.frontier = tuple([v for v in body_vars if v in head_vars])
 
-        self.branching = len(heads)
+        self.branching = len(self.heads)
         self.is_deterministic = self.branching == 1
         self.is_generating = bool(used_existentials)
         self.is_datalog = self.is_deterministic and not self.is_generating
@@ -441,7 +441,7 @@ class Rule:
         frontier_terms: tuple[Term, ...] = self.frontier
         sk_heads: list[tuple[Atom, ...]] = []
         symbols: set[SkolemSymbol] = set()
-        for i, h in enumerate(heads, start=1):
+        for i, h in enumerate(self.heads, start=1):
             sk_map: dict[Variable, Term] = {}
             for y in h.existential_vars:
                 sym = skolem_symbol(rule_id, i, y.name, arity)
@@ -470,13 +470,14 @@ class RuleSet:
             if rule.id in self.by_id:
                 raise RuleError(f"duplicate rule id {rule.id}")
             self.by_id[rule.id] = rule
-            for atom in rule.body + tuple(a for h in rule.heads for a in h.atoms):
-                known = self.predicates.setdefault(atom.predicate, atom.arity)
-                if known != atom.arity:
-                    raise RuleError(
-                        f"predicate {atom.predicate} used with arities "
-                        f"{known} and {atom.arity}"
-                    )
+            for atoms in (rule.body, *[h.atoms for h in rule.heads]):
+                for atom in atoms:
+                    known = self.predicates.setdefault(atom.predicate, atom.arity)
+                    if known != atom.arity:
+                        raise RuleError(
+                            f"predicate {atom.predicate} used with arities "
+                            f"{known} and {atom.arity}"
+                        )
             for sym in rule.sk_symbols:
                 self.symbol_index[sym] = (rule, sym.disjunct)
             for idx, atom in enumerate(rule.body):
@@ -528,14 +529,6 @@ def is_rho_cyclic(t: Term, rho: Rule) -> bool:
     )
 
 
-def _trigger_parts(x: object) -> tuple[Rule, Substitution] | None:
-    rule = getattr(x, "rule", None)
-    sub = getattr(x, "substitution", None)
-    if isinstance(rule, Rule) and isinstance(sub, Mapping):
-        return rule, sub
-    return None
-
-
 def _birth_of_term(t: Term, rules: RuleSet) -> frozenset[Atom]:
     cached = rules._birth_cache.get(t)
     if cached is not None:
@@ -557,35 +550,29 @@ def _birth_of_term(t: Term, rules: RuleSet) -> frozenset[Atom]:
     return result
 
 
-def birth_facts(x: object, rules: RuleSet) -> frozenset[Atom]:
+def birth_facts(x: Term | Trigger, rules: RuleSet) -> frozenset[Atom]:
     """Birth facts of a term, or of a trigger (union over frontier images)."""
-    parts = _trigger_parts(x)
-    if parts is not None:
-        rule, sub = parts
-        acc: set[Atom] = set()
-        for v in rule.frontier:
-            acc |= _birth_of_term(sub[v], rules)
-        return frozenset(acc)
     if isinstance(x, Term):
         return _birth_of_term(x, rules)
-    raise TypeError(f"expected a term or a trigger, got {x!r}")
+    sub = x.substitution
+    acc: set[Atom] = set()
+    for v in x.rule.frontier:
+        acc |= _birth_of_term(sub[v], rules)
+    return frozenset(acc)
 
 
-def skeleton(trigger: object, rules: RuleSet) -> frozenset[Term]:
+def skeleton(trigger: Trigger, rules: RuleSet) -> frozenset[Term]:
     """Term skeleton of a trigger, closed under subterms.
 
     Contains every term of the trigger's birth facts plus every constant a
     frontier variable maps to. Subterm closure is required so reversibility
     checks can run on skeletons directly.
     """
-    parts = _trigger_parts(trigger)
-    if parts is None:
-        raise TypeError(f"expected a trigger, got {trigger!r}")
-    rule, sub = parts
+    sub = trigger.substitution
     base: set[Term] = set()
     for atom in birth_facts(trigger, rules):
         base.update(atom.terms)
-    for v in rule.frontier:
+    for v in trigger.rule.frontier:
         image = sub[v]
         if isinstance(image, Constant):
             base.add(image)

@@ -11,9 +11,10 @@ The surface syntax is line oriented and deliberately small:
 Identifiers starting with an upper-case letter are variables, identifiers
 starting with a lower-case letter are constants, and identifiers starting
 with an underscore are reserved for internal use and rejected. Head
-variables that do not occur in the rule body are existential. Facts must be
-ground, rules must be constant-free, and every predicate must keep one arity
-across the whole program.
+variables that do not occur in the rule body are existential; the parser
+hands each rule's body and disjuncts to `model.Rule` as atoms, and the rule
+works them out. Facts must be ground, rules must be constant-free, and every
+predicate must keep one arity across the whole program.
 
 One regular expression, run once with findall, splits the text into a flat
 list of token strings: each match skips whitespace and comments and keeps
@@ -33,7 +34,6 @@ from .model import (
     Atom,
     Constant,
     FunctionalTerm,
-    HeadDisjunct,
     Query,
     Rule,
     RuleError,
@@ -193,7 +193,7 @@ class _Parser:
                 facts.append(fact)
                 continue
             if tokens[i] != "->":
-                raise _error(self.text, f"expected '->' or '.', found {tokens[i]!r}", i)
+                raise self.expected("'->' or '.'", i)
             heads = [self.parse_head()]
             while tokens[self.pos] == "|":
                 self.pos += 1
@@ -215,14 +215,8 @@ class _Parser:
 
     def build_rule(self, body: list[Atom], heads: list[list[Atom]],
                    start: int, index: int) -> Rule:
-        body_vars = {t for a in body for t in a.terms}
-        disjuncts = [
-            HeadDisjunct(tuple(dict.fromkeys(
-                t for a in atoms for t in a.terms
-                if t not in body_vars and isinstance(t, Variable))), tuple(atoms))
-            for atoms in heads]
         try:
-            return Rule(f"r{index}", body, disjuncts)
+            return Rule(f"r{index}", body, heads)
         except RuleError as exc:
             raise _error(self.text, str(exc), start) from exc
 

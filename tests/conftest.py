@@ -208,9 +208,9 @@ def sample_triggers(rules: RuleSet, depth_cap: int = 3,
     for rho in rules:
         if not rho.is_generating:
             continue
-        db = rule_database(rho)
-        facts = FactSet(db.facts)
-        facts.update(Trigger(rho, dict(db.substitution)).out(1))
+        seed = rule_database(rho)
+        facts = FactSet(seed.body_facts())
+        facts.update(seed.out(1))
         for rule in rules:
             for sub in match_conjunction(rule.body, {}, facts):
                 lam = Trigger(rule, sub)
@@ -314,9 +314,8 @@ def naive_saturation(rules: RuleSet, rho, hc=None,
     no early stop; the reference for the stubbed saturation engines."""
     from chase_sentinel.cyclicity import rule_database
 
-    db = rule_database(rho)
-    facts: set[Atom] = set(db.facts)
-    seed = Trigger(rho, db.substitution)
+    seed = rule_database(rho)
+    facts: set[Atom] = set(seed.body_facts())
     facts.update(hc.out(seed) if hc is not None else seed.out(1))
 
     deterministic_only = hc is None
@@ -353,8 +352,8 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
     from chase_sentinel.cyclicity import SearchBudget, rule_database
 
     budget = budget or SearchBudget()
-    db = rule_database(rho)
-    facts = FactSet(db.facts)
+    seed = rule_database(rho)
+    facts = FactSet(seed.body_facts())
     applied: list[Trigger] = []
 
     def apply(trigger: Trigger) -> bool:
@@ -364,7 +363,6 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
         return any(is_rho_cyclic(t, rho)
                    for a in out for x in a.terms for t in subterms(x))
 
-    seed = Trigger(rho, db.substitution)
     processed = {seed}
     if apply(seed):
         return applied

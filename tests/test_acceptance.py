@@ -15,7 +15,6 @@ import chase_sentinel.cyclicity as cyc
 from chase_sentinel.approx import (
     STAR,
     UC,
-    TermAbstraction,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
@@ -165,18 +164,16 @@ def test_criterion_04_over_approximation_golden_sets():
         Atom("Engine", (c_w,)),
     }
 
-    h = TermAbstraction(UC, skeleton(pivot, rules))
-    with_hc = build_over_approx(rules, pivot, h, hc1)
+    with_hc = build_over_approx(rules, pivot, UC, hc1)
     assert set(with_hc.facts) == expected
 
-    conj = build_over_approx(rules, pivot, h)
+    conj = build_over_approx(rules, pivot, UC)
     assert set(conj.facts) == expected | {Atom("Spare", (c_w,))}
 
     collapse = ConstantMapping({c_v: star(), c_w: star()})
     collapsed = {map_atom(collapse, a) for a in expected}
     for hc in (hc1, None):
-        approx = build_over_approx(
-            rules, pivot, TermAbstraction(STAR, skeleton(pivot, rules)), hc)
+        approx = build_over_approx(rules, pivot, STAR, hc)
         assert set(approx.facts) == collapsed
 
 
@@ -302,7 +299,7 @@ def test_criterion_09_theorem_shaped_property_suites():
             rolled = unroll_prefix(prefix, 3)
             block = len(prefix.triggers) - 1
             assert len(rolled) == 1 + 3 * block
-            replay = FactSet(rule_database(prefix.rho).facts)
+            replay = FactSet(rule_database(prefix.rho).body_facts())
             for lam in rolled:
                 assert is_loaded(lam, replay), f"set {i}: replay not loaded"
                 replay.update(prefix.hc.out(lam) if prefix.hc is not None
@@ -338,8 +335,7 @@ def test_criterion_10_oracle_equivalence(monkeypatch):
                 continue
             for hc in hcs:
                 for kind in (STAR, UC):
-                    h = TermAbstraction(kind, skeleton(pivot, rules))
-                    got = set(build_over_approx(rules, pivot, h, hc).facts)
+                    got = set(build_over_approx(rules, pivot, kind, hc).facts)
                     assert got == naive_over_approx(rules, pivot, kind, hc), \
                         (i, kind, hc)
                     approx_cases += 1

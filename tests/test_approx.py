@@ -6,7 +6,6 @@ import pytest
 from chase_sentinel.approx import (
     STAR,
     UC,
-    TermAbstraction,
     UnblockabilityCache,
     _is_unblockable,
     build_over_approx,
@@ -117,11 +116,10 @@ def test_uc_over_approximation_golden_set():
     hc1 = HeadChoice.uniform(rules, 1)
     expected, c_v, c_w = expected_uc_facts(rules)
 
-    h = TermAbstraction(UC, skeleton(pivot, rules))
-    with_hc = build_over_approx(rules, pivot, h, hc1)
+    with_hc = build_over_approx(rules, pivot, UC, hc1)
     assert set(with_hc.facts) == expected
 
-    conj = build_over_approx(rules, pivot, h)
+    conj = build_over_approx(rules, pivot, UC)
     assert set(conj.facts) == expected | {Atom("Spare", (c_w,))}
 
 
@@ -134,8 +132,7 @@ def test_star_over_approximation_is_the_constant_collapse():
     collapsed = {map_atom(collapse, a) for a in expected}
 
     for hc in (hc1, None):
-        approx = build_over_approx(
-            rules, pivot, TermAbstraction(STAR, skeleton(pivot, rules)), hc)
+        approx = build_over_approx(rules, pivot, STAR, hc)
         assert set(approx.facts) == collapsed
 
 
@@ -143,11 +140,10 @@ def test_hc_set_is_contained_in_the_conjunctive_set():
     rules = bike_subset(2)
     pivot = bike_pivot(rules)
     for kind in (UC, STAR):
-        h = TermAbstraction(kind, skeleton(pivot, rules))
-        conj = build_over_approx(rules, pivot, h)
+        conj = build_over_approx(rules, pivot, kind)
         for i in (1, 2):
             hc = HeadChoice.uniform(rules, i)
-            with_hc = build_over_approx(rules, pivot, h, hc)
+            with_hc = build_over_approx(rules, pivot, kind, hc)
             assert with_hc.facts <= conj.facts
 
 
@@ -155,11 +151,9 @@ def test_over_approximation_matches_naive_oracle_on_bike_pivot():
     rules = bike_subset(2)
     pivot = bike_pivot(rules)
     hc1 = HeadChoice.uniform(rules, 1)
-    assert set(build_over_approx(
-        rules, pivot, TermAbstraction(UC, skeleton(pivot, rules)), hc1).facts) == \
+    assert set(build_over_approx(rules, pivot, UC, hc1).facts) == \
         naive_over_approx(rules, pivot, "uc", hc1)
-    assert set(build_over_approx(
-        rules, pivot, TermAbstraction(STAR, skeleton(pivot, rules))).facts) == \
+    assert set(build_over_approx(rules, pivot, STAR).facts) == \
         naive_over_approx(rules, pivot, "star")
 
 
@@ -206,8 +200,7 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
             for pivot in deep[:deep_pivots] + shallow[:1]:
                 for hc in hcs:
                     for kind in (STAR, UC):
-                        h = TermAbstraction(kind, skeleton(pivot, rules))
-                        approx = build_over_approx(rules, pivot, h, hc)
+                        approx = build_over_approx(rules, pivot, kind, hc)
                         got = set(approx.facts)
                         naive = naive_over_approx(rules, pivot, kind, hc)
                         assert got == naive, (scale, rules, pivot, kind, hc)
@@ -286,13 +279,12 @@ def test_head_choice_excludes_other_rules_with_the_pivot_output(kind):
     # excluded although it belongs to another rule. Read conjunctively,
     # only pivot-rule triggers are excluded and r3 contributes B(f_U(c)).
     rules, pivot, fuc = exclusion_case("r2")
-    h = TermAbstraction(kind, skeleton(pivot, rules))
     hc1 = HeadChoice.uniform(rules, 1)
-    with_hc = set(build_over_approx(rules, pivot, h, hc1).facts)
+    with_hc = set(build_over_approx(rules, pivot, kind, hc1).facts)
     assert Atom("F", (constant("c"), fuc)) in with_hc
     assert Atom("B", (fuc,)) not in with_hc
     assert with_hc == naive_over_approx(rules, pivot, kind, hc1)
-    conj = set(build_over_approx(rules, pivot, h).facts)
+    conj = set(build_over_approx(rules, pivot, kind).facts)
     assert Atom("B", (fuc,)) in conj
     assert conj == naive_over_approx(rules, pivot, kind)
 
@@ -310,10 +302,9 @@ def test_uninterned_skolem_terms_are_abstracted_not_excluded(kind):
     kept = sk(rules, "r6", var)
     key = (kept, (fuc,))
     assert key not in _TERMS
-    h = TermAbstraction(kind, skeleton(pivot, rules))
     replacement = star() if kind == "star" else uc_constant(kept)
     hc1 = HeadChoice.uniform(rules, 1)
-    got = set(build_over_approx(rules, pivot, h, hc1).facts)
+    got = set(build_over_approx(rules, pivot, kind, hc1).facts)
     assert key not in _TERMS
     assert Atom("R", (fuc, replacement)) in got
     assert got == naive_over_approx(rules, pivot, kind, hc1)
@@ -325,8 +316,7 @@ def test_conjunctive_exclusion_needs_every_disjunct(kind):
     # first output S(f_U(c)) but not its second, T(c, f_U(c)), so it is not
     # excluded and S(f_U(c)) is derived although the pivot is excluded.
     rules, pivot, fuc = exclusion_case("r8")
-    h = TermAbstraction(kind, skeleton(pivot, rules))
-    got = set(build_over_approx(rules, pivot, h).facts)
+    got = set(build_over_approx(rules, pivot, kind).facts)
     assert Atom("S", (fuc,)) in got
     assert Atom("T", (star(), fuc)) in got
     assert got == naive_over_approx(rules, pivot, kind)
@@ -382,8 +372,7 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     assert is_uc_unblockable(rules, hc1, lam_d, cache)
     assert len(cache.entries) == 1
     assert (cache.builds, cache.hits) == (1, 0)
-    built = build_over_approx(
-        rules, lam_d, TermAbstraction(UC, skeleton(lam_d, rules)), hc1)
+    built = build_over_approx(rules, lam_d, UC, hc1)
     assert cache.triggers == built.triggers > 0
     assert is_uc_unblockable(rules, hc1, lam_e, cache)
     assert len(cache.entries) == 1

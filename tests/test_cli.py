@@ -21,6 +21,7 @@ from chase_sentinel.cli import (
 from chase_sentinel.cyclicity import Verdict
 from chase_sentinel.termination import AcyclicityVerdict
 
+import corpus_classify
 from conftest import BIKE_RULES
 
 
@@ -314,6 +315,22 @@ def test_corpus_ships_with_the_package():
     files = sorted(p.name for p in CORPUS.glob("*.drls"))
     assert len(files) == 13
     assert "example1.drls" in files
+
+
+def test_corpus_classify_replays_golden_fixture():
+    """tests/data/corpus_classify_golden.json holds what `classify --json`
+    printed at commit d1ce9da for each corpus file, once with the default
+    pipeline and once with `--notion rpc`, with the times and the path cut;
+    running tests/corpus_classify.py as a script records it again. Re-record
+    it only together with a CHANGES.md note that names each verdict that
+    changed: making the default acyclicity mode sound on disjunctive rules
+    is expected to change disjunctive-chain and reversibility-guard."""
+    want = json.loads(corpus_classify.GOLDEN.read_text(encoding="utf-8"))
+    assert len(want) == 13
+    got = corpus_classify.outcomes()
+    assert sorted(got) == sorted(want)
+    for name, runs in want.items():
+        assert got[name] == runs, name
 
 
 def test_corpus_classifications(capsys):

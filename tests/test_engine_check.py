@@ -56,7 +56,7 @@ def check_cyclic_and_mfa_verdicts(n: int) -> tuple[int, int]:
             verdict = check(rules, notion, budget=budget)
             if verdict.result == CYCLIC:
                 witnesses += 1
-                db = rule_database(verdict.witness.rho).facts
+                db = rule_database(verdict.witness.rho).body_facts()
                 tree = run_chase(rules, db, CYCLIC_BUDGET)
                 assert tree.status == BUDGET_EXHAUSTED, (rules, notion)
         if check_acyclic(rules, k=2, mode=MFA).result == TERMINATING:

@@ -8,7 +8,6 @@ import chase_sentinel
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
-    HeadDisjunct,
     Rule,
     RuleError,
     RuleSet,
@@ -154,6 +153,16 @@ def test_frontier_in_body_occurrence_order():
     assert rule.frontier == (variable("Y"), variable("X"))
 
 
+def test_existential_variables_are_the_head_variables_not_in_the_body():
+    x, y, u, v = (variable(n) for n in "XYUV")
+    rule = Rule("r1", [Atom("A", (x, y))],
+                [[Atom("B", (x, v)), Atom("C", (u, y, v))], [Atom("D", (y,))]])
+    assert [h.existential_vars for h in rule.heads] == [(v, u), ()]
+    assert [h.atoms for h in rule.heads] == [
+        (Atom("B", (x, v)), Atom("C", (u, y, v))), (Atom("D", (y,)),)]
+    assert rule.is_generating and not rule.is_deterministic
+
+
 def test_skolemized_heads_use_frontier_arguments():
     rules = bike_subset(2)
     r1 = rules.by_id["r1"]
@@ -205,19 +214,12 @@ def test_rule_construction_errors():
     x, y, u = variable("X"), variable("Y"), variable("U")
     a = constant("a")
     cases = [
-        ([Atom("A", (x,))], [HeadDisjunct((u,), (Atom("B", (x, u)),)),
-                             HeadDisjunct((), (Atom("B", (x, a)),))],
+        ([Atom("A", (x,))], [[Atom("B", (x, u))], [Atom("B", (x, a))]],
          "rule r1: rules are constant- and function-free, found a in B(?X, a)"),
-        ([Atom("A", (x,))], [HeadDisjunct((x,), (Atom("B", (x, y)),))],
-         "rule r1: existential variables must not occur in the body"),
-        ([Atom("A", (x,))], [HeadDisjunct((), (Atom("B", (x, y)),))],
-         "rule r1: head variable ?Y neither universal nor existential in "
-         "disjunct 1"),
-        ([Atom("A", (x,))], [HeadDisjunct((u,), (Atom("B", (x, u)),)),
-                             HeadDisjunct((u,), (Atom("B", (u, y)),))],
+        ([Atom("A", (x,))], [[Atom("B", (x, u))], [Atom("B", (u, y))]],
          "rule r1: existential variable reused across disjuncts"),
-        ([], [HeadDisjunct((), (Atom("B", (x,)),))], "rule r1: empty body"),
-        ([Atom("A", (x,))], [HeadDisjunct((), ())], "rule r1: empty head"),
+        ([], [[Atom("B", (x,))]], "rule r1: empty body"),
+        ([Atom("A", (x,))], [[]], "rule r1: empty head"),
     ]
     for body, heads, message in cases:
         with pytest.raises(RuleError) as err:
@@ -238,12 +240,13 @@ def test_rule_set_rejects_duplicate_ids_and_arity_clashes():
     with pytest.raises(RuleError):
         RuleSet(list(first) + list(second))
     clash = rules_from("C(X, Y) -> C(Y, X) .\n")
-    renamed = [Rule("r9", r.body, r.heads) for r in first]
+    renamed = [Rule("r9", r.body, [h.atoms for h in r.heads]) for r in first]
     merged = RuleSet(list(clash) + renamed)
     assert set(merged.by_id) == {"r1", "r9"}
     bad = rules_from("B(X, Y) -> B(Y, X) .\n")
     with pytest.raises(RuleError):
-        RuleSet(renamed + [Rule("r8", r.body, r.heads) for r in bad])
+        RuleSet(renamed + [Rule("r8", r.body, [h.atoms for h in r.heads])
+                           for r in bad])
 
 
 def test_substitution_application_and_compose():
