@@ -334,7 +334,7 @@ def extract_prefix(run: SaturationRun) -> CyclicityPrefix:
 
 def _validate_prefix(run: SaturationRun, triggers: Sequence[Trigger],
                      g: ConstantMapping) -> None:
-    facts = FactSet(triggers[0].body_facts())
+    facts = FactSet(rule_database(run.rho).body_facts())
     for pos, trigger in enumerate(triggers):
         for fact in trigger.body_facts():
             if fact not in facts:

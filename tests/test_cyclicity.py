@@ -22,6 +22,7 @@ from chase_sentinel.cyclicity import (
 from chase_sentinel.matcher import FactSet, Trigger
 from chase_sentinel.model import (
     Atom,
+    ConstantMapping,
     constant,
     db_constant,
     functional,
@@ -233,6 +234,21 @@ def test_extract_prefix_traps_corrupted_logs(bike2):
     bad = Trigger(entry.trigger.rule, {X: db_constant("Y")})
     run.provenance[1] = AppliedTrigger(bad, entry.new)
     with pytest.raises(InternalInconsistencyError):
+        extract_prefix(run)
+    # The whole log renamed to other constants replays among itself, but
+    # its seed is not the rule database.
+    run = rpc_fact_set(bike2, hc1, bike2.by_id["r1"])
+    rename = ConstantMapping({db_constant(v.name): db_constant(v.name + "_o")
+                              for v in run.rho.body_vars})
+    run.provenance = [
+        AppliedTrigger(
+            Trigger(a.trigger.rule, {v: rename.apply(t)
+                                     for v, t in a.trigger.substitution.items()}),
+            tuple(Atom(f.predicate, [rename.apply(t) for t in f.terms])
+                  for f in a.new))
+        for a in run.provenance]
+    with pytest.raises(InternalInconsistencyError,
+                       match="prefix trigger 0 is not loaded"):
         extract_prefix(run)
 
 

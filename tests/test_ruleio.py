@@ -129,13 +129,10 @@ def test_namer_disambiguates_same_variable_across_rules():
 
 def test_parser_replays_golden_fixture():
     """tests/data/parse_golden.json holds 2,000 texts and what parsing each
-    gave at commit 428532f, before the parser walked a flat token list: the
-    exact ParseError text, or the rule ids, rendered rules, facts and
-    queries. The texts are `parse_texts.texts("parse-golden", 2000)`:
+    gives: the exact ParseError text, or the rule ids, rendered rules, facts
+    and queries. The texts are `parse_texts.texts("parse-golden", 2000)`:
     mutated corpus windows, generated rule sets and token soup; running
-    tests/parse_texts.py as a script records them again. Since then one
-    re-recording changed only the 7 texts that ended where '->' or '.' was
-    expected: they said `found ''` and now say `found 'end of input'`."""
+    tests/parse_texts.py as a script records them again."""
     cases = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert len(cases) == 2000
     assert sum(not want.startswith("error: ") for _, want in cases) >= 500
