@@ -18,12 +18,19 @@ ever built there. These templates are the one statement of the
 abstraction; the pivot's own outputs are abstracted through them too.
 
 Those templates, and the comparison with the pivot's output, read a
-trigger's substitution only on its rule's frontier. A build therefore
-queues each (rule, frontier image) key once. Its seed holds every fact over
-the skeleton's constants plus the special constant (the universe U), so the
-seed's triggers are enumerated over U directly, and only those through the
-pivot's birth facts are matched. Only the resulting fixpoint as a set is
-specified, not the order in which its facts were added.
+trigger only on its rule's frontier image. A build therefore works on
+(rule, *frontier image) keys from end to end: it queues each once, and
+fills a skolem slot by one lookup of the image, since a skolem term's
+arguments are exactly the frontier. Its seed holds every fact over the
+skeleton's constants plus the special constant (the universe U), so the
+seed's keys are enumerated over U directly. Those of a rule whose
+contributed templates fill only frontier images and constants of U are
+counted as queued but never popped, since their output lies in the seed.
+Later keys come from matcher.frontier_keys, pinned to the pivot's birth
+facts and then to each new batch: it reads images straight off the facts,
+and stops at the first match when the pinned atom binds the frontier. Only
+the resulting fixpoint as a set is specified, not the order in which its
+facts were added.
 
 The fixpoint is one loop that hands out each batch of new facts, starting
 with the seed. build_over_approx drains it. An unblockability check only
@@ -47,8 +54,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .chase import HeadChoice
-from .matcher import (FactSet, Trigger, compile_query, discover, is_obsolete,
-                      query_matched)
+from .matcher import (FactSet, Trigger, compile_query, frontier_keys,
+                      is_obsolete, query_matched)
 from .model import (
     Atom,
     Constant,
@@ -58,7 +65,6 @@ from .model import (
     RuleSet,
     SkolemSymbol,
     Term,
-    Variable,
     apply_atoms,
     birth_facts,
     skeleton,
@@ -126,79 +132,75 @@ def _seed_blocks(pivot: Trigger) -> bool:
                for d in pivot.rule.heads)
 
 
-class _SkolemSlot:
-    """Head slot of a skolem term f(frontier) whose symbol f occurs in the
-    skeleton: the skeleton term when it has the frontier image as its
-    arguments, else f's replacement."""
-
-    __slots__ = ("frontier", "known", "replacement")
-
-    def __init__(self, frontier: tuple[Term, ...],
-                 known: dict[tuple[Term, ...], Term], replacement: Term):
-        self.frontier = frontier
-        self.known = known
-        self.replacement = replacement
-
-    def fill(self, sigma: Mapping[Variable, Term]) -> Term:
-        args = tuple(sigma[v] for v in self.frontier)  # type: ignore[index]
-        return self.known.get(args, self.replacement)
-
-
-# A compiled head disjunct: one (predicate, slots) pair per atom. A slot is a
-# body variable (its image is copied), a constant (the replacement of a
-# skolem symbol with no term in the skeleton) or a _SkolemSlot.
-_Shape = tuple[tuple[str, tuple[Term | _SkolemSlot, ...]], ...]
+# A compiled head disjunct: one (predicate, slots) pair per atom. A slot is
+# the position of a frontier variable in the rule's frontier image (its image
+# is copied), a constant (the replacement of a skolem symbol with no term in
+# the skeleton) or, for a skolem term f(frontier) whose symbol f occurs in the
+# skeleton, the pair (skeleton terms of f by argument tuple, f's replacement):
+# the skeleton term when it has the frontier image as its arguments, else the
+# replacement.
+_Slot = int | Term | tuple[dict[tuple[Term, ...], Term], Term]
+_Shape = tuple[tuple[str, tuple[_Slot, ...]], ...]
 
 
 def _compile_heads(rule: Rule, kind: str,
                    by_symbol: Mapping[SkolemSymbol, dict[tuple[Term, ...], Term]],
                    ) -> tuple[_Shape, ...]:
     """Every skolemized head disjunct of the rule, as abstracting slots."""
+    position = {v: i for i, v in enumerate(rule.frontier)}
     shapes = []
     for disjunct in rule.sk_heads:
         atoms = []
         for atom in disjunct:
-            slots: list[Term | _SkolemSlot] = []
+            slots: list[_Slot] = []
             for t in atom.terms:
                 if isinstance(t, FunctionalTerm):
                     replacement = uc_constant(t.symbol) if kind == UC else star()
                     known = by_symbol.get(t.symbol)
                     slots.append(replacement if known is None
-                                 else _SkolemSlot(t.args, known, replacement))
+                                 else (known, replacement))
                 else:
-                    slots.append(t)
+                    slots.append(position[t])  # type: ignore[index]
             atoms.append((atom.predicate, tuple(slots)))
         shapes.append(tuple(atoms))
     return tuple(shapes)
 
 
-def _fill(shape: _Shape, sigma: Mapping[Variable, Term]) -> tuple[Atom, ...]:
-    """The abstracted output of one compiled disjunct under sigma."""
+def _fill(shape: _Shape, image: tuple[Term, ...]) -> tuple[Atom, ...]:
+    """The abstracted output of one compiled disjunct for a frontier image."""
     return tuple([
         Atom(predicate, tuple([
-            sigma[s] if s.__class__ is Variable  # type: ignore[index]
-            else s.fill(sigma) if s.__class__ is _SkolemSlot  # type: ignore[union-attr]
+            image[s] if s.__class__ is int  # type: ignore[index]
+            else s[0].get(image, s[1]) if s.__class__ is tuple  # type: ignore[index]
             else s
             for s in slots]))
         for predicate, slots in shape])
 
 
-def _same_output(rule: Rule, sigma: Mapping[Variable, Term], disjunct: int,
+def _over_universe(shapes: Iterable[_Shape], universe: set[Term]) -> bool:
+    """Whether the shapes fill only terms of the universe from an image over
+    it: every slot is a frontier position or a constant of the universe."""
+    return all(s.__class__ is int or s.__class__ is not tuple and s in universe
+               for shape in shapes for _, slots in shape for s in slots)
+
+
+def _same_output(rule: Rule, image: tuple[Term, ...], disjunct: int,
                  pivot_out: frozenset[Atom],
                  pivot_terms: Mapping[tuple, Term]) -> bool:
-    """Whether the rule's unabstracted output of one disjunct under sigma is
-    pivot_out.
+    """Whether the rule's unabstracted output of one disjunct for a frontier
+    image is pivot_out.
 
     Skolem terms are looked up among the pivot's output terms instead of
-    being built: a term that is not one of them matches no pivot atom.
+    being built: a term that is not one of them matches no pivot atom. A
+    skolem term's arguments are the frontier, so its key is the image.
     """
+    sigma = dict(zip(rule.frontier, image))
     out = set()
     for atom in rule.sk_heads[disjunct - 1]:
         terms = []
         for t in atom.terms:
             if isinstance(t, FunctionalTerm):
-                found = pivot_terms.get(
-                    (t.symbol, tuple(sigma[v] for v in t.args)))  # type: ignore[index]
+                found = pivot_terms.get((t.symbol, image))
                 if found is None:
                     return False
                 terms.append(found)
@@ -239,13 +241,17 @@ def build_over_approx(
     the pivot's abstracted output can be excluded, and only those are
     compared exactly.
 
-    A loaded trigger's contribution and its exclusion read its substitution
-    only on the rule's frontier, so the fixpoint queues each (rule, frontier
-    image) key once per build, and builds no Trigger for it. The seed holds
-    every fact over its universe U, so every assignment of a body into U is
-    loaded: the seed's keys over U are enumerated directly, and only the
-    matches through birth facts outside U are joined. Later keys come from
-    matcher.discover pinned to each new fact. Exclusion depends only on the
+    A loaded trigger's contribution and its exclusion read it only on the
+    rule's frontier image, so the fixpoint queues each (rule, *frontier
+    image) key once per build, and builds no Trigger or substitution for
+    it. The seed holds every fact over its universe U, so every assignment
+    of a body into U is loaded: the seed's keys over U are enumerated
+    directly. A rule whose contributed shapes fill only frontier images and
+    constants of U adds nothing from those keys, so they are counted but
+    never popped. Only the matches through birth facts outside U, and then
+    through each new fact, are joined, by matcher.frontier_keys: it yields
+    keys and not substitutions, and stops at the first match when the
+    pinned atom binds the whole frontier. Exclusion depends only on the
     trigger, so the result is the least fixpoint of a monotone operator and
     does not depend on queue order; only the fact set as a set is
     specified, not its insertion order. The number of keys is returned as
@@ -270,41 +276,45 @@ def _batches(
     whole fact set), handed out once its keys over U are queued; each later
     one is what one loaded key added, handed out before its matches are
     queued. Draining the generator runs the fixpoint to its end.
+
+    The queue holds (rule, *frontier image) keys. A rule whose contributed
+    shapes (the chosen disjunct under a head choice, all of them otherwise)
+    fill only frontier images and constants of U adds nothing from a key
+    over U, since the seed holds every fact over U: its keys over U are
+    queued but never popped.
     """
     terms = skeleton(pivot, rules)
     facts, universe, births = _seed_facts(rules, terms, pivot)
-
-    # No Trigger is built: every substitution comes from U or from matching
-    # into a FactSet, which holds only ground atoms, so its check could not
-    # fail.
-    queued: set[tuple] = set()
-    queue: deque[tuple[Rule, Mapping[Variable, Term]]] = deque()
-
-    def load(pairs: Iterable[tuple[Rule, Mapping[Variable, Term]]]) -> None:
-        for rule, sigma in pairs:
-            key = (rule, *map(sigma.__getitem__, rule.frontier))
-            if key not in queued:
-                queued.add(key)
-                queue.append((rule, sigma))
-
-    load((rule, dict(zip(rule.frontier, combo))) for rule in rules
-         for combo in itertools.product(universe, repeat=len(rule.frontier)))
-    yield facts, facts, queued
-
-    # What follows is needed only past the seed, where many unblockability
-    # checks already stop.
     by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
     for t in terms:
         if isinstance(t, FunctionalTerm):
             by_symbol.setdefault(t.symbol, {})[t.args] = t
     shapes = {rule.id: _compile_heads(rule, kind, by_symbol) for rule in rules}
 
+    # No Trigger is built: every frontier image comes from U or from matching
+    # into a FactSet, which holds only ground atoms, so its check could not
+    # fail.
+    queued: set[tuple] = set()
+    queue: deque[tuple] = deque()
+    in_seed = set(universe)
+    for rule in rules:
+        keys = [(rule, *combo) for combo in
+                itertools.product(universe, repeat=len(rule.frontier))]
+        queued.update(keys)
+        contributed = shapes[rule.id]
+        if hc is not None:
+            contributed = (contributed[hc.choice(rule) - 1],)
+        if not _over_universe(contributed, in_seed):
+            queue.extend(keys)
+    yield facts, facts, queued
+
     # The pivot's outputs per disjunct, unabstracted and abstracted, and the
     # skolem terms they hold. The pivot's frontier images occur in its birth
     # facts, so they are skeleton terms and its heads fill exactly.
+    pivot_image = tuple(map(pivot.substitution.__getitem__, pivot.rule.frontier))
     raw_outs = {i: frozenset(pivot.out(i))
                 for i in range(1, pivot.rule.branching + 1)}
-    abs_outs = {i: frozenset(_fill(shape, pivot.substitution))
+    abs_outs = {i: frozenset(_fill(shape, pivot_image))
                 for i, shape in enumerate(shapes[pivot.rule.id], start=1)}
     pivot_terms = {
         (t.symbol, t.args): t
@@ -315,27 +325,28 @@ def _batches(
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
-    load(discover(rules, facts, births))
+    queue.extend(frontier_keys(rules, facts, births, queued))
     while queue:
-        rule, sigma = queue.popleft()
+        key = queue.popleft()
+        rule, image = key[0], key[1:]
         if hc is not None:
             i = hc.choice(rule)
-            contribution = _fill(shapes[rule.id][i - 1], sigma)
+            contribution = _fill(shapes[rule.id][i - 1], image)
             if contribution[0] in pivot_abs and frozenset(contribution) == pivot_abs \
-                    and _same_output(rule, sigma, i, pivot_raw, pivot_terms):
+                    and _same_output(rule, image, i, pivot_raw, pivot_terms):
                 continue
         else:
-            outs = tuple(_fill(shape, sigma) for shape in shapes[rule.id])
+            outs = tuple(_fill(shape, image) for shape in shapes[rule.id])
             if rule.id == pivot.rule.id and all(
                     frozenset(outs[i - 1]) == abs_outs[i] and
-                    _same_output(rule, sigma, i, raw_outs[i], pivot_terms)
+                    _same_output(rule, image, i, raw_outs[i], pivot_terms)
                     for i in raw_outs):
                 continue
             contribution = tuple(a for o in outs for a in o)
         new = facts.update(contribution)
         if new:
             yield facts, new, queued
-            load(discover(rules, facts, new))
+            queue.extend(frontier_keys(rules, facts, new, queued))
 
 
 # ---------------------------------------------------------------------------

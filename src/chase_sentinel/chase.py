@@ -229,6 +229,14 @@ def _expand(
         for _ in match_conjunction(query.atoms, {}, db):
             return tree, False
 
+    # A non-generating rule's outputs hold only terms of its parent's label,
+    # which the database and earlier generating outputs supplied. So only
+    # generating outputs are scanned for the term-depth budget, unless the
+    # database itself holds a term deeper than it.
+    max_term_depth = budget.max_term_depth
+    scan_all = max_term_depth is not None and any(
+        t.depth > max_term_depth for fact in seed for t in fact.terms)
+
     start = _Branch(0, db, deque(), deque())
     _discover(rules, start)
     stack: list[_Branch] = [start]
@@ -248,10 +256,11 @@ def _expand(
         if budget.max_vertices is not None and \
                 len(tree.vertices) + fanout > budget.max_vertices:
             return tree._stop(VERTICES), False
-        if budget.max_term_depth is not None:
+        if max_term_depth is not None and (
+                scan_all or trigger.rule.is_generating):
             for out in outputs:
                 for atom in out:
-                    if any(t.depth > budget.max_term_depth for t in atom.terms):
+                    if any(t.depth > max_term_depth for t in atom.terms):
                         return tree._stop(TERM_DEPTH), False
         children: list[_Branch] = []
         for i in range(1, fanout + 1):

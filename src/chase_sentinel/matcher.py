@@ -4,17 +4,26 @@ Matching is a deterministic backtracking join: atoms are ordered most
 selective first (fewest candidate facts under the bindings known at planning
 time, ties broken by source order), and candidate facts are scanned in
 insertion order, so identical inputs always enumerate substitutions in the
-same order. `discover` is the semi-naive trigger discovery behind all four
-fixpoint loops: the chase, the acyclicity check, the over-approximation
-builds and the cyclicity saturation. It enumerates in the order of the
-first three's former pin loops; the saturation sorts what it finds. No
-loop meets a (rule, substitution) pair twice, so none keeps a seen set.
+same order. `discover` is the semi-naive trigger discovery behind the
+fixpoint loops: the chase, the acyclicity check and the cyclicity
+saturation take its pairs, and the over-approximation builds its keys,
+through `frontier_keys` below. It enumerates in the order of the former
+pin loops of the chase and the acyclicity check; the saturation sorts what
+it finds. No loop meets a (rule, substitution) pair twice, so none keeps a
+seen set for pairs.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). Each such join is compiled once per rule set, on first
 use, and held by the rule set next to its body index, so it is freed with
-it. A compiled join yields the substitutions of match_conjunction(rule.body,
-base, facts), in the same order, where base maps the pinned atom to the fact.
+it. Two runners read the compiled joins. `_run_pinned`, behind `discover`,
+yields the substitutions of match_conjunction(rule.body, base, facts), in
+the same order, where base maps the pinned atom to the fact. The
+over-approximation builds read a trigger only on its rule's frontier, so
+`frontier_keys` yields (rule, *frontier image) keys instead, in the same
+first-occurrence order: it reads each image straight off the pinned fact
+and the scanned candidate, and when the pinned atom binds the whole
+frontier, it skips the join for a key already seen and otherwise stops at
+the first match.
 
 Obsolescence is stated once, per head disjunct, in `disjunct_holds`:
 `is_obsolete` asks it of every disjunct, and the chase asks it of each
@@ -32,6 +41,7 @@ binding and compares terms by identity, which interning makes exact.
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import (
@@ -50,6 +60,7 @@ __all__ = [
     "Trigger",
     "match_conjunction",
     "discover",
+    "frontier_keys",
     "disjunct_holds",
     "is_obsolete",
     "compile_query",
@@ -251,6 +262,13 @@ class _PinPlan(NamedTuple):
     its first position. Body atoms hold variables only, so these pairs are
     the whole join.
 
+    image reads a (rule, *frontier image) key off the tuple (rule, *fact
+    terms, *candidate terms): it takes the rule and then, for each frontier
+    variable in rule.frontier order, its position in the pinned fact or in
+    the scanned rest atom. It is None only when two or more rest atoms bind
+    part of the frontier. whole says whether the pinned atom binds the whole
+    frontier, so that every match of the rest gives the same image.
+
     Plans are tuples and not closures: the dozen cells of a closure per plan
     gave the garbage collector enough to scan to slow 512-1024-rule sets by
     a few percent.
@@ -264,9 +282,13 @@ class _PinPlan(NamedTuple):
     bound: tuple[tuple[int, int], ...]
     rest_repeats: tuple[tuple[int, int], ...]
     slots: tuple[tuple[Variable, int], ...]
+    image: itemgetter | None
+    whole: bool
 
 
 def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
+    """The one compiler of pinned joins: body atom idx of the rule pinned,
+    for _run_pinned's substitutions and frontier_keys' frontier images."""
     terms = rule.body[idx].terms
     where: dict[Term, int] = {}
     repeats: list[tuple[int, int]] = []
@@ -290,14 +312,33 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
                 rest_repeats.append((i, slots[t]))  # type: ignore[index]
             else:
                 slots[t] = i  # type: ignore[index]
+    whole = all(v in where for v in rule.frontier)
+    image = None
+    if whole or len(rest) == 1:
+        # Position 0 is the rule; an empty frontier's key is the rule alone.
+        positions = [1 + where[v] if v in where else 1 + len(terms) + slots[v]
+                     for v in rule.frontier]
+        image = itemgetter(0, *positions) if positions else itemgetter(slice(1))
     return _PinPlan(rule.body[idx].predicate, terms, tuple(repeats), rest,
                     key, tuple(bound), tuple(rest_repeats),
-                    tuple(slots.items()))
+                    tuple(slots.items()), image, whole)
+
+
+def _plans(rules: RuleSet, predicate: str) -> list[tuple[Rule, _PinPlan]]:
+    """The compiled joins of every body atom of the predicate, in
+    body_index order, compiled on first use and kept in rules.pinned_joins,
+    so they live and die with the rule set."""
+    plans = rules.pinned_joins.get(predicate)
+    if plans is None:
+        plans = rules.pinned_joins[predicate] = [
+            (rule, _compile_pinned(rule, idx))
+            for rule, idx in rules.body_index.get(predicate, ())]
+    return plans
 
 
 def _run_pinned(plan: _PinPlan, fact: Atom,
                 facts: FactSet) -> Iterator[dict[Variable, Term]]:
-    predicate, terms, repeats, rest, key, bound, rest_repeats, slots = plan
+    predicate, terms, repeats, rest, key, bound, rest_repeats, slots, _, _ = plan
     ft = fact.terms
     if fact.predicate != predicate or len(ft) != len(terms):
         return
@@ -342,33 +383,103 @@ def discover(
     facts), pinned to each body atom of its predicate. A pair is yielded
     at most once per call, at its first occurrence.
 
-    The chase, the acyclicity check, the over-approximation builds and the
-    cyclicity saturation take their triggers from here. Each consumes a
-    call before adding facts and then pins exactly the facts it added. A
-    pinned pair uses a fact the earlier calls never saw, and a later call
-    pins only facts this one never saw, so no pair ever comes back. The
-    pinned joins of a predicate are compiled on first use and kept in
-    rules.pinned_joins, so they live and die with the rule set.
+    The chase, the acyclicity check and the cyclicity saturation take
+    their triggers from here, and the over-approximation builds their keys
+    from its projection frontier_keys. Each consumes a call before adding
+    facts and then pins exactly the facts it added. A pinned pair uses a
+    fact the earlier calls never saw, and a later call pins only facts this
+    one never saw, so no pair ever comes back. The pinned joins are those
+    of _plans.
     """
     if new_facts is None:
         for rule in rules:
             for sub in match_conjunction(rule.body, {}, facts):
                 yield rule, sub
         return
-    joins = rules.pinned_joins
     yielded: set[tuple] = set()
     for fact in new_facts:
-        plans = joins.get(fact.predicate)
-        if plans is None:
-            plans = joins[fact.predicate] = [
-                (rule, _compile_pinned(rule, idx))
-                for rule, idx in rules.body_index.get(fact.predicate, ())]
-        for rule, plan in plans:
+        for rule, plan in _plans(rules, fact.predicate):
             for sub in _run_pinned(plan, fact, facts):
                 key = (rule, *map(sub.__getitem__, rule.body_vars))
                 if key not in yielded:
                     yielded.add(key)
                     yield rule, sub
+
+
+def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
+                  seen: set[tuple]) -> Iterator[tuple]:
+    """The (rule, *frontier image) keys of the pairs that
+    discover(rules, facts, new_facts) yields, less those in seen, in the
+    order of their first occurrence there; each is added to seen as it is
+    yielded.
+
+    This is the over-approximation builds' discovery: a build reads a
+    trigger only on its rule's frontier, so it needs the keys and not the
+    substitutions. The joins of _plans are run for keys only. Images are
+    read straight off the pinned fact and the scanned candidate, and no
+    binding is built. When the pinned atom binds the whole frontier, its
+    key is known before the join: a seen key skips the join, and otherwise
+    the first match of the rest is enough. With two or more rest atoms
+    binding part of the frontier, the matches of match_conjunction are
+    projected.
+    """
+    for fact in new_facts:
+        if fact not in facts:
+            continue
+        ft = fact.terms
+        for rule, plan in _plans(rules, fact.predicate):
+            _, terms, repeats, rest, _, _, _, _, image, whole = plan
+            if len(ft) != len(terms):
+                continue
+            for i, j in repeats:
+                if ft[i] != ft[j]:
+                    break
+            else:
+                if whole:
+                    # Every match of the rest gives this one key: a seen key
+                    # needs no join, and an unseen one only the first match.
+                    found = image((rule, *ft))  # type: ignore[misc]
+                    if found in seen or rest and next(
+                            _scan(plan, ft, facts) if len(rest) == 1 else
+                            match_conjunction(rest, dict(zip(terms, ft)), facts),
+                            None) is None:
+                        continue
+                    seen.add(found)
+                    yield found
+                elif image is None:
+                    for sub in match_conjunction(rest, dict(zip(terms, ft)), facts):
+                        found = (rule, *map(sub.__getitem__, rule.frontier))
+                        if found not in seen:
+                            seen.add(found)
+                            yield found
+                else:
+                    for ct in _scan(plan, ft, facts):
+                        found = image((rule, *ft, *ct))  # type: ignore[misc]
+                        if found not in seen:
+                            seen.add(found)
+                            yield found
+
+
+def _scan(plan: _PinPlan, ft: tuple[Term, ...],
+          facts: FactSet) -> Iterator[tuple[Term, ...]]:
+    """The terms of each candidate for a plan's one rest atom that joins the
+    pinned fact's terms ft."""
+    _, _, _, rest, key, bound, rest_repeats, _, _, _ = plan
+    atom = rest[0]
+    arity = len(atom.terms)
+    for cand in facts.candidates(atom.predicate, None if key is None else ft[key]):
+        ct = cand.terms
+        if len(ct) != arity:
+            continue
+        for i, j in bound:
+            if ct[i] != ft[j]:
+                break
+        else:
+            for i, j in rest_repeats:
+                if ct[i] != ct[j]:
+                    break
+            else:
+                yield ct
 
 
 def disjunct_holds(trigger: Trigger, disjunct: int, facts: FactSet,

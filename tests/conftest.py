@@ -252,6 +252,26 @@ def _oracle_abstract(kind: str, skel: frozenset[Term],
     return star()
 
 
+def _naive_matches(body: tuple[Atom, ...],
+                   facts: set[Atom]) -> list[dict[Variable, Term]]:
+    """Every substitution mapping the body atoms into the facts, found by a
+    nested loop over each predicate's facts, one body atom at a time."""
+    by_predicate: dict[str, list[Atom]] = {}
+    for fact in facts:
+        by_predicate.setdefault(fact.predicate, []).append(fact)
+    subs: list[dict[Variable, Term]] = [{}]
+    for atom in body:
+        extended = []
+        for sub in subs:
+            for fact in by_predicate.get(atom.predicate, ()):
+                ext = dict(sub)
+                if all(ext.setdefault(v, t) is t
+                       for v, t in zip(atom.terms, fact.terms)):
+                    extended.append(ext)
+        subs = extended
+    return subs
+
+
 def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
                       hc=None) -> set[Atom]:
     """Direct reading of the over-approximation closure, one item at a time.
@@ -259,7 +279,8 @@ def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
     kind is "star" or "uc". With hc the exclusion compares the chosen
     output against the pivot's for triggers of any rule; without it the
     head is read conjunctively and only pivot-rule triggers whose outputs
-    all coincide with the pivot's are excluded.
+    all coincide with the pivot's are excluded. Each round loads every
+    trigger whose body maps into the facts of the round before.
     """
     skel = skeleton(pivot, rules)
     uc_names = {uc_constant(s) for r in rules for s in r.sk_symbols}
@@ -283,27 +304,25 @@ def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
     changed = True
     while changed:
         changed = False
-        pool = sorted({t for a in facts for t in a.terms}, key=str)
+        derived: list[Atom] = []
         for rule in rules:
-            for combo in itertools.product(pool, repeat=len(rule.body_vars)):
-                lam = Trigger(rule, dict(zip(rule.body_vars, combo)))
-                if not all(f in facts for f in lam.body_facts()):
-                    continue
+            for sub in _naive_matches(rule.body, facts):
+                lam = Trigger(rule, sub)
                 if hc is not None:
                     out = hc.out(lam)
                     if frozenset(out) == pivot_out:
                         continue
-                    derived = [habs(a) for a in out]
+                    derived += [habs(a) for a in out]
                 else:
                     outs = lam.outputs()
                     if rule.id == pivot.rule.id and tuple(
                             frozenset(o) for o in outs) == pivot_outs:
                         continue
-                    derived = [habs(a) for o in outs for a in o]
-                for a in derived:
-                    if a not in facts:
-                        facts.add(a)
-                        changed = True
+                    derived += [habs(a) for o in outs for a in o]
+        for a in derived:
+            if a not in facts:
+                facts.add(a)
+                changed = True
     return facts
 
 

@@ -16,7 +16,8 @@ from chase_sentinel.chase import (
     run_chase,
 )
 from chase_sentinel.matcher import is_obsolete
-from chase_sentinel.model import Atom, Query, constant, functional, variable
+from chase_sentinel.model import (Atom, Query, constant, functional,
+                                  skolem_symbol, variable)
 from chase_sentinel.ruleio import parse
 
 from conftest import (hc_branch, is_loaded, label, naive_entails,
@@ -124,6 +125,24 @@ def test_max_term_depth_budget():
     assert entails(rules, [atom("A", "a")],
                    Query((atom("A", "a"),)),
                    ChaseBudget(max_term_depth=3)) == "yes"
+
+
+def test_term_depth_budget_trips_on_a_copied_deep_database_term():
+    # Only generating outputs are scanned for term depth, unless the
+    # database holds a term deeper than the budget: then a datalog rule that
+    # copies it trips the budget, and a term that no rule copies does not.
+    f = skolem_symbol("db", 1, "Y", 1)
+    deep = constant("a")
+    for _ in range(4):
+        deep = functional(f, (deep,))
+    budget = ChaseBudget(max_term_depth=3)
+    copied = run_chase(rules_from("A(X) -> B(X) .\n"), [Atom("A", (deep,))], budget)
+    assert copied.status == BUDGET_EXHAUSTED
+    assert copied.exhausted == TERM_DEPTH
+    kept = run_chase(rules_from("A(X) -> B(X) .\n"),
+                     [Atom("A", (constant("a"),)), Atom("C", (deep,))], budget)
+    assert kept.status == COMPLETE
+    assert Atom("B", (constant("a"),)) in results(kept)[0]
 
 
 def _random_instances(rng, count):

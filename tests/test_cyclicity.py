@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from chase_sentinel.model import (
     variable,
 )
 
+import bench_cyclicity
 from conftest import (bench_rule_set, bike_subset, frontier_image, is_loaded,
                       naive_rpc, random_rule_set, rematch_saturation, rules_from)
 
@@ -317,3 +319,18 @@ def test_rpc_is_the_full_enumeration():
         assert verdict.stats["saturations"] == runs, sets
         cyclic += result == CYCLIC
     assert sets == 66 and cyclic >= 12
+
+
+def test_bench_verdicts_replay_golden_fixture():
+    """tests/data/bench_cyclicity_golden.json holds the DRPC and RPC_s
+    verdicts of classify-random corpus structures 0-29 under one trigger
+    and term-depth budget, with the times cut: results, witnesses and the
+    unblockability counters. Running tests/bench_cyclicity.py as a script
+    records it again; re-record it only together with a CHANGES.md note
+    that names what changed."""
+    want = json.loads(bench_cyclicity.GOLDEN.read_text(encoding="utf-8"))
+    assert len(want) == 30
+    got = bench_cyclicity.outcomes()
+    assert sorted(got) == sorted(want)
+    for name, runs in want.items():
+        assert got[name] == runs, name

@@ -9,6 +9,7 @@ from chase_sentinel.matcher import (
     Trigger,
     compile_query,
     discover,
+    frontier_keys,
     is_obsolete,
     match_conjunction,
     query_matched,
@@ -189,6 +190,85 @@ def test_match_pinned_enumerates_like_match_conjunction():
     rules = rules_from("P(X, Y) -> R(X) .\n")
     absent = atom("P", "a", "b")
     assert match_pinned(rules.rules[0], 0, absent, FactSet()) == []
+
+
+def _frontier_branch(rule, idx, fact, facts, answer, seen):
+    """Which part of frontier_keys answers this (rule, idx), read off the
+    rule, the pinned join's answer and the keys seen before it."""
+    pinned = rule.body[idx]
+    rest = rule.body[:idx] + rule.body[idx + 1:]
+    base: dict = {}
+    if any(base.setdefault(pat, val) != val
+           for pat, val in zip(pinned.terms, fact.terms)):
+        return {"pinned repeat"}
+    if all(v in base for v in rule.frontier):
+        if (rule, *(base[v] for v in rule.frontier)) in seen:
+            return {"seen key"}
+        if not rest:
+            return {"no rest"}
+        # The runner stops at the first of several matches.
+        return {"first match"} if len(answer) > 1 else set()
+    if len(rest) > 1:
+        return {"fallback"}
+    atom = rest[0]
+    branches = {"scan"}
+    for cand in facts.candidates(atom.predicate):
+        if all(base.get(t, val) == val for t, val in zip(atom.terms, cand.terms)):
+            binding = dict(base)
+            if any(binding.setdefault(t, val) != val
+                   for t, val in zip(atom.terms, cand.terms)):
+                branches.add("rest repeat")
+    return branches
+
+
+def test_frontier_keys_project_the_pinned_joins():
+    # Per fact, the build-side runner yields the first occurrences of the
+    # (rule, *frontier image) keys of the pinned match_conjunction results,
+    # less the keys already seen, and adds them to the seen set, which is
+    # carried from fact to fact. The first rule set gives three-atom bodies
+    # whose pinned atom binds the frontier, or does not.
+    rng = random.Random(13)
+    consts = [constant(n) for n in ("a", "b", "c")]
+    long_bodies = rules_from(
+        "P(X, Y), Q(Y, Z), P(Z, X) -> R(X) .\n"
+        "P(X, Y), Q(Y, Z), Q(Z, Z) -> R(Z) .\n"
+        "Q(X, Y), P(Y, Y) -> R(X) .\n")
+    compared = 0
+    branches: set = set()
+    for i in range(160):
+        rules = long_bodies if i % 4 == 0 else random_rule_set(rng, max_rules=8)
+        facts = FactSet()
+        preds = sorted(rules.predicates.items())
+        for _ in range(rng.randint(4, 14)):
+            pred, arity = rng.choice(preds)
+            facts.add(Atom(pred, tuple(
+                rng.choice(consts) for _ in range(arity))))
+        seen: set = set()
+        for fact in list(facts):
+            known = set(seen)
+            wanted = []
+            for rule, idx in rules.body_index.get(fact.predicate, ()):
+                base: dict = {}
+                clash = any(base.setdefault(pat, val) != val
+                            for pat, val in zip(rule.body[idx].terms, fact.terms))
+                answer = [] if clash else list(
+                    match_conjunction(rule.body, base, facts))
+                branches |= _frontier_branch(rule, idx, fact, facts, answer, known)
+                for sub in answer:
+                    key = (rule, *(sub[v] for v in rule.frontier))
+                    if key not in known:
+                        known.add(key)
+                        wanted.append(key)
+                compared += 1
+            assert list(frontier_keys(rules, facts, [fact], seen)) == wanted
+            assert seen == known
+    assert compared >= 1500
+    assert branches == {"pinned repeat", "seen key", "no rest", "first match",
+                        "scan", "rest repeat", "fallback"}
+
+    # A fact that is not in the facts pins nothing.
+    rules = rules_from("P(X, Y) -> R(X) .\n")
+    assert list(frontier_keys(rules, FactSet(), [atom("P", "a", "b")], set())) == []
 
 
 def test_pinned_joins_are_freed_with_their_rule_set():
