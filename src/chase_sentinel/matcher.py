@@ -23,7 +23,7 @@ over-approximation builds read a trigger only on its rule's frontier, so
 first-occurrence order: it reads each image straight off the pinned fact
 and the scanned candidate, and when the pinned atom binds the whole
 frontier, it skips the join for a key already seen and otherwise stops at
-the first match.
+the first match. Both scan a single rest atom through `_scan`.
 
 Obsolescence is stated once, per head disjunct, in `disjunct_holds`:
 `is_obsolete` asks it of every disjunct, and the chase asks it of each
@@ -60,7 +60,6 @@ __all__ = [
     "Trigger",
     "match_conjunction",
     "discover",
-    "frontier_keys",
     "disjunct_holds",
     "is_obsolete",
     "compile_query",
@@ -338,7 +337,7 @@ def _plans(rules: RuleSet, predicate: str) -> list[tuple[Rule, _PinPlan]]:
 
 def _run_pinned(plan: _PinPlan, fact: Atom,
                 facts: FactSet) -> Iterator[dict[Variable, Term]]:
-    predicate, terms, repeats, rest, key, bound, rest_repeats, slots, _, _ = plan
+    predicate, terms, repeats, rest, _, _, _, slots, _, _ = plan
     ft = fact.terms
     if fact.predicate != predicate or len(ft) != len(terms):
         return
@@ -352,25 +351,11 @@ def _run_pinned(plan: _PinPlan, fact: Atom,
     elif len(rest) > 1:
         yield from match_conjunction(rest, dict(zip(terms, ft)), facts)
     else:
-        atom = rest[0]
-        arity = len(atom.terms)
-        for cand in facts.candidates(
-                atom.predicate, None if key is None else ft[key]):
-            ct = cand.terms
-            if len(ct) != arity:
-                continue
-            for i, j in bound:
-                if ct[i] != ft[j]:
-                    break
-            else:
-                for i, j in rest_repeats:
-                    if ct[i] != ct[j]:
-                        break
-                else:
-                    sub = dict(zip(terms, ft))
-                    for v, i in slots:
-                        sub[v] = ct[i]
-                    yield sub
+        for ct in _scan(plan, ft, facts):
+            sub = dict(zip(terms, ft))
+            for v, i in slots:
+                sub[v] = ct[i]
+            yield sub
 
 
 def discover(
@@ -463,7 +448,7 @@ def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
 def _scan(plan: _PinPlan, ft: tuple[Term, ...],
           facts: FactSet) -> Iterator[tuple[Term, ...]]:
     """The terms of each candidate for a plan's one rest atom that joins the
-    pinned fact's terms ft."""
+    pinned fact's terms ft: the scan of both _run_pinned and frontier_keys."""
     _, _, _, rest, key, bound, rest_repeats, _, _, _ = plan
     atom = rest[0]
     arity = len(atom.terms)
