@@ -22,7 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
                     entails, results, run_chase)
@@ -109,25 +109,43 @@ def _load_program(path: str) -> SourceProgram:
         raise CommandError(f"{path}: {exc}", EXIT_PARSE)
 
 
-def _merge_programs(rules_program: SourceProgram,
-                    data_program: SourceProgram | None) -> tuple[RuleSet, list[Atom]]:
-    """Combine a rules file with an optional data file.
+def _check_arities(arities: dict[str, int], where: str,
+                   atoms: Iterable[Atom]) -> None:
+    """Record each atom's predicate arity in arities; a predicate recorded
+    with another arity is a usage error that names where."""
+    for atom in atoms:
+        known = arities.setdefault(atom.predicate, atom.arity)
+        if known != atom.arity:
+            raise CommandError(
+                f"{where}: predicate {atom.predicate} used with arity "
+                f"{atom.arity}, previously {known}", EXIT_PARSE)
 
-    Both files may mix rules and facts. Rule ids are assigned per file, so
-    when the second file also holds rules its ids are shifted past the
-    first file's to keep them unique.
-    """
-    rules = list(rules_program.rules)
-    facts = list(rules_program.facts)
-    if data_program is not None:
-        extra = list(data_program.rules)
+
+def _load_rules_and_data(rules_path: str, data_path: str | None,
+                         ) -> tuple[RuleSet, list[Atom], dict[str, int]]:
+    """The rules file and the optional data file combined, with the arity
+    of every predicate they use. Both files may mix rules and facts, and a
+    predicate keeps one arity across both. Rule ids are assigned per file,
+    so the second file's rules are renumbered past the first file's when
+    their ids clash."""
+    arities: dict[str, int] = {}
+    rules: list[Rule] = []
+    facts: list[Atom] = []
+    for path in filter(None, (rules_path, data_path)):
+        program = _load_program(path)
+        _check_arities(arities, path, (
+            atom for rule in program.rules
+            for atoms in (rule.body, *(h.atoms for h in rule.heads))
+            for atom in atoms))
+        _check_arities(arities, path, program.facts)
+        extra = list(program.rules)
         if extra and any(r.id in {s.id for s in rules} for r in extra):
             offset = len(rules)
             extra = [Rule(f"r{offset + i}", r.body, [h.atoms for h in r.heads])
                      for i, r in enumerate(extra, start=1)]
         rules.extend(extra)
-        facts.extend(data_program.facts)
-    return RuleSet(rules), facts
+        facts.extend(program.facts)
+    return RuleSet(rules), facts, arities
 
 
 # ---------------------------------------------------------------------------
@@ -284,9 +302,7 @@ _BUDGET_HINTS = {VERTICES: "raise --max-vertices", DEPTH: "raise --max-depth",
 
 
 def cmd_chase(args: argparse.Namespace) -> int:
-    program = _load_program(args.rules)
-    data = _load_program(args.data) if args.data else None
-    rules, facts = _merge_programs(program, data)
+    rules, facts, _ = _load_rules_and_data(args.rules, args.data)
     budget = ChaseBudget(max_vertices=args.max_vertices, max_depth=args.max_depth)
     tree = run_chase(rules, facts, budget)
     if args.dot:
@@ -324,10 +340,9 @@ def _parse_query(text: str) -> Query:
 
 
 def cmd_entails(args: argparse.Namespace) -> int:
-    program = _load_program(args.rules)
-    data = _load_program(args.data) if args.data else None
-    rules, facts = _merge_programs(program, data)
+    rules, facts, arities = _load_rules_and_data(args.rules, args.data)
     query = _parse_query(args.query)
+    _check_arities(arities, "query", query.atoms)
     budget = ChaseBudget(max_vertices=args.max_vertices, max_depth=args.max_depth)
     print(entails(rules, facts, query, budget))
     return EXIT_OK

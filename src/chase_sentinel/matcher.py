@@ -6,24 +6,19 @@ time, ties broken by source order), and candidate facts are scanned in
 insertion order, so identical inputs always enumerate substitutions in the
 same order. `discover` is the semi-naive trigger discovery behind the
 fixpoint loops: the chase, the acyclicity check and the cyclicity
-saturation take its pairs, and the over-approximation builds its keys,
-through `frontier_keys` below. It enumerates in the order of the former
-pin loops of the chase and the acyclicity check; the saturation sorts what
-it finds. No loop meets a (rule, substitution) pair twice, so none keeps a
+saturation take its pairs, and the over-approximation builds their keys
+through `frontier_keys`. It enumerates in the order of the former pin
+loops of the chase and the acyclicity check; the saturation sorts what it
+finds. No loop meets a (rule, substitution) pair twice, so none keeps a
 seen set for pairs.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). Each such join is compiled once per rule set, on first
 use, and held by the rule set next to its body index, so it is freed with
-it. Two runners read the compiled joins. `_run_pinned`, behind `discover`,
-yields the substitutions of match_conjunction(rule.body, base, facts), in
-the same order, where base maps the pinned atom to the fact. The
-over-approximation builds read a trigger only on its rule's frontier, so
-`frontier_keys` yields (rule, *frontier image) keys instead, in the same
-first-occurrence order: it reads each image straight off the pinned fact
-and the scanned candidate, and when the pinned atom binds the whole
-frontier, it skips the join for a key already seen and otherwise stops at
-the first match. Both scan a single rest atom through `_scan`.
+it. One runner, `_pinned_keys`, reads the compiled joins and projects
+each match onto a key: (rule, *body image) for `discover`, which builds a
+substitution only for a key it has not met, and (rule, *frontier image)
+for `frontier_keys`, since a build reads a trigger only on its frontier.
 
 Obsolescence is stated once, per head disjunct, in `disjunct_holds`:
 `is_obsolete` asks it of every disjunct, and the chase asks it of each
@@ -41,6 +36,7 @@ binding and compares terms by identity, which interning makes exact.
 """
 from __future__ import annotations
 
+import functools
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -249,45 +245,47 @@ def match_conjunction(
 
 
 class _PinPlan(NamedTuple):
-    """The join of a rule's body with one body atom pinned to a fact, analysed
-    once per (rule, idx) and run by _run_pinned.
+    """The join of a rule's body with one body atom pinned to a fact,
+    analysed once per (rule, idx) and run by _pinned_keys.
 
     repeats pairs a later position of a variable of the pinned atom with its
     first. rest holds the other body atoms. A single one is scanned through
     the index, keyed on the pinned position of its first term (None when
     that term is unbound); bound pairs each later position with the pinned
-    position of its variable, rest_repeats pairs a later occurrence of an
-    unbound variable with its first, and slots gives each unbound variable
-    its first position. Body atoms hold variables only, so these pairs are
-    the whole join.
+    position of its variable, and rest_repeats pairs a later occurrence of
+    an unbound variable with its first. Body atoms hold variables only, so
+    these pairs are the whole join. Two or more rest atoms are joined by
+    match_conjunction.
 
-    image reads a (rule, *frontier image) key off the tuple (rule, *fact
-    terms, *candidate terms): it takes the rule and then, for each frontier
-    variable in rule.frontier order, its position in the pinned fact or in
-    the scanned rest atom. It is None only when two or more rest atoms bind
-    part of the frontier. whole says whether the pinned atom binds the whole
-    frontier, so that every match of the rest gives the same image.
+    frontier and body project the join onto rule.frontier and onto
+    rule.body_vars, as (image, whole) pairs. image reads a (rule, *image)
+    key off (rule, *fact terms, *match terms), the match terms being the
+    scanned candidate's or, for two or more rest atoms, the match's body
+    image. whole says whether the pinned atom binds every variable, so that
+    every match gives the key image((rule, *fact terms)).
 
     Plans are tuples and not closures: the dozen cells of a closure per plan
     gave the garbage collector enough to scan to slow 512-1024-rule sets by
     a few percent.
     """
 
-    predicate: str
     terms: tuple[Term, ...]
     repeats: tuple[tuple[int, int], ...]
     rest: tuple[Atom, ...]
     key: int | None
     bound: tuple[tuple[int, int], ...]
     rest_repeats: tuple[tuple[int, int], ...]
-    slots: tuple[tuple[Variable, int], ...]
-    image: itemgetter | None
-    whole: bool
+    frontier: tuple[itemgetter, bool]
+    body: tuple[itemgetter, bool]
+
+
+_FRONTIER = _PinPlan._fields.index("frontier")
+_BODY = _PinPlan._fields.index("body")
 
 
 def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
     """The one compiler of pinned joins: body atom idx of the rule pinned,
-    for _run_pinned's substitutions and frontier_keys' frontier images."""
+    with both projections of its matches."""
     terms = rule.body[idx].terms
     where: dict[Term, int] = {}
     repeats: list[tuple[int, int]] = []
@@ -299,7 +297,9 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
     key = None
     bound: list[tuple[int, int]] = []
     rest_repeats: list[tuple[int, int]] = []
-    slots: dict[Variable, int] = {}
+    # The position in the match terms of each variable the pinned atom
+    # leaves unbound: in the one rest atom, or else in the body image.
+    slots: dict[Term, int] = {}
     if len(rest) == 1:
         last = rest[0].terms
         key = where.get(last[0])
@@ -308,19 +308,30 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
                 if i:
                     bound.append((i, where[t]))
             elif t in slots:
-                rest_repeats.append((i, slots[t]))  # type: ignore[index]
+                rest_repeats.append((i, slots[t]))
             else:
-                slots[t] = i  # type: ignore[index]
-    whole = all(v in where for v in rule.frontier)
-    image = None
-    if whole or len(rest) == 1:
-        # Position 0 is the rule; an empty frontier's key is the rule alone.
-        positions = [1 + where[v] if v in where else 1 + len(terms) + slots[v]
-                     for v in rule.frontier]
-        image = itemgetter(0, *positions) if positions else itemgetter(slice(1))
-    return _PinPlan(rule.body[idx].predicate, terms, tuple(repeats), rest,
-                    key, tuple(bound), tuple(rest_repeats),
-                    tuple(slots.items()), image, whole)
+                slots[t] = i
+    elif rest:
+        slots = {v: i for i, v in enumerate(rule.body_vars)}
+    # Each body variable's position in (rule, *fact terms, *match terms).
+    n = len(terms)
+    pos = {v: 1 + where[v] if v in where else 1 + n + slots[v]
+           for v in rule.body_vars}
+    return _PinPlan(terms, tuple(repeats), rest, key, tuple(bound),
+                    tuple(rest_repeats),
+                    _projection(tuple([pos[v] for v in rule.frontier]), n),
+                    _projection(tuple(pos.values()), n))
+
+
+@functools.cache
+def _projection(positions: tuple[int, ...], n: int) -> tuple[itemgetter, bool]:
+    """The (image, whole) pair of a projection onto the variables at these
+    positions of (rule, *n fact terms, *match terms). Position 0 is the
+    rule, so an empty frontier's key is the rule alone. Equal pairs are
+    shared: a pair and a getter per plan gave the garbage collector enough
+    to scan to slow 512-1024-rule sets by a few percent."""
+    image = itemgetter(0, *positions) if positions else itemgetter(slice(1))
+    return image, max(positions, default=0) <= n
 
 
 def _plans(rules: RuleSet, predicate: str) -> list[tuple[Rule, _PinPlan]]:
@@ -335,121 +346,55 @@ def _plans(rules: RuleSet, predicate: str) -> list[tuple[Rule, _PinPlan]]:
     return plans
 
 
-def _run_pinned(plan: _PinPlan, fact: Atom,
-                facts: FactSet) -> Iterator[dict[Variable, Term]]:
-    predicate, terms, repeats, rest, _, _, _, slots, _, _ = plan
-    ft = fact.terms
-    if fact.predicate != predicate or len(ft) != len(terms):
-        return
-    for i, j in repeats:
-        if ft[i] != ft[j]:
-            return
-    if fact not in facts:
-        return
-    if not rest:
-        yield dict(zip(terms, ft))
-    elif len(rest) > 1:
-        yield from match_conjunction(rest, dict(zip(terms, ft)), facts)
-    else:
-        for ct in _scan(plan, ft, facts):
-            sub = dict(zip(terms, ft))
-            for v, i in slots:
-                sub[v] = ct[i]
-            yield sub
-
-
-def discover(
-    rules: RuleSet,
-    facts: FactSet,
-    new_facts: Iterable[Atom] | None = None,
-) -> Iterator[tuple[Rule, dict[Variable, Term]]]:
-    """Loaded (rule, substitution) pairs: every pair, rule by rule, when
-    new_facts is None; else each pair that uses a new fact (already in the
-    facts), pinned to each body atom of its predicate. A pair is yielded
-    at most once per call, at its first occurrence.
-
-    The chase, the acyclicity check and the cyclicity saturation take
-    their triggers from here, and the over-approximation builds their keys
-    from its projection frontier_keys. Each consumes a call before adding
-    facts and then pins exactly the facts it added. A pinned pair uses a
-    fact the earlier calls never saw, and a later call pins only facts this
-    one never saw, so no pair ever comes back. The pinned joins are those
-    of _plans.
-    """
-    if new_facts is None:
-        for rule in rules:
-            for sub in match_conjunction(rule.body, {}, facts):
-                yield rule, sub
-        return
-    yielded: set[tuple] = set()
-    for fact in new_facts:
-        for rule, plan in _plans(rules, fact.predicate):
-            for sub in _run_pinned(plan, fact, facts):
-                key = (rule, *map(sub.__getitem__, rule.body_vars))
-                if key not in yielded:
-                    yielded.add(key)
-                    yield rule, sub
-
-
-def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
-                  seen: set[tuple]) -> Iterator[tuple]:
-    """The (rule, *frontier image) keys of the pairs that
-    discover(rules, facts, new_facts) yields, less those in seen, in the
-    order of their first occurrence there; each is added to seen as it is
-    yielded.
-
-    This is the over-approximation builds' discovery: a build reads a
-    trigger only on its rule's frontier, so it needs the keys and not the
-    substitutions. The joins of _plans are run for keys only. Images are
-    read straight off the pinned fact and the scanned candidate, and no
-    binding is built. When the pinned atom binds the whole frontier, its
-    key is known before the join: a seen key skips the join, and otherwise
-    the first match of the rest is enough. With two or more rest atoms
-    binding part of the frontier, the matches of match_conjunction are
-    projected.
-    """
+def _pinned_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
+                 seen: set[tuple], projection: int) -> Iterator[tuple]:
+    """The one runner of the compiled pinned joins. For each new fact (in
+    the facts) and each plan of _plans for its predicate, it projects the
+    matches of match_conjunction(rule.body, base, facts), where base maps
+    the pinned atom to the fact, through the plan field at index
+    projection, and yields the keys not in seen, in first-occurrence order,
+    adding each to seen. Keys are read straight off the pinned fact and the
+    scanned candidate; no binding is built."""
     for fact in new_facts:
         if fact not in facts:
             continue
         ft = fact.terms
         for rule, plan in _plans(rules, fact.predicate):
-            _, terms, repeats, rest, _, _, _, _, image, whole = plan
+            terms, repeats, rest, _, _, _, _, _ = plan
             if len(ft) != len(terms):
                 continue
             for i, j in repeats:
                 if ft[i] != ft[j]:
                     break
             else:
+                image, whole = plan[projection]
                 if whole:
                     # Every match of the rest gives this one key: a seen key
                     # needs no join, and an unseen one only the first match.
-                    found = image((rule, *ft))  # type: ignore[misc]
+                    found = image((rule, *ft))
                     if found in seen or rest and next(
-                            _scan(plan, ft, facts) if len(rest) == 1 else
-                            match_conjunction(rest, dict(zip(terms, ft)), facts),
-                            None) is None:
+                            _scan(rule, plan, ft, facts), None) is None:
                         continue
                     seen.add(found)
                     yield found
-                elif image is None:
-                    for sub in match_conjunction(rest, dict(zip(terms, ft)), facts):
-                        found = (rule, *map(sub.__getitem__, rule.frontier))
-                        if found not in seen:
-                            seen.add(found)
-                            yield found
                 else:
-                    for ct in _scan(plan, ft, facts):
-                        found = image((rule, *ft, *ct))  # type: ignore[misc]
+                    for ct in _scan(rule, plan, ft, facts):
+                        found = image((rule, *ft, *ct))
                         if found not in seen:
                             seen.add(found)
                             yield found
 
 
-def _scan(plan: _PinPlan, ft: tuple[Term, ...],
+def _scan(rule: Rule, plan: _PinPlan, ft: tuple[Term, ...],
           facts: FactSet) -> Iterator[tuple[Term, ...]]:
-    """The terms of each candidate for a plan's one rest atom that joins the
-    pinned fact's terms ft: the scan of both _run_pinned and frontier_keys."""
-    _, _, _, rest, key, bound, rest_repeats, _, _, _ = plan
+    """The match terms of each match of a plan's rest atoms that joins the
+    pinned fact's terms ft: a single rest atom's candidate terms, read
+    through the index, or the body image of a match of several."""
+    terms, _, rest, key, bound, rest_repeats, _, _ = plan
+    if len(rest) > 1:
+        for sub in match_conjunction(rest, dict(zip(terms, ft)), facts):
+            yield tuple(map(sub.__getitem__, rule.body_vars))
+        return
     atom = rest[0]
     arity = len(atom.terms)
     for cand in facts.candidates(atom.predicate, None if key is None else ft[key]):
@@ -465,6 +410,41 @@ def _scan(plan: _PinPlan, ft: tuple[Term, ...],
                     break
             else:
                 yield ct
+
+
+def discover(
+    rules: RuleSet,
+    facts: FactSet,
+    new_facts: Iterable[Atom] | None = None,
+) -> Iterator[tuple[Rule, dict[Variable, Term]]]:
+    """Loaded (rule, substitution) pairs: every pair, rule by rule, when
+    new_facts is None; else each pair that uses a new fact (already in the
+    facts), pinned to each body atom of its predicate, as the
+    _pinned_keys (rule, *body image) keys under a seen set of the call's
+    own. A pair is yielded at most once per call, at its first occurrence.
+
+    The chase, the acyclicity check and the cyclicity saturation take
+    their triggers from here. Each consumes a call before adding facts and
+    then pins exactly the facts it added. A pinned pair uses a fact the
+    earlier calls never saw, and a later call pins only facts this one
+    never saw, so no pair ever comes back.
+    """
+    if new_facts is None:
+        for rule in rules:
+            for sub in match_conjunction(rule.body, {}, facts):
+                yield rule, sub
+        return
+    for key in _pinned_keys(rules, facts, new_facts, set(), _BODY):
+        rule = key[0]
+        yield rule, dict(zip(rule.body_vars, key[1:]))
+
+
+def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
+                  seen: set[tuple]) -> Iterator[tuple]:
+    """The _pinned_keys (rule, *frontier image) keys of the new facts: the
+    over-approximation builds' discovery, with the build's set of queued
+    keys as seen."""
+    return _pinned_keys(rules, facts, new_facts, seen, _FRONTIER)
 
 
 def disjunct_holds(trigger: Trigger, disjunct: int, facts: FactSet,

@@ -483,7 +483,7 @@ class RuleSet:
             for idx, atom in enumerate(rule.body):
                 self.body_index.setdefault(atom.predicate, []).append((rule, idx))
         # The compiled pinned joins of body_index, per predicate, filled on
-        # first use by matcher.discover; they are freed with the rule set.
+        # first use by matcher's runner; they are freed with the rule set.
         self.pinned_joins: dict[str, list] = {}
         self._birth_cache: dict[Term, frozenset[Atom]] = {}
 

@@ -14,6 +14,7 @@ import itertools
 import random
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,8 +30,9 @@ from chase_sentinel.chase import (
 from chase_sentinel.matcher import (
     FactSet,
     Trigger,
+    _BODY,
     _compile_pinned,
-    _run_pinned,
+    _pinned_keys,
     is_obsolete,
     match_conjunction,
 )
@@ -542,10 +544,13 @@ def satisfies(facts: FactSet, rule: Rule) -> bool:
 
 def match_pinned(rule: Rule, idx: int, fact: Atom,
                  facts: FactSet) -> list[dict[Variable, Term]]:
-    """The compiled join of the rule's body with atom idx pinned to fact,
-    compiled on the spot; `discover` runs the same joins held by the rule
-    set."""
-    return list(_run_pinned(_compile_pinned(rule, idx), fact, facts))
+    """The substitutions of the join of the rule's body with atom idx pinned
+    to fact, compiled on the spot and run alone by the runner behind
+    `discover`, under the body projection and a fresh seen set."""
+    one = SimpleNamespace(pinned_joins={
+        rule.body[idx].predicate: [(rule, _compile_pinned(rule, idx))]})
+    return [dict(zip(rule.body_vars, key[1:]))
+            for key in _pinned_keys(one, facts, [fact], set(), _BODY)]
 
 
 class NotReversibleError(ValueError):

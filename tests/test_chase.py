@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from chase_sentinel.model import (Atom, Query, constant, functional,
                                   skolem_symbol, variable)
 from chase_sentinel.ruleio import parse
 
+import chase_trees
 from conftest import (hc_branch, is_loaded, label, naive_entails,
                       perfbench_module, random_rule_set, rules_from, satisfies,
                       trace_lines)
@@ -326,3 +328,21 @@ def test_dot_and_trace_render(bike4):
 def test_facts_are_validated_against_rule_arities(bike4):
     with pytest.raises(Exception):
         run_chase(bike4, [atom("Engine", "d", "e")])
+
+
+def test_chase_trees_and_acyclicity_counts_replay_golden_fixture():
+    """tests/data/chase_trees_golden.json holds what the order of
+    matcher.discover decides: the run_chase tree of every corpus file with
+    facts and of four benchmark chase instances, vertex by vertex, and the
+    check_acyclic result, applied and facts counts and first cyclic term
+    under both modes on classify-random structures 0-29 and stratified set
+    512/1. Running tests/chase_trees.py as a script records it again;
+    re-record it only together with a CHANGES.md note that names what
+    changed."""
+    want = json.loads(chase_trees.GOLDEN.read_text(encoding="utf-8"))
+    assert len(want["chase"]) == 13 and len(want["acyclicity"]) == 31
+    got = chase_trees.outcomes()
+    for part in ("chase", "acyclicity"):
+        assert sorted(got[part]) == sorted(want[part])
+        for name, outcome in want[part].items():
+            assert got[part][name] == outcome, (part, name)

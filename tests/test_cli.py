@@ -220,6 +220,33 @@ def test_entails_query_errors_count_columns_as_typed(tmp_path, capsys, query, er
     assert capsys.readouterr().err.strip() == f"chase-sentinel: query: {error}"
 
 
+@pytest.mark.parametrize("command", ["chase", "entails"])
+@pytest.mark.parametrize("data_text, error", [
+    ("A(a, b) .\n", "predicate A used with arity 2, previously 1"),
+    ("B(X, Y) -> C(X) .\n", "predicate B used with arity 2, previously 1"),
+])
+def test_arity_clash_between_files_is_a_usage_error(tmp_path, capsys, command,
+                                                    data_text, error):
+    # Each file parses, but the two use a predicate with two arities.
+    rules = write(tmp_path, "rules.drls", "A(X) -> B(X) .\n")
+    data = write(tmp_path, "data.drls", data_text)
+    query = ["--query", "B(a)"] if command == "entails" else []
+    assert main([command, rules, data, *query]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"chase-sentinel: {data}: {error}\n"
+
+
+def test_query_arity_clash_is_a_usage_error(tmp_path, capsys):
+    rules = write(tmp_path, "rules.drls", "A(X) -> B(X) .\n")
+    data = write(tmp_path, "data.drls", "A(a) .\n")
+    assert main(["entails", rules, data, "--query", "B(a, b)"]) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "chase-sentinel: query: predicate B used with arity 2, previously 1\n"
+
+
 @pytest.mark.parametrize("command, option, value, error", [
     ("classify", "--k", "0", "must be at least 1, got 0"),
     ("batch", "--k", "0", "must be at least 1, got 0"),

@@ -12,10 +12,12 @@ import random
 
 import pytest
 
+from chase_sentinel import corpus_dir
 from chase_sentinel.chase import BUDGET_EXHAUSTED, COMPLETE, ChaseBudget, run_chase
 from chase_sentinel.cyclicity import CYCLIC, SearchBudget, check, rule_database
 from chase_sentinel.model import Atom, constant
-from chase_sentinel.termination import MFA, TERMINATING, check_acyclic
+from chase_sentinel.ruleio import parse
+from chase_sentinel.termination import MFA, RMFA_LIKE, TERMINATING, check_acyclic
 
 from conftest import random_rule_set, rules_from
 
@@ -69,6 +71,23 @@ def test_cyclic_witnesses_and_mfa_certificates_agree_with_the_chase():
     witnesses, certified = check_cyclic_and_mfa_verdicts(400)
     # the sample must exercise both halves
     assert witnesses >= 40 and certified >= 200
+
+
+def test_rmfc_regression_merged_colours_is_not_certified():
+    # rmfc-regression.drls closes from its own database, where the two
+    # starting colours sit on distinct constants, but with both on one
+    # constant every branch is infinite. A blocking rule that also blocks
+    # datalog triggers certifies the set, so it is a trap for any change to
+    # the acyclicity modes: neither may certify it, and its chase from
+    # Cl1(a), Cl2(a) must trip the budget.
+    path = corpus_dir() / "rmfc-regression.drls"
+    program = parse(path.read_text(encoding="utf-8"))
+    for mode in (RMFA_LIKE, MFA):
+        assert check_acyclic(program.rules, k=2, mode=mode).result != TERMINATING, mode
+    a = constant("a")
+    tree = run_chase(program.rules, [Atom("Cl1", (a,)), Atom("Cl2", (a,))],
+                     TERMINATING_BUDGET)
+    assert tree.status == BUDGET_EXHAUSTED
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")

@@ -5,11 +5,13 @@ import weakref
 import pytest
 
 from chase_sentinel.matcher import (
+    _BODY,
     FactSet,
     Trigger,
     compile_query,
     discover,
     frontier_keys,
+    _pinned_keys,
     is_obsolete,
     match_conjunction,
     query_matched,
@@ -269,6 +271,55 @@ def test_frontier_keys_project_the_pinned_joins():
     # A fact that is not in the facts pins nothing.
     rules = rules_from("P(X, Y) -> R(X) .\n")
     assert list(frontier_keys(rules, FactSet(), [atom("P", "a", "b")], set())) == []
+
+
+def test_body_keys_carry_seen_across_facts():
+    # discover's projection of the pinned joins, run with one seen set
+    # carried from fact to fact as one discover call carries its own: per
+    # fact, the first occurrences of the (rule, *body image) keys of the
+    # pinned match_conjunction results, less the keys already seen. When the
+    # pinned atom binds the whole body, a seen key skips the join.
+    rng = random.Random(14)
+    consts = [constant(n) for n in ("a", "b", "c")]
+    long_bodies = rules_from(
+        "P(X, Y), Q(Y, X) -> R(X) .\n"
+        "P(X, Y), Q(X, Y), P(Y, X) -> R(Y) .\n"
+        "Q(X, X), P(X, Y) -> R(X) .\n")
+    skipped = 0
+    for i in range(120):
+        rules = long_bodies if i % 4 == 0 else random_rule_set(rng, max_rules=8)
+        facts = FactSet()
+        preds = sorted(rules.predicates.items())
+        for _ in range(rng.randint(4, 14)):
+            pred, arity = rng.choice(preds)
+            facts.add(Atom(pred, tuple(
+                rng.choice(consts) for _ in range(arity))))
+        seen: set = set()
+        keys = []
+        for fact in list(facts):
+            known = set(seen)
+            wanted = []
+            for rule, idx in rules.body_index.get(fact.predicate, ()):
+                base: dict = {}
+                if any(base.setdefault(pat, val) != val
+                       for pat, val in zip(rule.body[idx].terms, fact.terms)):
+                    continue
+                if all(v in base for v in rule.body_vars) and \
+                        (rule, *(base[v] for v in rule.body_vars)) in known:
+                    skipped += 1
+                for sub in match_conjunction(rule.body, base, facts):
+                    key = (rule, *(sub[v] for v in rule.body_vars))
+                    if key not in known:
+                        known.add(key)
+                        wanted.append(key)
+            got = list(_pinned_keys(rules, facts, [fact], seen, _BODY))
+            assert got == wanted
+            assert seen == known
+            keys += got
+        # One discover call over every fact yields exactly these keys.
+        assert [(rule, *(sub[v] for v in rule.body_vars))
+                for rule, sub in discover(rules, facts, list(facts))] == keys
+    assert skipped >= 100
 
 
 def test_pinned_joins_are_freed_with_their_rule_set():
