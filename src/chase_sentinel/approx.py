@@ -488,14 +488,13 @@ def check_reversible(g: ConstantMapping, terms: Iterable[Term]) -> Reversibility
                 False, 1, f"condition 1: g is undefined on constant {t!r}")
 
     images: dict[Term, Term] = {}
+    first: dict[Term, Term] = {}  # each image's first term in domain order
     for t in domain:
-        image = g.apply(t)
-        for other, other_image in images.items():
-            if other_image == image:
-                return ReversibilityCertificate(
-                    False, 2,
-                    f"condition 2: g({other!r}) = g({t!r}) = {image!r}")
-        images[t] = image
+        image = images[t] = g.apply(t)
+        other = first.setdefault(image, t)
+        if other is not t:
+            return ReversibilityCertificate(
+                False, 2, f"condition 2: g({other!r}) = g({t!r}) = {image!r}")
 
     constant_image_subterms: set[Term] = set()
     for t in domain:

@@ -5,16 +5,15 @@ that is loaded and not obsolete for its label, a non-datalog trigger fires
 only once every datalog rule is satisfied, expansion creates one child per
 head disjunct, and triggers are consumed from FIFO queues so every loaded
 trigger is eventually applied or found obsolete on every branch (fairness).
-A trigger is tested for obsolescence when it is popped, against the label
-it would extend, and popped together with its outputs. Each disjunct's test
-is `matcher.disjunct_holds`. An existential-free disjunct's output is its
-grounded head, so that one build decides whether the disjunct holds and is
-what the child adds; skolem outputs are built only once no disjunct holds.
-Labels only grow along a branch, so a trigger found obsolete stays
-obsolete and is dropped for good, and the test at the pop is exact.
-Triggers are found by `matcher.discover`, the shared semi-naive routine:
-each child pins only the facts its disjunct added, in the enumeration order
-of the chase's former pin loop, so a branch meets each trigger once.
+A branch takes its triggers by the trigger step it shares with the
+acyclicity check: `matcher.discover` finds them, `matcher.enqueue` queues
+datalog triggers apart from the others, and `matcher.pop_active` pops the
+first trigger not obsolete for the label it would extend, datalog first,
+with the outputs its children add. Labels only grow along a branch, so a
+trigger found obsolete stays obsolete and is dropped for good, and the
+test at the pop is exact. Each child pins only the facts its disjunct
+added, new fact by new fact and, per fact, in body-index order, so a
+branch meets each trigger once.
 `run_chase` and `entails` share one expansion loop; `entails` also unifies
 each fact a child adds with the query atoms of its predicate, joins the
 other query atoms with `matcher.match_conjunction`, closes the branches
@@ -24,10 +23,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .matcher import (FactSet, Trigger, compile_query, discover,
-                      disjunct_holds, match_conjunction, query_matched)
+from .matcher import (FactSet, Queues, Trigger, compile_query, discover,
+                      enqueue, match_conjunction, pop_active, query_matched)
 from .model import Atom, Query, Rule, RuleSet
 
 __all__ = [
@@ -161,41 +160,11 @@ class _Branch:
 
     vertex: int
     facts: FactSet
-    datalog: deque[Trigger]
-    general: deque[Trigger]
+    queues: Queues
 
     def fork(self) -> "_Branch":
-        return _Branch(self.vertex, self.facts.copy(), deque(self.datalog),
-                       deque(self.general))
-
-
-def _discover(rules: RuleSet, branch: _Branch,
-              new_facts: Sequence[Atom] | None = None) -> None:
-    for rule, sub in discover(rules, branch.facts, new_facts):
-        (branch.datalog if rule.is_datalog else branch.general).append(
-            Trigger(rule, sub))
-
-
-def _next_trigger(
-        branch: _Branch) -> tuple[Trigger, list[tuple[Atom, ...]]] | None:
-    # Datalog triggers are drained first, which keeps labels datalog-closed
-    # before any non-datalog rule fires. Obsolete entries are dropped for
-    # good: labels only grow, so obsoleteness is permanent. The first active
-    # trigger comes with its outputs: an existential-free disjunct's output
-    # is its grounded head, built once for its test and its child.
-    for queue in (branch.datalog, branch.general):
-        while queue:
-            trigger = queue.popleft()
-            outputs = []
-            for i, head in enumerate(trigger.rule.heads, 1):
-                out = None if head.existential_vars else trigger.out(i)
-                if disjunct_holds(trigger, i, branch.facts, out):
-                    break
-                outputs.append(out)
-            else:
-                return trigger, [trigger.out(i) if out is None else out
-                                 for i, out in enumerate(outputs, 1)]
-    return None
+        return _Branch(self.vertex, self.facts.copy(),
+                       (deque(self.queues[0]), deque(self.queues[1])))
 
 
 def _expand(
@@ -237,13 +206,13 @@ def _expand(
     scan_all = max_term_depth is not None and any(
         t.depth > max_term_depth for fact in seed for t in fact.terms)
 
-    start = _Branch(0, db, deque(), deque())
-    _discover(rules, start)
+    start = _Branch(0, db, (deque(), deque()))
+    enqueue(start.queues, discover(rules, db))
     stack: list[_Branch] = [start]
 
     while stack:
         branch = stack.pop()
-        popped = _next_trigger(branch)
+        popped = pop_active(branch.queues, branch.facts)
         if popped is None:
             if pins is not None:
                 return tree, True
@@ -273,7 +242,7 @@ def _expand(
             if pins is not None and query_matched(pins, new, child.facts):
                 continue
             child.vertex = cv.id
-            _discover(rules, child, new)
+            enqueue(child.queues, discover(rules, child.facts, new))
             children.append(child)
         # First disjunct is explored first.
         stack.extend(reversed(children))

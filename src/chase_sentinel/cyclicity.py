@@ -47,6 +47,7 @@ from .model import (
     db_constant,
     is_cyclic,
     is_rho_cyclic,
+    new_subterms,
     skeleton,
     subterms,
 )
@@ -170,19 +171,14 @@ def _saturate(
     position = {rule.id: i for i, rule in enumerate(rules)}
 
     def record(trigger: Trigger) -> bool:
-        """Apply one trigger; returns True when a cyclic term was found."""
-        out = _out(hc, trigger)
-        new = facts.update(out)
+        """Apply one trigger; returns True when a cyclic term was found.
+        An old fact's terms were walked when it was added."""
+        new = facts.update(_out(hc, trigger))
         run.provenance.append(AppliedTrigger(trigger, tuple(new)))
-        for atom in out:
-            for arg in atom.terms:
-                for t in subterms(arg):
-                    if t in known_terms:
-                        continue
-                    known_terms.add(t)
-                    if is_rho_cyclic(t, rho):
-                        run.cyclic_term = t
-                        return True
+        for t in new_subterms(new, known_terms):
+            if is_rho_cyclic(t, rho):
+                run.cyclic_term = t
+                return True
         return False
 
     if record(seed):
@@ -194,16 +190,12 @@ def _saturate(
             run.truncated = True
             return run
         mark = len(run.provenance)
-        candidates: list[tuple[int, tuple, Trigger]] = []
-        for rule, sub in found:
-            if deterministic_only and not rule.is_deterministic:
-                continue
-            trigger = Trigger(rule, sub)
-            if rule.id == rho.id and trigger == seed:
-                continue
-            candidates.append((position[rule.id], _canon_key(trigger), trigger))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        for _, _, trigger in candidates:
+        candidates = [
+            trigger for trigger in found
+            if (trigger.rule.is_deterministic or not deterministic_only)
+            and trigger != seed]
+        candidates.sort(key=lambda t: (position[t.rule.id], _canon_key(t)))
+        for trigger in candidates:
             if deadline is not None and time.monotonic() > deadline:
                 run.truncated = True
                 return run

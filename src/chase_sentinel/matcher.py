@@ -6,11 +6,10 @@ time, ties broken by source order), and candidate facts are scanned in
 insertion order, so identical inputs always enumerate substitutions in the
 same order. `discover` is the semi-naive trigger discovery behind the
 fixpoint loops: the chase, the acyclicity check and the cyclicity
-saturation take its pairs, and the over-approximation builds their keys
-through `frontier_keys`. It enumerates in the order of the former pin
-loops of the chase and the acyclicity check; the saturation sorts what it
-finds. No loop meets a (rule, substitution) pair twice, so none keeps a
-seen set for pairs.
+saturation take its triggers, and the over-approximation builds their keys
+through `frontier_keys`. A pinned call enumerates new fact by new fact
+and, per fact, in body-index order; the saturation sorts what it finds. No
+loop meets a trigger twice, so none keeps a seen set for triggers.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). Each such join is compiled once per rule set, on first
@@ -20,10 +19,13 @@ each match onto a key: (rule, *body image) for `discover`, which builds a
 substitution only for a key it has not met, and (rule, *frontier image)
 for `frontier_keys`, since a build reads a trigger only on its frontier.
 
-Obsolescence is stated once, per head disjunct, in `disjunct_holds`:
-`is_obsolete` asks it of every disjunct, and the chase asks it of each
-disjunct of a popped trigger with the disjunct's output when that output is
-the grounded head, so the one build serves the test and the child.
+The chase and the acyclicity check share the step around it: `enqueue`
+queues datalog triggers ahead of the others, and `pop_active` pops the first
+trigger that is not obsolete, with its outputs. Obsolescence is stated
+once, per head disjunct, in `disjunct_holds`: `is_obsolete` asks it of
+every disjunct, and `pop_active` of each disjunct of a popped trigger, with
+the disjunct's output when that is the grounded head, so the one build
+serves the test and the caller.
 
 Queries are pinned too, but not compiled: `query_matched` unifies a query
 atom with each newly added fact and joins the other atoms with
@@ -37,6 +39,7 @@ binding and compares terms by identity, which interning makes exact.
 from __future__ import annotations
 
 import functools
+from collections import deque
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -54,10 +57,13 @@ from .model import (
 __all__ = [
     "FactSet",
     "Trigger",
+    "Queues",
     "match_conjunction",
     "discover",
     "disjunct_holds",
     "is_obsolete",
+    "enqueue",
+    "pop_active",
     "compile_query",
     "query_matched",
 ]
@@ -416,27 +422,27 @@ def discover(
     rules: RuleSet,
     facts: FactSet,
     new_facts: Iterable[Atom] | None = None,
-) -> Iterator[tuple[Rule, dict[Variable, Term]]]:
-    """Loaded (rule, substitution) pairs: every pair, rule by rule, when
-    new_facts is None; else each pair that uses a new fact (already in the
-    facts), pinned to each body atom of its predicate, as the
-    _pinned_keys (rule, *body image) keys under a seen set of the call's
-    own. A pair is yielded at most once per call, at its first occurrence.
+) -> Iterator[Trigger]:
+    """Loaded triggers: every trigger, rule by rule, when new_facts is
+    None; else each trigger that uses a new fact (already in the facts),
+    pinned to each body atom of its predicate, as the _pinned_keys
+    (rule, *body image) keys under a seen set of the call's own. A trigger
+    is yielded at most once per call, at its first occurrence.
 
     The chase, the acyclicity check and the cyclicity saturation take
     their triggers from here. Each consumes a call before adding facts and
-    then pins exactly the facts it added. A pinned pair uses a fact the
+    then pins exactly the facts it added. A pinned trigger uses a fact the
     earlier calls never saw, and a later call pins only facts this one
-    never saw, so no pair ever comes back.
+    never saw, so no trigger ever comes back.
     """
     if new_facts is None:
         for rule in rules:
             for sub in match_conjunction(rule.body, {}, facts):
-                yield rule, sub
+                yield Trigger(rule, sub)
         return
     for key in _pinned_keys(rules, facts, new_facts, set(), _BODY):
         rule = key[0]
-        yield rule, dict(zip(rule.body_vars, key[1:]))
+        yield Trigger(rule, dict(zip(rule.body_vars, key[1:])))
 
 
 def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
@@ -477,6 +483,38 @@ def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
         if disjunct_holds(trigger, i, facts):
             return True
     return False
+
+
+Queues = tuple[deque[Trigger], deque[Trigger]]
+
+
+def enqueue(queues: Queues, triggers: Iterable[Trigger]) -> None:
+    """Queue datalog triggers in the first queue, the others in the second."""
+    for trigger in triggers:
+        queues[not trigger.rule.is_datalog].append(trigger)
+
+
+def pop_active(queues: Queues,
+               facts: FactSet) -> tuple[Trigger, list[tuple[Atom, ...]]] | None:
+    """The first trigger, first queue first, that is not obsolete for the
+    facts, with the output of each head disjunct; None once both queues are
+    empty. Obsolete triggers are dropped for good: facts only grow. An
+    existential-free disjunct's output is built once, for its test and the
+    caller. No disjunct holds in an empty set, so there none is tested.
+    """
+    for queue in queues:
+        while queue:
+            trigger = queue.popleft()
+            outputs = []
+            for i, head in enumerate(trigger.rule.heads, 1):
+                out = None if head.existential_vars else trigger.out(i)
+                if facts and disjunct_holds(trigger, i, facts, out):
+                    break
+                outputs.append(out)
+            else:
+                return trigger, [trigger.out(i) if out is None else out
+                                 for i, out in enumerate(outputs, 1)]
+    return None
 
 
 def compile_query(atoms: Sequence[Atom]) -> dict[str, tuple[tuple[Atom, tuple[Atom, ...]], ...]]:

@@ -43,6 +43,7 @@ __all__ = [
     "apply_atom",
     "compose",
     "subterms",
+    "new_subterms",
     "is_cyclic",
     "is_k_cyclic",
     "is_rho_cyclic",
@@ -223,11 +224,22 @@ def is_reserved_name(name: str) -> bool:
 def subterms(t: Term) -> Iterator[Term]:
     """Yield t and every subterm once, in left-to-right preorder; the first
     cyclic term a saturation reports depends on this order."""
-    yield t
-    if not isinstance(t, FunctionalTerm):
-        return
-    seen: set[Term] = {t}
-    stack = list(reversed(t.args))
+    return _walk(t, set())
+
+
+def new_subterms(atoms: Iterable[Atom], known: set[Term]) -> Iterator[Term]:
+    """Yield each subterm of the atoms' arguments not in known, argument by
+    argument in the order of `subterms`, adding it to known as it is
+    yielded. known must be closed under subterms, since a known term's
+    subterms are not walked; it stays so unless the caller stops early."""
+    for atom in atoms:
+        for arg in atom.terms:
+            yield from _walk(arg, known)
+
+
+def _walk(t: Term, seen: set[Term]) -> Iterator[Term]:
+    """t's preorder, skipping each term in seen with its subterms."""
+    stack = [t]
     while stack:
         cur = stack.pop()
         if cur in seen:

@@ -12,22 +12,20 @@ when its head already matches into the derived portion of the saturation,
 the facts outside the critical seed; restriction-aware blocking keeps the
 check from drowning in the seed facts, which satisfy every head vacuously.
 The plain discipline ("mfa") never drops a trigger and is the coarser,
-unconditionally sound variant. Triggers are found by `matcher.discover`,
-the shared semi-naive routine, in the enumeration order of this check's
-former pin loop; it yields each trigger once over the whole saturation.
+unconditionally sound variant: triggers are popped, datalog first, by the
+chase's step `matcher.pop_active`, against `derived` in the default mode
+and against the empty set, where none is obsolete, in the plain one.
+`matcher.discover` finds each trigger once over the whole saturation.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .cyclicity import SearchBudget
-from .matcher import FactSet, Trigger, discover, is_obsolete
-from .model import (Atom, Rule, RuleSet, Substitution, Term, is_k_cyclic, star,
-                    subterms)
+from .matcher import FactSet, Queues, discover, enqueue, pop_active
+from .model import Atom, RuleSet, Term, is_k_cyclic, new_subterms, star
 
 __all__ = ["AcyclicityVerdict", "check_acyclic", "critical_instance",
            "RMFA_LIKE", "MFA"]
@@ -85,15 +83,10 @@ def check_acyclic(
     # belongs to the seed exactly when every argument is the special
     # constant, so seed re-derivations stay out of this set.
     derived = FactSet()
+    blocking = derived if mode == RMFA_LIKE else FactSet()
     known_terms: set[Term] = {seed_constant}
     applied = 0
-
-    datalog: deque[Trigger] = deque()
-    general: deque[Trigger] = deque()
-
-    def enqueue(found: Iterable[tuple[Rule, Substitution]]) -> None:
-        for rule, sub in found:
-            (datalog if rule.is_datalog else general).append(Trigger(rule, sub))
+    queues: Queues = (deque(), deque())
 
     def verdict(result: str, term: Term | None) -> AcyclicityVerdict:
         stats = {
@@ -104,16 +97,16 @@ def check_acyclic(
         }
         return AcyclicityVerdict(k, result, term, stats)
 
-    enqueue(discover(rules, facts))
-    while datalog or general:
+    enqueue(queues, discover(rules, facts))
+    while queues[0] or queues[1]:
         if deadline is not None and time.monotonic() > deadline:
             return verdict(RESOURCE_EXHAUSTED, None)
         if budget.max_triggers is not None and applied >= budget.max_triggers:
             return verdict(RESOURCE_EXHAUSTED, None)
-        trigger = datalog.popleft() if datalog else general.popleft()
-        if mode == RMFA_LIKE and is_obsolete(trigger, derived):
-            continue
-        output = list(itertools.chain.from_iterable(trigger.outputs()))
+        popped = pop_active(queues, blocking)
+        if popped is None:
+            break
+        output = [atom for out in popped[1] for atom in out]
         if budget.max_term_depth is not None and any(
             t.depth > budget.max_term_depth for atom in output for t in atom.terms
         ):
@@ -123,13 +116,9 @@ def check_acyclic(
         for atom in new:
             if any(t != seed_constant for t in atom.terms):
                 derived.add(atom)
-            for arg in atom.terms:
-                for t in subterms(arg):
-                    if t in known_terms:
-                        continue
-                    known_terms.add(t)
-                    if is_k_cyclic(t, k):
-                        return verdict(NOT_DETECTED, t)
+        for t in new_subterms(new, known_terms):
+            if is_k_cyclic(t, k):
+                return verdict(NOT_DETECTED, t)
         if new:
-            enqueue(discover(rules, facts, new))
+            enqueue(queues, discover(rules, facts, new))
     return verdict(TERMINATING, None)

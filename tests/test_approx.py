@@ -160,8 +160,8 @@ def test_over_approximation_matches_naive_oracle_on_bike_pivot():
 def loaded_keys(rules, facts, variables):
     """The (rule id, image) keys of the triggers loaded in the facts, with
     the image taken on rule.<variables>."""
-    return {(rule.id, tuple(sub[v] for v in getattr(rule, variables)))
-            for rule, sub in discover(rules, facts)}
+    return {(t.rule.id, tuple(t.substitution[v] for v in getattr(t.rule, variables)))
+            for t in discover(rules, facts)}
 
 
 def small_rule_sets():
@@ -416,6 +416,10 @@ def test_reversibility_condition_two(guard_rules):
     image = functional(f_v, (fu,))
     cert = check_reversible(ConstantMapping({c_x: image, c_y: image}), skel)
     assert not cert.reversible and cert.violated == 2
+    # The first term, in repr order, whose image an earlier term has, with
+    # the first such earlier term.
+    assert cert.detail == ("condition 2: g(__db_X) = g(__db_Y) = "
+                           "f[r2.1.V](f[r1.1.U](__db_X, __db_Y))")
 
 
 def test_reversibility_condition_three(cond3):

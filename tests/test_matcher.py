@@ -179,7 +179,7 @@ def test_match_pinned_enumerates_like_match_conjunction():
                     match_conjunction(rule.body, base, facts))
                 assert match_pinned(rule, idx, fact, facts) == expected
                 branches |= _pinned_branch(rule, idx, fact, facts, expected)
-                pinned += [(rule, sub) for sub in expected]
+                pinned += [Trigger(rule, sub) for sub in expected]
                 compared += 1
             # discover runs the joins the rule set holds, in body_index order,
             # and drops a pair met again through another body atom.
@@ -317,8 +317,8 @@ def test_body_keys_carry_seen_across_facts():
             assert seen == known
             keys += got
         # One discover call over every fact yields exactly these keys.
-        assert [(rule, *(sub[v] for v in rule.body_vars))
-                for rule, sub in discover(rules, facts, list(facts))] == keys
+        assert [(t.rule, *t.substitution.values())
+                for t in discover(rules, facts, list(facts))] == keys
     assert skipped >= 100
 
 
@@ -370,15 +370,15 @@ def test_is_obsolete_agrees_with_brute_force_on_random_sets():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def _key(pair):
-    rule, sub = pair
-    return rule.id, tuple(sub[v] for v in rule.body_vars)
+def _key(trigger):
+    return trigger.rule.id, tuple(trigger.substitution[v]
+                                  for v in trigger.rule.body_vars)
 
 
-def _first_occurrences(pairs):
+def _first_occurrences(triggers):
     firsts = {}
-    for pair in pairs:
-        firsts.setdefault(_key(pair), pair)
+    for trigger in triggers:
+        firsts.setdefault(_key(trigger), trigger)
     return list(firsts.values())
 
 
@@ -390,7 +390,7 @@ def test_semi_naive_discovery_equals_naive_discovery():
     consts = [constant(n) for n in ("a", "b", "c")]
 
     def pairs(found):
-        found = [_key(pair) for pair in found]
+        found = [_key(trigger) for trigger in found]
         assert len(set(found)) == len(found)
         return set(found)
 

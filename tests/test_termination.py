@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chase_sentinel.cyclicity import SearchBudget
@@ -9,7 +11,7 @@ from chase_sentinel.termination import (
     critical_instance,
 )
 
-from conftest import rules_from
+from conftest import bench_rule_set, random_rule_set, rules_from
 
 
 def test_critical_instance_covers_every_predicate(bike4):
@@ -90,3 +92,25 @@ def test_budgets_surface_as_resource_exhaustion(bike4):
         rules_from("A(X) -> R(X, Y), A(Y) .\n"),
         k=5, budget=SearchBudget(max_term_depth=3))
     assert shallow.result == "resource-exhausted"
+
+
+def test_mfa_certificate_implies_a_smaller_default_certificate():
+    # Blocking only drops triggers, so the default saturation stays inside
+    # the MFA one: when MFA reaches a fixpoint without a k-cyclic term, so
+    # does the default mode, applying no more triggers and deriving no more
+    # facts. Checked on generated sets of up to 8 rules and on the
+    # benchmark's 8-16-rule structures.
+    rng = random.Random(1)
+    sets = [random_rule_set(rng, max_rules=8) for _ in range(400)]
+    sets += [bench_rule_set(i) for i in range(60)]
+    certified = 0
+    for rules in sets:
+        coarse = check_acyclic(rules, mode=MFA)
+        if coarse.result != "terminating":
+            continue
+        certified += 1
+        fine = check_acyclic(rules, mode=RMFA_LIKE)
+        assert fine.result == "terminating", rules
+        assert fine.stats["applied"] <= coarse.stats["applied"], rules
+        assert fine.stats["facts"] <= coarse.stats["facts"], rules
+    assert certified >= 200
