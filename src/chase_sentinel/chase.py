@@ -6,14 +6,14 @@ only once every datalog rule is satisfied, expansion creates one child per
 head disjunct, and triggers are consumed from FIFO queues so every loaded
 trigger is eventually applied or found obsolete on every branch (fairness).
 A branch takes its triggers by the trigger step it shares with the
-acyclicity check: `matcher.discover` finds them, `matcher.enqueue` queues
-datalog triggers apart from the others, and `matcher.pop_active` pops the
-first trigger not obsolete for the label it would extend, datalog first,
-with the outputs its children add. Labels only grow along a branch, so a
-trigger found obsolete stays obsolete and is dropped for good, and the
-test at the pop is exact. Each child pins only the facts its disjunct
-added, new fact by new fact and, per fact, in body-index order, so a
-branch meets each trigger once.
+acyclicity check: `matcher.discover` finds their keys, `matcher.enqueue`
+queues datalog keys apart from the others, and `matcher.pop_active` builds
+the trigger of each key it pops and returns the first not obsolete for the
+label it would extend, datalog first, with the outputs its children add.
+Labels only grow along a branch, so a trigger found obsolete stays
+obsolete and is dropped for good, and the test at the pop is exact. Each
+child pins only the facts its disjunct added, new fact by new fact and,
+per fact, in body-index order, so a branch meets each trigger once.
 `run_chase` and `entails` share one expansion loop; `entails` also unifies
 each fact a child adds with the query atoms of its predicate, joins the
 other query atoms with `matcher.match_conjunction`, closes the branches

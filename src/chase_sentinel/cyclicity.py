@@ -10,10 +10,10 @@ rule. The provenance of the saturation is sliced backward into a replayable
 trigger prefix whose constant mapping can be pumped forever.
 
 A saturation runs in semi-naive rounds on `matcher.discover`: the first
-round matches every rule, each later one finds only the triggers that use a
-fact the previous round added. A round applies its new triggers sorted on
-rule position, then canonical substitution, so every witness is the one
-that re-matching every rule each round finds.
+round matches every rule, each later one finds only the keys of triggers
+that use a fact the previous round added. A round sorts its keys on rule
+position, then body image reprs, so every witness is the one that
+re-matching every rule each round finds.
 
 Three notions are provided: the full search over all head choices, the
 cheaper search over the uniform head choices hc_1..hc_b only, and the
@@ -128,10 +128,6 @@ class SaturationRun:
     truncated: bool
 
 
-def _canon_key(trigger: Trigger) -> tuple:
-    return tuple(repr(trigger.substitution[v]) for v in trigger.rule.body_vars)
-
-
 def _out(hc: HeadChoice | None, trigger: Trigger) -> tuple[Atom, ...]:
     """The trigger's output under the head choice; without one, only
     deterministic rules take part, so their one disjunct."""
@@ -155,12 +151,14 @@ def _saturate(
 
     A trigger new in a round uses a fact the previous round added, since
     every other loaded trigger was a candidate before, and discover yields
-    it in no other round. Only the seed comes back, from the opening full
-    match. Distinct terms of one rule set have distinct reprs, so the sort
-    order is total.
+    its key in no other round. Only the seed comes back, from the opening
+    full match. A round sorts keys, totally since distinct terms of one
+    rule set have distinct reprs, and builds a Trigger only for a key that
+    reaches the unblockability test.
     """
     deterministic_only = hc is None
     seed = rule_database(rho)
+    seed_key = (rho, *seed.substitution.values())
     facts = FactSet(seed.body_facts())
     run = SaturationRun(rules, rho, hc, facts, [], None, False)
     deadline = None
@@ -168,7 +166,7 @@ def _saturate(
         deadline = time.monotonic() + budget.timeout_seconds
 
     known_terms: set[Term] = set(facts.terms())
-    position = {rule.id: i for i, rule in enumerate(rules)}
+    position = {rule: i for i, rule in enumerate(rules)}
 
     def record(trigger: Trigger) -> bool:
         """Apply one trigger; returns True when a cyclic term was found.
@@ -190,31 +188,27 @@ def _saturate(
             run.truncated = True
             return run
         mark = len(run.provenance)
-        candidates = [
-            trigger for trigger in found
-            if (trigger.rule.is_deterministic or not deterministic_only)
-            and trigger != seed]
-        candidates.sort(key=lambda t: (position[t.rule.id], _canon_key(t)))
-        for trigger in candidates:
+        candidates = [key for key in found if key != seed_key and (
+            key[0].is_deterministic or not deterministic_only)]
+        candidates.sort(key=lambda k: (position[k[0]], tuple(map(repr, k[1:]))))
+        for key in candidates:
             if deadline is not None and time.monotonic() > deadline:
                 run.truncated = True
                 return run
-            image = list(trigger.substitution.values())
+            image = key[1:]
             if any(is_cyclic(t) for t in image):
                 continue
             if budget.max_term_depth is not None and \
                     any(t.depth > budget.max_term_depth for t in image):
                 run.truncated = True
                 continue
-            if injectivity_guard and trigger.rule.id == rho.id:
+            if injectivity_guard and key[0].id == rho.id:
                 if len(set(image)) != len(image):
                     continue
-            if hc is not None:
-                if not is_uc_unblockable(rules, hc, trigger, cache):
-                    continue
-            else:
-                if not is_star_unblockable(rules, trigger, cache):
-                    continue
+            trigger = Trigger.of_key(key)
+            if not (is_star_unblockable(rules, trigger, cache) if hc is None
+                    else is_uc_unblockable(rules, hc, trigger, cache)):
+                continue
             if budget.max_triggers is not None and \
                     len(run.provenance) >= budget.max_triggers:
                 run.truncated = True

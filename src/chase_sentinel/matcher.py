@@ -6,22 +6,26 @@ time, ties broken by source order), and candidate facts are scanned in
 insertion order, so identical inputs always enumerate substitutions in the
 same order. `discover` is the semi-naive trigger discovery behind the
 fixpoint loops: the chase, the acyclicity check and the cyclicity
-saturation take its triggers, and the over-approximation builds their keys
+saturation take its keys, and the over-approximation builds their own
 through `frontier_keys`. A pinned call enumerates new fact by new fact
 and, per fact, in body-index order; the saturation sorts what it finds. No
 loop meets a trigger twice, so none keeps a seen set for triggers.
+
+A trigger travels from `discover` to its pop as the key (rule, *body
+image), the image of rule.body_vars in order. Keys are read off a FactSet,
+so they are ground, and `Trigger.of_key` builds a trigger only where a
+loop reads one: at the pop, or at the saturation's unblockability test.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). Each such join is compiled once per rule set, on first
 use, and held by the rule set next to its body index, so it is freed with
 it. One runner, `_pinned_keys`, reads the compiled joins and projects
-each match onto a key: (rule, *body image) for `discover`, which builds a
-substitution only for a key it has not met, and (rule, *frontier image)
-for `frontier_keys`, since a build reads a trigger only on its frontier.
+each match onto a key: (rule, *body image) for `discover` and (rule,
+*frontier image) for `frontier_keys`, as builds read only the frontier.
 
 The chase and the acyclicity check share the step around it: `enqueue`
-queues datalog triggers ahead of the others, and `pop_active` pops the first
-trigger that is not obsolete, with its outputs. Obsolescence is stated
+queues datalog keys ahead of the others, and `pop_active` pops the first
+key whose trigger is not obsolete, with its outputs. Obsolescence is stated
 once, per head disjunct, in `disjunct_holds`: `is_obsolete` asks it of
 every disjunct, and `pop_active` of each disjunct of a popped trigger, with
 the disjunct's output when that is the grounded head, so the one build
@@ -150,6 +154,14 @@ class Trigger:
         self.rule = rule
         self.substitution = sub
 
+    @classmethod
+    def of_key(cls, key: tuple) -> "Trigger":
+        """The trigger of a ground (rule, *body image) key, unchecked."""
+        trigger = cls.__new__(cls)
+        rule = trigger.rule = key[0]
+        trigger.substitution = dict(zip(rule.body_vars, key[1:]))
+        return trigger
+
     def body_facts(self) -> tuple[Atom, ...]:
         sigma = self.substitution
         return tuple(
@@ -167,9 +179,6 @@ class Trigger:
                 for t in a.terms]))
             for a in self.rule.sk_heads[disjunct - 1]
         )
-
-    def outputs(self) -> tuple[tuple[Atom, ...], ...]:
-        return tuple(self.out(i) for i in range(1, self.rule.branching + 1))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Trigger) and other.rule.id == self.rule.id \
@@ -422,27 +431,23 @@ def discover(
     rules: RuleSet,
     facts: FactSet,
     new_facts: Iterable[Atom] | None = None,
-) -> Iterator[Trigger]:
-    """Loaded triggers: every trigger, rule by rule, when new_facts is
-    None; else each trigger that uses a new fact (already in the facts),
-    pinned to each body atom of its predicate, as the _pinned_keys
-    (rule, *body image) keys under a seen set of the call's own. A trigger
-    is yielded at most once per call, at its first occurrence.
+) -> Iterator[tuple]:
+    """The (rule, *body image) keys of the loaded triggers: every trigger,
+    rule by rule, when new_facts is None; else each trigger that uses a new
+    fact (already in the facts), pinned to each body atom of its predicate,
+    as _pinned_keys finds them under a seen set of the call's own. A key is
+    yielded at most once per call, at its first occurrence.
 
-    The chase, the acyclicity check and the cyclicity saturation take
-    their triggers from here. Each consumes a call before adding facts and
-    then pins exactly the facts it added. A pinned trigger uses a fact the
-    earlier calls never saw, and a later call pins only facts this one
-    never saw, so no trigger ever comes back.
+    The chase, the acyclicity check and the cyclicity saturation each
+    consume a call before adding facts and then pin exactly the facts they
+    added. A pinned trigger uses a fact the earlier calls never saw, and a
+    later call pins only facts this one never saw, so no key comes back.
     """
     if new_facts is None:
-        for rule in rules:
-            for sub in match_conjunction(rule.body, {}, facts):
-                yield Trigger(rule, sub)
-        return
-    for key in _pinned_keys(rules, facts, new_facts, set(), _BODY):
-        rule = key[0]
-        yield Trigger(rule, dict(zip(rule.body_vars, key[1:])))
+        return ((rule, *map(sub.__getitem__, rule.body_vars))
+                for rule in rules
+                for sub in match_conjunction(rule.body, {}, facts))
+    return _pinned_keys(rules, facts, new_facts, set(), _BODY)
 
 
 def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
@@ -485,26 +490,26 @@ def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
     return False
 
 
-Queues = tuple[deque[Trigger], deque[Trigger]]
+Queues = tuple[deque[tuple], deque[tuple]]
 
 
-def enqueue(queues: Queues, triggers: Iterable[Trigger]) -> None:
-    """Queue datalog triggers in the first queue, the others in the second."""
-    for trigger in triggers:
-        queues[not trigger.rule.is_datalog].append(trigger)
+def enqueue(queues: Queues, keys: Iterable[tuple]) -> None:
+    """Queue datalog keys in the first queue, the others in the second."""
+    for key in keys:
+        queues[not key[0].is_datalog].append(key)
 
 
 def pop_active(queues: Queues,
                facts: FactSet) -> tuple[Trigger, list[tuple[Atom, ...]]] | None:
-    """The first trigger, first queue first, that is not obsolete for the
-    facts, with the output of each head disjunct; None once both queues are
-    empty. Obsolete triggers are dropped for good: facts only grow. An
-    existential-free disjunct's output is built once, for its test and the
-    caller. No disjunct holds in an empty set, so there none is tested.
+    """The trigger of the first key, first queue first, that is not
+    obsolete for the facts, with the output of each head disjunct; None
+    once both queues are empty. Obsolete keys are dropped for good: facts
+    only grow. An existential-free disjunct's output is built once, for its
+    test and the caller. No disjunct holds in an empty set, so none is.
     """
     for queue in queues:
         while queue:
-            trigger = queue.popleft()
+            trigger = Trigger.of_key(queue.popleft())
             outputs = []
             for i, head in enumerate(trigger.rule.heads, 1):
                 out = None if head.existential_vars else trigger.out(i)

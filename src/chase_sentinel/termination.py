@@ -12,10 +12,10 @@ when its head already matches into the derived portion of the saturation,
 the facts outside the critical seed; restriction-aware blocking keeps the
 check from drowning in the seed facts, which satisfy every head vacuously.
 The plain discipline ("mfa") never drops a trigger and is the coarser,
-unconditionally sound variant: triggers are popped, datalog first, by the
-chase's step `matcher.pop_active`, against `derived` in the default mode
-and against the empty set, where none is obsolete, in the plain one.
-`matcher.discover` finds each trigger once over the whole saturation.
+unconditionally sound variant: `matcher.discover` finds each trigger's key
+once per saturation, and the chase's step `matcher.pop_active` pops keys,
+datalog first, testing their triggers against `derived` in the default
+mode and against the empty set, where none is obsolete, in the plain one.
 """
 from __future__ import annotations
 

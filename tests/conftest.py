@@ -301,7 +301,7 @@ def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
     if hc is not None:
         pivot_out = frozenset(hc.out(pivot))
     else:
-        pivot_outs = tuple(frozenset(o) for o in pivot.outputs())
+        pivot_outs = tuple(frozenset(o) for o in outputs(pivot))
 
     changed = True
     while changed:
@@ -316,7 +316,7 @@ def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
                         continue
                     derived += [habs(a) for a in out]
                 else:
-                    outs = lam.outputs()
+                    outs = outputs(lam)
                     if rule.id == pivot.rule.id and tuple(
                             frozenset(o) for o in outs) == pivot_outs:
                         continue
@@ -522,6 +522,11 @@ def trace_lines(tree: ChaseTree) -> list[str]:
 
 def frontier_image(trigger: Trigger) -> tuple[Term, ...]:
     return tuple(trigger.substitution[v] for v in trigger.rule.frontier)
+
+
+def outputs(trigger: Trigger) -> tuple[tuple[Atom, ...], ...]:
+    """The output of every head disjunct, in order."""
+    return tuple(trigger.out(i) for i in range(1, trigger.rule.branching + 1))
 
 
 def map_atom(g: ConstantMapping, atom: Atom) -> Atom:

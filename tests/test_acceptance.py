@@ -5,6 +5,7 @@ exact chase results on the bundled rule families through the randomized
 theorem-shaped property suites. Golden values are spelled out inline so a
 regression points straight at the guarantee it broke.
 """
+import functools
 import itertools
 import random
 import time
@@ -62,6 +63,7 @@ from chase_sentinel.model import (
 from chase_sentinel.termination import MFA, TERMINATING, check_acyclic
 
 from conftest import (
+    bench_rule_set,
     bike_subset,
     is_loaded,
     map_atom,
@@ -249,6 +251,27 @@ def _all_head_choices(rules):
         yield HeadChoice(rules, dict(zip(ids, combo)))
 
 
+def _assert_witness_grows(prefix, i):
+    """Clause (d): three unrolls of the witness replay loaded from the
+    pivot's rule database, and the deepest term of each block is deeper
+    than the one before."""
+    rolled = unroll_prefix(prefix, 3)
+    block = len(prefix.triggers) - 1
+    assert len(rolled) == 1 + 3 * block
+    replay = FactSet(rule_database(prefix.rho).body_facts())
+    for lam in rolled:
+        assert is_loaded(lam, replay), f"set {i}: replay not loaded"
+        replay.update(prefix.hc.out(lam) if prefix.hc is not None
+                      else lam.out(1))
+    maxes = [
+        max(max(t.depth for t in lam.substitution.values())
+            for lam in rolled[1 + j * block:1 + (j + 1) * block])
+        for j in range(3)
+    ]
+    assert maxes[0] < maxes[1] < maxes[2], \
+        f"set {i}: term depth not strictly growing: {maxes}"
+
+
 def test_criterion_09_theorem_shaped_property_suites():
     t0 = time.monotonic()
     rng = random.Random(424242)
@@ -292,25 +315,9 @@ def test_criterion_09_theorem_shaped_property_suites():
 
         # (d) every witness prefix replays loaded and keeps growing
         for verdict in (rpcs, drpc):
-            prefix = verdict.witness
-            if prefix is None:
-                continue
-            witnesses += 1
-            rolled = unroll_prefix(prefix, 3)
-            block = len(prefix.triggers) - 1
-            assert len(rolled) == 1 + 3 * block
-            replay = FactSet(rule_database(prefix.rho).body_facts())
-            for lam in rolled:
-                assert is_loaded(lam, replay), f"set {i}: replay not loaded"
-                replay.update(prefix.hc.out(lam) if prefix.hc is not None
-                              else lam.out(1))
-            maxes = [
-                max(max(t.depth for t in lam.substitution.values())
-                    for lam in rolled[1 + j * block:1 + (j + 1) * block])
-                for j in range(3)
-            ]
-            assert maxes[0] < maxes[1] < maxes[2], \
-                f"set {i}: term depth not strictly growing: {maxes}"
+            if verdict.witness is not None:
+                witnesses += 1
+                _assert_witness_grows(verdict.witness, i)
 
     elapsed = time.monotonic() - t0
     assert cases >= 500
@@ -322,6 +329,56 @@ def test_criterion_09_theorem_shaped_property_suites():
     assert witnesses >= 50
     assert mfa_terminating >= 300
     assert rmfa_terminating >= 400
+
+
+@functools.cache
+def _bench_verdicts():
+    """DRPC, RPC_s, mfa and rmfa-like verdicts of classify-random
+    structures 0-89, under criterion 09's budget; one pass shared by the
+    two tests below."""
+    budget = SearchBudget(max_triggers=300, max_term_depth=4)
+    out = []
+    for i in range(90):
+        rules = bench_rule_set(i)
+        out.append((i, check(rules, "DRPC", budget=budget),
+                    check(rules, "RPC_s", budget=budget),
+                    check_acyclic(rules, k=2, mode=MFA),
+                    check_acyclic(rules, k=2)))
+    return out
+
+
+def test_criterion_09_suites_on_benchmark_structures():
+    drpc_cyclic = rpcs_cyclic = mfa_terminating = witnesses = 0
+    for i, drpc, rpcs, mfa, _ in _bench_verdicts():
+        # (b) a deterministic-rule certificate is also a head-choice one
+        if drpc.result == CYCLIC:
+            drpc_cyclic += 1
+            assert rpcs.result == CYCLIC, f"set {i}: DRPC cyclic, RPC_s not"
+        rpcs_cyclic += rpcs.result == CYCLIC
+        # (c) in mfa mode, a proof of termination never meets a cyclic one
+        if mfa.result == TERMINATING:
+            mfa_terminating += 1
+            assert CYCLIC not in (rpcs.result, drpc.result), \
+                f"set {i}: mfa terminating and cyclic"
+        # (d) every witness prefix replays loaded and keeps growing
+        for verdict in (rpcs, drpc):
+            if verdict.witness is not None:
+                witnesses += 1
+                _assert_witness_grows(verdict.witness, i)
+    assert drpc_cyclic >= 20
+    assert rpcs_cyclic >= 50
+    assert mfa_terminating >= 5
+    assert witnesses >= 70
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_criterion_09_rmfa_like_clause_on_benchmark_structures():
+    # (c) in the mode classify runs; structure 54 is judged both
+    # rmfa-like terminating and cyclic.
+    for i, drpc, rpcs, _, rmfa in _bench_verdicts():
+        assert not (rmfa.result == TERMINATING and
+                    CYCLIC in (rpcs.result, drpc.result)), \
+            f"set {i}: rmfa-like terminating and cyclic"
 
 
 def test_criterion_10_oracle_equivalence(monkeypatch):

@@ -160,8 +160,11 @@ def test_over_approximation_matches_naive_oracle_on_bike_pivot():
 def loaded_keys(rules, facts, variables):
     """The (rule id, image) keys of the triggers loaded in the facts, with
     the image taken on rule.<variables>."""
-    return {(t.rule.id, tuple(t.substitution[v] for v in getattr(t.rule, variables)))
-            for t in discover(rules, facts)}
+    keys = set()
+    for rule, *image in discover(rules, facts):
+        sub = dict(zip(rule.body_vars, image))
+        keys.add((rule.id, tuple(sub[v] for v in getattr(rule, variables))))
+    return keys
 
 
 def small_rule_sets():

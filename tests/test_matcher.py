@@ -1,19 +1,23 @@
 import gc
 import random
 import weakref
+from collections import deque
 
 import pytest
 
+from chase_sentinel import matcher
 from chase_sentinel.matcher import (
     _BODY,
     FactSet,
     Trigger,
     compile_query,
     discover,
+    enqueue,
     frontier_keys,
     _pinned_keys,
     is_obsolete,
     match_conjunction,
+    pop_active,
     query_matched,
 )
 from chase_sentinel.chase import entails
@@ -21,7 +25,8 @@ from chase_sentinel.model import (Atom, Query, RuleError, constant, functional,
                                   skolem_symbol, variable)
 
 from conftest import (bike_subset, frontier_image, is_loaded, match_pinned,
-                      oracle_obsolete, random_rule_set, rules_from, satisfies)
+                      oracle_obsolete, outputs, random_rule_set, rules_from,
+                      satisfies)
 
 
 def atom(pred, *names):
@@ -86,7 +91,7 @@ def test_trigger_outputs_and_frontier_image():
     assert lam.body_facts() == (atom("Engine", "d"),)
     assert lam.out(1) == (Atom("IsIn", (d, fvd)), Atom("Bike", (fvd,)))
     assert lam.out(2) == (atom("Spare", "d"),)
-    assert lam.outputs() == (lam.out(1), lam.out(2))
+    assert outputs(lam) == (lam.out(1), lam.out(2))
     assert frontier_image(lam) == (d,)
 
 
@@ -179,11 +184,12 @@ def test_match_pinned_enumerates_like_match_conjunction():
                     match_conjunction(rule.body, base, facts))
                 assert match_pinned(rule, idx, fact, facts) == expected
                 branches |= _pinned_branch(rule, idx, fact, facts, expected)
-                pinned += [Trigger(rule, sub) for sub in expected]
+                pinned += [(rule, *(sub[v] for v in rule.body_vars))
+                           for sub in expected]
                 compared += 1
             # discover runs the joins the rule set holds, in body_index order,
             # and drops a pair met again through another body atom.
-            assert list(discover(rules, facts, [fact])) == _first_occurrences(pinned)
+            assert list(discover(rules, facts, [fact])) == list(dict.fromkeys(pinned))
     assert compared >= 1500
     assert branches == {"no rest", "all-bound scan hit", "all-bound scan miss",
                         "scan", "bound scan", "pinned repeat", "rest repeat",
@@ -317,9 +323,42 @@ def test_body_keys_carry_seen_across_facts():
             assert seen == known
             keys += got
         # One discover call over every fact yields exactly these keys.
-        assert [(t.rule, *t.substitution.values())
-                for t in discover(rules, facts, list(facts))] == keys
+        assert list(discover(rules, facts, list(facts))) == keys
     assert skipped >= 100
+
+
+def test_pop_active_pops_datalog_keys_first_and_drops_obsolete_ones(monkeypatch):
+    rules = rules_from(
+        "B(X) -> C(X, Y) .\n"
+        "A(X) -> D(X) | E(X, Y) .\n"
+        "A(X) -> B(X) .\n")
+    r1, r2, r3 = rules.rules
+    a, b = constant("a"), constant("b")
+    facts = FactSet([atom("A", "a"), atom("A", "b"), atom("B", "a"),
+                     atom("C", "a", "c"), atom("D", "b")])
+    keys = list(discover(rules, facts))
+    assert keys == [(r1, a), (r2, a), (r2, b), (r3, a), (r3, b)]
+
+    def pops(facts, expected):
+        queues = (deque(), deque())
+        enqueue(queues, keys)
+        for key in expected:
+            trigger, outs = pop_active(queues, facts)
+            rule = key[0]
+            assert trigger == Trigger(rule, dict(zip(rule.body_vars, key[1:])))
+            assert outs == [trigger.out(i) for i in range(1, rule.branching + 1)]
+        assert pop_active(queues, facts) is None
+        assert not queues[0] and not queues[1]
+
+    # Datalog keys first. B(a) makes r3's key on a obsolete, C(a, c) r1's
+    # and D(b) r2's on b: each is dropped and never returned.
+    pops(facts, [(r3, b), (r2, a)])
+
+    def no_test(*args):
+        raise AssertionError("a disjunct was tested against the empty set")
+
+    monkeypatch.setattr(matcher, "disjunct_holds", no_test)
+    pops(FactSet(), [(r3, a), (r3, b), (r1, a), (r2, a), (r2, b)])
 
 
 def test_pinned_joins_are_freed_with_their_rule_set():
@@ -370,18 +409,6 @@ def test_is_obsolete_agrees_with_brute_force_on_random_sets():
     assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
-def _key(trigger):
-    return trigger.rule.id, tuple(trigger.substitution[v]
-                                  for v in trigger.rule.body_vars)
-
-
-def _first_occurrences(triggers):
-    firsts = {}
-    for trigger in triggers:
-        firsts.setdefault(_key(trigger), trigger)
-    return list(firsts.values())
-
-
 def test_semi_naive_discovery_equals_naive_discovery():
     # Pairs over old facts plus pairs pinned to the new ones cover every
     # pair over all facts, and nothing else. No call yields a pair twice,
@@ -390,7 +417,7 @@ def test_semi_naive_discovery_equals_naive_discovery():
     consts = [constant(n) for n in ("a", "b", "c")]
 
     def pairs(found):
-        found = [_key(trigger) for trigger in found]
+        found = list(found)
         assert len(set(found)) == len(found)
         return set(found)
 
