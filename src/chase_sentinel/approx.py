@@ -32,6 +32,32 @@ and stops at the first match when the pinned atom binds the frontier. Only
 the resulting fixpoint as a set is specified, not the order in which its
 facts were added.
 
+A popped key is run once per contributed image. Its read positions are the
+frontier positions that the rule's contributed templates copy: the chosen
+one under a head choice, all of them otherwise. Two keys that agree there
+fill identical facts and get the same exclusion decision, unless the rule
+is the pivot's (exclusion compares raw skolem outputs, which read the whole
+frontier) or a contributed slot looks the image up in the skeleton; those
+rules are read on the whole image. Another rule's skolem symbols are never
+the pivot's, so its raw output never equals the pivot's when it holds a
+skolem term.
+
+The star build answers a unique-constants (UC) question when it can. Let h
+send every per-symbol constant c_f to the special constant and fix every
+other term. When the pivot's skeleton holds neither constant, h maps the
+UC fixpoint, under any head choice or none, into the conjunctive star
+fixpoint. Both builds have the same seed and birth facts, which h fixes,
+and h(UC fill) lies in the star fill of h(image) slot by slot: a frontier
+slot copies the image, c_f becomes the special constant, and a skeleton
+lookup hits for an image iff it hits for h(image), since skeleton
+arguments hold neither constant.
+Conjunctive star excludes h(k) only if h(k)'s raw output is the pivot's;
+then k agrees with h(k) on the positions that output reads, so the UC build
+excludes k too. So a pivot obsolete for the UC fixpoint is obsolete for
+the star one, and a star-unblockable pivot is UC-unblockable. The star
+build is several times cheaper and serves every head choice, so a UC
+question asks it first and builds under UC only when star blocks.
+
 The fixpoint is one loop that hands out each batch of new facts, starting
 with the seed. build_over_approx drains it. An unblockability check only
 asks whether the pivot is obsolete for the fixpoint, and stops at the
@@ -57,6 +83,8 @@ from .chase import HeadChoice
 from .matcher import (FactSet, Trigger, compile_query, frontier_keys,
                       is_obsolete, query_matched)
 from .model import (
+    STAR_NAME,
+    UC_PREFIX,
     Atom,
     Constant,
     ConstantMapping,
@@ -282,6 +310,13 @@ def _batches(
     fill only frontier images and constants of U adds nothing from a key
     over U, since the seed holds every fact over U: its keys over U are
     queued but never popped.
+
+    A popped key is skipped when (rule, *image at the read positions) was
+    popped before: the read positions are the frontier positions that the
+    contributed shapes copy. Keys that agree there fill the same facts and
+    get the same exclusion decision. The pivot's rule and a rule with a
+    contributed slot that looks the image up in the skeleton read the whole
+    image, so each of their keys is run; `queued` still counts every key.
     """
     terms = skeleton(pivot, rules)
     facts, universe, births = _seed_facts(rules, terms, pivot)
@@ -297,6 +332,8 @@ def _batches(
     queued: set[tuple] = set()
     queue: deque[tuple] = deque()
     in_seed = set(universe)
+    # The read positions of the rules that read less than the whole image.
+    reads: dict[str, list[int]] = {}
     for rule in rules:
         keys = [(rule, *combo) for combo in
                 itertools.product(universe, repeat=len(rule.frontier))]
@@ -306,6 +343,11 @@ def _batches(
             contributed = (contributed[hc.choice(rule) - 1],)
         if not _over_universe(contributed, in_seed):
             queue.extend(keys)
+        slots = [s for shape in contributed for _, atom in shape for s in atom]
+        read = sorted({s for s in slots if s.__class__ is int})
+        if len(read) < len(rule.frontier) and rule.id != pivot.rule.id and \
+                not any(s.__class__ is tuple for s in slots):
+            reads[rule.id] = read  # type: ignore[assignment]
     yield facts, facts, queued
 
     # The pivot's outputs per disjunct, unabstracted and abstracted, and the
@@ -326,9 +368,16 @@ def _batches(
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
     queue.extend(frontier_keys(rules, facts, births, queued))
+    popped: set[tuple] = set()
     while queue:
         key = queue.popleft()
         rule, image = key[0], key[1:]
+        read = reads.get(rule.id)
+        if read is not None:
+            contributed_image = (rule, *map(image.__getitem__, read))
+            if contributed_image in popped:
+                continue
+            popped.add(contributed_image)
         if hc is not None:
             i = hc.choice(rule)
             contribution = _fill(shapes[rule.id][i - 1], image)
@@ -361,8 +410,12 @@ class UnblockabilityCache:
     on its rule's frontier. So entries are keyed by the constant-canonical
     shape of the frontier image. `hits` counts answers served from the memo,
     `builds` the over-approximations started to answer the rest that the
-    seed does not block outright, and `triggers` the keys those builds
-    queued until their answer was known.
+    seed does not block outright, one per (abstraction, head choice,
+    frontier shape), `triggers` the keys those builds queued until their
+    answer was known, and `star_answers` the unique-constants questions
+    that the star question for the same trigger answered. A star question
+    asked on behalf of a unique-constants one counts as any other: a hit or
+    a build.
     """
 
     def __init__(self) -> None:
@@ -370,6 +423,13 @@ class UnblockabilityCache:
         self.hits = 0
         self.builds = 0
         self.triggers = 0
+        self.star_answers = 0
+
+    def counts(self) -> dict[str, int]:
+        """The counters under the names of cyclicity.check's stats."""
+        return {"approx_builds": self.builds, "approx_triggers": self.triggers,
+                "unblockability_cache_hits": self.hits,
+                "unblockability_star_answers": self.star_answers}
 
     @staticmethod
     def _shape(t: Term, renaming: dict[Constant, int]) -> object:
@@ -392,6 +452,14 @@ class UnblockabilityCache:
         return (kind, sig, trigger.rule.id, shape)
 
 
+def _holds_abstract_constants(trigger: Trigger, rules: RuleSet) -> bool:
+    """Whether the trigger's skeleton holds the special constant or a
+    per-symbol constant."""
+    return any(t.__class__ is Constant and
+               (t.name == STAR_NAME or t.name.startswith(UC_PREFIX))
+               for t in skeleton(trigger, rules))
+
+
 def _is_unblockable(
     rules: RuleSet,
     kind: str,
@@ -412,6 +480,17 @@ def _is_unblockable(
     existential variables left free, as a query.
 
     A trigger the seed blocks (_seed_blocks) is answered without a build.
+
+    A UC question is first asked as the conjunctive star question for the
+    same trigger, under no head choice, and a star-unblockable trigger is
+    UC-unblockable: the map h that sends every per-symbol constant to the
+    special constant and fixes every other term sends the UC fixpoint into
+    the star one, and a pivot obsolete for the first is obsolete for the
+    second (see the module docstring). Only when star blocks is the UC
+    build run. The argument needs h to fix the pivot's skeleton and a
+    collapsed image to hit no skeleton lookup that the image misses, so
+    the step is taken only for a skeleton that holds neither the special
+    constant nor a per-symbol constant; saturation triggers never do.
     """
     if trigger.rule.is_datalog:
         return True
@@ -422,6 +501,11 @@ def _is_unblockable(
     if _seed_blocks(trigger):
         cache.entries[key] = False
         return False
+    if kind == UC and not _holds_abstract_constants(trigger, rules) and \
+            _is_unblockable(rules, STAR, None, trigger, cache):
+        cache.star_answers += 1
+        cache.entries[key] = True
+        return True
     queries = [compile_query(apply_atoms(trigger.substitution, d.atoms))
                for d in trigger.rule.heads]
     steps = _batches(rules, trigger, kind, hc)

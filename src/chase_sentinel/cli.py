@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
+from .approx import UnblockabilityCache
 from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
                     entails, results, run_chase)
 from .cyclicity import (
@@ -231,14 +232,16 @@ def _report_json(report: ClassificationReport, namer: Namer) -> dict:
 def _run_stages(rules: RuleSet, stages: Sequence[str], k: int,
                 deadline: float | None, term_depth: int) -> Iterator:
     """Run the stages in order and yield each one's verdict; each stage
-    gets the time left before the deadline, but at least 1 ms."""
+    gets the time left before the deadline, but at least 1 ms. The
+    cyclicity stages share one unblockability cache."""
+    cache = UnblockabilityCache()
     for stage in stages:
         remaining = None if deadline is None else max(0.001, deadline - time.monotonic())
         budget = SearchBudget(max_term_depth=term_depth, timeout_seconds=remaining)
         if stage == "acyclic":
             verdict = check_acyclic(rules, k, budget)
         else:
-            verdict = check(rules, stage, budget)
+            verdict = check(rules, stage, budget, cache=cache)
         log.info("%s: %s", stage, verdict.result)
         yield verdict
 

@@ -19,7 +19,8 @@ Three notions are provided: the full search over all head choices, the
 cheaper search over the uniform head choices hc_1..hc_b only, and the
 deterministic-rules-only search with the coarser star abstraction. `check`
 runs each as one loop that saturates every (head choice, pivot) pair of the
-notion's family in order, with one unblockability cache for the whole loop.
+notion's family in order, with one unblockability cache for the whole loop,
+or for every stage of a classify run when the caller passes one.
 """
 from __future__ import annotations
 
@@ -396,11 +397,16 @@ def check(
     rules: RuleSet,
     notion: str,
     budget: SearchBudget | None = None,
+    *,
+    cache: UnblockabilityCache | None = None,
 ) -> Verdict:
     """Run one never-termination notion over every eligible pivot rule.
 
     Each (head choice, pivot) pair gets one saturation, in the notion's
-    order, and all of them share one unblockability cache. DRPC takes the
+    order, and all of them share one unblockability cache: `cache`, or a
+    fresh one. `classify` and `batch` pass one cache to every stage of a
+    run, so RPC_s reads the star answers that DRPC built; the unblockability
+    counters in `stats` count only this call's work. DRPC takes the
     deterministic generating rules in rule order with no head choice. RPC_s
     takes hc_1..hc_b in turn, and RPC every head choice lexicographically in
     rule order, each with every generating rule in rule order. The first
@@ -415,7 +421,8 @@ def check(
         raise ValueError(f"unknown notion {notion!r}")
     budget = budget or SearchBudget()
     start = time.monotonic()
-    cache = UnblockabilityCache()
+    cache = UnblockabilityCache() if cache is None else cache
+    before = cache.counts()
     result, witness = NOT_DETECTED, None
     runs = 0
     for hc, rho in _pairs(rules, canonical):
@@ -433,9 +440,7 @@ def check(
     stats = {
         "notion": canonical,
         "saturations": runs,
-        "approx_builds": cache.builds,
-        "approx_triggers": cache.triggers,
-        "unblockability_cache_hits": cache.hits,
+        **{name: n - before[name] for name, n in cache.counts().items()},
         "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),
     }
     return Verdict(canonical, result, witness, stats)

@@ -5,8 +5,9 @@ corpus structures 0-29 (8, 12 and 16 rules, as `conftest.bench_rule_set`
 draws them) with BUDGET, and returns each verdict as `classify --json`
 prints it: result, witness and stats, without `elapsed_ms`. The stats hold
 the unblockability counters (`approx_builds`, `approx_triggers`,
-`unblockability_cache_hits`), so a change to what an over-approximation
-build queues or answers shows here.
+`unblockability_cache_hits`, `unblockability_star_answers`), so a change to
+what an over-approximation build queues or answers shows here. Each notion
+runs with its own cache, as `check` makes one when none is passed.
 
 Run as a script to record them into GOLDEN (this rewrites the fixture, so do
 it only when a verdict, witness or stat is meant to change):

@@ -216,8 +216,14 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
                         if not pivot.rule.is_datalog:
                             # An unblockability build that stops at the
                             # first batch blocking the pivot answers as the
-                            # whole fixpoint does.
+                            # whole fixpoint does. A UC question asks the
+                            # star question first; it is asked here
+                            # beforehand, so that the counts below see the
+                            # UC build alone.
                             cache = UnblockabilityCache()
+                            if kind == UC:
+                                _is_unblockable(rules, STAR, None, pivot, cache)
+                            builds, triggers = cache.builds, cache.triggers
                             unblockable = _is_unblockable(
                                 rules, kind, hc, pivot, cache)
                             assert unblockable == (
@@ -227,8 +233,9 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
                                    else "blocked"] += 1
                             # A build that queued fewer keys than the
                             # fixpoint has stopped at a batch before its end.
-                            counts["stopped"] += (cache.builds == 1 and
-                                                  cache.triggers < approx.triggers)
+                            counts["stopped"] += (
+                                cache.builds == builds + 1 and
+                                cache.triggers - triggers < approx.triggers)
                             # A disjunct over constants only: the seed
                             # blocks the pivot, and no build ran.
                             counts["seed_answered"] += cache.builds == 0
@@ -363,6 +370,93 @@ def test_uc_and_star_unblockability_separate(uc_star):
     assert not is_star_unblockable(uc_star, lam)
 
 
+def test_star_unblockability_implies_uc_unblockability():
+    # The argument behind _is_unblockable's star step, on whole fixpoints:
+    # collapsing every per-symbol constant to the special constant maps the
+    # UC set under hc_1 and hc_2 into the conjunctive star set, so a pivot
+    # the star set leaves unblocked is unblocked under UC too.
+    counts = dict.fromkeys(("star_unblockable", "uc_only", "blocked"), 0)
+    bench = map(bench_rule_set, BENCH_STRUCTURES)
+    for rules in itertools.chain(small_rule_sets(), bench):
+        collapse = ConstantMapping(
+            {uc_constant(s): star() for r in rules for s in r.sk_symbols})
+        hcs = [HeadChoice.uniform(rules, i) for i in (1, 2)]
+        for pivot in sample_triggers(rules, depth_cap=2):
+            if pivot.rule.is_datalog:
+                continue
+            star_facts = build_over_approx(rules, pivot, STAR).facts
+            star_unblockable = not is_obsolete(pivot, star_facts)
+            for hc in hcs:
+                uc_facts = build_over_approx(rules, pivot, UC, hc).facts
+                assert {map_atom(collapse, a) for a in uc_facts} <= \
+                    set(star_facts), (rules, pivot, hc)
+                uc_unblockable = not is_obsolete(pivot, uc_facts)
+                if star_unblockable:
+                    assert uc_unblockable, (rules, pivot, hc)
+                    counts["star_unblockable"] += 1
+                else:
+                    counts["uc_only" if uc_unblockable else "blocked"] += 1
+    # 114, 11 and 1,125 today.
+    assert counts["star_unblockable"] >= 100
+    assert counts["uc_only"] >= 8
+    assert counts["blocked"] >= 1000
+
+
+def test_star_step_skips_pivots_with_abstract_constants_in_their_skeleton():
+    # The pivot's skeleton holds the special constant, so a collapsed UC
+    # image could hit a skeleton lookup that the image itself misses, and
+    # the star build may not answer for it: its UC answer comes from its
+    # own UC build, and no star question is asked.
+    rules = bike_subset(2)
+    hc1 = HeadChoice.uniform(rules, 1)
+    f_v = next(s for s in rules.by_id["r1"].sk_symbols if s.var == "V")
+    lam = Trigger(rules.by_id["r2"],
+                  {variable("X"): functional(f_v, (star(),))})
+    assert star() in skeleton(lam, rules)
+    cache = UnblockabilityCache()
+    answer = is_uc_unblockable(rules, hc1, lam, cache)
+    assert answer == (not is_obsolete(lam, build_over_approx(
+        rules, lam, UC, hc1).facts))
+    assert (cache.builds, cache.star_answers) == (1, 0)
+    assert [key[0] for key in cache.entries] == [UC]
+
+    # The same trigger on a fresh constant takes the star step.
+    lam_d = Trigger(rules.by_id["r2"],
+                    {variable("X"): functional(f_v, (constant("d"),))})
+    cache = UnblockabilityCache()
+    assert is_uc_unblockable(rules, hc1, lam_d, cache) == answer
+    assert cache.star_answers == 1
+
+
+def uc_refinement_checks(structures) -> tuple[int, int]:
+    """Check the UC answer of _is_unblockable, which asks the star build
+    first, against the pivot's obsolescence for the whole UC fixpoint, for
+    the sample triggers of the given classify-random structures under hc_1
+    and hc_2, each with a fresh cache. Returns the number of checks and of
+    answers that the star build gave."""
+    checks = star_answers = 0
+    for i in structures:
+        rules = bench_rule_set(i)
+        hcs = [HeadChoice.uniform(rules, j) for j in (1, 2)]
+        for pivot in sample_triggers(rules):
+            if pivot.rule.is_datalog:
+                continue
+            for hc in hcs:
+                cache = UnblockabilityCache()
+                assert _is_unblockable(rules, UC, hc, pivot, cache) == (
+                    not is_obsolete(pivot, build_over_approx(
+                        rules, pivot, UC, hc).facts)), (i, pivot, hc)
+                checks += 1
+                star_answers += cache.star_answers
+    return checks, star_answers
+
+
+def test_uc_answers_equal_whole_fixpoint_answers():
+    # 364 checks and 22 star answers today; CI runs structures 0-89.
+    checks, star_answers = uc_refinement_checks(range(0, 90, 9))
+    assert checks >= 350 and star_answers >= 20
+
+
 def test_unblockability_cache_canonicalizes_constant_renamings():
     rules = bike_subset(2)
     hc1 = HeadChoice.uniform(rules, 1)
@@ -373,14 +467,19 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
                     {variable("X"): functional(f_v, (constant("d"),))})
     lam_e = Trigger(rules.by_id["r2"],
                     {variable("X"): functional(f_v, (constant("e"),))})
+
+    def uc_entries():
+        return [key for key in cache.entries if key[0] == UC]
+
     assert is_uc_unblockable(rules, hc1, lam_d, cache)
-    assert len(cache.entries) == 1
-    assert (cache.builds, cache.hits) == (1, 0)
-    built = build_over_approx(rules, lam_d, UC, hc1)
+    assert len(uc_entries()) == 1
+    # The star build answered the UC question, so it is the only build.
+    assert (cache.builds, cache.hits, cache.star_answers) == (1, 0, 1)
+    built = build_over_approx(rules, lam_d, STAR)
     assert cache.triggers == built.triggers > 0
     assert is_uc_unblockable(rules, hc1, lam_e, cache)
-    assert len(cache.entries) == 1
-    assert (cache.builds, cache.hits) == (1, 1)
+    assert len(uc_entries()) == 1
+    assert (cache.builds, cache.hits, cache.star_answers) == (1, 1, 1)
     assert cache.triggers == built.triggers
 
     # Z is a body variable outside the frontier: the two triggers differ

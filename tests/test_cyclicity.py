@@ -5,6 +5,7 @@ import random
 import pytest
 
 import chase_sentinel.cyclicity as cyc
+from chase_sentinel.approx import UnblockabilityCache
 from chase_sentinel.chase import HeadChoice
 from chase_sentinel.cyclicity import (
     AppliedTrigger,
@@ -319,6 +320,26 @@ def test_rpc_is_the_full_enumeration():
         assert verdict.stats["saturations"] == runs, sets
         cyclic += result == CYCLIC
     assert sets == 66 and cyclic >= 12
+
+
+def test_one_cache_serves_drpc_and_rpcs():
+    # Every star question of RPC_s on structure 11, each asked before a
+    # unique-constants build, was built by DRPC already: with one cache the
+    # RPC_s stage builds nothing and gives the same verdict.
+    rules = bench_rule_set(11)
+    alone = check(rules, cyc.RPC_S, bench_cyclicity.BUDGET)
+    cache = UnblockabilityCache()
+    drpc = check(rules, cyc.DRPC, bench_cyclicity.BUDGET, cache=cache)
+    shared = check(rules, cyc.RPC_S, bench_cyclicity.BUDGET, cache=cache)
+    assert (shared.result, shared.witness) == (alone.result, alone.witness)
+    assert alone.stats["approx_builds"] == drpc.stats["approx_builds"] == 3
+    assert shared.stats["approx_builds"] == 0
+    assert shared.stats["unblockability_cache_hits"] == \
+        alone.stats["unblockability_cache_hits"] + 3
+    assert shared.stats["unblockability_star_answers"] == \
+        alone.stats["unblockability_star_answers"] == 3
+    # The stats count each call's own work.
+    assert cache.builds == 3 and cache.star_answers == 3
 
 
 def test_bench_verdicts_replay_golden_fixture():
