@@ -12,10 +12,11 @@ Every term of an over-approximation is a fixed point of its abstraction: a
 skeleton term, a fresh per-symbol constant or the special constant. A
 trigger's body variables therefore map to terms that need no abstracting,
 and only the skolem terms of its output do. The fixpoint relies on this: it
-fills compiled head templates whose skolem slots read the term off the
-skeleton or fall back to the symbol's replacement, so no skolem term is
-ever built there. These templates are the one statement of the
-abstraction; the pivot's own outputs are abstracted through them too.
+fills the rule's templates (Rule.sk_heads), and a build states only how a
+symbol slot is abstracted: it reads the term off the skeleton or falls
+back to the symbol's replacement, so no skolem term is ever built there.
+That per-symbol map is the one statement of the abstraction; the pivot's
+own outputs are abstracted through it too.
 
 Those templates, and the comparison with the pivot's output, read a
 trigger only on its rule's frontier image. A build therefore works on
@@ -37,10 +38,10 @@ frontier positions that the rule's contributed templates copy: the chosen
 one under a head choice, all of them otherwise. Two keys that agree there
 fill identical facts and get the same exclusion decision, unless the rule
 is the pivot's (exclusion compares raw skolem outputs, which read the whole
-frontier) or a contributed slot looks the image up in the skeleton; those
-rules are read on the whole image. Another rule's skolem symbols are never
-the pivot's, so its raw output never equals the pivot's when it holds a
-skolem term.
+frontier) or a contributed symbol slot looks the image up in the skeleton;
+those rules are read on the whole image. The skolem terms of the pivot's
+outputs lie in the skeleton, so another rule's raw output can equal the
+pivot's only through such a lookup or with no symbol slot at all.
 
 The star build answers a unique-constants (UC) question when it can. Let h
 send every per-symbol constant c_f to the special constant and fix every
@@ -77,7 +78,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .chase import HeadChoice
 from .matcher import (FactSet, Trigger, compile_query, frontier_keys,
@@ -89,9 +90,9 @@ from .model import (
     Constant,
     ConstantMapping,
     FunctionalTerm,
-    Rule,
     RuleSet,
     SkolemSymbol,
+    Template,
     Term,
     apply_atoms,
     birth_facts,
@@ -99,6 +100,7 @@ from .model import (
     star,
     subterms,
     uc_constant,
+    variable,
 )
 
 __all__ = [
@@ -160,85 +162,49 @@ def _seed_blocks(pivot: Trigger) -> bool:
                for d in pivot.rule.heads)
 
 
-# A compiled head disjunct: one (predicate, slots) pair per atom. A slot is
-# the position of a frontier variable in the rule's frontier image (its image
-# is copied), a constant (the replacement of a skolem symbol with no term in
-# the skeleton) or, for a skolem term f(frontier) whose symbol f occurs in the
-# skeleton, the pair (skeleton terms of f by argument tuple, f's replacement):
-# the skeleton term when it has the frontier image as its arguments, else the
-# replacement.
-_Slot = int | Term | tuple[dict[tuple[Term, ...], Term], Term]
-_Shape = tuple[tuple[str, tuple[_Slot, ...]], ...]
+# How a build fills the symbol slots of the rules' templates: per skolem
+# symbol, the pair (its known terms by argument tuple, its replacement). A
+# slot takes the known term whose arguments are the frontier image, which
+# they are for every skolem term, else the replacement.
+_Fills = Mapping[SkolemSymbol, tuple[Mapping[tuple[Term, ...], Term], Term]]
+
+# What a raw-output fill gives a skolem term that the pivot's outputs do not
+# hold. Pivot outputs are ground, so no pivot atom holds it.
+_ABSENT = variable("_absent")
 
 
-def _compile_heads(rule: Rule, kind: str,
-                   by_symbol: Mapping[SkolemSymbol, dict[tuple[Term, ...], Term]],
-                   ) -> tuple[_Shape, ...]:
-    """Every skolemized head disjunct of the rule, as abstracting slots."""
-    position = {v: i for i, v in enumerate(rule.frontier)}
-    shapes = []
-    for disjunct in rule.sk_heads:
-        atoms = []
-        for atom in disjunct:
-            slots: list[_Slot] = []
-            for t in atom.terms:
-                if isinstance(t, FunctionalTerm):
-                    replacement = uc_constant(t.symbol) if kind == UC else star()
-                    known = by_symbol.get(t.symbol)
-                    slots.append(replacement if known is None
-                                 else (known, replacement))
-                else:
-                    slots.append(position[t])  # type: ignore[index]
-            atoms.append((atom.predicate, tuple(slots)))
-        shapes.append(tuple(atoms))
-    return tuple(shapes)
+def _fills(rules: RuleSet, known: Iterable[Term],
+           replacement: Callable[[SkolemSymbol], Term]) -> _Fills:
+    """The _Fills of every skolem symbol of the rules, its known terms
+    being those among `known`."""
+    by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
+    for t in known:
+        if t.__class__ is FunctionalTerm:
+            by_symbol.setdefault(t.symbol, {})[t.args] = t  # type: ignore[attr-defined]
+    return {sym: (by_symbol.get(sym, {}), replacement(sym))
+            for sym in rules.symbol_index}
 
 
-def _fill(shape: _Shape, image: tuple[Term, ...]) -> tuple[Atom, ...]:
-    """The abstracted output of one compiled disjunct for a frontier image."""
+def _fill(template: Template, image: tuple[Term, ...],
+          fills: _Fills) -> tuple[Atom, ...]:
+    """One disjunct's output for a frontier image, its symbol slots filled
+    through `fills`."""
     return tuple([
         Atom(predicate, tuple([
             image[s] if s.__class__ is int  # type: ignore[index]
-            else s[0].get(image, s[1]) if s.__class__ is tuple  # type: ignore[index]
-            else s
+            else (f := fills[s])[0].get(image, f[1])  # type: ignore[index]
             for s in slots]))
-        for predicate, slots in shape])
+        for predicate, slots in template])
 
 
-def _over_universe(shapes: Iterable[_Shape], universe: set[Term]) -> bool:
-    """Whether the shapes fill only terms of the universe from an image over
-    it: every slot is a frontier position or a constant of the universe."""
-    return all(s.__class__ is int or s.__class__ is not tuple and s in universe
-               for shape in shapes for _, slots in shape for s in slots)
-
-
-def _same_output(rule: Rule, image: tuple[Term, ...], disjunct: int,
-                 pivot_out: frozenset[Atom],
-                 pivot_terms: Mapping[tuple, Term]) -> bool:
-    """Whether the rule's unabstracted output of one disjunct for a frontier
-    image is pivot_out.
-
-    Skolem terms are looked up among the pivot's output terms instead of
-    being built: a term that is not one of them matches no pivot atom. A
-    skolem term's arguments are the frontier, so its key is the image.
-    """
-    sigma = dict(zip(rule.frontier, image))
-    out = set()
-    for atom in rule.sk_heads[disjunct - 1]:
-        terms = []
-        for t in atom.terms:
-            if isinstance(t, FunctionalTerm):
-                found = pivot_terms.get((t.symbol, image))
-                if found is None:
-                    return False
-                terms.append(found)
-            else:
-                terms.append(sigma[t])  # type: ignore[index]
-        fact = Atom(atom.predicate, tuple(terms))
-        if fact not in pivot_out:
-            return False
-        out.add(fact)
-    return len(out) == len(pivot_out)
+def _over_universe(templates: Iterable[Template], fills: _Fills,
+                   universe: set[Term]) -> bool:
+    """Whether the templates fill only terms of the universe from an image
+    over it: every slot is a frontier position or the slot of a symbol with
+    no known term and a replacement in the universe."""
+    return all(s.__class__ is int or
+               not (f := fills[s])[0] and f[1] in universe  # type: ignore[index]
+               for template in templates for _, slots in template for s in slots)
 
 
 def build_over_approx(
@@ -262,8 +228,9 @@ def build_over_approx(
     skeleton term, a fresh per-symbol constant or the special constant.
     Body variables of a trigger therefore map to terms that need no
     abstracting, and only the skolem terms of its output do. Those are
-    never built: each rule's heads are compiled once per build into slots
-    that read a skolem term off the skeleton or fall back to its
+    never built: the build fills each rule's templates through one map from
+    each skolem symbol to its skeleton terms and its replacement, and a
+    symbol slot takes the skeleton term over the frontier image or the
     replacement. Exclusion still compares unabstracted outputs; since
     abstraction is a function, only triggers whose abstracted output equals
     the pivot's abstracted output can be excluded, and only those are
@@ -274,9 +241,9 @@ def build_over_approx(
     image) key once per build, and builds no Trigger or substitution for
     it. The seed holds every fact over its universe U, so every assignment
     of a body into U is loaded: the seed's keys over U are enumerated
-    directly. A rule whose contributed shapes fill only frontier images and
-    constants of U adds nothing from those keys, so they are counted but
-    never popped. Only the matches through birth facts outside U, and then
+    directly. A rule whose contributed templates fill only frontier images
+    and constants of U adds nothing from those keys, so they are counted
+    but never popped. Only the matches through birth facts outside U, and then
     through each new fact, are joined, by matcher.frontier_keys: it yields
     keys and not substitutions, and stops at the first match when the
     pinned atom binds the whole frontier. Exclusion depends only on the
@@ -306,25 +273,35 @@ def _batches(
     queued. Draining the generator runs the fixpoint to its end.
 
     The queue holds (rule, *frontier image) keys. A rule whose contributed
-    shapes (the chosen disjunct under a head choice, all of them otherwise)
-    fill only frontier images and constants of U adds nothing from a key
-    over U, since the seed holds every fact over U: its keys over U are
-    queued but never popped.
+    templates (the chosen disjunct under a head choice, all of them
+    otherwise) fill only frontier images and constants of U adds nothing
+    from a key over U, since the seed holds every fact over U: its keys over
+    U are queued but never popped.
+
+    Exclusion compares a key's raw output with the pivot's without building
+    a skolem term: the key's template is filled a second time through raw
+    fills, which give a symbol slot f the term f(image) when the pivot's
+    outputs hold it, and _ABSENT otherwise. This is exact. If the raw
+    output equals the pivot's, each of its skolem terms is a term of the
+    pivot's outputs, so the raw fill is the raw output. If it does not,
+    either some slot got _ABSENT, which no atom of the ground pivot output
+    holds, or every slot got its own term and the raw fill is the raw
+    output; either way the raw fill differs from the pivot's output too.
+    Only the pivot's own outputs are interned.
 
     A popped key is skipped when (rule, *image at the read positions) was
     popped before: the read positions are the frontier positions that the
-    contributed shapes copy. Keys that agree there fill the same facts and
-    get the same exclusion decision. The pivot's rule and a rule with a
-    contributed slot that looks the image up in the skeleton read the whole
+    contributed templates copy. Keys that agree there fill the same facts
+    and get the same exclusion decision. The pivot's rule and a rule with a
+    contributed symbol slot whose symbol has skeleton terms read the whole
     image, so each of their keys is run; `queued` still counts every key.
+    Every other rule's raw fill gives _ABSENT to each symbol slot, since
+    the terms of the pivot's outputs lie in the skeleton, so its exclusion
+    too reads only the read positions.
     """
     terms = skeleton(pivot, rules)
     facts, universe, births = _seed_facts(rules, terms, pivot)
-    by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
-    for t in terms:
-        if isinstance(t, FunctionalTerm):
-            by_symbol.setdefault(t.symbol, {})[t.args] = t
-    shapes = {rule.id: _compile_heads(rule, kind, by_symbol) for rule in rules}
+    fills = _fills(rules, terms, uc_constant if kind == UC else lambda _: star())
 
     # No Trigger is built: every frontier image comes from U or from matching
     # into a FactSet, which holds only ground atoms, so its check could not
@@ -338,31 +315,28 @@ def _batches(
         keys = [(rule, *combo) for combo in
                 itertools.product(universe, repeat=len(rule.frontier))]
         queued.update(keys)
-        contributed = shapes[rule.id]
+        contributed = rule.sk_heads
         if hc is not None:
             contributed = (contributed[hc.choice(rule) - 1],)
-        if not _over_universe(contributed, in_seed):
+        if not _over_universe(contributed, fills, in_seed):
             queue.extend(keys)
-        slots = [s for shape in contributed for _, atom in shape for s in atom]
+        slots = [s for template in contributed for _, atom in template for s in atom]
         read = sorted({s for s in slots if s.__class__ is int})
         if len(read) < len(rule.frontier) and rule.id != pivot.rule.id and \
-                not any(s.__class__ is tuple for s in slots):
+                not any(fills[s][0] for s in slots if s.__class__ is not int):
             reads[rule.id] = read  # type: ignore[assignment]
     yield facts, facts, queued
 
-    # The pivot's outputs per disjunct, unabstracted and abstracted, and the
-    # skolem terms they hold. The pivot's frontier images occur in its birth
-    # facts, so they are skeleton terms and its heads fill exactly.
+    # The pivot's outputs per disjunct, raw and abstracted, and the raw
+    # fills of their terms. The pivot's frontier image occurs in its birth
+    # facts, so its terms are skeleton terms, which need no abstracting.
     pivot_image = tuple(map(pivot.substitution.__getitem__, pivot.rule.frontier))
-    raw_outs = {i: frozenset(pivot.out(i))
+    raw_outs = {i: frozenset(pivot.rule.output(i, pivot_image))
                 for i in range(1, pivot.rule.branching + 1)}
-    abs_outs = {i: frozenset(_fill(shape, pivot_image))
-                for i, shape in enumerate(shapes[pivot.rule.id], start=1)}
-    pivot_terms = {
-        (t.symbol, t.args): t
-        for out in raw_outs.values() for a in out for t in a.terms
-        if isinstance(t, FunctionalTerm)
-    }
+    abs_outs = {i: frozenset(_fill(template, pivot_image, fills))
+                for i, template in enumerate(pivot.rule.sk_heads, start=1)}
+    raw_fills = _fills(rules, (t for out in raw_outs.values() for a in out
+                               for t in a.terms), lambda _: _ABSENT)
     if hc is not None:
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
@@ -379,16 +353,17 @@ def _batches(
                 continue
             popped.add(contributed_image)
         if hc is not None:
-            i = hc.choice(rule)
-            contribution = _fill(shapes[rule.id][i - 1], image)
+            template = rule.sk_heads[hc.choice(rule) - 1]
+            contribution = _fill(template, image, fills)
             if contribution[0] in pivot_abs and frozenset(contribution) == pivot_abs \
-                    and _same_output(rule, image, i, pivot_raw, pivot_terms):
+                    and frozenset(_fill(template, image, raw_fills)) == pivot_raw:
                 continue
         else:
-            outs = tuple(_fill(shape, image) for shape in shapes[rule.id])
+            outs = tuple(_fill(template, image, fills) for template in rule.sk_heads)
             if rule.id == pivot.rule.id and all(
                     frozenset(outs[i - 1]) == abs_outs[i] and
-                    _same_output(rule, image, i, raw_outs[i], pivot_terms)
+                    frozenset(_fill(rule.sk_heads[i - 1], image, raw_fills))
+                    == raw_outs[i]
                     for i in raw_outs):
                 continue
             contribution = tuple(a for o in outs for a in o)
@@ -404,11 +379,14 @@ def _batches(
 class UnblockabilityCache:
     """Memo for unblockability checks, scoped to one rule set.
 
-    Triggers that differ only by a bijective renaming of constants have the
-    same unblockability (the renaming is reversible in both directions), and
-    the build, its exclusion and the obsolescence test read a trigger only
-    on its rule's frontier. So entries are keyed by the constant-canonical
-    shape of the frontier image. `hits` counts answers served from the memo,
+    Triggers that differ only by a bijective renaming of ordinary constants
+    have the same unblockability (the renaming is reversible in both
+    directions), and the build, its exclusion and the obsolescence test
+    read a trigger only on its rule's frontier. So entries are keyed by the
+    constant-canonical shape of the frontier image. The special constant
+    and the per-symbol constants are no ordinary constants: every seed
+    holds the first, and the fills make the others, so they are keyed as
+    themselves. `hits` counts answers served from the memo,
     `builds` the over-approximations started to answer the rest that the
     seed does not block outright, one per (abstraction, head choice,
     frontier shape), `triggers` the keys those builds queued until their
@@ -434,6 +412,8 @@ class UnblockabilityCache:
     @staticmethod
     def _shape(t: Term, renaming: dict[Constant, int]) -> object:
         if isinstance(t, Constant):
+            if _is_abstract(t):
+                return t
             idx = renaming.get(t)
             if idx is None:
                 idx = len(renaming)
@@ -452,12 +432,10 @@ class UnblockabilityCache:
         return (kind, sig, trigger.rule.id, shape)
 
 
-def _holds_abstract_constants(trigger: Trigger, rules: RuleSet) -> bool:
-    """Whether the trigger's skeleton holds the special constant or a
-    per-symbol constant."""
-    return any(t.__class__ is Constant and
-               (t.name == STAR_NAME or t.name.startswith(UC_PREFIX))
-               for t in skeleton(trigger, rules))
+def _is_abstract(t: Term) -> bool:
+    """Whether t is the special constant or a per-symbol constant."""
+    return t.__class__ is Constant and \
+        (t.name == STAR_NAME or t.name.startswith(UC_PREFIX))  # type: ignore[attr-defined]
 
 
 def _is_unblockable(
@@ -501,7 +479,7 @@ def _is_unblockable(
     if _seed_blocks(trigger):
         cache.entries[key] = False
         return False
-    if kind == UC and not _holds_abstract_constants(trigger, rules) and \
+    if kind == UC and not any(map(_is_abstract, skeleton(trigger, rules))) and \
             _is_unblockable(rules, STAR, None, trigger, cache):
         cache.star_answers += 1
         cache.entries[key] = True

@@ -55,7 +55,6 @@ from .model import (
     Substitution,
     Term,
     Variable,
-    apply_term,
 )
 
 __all__ = [
@@ -170,15 +169,9 @@ class Trigger:
         )
 
     def out(self, disjunct: int) -> tuple[Atom, ...]:
-        """Skolemized output of one head disjunct (1-based)."""
-        sigma = self.substitution
-        return tuple(
-            Atom(a.predicate, tuple([
-                sigma[t] if t.__class__ is Variable  # type: ignore[index]
-                else apply_term(sigma, t)
-                for t in a.terms]))
-            for a in self.rule.sk_heads[disjunct - 1]
-        )
+        """Skolemized output of one head disjunct (1-based), by Rule.output."""
+        rule = self.rule
+        return rule.output(disjunct, tuple(map(self.substitution.__getitem__, rule.frontier)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Trigger) and other.rule.id == self.rule.id \

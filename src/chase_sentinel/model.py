@@ -26,6 +26,7 @@ __all__ = [
     "Atom",
     "Query",
     "HeadDisjunct",
+    "Template",
     "Rule",
     "RuleSet",
     "ConstantMapping",
@@ -362,6 +363,10 @@ class HeadDisjunct:
     atoms: tuple[Atom, ...]
 
 
+# A skolemized head disjunct, compiled: one (predicate, slots) pair per atom.
+Template = tuple[tuple[str, tuple[int | SkolemSymbol, ...]], ...]
+
+
 @dataclass(frozen=True)
 class Query:
     """Boolean conjunctive query; every variable is existential."""
@@ -379,6 +384,13 @@ class Rule:
     lists the body variables shared with some head, ordered by first
     occurrence in the body; skolem terms take exactly this tuple as
     arguments.
+
+    The skolemized heads are compiled once into sk_heads, one Template per
+    disjunct. A slot is the position of a frontier variable in the
+    frontier or the skolem symbol f of an existential one. `output` fills a
+    template from a ground frontier image, a symbol slot with f(image), so
+    no non-ground skolem term is built; over-approximation builds fill the
+    same templates with abstracted terms.
     """
 
     __slots__ = (
@@ -447,23 +459,31 @@ class Rule:
                 f"shared with the head (skolem symbols have arity >= 1)"
             )
 
-        # Only the atoms that hold an existential change under skolemization;
-        # the others are kept as given.
         arity = len(self.frontier)
-        frontier_terms: tuple[Term, ...] = self.frontier
-        sk_heads: list[tuple[Atom, ...]] = []
+        position: dict[Variable, int | SkolemSymbol] = {
+            v: i for i, v in enumerate(self.frontier)}
+        sk_heads: list[Template] = []
         symbols: set[SkolemSymbol] = set()
         for i, h in enumerate(self.heads, start=1):
-            sk_map: dict[Variable, Term] = {}
+            slot = dict(position)
             for y in h.existential_vars:
-                sym = skolem_symbol(rule_id, i, y.name, arity)
+                sym = slot[y] = skolem_symbol(rule_id, i, y.name, arity)
                 symbols.add(sym)
-                sk_map[y] = functional(sym, frontier_terms)
             sk_heads.append(tuple([
-                a if sk_map.keys().isdisjoint(a.terms) else apply_atom(sk_map, a)
+                (a.predicate, tuple([slot[t] for t in a.terms]))  # type: ignore[index]
                 for a in h.atoms]))
         self.sk_heads = tuple(sk_heads)
         self.sk_symbols = frozenset(symbols)
+
+    def output(self, disjunct: int, image: tuple[Term, ...]) -> tuple[Atom, ...]:
+        """The skolemized output of one head disjunct (1-based) for a
+        ground frontier image."""
+        return tuple([
+            Atom(predicate, tuple([
+                image[s] if s.__class__ is int  # type: ignore[index]
+                else functional(s, image)  # type: ignore[arg-type]
+                for s in slots]))
+            for predicate, slots in self.sk_heads[disjunct - 1]])
 
     def __repr__(self) -> str:
         return f"Rule({self.id})"
@@ -552,9 +572,7 @@ def _birth_of_term(t: Term, rules: RuleSet) -> frozenset[Atom]:
         if entry is None:
             raise UnknownSymbolError(f"symbol {t.symbol!r} is not from this rule set")
         rule, disjunct = entry
-        sigma = dict(zip(rule.frontier, t.args))
-        out = apply_atoms(sigma, rule.sk_heads[disjunct - 1])
-        acc: set[Atom] = set(out)
+        acc: set[Atom] = set(rule.output(disjunct, t.args))
         for arg in t.args:
             acc |= _birth_of_term(arg, rules)
         result = frozenset(acc)

@@ -18,6 +18,7 @@ from chase_sentinel.matcher import FactSet, Trigger, discover, is_obsolete
 from chase_sentinel.model import (
     _TERMS,
     Atom,
+    Constant,
     ConstantMapping,
     birth_facts,
     constant,
@@ -25,6 +26,7 @@ from chase_sentinel.model import (
     functional,
     skeleton,
     star,
+    subterms,
     uc_constant,
     variable,
 )
@@ -497,6 +499,35 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     # X maps to a constant, so R(c, *) is a seed fact and the answer needs
     # no build.
     assert (cache.builds, cache.hits) == (0, 1)
+
+
+def test_unblockability_cache_keys_abstract_constants_as_themselves():
+    # A frontier constant replaced by the special constant changes the
+    # build's universe, which always holds the special constant, so the two
+    # triggers may differ in answer; a shared cache must not rename one into
+    # the other. The pairs are every sample trigger of structures 0-29 with
+    # one of its frontier constants sent to the special constant.
+    pairs = differ = 0
+    for i in range(30):
+        rules = bench_rule_set(i)
+        cache = UnblockabilityCache()
+        for lam in sample_triggers(rules):
+            if lam.rule.is_datalog:
+                continue
+            constants = {c for t in frontier_image(lam) for c in subterms(t)
+                         if isinstance(c, Constant)}
+            for c in sorted(constants, key=repr):
+                g = ConstantMapping({c: star()})
+                starred = Trigger(lam.rule, {v: g.apply(t)
+                                             for v, t in lam.substitution.items()})
+                fresh = [is_star_unblockable(rules, t) for t in (lam, starred)]
+                shared = [is_star_unblockable(rules, t, cache)
+                          for t in (lam, starred)]
+                assert shared == fresh, (i, lam, starred)
+                pairs += 1
+                differ += fresh[0] != fresh[1]
+    # 828 pairs today; two differ in answer, in structures 1 and 16.
+    assert pairs >= 800 and differ >= 2
 
 
 def test_reversibility_condition_one():

@@ -1,5 +1,8 @@
 import ast
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,12 +169,16 @@ def test_existential_variables_are_the_head_variables_not_in_the_body():
 def test_skolemized_heads_use_frontier_arguments():
     rules = bike_subset(2)
     r1 = rules.by_id["r1"]
-    first, second = r1.sk_heads
-    assert [a.predicate for a in first] == ["IsIn", "Bike"]
-    v_term = first[0].terms[1]
-    assert v_term.symbol.var == "V"
-    assert v_term.args == (variable("X"),)
-    assert second == (Atom("Spare", (variable("X"),)),)
+    f_v = next(iter(r1.sk_symbols))
+    assert f_v.var == "V" and f_v.arity == 1
+    # One template per disjunct: a slot is a frontier position or a symbol.
+    assert r1.sk_heads == ((("IsIn", (0, f_v)), ("Bike", (f_v,))),
+                           (("Spare", (0,)),))
+    d = constant("d")
+    fvd = functional(f_v, (d,))
+    assert r1.output(1, (d,)) == (Atom("IsIn", (d, fvd)), Atom("Bike", (fvd,)))
+    assert r1.output(2, (d,)) == (Atom("Spare", (d,)),)
+    assert Trigger(r1, {variable("X"): d}).out(1) == r1.output(1, (d,))
 
 
 def _construction_sets():
@@ -186,16 +193,53 @@ def _construction_sets():
 
 
 def test_skolemized_heads_match_the_reference():
-    # The reference skolemizes every atom of every disjunct; the rule
-    # rebuilds only the atoms that hold an existential.
+    # The reference skolemizes a disjunct on a ground frontier image: each
+    # frontier variable maps to its image term and each existential y to
+    # f_y(image). Images are distinct constants, one constant throughout,
+    # and skolem terms, so that repeated and nested arguments are covered.
+    a, b = constant("a"), constant("b")
+    g = skolem_symbol("g", 1, "Y", 2)
     for rules in _construction_sets():
         for rule in rules:
-            for i, (h, sk) in enumerate(zip(rule.heads, rule.sk_heads), start=1):
-                sk_map = {y: functional(skolem_symbol(rule.id, i, y.name,
-                                                      len(rule.frontier)),
-                                        rule.frontier)
-                          for y in h.existential_vars}
-                assert sk == apply_atoms(sk_map, h.atoms), (rule, i)
+            n = len(rule.frontier)
+            images = [tuple(constant(f"c{j}") for j in range(n)), (a,) * n,
+                      tuple(functional(g, (a, constant(f"c{j}"))) for j in range(n))]
+            images.append(tuple(b if j % 2 else t for j, t in enumerate(images[2])))
+            for i, h in enumerate(rule.heads, start=1):
+                for image in images:
+                    sigma = dict(zip(rule.frontier, image))
+                    sigma.update({y: functional(skolem_symbol(rule.id, i, y.name, n),
+                                                image)
+                                  for y in h.existential_vars})
+                    assert rule.output(i, image) == apply_atoms(sigma, h.atoms), \
+                        (rule, i, image)
+
+
+def test_parsing_interns_no_non_ground_skolem_term():
+    # Rules hold skolem symbols in templates, not the terms f(frontier): a
+    # fresh interpreter parses a 512-rule stratified set and then counts the
+    # non-ground functional terms in the intern table.
+    code = (
+        "import random, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from generators import stratified_rule_set\n"
+        "from chase_sentinel.model import _TERMS, FunctionalTerm\n"
+        "from chase_sentinel.ruleio import parse\n"
+        "text = stratified_rule_set(random.Random('stratified/512'), 512).text\n"
+        "rules = parse(text).rules\n"
+        "print(sum(r.is_generating for r in rules), sum(\n"
+        "    t.__class__ is FunctionalTerm and not t.is_ground\n"
+        "    for t in list(_TERMS.values())))\n")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code, str(root / "perfbench")],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(Path(chase_sentinel.__file__)
+                                            .resolve().parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    generating, non_ground = map(int, proc.stdout.split())
+    assert generating >= 100
+    assert non_ground == 0
 
 
 def test_rule_attributes_survive_a_render_round_trip():
