@@ -113,6 +113,7 @@ __all__ = [
     "is_uc_unblockable",
     "check_reversible",
     "UnblockabilityCache",
+    "unblockability_cache",
 ]
 
 STAR = "star"
@@ -377,7 +378,8 @@ def _batches(
 # Unblockability
 
 class UnblockabilityCache:
-    """Memo for unblockability checks, scoped to one rule set.
+    """Memo for unblockability checks, held by the rule set it answers for
+    and freed with it: `unblockability_cache` makes it on first use.
 
     Triggers that differ only by a bijective renaming of ordinary constants
     have the same unblockability (the renaming is reversible in both
@@ -497,25 +499,21 @@ def _is_unblockable(
     return answer
 
 
-def is_star_unblockable(
-    rules: RuleSet,
-    trigger: Trigger,
-    cache: UnblockabilityCache | None = None,
-) -> bool:
+def unblockability_cache(rules: RuleSet) -> UnblockabilityCache:
+    """The rule set's unblockability cache, made on first use."""
+    if rules.unblockability is None:
+        rules.unblockability = UnblockabilityCache()
+    return rules.unblockability
+
+
+def is_star_unblockable(rules: RuleSet, trigger: Trigger) -> bool:
     """Datalog triggers always; others iff not obsolete for the star set."""
-    return _is_unblockable(rules, STAR, None, trigger,
-                           cache or UnblockabilityCache())
+    return _is_unblockable(rules, STAR, None, trigger, unblockability_cache(rules))
 
 
-def is_uc_unblockable(
-    rules: RuleSet,
-    hc: HeadChoice,
-    trigger: Trigger,
-    cache: UnblockabilityCache | None = None,
-) -> bool:
+def is_uc_unblockable(rules: RuleSet, hc: HeadChoice, trigger: Trigger) -> bool:
     """Datalog triggers always; others iff not obsolete for the uc set."""
-    return _is_unblockable(rules, UC, hc, trigger,
-                           cache or UnblockabilityCache())
+    return _is_unblockable(rules, UC, hc, trigger, unblockability_cache(rules))
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .approx import UnblockabilityCache
 from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
                     entails, results, run_chase)
 from .cyclicity import (
@@ -232,16 +231,14 @@ def _report_json(report: ClassificationReport, namer: Namer) -> dict:
 def _run_stages(rules: RuleSet, stages: Sequence[str], k: int,
                 deadline: float | None, term_depth: int) -> Iterator:
     """Run the stages in order and yield each one's verdict; each stage
-    gets the time left before the deadline, but at least 1 ms. The
-    cyclicity stages share one unblockability cache."""
-    cache = UnblockabilityCache()
+    gets the time left before the deadline, but at least 1 ms."""
     for stage in stages:
         remaining = None if deadline is None else max(0.001, deadline - time.monotonic())
         budget = SearchBudget(max_term_depth=term_depth, timeout_seconds=remaining)
         if stage == "acyclic":
             verdict = check_acyclic(rules, k, budget)
         else:
-            verdict = check(rules, stage, budget, cache=cache)
+            verdict = check(rules, stage, budget)
         log.info("%s: %s", stage, verdict.result)
         yield verdict
 
@@ -258,8 +255,9 @@ def classify_rules(
 
     The pipeline runs the cheap acyclicity check first and stops at the
     first definitive verdict: terminating short-circuits the cyclicity
-    notions, a cyclic verdict ends the run. A shared deadline is split
-    across the stages so the total stays within the requested timeout.
+    notions, a cyclic verdict ends the run. The timeout does not bound the
+    total: each stage gets the time left when it starts (at least 1 ms), and
+    each of its saturations that much again (ROADMAP item 3).
     """
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout

@@ -19,8 +19,9 @@ Three notions are provided: the full search over all head choices, the
 cheaper search over the uniform head choices hc_1..hc_b only, and the
 deterministic-rules-only search with the coarser star abstraction. `check`
 runs each as one loop that saturates every (head choice, pivot) pair of the
-notion's family in order, with one unblockability cache for the whole loop,
-or for every stage of a classify run when the caller passes one.
+notion's family in order. Unblockability answers are kept with the rule set,
+so every saturation, and every later check on the same rule set, reads the
+answers that earlier ones built.
 """
 from __future__ import annotations
 
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .approx import (
-    UnblockabilityCache,
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
+    unblockability_cache,
 )
 from .chase import HeadChoice
 from .matcher import FactSet, Trigger, discover
@@ -140,7 +141,6 @@ def _saturate(
     rho: Rule,
     hc: HeadChoice | None,
     budget: SearchBudget,
-    cache: UnblockabilityCache,
     injectivity_guard: bool = True,
 ) -> SaturationRun:
     """Shared saturation engine.
@@ -207,8 +207,8 @@ def _saturate(
                 if len(set(image)) != len(image):
                     continue
             trigger = Trigger.of_key(key)
-            if not (is_star_unblockable(rules, trigger, cache) if hc is None
-                    else is_uc_unblockable(rules, hc, trigger, cache)):
+            if not (is_star_unblockable(rules, trigger) if hc is None
+                    else is_uc_unblockable(rules, hc, trigger)):
                 continue
             if budget.max_triggers is not None and \
                     len(run.provenance) >= budget.max_triggers:
@@ -229,7 +229,6 @@ def rpc_fact_set(
     budget: SearchBudget | None = None,
     *,
     injectivity_guard: bool = True,
-    cache: UnblockabilityCache | None = None,
 ) -> SaturationRun:
     """Saturation for one generating rule under one head choice.
 
@@ -238,22 +237,15 @@ def rpc_fact_set(
     """
     if not rho.is_generating:
         raise ValueError(f"rule {rho.id} is not generating")
-    return _saturate(rules, rho, hc, budget or SearchBudget(),
-                     cache or UnblockabilityCache(), injectivity_guard)
+    return _saturate(rules, rho, hc, budget or SearchBudget(), injectivity_guard)
 
 
-def drpc_fact_set(
-    rules: RuleSet,
-    rho: Rule,
-    budget: SearchBudget | None = None,
-    *,
-    cache: UnblockabilityCache | None = None,
-) -> SaturationRun:
+def drpc_fact_set(rules: RuleSet, rho: Rule,
+                  budget: SearchBudget | None = None) -> SaturationRun:
     """Saturation over deterministic rules only, star abstraction."""
     if not (rho.is_generating and rho.is_deterministic):
         raise ValueError(f"rule {rho.id} is not deterministic and generating")
-    return _saturate(rules, rho, None, budget or SearchBudget(),
-                     cache or UnblockabilityCache())
+    return _saturate(rules, rho, None, budget or SearchBudget())
 
 
 # ---------------------------------------------------------------------------
@@ -393,19 +385,13 @@ def _pairs(rules: RuleSet, notion: str) -> Iterator[tuple[HeadChoice | None, Rul
                 yield hc, rho
 
 
-def check(
-    rules: RuleSet,
-    notion: str,
-    budget: SearchBudget | None = None,
-    *,
-    cache: UnblockabilityCache | None = None,
-) -> Verdict:
+def check(rules: RuleSet, notion: str, budget: SearchBudget | None = None) -> Verdict:
     """Run one never-termination notion over every eligible pivot rule.
 
     Each (head choice, pivot) pair gets one saturation, in the notion's
-    order, and all of them share one unblockability cache: `cache`, or a
-    fresh one. `classify` and `batch` pass one cache to every stage of a
-    run, so RPC_s reads the star answers that DRPC built; the unblockability
+    order. All of them read the rule set's unblockability answers, and so
+    does every later check on it: in a `classify` run, or a `batch` file,
+    RPC_s reads the star answers that DRPC built. The unblockability
     counters in `stats` count only this call's work. DRPC takes the
     deterministic generating rules in rule order with no head choice. RPC_s
     takes hc_1..hc_b in turn, and RPC every head choice lexicographically in
@@ -421,16 +407,16 @@ def check(
         raise ValueError(f"unknown notion {notion!r}")
     budget = budget or SearchBudget()
     start = time.monotonic()
-    cache = UnblockabilityCache() if cache is None else cache
+    cache = unblockability_cache(rules)
     before = cache.counts()
     result, witness = NOT_DETECTED, None
     runs = 0
     for hc, rho in _pairs(rules, canonical):
         runs += 1
         if hc is None:
-            run = drpc_fact_set(rules, rho, budget, cache=cache)
+            run = drpc_fact_set(rules, rho, budget)
         else:
-            run = rpc_fact_set(rules, hc, rho, budget, cache=cache)
+            run = rpc_fact_set(rules, hc, rho, budget)
         if run.truncated:
             result = RESOURCE_EXHAUSTED
         if run.cyclic_term is not None:

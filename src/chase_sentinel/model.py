@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
+    from .approx import UnblockabilityCache
     from .matcher import Trigger
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "skolem_symbol",
     "star",
     "uc_constant",
+    "uc_symbol",
     "db_constant",
     "is_reserved_name",
     "apply_term",
@@ -165,6 +167,8 @@ _EMPTY_NEST: Mapping[SkolemSymbol, int] = {}
 # and never by calling their classes.
 _TERMS: dict[object, Term] = {}
 _SYMBOLS: dict[tuple[str, int, str, int], SkolemSymbol] = {}
+# The symbol of each fresh per-symbol constant, filled by `uc_constant`.
+_UC_SYMBOLS: dict[Constant, SkolemSymbol] = {}
 
 
 def constant(name: str) -> Constant:
@@ -210,7 +214,16 @@ def star() -> Constant:
 
 def uc_constant(symbol: SkolemSymbol) -> Constant:
     """The fresh constant c_f, one per skolem symbol."""
-    return constant(f"{UC_PREFIX}{symbol.rule_id}_{symbol.disjunct}_{symbol.var}")
+    c = constant(f"{UC_PREFIX}{symbol.rule_id}_{symbol.disjunct}_{symbol.var}")
+    _UC_SYMBOLS.setdefault(c, symbol)
+    return c
+
+
+def uc_symbol(c: Constant) -> SkolemSymbol | None:
+    """The symbol f of the fresh constant c_f, or None for any other
+    constant; of symbols that differ only in arity, and so share c_f, the
+    first one asked for."""
+    return _UC_SYMBOLS.get(c)
 
 
 def db_constant(var_name: str) -> Constant:
@@ -490,7 +503,7 @@ class Rule:
 
 
 class RuleSet:
-    """An ordered set of rules with derived indexes and per-term caches."""
+    """An ordered set of rules with derived indexes and its own caches."""
 
     def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
@@ -515,8 +528,10 @@ class RuleSet:
             for idx, atom in enumerate(rule.body):
                 self.body_index.setdefault(atom.predicate, []).append((rule, idx))
         # The compiled pinned joins of body_index, per predicate, filled on
-        # first use by matcher's runner; they are freed with the rule set.
+        # first use by matcher's runner, and approx's UnblockabilityCache,
+        # made on first use; both are freed with the rule set.
         self.pinned_joins: dict[str, list] = {}
+        self.unblockability: UnblockabilityCache | None = None
         self._birth_cache: dict[Term, frozenset[Atom]] = {}
 
     def __iter__(self) -> Iterator[Rule]:

@@ -43,9 +43,9 @@ from .model import (
     Variable,
     DB_PREFIX,
     STAR_NAME,
-    UC_PREFIX,
     constant,
     is_reserved_name,
+    uc_symbol,
     variable,
 )
 
@@ -250,8 +250,8 @@ class Namer:
     Skolem symbols print as f_<var> when only one symbol of the rule set uses
     that existential variable name, else as f_<ruleId>_<i>_<var>. The special
     constant prints as *, rule-database constants as c_<var>, and the fresh
-    constants of the unique-constants abstraction as c_<var> with the same
-    disambiguation scheme as symbols.
+    constant c_f of the unique-constants abstraction as its symbol f does,
+    with c for f.
     """
 
     def __init__(self, rules: RuleSet):
@@ -272,11 +272,9 @@ class Namer:
                 return "*"
             if name.startswith(DB_PREFIX):
                 return "c_" + name[len(DB_PREFIX):]
-            if name.startswith(UC_PREFIX):
-                rule_id, disjunct, var = name[len(UC_PREFIX):].split("_", 2)
-                if self._var_counts.get(var, 2) == 1:
-                    return f"c_{var}"
-                return f"c_{rule_id}_{disjunct}_{var}"
+            symbol = uc_symbol(t)
+            if symbol is not None:
+                return "c" + self.symbol(symbol)[1:]
             return name
         if isinstance(t, Variable):
             return t.name

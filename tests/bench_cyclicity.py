@@ -7,7 +7,8 @@ prints it: result, witness and stats, without `elapsed_ms`. The stats hold
 the unblockability counters (`approx_builds`, `approx_triggers`,
 `unblockability_cache_hits`, `unblockability_star_answers`), so a change to
 what an over-approximation build queues or answers shows here. Each notion
-runs with its own cache, as `check` makes one when none is passed.
+runs on its own parse of the structure, so with its own unblockability
+answers: a rule set keeps the answers of every check on it.
 
 Run as a script to record them into GOLDEN (this rewrites the fixture, so do
 it only when a verdict, witness or stat is meant to change):
@@ -38,11 +39,10 @@ BUDGET = SearchBudget(max_triggers=3000, max_term_depth=6)
 def outcomes() -> dict[str, dict[str, dict]]:
     out = {}
     for i in STRUCTURES:
-        rules = bench_rule_set(i)
-        namer = Namer(rules)
         runs = {}
         for notion in (DRPC, RPC_S):
-            report = cli._verdict_json(check(rules, notion, BUDGET), namer)
+            rules = bench_rule_set(i)
+            report = cli._verdict_json(check(rules, notion, BUDGET), Namer(rules))
             del report["stats"]["elapsed_ms"]
             runs[notion] = report
         out[f"structure-{i:02d}"] = runs

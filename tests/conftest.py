@@ -420,8 +420,9 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
 def naive_rpc(rules: RuleSet, budget=None):
     """RPC as the full head-choice enumeration: every head choice,
     lexicographic in rule order, times every generating pivot in rule order,
-    each saturated with a fresh unblockability cache. Returns (result,
-    witness, saturations); the reference for `check`'s shared cache."""
+    each saturated on a fresh rule set of the same rules, so with fresh
+    unblockability answers. Returns (result, witness, saturations); the
+    reference for `check`, whose saturations share the rule set's answers."""
     from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
                                           RESOURCE_EXHAUSTED, extract_prefix,
                                           rpc_fact_set)
@@ -434,7 +435,7 @@ def naive_rpc(rules: RuleSet, budget=None):
             if not rho.is_generating:
                 continue
             runs += 1
-            run = rpc_fact_set(rules, hc, rho, budget)
+            run = rpc_fact_set(RuleSet(rules.rules), hc, rho, budget)
             truncated = truncated or run.truncated
             if run.cyclic_term is not None:
                 return CYCLIC, extract_prefix(run), runs

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -12,6 +14,7 @@ from chase_sentinel.approx import (
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
+    unblockability_cache,
 )
 from chase_sentinel.chase import HeadChoice
 from chase_sentinel.matcher import FactSet, Trigger, discover, is_obsolete
@@ -415,8 +418,8 @@ def test_star_step_skips_pivots_with_abstract_constants_in_their_skeleton():
     lam = Trigger(rules.by_id["r2"],
                   {variable("X"): functional(f_v, (star(),))})
     assert star() in skeleton(lam, rules)
-    cache = UnblockabilityCache()
-    answer = is_uc_unblockable(rules, hc1, lam, cache)
+    cache = unblockability_cache(rules)
+    answer = is_uc_unblockable(rules, hc1, lam)
     assert answer == (not is_obsolete(lam, build_over_approx(
         rules, lam, UC, hc1).facts))
     assert (cache.builds, cache.star_answers) == (1, 0)
@@ -425,8 +428,7 @@ def test_star_step_skips_pivots_with_abstract_constants_in_their_skeleton():
     # The same trigger on a fresh constant takes the star step.
     lam_d = Trigger(rules.by_id["r2"],
                     {variable("X"): functional(f_v, (constant("d"),))})
-    cache = UnblockabilityCache()
-    assert is_uc_unblockable(rules, hc1, lam_d, cache) == answer
+    assert is_uc_unblockable(rules, hc1, lam_d) == answer
     assert cache.star_answers == 1
 
 
@@ -462,7 +464,7 @@ def test_uc_answers_equal_whole_fixpoint_answers():
 def test_unblockability_cache_canonicalizes_constant_renamings():
     rules = bike_subset(2)
     hc1 = HeadChoice.uniform(rules, 1)
-    cache = UnblockabilityCache()
+    cache = unblockability_cache(rules)
     r1 = rules.by_id["r1"]
     f_v = next(iter(r1.sk_symbols))
     lam_d = Trigger(rules.by_id["r2"],
@@ -473,13 +475,13 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     def uc_entries():
         return [key for key in cache.entries if key[0] == UC]
 
-    assert is_uc_unblockable(rules, hc1, lam_d, cache)
+    assert is_uc_unblockable(rules, hc1, lam_d)
     assert len(uc_entries()) == 1
     # The star build answered the UC question, so it is the only build.
     assert (cache.builds, cache.hits, cache.star_answers) == (1, 0, 1)
     built = build_over_approx(rules, lam_d, STAR)
     assert cache.triggers == built.triggers > 0
-    assert is_uc_unblockable(rules, hc1, lam_e, cache)
+    assert is_uc_unblockable(rules, hc1, lam_e)
     assert len(uc_entries()) == 1
     assert (cache.builds, cache.hits, cache.star_answers) == (1, 1, 1)
     assert cache.triggers == built.triggers
@@ -488,13 +490,12 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     # only there, so they share one entry although their body images are
     # no constant renaming of each other.
     rules = rules_from("A(X, Z) -> R(X, W) .")
-    cache = UnblockabilityCache()
+    cache = unblockability_cache(rules)
     c, d = constant("c"), constant("d")
     rule = rules.by_id["r1"]
     lam_cc = Trigger(rule, {variable("X"): c, variable("Z"): c})
     lam_cd = Trigger(rule, {variable("X"): c, variable("Z"): d})
-    assert is_star_unblockable(rules, lam_cc, cache) == \
-        is_star_unblockable(rules, lam_cd, cache)
+    assert is_star_unblockable(rules, lam_cc) == is_star_unblockable(rules, lam_cd)
     assert len(cache.entries) == 1
     # X maps to a constant, so R(c, *) is a seed fact and the answer needs
     # no build.
@@ -504,13 +505,13 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
 def test_unblockability_cache_keys_abstract_constants_as_themselves():
     # A frontier constant replaced by the special constant changes the
     # build's universe, which always holds the special constant, so the two
-    # triggers may differ in answer; a shared cache must not rename one into
-    # the other. The pairs are every sample trigger of structures 0-29 with
-    # one of its frontier constants sent to the special constant.
+    # triggers may differ in answer; the rule set's cache must not rename
+    # one into the other. The pairs are every sample trigger of structures
+    # 0-29 with one of its frontier constants sent to the special constant;
+    # each member's fresh answer comes from a cache of its own.
     pairs = differ = 0
     for i in range(30):
         rules = bench_rule_set(i)
-        cache = UnblockabilityCache()
         for lam in sample_triggers(rules):
             if lam.rule.is_datalog:
                 continue
@@ -520,14 +521,27 @@ def test_unblockability_cache_keys_abstract_constants_as_themselves():
                 g = ConstantMapping({c: star()})
                 starred = Trigger(lam.rule, {v: g.apply(t)
                                              for v, t in lam.substitution.items()})
-                fresh = [is_star_unblockable(rules, t) for t in (lam, starred)]
-                shared = [is_star_unblockable(rules, t, cache)
-                          for t in (lam, starred)]
+                fresh = [_is_unblockable(rules, STAR, None, t,
+                                         UnblockabilityCache())
+                         for t in (lam, starred)]
+                shared = [is_star_unblockable(rules, t) for t in (lam, starred)]
                 assert shared == fresh, (i, lam, starred)
                 pairs += 1
                 differ += fresh[0] != fresh[1]
     # 828 pairs today; two differ in answer, in structures 1 and 16.
     assert pairs >= 800 and differ >= 2
+
+
+def test_unblockability_cache_is_freed_with_its_rule_set():
+    rules = bike_subset(2)
+    assert rules.unblockability is None
+    assert is_star_unblockable(rules, bike_pivot(rules))
+    assert rules.unblockability.builds == 1
+    cache = weakref.ref(rules.unblockability)
+    ref = weakref.ref(rules)
+    del rules
+    gc.collect()
+    assert ref() is None and cache() is None
 
 
 def test_reversibility_condition_one():

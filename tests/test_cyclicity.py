@@ -5,7 +5,7 @@ import random
 import pytest
 
 import chase_sentinel.cyclicity as cyc
-from chase_sentinel.approx import UnblockabilityCache
+from chase_sentinel import corpus_dir
 from chase_sentinel.chase import HeadChoice
 from chase_sentinel.cyclicity import (
     AppliedTrigger,
@@ -25,12 +25,14 @@ from chase_sentinel.matcher import FactSet, Trigger
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
+    RuleSet,
     constant,
     db_constant,
     functional,
     is_rho_cyclic,
     variable,
 )
+from chase_sentinel.ruleio import parse
 
 import bench_cyclicity
 from conftest import (bench_rule_set, bike_subset, frontier_image, is_loaded,
@@ -324,13 +326,13 @@ def test_rpc_is_the_full_enumeration():
 
 def test_one_cache_serves_drpc_and_rpcs():
     # Every star question of RPC_s on structure 11, each asked before a
-    # unique-constants build, was built by DRPC already: with one cache the
-    # RPC_s stage builds nothing and gives the same verdict.
+    # unique-constants build, was built by DRPC already: two checks on one
+    # rule set share its cache, so the RPC_s check builds nothing and gives
+    # the verdict it gives on a rule set of its own.
     rules = bench_rule_set(11)
-    alone = check(rules, cyc.RPC_S, bench_cyclicity.BUDGET)
-    cache = UnblockabilityCache()
-    drpc = check(rules, cyc.DRPC, bench_cyclicity.BUDGET, cache=cache)
-    shared = check(rules, cyc.RPC_S, bench_cyclicity.BUDGET, cache=cache)
+    alone = check(RuleSet(rules.rules), cyc.RPC_S, bench_cyclicity.BUDGET)
+    drpc = check(rules, cyc.DRPC, bench_cyclicity.BUDGET)
+    shared = check(rules, cyc.RPC_S, bench_cyclicity.BUDGET)
     assert (shared.result, shared.witness) == (alone.result, alone.witness)
     assert alone.stats["approx_builds"] == drpc.stats["approx_builds"] == 3
     assert shared.stats["approx_builds"] == 0
@@ -339,7 +341,53 @@ def test_one_cache_serves_drpc_and_rpcs():
     assert shared.stats["unblockability_star_answers"] == \
         alone.stats["unblockability_star_answers"] == 3
     # The stats count each call's own work.
+    cache = rules.unblockability
     assert cache.builds == 3 and cache.star_answers == 3
+
+
+def test_repeated_checks_on_one_rule_set_match_fresh_rule_sets(monkeypatch):
+    # A rule set keeps the unblockability answers of every check on it. Two
+    # checks per notion on one rule set, DRPC before RPC_s as classify runs
+    # them, give the verdicts and witnesses that a check on a fresh rule set
+    # of the same rules gives. A second check asks the first one's questions
+    # again, and answers every non-datalog one from the cache.
+    questions = 0
+
+    def counted(ask):
+        def wrapper(*args):
+            nonlocal questions
+            questions += not args[-1].rule.is_datalog
+            return ask(*args)
+        return wrapper
+
+    monkeypatch.setattr(cyc, "is_star_unblockable", counted(cyc.is_star_unblockable))
+    monkeypatch.setattr(cyc, "is_uc_unblockable", counted(cyc.is_uc_unblockable))
+    corpus = [parse(path.read_text(encoding="utf-8")).rules
+              for path in sorted(corpus_dir().glob("*.drls"))]
+    sets = built = hits = cyclic = 0
+    for rules in itertools.chain(corpus, map(bench_rule_set, range(30))):
+        sets += 1
+        for notion in (cyc.DRPC, cyc.RPC_S):
+            fresh = check(RuleSet(rules.rules), notion, bench_cyclicity.BUDGET)
+            questions = 0
+            first = check(rules, notion, bench_cyclicity.BUDGET)
+            asked, questions = questions, 0
+            second = check(rules, notion, bench_cyclicity.BUDGET)
+            for verdict in (first, second):
+                assert (verdict.result, verdict.witness,
+                        verdict.stats["saturations"]) == \
+                    (fresh.result, fresh.witness, fresh.stats["saturations"]), \
+                    (sets, notion)
+            assert questions == asked
+            assert (second.stats["approx_builds"], second.stats["approx_triggers"],
+                    second.stats["unblockability_star_answers"]) == (0, 0, 0)
+            assert second.stats["unblockability_cache_hits"] == asked
+            built += first.stats["approx_builds"]
+            hits += asked
+            cyclic += fresh.result == CYCLIC
+    # 590 builds, 1,345 second-check hits and 36 cyclic verdicts today.
+    assert sets == 43
+    assert built >= 550 and hits >= 1300 and cyclic >= 30
 
 
 def test_bench_verdicts_replay_golden_fixture():

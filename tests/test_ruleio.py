@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from chase_sentinel.model import Atom, constant, functional, variable
+from chase_sentinel.model import (Atom, Rule, RuleSet, constant, functional,
+                                  uc_constant, variable)
 from chase_sentinel.matcher import Trigger
 from chase_sentinel.ruleio import Namer, ParseError, parse, render
 
@@ -125,6 +126,25 @@ def test_namer_disambiguates_same_variable_across_rules():
         key=lambda s: s.rule_id)
     rendered = {names.symbol(s) for s in syms}
     assert len(rendered) == 2
+
+
+def test_namer_names_per_symbol_constants_as_their_symbols():
+    # Rule ids made by hand may hold "_", which the constant's name joins
+    # with its disjunct and variable; the name must still follow the symbol.
+    X, V, U = variable("X"), variable("V"), variable("U")
+    mine = Rule("my_rule", [Atom("A", (X,))], [[Atom("R", (X, V))]])
+    names = Namer(RuleSet([mine]))
+    f_v = next(iter(mine.sk_symbols))
+    assert (names.symbol(f_v), names.term(uc_constant(f_v))) == ("f_V", "c_V")
+    # Two symbols on U are named with their rule and disjunct, both ways.
+    other = Rule("my_other", [Atom("B", (X,))],
+                 [[Atom("S", (X, U))], [Atom("S", (X, X))]])
+    yours = Rule("your_rule", [Atom("C", (X,))], [[Atom("T", (X, U))]])
+    names = Namer(RuleSet([mine, other, yours]))
+    on_u = (*other.sk_symbols, *yours.sk_symbols)
+    assert {names.symbol(s) for s in on_u} == {"f_my_other_1_U", "f_your_rule_1_U"}
+    assert {names.term(uc_constant(s)) for s in on_u} == \
+        {"c_my_other_1_U", "c_your_rule_1_U"}
 
 
 def test_parser_replays_golden_fixture():
