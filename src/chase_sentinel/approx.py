@@ -81,8 +81,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .chase import HeadChoice
-from .matcher import (FactSet, Trigger, compile_query, frontier_keys,
-                      is_obsolete, query_matched)
+from .matcher import (FactSet, Trigger, frontier_keys, is_obsolete,
+                      obsolete_through)
 from .model import (
     STAR_NAME,
     UC_PREFIX,
@@ -94,7 +94,6 @@ from .model import (
     SkolemSymbol,
     Template,
     Term,
-    apply_atoms,
     birth_facts,
     skeleton,
     star,
@@ -331,7 +330,7 @@ def _batches(
     # The pivot's outputs per disjunct, raw and abstracted, and the raw
     # fills of their terms. The pivot's frontier image occurs in its birth
     # facts, so its terms are skeleton terms, which need no abstracting.
-    pivot_image = tuple(map(pivot.substitution.__getitem__, pivot.rule.frontier))
+    pivot_image = pivot.frontier_image()
     raw_outs = {i: frozenset(pivot.rule.output(i, pivot_image))
                 for i in range(1, pivot.rule.branching + 1)}
     abs_outs = {i: frozenset(_fill(template, pivot_image, fills))
@@ -455,9 +454,9 @@ def _is_unblockable(
     prefix of batches. At the first such prefix, the match of a head
     disjunct uses a fact of the last batch, or the trigger would already be
     obsolete one batch earlier. So after testing the seed whole, it is
-    enough to test each later batch semi-naively: its new facts against the
-    disjuncts with the trigger's frontier images filled in and their
-    existential variables left free, as a query.
+    enough to test each later batch semi-naively, by
+    matcher.obsolete_through: each new fact pinned to each atom of the
+    rule's templates, filled from the trigger's frontier image.
 
     A trigger the seed blocks (_seed_blocks) is answered without a build.
 
@@ -486,13 +485,12 @@ def _is_unblockable(
         cache.star_answers += 1
         cache.entries[key] = True
         return True
-    queries = [compile_query(apply_atoms(trigger.substitution, d.atoms))
-               for d in trigger.rule.heads]
+    rule = trigger.rule
+    image = trigger.frontier_image()
     steps = _batches(rules, trigger, kind, hc)
     facts, _, queued = next(steps)
     answer = not (is_obsolete(trigger, facts) or any(
-        query_matched(query, batch, facts)
-        for _, batch, _ in steps for query in queries))
+        obsolete_through(rule, image, batch, facts) for _, batch, _ in steps))
     cache.builds += 1
     cache.triggers += len(queued)
     cache.entries[key] = answer

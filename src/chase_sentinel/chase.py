@@ -7,9 +7,10 @@ head disjunct, and triggers are consumed from FIFO queues so every loaded
 trigger is eventually applied or found obsolete on every branch (fairness).
 A branch takes its triggers by the trigger step it shares with the
 acyclicity check: `matcher.discover` finds their keys, `matcher.enqueue`
-queues datalog keys apart from the others, and `matcher.pop_active` builds
-the trigger of each key it pops and returns the first not obsolete for the
-label it would extend, datalog first, with the outputs its children add.
+queues datalog keys apart from the others, and `matcher.pop_active` tests
+each key it pops on its frontier image and returns the trigger of the
+first key not obsolete for the label it would extend, datalog first, with
+the outputs its children add.
 Labels only grow along a branch, so a trigger found obsolete stays
 obsolete and is dropped for good, and the test at the pop is exact. Each
 child pins only the facts its disjunct added, new fact by new fact and,

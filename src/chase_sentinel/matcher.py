@@ -14,7 +14,8 @@ loop meets a trigger twice, so none keeps a seen set for triggers.
 A trigger travels from `discover` to its pop as the key (rule, *body
 image), the image of rule.body_vars in order. Keys are read off a FactSet,
 so they are ground, and `Trigger.of_key` builds a trigger only where a
-loop reads one: at the pop, or at the saturation's unblockability test.
+loop reads one: for the key a pop returns, or at the saturation's
+unblockability test.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). Each such join is compiled once per rule set, on first
@@ -25,11 +26,16 @@ each match onto a key: (rule, *body image) for `discover` and (rule,
 
 The chase and the acyclicity check share the step around it: `enqueue`
 queues datalog keys ahead of the others, and `pop_active` pops the first
-key whose trigger is not obsolete, with its outputs. Obsolescence is stated
-once, per head disjunct, in `disjunct_holds`: `is_obsolete` asks it of
-every disjunct, and `pop_active` of each disjunct of a popped trigger, with
-the disjunct's output when that is the grounded head, so the one build
-serves the test and the caller.
+key that is not obsolete and returns its trigger and outputs. Obsolescence
+is stated once, per head disjunct, in `disjunct_holds`, on the rule's
+compiled head templates (Rule.sk_heads) and a frontier image: an
+existential-free disjunct is looked up as its output, an existential one
+walked atom by atom through the fact index. `pop_active` reads each popped
+key's frontier image off the key with rule.key_frontier and asks each
+disjunct, passing the disjunct's output when that is the grounded head, so
+the one build serves the test and the caller; `is_obsolete` asks every
+disjunct of a trigger. `obsolete_through` is the same walk pinned to new
+facts, the semi-naive test of the unblockability builds.
 
 Queries are pinned too, but not compiled: `query_matched` unifies a query
 atom with each newly added fact and joins the other atoms with
@@ -38,7 +44,8 @@ atom with each newly added fact and joins the other atoms with
 Patterns hold only variables and ground terms. `Rule` ensures this for
 bodies and heads (they hold variables only) and `compile_query` for queries
 (they may hold ground terms too), so matching looks variables up in the
-binding and compares terms by identity, which interning makes exact.
+binding, or a template's symbol slots up in its own, and compares terms by
+identity, which interning makes exact.
 """
 from __future__ import annotations
 
@@ -52,7 +59,9 @@ from .model import (
     Rule,
     RuleError,
     RuleSet,
+    SkolemSymbol,
     Substitution,
+    Template,
     Term,
     Variable,
 )
@@ -65,6 +74,7 @@ __all__ = [
     "discover",
     "disjunct_holds",
     "is_obsolete",
+    "obsolete_through",
     "enqueue",
     "pop_active",
     "compile_query",
@@ -168,10 +178,13 @@ class Trigger:
             for a in self.rule.body
         )
 
+    def frontier_image(self) -> tuple[Term, ...]:
+        """The image of rule.frontier, in order."""
+        return tuple(map(self.substitution.__getitem__, self.rule.frontier))
+
     def out(self, disjunct: int) -> tuple[Atom, ...]:
         """Skolemized output of one head disjunct (1-based), by Rule.output."""
-        rule = self.rule
-        return rule.output(disjunct, tuple(map(self.substitution.__getitem__, rule.frontier)))
+        return self.rule.output(disjunct, self.frontier_image())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Trigger) and other.rule.id == self.rule.id \
@@ -451,35 +464,98 @@ def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
     return _pinned_keys(rules, facts, new_facts, seen, _FRONTIER)
 
 
-def disjunct_holds(trigger: Trigger, disjunct: int, facts: FactSet,
-                   out: Sequence[Atom] | None = None) -> bool:
-    """True iff head disjunct `disjunct` (1-based) of the trigger matches
-    into the facts: the obsolescence rule, one disjunct at a time.
+def disjunct_holds(rule: Rule, disjunct: int, image: tuple[Term, ...],
+                   facts: FactSet, out: Sequence[Atom] | None = None) -> bool:
+    """True iff head disjunct `disjunct` (1-based) of the rule's trigger
+    with this frontier image matches into the facts: the obsolescence rule,
+    one disjunct at a time.
 
-    The match must extend the trigger substitution on the universally
-    quantified head variables; existential witnesses may be any terms of the
-    fact set. A disjunct without existential variables is ground under the
-    substitution, where it equals its output trigger.out(disjunct), so its
-    atoms are looked up one by one instead of joined. A caller that has
-    built that output already passes it as `out`.
+    The match is read off the disjunct's template in rule.sk_heads: a
+    frontier slot must hold the image's term, and a symbol slot stands for
+    its existential variable, which may take any term of the fact set, the
+    same one in every atom (_holds). A disjunct without existential
+    variables is ground under the image, where it equals its output
+    rule.output(disjunct, image), so its atoms are looked up one by one
+    instead. A caller that has built that output already passes it as
+    `out`.
     """
-    head = trigger.rule.heads[disjunct - 1]
-    if head.existential_vars:
-        for _ in match_conjunction(head.atoms, trigger.substitution, facts):
-            return True
-        return False
-    for atom in trigger.out(disjunct) if out is None else out:
+    if rule.heads[disjunct - 1].existential_vars:
+        return _holds(rule.sk_heads[disjunct - 1], image, {}, facts)
+    for atom in rule.output(disjunct, image) if out is None else out:
         if atom not in facts:
             return False
     return True
 
 
+def _holds(atoms: Template, image: tuple[Term, ...],
+           bound: dict[SkolemSymbol, Term], facts: FactSet,
+           pool: Sequence[Atom] | None = None) -> bool:
+    """Whether the template atoms map into the facts with each frontier slot
+    s on image[s] and each symbol slot on one term throughout, extending
+    bound, the terms of the symbol slots met so far.
+
+    The first atom's candidates are pool when given, else read through the
+    (predicate, first argument) index when its first slot is a frontier
+    position or a bound symbol, else all facts of its predicate. The answer
+    is a boolean, so the atom order does not change it, and terms are
+    compared by identity, which interning makes exact.
+    """
+    predicate, slots = atoms[0]
+    rest = atoms[1:]
+    if pool is None:
+        first = slots[0]
+        pool = facts.candidates(predicate, image[first] if first.__class__ is int
+                                else bound.get(first))  # type: ignore[arg-type]
+    arity = len(slots)
+    for fact in pool:
+        terms = fact.terms
+        if len(terms) != arity:
+            continue
+        binding = bound
+        for s, t in zip(slots, terms):
+            if s.__class__ is int:
+                if image[s] is not t:  # type: ignore[index]
+                    break
+            else:
+                held = binding.get(s)  # type: ignore[arg-type]
+                if held is None:
+                    if binding is bound:
+                        binding = dict(bound)
+                    binding[s] = t  # type: ignore[index]
+                elif held is not t:
+                    break
+        else:
+            if not rest or _holds(rest, image, binding, facts):
+                return True
+    return False
+
+
 def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
     """True iff some original head disjunct matches into the facts; see
     `disjunct_holds`."""
-    for i in range(1, trigger.rule.branching + 1):
-        if disjunct_holds(trigger, i, facts):
+    rule = trigger.rule
+    image = trigger.frontier_image()
+    for i in range(1, rule.branching + 1):
+        if disjunct_holds(rule, i, image, facts):
             return True
+    return False
+
+
+def obsolete_through(rule: Rule, image: tuple[Term, ...],
+                     new_facts: Iterable[Atom], facts: FactSet) -> bool:
+    """True iff some head disjunct of the rule's trigger with this frontier
+    image matches into the facts with one of its atoms on a new fact
+    (already in the facts): the semi-naive step of `is_obsolete`. Each new
+    fact is pinned to each template atom of its predicate, and `_holds`
+    walks the other atoms from there."""
+    for fact in new_facts:
+        predicate = fact.predicate
+        for template in rule.sk_heads:
+            for j, atom in enumerate(template):
+                if atom[0] == predicate and _holds(
+                        (atom, *template[:j], *template[j + 1:]),
+                        image, {}, facts, (fact,)):
+                    return True
     return False
 
 
@@ -496,22 +572,28 @@ def pop_active(queues: Queues,
                facts: FactSet) -> tuple[Trigger, list[tuple[Atom, ...]]] | None:
     """The trigger of the first key, first queue first, that is not
     obsolete for the facts, with the output of each head disjunct; None
-    once both queues are empty. Obsolete keys are dropped for good: facts
-    only grow. An existential-free disjunct's output is built once, for its
-    test and the caller. No disjunct holds in an empty set, so none is.
+    once both queues are empty. A key is tested on the frontier image that
+    rule.key_frontier reads off it, and only the key returned gets a
+    Trigger. Obsolete keys are dropped for good: facts only grow. An
+    existential-free disjunct's output is built once, for its test and the
+    caller. No disjunct holds in an empty set, so none is tested there.
     """
+    tested = bool(facts)
     for queue in queues:
         while queue:
-            trigger = Trigger.of_key(queue.popleft())
+            key = queue.popleft()
+            rule = key[0]
+            image = rule.key_frontier(key)
             outputs = []
-            for i, head in enumerate(trigger.rule.heads, 1):
-                out = None if head.existential_vars else trigger.out(i)
-                if facts and disjunct_holds(trigger, i, facts, out):
+            for i, head in enumerate(rule.heads, 1):
+                out = None if head.existential_vars else rule.output(i, image)
+                if tested and disjunct_holds(rule, i, image, facts, out):
                     break
                 outputs.append(out)
             else:
-                return trigger, [trigger.out(i) if out is None else out
-                                 for i, out in enumerate(outputs, 1)]
+                return Trigger.of_key(key), [
+                    rule.output(i, image) if out is None else out
+                    for i, out in enumerate(outputs, 1)]
     return None
 
 

@@ -9,6 +9,7 @@ only way to build them, and they compare and hash by identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 if TYPE_CHECKING:
@@ -403,7 +404,11 @@ class Rule:
     frontier or the skolem symbol f of an existential one. `output` fills a
     template from a ground frontier image, a symbol slot with f(image), so
     no non-ground skolem term is built; over-approximation builds fill the
-    same templates with abstracted terms.
+    same templates with abstracted terms. Obsolescence matches the same
+    templates: a frontier slot must hold the image's term and a symbol slot
+    stands for its existential variable, so a trigger is tested on its
+    frontier image alone. key_frontier, compiled next to them, reads that
+    image off a (rule, *body image) key.
     """
 
     __slots__ = (
@@ -418,6 +423,7 @@ class Rule:
         "is_datalog",
         "sk_heads",
         "sk_symbols",
+        "key_frontier",
     )
 
     def __init__(self, rule_id: str, body: Sequence[Atom],
@@ -487,6 +493,15 @@ class Rule:
                 for a in h.atoms]))
         self.sk_heads = tuple(sk_heads)
         self.sk_symbols = frozenset(symbols)
+        # The frontier is a subsequence of body_vars. A run of consecutive
+        # key positions, the empty one included, is read as a slice, so
+        # that the getter returns a tuple for every frontier size.
+        at = [1 + i for i, v in enumerate(self.body_vars) if v in head_vars]
+        start = at[0] if at else 1
+        if at == list(range(start, start + arity)):
+            self.key_frontier = itemgetter(slice(start, start + arity))
+        else:
+            self.key_frontier = itemgetter(*at)
 
     def output(self, disjunct: int, image: tuple[Term, ...]) -> tuple[Atom, ...]:
         """The skolemized output of one head disjunct (1-based) for a

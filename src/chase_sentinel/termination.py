@@ -14,8 +14,9 @@ check from drowning in the seed facts, which satisfy every head vacuously.
 The plain discipline ("mfa") never drops a trigger and is the coarser,
 unconditionally sound variant: `matcher.discover` finds each trigger's key
 once per saturation, and the chase's step `matcher.pop_active` pops keys,
-datalog first, testing their triggers against `derived` in the default
-mode and against the empty set, where none is obsolete, in the plain one.
+datalog first, testing each on its frontier image against `derived` in the
+default mode and against the empty set, where none is obsolete, in the
+plain one.
 """
 from __future__ import annotations
 

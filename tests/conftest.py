@@ -15,6 +15,7 @@ import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Iterator
 
 import pytest
 
@@ -216,7 +217,7 @@ def sample_triggers(rules: RuleSet, depth_cap: int = 3,
         for rule in rules:
             for sub in match_conjunction(rule.body, {}, facts):
                 lam = Trigger(rule, sub)
-                if max((t.depth for t in frontier_image(lam)), default=0) \
+                if max((t.depth for t in lam.frontier_image()), default=0) \
                         <= depth_cap:
                     out.append(lam)
                 if len(out) >= limit:
@@ -227,19 +228,28 @@ def sample_triggers(rules: RuleSet, depth_cap: int = 3,
 # ---------------------------------------------------------------------------
 # Naive oracles
 
-def oracle_obsolete(trigger: Trigger, facts: FactSet) -> bool:
-    """Obsoleteness by brute force: for each head disjunct, try every
-    assignment of the existential variables to terms of the fact set."""
+def oracle_matches(trigger: Trigger,
+                   facts: FactSet) -> Iterator[tuple[int, tuple[Atom, ...]]]:
+    """Every match of a head disjunct into the facts, by brute force: for
+    each disjunct (1-based) and each assignment of its existential variables
+    to terms of the fact set, the disjunct and its atoms under that
+    assignment, when they all hold."""
     pool = list(dict.fromkeys(t for a in facts for t in a.terms))
-    for head in trigger.rule.heads:
+    for i, head in enumerate(trigger.rule.heads, 1):
         base = dict(trigger.substitution)
         exvars = [v for v in head.existential_vars]
         for combo in itertools.product(pool, repeat=len(exvars)):
             sigma = dict(base)
             sigma.update(zip(exvars, combo))
-            if all(apply_atom(sigma, a) in facts for a in head.atoms):
-                return True
-    return False
+            atoms = tuple(apply_atom(sigma, a) for a in head.atoms)
+            if all(a in facts for a in atoms):
+                yield i, atoms
+
+
+def oracle_obsolete(trigger: Trigger, facts: FactSet) -> bool:
+    """Obsoleteness by brute force: some head disjunct has a match in
+    `oracle_matches`."""
+    return next(oracle_matches(trigger, facts), None) is not None
 
 
 def _oracle_abstract(kind: str, skel: frozenset[Term],
@@ -519,10 +529,6 @@ def trace_lines(tree: ChaseTree) -> list[str]:
         parent = "-" if v.parent is None else str(v.parent)
         lines.append(f"vertex {v.id} parent {parent} via {origin}: {added}")
     return lines
-
-
-def frontier_image(trigger: Trigger) -> tuple[Term, ...]:
-    return tuple(trigger.substitution[v] for v in trigger.rule.frontier)
 
 
 def outputs(trigger: Trigger) -> tuple[tuple[Atom, ...], ...]:

@@ -39,7 +39,6 @@ from conftest import (
     _oracle_abstract,
     bench_rule_set,
     bike_subset,
-    frontier_image,
     map_atom,
     naive_over_approx,
     random_rule_set,
@@ -203,7 +202,7 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
         for rules in rule_sets:
             pivots = sample_triggers(rules, depth_cap=2)
             deep = [p for p in pivots
-                    if any(t.depth > 1 for t in frontier_image(p))]
+                    if any(t.depth > 1 for t in p.frontier_image())]
             shallow = [p for p in pivots if p not in deep]
             hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
             for pivot in deep[:deep_pivots] + shallow[:1]:
@@ -515,7 +514,7 @@ def test_unblockability_cache_keys_abstract_constants_as_themselves():
         for lam in sample_triggers(rules):
             if lam.rule.is_datalog:
                 continue
-            constants = {c for t in frontier_image(lam) for c in subterms(t)
+            constants = {c for t in lam.frontier_image() for c in subterms(t)
                          if isinstance(c, Constant)}
             for c in sorted(constants, key=repr):
                 g = ConstantMapping({c: star()})

@@ -35,7 +35,7 @@ from chase_sentinel.model import (
 from chase_sentinel.ruleio import parse
 
 import bench_cyclicity
-from conftest import (bench_rule_set, bike_subset, frontier_image, is_loaded,
+from conftest import (bench_rule_set, bike_subset, is_loaded,
                       naive_rpc, random_rule_set, rematch_saturation, rules_from)
 
 
@@ -216,7 +216,7 @@ def test_unroll_repeats_with_mapping_powers(bike2):
     for trigger in rolled:
         assert is_loaded(trigger, replay)
         replay.update(prefix.hc.out(trigger))
-        depths.append(max(t.depth for t in frontier_image(trigger)))
+        depths.append(max(t.depth for t in trigger.frontier_image()))
     assert depths[1::2] == sorted(depths[1::2])
     assert depths[-1] > depths[1]
 

@@ -1,3 +1,4 @@
+import collections
 import gc
 import random
 import weakref
@@ -12,20 +13,22 @@ from chase_sentinel.matcher import (
     Trigger,
     compile_query,
     discover,
+    disjunct_holds,
     enqueue,
     frontier_keys,
     _pinned_keys,
     is_obsolete,
     match_conjunction,
+    obsolete_through,
     pop_active,
     query_matched,
 )
 from chase_sentinel.chase import entails
-from chase_sentinel.model import (Atom, Query, RuleError, constant, functional,
-                                  skolem_symbol, variable)
+from chase_sentinel.model import (Atom, Query, RuleError, apply_atoms, constant,
+                                  functional, skolem_symbol, variable)
 
-from conftest import (bike_subset, frontier_image, is_loaded, match_pinned,
-                      oracle_obsolete, outputs, random_rule_set, rules_from,
+from conftest import (bike_subset, is_loaded, match_pinned, oracle_matches,
+                      outputs, perfbench_module, random_rule_set, rules_from,
                       satisfies)
 
 
@@ -92,7 +95,7 @@ def test_trigger_outputs_and_frontier_image():
     assert lam.out(1) == (Atom("IsIn", (d, fvd)), Atom("Bike", (fvd,)))
     assert lam.out(2) == (atom("Spare", "d"),)
     assert outputs(lam) == (lam.out(1), lam.out(2))
-    assert frontier_image(lam) == (d,)
+    assert lam.frontier_image() == (d,)
 
 
 def test_is_loaded():
@@ -381,32 +384,105 @@ def test_satisfies_means_every_loaded_trigger_obsolete():
     assert satisfies(FactSet([atom("B", "a")]), rule)
 
 
-def test_is_obsolete_agrees_with_brute_force_on_random_sets():
+def _obsolescence_cases(n: int):
+    """n (rng, rules, facts) cases from one Random(11), rng being that
+    generator for the caller's own draws, in three kinds by i % 3:
+    a small random set with random facts over {a, b, c}; the same with facts
+    grown from triggers; and a 16-rule set shaped like the benchmark's
+    stratified sets, heads of arity 2-3, with facts grown from triggers.
+
+    Growing facts puts the body of a trigger over the terms so far into
+    them and, now and then, the skolemized output of one of its disjuncts by
+    Rule.output, less one atom or with one term swapped at times, so the
+    facts hold skolem terms and near misses of the heads. A few random
+    facts over the same terms follow."""
     rng = random.Random(11)
     consts = [constant(n) for n in ("a", "b", "c")]
-    checked = 0
-    # (has existential variables, answer) for single-disjunct rules:
-    # the lookup and the join path must each be seen answering both ways.
-    seen = set()
-    for max_rules in (4, 8):
-        for _ in range(60):
-            rules = random_rule_set(rng, max_rules=max_rules)
-            facts = FactSet()
-            preds = sorted(rules.predicates.items())
-            for _ in range(rng.randint(2, 8)):
-                pred, arity = rng.choice(preds)
-                facts.add(Atom(pred, tuple(
-                    rng.choice(consts) for _ in range(arity))))
-            for rule in rules:
-                for sub in match_conjunction(rule.body, {}, facts):
-                    lam = Trigger(rule, sub)
-                    answer = is_obsolete(lam, facts)
-                    assert answer == oracle_obsolete(lam, facts)
-                    if rule.is_deterministic:
-                        seen.add((bool(rule.heads[0].existential_vars), answer))
-                    checked += 1
-    assert checked >= 250
-    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+    stratified = perfbench_module("generators").stratified_rule_set
+    for i in range(n):
+        if i % 3 == 2:
+            rules = rules_from(stratified(rng, 16).text)
+        else:
+            rules = random_rule_set(rng, max_rules=rng.choice((4, 8)))
+        preds = sorted(rules.predicates.items())
+        terms = list(consts)
+        facts = FactSet()
+        if i % 3:
+            for rule in rng.sample(rules.rules, min(len(rules), 4)):
+                sub = {v: rng.choice(terms) for v in rule.body_vars}
+                facts.update(apply_atoms(sub, rule.body))
+                if rng.random() < 0.3:
+                    continue
+                out = list(rule.output(rng.randint(1, rule.branching),
+                                       tuple(map(sub.__getitem__, rule.frontier))))
+                cut = rng.random()
+                if cut < 0.2 and len(out) > 1:
+                    del out[rng.randrange(len(out))]
+                elif cut < 0.4:
+                    j = rng.randrange(len(out))
+                    args = list(out[j].terms)
+                    args[rng.randrange(len(args))] = rng.choice(terms)
+                    out[j] = Atom(out[j].predicate, tuple(args))
+                facts.update(out)
+                terms.extend(t for a in out for t in a.terms if t not in terms)
+        for _ in range(rng.randint(2, 8) if i % 3 == 0 else rng.randint(0, 3)):
+            pred, arity = rng.choice(preds)
+            facts.add(Atom(pred, tuple(rng.choice(terms) for _ in range(arity))))
+        yield rng, rules, facts
+
+
+def check_obsolescence(n: int) -> collections.Counter:
+    """Every loaded trigger of the _obsolescence_cases(n) cases against the
+    brute-force oracle_matches: is_obsolete, disjunct_holds on each
+    disjunct, and obsolete_through on a random part of the facts as new
+    ones. Returns the disjunct tests counted by bucket: (existential,
+    atoms, answer) for every disjunct, and ("first", answer) and ("shared",
+    answer) for those with a symbol in the first slot of an atom that no
+    earlier atom binds, which is scanned without the index, and for those
+    with one symbol in two slots."""
+    seen: collections.Counter = collections.Counter()
+    for rng, rules, facts in _obsolescence_cases(n):
+        for key in discover(rules, facts):
+            lam = Trigger.of_key(key)
+            rule = lam.rule
+            image = rule.key_frontier(key)
+            matches = list(oracle_matches(lam, facts))
+            assert is_obsolete(lam, facts) == bool(matches), (rules, facts, lam)
+            for d, template in enumerate(rule.sk_heads, 1):
+                answer = disjunct_holds(rule, d, image, facts)
+                assert answer == any(i == d for i, _ in matches), \
+                    (rules, facts, lam, d)
+                existential = bool(rule.heads[d - 1].existential_vars)
+                seen[existential, len(template), answer] += 1
+                symbols = [s for _, slots in template for s in slots
+                           if s.__class__ is not int]
+                met: set = set()
+                for _, slots in template:
+                    if slots[0].__class__ is not int and slots[0] not in met:
+                        seen["first", answer] += 1
+                        break
+                    met.update(slots)
+                if len(set(symbols)) < len(symbols):
+                    seen["shared", answer] += 1
+            new = [f for f in facts if rng.random() < 0.4]
+            assert obsolete_through(rule, image, new, facts) == any(
+                not set(atoms).isdisjoint(new) for _, atoms in matches), \
+                (rules, facts, new, lam)
+    return seen
+
+
+def test_is_obsolete_agrees_with_brute_force_on_random_sets():
+    # CI's obsolescence sweep runs 3,000 cases. Every bucket must be seen
+    # answering both ways: existential-free disjuncts by lookup, existential
+    # ones by the template walk, from the unindexed scan of a symbol in a
+    # first slot and through the binding of a symbol met twice.
+    seen = check_obsolescence(300)
+    for existential in (False, True):
+        for atoms in (1, 2):
+            for answer in (False, True):
+                assert seen[existential, atoms, answer] >= 40, seen
+    for bucket in ("first", "shared"):
+        assert seen[bucket, False] >= 100 and seen[bucket, True] >= 100, seen
 
 
 def test_semi_naive_discovery_equals_naive_discovery():

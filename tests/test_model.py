@@ -197,6 +197,7 @@ def test_skolemized_heads_match_the_reference():
     # frontier variable maps to its image term and each existential y to
     # f_y(image). Images are distinct constants, one constant throughout,
     # and skolem terms, so that repeated and nested arguments are covered.
+    # key_frontier must read the same frontier off a body image key.
     a, b = constant("a"), constant("b")
     g = skolem_symbol("g", 1, "Y", 2)
     for rules in _construction_sets():
@@ -213,6 +214,10 @@ def test_skolemized_heads_match_the_reference():
                                   for y in h.existential_vars})
                     assert rule.output(i, image) == apply_atoms(sigma, h.atoms), \
                         (rule, i, image)
+            # The frontier image of a (rule, *body image) key.
+            body_image = {v: constant(f"c{j}") for j, v in enumerate(rule.body_vars)}
+            assert rule.key_frontier((rule, *body_image.values())) == \
+                tuple(map(body_image.__getitem__, rule.frontier)), rule
 
 
 def test_parsing_interns_no_non_ground_skolem_term():
