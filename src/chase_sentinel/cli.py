@@ -255,9 +255,13 @@ def classify_rules(
 
     The pipeline runs the cheap acyclicity check first and stops at the
     first definitive verdict: terminating short-circuits the cyclicity
-    notions, a cyclic verdict ends the run. The timeout does not bound the
-    total: each stage gets the time left when it starts (at least 1 ms), and
-    each of its saturations that much again (ROADMAP item 3).
+    notions, a cyclic verdict ends the run. A cyclicity stage saturates its
+    (head choice, pivot) pairs in rounds of doubling trigger quotas, resuming
+    the pairs that reached the quota, so a short witness is not kept waiting
+    behind long saturations. The timeout does not bound the total: each
+    stage gets the time left when it starts (at least 1 ms), and each of its
+    saturations that much again of its own work, since a saturation's clock
+    pauses while it is suspended between rounds (ROADMAP item 3).
     """
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout

@@ -17,18 +17,25 @@ re-matching every rule each round finds.
 
 Three notions are provided: the full search over all head choices, the
 cheaper search over the uniform head choices hc_1..hc_b only, and the
-deterministic-rules-only search with the coarser star abstraction. `check`
-runs each as one loop that saturates every (head choice, pivot) pair of the
-notion's family in order. Unblockability answers are kept with the rule set,
-so every saturation, and every later check on the same rule set, reads the
-answers that earlier ones built.
+deterministic-rules-only search with the coarser star abstraction. A
+saturation is resumable: it yields after each applied trigger. `check` runs
+each notion as one schedule of rounds over the (head choice, pivot) pairs of
+its family, in the notion's order: round 1 lets every pair apply 4
+triggers, and each later round doubles that quota and resumes the pairs that
+reached it. So a short witness of a late pair is not kept waiting behind
+long saturations of earlier pairs, and every pair still applies the triggers
+it applies alone. A suspended pair's clock pauses, so the timeout bounds
+each pair's own work, as it did when the pairs ran one after another.
+Unblockability answers are kept with the rule set, so every saturation, and
+every later check on the same rule set, reads the answers that earlier ones
+built.
 """
 from __future__ import annotations
 
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .approx import (
     check_reversible,
@@ -136,14 +143,23 @@ def _out(hc: HeadChoice | None, trigger: Trigger) -> tuple[Atom, ...]:
     return trigger.out(1) if hc is None else hc.out(trigger)
 
 
+def _pair_run(rules: RuleSet, rho: Rule, hc: HeadChoice | None) -> SaturationRun:
+    """The run of one (head choice, pivot) pair before its seed is applied:
+    its facts are rho's rule database."""
+    facts = FactSet(rule_database(rho).body_facts())
+    return SaturationRun(rules, rho, hc, facts, [], None, False)
+
+
 def _saturate(
-    rules: RuleSet,
-    rho: Rule,
-    hc: HeadChoice | None,
+    run: SaturationRun,
     budget: SearchBudget,
     injectivity_guard: bool = True,
-) -> SaturationRun:
-    """Shared saturation engine.
+) -> Iterator[None]:
+    """Shared saturation engine, resumable: it applies triggers to run and
+    yields after each one that leaves the saturation going, so a caller can
+    suspend the run between two triggers and resume it later. The timeout
+    counts only the time spent inside the engine: the clock pauses while the
+    run is suspended.
 
     With a head choice, triggers of every rule contribute their chosen
     output and must be unblockable under the unique-constants abstraction.
@@ -157,11 +173,10 @@ def _saturate(
     rule set have distinct reprs, and builds a Trigger only for a key that
     reaches the unblockability test.
     """
+    rules, rho, hc, facts = run.rules, run.rho, run.hc, run.facts
     deterministic_only = hc is None
     seed = rule_database(rho)
     seed_key = (rho, *seed.substitution.values())
-    facts = FactSet(seed.body_facts())
-    run = SaturationRun(rules, rho, hc, facts, [], None, False)
     deadline = None
     if budget.timeout_seconds is not None:
         deadline = time.monotonic() + budget.timeout_seconds
@@ -180,14 +195,23 @@ def _saturate(
                 return True
         return False
 
+    def pause() -> Iterator[None]:
+        """Yield once, and move the deadline on by the time suspended."""
+        nonlocal deadline
+        paused = time.monotonic()
+        yield
+        if deadline is not None:
+            deadline += time.monotonic() - paused
+
     if record(seed):
-        return run
+        return
+    yield from pause()
 
     found = discover(rules, facts)
     while True:
         if deadline is not None and time.monotonic() > deadline:
             run.truncated = True
-            return run
+            return
         mark = len(run.provenance)
         candidates = [key for key in found if key != seed_key and (
             key[0].is_deterministic or not deterministic_only)]
@@ -195,7 +219,7 @@ def _saturate(
         for key in candidates:
             if deadline is not None and time.monotonic() > deadline:
                 run.truncated = True
-                return run
+                return
             image = key[1:]
             if any(is_cyclic(t) for t in image):
                 continue
@@ -213,13 +237,24 @@ def _saturate(
             if budget.max_triggers is not None and \
                     len(run.provenance) >= budget.max_triggers:
                 run.truncated = True
-                return run
+                return
             if record(trigger):
-                return run
+                return
+            yield from pause()
         new = [fact for applied in run.provenance[mark:] for fact in applied.new]
         if not new:
-            return run
+            return
         found = discover(rules, facts, new)
+
+
+def _run_to_end(rules: RuleSet, rho: Rule, hc: HeadChoice | None,
+                budget: SearchBudget | None,
+                injectivity_guard: bool = True) -> SaturationRun:
+    """One saturation of the pair, drained without suspension."""
+    run = _pair_run(rules, rho, hc)
+    for _ in _saturate(run, budget or SearchBudget(), injectivity_guard):
+        pass
+    return run
 
 
 def rpc_fact_set(
@@ -237,7 +272,7 @@ def rpc_fact_set(
     """
     if not rho.is_generating:
         raise ValueError(f"rule {rho.id} is not generating")
-    return _saturate(rules, rho, hc, budget or SearchBudget(), injectivity_guard)
+    return _run_to_end(rules, rho, hc, budget, injectivity_guard)
 
 
 def drpc_fact_set(rules: RuleSet, rho: Rule,
@@ -245,7 +280,7 @@ def drpc_fact_set(rules: RuleSet, rho: Rule,
     """Saturation over deterministic rules only, star abstraction."""
     if not (rho.is_generating and rho.is_deterministic):
         raise ValueError(f"rule {rho.id} is not deterministic and generating")
-    return _saturate(rules, rho, None, budget or SearchBudget())
+    return _run_to_end(rules, rho, None, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +402,11 @@ class Verdict:
     stats: dict
 
 
+# Applied triggers, counting the seed, that each pair gets in the first
+# round of `check`; each later round doubles it.
+_FIRST_QUOTA = 4
+
+
 def _pairs(rules: RuleSet, notion: str) -> Iterator[tuple[HeadChoice | None, Rule]]:
     """The notion's (head choice, pivot) pairs in search order: each head
     choice of its family with every eligible pivot in rule order."""
@@ -385,18 +425,36 @@ def _pairs(rules: RuleSet, notion: str) -> Iterator[tuple[HeadChoice | None, Rul
                 yield hc, rho
 
 
+def _advance(run: SaturationRun, steps: Iterator[None], quota: int) -> bool:
+    """Resume the pair's saturation until it has applied quota triggers;
+    True when it finished before that."""
+    for _ in steps:
+        if len(run.provenance) >= quota:
+            return False
+    return True
+
+
 def check(rules: RuleSet, notion: str, budget: SearchBudget | None = None) -> Verdict:
     """Run one never-termination notion over every eligible pivot rule.
 
-    Each (head choice, pivot) pair gets one saturation, in the notion's
-    order. All of them read the rule set's unblockability answers, and so
-    does every later check on it: in a `classify` run, or a `batch` file,
-    RPC_s reads the star answers that DRPC built. The unblockability
-    counters in `stats` count only this call's work. DRPC takes the
-    deterministic generating rules in rule order with no head choice. RPC_s
-    takes hc_1..hc_b in turn, and RPC every head choice lexicographically in
-    rule order, each with every generating rule in rule order. The first
-    cyclic term ends the search, so `saturations` counts the pairs up to it.
+    The notion's (head choice, pivot) pairs are saturated in rounds. Round 1
+    walks the pairs in the notion's order and lets each apply _FIRST_QUOTA
+    triggers, counting the seed; every later round doubles the quota and
+    resumes, in the same order, each pair that stopped at the quota. A pair
+    applies the triggers it applies when run alone, in the same order, so
+    its witness is the same; only which pair answers first can change. The
+    first cyclic term ends the search, so `saturations` counts the pairs
+    started up to it. The budget holds for each pair on its own: a pair's
+    timeout counts only its own work, since its clock pauses while it is
+    suspended, and it does not bound the check (ROADMAP item 3).
+
+    DRPC takes the deterministic generating rules in rule order with no
+    head choice. RPC_s takes hc_1..hc_b in turn, and RPC every head choice
+    lexicographically in rule order, each with every generating rule in rule
+    order. All pairs read the rule set's unblockability answers, and so does
+    every later check on it: in a `classify` run, or a `batch` file, RPC_s
+    reads the star answers that DRPC built. The unblockability counters in
+    `stats` count only this call's work.
 
     Verdict "cyclic" always carries a validated witness prefix; the other
     results carry none. "resource-exhausted" is reported when a search was
@@ -409,23 +467,35 @@ def check(rules: RuleSet, notion: str, budget: SearchBudget | None = None) -> Ve
     start = time.monotonic()
     cache = unblockability_cache(rules)
     before = cache.counts()
+    started = 0
+
+    def first_round() -> Iterator[tuple[SaturationRun, Iterator[None]]]:
+        nonlocal started
+        for hc, rho in _pairs(rules, canonical):
+            started += 1
+            run = _pair_run(rules, rho, hc)
+            yield run, _saturate(run, budget)
+
     result, witness = NOT_DETECTED, None
-    runs = 0
-    for hc, rho in _pairs(rules, canonical):
-        runs += 1
-        if hc is None:
-            run = drpc_fact_set(rules, rho, budget)
-        else:
-            run = rpc_fact_set(rules, hc, rho, budget)
-        if run.truncated:
-            result = RESOURCE_EXHAUSTED
-        if run.cyclic_term is not None:
-            result = CYCLIC
-            witness = extract_prefix(run)
+    pending: Iterable[tuple[SaturationRun, Iterator[None]]] = first_round()
+    quota = _FIRST_QUOTA
+    while witness is None:
+        suspended = []
+        for run, steps in pending:
+            if not _advance(run, steps, quota):
+                suspended.append((run, steps))
+                continue
+            if run.truncated:
+                result = RESOURCE_EXHAUSTED
+            if run.cyclic_term is not None:
+                result, witness = CYCLIC, extract_prefix(run)
+                break
+        if not suspended:
             break
+        pending, quota = suspended, 2 * quota
     stats = {
         "notion": canonical,
-        "saturations": runs,
+        "saturations": started,
         **{name: n - before[name] for name, n in cache.counts().items()},
         "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),
     }

@@ -242,27 +242,30 @@ def match_conjunction(
     covering dom(base) plus every pattern variable. The enumeration order
     is deterministic for identical inputs.
     """
-    binding: dict[Variable, Term] = dict(base)
-    plan = _plan(pattern, facts)
+    return _walk(_plan(pattern, facts), 0, dict(base), facts)
 
-    def walk(idx: int, binding: dict[Variable, Term]) -> Iterator[dict[Variable, Term]]:
-        if idx == len(plan):
-            yield dict(binding)
-            return
-        atom = Atom(plan[idx].predicate,
-                    tuple([binding.get(t, t) for t in plan[idx].terms]))  # type: ignore[arg-type]
-        if atom.is_ground:
-            if atom in facts:
-                yield from walk(idx + 1, binding)
-            return
-        first = atom.terms[0]
-        pool = facts.candidates(atom.predicate, first if first.is_ground else None)
-        for fact in pool:
-            nxt = _unify_atom(atom, fact, binding)
-            if nxt is not None:
-                yield from walk(idx + 1, nxt)
 
-    return walk(0, binding)
+def _walk(plan: list[Atom], idx: int, binding: dict[Variable, Term],
+          facts: FactSet) -> Iterator[dict[Variable, Term]]:
+    """Extend binding over plan[idx:], depth first in candidate order. A
+    module-level generator and not a closure: a nested walk refers to itself
+    through its cell, and that cycle would keep every fact set it matched
+    alive until the next cyclic garbage collection."""
+    if idx == len(plan):
+        yield dict(binding)
+        return
+    atom = Atom(plan[idx].predicate,
+                tuple([binding.get(t, t) for t in plan[idx].terms]))  # type: ignore[arg-type]
+    if atom.is_ground:
+        if atom in facts:
+            yield from _walk(plan, idx + 1, binding, facts)
+        return
+    first = atom.terms[0]
+    pool = facts.candidates(atom.predicate, first if first.is_ground else None)
+    for fact in pool:
+        nxt = _unify_atom(atom, fact, binding)
+        if nxt is not None:
+            yield from _walk(plan, idx + 1, nxt, facts)
 
 
 class _PinPlan(NamedTuple):

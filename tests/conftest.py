@@ -427,29 +427,94 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
                 return applied
 
 
-def naive_rpc(rules: RuleSet, budget=None):
-    """RPC as the full head-choice enumeration: every head choice,
-    lexicographic in rule order, times every generating pivot in rule order,
-    each saturated on a fresh rule set of the same rules, so with fresh
-    unblockability answers. Returns (result, witness, saturations); the
-    reference for `check`, whose saturations share the rule set's answers."""
-    from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
-                                          RESOURCE_EXHAUSTED, extract_prefix,
-                                          rpc_fact_set)
+def notion_pairs(rules: RuleSet, notion: str):
+    """The (head choice, pivot) pairs of a cyclicity notion, lazily and in
+    its search order: DRPC takes each deterministic generating rule with no
+    head choice; RPC_s takes hc_1..hc_b, and RPC every head choice
+    lexicographic in rule order, each with every generating rule in rule
+    order."""
+    from chase_sentinel.cyclicity import DRPC, RPC_S
 
+    if notion == DRPC:
+        family = [None]
+    elif notion == RPC_S:
+        b = max((r.branching for r in rules), default=1)
+        family = (HeadChoice.uniform(rules, i) for i in range(1, b + 1))
+    else:
+        family = (HeadChoice(rules, dict(zip((r.id for r in rules), combo)))
+                  for combo in itertools.product(
+                      *(range(1, r.branching + 1) for r in rules)))
+    for hc in family:
+        for rho in rules:
+            if rho.is_generating and (hc is not None or rho.is_deterministic):
+                yield hc, rho
+
+
+def _pair_saturation(rules: RuleSet, hc, rho, budget):
+    """One saturation of the pair to its end, on a fresh rule set of the
+    same rules, so with fresh unblockability answers."""
+    from chase_sentinel.cyclicity import drpc_fact_set, rpc_fact_set
+
+    fresh = RuleSet(rules.rules)
+    if hc is None:
+        return drpc_fact_set(fresh, rho, budget)
+    return rpc_fact_set(fresh, hc, rho, budget)
+
+
+def naive_rpc(rules: RuleSet, budget=None, notion: str = "RPC"):
+    """A cyclicity notion as the restart form of `check`'s round schedule.
+    Round k saturates every pair still pending, in the notion's order, from
+    scratch under max_triggers = 4 * 2**(k-1) (or the budget's own cap,
+    when lower); a pair is pending after a round when it stopped at that
+    quota. A run under a smaller trigger cap is a prefix of one under a
+    larger cap, so this finds the pair, witness and number of pairs started
+    that resuming each suspended saturation finds. Untimed budgets only.
+    Returns (result, witness, saturations)."""
+    from dataclasses import replace
+
+    from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
+                                          RESOURCE_EXHAUSTED, SearchBudget,
+                                          extract_prefix)
+
+    budget = budget or SearchBudget()
+    assert budget.timeout_seconds is None
+    pending = notion_pairs(rules, notion)
     runs = 0
     truncated = False
-    for combo in itertools.product(*(range(1, r.branching + 1) for r in rules)):
-        hc = HeadChoice(rules, dict(zip((r.id for r in rules), combo)))
-        for rho in rules:
-            if not rho.is_generating:
-                continue
-            runs += 1
-            run = rpc_fact_set(RuleSet(rules.rules), hc, rho, budget)
-            truncated = truncated or run.truncated
+    for k in itertools.count(1):
+        quota = 4 * 2 ** (k - 1)
+        last = budget.max_triggers is not None and quota >= budget.max_triggers
+        cap = replace(budget, max_triggers=budget.max_triggers if last else quota)
+        stopped = []
+        for hc, rho in pending:
+            if k == 1:
+                runs += 1
+            run = _pair_saturation(rules, hc, rho, cap)
             if run.cyclic_term is not None:
                 return CYCLIC, extract_prefix(run), runs
-    return (RESOURCE_EXHAUSTED if truncated else NOT_DETECTED), None, runs
+            if not last and run.truncated and len(run.provenance) == quota:
+                stopped.append((hc, rho))
+            else:
+                truncated = truncated or run.truncated
+        if not stopped:
+            return (RESOURCE_EXHAUSTED if truncated else NOT_DETECTED), None, runs
+        pending = stopped
+
+
+def in_order_check(rules: RuleSet, notion: str, budget=None):
+    """A cyclicity notion as its pairs saturated one after another, each to
+    its end, in the notion's order, up to the first cyclic one. Returns
+    (result, witness)."""
+    from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
+                                          RESOURCE_EXHAUSTED, extract_prefix)
+
+    truncated = False
+    for hc, rho in notion_pairs(rules, notion):
+        run = _pair_saturation(rules, hc, rho, budget)
+        if run.cyclic_term is not None:
+            return CYCLIC, extract_prefix(run)
+        truncated = truncated or run.truncated
+    return (RESOURCE_EXHAUSTED if truncated else NOT_DETECTED), None
 
 
 def terms_of(facts) -> set[Term]:

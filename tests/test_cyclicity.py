@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 
 import pytest
 
@@ -35,7 +36,7 @@ from chase_sentinel.model import (
 from chase_sentinel.ruleio import parse
 
 import bench_cyclicity
-from conftest import (bench_rule_set, bike_subset, is_loaded,
+from conftest import (bench_rule_set, bike_subset, in_order_check, is_loaded,
                       naive_rpc, random_rule_set, rematch_saturation, rules_from)
 
 
@@ -204,6 +205,24 @@ def test_budget_exhaustion_is_a_verdict(bike2):
     assert timed.result == RESOURCE_EXHAUSTED
 
 
+def test_a_suspended_saturation_pauses_its_clock(bike2):
+    # Suspended after its seed for longer than its timeout, a saturation
+    # resumes with the time it had left, as check resumes a pair in a later
+    # round, and applies the triggers it applies untimed.
+    hc1, rho = HeadChoice.uniform(bike2, 1), bike2.by_id["r1"]
+    untimed = rpc_fact_set(bike2, hc1, rho)
+    run = cyc._pair_run(bike2, rho, hc1)
+    steps = cyc._saturate(run, SearchBudget(timeout_seconds=0.5))
+    next(steps)
+    assert len(run.provenance) == 1
+    time.sleep(0.6)
+    for _ in steps:
+        pass
+    assert not run.truncated
+    assert (run.provenance, run.cyclic_term) == \
+        (untimed.provenance, untimed.cyclic_term)
+
+
 def test_unroll_repeats_with_mapping_powers(bike2):
     verdict = check(bike2, "RPC_s")
     prefix = verdict.witness
@@ -311,17 +330,70 @@ def rpc_sample():
 
 
 def test_rpc_is_the_full_enumeration():
-    # check saturates every (head choice, pivot) pair in order up to the
-    # first cyclic one; the shared cache changes no answer.
+    # check saturates the notion's (head choice, pivot) pairs in rounds of
+    # doubling trigger quotas, resuming each suspended saturation; the
+    # restart form of that schedule, with fresh unblockability answers for
+    # every saturation, gives the same result, witness and pairs started.
+    # RPC on small sets, DRPC and RPC_s on the benchmark structures.
+    # A witness of more than 4 triggers came from a resumed saturation: 3
+    # of them today, one RPC and two RPC_s, among 28 cyclic bench verdicts.
     budget = SearchBudget(max_triggers=200)
-    sets = cyclic = 0
+    sets = cyclic = resumed = 0
     for sets, rules in enumerate(rpc_sample(), start=1):
         verdict = check(rules, "rpc", budget)
         result, witness, runs = naive_rpc(rules, budget)
         assert (verdict.result, verdict.witness) == (result, witness), sets
         assert verdict.stats["saturations"] == runs, sets
         cyclic += result == CYCLIC
+        resumed += witness is not None and len(witness.triggers) > 4
     assert sets == 66 and cyclic >= 12
+    cyclic = 0
+    for i in range(30):
+        rules = bench_rule_set(i)
+        for notion in (cyc.DRPC, cyc.RPC_S):
+            verdict = check(rules, notion, bench_cyclicity.BUDGET)
+            result, witness, runs = naive_rpc(rules, bench_cyclicity.BUDGET, notion)
+            assert (verdict.result, verdict.witness, verdict.stats["saturations"]) \
+                == (result, witness, runs), (i, notion)
+            cyclic += result == CYCLIC
+            resumed += witness is not None and len(witness.triggers) > 4
+    assert cyclic >= 25 and resumed >= 3
+
+
+def replay_witness(prefix):
+    """Three unrolls of the witness, replayed from the pivot's rule
+    database: every trigger must be loaded when its turn comes."""
+    facts = FactSet(rule_database(prefix.rho).body_facts())
+    for trigger in unroll_prefix(prefix, 3):
+        assert is_loaded(trigger, facts)
+        facts.update(trigger.out(1) if prefix.hc is None else prefix.hc.out(trigger))
+
+
+def check_schedule_agreement(structures):
+    """On each benchmark structure, untimed under the fixture's budget, the
+    round schedule of DRPC and RPC_s gives the result of saturating the
+    pairs one after another, and each witness replays. Returns the number
+    of cyclic verdicts and of those whose witness is not the in-order
+    search's."""
+    cyclic = moved = 0
+    for i in structures:
+        rules = bench_rule_set(i)
+        for notion in (cyc.DRPC, cyc.RPC_S):
+            verdict = check(rules, notion, bench_cyclicity.BUDGET)
+            result, witness = in_order_check(rules, notion, bench_cyclicity.BUDGET)
+            assert verdict.result == result, (i, notion)
+            if verdict.witness is not None:
+                replay_witness(verdict.witness)
+                cyclic += 1
+                moved += verdict.witness != witness
+    return cyclic, moved
+
+
+def test_round_schedule_agrees_with_the_in_order_search():
+    # 28 cyclic verdicts on structures 0-29 today, every witness the
+    # in-order one; CI runs structures 0-89.
+    cyclic, _ = check_schedule_agreement(range(30))
+    assert cyclic >= 25
 
 
 def test_one_cache_serves_drpc_and_rpcs():
@@ -365,7 +437,7 @@ def test_repeated_checks_on_one_rule_set_match_fresh_rule_sets(monkeypatch):
     corpus = [parse(path.read_text(encoding="utf-8")).rules
               for path in sorted(corpus_dir().glob("*.drls"))]
     sets = built = hits = cyclic = 0
-    for rules in itertools.chain(corpus, map(bench_rule_set, range(30))):
+    for rules in itertools.chain(corpus, map(bench_rule_set, range(40))):
         sets += 1
         for notion in (cyc.DRPC, cyc.RPC_S):
             fresh = check(RuleSet(rules.rules), notion, bench_cyclicity.BUDGET)
@@ -385,8 +457,8 @@ def test_repeated_checks_on_one_rule_set_match_fresh_rule_sets(monkeypatch):
             built += first.stats["approx_builds"]
             hits += asked
             cyclic += fresh.result == CYCLIC
-    # 590 builds, 1,345 second-check hits and 36 cyclic verdicts today.
-    assert sets == 43
+    # 650 builds, 1,785 second-check hits and 42 cyclic verdicts today.
+    assert sets == 53
     assert built >= 550 and hits >= 1300 and cyclic >= 30
 
 
