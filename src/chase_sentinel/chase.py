@@ -8,13 +8,18 @@ trigger is eventually applied or found obsolete on every branch (fairness).
 A branch takes its triggers by the trigger step it shares with the
 acyclicity check: `matcher.discover` finds their keys, `matcher.enqueue`
 queues datalog keys apart from the others, and `matcher.pop_active` tests
-each key it pops on its frontier image and returns the trigger of the
-first key not obsolete for the label it would extend, datalog first, with
-the outputs its children add.
+each key it pops on its frontier image and returns the first key not
+obsolete for the label it would extend, datalog first, with the outputs
+its children add. A vertex keeps that key; its `trigger` is built from it
+only when read.
 Labels only grow along a branch, so a trigger found obsolete stays
-obsolete and is dropped for good, and the test at the pop is exact. Each
-child pins only the facts its disjunct added, new fact by new fact and,
-per fact, in body-index order, so a branch meets each trigger once.
+obsolete and is passed over for good, and the test at the pop is exact.
+Each child pins only the facts its disjunct added, new fact by new fact
+and, per fact, in body-index order, so a branch meets each trigger once.
+The search is depth-first with a trail, as in Prolog's backtracking: one
+FactSet holds the label of the branch being extended and one `Queues` its
+keys, and a fork copies neither. Both are marked before a fork and undone
+to the marks when a later sibling resumes.
 `run_chase` and `entails` share one expansion loop; `entails` also unifies
 each fact a child adds with the query atoms of its predicate, joins the
 other query atoms with `matcher.match_conjunction`, closes the branches
@@ -22,7 +27,6 @@ that match and stops at the first saturated branch that does not.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -102,17 +106,22 @@ class ChaseBudget:
     max_term_depth: int | None = 8
 
 
-@dataclass
+@dataclass(slots=True)
 class ChaseVertex:
     id: int
     parent: int | None
     depth: int
-    # Trigger applied at the parent to create this vertex, with the disjunct
-    # whose output was added; None at the root.
-    trigger: Trigger | None
+    # Key (rule, *body image) of the trigger applied at the parent to create
+    # this vertex, with the disjunct whose output was added; None at the root.
+    key: tuple | None
     disjunct: int | None
     new_facts: tuple[Atom, ...]
     children: list[int] = field(default_factory=list)
+
+    @property
+    def trigger(self) -> Trigger | None:
+        """The trigger of `key`, built on each read."""
+        return None if self.key is None else Trigger.of_key(self.key)
 
     @property
     def is_leaf(self) -> bool:
@@ -155,19 +164,6 @@ class ChaseTree:
         return "\n".join(out)
 
 
-@dataclass
-class _Branch:
-    """An open branch; a fork copies its label and its trigger queues."""
-
-    vertex: int
-    facts: FactSet
-    queues: Queues
-
-    def fork(self) -> "_Branch":
-        return _Branch(self.vertex, self.facts.copy(),
-                       (deque(self.queues[0]), deque(self.queues[1])))
-
-
 def _expand(
     rules: RuleSet,
     database: Iterable[Atom],
@@ -176,27 +172,39 @@ def _expand(
 ) -> tuple[ChaseTree, bool]:
     """The one expansion loop: depth-first, first disjunct first.
 
-    With a query, a vertex whose facts match it is a closed leaf: it is
-    neither discovered from nor expanded, since every label below it would
-    match too. The search then stops at the first saturated branch, which
-    refutes the query; the flag returned says whether that happened.
-    Without a query every branch runs until it is saturated.
+    The search keeps one label and one Queues, the branch being extended.
+    Expanding a vertex allocates all of its children at once, and fixes
+    each child's new facts, the facts of its disjunct's output that the
+    parent's label lacks, before any of them is added. The first child goes
+    on at once. Each later one waits as a pending sibling: its vertex, which
+    holds its new facts, and the parent's marks of the label and the
+    queues. Resuming a sibling undoes both to those marks, adds its new
+    facts, and discovers the triggers that they load. So vertex ids, new
+    facts and the order in which branches are explored do not depend on
+    when a sibling resumes.
+
+    With a query, a child whose new facts complete a match is a closed
+    leaf: the match is tested when the child goes on or resumes, and a
+    closed child is neither discovered from nor expanded, since every label
+    below it would match too. The search then stops at the first saturated
+    branch, which refutes the query; the flag returned says whether that
+    happened. Without a query every branch runs until it is saturated.
     """
     budget = budget or ChaseBudget()
-    db = FactSet()
+    facts = FactSet()
     seed: list[Atom] = []
     for fact in database:
         rules.check_fact(fact)
-        if db.add(fact):
+        if facts.add(fact):
             seed.append(fact)
     tree = ChaseTree(rules, tuple(seed))
-    root = ChaseVertex(0, None, 0, None, None, tuple(seed))
-    tree.vertices.append(root)
+    vertex = ChaseVertex(0, None, 0, None, None, tuple(seed))
+    tree.vertices.append(vertex)
 
     pins = None
     if query is not None:
         pins = compile_query(query.atoms)
-        for _ in match_conjunction(query.atoms, {}, db):
+        for _ in match_conjunction(query.atoms, {}, facts):
             return tree, False
 
     # A non-generating rule's outputs hold only terms of its parent's label,
@@ -207,47 +215,59 @@ def _expand(
     scan_all = max_term_depth is not None and any(
         t.depth > max_term_depth for fact in seed for t in fact.terms)
 
-    start = _Branch(0, db, (deque(), deque()))
-    enqueue(start.queues, discover(rules, db))
-    stack: list[_Branch] = [start]
+    queues = Queues()
+    enqueue(queues, discover(rules, facts))
+    pending: list[tuple[ChaseVertex, int, tuple[int, int, int, int]]] = []
 
-    while stack:
-        branch = stack.pop()
-        popped = pop_active(branch.queues, branch.facts)
+    while True:
+        popped = pop_active(queues, facts)
         if popped is None:
             if pins is not None:
                 return tree, True
-            continue
-        trigger, outputs = popped
-        vertex = tree.vertices[branch.vertex]
-        if budget.max_depth is not None and vertex.depth >= budget.max_depth:
-            return tree._stop(DEPTH), False
-        fanout = trigger.rule.branching
-        if budget.max_vertices is not None and \
-                len(tree.vertices) + fanout > budget.max_vertices:
-            return tree._stop(VERTICES), False
-        if max_term_depth is not None and (
-                scan_all or trigger.rule.is_generating):
-            for out in outputs:
-                for atom in out:
-                    if any(t.depth > max_term_depth for t in atom.terms):
-                        return tree._stop(TERM_DEPTH), False
-        children: list[_Branch] = []
-        for i in range(1, fanout + 1):
-            child = branch if i == fanout else branch.fork()
-            new = child.facts.update(outputs[i - 1])
-            cv = ChaseVertex(len(tree.vertices), vertex.id, vertex.depth + 1,
-                             trigger, i, tuple(new))
-            tree.vertices.append(cv)
-            vertex.children.append(cv.id)
-            if pins is not None and query_matched(pins, new, child.facts):
-                continue
-            child.vertex = cv.id
-            enqueue(child.queues, discover(rules, child.facts, new))
-            children.append(child)
-        # First disjunct is explored first.
-        stack.extend(reversed(children))
-    return tree, False
+            vertex = None
+        else:
+            key, outputs = popped
+            rule = key[0]
+            if budget.max_depth is not None and vertex.depth >= budget.max_depth:
+                return tree._stop(DEPTH), False
+            first = len(tree.vertices)
+            if budget.max_vertices is not None and \
+                    first + rule.branching > budget.max_vertices:
+                return tree._stop(VERTICES), False
+            if max_term_depth is not None and (scan_all or rule.is_generating):
+                for out in outputs:
+                    for atom in out:
+                        if any(t.depth > max_term_depth for t in atom.terms):
+                            return tree._stop(TERM_DEPTH), False
+            parent = vertex
+            depth = parent.depth + 1
+            # Later disjuncts' facts are read off the parent's label before
+            # the first disjunct's are added to it.
+            later = [tuple(dict.fromkeys([f for f in out if f not in facts]))
+                     for out in outputs[1:]]
+            fact_mark = facts.mark()
+            vertex = ChaseVertex(first, parent.id, depth, key, 1,
+                                 tuple(facts.update(outputs[0])))
+            tree.vertices.append(vertex)
+            for i, new in enumerate(later, 2):
+                tree.vertices.append(
+                    ChaseVertex(first + i - 1, parent.id, depth, key, i, new))
+            parent.children.extend(range(first, len(tree.vertices)))
+            # The first child goes on at once, the others wait their turn,
+            # second child on top.
+            if later:
+                queue_mark = queues.mark()
+                pending.extend((sibling, fact_mark, queue_mark)
+                               for sibling in reversed(tree.vertices[first + 1:]))
+        while vertex is None or (pins is not None and
+                                 query_matched(pins, vertex.new_facts, facts)):
+            if not pending:
+                return tree, False
+            vertex, fact_mark, queue_mark = pending.pop()
+            facts.undo(fact_mark)
+            queues.undo(queue_mark)
+            facts.update(vertex.new_facts)
+        enqueue(queues, discover(rules, facts, vertex.new_facts))
 
 
 def run_chase(

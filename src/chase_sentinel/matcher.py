@@ -11,10 +11,10 @@ through `frontier_keys`. A pinned call enumerates new fact by new fact
 and, per fact, in body-index order; the saturation sorts what it finds. No
 loop meets a trigger twice, so none keeps a seen set for triggers.
 
-A trigger travels from `discover` to its pop as the key (rule, *body
+A trigger travels from `discover` through its pop as the key (rule, *body
 image), the image of rule.body_vars in order. Keys are read off a FactSet,
-so they are ground, and `Trigger.of_key` builds a trigger only where a
-loop reads one: for the key a pop returns, or at the saturation's
+so they are ground, and `Trigger.of_key` builds a trigger only where
+something reads one: a chase vertex's `trigger`, or the saturation's
 unblockability test.
 
 Pinning a new fact to body atom idx of a rule is a join whose shape depends
@@ -25,8 +25,10 @@ each match onto a key: (rule, *body image) for `discover` and (rule,
 *frontier image) for `frontier_keys`, as builds read only the frontier.
 
 The chase and the acyclicity check share the step around it: `enqueue`
-queues datalog keys ahead of the others, and `pop_active` pops the first
-key that is not obsolete and returns its trigger and outputs. Obsolescence
+queues datalog keys ahead of the others in a `Queues`, and `pop_active`
+pops the first key that is not obsolete and returns it with its outputs.
+`FactSet` and `Queues` only grow at their ends, so each can `mark` a point
+and `undo` back to it: the chase backtracks this way. Obsolescence
 is stated once, per head disjunct, in `disjunct_holds`, on the rule's
 compiled head templates (Rule.sk_heads) and a frontier image: an
 existential-free disjunct is looked up as its output, an existential one
@@ -50,7 +52,6 @@ identity, which interning makes exact.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -83,7 +84,9 @@ __all__ = [
 
 
 class FactSet:
-    """Insertion-ordered set of facts, indexed by predicate and first argument."""
+    """Insertion-ordered set of facts, indexed by predicate and first
+    argument. Facts are only added, or dropped newest first by `undo`, so
+    each index list keeps its facts in insertion order."""
 
     __slots__ = ("_order", "_by_pred", "_by_pred_arg0")
 
@@ -109,12 +112,30 @@ class FactSet:
         """Insert many facts; returns the ones that were new, in order."""
         return [f for f in facts if self.add(f)]
 
-    def copy(self) -> "FactSet":
-        dup = FactSet.__new__(FactSet)
-        dup._order = dict(self._order)
-        dup._by_pred = {k: list(v) for k, v in self._by_pred.items()}
-        dup._by_pred_arg0 = {k: list(v) for k, v in self._by_pred_arg0.items()}
-        return dup
+    def mark(self) -> int:
+        """A point to come back to with `undo`: the number of facts."""
+        return len(self._order)
+
+    def undo(self, mark: int) -> None:
+        """Drop every fact added since `mark`, newest first. Facts and index
+        lists only ever grow at their ends, so each dropped fact is the last
+        entry of its two index lists; an index list left empty is deleted,
+        which leaves the set as if those facts had never been added."""
+        order = self._order
+        by_pred = self._by_pred
+        by_pred_arg0 = self._by_pred_arg0
+        while len(order) > mark:
+            fact = order.popitem()[0]
+            predicate = fact.predicate
+            entries = by_pred[predicate]
+            entries.pop()
+            if not entries:
+                del by_pred[predicate]
+            key = (predicate, fact.terms[0])
+            entries = by_pred_arg0[key]
+            entries.pop()
+            if not entries:
+                del by_pred_arg0[key]
 
     def candidates(self, predicate: str, first: Term | None = None) -> Sequence[Atom]:
         if first is not None:
@@ -562,29 +583,60 @@ def obsolete_through(rule: Rule, image: tuple[Term, ...],
     return False
 
 
-Queues = tuple[deque[tuple], deque[tuple]]
+class Queues:
+    """The trigger keys of a fixpoint loop: datalog keys in one list, the
+    others in a second, each read from its own head index. Lists only grow,
+    and a pop only moves a head, so `mark` and `undo` restore any earlier
+    state: the chase's pending siblings come back to their parent's queues
+    this way."""
+
+    __slots__ = ("keys", "heads")
+
+    def __init__(self) -> None:
+        self.keys: tuple[list[tuple], list[tuple]] = ([], [])
+        self.heads = [0, 0]
+
+    def __bool__(self) -> bool:
+        """Whether some key is still queued."""
+        return self.heads[0] < len(self.keys[0]) or self.heads[1] < len(self.keys[1])
+
+    def mark(self) -> tuple[int, int, int, int]:
+        """A point to come back to with `undo`: both lengths and heads."""
+        datalog, other = self.keys
+        return (len(datalog), len(other), *self.heads)
+
+    def undo(self, mark: tuple[int, int, int, int]) -> None:
+        """Drop the keys queued since `mark` and move both heads back."""
+        datalog, other = self.keys
+        del datalog[mark[0]:]
+        del other[mark[1]:]
+        self.heads[:] = mark[2:]
 
 
 def enqueue(queues: Queues, keys: Iterable[tuple]) -> None:
-    """Queue datalog keys in the first queue, the others in the second."""
+    """Queue datalog keys in the first list, the others in the second."""
+    lists = queues.keys
     for key in keys:
-        queues[not key[0].is_datalog].append(key)
+        lists[not key[0].is_datalog].append(key)
 
 
 def pop_active(queues: Queues,
-               facts: FactSet) -> tuple[Trigger, list[tuple[Atom, ...]]] | None:
-    """The trigger of the first key, first queue first, that is not
-    obsolete for the facts, with the output of each head disjunct; None
-    once both queues are empty. A key is tested on the frontier image that
-    rule.key_frontier reads off it, and only the key returned gets a
-    Trigger. Obsolete keys are dropped for good: facts only grow. An
+               facts: FactSet) -> tuple[tuple, list[tuple[Atom, ...]]] | None:
+    """The first key, datalog keys first, that is not obsolete for the
+    facts, with the output of each head disjunct; None once both lists are
+    read to the end. A key is tested on the frontier image that
+    rule.key_frontier reads off it; no Trigger is built. Obsolete keys are
+    passed over for good: facts only grow along a branch. An
     existential-free disjunct's output is built once, for its test and the
     caller. No disjunct holds in an empty set, so none is tested there.
     """
     tested = bool(facts)
-    for queue in queues:
-        while queue:
-            key = queue.popleft()
+    heads = queues.heads
+    for q, keys in enumerate(queues.keys):
+        at = heads[q]
+        while at < len(keys):
+            key = keys[at]
+            at += 1
             rule = key[0]
             image = rule.key_frontier(key)
             outputs = []
@@ -594,9 +646,11 @@ def pop_active(queues: Queues,
                     break
                 outputs.append(out)
             else:
-                return Trigger.of_key(key), [
+                heads[q] = at
+                return key, [
                     rule.output(i, image) if out is None else out
                     for i, out in enumerate(outputs, 1)]
+        heads[q] = at
     return None
 
 

@@ -13,15 +13,16 @@ the facts outside the critical seed; restriction-aware blocking keeps the
 check from drowning in the seed facts, which satisfy every head vacuously.
 The plain discipline ("mfa") never drops a trigger and is the coarser,
 unconditionally sound variant: `matcher.discover` finds each trigger's key
-once per saturation, and the chase's step `matcher.pop_active` pops keys,
-datalog first, testing each on its frontier image against `derived` in the
-default mode and against the empty set, where none is obsolete, in the
-plain one.
+once per saturation, and the chase's step `matcher.pop_active` pops keys
+from one `matcher.Queues`, datalog first, testing each on its frontier
+image against `derived` in the default mode and against the empty set,
+where none is obsolete, in the plain one. The saturation never backtracks,
+so it never marks or undoes; its queues keep the keys already popped, as
+the chase's do.
 """
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 
 from .cyclicity import SearchBudget
@@ -87,7 +88,7 @@ def check_acyclic(
     blocking = derived if mode == RMFA_LIKE else FactSet()
     known_terms: set[Term] = {seed_constant}
     applied = 0
-    queues: Queues = (deque(), deque())
+    queues = Queues()
 
     def verdict(result: str, term: Term | None) -> AcyclicityVerdict:
         stats = {
@@ -99,7 +100,7 @@ def check_acyclic(
         return AcyclicityVerdict(k, result, term, stats)
 
     enqueue(queues, discover(rules, facts))
-    while queues[0] or queues[1]:
+    while queues:
         if deadline is not None and time.monotonic() > deadline:
             return verdict(RESOURCE_EXHAUSTED, None)
         if budget.max_triggers is not None and applied >= budget.max_triggers:

@@ -1,5 +1,7 @@
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -261,16 +263,21 @@ def _random_query(rng, rules, consts, result):
     return Query(tuple(atoms))
 
 
-def test_query_directed_entailment_agrees_with_the_full_tree():
-    # Whenever the full tree decides under a budget, entails gives the same
-    # answer under it; and whatever entails decides, the full tree under a
-    # larger budget confirms whenever it completes.
+def check_query_directed(count):
+    """Query-directed entails against naive_entails on `count` random
+    instances, four queries each: whenever the full tree decides under a
+    budget, entails gives the same answer under it; and whatever entails
+    decides, the full tree under a larger budget confirms whenever it
+    completes. Returns the answers entails gave and the counts (agreed,
+    confirmed, only_directed): answers checked under the same budget,
+    answers confirmed under the larger one, and answers the full tree left
+    unknown."""
     rng = random.Random(5)
     consts = [constant(n) for n in ("a", "b", "c")]
     large = ChaseBudget(max_vertices=2000, max_term_depth=4)
     agreed = confirmed = only_directed = 0
     answers = set()
-    for rules, db in _random_instances(rng, 150):
+    for rules, db in _random_instances(rng, count):
         tree = run_chase(rules, db, large)
         sets = results(tree) if tree.status == COMPLETE else []
         for _ in range(4):
@@ -292,8 +299,40 @@ def test_query_directed_entailment_agrees_with_the_full_tree():
             if reference != "unknown":
                 assert directed == reference, (rules, db, query, budget)
                 confirmed += 1
+    return answers, (agreed, confirmed, only_directed)
+
+
+def test_query_directed_entailment_agrees_with_the_full_tree():
+    answers, (agreed, confirmed, only_directed) = check_query_directed(150)
     assert answers == {"yes", "no"}
     assert agreed >= 350 and confirmed >= 400 and only_directed >= 60
+
+
+def test_forks_keep_no_copy_of_their_parent_label():
+    # The transitive closure of a 100-edge chain, 5,050 facts, then eight
+    # two-way disjunctions below it: 256 branches, with up to eight pending
+    # siblings at once. A pending sibling holds its own new facts and its
+    # parent's marks, not a copy of the label, so the forks add little to
+    # the peak memory of the same chase without them.
+    rules = ("E(X, Y) -> T(X, Y) .\n"
+             "T(X, Y), E(Y, Z) -> T(X, Z) .\n"
+             "S(X) -> R(X) | B(X) .\n")
+    chain = "".join(f"E(n{i}, n{i + 1}) .\n" for i in range(100))
+
+    def peak(starts):
+        text = rules + chain + "".join(f"S(s{i}) .\n" for i in range(starts))
+        program = parse(text)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            tree = run_chase(program.rules, program.facts)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.status == COMPLETE and len(tree.leaves()) == 2 ** starts
+        return top
+
+    assert peak(8) <= 1.3 * peak(0)
 
 
 def test_entailment_with_query_variables():

@@ -2,7 +2,6 @@ import collections
 import gc
 import random
 import weakref
-from collections import deque
 
 import pytest
 
@@ -10,6 +9,7 @@ from chase_sentinel import matcher
 from chase_sentinel.matcher import (
     _BODY,
     FactSet,
+    Queues,
     Trigger,
     compile_query,
     discover,
@@ -47,7 +47,6 @@ def test_fact_set_basics():
     assert new == [atom("B", "a", "b")]
     assert atom("A", "a") in facts
     assert len(facts) == 2
-    assert list(facts.copy()) == list(facts)
     assert FactSet([atom("A", "a")]) <= facts
 
 
@@ -59,6 +58,57 @@ def test_fact_set_candidates_partition_by_first_argument():
     assert facts.count("R") == 3
     assert facts.count("R", constant("b")) == 1
     assert facts.candidates("S") == ()
+
+
+def test_mark_and_undo_restore_fact_sets_and_queues():
+    # Random runs of adds, marks and undos, the way the chase forks and
+    # resumes: an undo goes back to any mark still on the trail, and a mark
+    # may be undone to more than once. After each undo the fact set equals
+    # one rebuilt from the facts that survive, in iteration order, length
+    # and both indexes, and the queues hold the keys and heads they held at
+    # the mark.
+    rng = random.Random(41)
+    consts = [constant(n) for n in "abcd"]
+    preds = [("P", 1), ("R", 2), ("S", 2)]
+    rules = rules_from("P(X) -> R(X, X) .\nR(X, Y) -> S(X, Z) .\n")
+    datalog, generating = rules.rules
+
+    def snapshot(queues):
+        return [list(keys) for keys in queues.keys], list(queues.heads)
+
+    undos = popped = 0
+    for _ in range(300):
+        facts, queues = FactSet(), Queues()
+        trail = []
+        for _ in range(rng.randint(5, 40)):
+            op = rng.random()
+            if op < 0.45:
+                pred, arity = rng.choice(preds)
+                facts.add(Atom(pred, tuple(rng.choices(consts, k=arity))))
+            elif op < 0.6:
+                rule = rng.choice((datalog, generating))
+                enqueue(queues, [(rule, *rng.choices(consts, k=len(rule.body_vars)))
+                                 for _ in range(rng.randint(1, 3))])
+            elif op < 0.7:
+                popped += pop_active(queues, FactSet()) is not None
+            elif op < 0.85 or not trail:
+                trail.append((facts.mark(), queues.mark(), list(facts),
+                              snapshot(queues)))
+            else:
+                j = rng.randrange(len(trail))
+                del trail[j + 1:]
+                fact_mark, queue_mark, kept, queued = trail[j]
+                facts.undo(fact_mark)
+                queues.undo(queue_mark)
+                rebuilt = FactSet(kept)
+                assert list(facts) == kept and len(facts) == len(kept)
+                for pred, _ in preds:
+                    assert facts.candidates(pred) == rebuilt.candidates(pred)
+                    for t in consts:
+                        assert facts.candidates(pred, t) == rebuilt.candidates(pred, t)
+                assert snapshot(queues) == queued
+                undos += 1
+    assert undos >= 800 and popped >= 300
 
 
 def test_match_conjunction_joins_and_respects_base():
@@ -115,17 +165,17 @@ def test_is_obsolete_matches_any_disjunct_with_any_witness():
     base = FactSet([atom("Engine", "d")])
     assert not is_obsolete(lam, base)
 
-    spare = base.copy()
+    spare = FactSet(list(base))
     spare.add(atom("Spare", "d"))
     assert is_obsolete(lam, spare)
 
     # The witness may be any term of the set, not only the skolem image.
-    wit = base.copy()
+    wit = FactSet(list(base))
     wit.update([Atom("IsIn", (d, constant("e"))), atom("Bike", "e")])
     assert is_obsolete(lam, wit)
 
     # Both head atoms must agree on the same witness.
-    split = base.copy()
+    split = FactSet(list(base))
     split.update([Atom("IsIn", (d, constant("e"))), atom("Bike", "g")])
     assert not is_obsolete(lam, split)
 
@@ -346,15 +396,19 @@ def test_pop_active_pops_datalog_keys_first_and_drops_obsolete_ones(monkeypatch)
     assert keys == [(r1, a), (r2, a), (r2, b), (r3, a), (r3, b)]
 
     def pops(facts, expected):
-        queues = (deque(), deque())
+        queues = Queues()
         enqueue(queues, keys)
+        assert queues.keys == ([(r3, a), (r3, b)], [(r1, a), (r2, a), (r2, b)])
         for key in expected:
-            trigger, outs = pop_active(queues, facts)
-            rule = key[0]
-            assert trigger == Trigger(rule, dict(zip(rule.body_vars, key[1:])))
-            assert outs == [trigger.out(i) for i in range(1, rule.branching + 1)]
+            popped, outs = pop_active(queues, facts)
+            assert popped == key
+            trigger = Trigger.of_key(key)
+            assert outs == [trigger.out(i) for i in range(1, key[0].branching + 1)]
         assert pop_active(queues, facts) is None
-        assert not queues[0] and not queues[1]
+        assert not queues
+        # Popped and passed-over keys stay in the lists; only the heads move.
+        assert queues.heads == [2, 3]
+        assert queues.keys == ([(r3, a), (r3, b)], [(r1, a), (r2, a), (r2, b)])
 
     # Datalog keys first. B(a) makes r3's key on a obsolete, C(a, c) r1's
     # and D(b) r2's on b: each is dropped and never returned.
@@ -532,7 +586,7 @@ def test_semi_naive_discovery_equals_naive_discovery():
         rules = random_rule_set(rng, max_rules=8)
         preds = sorted(rules.predicates.items())
         old = FactSet(draw(preds, rng.randint(1, 8)))
-        facts = old.copy()
+        facts = FactSet(list(old))
         new = facts.update(draw(preds, rng.randint(1, 6)))
         semi = pairs(discover(rules, old)) | pairs(discover(rules, facts, new))
         naive = pairs(discover(rules, facts))
@@ -595,7 +649,7 @@ def test_query_matched_finds_exactly_the_matches_through_new_facts():
             return [Atom(rng.choice("TR"), (rng.choice((a, b, c)), rng.choice((a, b, c))))
                     for _ in range(n)]
         old = FactSet(draw(rng.randint(1, 6)))
-        facts = old.copy()
+        facts = FactSet(list(old))
         new = facts.update(draw(rng.randint(1, 4)))
         for atoms in queries:
             pins = compile_query(atoms)
