@@ -32,7 +32,7 @@ from typing import Iterable, Mapping
 
 from .matcher import (FactSet, Queues, Trigger, compile_query, discover,
                       enqueue, match_conjunction, pop_active, query_matched)
-from .model import Atom, Query, Rule, RuleSet
+from .model import Atom, Query, Rule, RuleSet, gc_paused
 
 __all__ = [
     "HeadChoice",
@@ -270,6 +270,7 @@ def _expand(
         enqueue(queues, discover(rules, facts, vertex.new_facts))
 
 
+@gc_paused
 def run_chase(
     rules: RuleSet,
     database: Iterable[Atom],
@@ -306,6 +307,7 @@ def results(tree: ChaseTree) -> list[frozenset[Atom]]:
     return out
 
 
+@gc_paused
 def entails(
     rules: RuleSet,
     database: Iterable[Atom],

@@ -33,7 +33,7 @@ from .cyclicity import (
     Verdict,
     check,
 )
-from .model import Atom, Query, Rule, RuleSet
+from .model import Atom, Query, Rule, RuleSet, gc_paused
 from .ruleio import Namer, ParseError, SourceProgram, parse, parse_query
 from .termination import (
     TERMINATING as ACYCLIC_TERMINATING,
@@ -243,6 +243,7 @@ def _run_stages(rules: RuleSet, stages: Sequence[str], k: int,
         yield verdict
 
 
+@gc_paused
 def classify_rules(
     rules: RuleSet,
     *,

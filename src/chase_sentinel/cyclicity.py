@@ -54,6 +54,7 @@ from .model import (
     Term,
     compose,
     db_constant,
+    gc_paused,
     is_cyclic,
     is_rho_cyclic,
     new_subterms,
@@ -434,6 +435,7 @@ def _advance(run: SaturationRun, steps: Iterator[None], quota: int) -> bool:
     return True
 
 
+@gc_paused
 def check(rules: RuleSet, notion: str, budget: SearchBudget | None = None) -> Verdict:
     """Run one never-termination notion over every eligible pivot rule.
 

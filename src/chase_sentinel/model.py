@@ -4,13 +4,17 @@ Terms, atoms, rules, substitutions, skolemization, and the term-level
 measures (depth, subterm cyclicity, birth facts, term skeletons) that the
 rest of the package builds on. Terms and skolem symbols are interned: the
 factories `constant`, `variable`, `functional` and `skolem_symbol` are the
-only way to build them, and they compare and hash by identity.
+only way to build them, and they compare and hash by identity. `gc_paused`
+is the collector pause that parsing, the checks and the chase run in.
 """
 from __future__ import annotations
 
+import functools
+import gc
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    Sequence, TypeVar)
 
 if TYPE_CHECKING:
     from .approx import UnblockabilityCache
@@ -53,6 +57,7 @@ __all__ = [
     "is_rho_cyclic",
     "birth_facts",
     "skeleton",
+    "gc_paused",
 ]
 
 # Reserved constant namespaces for the special constant, the fresh per-symbol
@@ -640,3 +645,32 @@ def skeleton(trigger: Trigger, rules: RuleSet) -> frozenset[Term]:
     for t in base:
         closed.update(subterms(t))
     return frozenset(closed)
+
+
+# ---------------------------------------------------------------------------
+# Operations
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def gc_paused(fn: _F) -> _F:
+    """Run fn with the cyclic garbage collector paused, and collect on exit.
+
+    The fixpoints only add facts and terms and build no reference cycles,
+    so the collector's passes over their growing heaps find nothing. The
+    pause is process-wide while fn runs. On exit, by return or by raise,
+    the collector is on again and collects the young objects fn left, so
+    an operation pays for its own allocations. A caller that paused the
+    collector keeps it paused, and nested operations pause it once.
+    """
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+            gc.collect(0)
+    return paused  # type: ignore[return-value]

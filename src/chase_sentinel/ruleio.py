@@ -44,6 +44,7 @@ from .model import (
     DB_PREFIX,
     STAR_NAME,
     constant,
+    gc_paused,
     is_reserved_name,
     uc_symbol,
     variable,
@@ -221,6 +222,7 @@ class _Parser:
             raise _error(self.text, str(exc), start) from exc
 
 
+@gc_paused
 def parse(text: str) -> SourceProgram:
     """Parse a program; raises ParseError with line and column on bad input."""
     return _Parser(text).parse_program()

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 from .cyclicity import SearchBudget
 from .matcher import FactSet, Queues, discover, enqueue, pop_active
-from .model import Atom, RuleSet, Term, is_k_cyclic, new_subterms, star
+from .model import (Atom, RuleSet, Term, gc_paused, is_k_cyclic, new_subterms,
+                    star)
 
 __all__ = ["AcyclicityVerdict", "check_acyclic", "critical_instance",
            "RMFA_LIKE", "MFA"]
@@ -56,6 +57,7 @@ def critical_instance(rules: RuleSet) -> list[Atom]:
     ]
 
 
+@gc_paused
 def check_acyclic(
     rules: RuleSet,
     k: int = 2,

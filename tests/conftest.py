@@ -192,13 +192,18 @@ def perfbench_module(name: str):
     return module
 
 
-def bench_rule_set(i: int) -> RuleSet:
-    """Structure i of the benchmark's classify-random corpus, with 8, 12 or
-    16 rules by i mod 3, as perfbench/generators.py draws it with shape seed
-    i."""
-    return rules_from(perfbench_module("generators").random_rule_set(
+def bench_text(i: int) -> str:
+    """The text of structure i of the benchmark's classify-random corpus,
+    with 8, 12 or 16 rules by i mod 3, as perfbench/generators.py draws it
+    with shape seed i."""
+    return perfbench_module("generators").random_rule_set(
         random.Random(f"classify-random-corpus/{i}"), random.Random(i),
-        (8, 12, 16)[i % 3]).text)
+        (8, 12, 16)[i % 3]).text
+
+
+def bench_rule_set(i: int) -> RuleSet:
+    """Structure i of the benchmark's classify-random corpus."""
+    return rules_from(bench_text(i))
 
 
 def sample_triggers(rules: RuleSet, depth_cap: int = 3,

@@ -70,7 +70,9 @@ from conftest import (
     naive_over_approx,
     naive_saturation,
     oracle_obsolete,
+    perfbench_module,
     random_rule_set,
+    rules_from,
     sample_triggers,
 )
 
@@ -369,6 +371,19 @@ def test_criterion_09_suites_on_benchmark_structures():
     assert rpcs_cyclic >= 50
     assert mfa_terminating >= 5
     assert witnesses >= 70
+
+
+def test_criterion_09_clause_c_on_stratified_sets():
+    # (c) on the benchmark's levelled 128-rule sets, seeds 1-5, which
+    # terminate by construction: the mfa saturation certifies each, and
+    # neither DRPC nor RPC_s finds a witness within 2,000 triggers per pair.
+    stratified = perfbench_module("generators").stratified_rule_set
+    budget = SearchBudget(max_triggers=2000)
+    for seed in range(1, 6):
+        rules = rules_from(stratified(random.Random(f"stratified/128/{seed}"), 128).text)
+        assert check_acyclic(rules, k=2, mode=MFA).result == TERMINATING, seed
+        for notion in ("DRPC", "RPC_s"):
+            assert check(rules, notion, budget=budget).result != CYCLIC, (seed, notion)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")

@@ -7,13 +7,18 @@ budget. A `terminating` verdict proves the opposite for every database, so
 trip is strong evidence, not a proof: a finite chase may still outgrow term
 depth 10 or 3,000 vertices. The engine is fair, so a trip does not come from
 its order of triggers.
+
+`refute_terminating` chases certified sets from wide databases, which
+hold more facts over more constants than the engine check's, and counts
+only a term-depth trip as a refutation.
 """
 import random
 
 import pytest
 
 from chase_sentinel import corpus_dir
-from chase_sentinel.chase import BUDGET_EXHAUSTED, COMPLETE, ChaseBudget, run_chase
+from chase_sentinel.chase import (BUDGET_EXHAUSTED, COMPLETE, TERM_DEPTH, VERTICES,
+                                  ChaseBudget, run_chase)
 from chase_sentinel.cyclicity import CYCLIC, SearchBudget, check, rule_database
 from chase_sentinel.model import Atom, constant
 from chase_sentinel.ruleio import parse
@@ -23,6 +28,7 @@ from conftest import bench_rule_set, random_rule_set, rules_from
 
 CYCLIC_BUDGET = ChaseBudget(max_vertices=500, max_term_depth=6)
 TERMINATING_BUDGET = ChaseBudget(max_vertices=3000, max_term_depth=10)
+WIDE_BUDGET = ChaseBudget(max_vertices=3000, max_term_depth=12)
 
 
 def _databases(rng: random.Random, rules, sizes: tuple[int, int]):
@@ -38,6 +44,60 @@ def _databases(rng: random.Random, rules, sizes: tuple[int, int]):
             db.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
         databases.append(db)
     return databases
+
+
+def wide_databases(key, rules, n: int):
+    """n databases drawn from Random(f"wide/{key}"), each of 3-15 facts
+    whose predicate is one of rules' and whose arguments are drawn from
+    {a, b, c, d}, all uniformly."""
+    rng = random.Random(f"wide/{key}")
+    consts = [constant(name) for name in ("a", "b", "c", "d")]
+    preds = sorted(rules.predicates.items())
+    for _ in range(n):
+        db = []
+        for _ in range(rng.randint(3, 15)):
+            pred, arity = rng.choice(preds)
+            db.append(Atom(pred, tuple(rng.choice(consts) for _ in range(arity))))
+        yield db
+
+
+def refute_terminating(cases, n: int) -> tuple[list, int]:
+    """Chase each (key, rules) case, a set certified terminating, from its
+    n wide databases under WIDE_BUDGET, up to the first that refutes it.
+
+    A term-depth trip refutes the certificate: on sets this small, a term
+    nested 12 deep is strong evidence of a chain of nulls that never stops.
+    A vertex trip does not: bench structures 34 and 36 trip at 5,000
+    vertices, yet their chases complete. Returns the keys refuted and the
+    number of vertex trips."""
+    refuted, vertex_trips = [], 0
+    for key, rules in cases:
+        for db in wide_databases(key, rules, n):
+            exhausted = run_chase(rules, db, WIDE_BUDGET).exhausted
+            if exhausted == TERM_DEPTH:
+                refuted.append(key)
+                break
+            vertex_trips += exhausted == VERTICES
+    return refuted, vertex_trips
+
+
+def refute_certificates(cases, mode: str, n: int) -> tuple[int, list, int]:
+    """refute_terminating on the (key, rules) cases that check_acyclic
+    certifies in mode; returns the number certified, the keys refuted and
+    the number of vertex trips."""
+    certified = [(key, rules) for key, rules in cases
+                 if check_acyclic(rules, k=2, mode=mode).result == TERMINATING]
+    return len(certified), *refute_terminating(certified, n)
+
+
+def sweep_cases(n: int):
+    """The first n sample sets, keyed by their index."""
+    return ((i, rules) for i, (rules, _) in enumerate(_sample(n)))
+
+
+def bench_cases(structures):
+    """The given classify-random structures, keyed by their number."""
+    return ((i, bench_rule_set(i)) for i in structures)
 
 
 def _sample(n: int = 400):
@@ -134,3 +194,24 @@ def test_rmfa_like_certificates_agree_with_the_chase():
     for rules, databases in cases:
         if check_acyclic(rules, k=2).result == TERMINATING:
             _assert_terminates(rules, databases)
+
+
+def test_mfa_certificates_survive_wide_databases():
+    # 10 wide databases per set on the first 400 sample sets, and 20 on
+    # every ninth benchmark structure; CI runs the 3,000-set sweep and
+    # structures 0-89.
+    certified, refuted, _ = refute_certificates(sweep_cases(400), MFA, 10)
+    assert refuted == []
+    assert certified >= 250
+    certified, refuted, _ = refute_certificates(bench_cases(range(0, 90, 9)), MFA, 20)
+    assert refuted == []
+    assert certified >= 2
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_rmfa_like_certificates_survive_wide_databases():
+    # The default mode certifies sample sets whose chase from a wide
+    # database nests a term past depth 12.
+    certified, refuted, _ = refute_certificates(sweep_cases(400), RMFA_LIKE, 10)
+    assert certified >= 300
+    assert refuted == []

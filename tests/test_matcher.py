@@ -23,14 +23,11 @@ from chase_sentinel.matcher import (
     pop_active,
     query_matched,
 )
-from chase_sentinel import corpus_dir
-from chase_sentinel.chase import entails, run_chase
-from chase_sentinel.cli import classify_rules
+from chase_sentinel.chase import entails
 from chase_sentinel.model import (Atom, Query, RuleError, apply_atoms, constant,
                                   functional, skolem_symbol, variable)
-from chase_sentinel.ruleio import parse
 
-from conftest import (bench_rule_set, bike_subset, is_loaded, match_pinned, oracle_matches,
+from conftest import (bike_subset, is_loaded, match_pinned, oracle_matches,
                       outputs, perfbench_module, random_rule_set, rules_from,
                       satisfies)
 
@@ -431,29 +428,6 @@ def test_pinned_joins_are_freed_with_their_rule_set():
     del rules
     gc.collect()
     assert ref() is None
-
-
-def test_the_engine_leaves_no_reference_cycles():
-    # Whatever classify, the chase and entails drop is freed by reference
-    # counting: with the cyclic collector off, a collection afterwards
-    # finds nothing unreachable. A nested matcher walk that refers to
-    # itself would leave each matched fact set in a cycle.
-    colouring = perfbench_module("generators").path_colouring(
-        random.Random("colour/1"), 3, 4)
-    program = parse(colouring.text)
-    gc.collect()
-    gc.disable()
-    try:
-        for path in sorted(corpus_dir().glob("*.drls")):
-            classify_rules(parse(path.read_text(encoding="utf-8")).rules)
-        for i in range(6):
-            classify_rules(bench_rule_set(i))
-        run_chase(program.rules, program.facts)
-        for query in program.queries:
-            entails(program.rules, program.facts, query)
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
 
 
 def test_satisfies_means_every_loaded_trigger_obsolete():

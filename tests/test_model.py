@@ -1,4 +1,5 @@
 import ast
+import gc
 import os
 import random
 import subprocess
@@ -8,9 +9,14 @@ from pathlib import Path
 import pytest
 
 import chase_sentinel
+from chase_sentinel import corpus_dir
+from chase_sentinel.chase import entails, run_chase
+from chase_sentinel.cli import classify_rules
+from chase_sentinel.cyclicity import check
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
+    Query,
     Rule,
     RuleError,
     RuleSet,
@@ -22,6 +28,7 @@ from chase_sentinel.model import (
     constant,
     db_constant,
     functional,
+    gc_paused,
     is_cyclic,
     is_k_cyclic,
     is_rho_cyclic,
@@ -34,8 +41,10 @@ from chase_sentinel.model import (
 )
 from chase_sentinel.matcher import Trigger
 from chase_sentinel.ruleio import ParseError, parse, render
+from chase_sentinel.termination import check_acyclic
 
-from conftest import bike_subset, perfbench_module, random_rule_set, rules_from
+from conftest import (bench_text, bike_subset, perfbench_module, random_rule_set,
+                      rules_from)
 
 
 def test_terms_are_interned():
@@ -366,3 +375,150 @@ def test_reserved_constants_are_distinct():
     g = skolem_symbol("r1", 1, "W", 1)
     names = {star(), uc_constant(f), uc_constant(g), db_constant("X")}
     assert len(names) == 4
+
+
+# ---------------------------------------------------------------------------
+# The collector pause
+
+@pytest.fixture
+def collections():
+    """The generation of each collection that starts during the test, which
+    begins just after a full collection."""
+    seen: list[int] = []
+
+    def record(phase, info):
+        if phase == "start":
+            seen.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(record)
+
+
+def test_the_pause_keeps_a_callers_pause(collections):
+    inside = []
+
+    @gc_paused
+    def operation():
+        inside.append(gc.isenabled())
+
+    gc.disable()
+    try:
+        operation()
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert inside == [False]
+    assert collections == []
+
+
+def test_the_pause_ends_with_a_collection_on_return_and_on_raise(collections):
+    @gc_paused
+    def operation(fail):
+        assert not gc.isenabled()
+        if fail:
+            raise ValueError("the operation failed")
+        return "done"
+
+    assert operation(False) == "done"
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        operation(True)
+    assert gc.isenabled()
+    assert collections == [0, 0]
+
+
+def test_nested_operations_pause_once(collections):
+    inside = []
+
+    @gc_paused
+    def inner():
+        inside.append(gc.isenabled())
+
+    @gc_paused
+    def outer():
+        inner()
+        inside.append(gc.isenabled())
+
+    outer()
+    assert inside == [False, False]
+    assert gc.isenabled()
+    assert collections == [0]
+
+
+def test_each_operation_collects_its_own_young_objects(collections):
+    # Every public operation runs with the collector paused and ends with
+    # one young-generation collection of what it allocated: parsing a
+    # 512-rule set allocates tens of thousands of container objects, and
+    # the young generation is near empty when it returns.
+    stratified = perfbench_module("generators").stratified_rule_set(
+        random.Random("stratified/512/1"), 512).text
+    program = parse((corpus_dir() / "mixed-database.drls").read_text(encoding="utf-8"))
+    rules, facts = program.rules, program.facts
+    operations = [
+        lambda: parse(stratified),
+        lambda: classify_rules(rules),
+        lambda: check_acyclic(rules),
+        lambda: check(rules, "RPC_s"),
+        lambda: run_chase(rules, facts),
+        lambda: entails(rules, facts, program.queries[0]),
+    ]
+    for i, operation in enumerate(operations):
+        gc.collect()
+        collections.clear()
+        operation()
+        young = gc.get_count()[0]
+        assert young < 100, (i, young)
+        assert collections == [0], i
+
+
+def cyclic_garbage(classify_texts, chase_texts) -> tuple[int, int]:
+    """With the cyclic collector off, parse and classify each text of
+    classify_texts, untimed, and parse each text of chase_texts, run its
+    chase, and run entails on each of its queries and on the first head
+    disjunct of each of its rules. Returns the number of operations and
+    the number of objects a full collection then finds unreachable, which
+    is 0 when reference counting freed all that the operations dropped."""
+    classify_texts, chase_texts = list(classify_texts), list(chase_texts)
+    gc.collect()
+    gc.disable()
+    try:
+        operations = 0
+        for text in classify_texts:
+            classify_rules(parse(text).rules)
+            operations += 2
+        for text in chase_texts:
+            program = parse(text)
+            run_chase(program.rules, program.facts)
+            queries = [*program.queries,
+                       *(Query(rule.heads[0].atoms) for rule in program.rules)]
+            for query in queries:
+                entails(program.rules, program.facts, query)
+            operations += 2 + len(queries)
+        return operations, gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_operations_leave_no_cyclic_garbage():
+    # The operations pause the collector because they build no reference
+    # cycles: whatever they drop is freed by reference counting. A nested
+    # matcher walk that refers to itself, or a generator that holds its own
+    # frame, would leave objects in a cycle. Every corpus file and
+    # benchmark structures 0-29 are classified, and the corpus files with
+    # facts and a small closure and colouring instance are chased. CI runs
+    # the check on benchmark-sized inputs.
+    generators = perfbench_module("generators")
+    corpus = [path.read_text(encoding="utf-8")
+              for path in sorted(corpus_dir().glob("*.drls"))]
+    chase_texts = [text for text in corpus if parse(text).facts]
+    chase_texts += [generators.transitive_closure(random.Random("tc/1"), 20).text,
+                    generators.path_colouring(random.Random("colour/1"), 3, 4).text]
+    classify_texts = corpus + [bench_text(i) for i in range(30)]
+    operations, unreachable = cyclic_garbage(classify_texts, chase_texts)
+    assert unreachable == 0
+    assert len(chase_texts) >= 9
+    assert operations >= 140
