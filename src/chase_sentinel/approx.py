@@ -24,9 +24,24 @@ trigger only on its rule's frontier image. A build therefore works on
 fills a skolem slot by one lookup of the image, since a skolem term's
 arguments are exactly the frontier. Its seed holds every fact over the
 skeleton's constants plus the special constant (the universe U), so the
-seed's keys are enumerated over U directly. Those of a rule whose
-contributed templates fill only frontier images and constants of U are
-counted as queued but never popped, since their output lies in the seed.
+seed's keys are enumerated over U directly.
+
+The seed depends only on the rule set and U, so the rule set keeps one per
+U in RuleSet.seeds, made by the first build over U and freed with the rule
+set; the 120 sets of a seed-1 classify-random pass keep 267 for 1,640
+builds. A build adds the pivot's birth facts and its fixpoint to the kept
+seed, and the build's owner undoes them in a try/finally on every exit
+(drained, stopped early or raised): facts through the FactSet trail,
+queued keys through the list of those the build added. A build that finds
+its seed changed raises.
+
+Every seed key counts as queued, but only those that can add a fact are
+popped. Where each symbol slot of a rule's contributed templates has its
+replacement in U, as under STAR, a key over U fills facts over U, which
+the seed holds, unless its image is the argument tuple of a skeleton term
+of a contributed symbol: only those keys are popped, none when there is
+no such term. Every other rule pops all its seed keys.
+
 Later keys come from matcher.frontier_keys, pinned to the pivot's birth
 facts and then to each new batch: it reads images straight off the facts,
 and stops at the first match when the pinned atom binds the frontier. Only
@@ -76,7 +91,6 @@ trigger repetitions.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -122,34 +136,63 @@ UC = "uc"
 @dataclass
 class OverApproximation:
     """The fact set of one build, equal as a set to the least fixpoint (its
-    insertion order is unspecified), and the number of (rule, frontier
-    image) keys it queued: each key of a trigger loaded in it, once. The
-    seed's keys are enumerated over the universe U, not matched."""
+    insertion order is unspecified) and the build's own, so that later
+    builds leave it as it is, and the number of (rule, frontier image) keys
+    it queued: each key of a trigger loaded in it, once. The seed's keys
+    are enumerated over the universe U, not matched."""
 
     facts: FactSet
     triggers: int
 
 
-def _seed_facts(rules: RuleSet, terms: frozenset[Term], pivot: Trigger,
-                ) -> tuple[FactSet, list[Term], list[Atom]]:
-    """The seed facts, their universe U (the constants of the pivot's
-    skeleton `terms` plus the special constant) and the birth facts that
-    are not over U."""
-    facts = FactSet()
-    consts = sorted(
-        (t for t in terms if isinstance(t, Constant)),
-        key=lambda c: c.name,
-    )
-    universe: list[Term] = list(consts) + [star()]
-    for predicate, arity in rules.predicates.items():
-        for combo in itertools.product(universe, repeat=arity):
-            facts.add(Atom(predicate, combo))
-    births = facts.update(sorted(birth_facts(pivot, rules), key=repr))
-    return facts, universe, births
+class _Seed:
+    """What a build starts from that depends only on its rule set and its
+    universe U, kept in RuleSet.seeds: every fact over U, predicate by
+    predicate in product order, and each rule's (rule, *frontier image)
+    keys over U in product order, in a list per rule and all in `queued`.
+    A build adds to `facts` and `queued` and appends each key it queues to
+    `added`, the trail that `undo` reads to put both back as they were."""
+
+    __slots__ = ("order", "facts", "keys", "queued", "added", "size")
+
+    def __init__(self, rules: RuleSet, universe: tuple[Term, ...]):
+        # Each term of U by its position: product order sorts by these.
+        self.order = {t: i for i, t in enumerate(universe)}
+        self.facts = FactSet()
+        for predicate, arity in rules.predicates.items():
+            for combo in itertools.product(universe, repeat=arity):
+                self.facts.add(Atom(predicate, combo))
+        self.keys = [[(rule, *combo) for combo in
+                      itertools.product(universe, repeat=len(rule.frontier))]
+                     for rule in rules]
+        self.queued: set[tuple] = set().union(*self.keys)
+        self.added: list[tuple] = []
+        self.size = (len(self.facts), len(self.queued))
+
+    def undo(self) -> None:
+        """Drop what a build added: facts by the FactSet trail, queued keys
+        by `added`."""
+        self.facts.undo(self.size[0])
+        self.queued.difference_update(self.added)
+        self.added.clear()
+
+
+def _seed(rules: RuleSet, terms: frozenset[Term]) -> _Seed:
+    """The rule set's kept seed for the universe U of the pivot's skeleton
+    `terms` (its constants plus the special constant), made on first use.
+    Raises if a build left it changed."""
+    universe = (*sorted((t for t in terms if isinstance(t, Constant)),
+                        key=lambda c: c.name), star())
+    seed = rules.seeds.get(universe)
+    if seed is None:
+        seed = rules.seeds[universe] = _Seed(rules, universe)
+    elif (len(seed.facts), len(seed.queued)) != seed.size or seed.added:
+        raise RuntimeError(f"a build left the seed over {universe!r} changed")
+    return seed
 
 
 def _seed_blocks(pivot: Trigger) -> bool:
-    """Whether the seed of _seed_facts makes the pivot obsolete, read off
+    """Whether the seed over U makes the pivot obsolete, read off
     the pivot alone: some head disjunct's universal variables all map to
     constants. The skeleton holds every constant a frontier variable maps
     to, so these lie in U; with the disjunct's existential variables sent
@@ -197,16 +240,6 @@ def _fill(template: Template, image: tuple[Term, ...],
         for predicate, slots in template])
 
 
-def _over_universe(templates: Iterable[Template], fills: _Fills,
-                   universe: set[Term]) -> bool:
-    """Whether the templates fill only terms of the universe from an image
-    over it: every slot is a frontier position or the slot of a symbol with
-    no known term and a replacement in the universe."""
-    return all(s.__class__ is int or
-               not (f := fills[s])[0] and f[1] in universe  # type: ignore[index]
-               for template in templates for _, slots in template for s in slots)
-
-
 def build_over_approx(
     rules: RuleSet,
     pivot: Trigger,
@@ -218,11 +251,12 @@ def build_over_approx(
     The abstraction is `kind` (STAR or UC) around the pivot's skeleton.
 
     Seeded with every fact over the rule set's predicates and the skeleton's
-    constants plus the special constant, together with the pivot's birth
-    facts. With a head choice, each loaded trigger contributes its chosen
-    output unless that output equals the pivot's; without one, disjunction is
-    read conjunctively and each loaded trigger contributes all its outputs
-    unless it shares the pivot's rule and all of its outputs.
+    constants plus the special constant (the rule set's kept seed over this
+    universe U), together with the pivot's birth facts. With a head choice,
+    each loaded trigger contributes its chosen output unless that output
+    equals the pivot's; without one, disjunction is read conjunctively and
+    each loaded trigger contributes all its outputs unless it shares the
+    pivot's rule and all of its outputs.
 
     Every term of the fact set is a fixed point of the abstraction: a
     skeleton term, a fresh per-symbol constant or the special constant.
@@ -241,21 +275,29 @@ def build_over_approx(
     image) key once per build, and builds no Trigger or substitution for
     it. The seed holds every fact over its universe U, so every assignment
     of a body into U is loaded: the seed's keys over U are enumerated
-    directly. A rule whose contributed templates fill only frontier images
-    and constants of U adds nothing from those keys, so they are counted
-    but never popped. Only the matches through birth facts outside U, and then
-    through each new fact, are joined, by matcher.frontier_keys: it yields
-    keys and not substitutions, and stops at the first match when the
-    pinned atom binds the whole frontier. Exclusion depends only on the
+    directly. All are counted, and only those that can add a fact are
+    popped (see _batches). Only the matches through birth facts outside U,
+    and then through each new fact, are joined, by matcher.frontier_keys:
+    it yields keys and not substitutions, and stops at the first match when
+    the pinned atom binds the whole frontier. Exclusion depends only on the
     trigger, so the result is the least fixpoint of a monotone operator and
     does not depend on queue order; only the fact set as a set is
     specified, not its insertion order. The number of keys is returned as
     OverApproximation.triggers.
+
+    The build runs on the kept seed and undoes its additions in a
+    try/finally, so the returned facts are a copy: later builds reuse the
+    seed and leave the copy as it is.
     """
-    for facts, _, queued in _batches(rules, pivot, kind, hc):
-        pass
-    # The key set is live: it is read once the fixpoint is done.
-    return OverApproximation(facts, len(queued))
+    terms = skeleton(pivot, rules)
+    seed = _seed(rules, terms)
+    try:
+        for facts, _, queued in _batches(rules, pivot, kind, hc, terms, seed):
+            pass
+        # The key set is live: it is read once the fixpoint is done.
+        return OverApproximation(FactSet(facts), len(queued))
+    finally:
+        seed.undo()
 
 
 def _batches(
@@ -263,6 +305,8 @@ def _batches(
     pivot: Trigger,
     kind: str,
     hc: HeadChoice | None,
+    terms: frozenset[Term],
+    seed: _Seed,
 ) -> Iterator[tuple[FactSet, Iterable[Atom], set[tuple]]]:
     """The fixpoint of build_over_approx, one batch of new facts at a time.
 
@@ -272,11 +316,22 @@ def _batches(
     one is what one loaded key added, handed out before its matches are
     queued. Draining the generator runs the fixpoint to its end.
 
-    The queue holds (rule, *frontier image) keys. A rule whose contributed
-    templates (the chosen disjunct under a head choice, all of them
-    otherwise) fill only frontier images and constants of U adds nothing
-    from a key over U, since the seed holds every fact over U: its keys over
-    U are queued but never popped.
+    The facts and the queued keys are those of the kept `seed` of the
+    pivot's skeleton `terms`. The generator adds to both and appends each
+    key it queues to seed.added; the caller owns the build and calls
+    seed.undo in a finally clause, whether it drains the generator, stops
+    at some batch or raises, and resumes no generator after that.
+
+    The queue holds (rule, *frontier image) keys: the seed keys to pop,
+    then seed.added. Every seed key is queued, but a rule pops only those
+    that can add a fact. When each symbol slot of its contributed templates
+    (the chosen disjunct under a head choice, all of them otherwise) has
+    its replacement in U, as under STAR, a key over U fills a slot with a
+    term outside U only where its image is the argument tuple of a known
+    term of the slot's symbol; every other key fills facts over U, which
+    the seed holds. So only the keys of those argument tuples over U are
+    popped, in product order, and none when there are none. Any other rule
+    pops all its seed keys.
 
     Exclusion compares a key's raw output with the pivot's without building
     a skolem term: the key's template is filled a second time through raw
@@ -299,31 +354,36 @@ def _batches(
     the terms of the pivot's outputs lie in the skeleton, so its exclusion
     too reads only the read positions.
     """
-    terms = skeleton(pivot, rules)
-    facts, universe, births = _seed_facts(rules, terms, pivot)
+    facts, queued, added, order = seed.facts, seed.queued, seed.added, seed.order
+    births = facts.update(sorted(birth_facts(pivot, rules), key=repr))
     fills = _fills(rules, terms, uc_constant if kind == UC else lambda _: star())
 
     # No Trigger is built: every frontier image comes from U or from matching
     # into a FactSet, which holds only ground atoms, so its check could not
     # fail.
-    queued: set[tuple] = set()
-    queue: deque[tuple] = deque()
-    in_seed = set(universe)
+    queue: list[tuple] = []
     # The read positions of the rules that read less than the whole image.
     reads: dict[str, list[int]] = {}
-    for rule in rules:
-        keys = [(rule, *combo) for combo in
-                itertools.product(universe, repeat=len(rule.frontier))]
-        queued.update(keys)
+    for rule, keys in zip(rules, seed.keys):
         contributed = rule.sk_heads
         if hc is not None:
             contributed = (contributed[hc.choice(rule) - 1],)
-        if not _over_universe(contributed, fills, in_seed):
-            queue.extend(keys)
         slots = [s for template in contributed for _, atom in template for s in atom]
+        symbols = {s for s in slots if s.__class__ is not int}
+        if all(fills[s][1] in order for s in symbols):  # type: ignore[index]
+            # A key over U fills terms of U, and so seed facts, except in a
+            # symbol slot with a known term over the key's image: pop only
+            # the keys of those images, in product order.
+            images = {args for s in symbols
+                      for args in fills[s][0]  # type: ignore[index]
+                      if all(map(order.__contains__, args))}
+            queue.extend((rule, *args) for args in sorted(
+                images, key=lambda args: [order[t] for t in args]))
+        else:
+            queue.extend(keys)
         read = sorted({s for s in slots if s.__class__ is int})
         if len(read) < len(rule.frontier) and rule.id != pivot.rule.id and \
-                not any(fills[s][0] for s in slots if s.__class__ is not int):
+                not any(fills[s][0] for s in symbols):  # type: ignore[index]
             reads[rule.id] = read  # type: ignore[assignment]
     yield facts, facts, queued
 
@@ -341,10 +401,9 @@ def _batches(
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
-    queue.extend(frontier_keys(rules, facts, births, queued))
+    added.extend(frontier_keys(rules, facts, births, queued))
     popped: set[tuple] = set()
-    while queue:
-        key = queue.popleft()
+    for key in itertools.chain(queue, added):
         rule, image = key[0], key[1:]
         read = reads.get(rule.id)
         if read is not None:
@@ -370,7 +429,7 @@ def _batches(
         new = facts.update(contribution)
         if new:
             yield facts, new, queued
-            queue.extend(frontier_keys(rules, facts, new, queued))
+            added.extend(frontier_keys(rules, facts, new, queued))
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +518,10 @@ def _is_unblockable(
     rule's templates, filled from the trigger's frontier image.
 
     A trigger the seed blocks (_seed_blocks) is answered without a build.
+    Any other build runs on the rule set's kept seed for its universe, and
+    this function owns it: it undoes the build in a finally clause once the
+    answer is known, at the first blocking batch or at the end, or on a
+    raise, so every exit leaves the seed as it was.
 
     A UC question is first asked as the conjunctive star question for the
     same trigger, under no head choice, and a star-unblockable trigger is
@@ -480,19 +543,24 @@ def _is_unblockable(
     if _seed_blocks(trigger):
         cache.entries[key] = False
         return False
-    if kind == UC and not any(map(_is_abstract, skeleton(trigger, rules))) and \
+    terms = skeleton(trigger, rules)
+    if kind == UC and not any(map(_is_abstract, terms)) and \
             _is_unblockable(rules, STAR, None, trigger, cache):
         cache.star_answers += 1
         cache.entries[key] = True
         return True
     rule = trigger.rule
     image = trigger.frontier_image()
-    steps = _batches(rules, trigger, kind, hc)
-    facts, _, queued = next(steps)
-    answer = not (is_obsolete(trigger, facts) or any(
-        obsolete_through(rule, image, batch, facts) for _, batch, _ in steps))
+    seed = _seed(rules, terms)
+    try:
+        steps = _batches(rules, trigger, kind, hc, terms, seed)
+        facts, _, queued = next(steps)
+        answer = not (is_obsolete(trigger, facts) or any(
+            obsolete_through(rule, image, batch, facts) for _, batch, _ in steps))
+        cache.triggers += len(queued)
+    finally:
+        seed.undo()
     cache.builds += 1
-    cache.triggers += len(queued)
     cache.entries[key] = answer
     return answer
 

@@ -17,7 +17,7 @@ from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
                     Sequence, TypeVar)
 
 if TYPE_CHECKING:
-    from .approx import UnblockabilityCache
+    from .approx import UnblockabilityCache, _Seed
     from .matcher import Trigger
 
 __all__ = [
@@ -548,10 +548,13 @@ class RuleSet:
             for idx, atom in enumerate(rule.body):
                 self.body_index.setdefault(atom.predicate, []).append((rule, idx))
         # The compiled pinned joins of body_index, per predicate, filled on
-        # first use by matcher's runner, and approx's UnblockabilityCache,
-        # made on first use; both are freed with the rule set.
+        # first use by matcher's runner; approx's UnblockabilityCache, made
+        # on first use; approx's kept build seeds, one per universe, made
+        # on first use and restored by each build; and the birth facts of
+        # each term. All are freed with the rule set.
         self.pinned_joins: dict[str, list] = {}
         self.unblockability: UnblockabilityCache | None = None
+        self.seeds: dict[tuple[Term, ...], _Seed] = {}
         self._birth_cache: dict[Term, frozenset[Atom]] = {}
 
     def __iter__(self) -> Iterator[Rule]:

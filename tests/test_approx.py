@@ -5,11 +5,13 @@ import weakref
 
 import pytest
 
+from chase_sentinel import approx as approx_module
 from chase_sentinel.approx import (
     STAR,
     UC,
     UnblockabilityCache,
     _is_unblockable,
+    _Seed,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
@@ -17,6 +19,7 @@ from chase_sentinel.approx import (
     unblockability_cache,
 )
 from chase_sentinel.chase import HeadChoice
+from chase_sentinel.cli import classify_rules
 from chase_sentinel.matcher import FactSet, Trigger, discover, is_obsolete
 from chase_sentinel.model import (
     _TERMS,
@@ -38,6 +41,7 @@ from conftest import (
     NotReversibleError,
     _oracle_abstract,
     bench_rule_set,
+    bench_text,
     bike_subset,
     map_atom,
     naive_over_approx,
@@ -259,6 +263,119 @@ def test_over_approximation_matches_naive_oracle_on_larger_rule_sets():
     assert counts["unblockable"] >= 80
     assert counts["stopped"] >= 50
     assert counts["seed_answered"] >= 200
+
+
+def assert_seeds_fresh(rules):
+    """Each seed the rule set keeps equals one built from scratch over its
+    universe: facts in the same order, the same index lists, and the same
+    keys; no build's trail is left. Returns the number of seeds."""
+    for universe, seed in rules.seeds.items():
+        fresh = _Seed(rules, universe)
+        assert list(seed.facts) == list(fresh.facts), universe
+        assert len(seed.facts) == len(fresh.facts)
+        for predicate in rules.predicates:
+            assert list(seed.facts.candidates(predicate)) == \
+                list(fresh.facts.candidates(predicate))
+            for t in universe:
+                assert list(seed.facts.candidates(predicate, t)) == \
+                    list(fresh.facts.candidates(predicate, t))
+        assert seed.keys == fresh.keys and seed.queued == fresh.queued
+        assert seed.added == [] and seed.size == fresh.size
+    return len(rules.seeds)
+
+
+def test_builds_restore_their_kept_seeds(monkeypatch):
+    # A build adds the pivot's birth facts and its fixpoint to the kept seed
+    # of its universe and its owner undoes them on every exit. After whole
+    # classify runs, each kept seed must be as built.
+    seeds = 0
+    for i in range(30):
+        rules = bench_rule_set(i)
+        classify_rules(rules)
+        seeds += assert_seeds_fresh(rules)
+    # 61 kept seeds today.
+    assert seeds >= 55
+
+    # Three ways out of a build, on the pivots of structure 0 that star
+    # blocks but not at the seed: stopped at the first blocking batch, a
+    # consumer that raises, and a drained build followed by another.
+    rules = bench_rule_set(0)
+    stopped = raised = 0
+    for pivot in sample_triggers(rules):
+        if pivot.rule.is_datalog:
+            continue
+        cache = UnblockabilityCache()
+        whole = build_over_approx(rules, pivot, STAR)
+        kept = list(whole.facts)
+        if _is_unblockable(rules, STAR, None, pivot, cache) or cache.builds == 0:
+            continue
+        stopped += cache.triggers < whole.triggers
+        assert_seeds_fresh(rules)
+
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyError("consumer")
+            return False
+
+        with monkeypatch.context() as patched:
+            patched.setattr(approx_module, "obsolete_through", failing)
+            with pytest.raises(KeyError):
+                _is_unblockable(rules, STAR, None, pivot, UnblockabilityCache())
+        raised += len(calls) == 2
+        assert_seeds_fresh(rules)
+
+        build_over_approx(rules, pivot, STAR, HeadChoice.uniform(rules, 1))
+        assert list(whole.facts) == kept
+        assert_seeds_fresh(rules)
+    assert stopped >= 2 and raised >= 2
+
+
+def warm_seed_checks(structures) -> tuple[int, int]:
+    """Build over every (sample trigger, STAR or UC, no head choice, hc_1 or
+    hc_2) of each classify-random structure, the first eight sample
+    triggers of depth at most 2 taken, on one rule set, in a seeded
+    shuffled order, so that most builds start from a seed an earlier build
+    kept. Each result must equal, as a fact set and in its key count, the
+    same build on a freshly parsed copy of the text and naive_over_approx,
+    and no later build may change an earlier result. Returns the number of
+    builds and of those that started from a kept seed."""
+    builds = warm = 0
+    for i in structures:
+        text = bench_text(i)
+        rules = rules_from(text)
+        hcs = [None, HeadChoice.uniform(rules, 1), HeadChoice.uniform(rules, 2)]
+        cases = [(pivot, kind, hc)
+                 for pivot in sample_triggers(rules, depth_cap=2, limit=8)
+                 for kind in (STAR, UC) for hc in hcs]
+        random.Random(f"warm/{i}").shuffle(cases)
+        results = []
+        for pivot, kind, hc in cases:
+            kept = len(rules.seeds)
+            got = build_over_approx(rules, pivot, kind, hc)
+            warm += len(rules.seeds) == kept
+            fresh_rules = rules_from(text)
+            fresh = build_over_approx(fresh_rules, Trigger(
+                fresh_rules.by_id[pivot.rule.id], pivot.substitution), kind, hc)
+            facts = set(got.facts)
+            assert facts == set(fresh.facts) and got.triggers == fresh.triggers, \
+                (i, pivot, kind, hc)
+            assert facts == naive_over_approx(rules, pivot, kind, hc), \
+                (i, pivot, kind, hc)
+            results.append((got, list(got.facts)))
+            builds += 1
+        for got, facts in results:
+            assert list(got.facts) == facts, i
+    return builds, warm
+
+
+def test_warm_seeds_give_fresh_results():
+    # 384 builds, 360 of them from a kept seed, today; CI runs structures
+    # 0-89.
+    builds, warm = warm_seed_checks(BENCH_STRUCTURES[1:9])
+    assert builds >= 380 and warm >= 340
 
 
 def sk(rules, rule_id, var):
