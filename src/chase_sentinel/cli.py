@@ -230,11 +230,11 @@ def _report_json(report: ClassificationReport, namer: Namer) -> dict:
 
 def _run_stages(rules: RuleSet, stages: Sequence[str], k: int,
                 deadline: float | None, term_depth: int) -> Iterator:
-    """Run the stages in order and yield each one's verdict; each stage
-    gets the time left before the deadline, but at least 1 ms."""
+    """Run the stages in order and yield each one's verdict. Every stage
+    gets the same budget, so its absolute deadline bounds the stages
+    together, not each one."""
+    budget = SearchBudget(max_term_depth=term_depth, deadline=deadline)
     for stage in stages:
-        remaining = None if deadline is None else max(0.001, deadline - time.monotonic())
-        budget = SearchBudget(max_term_depth=term_depth, timeout_seconds=remaining)
         if stage == "acyclic":
             verdict = check_acyclic(rules, k, budget)
         else:
@@ -259,10 +259,10 @@ def classify_rules(
     notions, a cyclic verdict ends the run. A cyclicity stage saturates its
     (head choice, pivot) pairs in rounds of doubling trigger quotas, resuming
     the pairs that reached the quota, so a short witness is not kept waiting
-    behind long saturations. The timeout does not bound the total: each
-    stage gets the time left when it starts (at least 1 ms), and each of its
-    saturations that much again of its own work, since a saturation's clock
-    pauses while it is suspended between rounds (ROADMAP item 3).
+    behind long saturations. The timeout, in seconds, bounds the whole run:
+    it sets one absolute deadline that every stage and saturation reads. An
+    unblockability build in progress is not interrupted, so a run can end a
+    little after the deadline.
     """
     start = time.monotonic()
     deadline = None if timeout is None else start + timeout
@@ -510,7 +510,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="run a single notion instead of the default pipeline")
     p.add_argument("--k", type=_int_at_least(1), default=2,
                    help="nesting bound for the acyclicity check (default 2)")
-    p.add_argument("--timeout", type=_positive_float, default=None, metavar="SECS")
+    p.add_argument("--timeout", type=_positive_float, default=None, metavar="SECS",
+                   help="wall-time bound of the whole run, all stages together")
     p.add_argument("--term-depth", type=_int_at_least(1), default=8, dest="term_depth",
                    metavar="INT", help="term depth budget (default 8)")
     p.add_argument("--json", action="store_true", dest="as_json",
@@ -541,7 +542,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("dir")
     p.add_argument("--k", type=_int_at_least(1), default=2)
     p.add_argument("--timeout", type=_positive_float, default=None, metavar="SECS",
-                   help="per-file timeout")
+                   help="wall-time bound of each file, all stages together")
     p.add_argument("--term-depth", type=_int_at_least(1), default=8, dest="term_depth",
                    metavar="INT")
     p.add_argument("--csv", default=None, metavar="FILE")

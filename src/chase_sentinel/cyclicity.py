@@ -24,8 +24,7 @@ its family, in the notion's order: round 1 lets every pair apply 4
 triggers, and each later round doubles that quota and resumes the pairs that
 reached it. So a short witness of a late pair is not kept waiting behind
 long saturations of earlier pairs, and every pair still applies the triggers
-it applies alone. A suspended pair's clock pauses, so the timeout bounds
-each pair's own work, as it did when the pairs ran one after another.
+it applies alone. Every pair reads the budget's one absolute deadline.
 Unblockability answers are kept with the rule set, so every saturation, and
 every later check on the same rule set, reads the answers that earlier ones
 built.
@@ -109,9 +108,19 @@ def rule_database(rule: Rule) -> Trigger:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Limits of one search. The deadline is an absolute `time.monotonic()`
+    value, not a duration, so every stage and saturation that shares the
+    budget stops at the same instant: one value bounds a whole run. It is
+    read before each trigger and each new (head choice, pivot) pair; an
+    unblockability build in progress is not interrupted."""
+
     max_triggers: int | None = 1_000_000
     max_term_depth: int | None = 8
-    timeout_seconds: float | None = None
+    deadline: float | None = None
+
+    def expired(self) -> bool:
+        """Whether the deadline has passed."""
+        return self.deadline is not None and time.monotonic() > self.deadline
 
 
 @dataclass(frozen=True)
@@ -158,9 +167,9 @@ def _saturate(
 ) -> Iterator[None]:
     """Shared saturation engine, resumable: it applies triggers to run and
     yields after each one that leaves the saturation going, so a caller can
-    suspend the run between two triggers and resume it later. The timeout
-    counts only the time spent inside the engine: the clock pauses while the
-    run is suspended.
+    suspend the run between two triggers and resume it later. The budget's
+    deadline is absolute and read before each candidate key, so a run
+    resumed after it truncates without applying another trigger.
 
     With a head choice, triggers of every rule contribute their chosen
     output and must be unblockable under the unique-constants abstraction.
@@ -178,9 +187,6 @@ def _saturate(
     deterministic_only = hc is None
     seed = rule_database(rho)
     seed_key = (rho, *seed.substitution.values())
-    deadline = None
-    if budget.timeout_seconds is not None:
-        deadline = time.monotonic() + budget.timeout_seconds
 
     known_terms: set[Term] = set(facts.terms())
     position = {rule: i for i, rule in enumerate(rules)}
@@ -196,29 +202,18 @@ def _saturate(
                 return True
         return False
 
-    def pause() -> Iterator[None]:
-        """Yield once, and move the deadline on by the time suspended."""
-        nonlocal deadline
-        paused = time.monotonic()
-        yield
-        if deadline is not None:
-            deadline += time.monotonic() - paused
-
     if record(seed):
         return
-    yield from pause()
+    yield
 
     found = discover(rules, facts)
     while True:
-        if deadline is not None and time.monotonic() > deadline:
-            run.truncated = True
-            return
         mark = len(run.provenance)
         candidates = [key for key in found if key != seed_key and (
             key[0].is_deterministic or not deterministic_only)]
         candidates.sort(key=lambda k: (position[k[0]], tuple(map(repr, k[1:]))))
         for key in candidates:
-            if deadline is not None and time.monotonic() > deadline:
+            if budget.expired():
                 run.truncated = True
                 return
             image = key[1:]
@@ -241,7 +236,7 @@ def _saturate(
                 return
             if record(trigger):
                 return
-            yield from pause()
+            yield
         new = [fact for applied in run.provenance[mark:] for fact in applied.new]
         if not new:
             return
@@ -446,9 +441,9 @@ def check(rules: RuleSet, notion: str, budget: SearchBudget | None = None) -> Ve
     applies the triggers it applies when run alone, in the same order, so
     its witness is the same; only which pair answers first can change. The
     first cyclic term ends the search, so `saturations` counts the pairs
-    started up to it. The budget holds for each pair on its own: a pair's
-    timeout counts only its own work, since its clock pauses while it is
-    suspended, and it does not bound the check (ROADMAP item 3).
+    started up to it. Every pair reads the budget's one absolute deadline:
+    once it has passed, no further pair starts and a resumed pair truncates
+    before its next trigger, so the check ends with "resource-exhausted".
 
     DRPC takes the deterministic generating rules in rule order with no
     head choice. RPC_s takes hc_1..hc_b in turn, and RPC every head choice
@@ -470,15 +465,18 @@ def check(rules: RuleSet, notion: str, budget: SearchBudget | None = None) -> Ve
     cache = unblockability_cache(rules)
     before = cache.counts()
     started = 0
+    result, witness = NOT_DETECTED, None
 
     def first_round() -> Iterator[tuple[SaturationRun, Iterator[None]]]:
-        nonlocal started
+        nonlocal started, result
         for hc, rho in _pairs(rules, canonical):
+            if budget.expired():
+                result = RESOURCE_EXHAUSTED
+                return
             started += 1
             run = _pair_run(rules, rho, hc)
             yield run, _saturate(run, budget)
 
-    result, witness = NOT_DETECTED, None
     pending: Iterable[tuple[SaturationRun, Iterator[None]]] = first_round()
     quota = _FIRST_QUOTA
     while witness is None:

@@ -70,6 +70,7 @@ def check_acyclic(
     Returns "terminating" when the saturation reaches a fixpoint with no
     k-cyclic term (a sound termination certificate), "not-detected" as soon
     as one appears, and "resource-exhausted" when a budget ran out first.
+    The budget's deadline is absolute and read before each trigger.
     """
     if mode not in (RMFA_LIKE, MFA):
         raise ValueError(f"unknown mode {mode!r}")
@@ -77,9 +78,6 @@ def check_acyclic(
         raise ValueError("k must be >= 1")
     budget = budget or SearchBudget()
     start = time.monotonic()
-    deadline = None
-    if budget.timeout_seconds is not None:
-        deadline = start + budget.timeout_seconds
 
     seed_constant = star()
     facts = FactSet(critical_instance(rules))
@@ -103,7 +101,7 @@ def check_acyclic(
 
     enqueue(queues, discover(rules, facts))
     while queues:
-        if deadline is not None and time.monotonic() > deadline:
+        if budget.expired():
             return verdict(RESOURCE_EXHAUSTED, None)
         if budget.max_triggers is not None and applied >= budget.max_triggers:
             return verdict(RESOURCE_EXHAUSTED, None)

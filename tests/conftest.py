@@ -482,7 +482,7 @@ def naive_rpc(rules: RuleSet, budget=None, notion: str = "RPC"):
                                           extract_prefix)
 
     budget = budget or SearchBudget()
-    assert budget.timeout_seconds is None
+    assert budget.deadline is None
     pending = notion_pairs(rules, notion)
     runs = 0
     truncated = False

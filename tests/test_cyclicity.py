@@ -201,26 +201,28 @@ def test_budget_exhaustion_is_a_verdict(bike2):
     assert tight.witness is None
     shallow = check(bike2, "RPC_s", SearchBudget(max_term_depth=2))
     assert shallow.result == RESOURCE_EXHAUSTED
-    timed = check(bike2, "RPC_s", SearchBudget(timeout_seconds=0.0))
+    timed = check(bike2, "RPC_s", SearchBudget(deadline=time.monotonic() - 1.0))
     assert timed.result == RESOURCE_EXHAUSTED
+    assert timed.stats["saturations"] == 0
 
 
-def test_a_suspended_saturation_pauses_its_clock(bike2):
-    # Suspended after its seed for longer than its timeout, a saturation
-    # resumes with the time it had left, as check resumes a pair in a later
-    # round, and applies the triggers it applies untimed.
+def test_a_saturation_suspended_past_its_deadline_truncates_on_resume(bike2):
+    # The deadline is absolute: a saturation suspended after its seed until
+    # the deadline has passed, as check suspends a pair between rounds,
+    # truncates when resumed, without applying another trigger.
     hc1, rho = HeadChoice.uniform(bike2, 1), bike2.by_id["r1"]
     untimed = rpc_fact_set(bike2, hc1, rho)
+    assert len(untimed.provenance) > 1
     run = cyc._pair_run(bike2, rho, hc1)
-    steps = cyc._saturate(run, SearchBudget(timeout_seconds=0.5))
+    steps = cyc._saturate(run, SearchBudget(deadline=time.monotonic() + 0.05))
     next(steps)
     assert len(run.provenance) == 1
-    time.sleep(0.6)
+    time.sleep(0.1)
     for _ in steps:
         pass
-    assert not run.truncated
-    assert (run.provenance, run.cyclic_term) == \
-        (untimed.provenance, untimed.cyclic_term)
+    assert run.truncated
+    assert run.provenance == untimed.provenance[:1]
+    assert run.cyclic_term is None
 
 
 def test_unroll_repeats_with_mapping_powers(bike2):
