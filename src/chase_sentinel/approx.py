@@ -48,16 +48,6 @@ and stops at the first match when the pinned atom binds the frontier. Only
 the resulting fixpoint as a set is specified, not the order in which its
 facts were added.
 
-A popped key is run once per contributed image. Its read positions are the
-frontier positions that the rule's contributed templates copy: the chosen
-one under a head choice, all of them otherwise. Two keys that agree there
-fill identical facts and get the same exclusion decision, unless the rule
-is the pivot's (exclusion compares raw skolem outputs, which read the whole
-frontier) or a contributed symbol slot looks the image up in the skeleton;
-those rules are read on the whole image. The skolem terms of the pivot's
-outputs lie in the skeleton, so another rule's raw output can equal the
-pivot's only through such a lookup or with no symbol slot at all.
-
 The star build answers a unique-constants (UC) question when it can. Let h
 send every per-symbol constant c_f to the special constant and fix every
 other term. When the pivot's skeleton holds neither constant, h maps the
@@ -343,16 +333,6 @@ def _batches(
     holds, or every slot got its own term and the raw fill is the raw
     output; either way the raw fill differs from the pivot's output too.
     Only the pivot's own outputs are interned.
-
-    A popped key is skipped when (rule, *image at the read positions) was
-    popped before: the read positions are the frontier positions that the
-    contributed templates copy. Keys that agree there fill the same facts
-    and get the same exclusion decision. The pivot's rule and a rule with a
-    contributed symbol slot whose symbol has skeleton terms read the whole
-    image, so each of their keys is run; `queued` still counts every key.
-    Every other rule's raw fill gives _ABSENT to each symbol slot, since
-    the terms of the pivot's outputs lie in the skeleton, so its exclusion
-    too reads only the read positions.
     """
     facts, queued, added, order = seed.facts, seed.queued, seed.added, seed.order
     births = facts.update(sorted(birth_facts(pivot, rules), key=repr))
@@ -362,14 +342,12 @@ def _batches(
     # into a FactSet, which holds only ground atoms, so its check could not
     # fail.
     queue: list[tuple] = []
-    # The read positions of the rules that read less than the whole image.
-    reads: dict[str, list[int]] = {}
     for rule, keys in zip(rules, seed.keys):
         contributed = rule.sk_heads
         if hc is not None:
             contributed = (contributed[hc.choice(rule) - 1],)
-        slots = [s for template in contributed for _, atom in template for s in atom]
-        symbols = {s for s in slots if s.__class__ is not int}
+        symbols = {s for template in contributed for _, atom in template
+                   for s in atom if s.__class__ is not int}
         if all(fills[s][1] in order for s in symbols):  # type: ignore[index]
             # A key over U fills terms of U, and so seed facts, except in a
             # symbol slot with a known term over the key's image: pop only
@@ -381,10 +359,6 @@ def _batches(
                 images, key=lambda args: [order[t] for t in args]))
         else:
             queue.extend(keys)
-        read = sorted({s for s in slots if s.__class__ is int})
-        if len(read) < len(rule.frontier) and rule.id != pivot.rule.id and \
-                not any(fills[s][0] for s in symbols):  # type: ignore[index]
-            reads[rule.id] = read  # type: ignore[assignment]
     yield facts, facts, queued
 
     # The pivot's outputs per disjunct, raw and abstracted, and the raw
@@ -402,15 +376,8 @@ def _batches(
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
     added.extend(frontier_keys(rules, facts, births, queued))
-    popped: set[tuple] = set()
     for key in itertools.chain(queue, added):
         rule, image = key[0], key[1:]
-        read = reads.get(rule.id)
-        if read is not None:
-            contributed_image = (rule, *map(image.__getitem__, read))
-            if contributed_image in popped:
-                continue
-            popped.add(contributed_image)
         if hc is not None:
             template = rule.sk_heads[hc.choice(rule) - 1]
             contribution = _fill(template, image, fills)
@@ -556,7 +523,8 @@ def _is_unblockable(
         steps = _batches(rules, trigger, kind, hc, terms, seed)
         facts, _, queued = next(steps)
         answer = not (is_obsolete(trigger, facts) or any(
-            obsolete_through(rule, image, batch, facts) for _, batch, _ in steps))
+            obsolete_through(rule.sk_heads, image, batch, facts)
+            for _, batch, _ in steps))
         cache.triggers += len(queued)
     finally:
         seed.undo()

@@ -20,18 +20,19 @@ The search is depth-first with a trail, as in Prolog's backtracking: one
 FactSet holds the label of the branch being extended and one `Queues` its
 keys, and a fork copies neither. Both are marked before a fork and undone
 to the marks when a later sibling resumes.
-`run_chase` and `entails` share one expansion loop; `entails` also unifies
-each fact a child adds with the query atoms of its predicate, joins the
-other query atoms with `matcher.match_conjunction`, closes the branches
-that match and stops at the first saturated branch that does not.
+`run_chase` and `entails` share one expansion loop. `entails` compiles
+the query into a template, tests the root with the obsolescence walk and
+each child through the facts it adds (`matcher.obsolete_through`), closes
+the branches that match and stops at the first saturated branch that does
+not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .matcher import (FactSet, Queues, Trigger, compile_query, discover,
-                      enqueue, match_conjunction, pop_active, query_matched)
+from .matcher import (FactSet, Queues, Trigger, _holds, compile_query,
+                      discover, enqueue, obsolete_through, pop_active)
 from .model import Atom, Query, Rule, RuleSet, gc_paused
 
 __all__ = [
@@ -201,10 +202,10 @@ def _expand(
     vertex = ChaseVertex(0, None, 0, None, None, tuple(seed))
     tree.vertices.append(vertex)
 
-    pins = None
     if query is not None:
-        pins = compile_query(query.atoms)
-        for _ in match_conjunction(query.atoms, {}, facts):
+        query_template, query_image = compile_query(query.atoms)
+        # An empty query holds in every label.
+        if not query_template or _holds(query_template, query_image, {}, facts):
             return tree, False
 
     # A non-generating rule's outputs hold only terms of its parent's label,
@@ -222,7 +223,7 @@ def _expand(
     while True:
         popped = pop_active(queues, facts)
         if popped is None:
-            if pins is not None:
+            if query is not None:
                 return tree, True
             vertex = None
         else:
@@ -259,8 +260,8 @@ def _expand(
                 queue_mark = queues.mark()
                 pending.extend((sibling, fact_mark, queue_mark)
                                for sibling in reversed(tree.vertices[first + 1:]))
-        while vertex is None or (pins is not None and
-                                 query_matched(pins, vertex.new_facts, facts)):
+        while vertex is None or (query is not None and obsolete_through(
+                (query_template,), query_image, vertex.new_facts, facts)):
             if not pending:
                 return tree, False
             vertex, fact_mark, queue_mark = pending.pop()

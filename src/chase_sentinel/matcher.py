@@ -1,15 +1,16 @@
 """Fact storage, conjunction matching and trigger discovery.
 
-Matching is a deterministic backtracking join: atoms are ordered most
-selective first (fewest candidate facts under the bindings known at planning
-time, ties broken by source order), and candidate facts are scanned in
-insertion order, so identical inputs always enumerate substitutions in the
-same order. `discover` is the semi-naive trigger discovery behind the
-fixpoint loops: the chase, the acyclicity check and the cyclicity
-saturation take its keys, and the over-approximation builds their own
-through `frontier_keys`. A pinned call enumerates new fact by new fact
-and, per fact, in body-index order; the saturation sorts what it finds. No
-loop meets a trigger twice, so none keeps a seen set for triggers.
+`discover` is the trigger discovery behind the fixpoint loops: the chase,
+the acyclicity check and the cyclicity saturation take its keys, and the
+over-approximation builds their own through `frontier_keys`. All run the
+compiled pinned joins. A full call pins each rule's body atom with the
+fewest facts, ties to the first, to each of its facts in insertion order;
+a semi-naive call pins each new fact to each body atom of its predicate,
+new fact by new fact and, per fact, in body-index order. No loop meets a
+trigger twice, so none keeps a seen set for triggers. `match_conjunction`
+is the planner's backtracking join (most selective atom first, ties in
+source order, candidates in insertion order): it joins pinned rests of two
+or more atoms, and a full call yields its matches' keys in its order.
 
 A trigger travels from `discover` through its pop as the key (rule, *body
 image), the image of rule.body_vars in order. Keys are read off a FactSet,
@@ -17,10 +18,10 @@ so they are ground, and `Trigger.of_key` builds a trigger only where
 something reads one: a chase vertex's `trigger`, or the saturation's
 unblockability test.
 
-Pinning a new fact to body atom idx of a rule is a join whose shape depends
-only on (rule, idx). Each such join is compiled once per rule set, on first
-use, and held by the rule set next to its body index, so it is freed with
-it. One runner, `_pinned_keys`, reads the compiled joins and projects
+Pinning a fact to body atom idx of a rule is a join whose shape depends
+only on (rule, idx). A rule set's joins are compiled together on first
+use and held by the rule set next to its body index, so they are freed
+with it. One runner, `_pinned_keys`, reads the compiled joins and projects
 each match onto a key: (rule, *body image) for `discover` and (rule,
 *frontier image) for `frontier_keys`, as builds read only the frontier.
 
@@ -32,21 +33,22 @@ and `undo` back to it: the chase backtracks this way. Obsolescence
 is stated once, per head disjunct, in `disjunct_holds`, on the rule's
 compiled head templates (Rule.sk_heads) and a frontier image: an
 existential-free disjunct is looked up as its output, an existential one
-walked atom by atom through the fact index. `pop_active` reads each popped
-key's frontier image off the key with rule.key_frontier and asks each
-disjunct, passing the disjunct's output when that is the grounded head, so
-the one build serves the test and the caller; `is_obsolete` asks every
-disjunct of a trigger. `obsolete_through` is the same walk pinned to new
-facts, the semi-naive test of the unblockability builds.
+walked atom by atom through the fact index (`_holds`). `pop_active` reads
+each popped key's frontier image off the key with rule.key_frontier and
+asks each disjunct, passing the disjunct's output when that is the
+grounded head, so the one build serves the test and the caller;
+`is_obsolete` asks every disjunct of a trigger. `obsolete_through` is the
+same walk pinned to new facts, the semi-naive test of the unblockability
+builds.
 
-Queries are pinned too, but not compiled: `query_matched` unifies a query
-atom with each newly added fact and joins the other atoms with
-`match_conjunction`, so it tests only the matches that use a new fact.
+A query match is the same walk: `compile_query` makes a query one
+template whose ground terms are int slots into an image and whose
+variables are slots that `_holds` binds like symbol slots.
 
 Patterns hold only variables and ground terms. `Rule` ensures this for
 bodies and heads (they hold variables only) and `compile_query` for queries
 (they may hold ground terms too), so matching looks variables up in the
-binding, or a template's symbol slots up in its own, and compares terms by
+binding, or a template's other slots up in its own, and compares terms by
 identity, which interning makes exact.
 """
 from __future__ import annotations
@@ -79,7 +81,6 @@ __all__ = [
     "enqueue",
     "pop_active",
     "compile_query",
-    "query_matched",
 ]
 
 
@@ -379,32 +380,33 @@ def _projection(positions: tuple[int, ...], n: int) -> tuple[itemgetter, bool]:
     return image, max(positions, default=0) <= n
 
 
-def _plans(rules: RuleSet, predicate: str) -> list[tuple[Rule, _PinPlan]]:
-    """The compiled joins of every body atom of the predicate, in
-    body_index order, compiled on first use and kept in rules.pinned_joins,
-    so they live and die with the rule set."""
-    plans = rules.pinned_joins.get(predicate)
-    if plans is None:
-        plans = rules.pinned_joins[predicate] = [
-            (rule, _compile_pinned(rule, idx))
-            for rule, idx in rules.body_index.get(predicate, ())]
-    return plans
+def _joins(rules: RuleSet) -> dict[str, list[tuple[Rule, _PinPlan]]]:
+    """The compiled joins of every body atom, per predicate in body_index
+    order, all compiled on first use and kept in rules.pinned_joins, so
+    they live and die with the rule set."""
+    joins = rules.pinned_joins
+    if not joins:
+        for predicate, pins in rules.body_index.items():
+            joins[predicate] = [(rule, _compile_pinned(rule, idx))
+                                for rule, idx in pins]
+    return joins
 
 
-def _pinned_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
-                 seen: set[tuple], projection: int) -> Iterator[tuple]:
+def _pinned_keys(joins: dict[str, Sequence[tuple[Rule, _PinPlan]]],
+                 facts: FactSet, new_facts: Iterable[Atom], seen: set[tuple],
+                 projection: int) -> Iterator[tuple]:
     """The one runner of the compiled pinned joins. For each new fact (in
-    the facts) and each plan of _plans for its predicate, it projects the
-    matches of match_conjunction(rule.body, base, facts), where base maps
-    the pinned atom to the fact, through the plan field at index
-    projection, and yields the keys not in seen, in first-occurrence order,
-    adding each to seen. Keys are read straight off the pinned fact and the
-    scanned candidate; no binding is built."""
+    the facts) and each plan that joins holds for its predicate, it
+    projects the matches of match_conjunction(rule.body, base, facts),
+    where base maps the pinned atom to the fact, through the plan field at
+    index projection, and yields the keys not in seen, in first-occurrence
+    order, adding each to seen. Keys are read straight off the pinned fact
+    and the scanned candidate, which the facts' live index lists hold."""
     for fact in new_facts:
         if fact not in facts:
             continue
         ft = fact.terms
-        for rule, plan in _plans(rules, fact.predicate):
+        for rule, plan in joins.get(fact.predicate, ()):
             terms, repeats, rest, _, _, _, _, _ = plan
             if len(ft) != len(terms):
                 continue
@@ -457,27 +459,45 @@ def _scan(rule: Rule, plan: _PinPlan, ft: tuple[Term, ...],
                 yield ct
 
 
+def _least_keys(rules: RuleSet, facts: FactSet) -> Iterator[tuple]:
+    """Rule by rule, the body atom of least (facts.count(predicate), index)
+    pinned to each fact of its predicate, in insertion order. _plan puts
+    that atom first, as no first term of a body is bound; _scan reads one
+    rest atom in _walk's candidate order and plans a longer rest again in
+    the same relative order. So the keys come in match_conjunction's order."""
+    joins = _joins(rules)
+    seen: set[tuple] = set()
+    for rule in rules:
+        count, idx = min((facts.count(atom.predicate), i)
+                         for i, atom in enumerate(rule.body))
+        if count:
+            predicate = rule.body[idx].predicate
+            pair = joins[predicate][rules.body_index[predicate].index((rule, idx))]
+            yield from _pinned_keys({predicate: (pair,)}, facts,
+                                    facts.candidates(predicate), seen, _BODY)
+
+
 def discover(
     rules: RuleSet,
     facts: FactSet,
     new_facts: Iterable[Atom] | None = None,
 ) -> Iterator[tuple]:
-    """The (rule, *body image) keys of the loaded triggers: every trigger,
-    rule by rule, when new_facts is None; else each trigger that uses a new
-    fact (already in the facts), pinned to each body atom of its predicate,
-    as _pinned_keys finds them under a seen set of the call's own. A key is
-    yielded at most once per call, at its first occurrence.
+    """The (rule, *body image) keys of the loaded triggers, as _pinned_keys
+    finds them under a seen set of the call's own, at most once per call:
+    when new_facts is None, every trigger, in the order of [(rule, *body
+    image) for rule in rules for each match of match_conjunction(rule.body,
+    {}, facts)] (_least_keys); else each trigger that uses a new fact
+    (already in the facts), pinned to each body atom of its predicate.
 
     The chase, the acyclicity check and the cyclicity saturation each
-    consume a call before adding facts and then pin exactly the facts they
-    added. A pinned trigger uses a fact the earlier calls never saw, and a
-    later call pins only facts this one never saw, so no key comes back.
+    consume a call before adding facts, as the joins read the facts' live
+    index lists, and then pin exactly the facts they added. A pinned
+    trigger uses a fact the earlier calls never saw, and a later call pins
+    only facts this one never saw, so no key comes back.
     """
     if new_facts is None:
-        return ((rule, *map(sub.__getitem__, rule.body_vars))
-                for rule in rules
-                for sub in match_conjunction(rule.body, {}, facts))
-    return _pinned_keys(rules, facts, new_facts, set(), _BODY)
+        return _least_keys(rules, facts)
+    return _pinned_keys(_joins(rules), facts, new_facts, set(), _BODY)
 
 
 def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
@@ -485,7 +505,7 @@ def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
     """The _pinned_keys (rule, *frontier image) keys of the new facts: the
     over-approximation builds' discovery, with the build's set of queued
     keys as seen."""
-    return _pinned_keys(rules, facts, new_facts, seen, _FRONTIER)
+    return _pinned_keys(_joins(rules), facts, new_facts, seen, _FRONTIER)
 
 
 def disjunct_holds(rule: Rule, disjunct: int, image: tuple[Term, ...],
@@ -512,17 +532,17 @@ def disjunct_holds(rule: Rule, disjunct: int, image: tuple[Term, ...],
 
 
 def _holds(atoms: Template, image: tuple[Term, ...],
-           bound: dict[SkolemSymbol, Term], facts: FactSet,
+           bound: dict[SkolemSymbol | Variable, Term], facts: FactSet,
            pool: Sequence[Atom] | None = None) -> bool:
-    """Whether the template atoms map into the facts with each frontier slot
-    s on image[s] and each symbol slot on one term throughout, extending
-    bound, the terms of the symbol slots met so far.
+    """Whether the template atoms map into the facts with each int slot s
+    on image[s] and each other slot, a symbol or a query variable, on one
+    term throughout, extending bound, the terms of the slots met so far.
 
     The first atom's candidates are pool when given, else read through the
-    (predicate, first argument) index when its first slot is a frontier
-    position or a bound symbol, else all facts of its predicate. The answer
-    is a boolean, so the atom order does not change it, and terms are
-    compared by identity, which interning makes exact.
+    (predicate, first argument) index when its first slot is an int or a
+    bound slot, else all facts of its predicate. The answer is a boolean,
+    so the atom order does not change it, and terms are compared by
+    identity, which interning makes exact.
     """
     predicate, slots = atoms[0]
     rest = atoms[1:]
@@ -565,19 +585,19 @@ def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
     return False
 
 
-def obsolete_through(rule: Rule, image: tuple[Term, ...],
+def obsolete_through(templates: Sequence[Template], image: tuple[Term, ...],
                      new_facts: Iterable[Atom], facts: FactSet) -> bool:
-    """True iff some head disjunct of the rule's trigger with this frontier
-    image matches into the facts with one of its atoms on a new fact
-    (already in the facts): the semi-naive step of `is_obsolete`. Each new
-    fact is pinned to each template atom of its predicate, and `_holds`
-    walks the other atoms from there."""
+    """True iff some template holds (`_holds`) under the image with one of
+    its atoms on a new fact (already in the facts). Each new fact is pinned
+    to each template atom of its predicate, and `_holds` walks the others.
+    On rule.sk_heads and a frontier image it is the semi-naive step of
+    `is_obsolete`; on a compiled query, of its match."""
     for fact in new_facts:
         predicate = fact.predicate
-        for template in rule.sk_heads:
+        for template in templates:
             for j, atom in enumerate(template):
                 if atom[0] == predicate and _holds(
-                        (atom, *template[:j], *template[j + 1:]),
+                        (atom, *template[:j], *template[j + 1:]) if j else template,
                         image, {}, facts, (fact,)):
                     return True
     return False
@@ -654,30 +674,18 @@ def pop_active(queues: Queues,
     return None
 
 
-def compile_query(atoms: Sequence[Atom]) -> dict[str, tuple[tuple[Atom, tuple[Atom, ...]], ...]]:
-    """Per predicate, each query atom of that predicate paired with the
-    other query atoms, in query order. Query terms must be variables or
-    ground terms, the patterns match_conjunction takes."""
-    atoms = tuple(atoms)
-    pins: dict[str, list[tuple[Atom, tuple[Atom, ...]]]] = {}
-    for idx, atom in enumerate(atoms):
+def compile_query(atoms: Sequence[Atom]) -> tuple[Template, tuple[Term, ...]]:
+    """A query as one template and the image of its distinct ground terms:
+    a ground term is an int slot into the image, a variable a slot keyed
+    by itself, which `_holds` binds as it binds a symbol slot. Query terms
+    must be variables or ground terms."""
+    where: dict[Term, int] = {}
+    template = []
+    for atom in atoms:
         for t in atom.terms:
             if not (t.is_ground or t.__class__ is Variable):
                 raise RuleError(f"query term is neither a variable nor ground: {t!r}")
-        pins.setdefault(atom.predicate, []).append((atom, atoms[:idx] + atoms[idx + 1:]))
-    return {p: tuple(v) for p, v in pins.items()}
-
-
-def query_matched(pins: dict[str, tuple[tuple[Atom, tuple[Atom, ...]], ...]],
-                  new_facts: Iterable[Atom], facts: FactSet) -> bool:
-    """True iff the query matches into the facts using some new fact
-    (already in the facts): the semi-naive step of query-directed chasing.
-    Each new fact is unified with each query atom of its predicate, and the
-    other atoms are joined under that unifier."""
-    for fact in new_facts:
-        for atom, rest in pins.get(fact.predicate, ()):
-            base = _unify_atom(atom, fact, {})
-            if base is not None:
-                for _ in match_conjunction(rest, base, facts):
-                    return True
-    return False
+        template.append((atom.predicate, tuple([
+            t if t.__class__ is Variable else where.setdefault(t, len(where))
+            for t in atom.terms])))
+    return tuple(template), tuple(where)

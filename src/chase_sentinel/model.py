@@ -382,8 +382,10 @@ class HeadDisjunct:
     atoms: tuple[Atom, ...]
 
 
-# A skolemized head disjunct, compiled: one (predicate, slots) pair per atom.
-Template = tuple[tuple[str, tuple[int | SkolemSymbol, ...]], ...]
+# A compiled conjunction, one (predicate, slots) pair per atom. A slot is an
+# int, a position in an image, or an unknown that takes one term throughout:
+# a skolem symbol in Rule.sk_heads, a variable in matcher.compile_query.
+Template = tuple[tuple[str, tuple[int | SkolemSymbol | Variable, ...]], ...]
 
 
 @dataclass(frozen=True)

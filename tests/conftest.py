@@ -14,7 +14,6 @@ import itertools
 import random
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 from typing import Iterator
 
 import pytest
@@ -629,8 +628,7 @@ def match_pinned(rule: Rule, idx: int, fact: Atom,
     """The substitutions of the join of the rule's body with atom idx pinned
     to fact, compiled on the spot and run alone by the runner behind
     `discover`, under the body projection and a fresh seen set."""
-    one = SimpleNamespace(pinned_joins={
-        rule.body[idx].predicate: [(rule, _compile_pinned(rule, idx))]})
+    one = {rule.body[idx].predicate: [(rule, _compile_pinned(rule, idx))]}
     return [dict(zip(rule.body_vars, key[1:]))
             for key in _pinned_keys(one, facts, [fact], set(), _BODY)]
 

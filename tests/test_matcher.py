@@ -8,6 +8,7 @@ import pytest
 from chase_sentinel import matcher
 from chase_sentinel.matcher import (
     _BODY,
+    _holds,
     FactSet,
     Queues,
     Trigger,
@@ -16,20 +17,22 @@ from chase_sentinel.matcher import (
     disjunct_holds,
     enqueue,
     frontier_keys,
+    _joins,
     _pinned_keys,
     is_obsolete,
     match_conjunction,
     obsolete_through,
     pop_active,
-    query_matched,
 )
 from chase_sentinel.chase import entails
 from chase_sentinel.model import (Atom, Query, RuleError, apply_atoms, constant,
                                   functional, skolem_symbol, variable)
+from chase_sentinel.termination import critical_instance
 
 from conftest import (bike_subset, is_loaded, match_pinned, oracle_matches,
                       outputs, perfbench_module, random_rule_set, rules_from,
                       satisfies)
+from test_engine_check import bench_cases, sweep_cases, wide_databases
 
 
 def atom(pred, *names):
@@ -371,7 +374,7 @@ def test_body_keys_carry_seen_across_facts():
                     if key not in known:
                         known.add(key)
                         wanted.append(key)
-            got = list(_pinned_keys(rules, facts, [fact], seen, _BODY))
+            got = list(_pinned_keys(_joins(rules), facts, [fact], seen, _BODY))
             assert got == wanted
             assert seen == known
             keys += got
@@ -519,7 +522,7 @@ def check_obsolescence(n: int) -> collections.Counter:
                 if len(set(symbols)) < len(symbols):
                     seen["shared", answer] += 1
             new = [f for f in facts if rng.random() < 0.4]
-            assert obsolete_through(rule, image, new, facts) == any(
+            assert obsolete_through(rule.sk_heads, image, new, facts) == any(
                 not set(atoms).isdisjoint(new) for _, atoms in matches), \
                 (rules, facts, new, lam)
     return seen
@@ -537,6 +540,103 @@ def test_is_obsolete_agrees_with_brute_force_on_random_sets():
                 assert seen[existential, atoms, answer] >= 40, seen
     for bucket in ("first", "shared"):
         assert seen[bucket, False] >= 100 and seen[bucket, True] >= 100, seen
+
+
+def _three_atom_rule_set(rng: random.Random):
+    """1-4 rules whose bodies hold three atoms over P0-P2, of arity 1-3, and
+    the variables X, Y, Z and W; each derives H of its first variable."""
+    arity = {f"P{i}": rng.randint(1, 3) for i in range(3)}
+    lines = []
+    for _ in range(rng.randint(1, 4)):
+        atoms = [(p, rng.choices("XYZW", k=arity[p]))
+                 for p in rng.choices(sorted(arity), k=3)]
+        body = ", ".join(f"{p}({', '.join(args)})" for p, args in atoms)
+        lines.append(f"{body} -> H({atoms[0][1][0]}) .")
+    return rules_from("\n".join(lines) + "\n")
+
+
+def _random_facts(rng: random.Random, rules, consts, sizes: tuple[int, int]):
+    """A fact set over the rules' body predicates with a number of facts
+    drawn from the inclusive range sizes, arguments drawn from consts."""
+    preds = sorted((p, rules.predicates[p]) for p in rules.body_index)
+    return FactSet(Atom(pred, tuple(rng.choice(consts) for _ in range(arity)))
+                   for pred, arity in (rng.choice(preds)
+                                       for _ in range(rng.randint(*sizes))))
+
+
+def discovery_order_cases(sets: int, structures, stratified: bool, three: int):
+    """(rules, facts) cases for check_discovery_order: the critical instance
+    and 3 wide databases of each of the first `sets` sample sets of
+    tests/test_engine_check.py and of the given classify-random structures,
+    the critical instances of the six stratified sets of 512, 768 and 1024
+    rules when `stratified`, and `three` sets of three-atom bodies with
+    3-15 facts over {a, b, c} from Random(31)."""
+    for key, rules in (*sweep_cases(sets), *bench_cases(structures)):
+        yield rules, FactSet(critical_instance(rules))
+        for db in wide_databases(key, rules, 3):
+            yield rules, FactSet(db)
+    if stratified:
+        generate = perfbench_module("generators").stratified_rule_set
+        for n in (512, 768, 1024):
+            for seed in (1, 2):
+                text = generate(random.Random(f"stratified/{n}/{seed}"), n).text
+                rules = rules_from(text)
+                yield rules, FactSet(critical_instance(rules))
+    rng = random.Random(31)
+    consts = [constant(n) for n in "abc"]
+    for _ in range(three):
+        rules = _three_atom_rule_set(rng)
+        yield rules, _random_facts(rng, rules, consts, (3, 15))
+
+
+def check_discovery_order(cases) -> collections.Counter:
+    """Full-mode discover on each (rules, facts) case must yield exactly the
+    keys of match_conjunction's matches, rule by rule, in its order.
+    Returns counts of the fact sets, the keys, and the bodies of two or
+    more atoms whose least fact count is not 0, by where that count sits:
+    on tied atoms ("tie"), on one atom that is not the first ("moved"), or
+    on the first alone ("first")."""
+    seen: collections.Counter = collections.Counter()
+    for rules, facts in cases:
+        expected = [(rule, *map(sub.__getitem__, rule.body_vars))
+                    for rule in rules
+                    for sub in match_conjunction(rule.body, {}, facts)]
+        assert list(discover(rules, facts)) == expected, (rules, list(facts))
+        seen["sets"] += 1
+        seen["keys"] += len(expected)
+        for rule in rules:
+            counts = [facts.count(a.predicate) for a in rule.body]
+            least = min(counts)
+            if len(counts) > 1 and least:
+                seen["tie" if counts.count(least) > 1 else
+                     "moved" if counts.index(least) else "first"] += 1
+    return seen
+
+
+def test_full_discover_enumerates_like_match_conjunction():
+    # A full call pins each rule's atom of least (fact count, index), the
+    # planner's first atom, and must give match_conjunction's matches in
+    # its order: on random sets, on the long bodies of
+    # test_match_pinned_enumerates_like_match_conjunction, whose rests of
+    # two atoms are planned again, and on the cases of CI's discovery order
+    # sweep, which runs 3,000 sample sets, structures 0-89, the stratified
+    # sets and 300 sets of three-atom bodies. Fact counts tie and differ.
+    rng = random.Random(13)
+    consts = [constant(n) for n in "abc"]
+    long_bodies = rules_from(
+        "P(X, Y), Q(Y, Z), P(Z, X) -> R(X) .\n"
+        "P(X, X), Q(X, Y) -> R(Y) .\n"
+        "Q(X, Y), P(Y, Y) -> R(X) .\n")
+    random_cases = []
+    for i in range(160):
+        rules = long_bodies if i % 4 == 0 else random_rule_set(rng, max_rules=8)
+        random_cases.append((rules, _random_facts(rng, rules, consts, (1, 14))))
+    seen = check_discovery_order(random_cases)
+    assert seen["keys"] >= 500, seen
+    assert min(seen[b] for b in ("tie", "moved", "first")) >= 50, seen
+    seen = check_discovery_order(discovery_order_cases(300, range(0, 90, 9), False, 30))
+    assert seen["sets"] == 4 * 310 + 30 and seen["keys"] >= 4000, seen
+    assert min(seen[b] for b in ("tie", "moved", "first")) >= 200, seen
 
 
 def test_semi_naive_discovery_equals_naive_discovery():
@@ -592,11 +692,15 @@ def test_semi_naive_discovery_equals_naive_discovery():
     assert len(list(discover(rules, FactSet([loop]), [loop]))) == 1
 
 
-def test_query_matched_finds_exactly_the_matches_through_new_facts():
-    # Queries, unlike rule bodies, hold constants: in the pinned atom, next
-    # to repeated variables, and in the atoms joined after it.
+def test_compiled_queries_find_exactly_the_matches_through_new_facts():
+    # Queries, unlike rule bodies, hold ground terms: in the pinned atom,
+    # next to repeated variables, in the atoms walked after it, repeated
+    # across atoms, and functional. The template walk on a compiled query
+    # must agree with match_conjunction on the whole fact set, and pinned to
+    # the new facts must find exactly the matches that need one.
     rng = random.Random(23)
     a, b, c = (constant(n) for n in ("a", "b", "c"))
+    fa = functional(skolem_symbol("q", 1, "Y", 1), (a,))
     X, Y = variable("X"), variable("Y")
 
     def T(*terms):
@@ -612,35 +716,52 @@ def test_query_matched_finds_exactly_the_matches_through_new_facts():
         (T(a, c),),
         (R(X, X), T(X, Y), T(Y, X)),
         (T(X, b), R(b, X)),
+        (T(a, X), R(X, a), T(Y, a)),
+        (T(fa, X), R(X, fa)),
     ]
 
     def key(subs):
         return {frozenset(s.items()) for s in subs}
 
     full = matched = 0
-    for _ in range(40):
+    fresh_by_query = collections.Counter()
+    for _ in range(60):
         def draw(n):
-            return [Atom(rng.choice("TR"), (rng.choice((a, b, c)), rng.choice((a, b, c))))
+            return [Atom(rng.choice("TR"), tuple(rng.choice((a, b, c, fa))
+                                                 for _ in range(2)))
                     for _ in range(n)]
-        old = FactSet(draw(rng.randint(1, 6)))
+        old = FactSet(draw(rng.randint(1, 8)))
         facts = FactSet(list(old))
-        new = facts.update(draw(rng.randint(1, 4)))
-        for atoms in queries:
-            pins = compile_query(atoms)
-            assert set(pins) == {q.predicate for q in atoms}
-            for pred, pairs in pins.items():
-                assert pairs == tuple((q, atoms[:i] + atoms[i + 1:])
-                                      for i, q in enumerate(atoms)
-                                      if q.predicate == pred)
+        new = facts.update(draw(rng.randint(1, 5)))
+        for n, atoms in enumerate(queries):
+            template, image = compile_query(atoms)
+            # Ground terms are int slots into the image, in order of first
+            # occurrence; variables are slots of their own.
+            assert image == tuple(dict.fromkeys(
+                t for q in atoms for t in q.terms if t.is_ground))
+            assert [p for p, _ in template] == [q.predicate for q in atoms]
+            for (_, slots), q in zip(template, atoms):
+                assert [image[s] if s.__class__ is int else s
+                        for s in slots] == list(q.terms)
             whole = list(match_conjunction(atoms, {}, facts))
+            assert _holds(template, image, {}, facts) == bool(whole)
             # Every match maps some atom to some fact.
-            assert query_matched(pins, list(facts), facts) == bool(whole)
+            assert obsolete_through((template,), image, list(facts),
+                                    facts) == bool(whole)
             full += bool(whole)
-            # Pinned to the new facts: exactly the matches that need one.
             fresh = key(whole) - key(match_conjunction(atoms, {}, old))
-            assert query_matched(pins, new, facts) == bool(fresh)
+            assert obsolete_through((template,), image, new, facts) == bool(fresh)
             matched += bool(fresh)
-    assert full >= 60 and matched >= 30
+            fresh_by_query[n] += bool(fresh)
+    assert full >= 100 and matched >= 50, (full, matched)
+    assert min(fresh_by_query[n] for n in range(len(queries))) >= 1, fresh_by_query
+
+
+def test_empty_query_is_entailed():
+    # The empty conjunction maps into every label, the empty one included.
+    rules = rules_from("A(X) -> B(X) .\n")
+    assert entails(rules, [atom("A", "a")], Query(())) == "yes"
+    assert entails(rules, [], Query(())) == "yes"
 
 
 def test_query_terms_must_be_variables_or_ground():
