@@ -3,14 +3,19 @@
 `discover` is the trigger discovery behind the fixpoint loops: the chase,
 the acyclicity check and the cyclicity saturation take its keys, and the
 over-approximation builds their own through `frontier_keys`. All run the
-compiled pinned joins. A full call pins each rule's body atom with the
-fewest facts, ties to the first, to each of its facts in insertion order;
-a semi-naive call pins each new fact to each body atom of its predicate,
-new fact by new fact and, per fact, in body-index order. No loop meets a
-trigger twice, so none keeps a seen set for triggers. `match_conjunction`
-is the planner's backtracking join (most selective atom first, ties in
-source order, candidates in insertion order): it joins pinned rests of two
-or more atoms, and a full call yields its matches' keys in its order.
+compiled pinned joins. A full call pins each rule's first body atom to
+each of its facts in insertion order; a semi-naive call pins each new fact
+to each body atom of its predicate, new fact by new fact and, per fact, in
+body-index order. No loop meets a trigger twice, so none keeps a seen set
+for triggers.
+
+One compiler, `_compile_chain`, turns the body atoms a pin leaves, or a
+pattern of `match_conjunction`, into a chain of steps in written order,
+and one runner, `_chain`, extends a row of bound terms through each step's
+candidates. So every join is the nested loop over the atoms in written
+order, each atom's candidates in insertion order: a full `discover` call
+yields the keys of `match_conjunction(rule.body, {}, facts)`'s matches in
+their order.
 
 A trigger travels from `discover` through its pop as the key (rule, *body
 image), the image of rule.body_vars in order. Keys are read off a FactSet,
@@ -21,9 +26,9 @@ unblockability test.
 Pinning a fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). A rule set's joins are compiled together on first
 use and held by the rule set next to its body index, so they are freed
-with it. One runner, `_pinned_keys`, reads the compiled joins and projects
-each match onto a key: (rule, *body image) for `discover` and (rule,
-*frontier image) for `frontier_keys`, as builds read only the frontier.
+with it. `_pinned_keys` runs them and projects each row onto a key:
+(rule, *body image) for `discover` and (rule, *frontier image) for
+`frontier_keys`, as builds read only the frontier.
 
 The chase and the acyclicity check share the step around it: `enqueue`
 queues datalog keys ahead of the others in a `Queues`, and `pop_active`
@@ -47,9 +52,9 @@ variables are slots that `_holds` binds like symbol slots.
 
 Patterns hold only variables and ground terms. `Rule` ensures this for
 bodies and heads (they hold variables only) and `compile_query` for queries
-(they may hold ground terms too), so matching looks variables up in the
-binding, or a template's other slots up in its own, and compares terms by
-identity, which interning makes exact.
+(they may hold ground terms too), so a chain reads each bound term off its
+row position, or a template its other slots off its own binding, and
+terms are compared by identity, which interning makes exact.
 """
 from __future__ import annotations
 
@@ -143,9 +148,6 @@ class FactSet:
             return self._by_pred_arg0.get((predicate, first), ())
         return self._by_pred.get(predicate, ())
 
-    def count(self, predicate: str, first: Term | None = None) -> int:
-        return len(self.candidates(predicate, first))
-
     def terms(self) -> list[Term]:
         """Distinct argument terms in first-seen order."""
         seen: dict[Term, None] = {}
@@ -221,38 +223,6 @@ class Trigger:
         return f"<{self.rule.id}, [{inner}]>"
 
 
-def _plan(pattern: Sequence[Atom], facts: FactSet) -> list[Atom]:
-    """Order atoms most selective first, ties broken by source order."""
-    def cost(entry: tuple[int, Atom]) -> tuple[int, int]:
-        src, atom = entry
-        first = atom.terms[0]
-        if first.is_ground:
-            return (facts.count(atom.predicate, first), src)
-        return (facts.count(atom.predicate), src)
-
-    return [atom for _, atom in sorted(enumerate(pattern), key=cost)]
-
-
-def _unify_atom(atom: Atom, fact: Atom, binding: dict[Variable, Term]) -> dict[Variable, Term] | None:
-    if atom.predicate != fact.predicate or atom.arity != fact.arity:
-        return None
-    out = binding
-    fresh = False
-    for pat, val in zip(atom.terms, fact.terms):
-        if pat.__class__ is Variable:
-            cur = out.get(pat)
-            if cur is None:
-                if not fresh:
-                    out = dict(out)
-                    fresh = True
-                out[pat] = val
-            elif cur is not val:
-                return None
-        elif pat is not val:
-            return None
-    return out
-
-
 def match_conjunction(
     pattern: Sequence[Atom],
     base: Substitution,
@@ -261,66 +231,112 @@ def match_conjunction(
     """Enumerate extensions of base mapping the pattern into the fact set.
 
     Pattern terms are variables or ground terms. Yields dictionaries
-    covering dom(base) plus every pattern variable. The enumeration order
-    is deterministic for identical inputs.
+    covering dom(base) plus every pattern variable, in the order of the
+    nested loop over the pattern atoms in written order, each atom's facts
+    in insertion order; the empty pattern yields dict(base) once. Base
+    values and ground terms are bound row positions of one compiled chain.
     """
-    return _walk(_plan(pattern, facts), 0, dict(base), facts)
+    where: dict[Term, int] = {}
+    for atom in pattern:
+        for t in atom.terms:
+            if t.__class__ is not Variable or t in base:
+                where.setdefault(t, len(where))
+    row = tuple([base.get(t, t) for t in where])  # type: ignore[call-overload]
+    steps, where = _compile_chain(pattern, where, len(row))
+    for found in _chain(steps, row, facts) if steps else (row,):
+        sub = dict(base)
+        for t, i in where.items():
+            if t.__class__ is Variable:
+                sub[t] = found[i]  # type: ignore[index]
+        yield sub
 
 
-def _walk(plan: list[Atom], idx: int, binding: dict[Variable, Term],
-          facts: FactSet) -> Iterator[dict[Variable, Term]]:
-    """Extend binding over plan[idx:], depth first in candidate order. A
-    module-level generator and not a closure: a nested walk refers to itself
-    through its cell, and that cycle would keep every fact set it matched
-    alive until the next cyclic garbage collection."""
-    if idx == len(plan):
-        yield dict(binding)
-        return
-    atom = Atom(plan[idx].predicate,
-                tuple([binding.get(t, t) for t in plan[idx].terms]))  # type: ignore[arg-type]
-    if atom.is_ground:
-        if atom in facts:
-            yield from _walk(plan, idx + 1, binding, facts)
-        return
-    first = atom.terms[0]
-    pool = facts.candidates(atom.predicate, first if first.is_ground else None)
-    for fact in pool:
-        nxt = _unify_atom(atom, fact, binding)
-        if nxt is not None:
-            yield from _walk(plan, idx + 1, nxt, facts)
+def _compile_chain(atoms: Sequence[Atom], where: dict[Term, int],
+                   width: int) -> tuple[tuple[tuple, ...], dict[Term, int]]:
+    """The one compiler of joins: the atoms, in written order, as steps of
+    a chain that `_chain` runs over rows of width `width`, whose position
+    where[t] holds the term bound to t. Each step (predicate, arity, key,
+    bound, repeats) reads the candidates of its predicate, through the
+    (predicate, first argument) index on row[key] when its first term is
+    bound (key is None otherwise), and keeps a candidate whose terms ct have
+    ct[i] equal to row[p] for each (i, p) in bound and ct[i] equal to ct[j]
+    for each (i, j) in repeats, a later occurrence of an unbound term paired
+    with its first; the row then grows by ct. Also returns where extended
+    with the position of every term of the atoms."""
+    where = dict(where)
+    steps = []
+    for atom in atoms:
+        terms = atom.terms
+        key = where.get(terms[0])
+        bound: list[tuple[int, int]] = []
+        repeats: list[tuple[int, int]] = []
+        first: dict[Term, int] = {}
+        for i, t in enumerate(terms):
+            if t in where:
+                if i:
+                    bound.append((i, where[t]))
+            elif t in first:
+                repeats.append((i, first[t]))
+            else:
+                first[t] = i
+        for t, i in first.items():
+            where[t] = width + i
+        width += len(terms)
+        steps.append((atom.predicate, len(terms), key, tuple(bound),
+                      tuple(repeats)))
+    return tuple(steps), where
+
+
+def _chain(steps: tuple[tuple, ...], row: tuple, facts: FactSet,
+           at: int = 0) -> Iterator[tuple]:
+    """The one runner of compiled chains: each extension of row by the terms
+    of a candidate of every step from steps[at] on, depth first in
+    candidate order. A module-level generator and not a closure: a nested
+    chain refers to itself through its cell, and that cycle would keep
+    every fact set it read alive until the next cyclic garbage collection.
+    Terms are compared by identity, which interning makes exact."""
+    predicate, arity, key, bound, repeats = steps[at]
+    at += 1
+    last = at == len(steps)
+    for cand in facts.candidates(predicate, None if key is None else row[key]):
+        ct = cand.terms
+        if len(ct) != arity:
+            continue
+        for i, p in bound:
+            if ct[i] is not row[p]:
+                break
+        else:
+            for i, j in repeats:
+                if ct[i] is not ct[j]:
+                    break
+            else:
+                if last:
+                    yield row + ct
+                else:
+                    yield from _chain(steps, row + ct, facts, at)
 
 
 class _PinPlan(NamedTuple):
     """The join of a rule's body with one body atom pinned to a fact,
     analysed once per (rule, idx) and run by _pinned_keys.
 
-    repeats pairs a later position of a variable of the pinned atom with its
-    first. rest holds the other body atoms. A single one is scanned through
-    the index, keyed on the pinned position of its first term (None when
-    that term is unbound); bound pairs each later position with the pinned
-    position of its variable, and rest_repeats pairs a later occurrence of
-    an unbound variable with its first. Body atoms hold variables only, so
-    these pairs are the whole join. Two or more rest atoms are joined by
-    match_conjunction.
+    arity is the pinned atom's, and repeats pairs a later position of a
+    variable of the pinned atom with its first. steps is the chain of the
+    other body atoms, in body order, over rows (rule, *fact terms, ...).
 
-    frontier and body project the join onto rule.frontier and onto
-    rule.body_vars, as (image, whole) pairs. image reads a (rule, *image)
-    key off (rule, *fact terms, *match terms), the match terms being the
-    scanned candidate's or, for two or more rest atoms, the match's body
-    image. whole says whether the pinned atom binds every variable, so that
-    every match gives the key image((rule, *fact terms)).
+    frontier and body project a row onto rule.frontier and onto
+    rule.body_vars, as (image, whole) pairs: image reads a (rule, *image)
+    key off a row, and whole says whether the pinned atom binds every
+    variable, so that every row gives the key image((rule, *fact terms)).
 
     Plans are tuples and not closures: the dozen cells of a closure per plan
     gave the garbage collector enough to scan to slow 512-1024-rule sets by
     a few percent.
     """
 
-    terms: tuple[Term, ...]
+    arity: int
     repeats: tuple[tuple[int, int], ...]
-    rest: tuple[Atom, ...]
-    key: int | None
-    bound: tuple[tuple[int, int], ...]
-    rest_repeats: tuple[tuple[int, int], ...]
+    steps: tuple[tuple, ...]
     frontier: tuple[itemgetter, bool]
     body: tuple[itemgetter, bool]
 
@@ -330,52 +346,26 @@ _BODY = _PinPlan._fields.index("body")
 
 
 def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
-    """The one compiler of pinned joins: body atom idx of the rule pinned,
-    with both projections of its matches."""
-    terms = rule.body[idx].terms
-    where: dict[Term, int] = {}
-    repeats: list[tuple[int, int]] = []
-    for i, t in enumerate(terms):
-        j = where.setdefault(t, i)
-        if j != i:
-            repeats.append((i, j))
-    rest = rule.body[:idx] + rule.body[idx + 1:]
-    key = None
-    bound: list[tuple[int, int]] = []
-    rest_repeats: list[tuple[int, int]] = []
-    # The position in the match terms of each variable the pinned atom
-    # leaves unbound: in the one rest atom, or else in the body image.
-    slots: dict[Term, int] = {}
-    if len(rest) == 1:
-        last = rest[0].terms
-        key = where.get(last[0])
-        for i, t in enumerate(last):
-            if t in where:
-                if i:
-                    bound.append((i, where[t]))
-            elif t in slots:
-                rest_repeats.append((i, slots[t]))
-            else:
-                slots[t] = i
-    elif rest:
-        slots = {v: i for i, v in enumerate(rule.body_vars)}
-    # Each body variable's position in (rule, *fact terms, *match terms).
-    n = len(terms)
-    pos = {v: 1 + where[v] if v in where else 1 + n + slots[v]
-           for v in rule.body_vars}
-    return _PinPlan(terms, tuple(repeats), rest, key, tuple(bound),
-                    tuple(rest_repeats),
-                    _projection(tuple([pos[v] for v in rule.frontier]), n),
-                    _projection(tuple(pos.values()), n))
+    """The rule's body compiled by _compile_chain with atom idx first, over
+    rows (rule, *fact terms, ...): that atom's step gives the arity and
+    repeats a pinned fact is checked on, the others the chain, with both
+    projections of the rows."""
+    body = rule.body
+    steps, where = _compile_chain(
+        (body[idx], *body[:idx], *body[idx + 1:]), {}, 1)
+    _, n, _, _, repeats = steps[0]
+    return _PinPlan(n, repeats, steps[1:],
+                    _projection(tuple([where[v] for v in rule.frontier]), n),
+                    _projection(tuple([where[v] for v in rule.body_vars]), n))
 
 
 @functools.cache
 def _projection(positions: tuple[int, ...], n: int) -> tuple[itemgetter, bool]:
     """The (image, whole) pair of a projection onto the variables at these
-    positions of (rule, *n fact terms, *match terms). Position 0 is the
-    rule, so an empty frontier's key is the rule alone. Equal pairs are
-    shared: a pair and a getter per plan gave the garbage collector enough
-    to scan to slow 512-1024-rule sets by a few percent."""
+    positions of a row (rule, *n fact terms, ...). Position 0 is the rule,
+    so an empty frontier's key is the rule alone. Equal pairs are shared: a
+    pair and a getter per plan gave the garbage collector enough to scan to
+    slow 512-1024-rule sets by a few percent."""
     image = itemgetter(0, *positions) if positions else itemgetter(slice(1))
     return image, max(positions, default=0) <= n
 
@@ -395,86 +385,53 @@ def _joins(rules: RuleSet) -> dict[str, list[tuple[Rule, _PinPlan]]]:
 def _pinned_keys(joins: dict[str, Sequence[tuple[Rule, _PinPlan]]],
                  facts: FactSet, new_facts: Iterable[Atom], seen: set[tuple],
                  projection: int) -> Iterator[tuple]:
-    """The one runner of the compiled pinned joins. For each new fact (in
-    the facts) and each plan that joins holds for its predicate, it
-    projects the matches of match_conjunction(rule.body, base, facts),
-    where base maps the pinned atom to the fact, through the plan field at
-    index projection, and yields the keys not in seen, in first-occurrence
-    order, adding each to seen. Keys are read straight off the pinned fact
-    and the scanned candidate, which the facts' live index lists hold."""
+    """The runner of the compiled pinned joins. For each new fact (in the
+    facts) and each plan that joins holds for its predicate, it projects
+    the rows that _chain extends from (rule, *fact terms) through the plan
+    field at index projection, and yields the keys not in seen, in
+    first-occurrence order, adding each to seen. Keys are read straight off
+    the pinned fact and the candidates, which the facts' live index lists
+    hold."""
     for fact in new_facts:
         if fact not in facts:
             continue
         ft = fact.terms
         for rule, plan in joins.get(fact.predicate, ()):
-            terms, repeats, rest, _, _, _, _, _ = plan
-            if len(ft) != len(terms):
+            arity, repeats, steps, _, _ = plan
+            if len(ft) != arity:
                 continue
             for i, j in repeats:
-                if ft[i] != ft[j]:
+                if ft[i] is not ft[j]:
                     break
             else:
                 image, whole = plan[projection]
+                row = (rule, *ft)
                 if whole:
-                    # Every match of the rest gives this one key: a seen key
-                    # needs no join, and an unseen one only the first match.
-                    found = image((rule, *ft))
-                    if found in seen or rest and next(
-                            _scan(rule, plan, ft, facts), None) is None:
+                    # Every row gives this one key: a seen key needs no
+                    # join, and an unseen one only the first row.
+                    found = image(row)
+                    if found in seen or steps and next(
+                            _chain(steps, row, facts), None) is None:
                         continue
                     seen.add(found)
                     yield found
                 else:
-                    for ct in _scan(rule, plan, ft, facts):
-                        found = image((rule, *ft, *ct))
+                    for found in map(image, _chain(steps, row, facts)):
                         if found not in seen:
                             seen.add(found)
                             yield found
 
 
-def _scan(rule: Rule, plan: _PinPlan, ft: tuple[Term, ...],
-          facts: FactSet) -> Iterator[tuple[Term, ...]]:
-    """The match terms of each match of a plan's rest atoms that joins the
-    pinned fact's terms ft: a single rest atom's candidate terms, read
-    through the index, or the body image of a match of several."""
-    terms, _, rest, key, bound, rest_repeats, _, _ = plan
-    if len(rest) > 1:
-        for sub in match_conjunction(rest, dict(zip(terms, ft)), facts):
-            yield tuple(map(sub.__getitem__, rule.body_vars))
-        return
-    atom = rest[0]
-    arity = len(atom.terms)
-    for cand in facts.candidates(atom.predicate, None if key is None else ft[key]):
-        ct = cand.terms
-        if len(ct) != arity:
-            continue
-        for i, j in bound:
-            if ct[i] != ft[j]:
-                break
-        else:
-            for i, j in rest_repeats:
-                if ct[i] != ct[j]:
-                    break
-            else:
-                yield ct
-
-
-def _least_keys(rules: RuleSet, facts: FactSet) -> Iterator[tuple]:
-    """Rule by rule, the body atom of least (facts.count(predicate), index)
-    pinned to each fact of its predicate, in insertion order. _plan puts
-    that atom first, as no first term of a body is bound; _scan reads one
-    rest atom in _walk's candidate order and plans a longer rest again in
-    the same relative order. So the keys come in match_conjunction's order."""
+def _first_atom_keys(rules: RuleSet, facts: FactSet) -> Iterator[tuple]:
+    """Rule by rule, the first body atom pinned to each fact of its
+    predicate, in insertion order."""
     joins = _joins(rules)
     seen: set[tuple] = set()
     for rule in rules:
-        count, idx = min((facts.count(atom.predicate), i)
-                         for i, atom in enumerate(rule.body))
-        if count:
-            predicate = rule.body[idx].predicate
-            pair = joins[predicate][rules.body_index[predicate].index((rule, idx))]
-            yield from _pinned_keys({predicate: (pair,)}, facts,
-                                    facts.candidates(predicate), seen, _BODY)
+        predicate = rule.body[0].predicate
+        pair = joins[predicate][rules.body_index[predicate].index((rule, 0))]
+        yield from _pinned_keys({predicate: (pair,)}, facts,
+                                facts.candidates(predicate), seen, _BODY)
 
 
 def discover(
@@ -486,8 +443,9 @@ def discover(
     finds them under a seen set of the call's own, at most once per call:
     when new_facts is None, every trigger, in the order of [(rule, *body
     image) for rule in rules for each match of match_conjunction(rule.body,
-    {}, facts)] (_least_keys); else each trigger that uses a new fact
-    (already in the facts), pinned to each body atom of its predicate.
+    {}, facts)], the nested loop in body order (_first_atom_keys); else
+    each trigger that uses a new fact (already in the facts), pinned to
+    each body atom of its predicate.
 
     The chase, the acyclicity check and the cyclicity saturation each
     consume a call before adding facts, as the joins read the facts' live
@@ -496,7 +454,7 @@ def discover(
     only facts this one never saw, so no key comes back.
     """
     if new_facts is None:
-        return _least_keys(rules, facts)
+        return _first_atom_keys(rules, facts)
     return _pinned_keys(_joins(rules), facts, new_facts, set(), _BODY)
 
 

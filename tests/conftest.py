@@ -14,7 +14,7 @@ import itertools
 import random
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import pytest
 
@@ -34,7 +34,6 @@ from chase_sentinel.matcher import (
     _compile_pinned,
     _pinned_keys,
     is_obsolete,
-    match_conjunction,
 )
 from chase_sentinel.model import (
     Atom,
@@ -219,7 +218,7 @@ def sample_triggers(rules: RuleSet, depth_cap: int = 3,
         facts = FactSet(seed.body_facts())
         facts.update(seed.out(1))
         for rule in rules:
-            for sub in match_conjunction(rule.body, {}, facts):
+            for sub in _naive_matches(rule.body, facts):
                 lam = Trigger(rule, sub)
                 if max((t.depth for t in lam.frontier_image()), default=0) \
                         <= depth_cap:
@@ -268,20 +267,24 @@ def _oracle_abstract(kind: str, skel: frozenset[Term],
     return star()
 
 
-def _naive_matches(body: tuple[Atom, ...],
-                   facts: set[Atom]) -> list[dict[Variable, Term]]:
-    """Every substitution mapping the body atoms into the facts, found by a
-    nested loop over each predicate's facts, one body atom at a time."""
+def _naive_matches(body: Sequence[Atom], facts: Iterable[Atom],
+                   base: dict | None = None) -> list[dict[Variable, Term]]:
+    """Every extension of base (empty by default) mapping the body atoms
+    into the facts, found by a nested loop over each predicate's facts in
+    iteration order, one body atom at a time in written order. A variable
+    binds on its first occurrence; any other term matches only itself."""
     by_predicate: dict[str, list[Atom]] = {}
     for fact in facts:
         by_predicate.setdefault(fact.predicate, []).append(fact)
-    subs: list[dict[Variable, Term]] = [{}]
+    subs: list[dict[Variable, Term]] = [dict(base or {})]
     for atom in body:
         extended = []
         for sub in subs:
             for fact in by_predicate.get(atom.predicate, ()):
+                if len(fact.terms) != len(atom.terms):
+                    continue
                 ext = dict(sub)
-                if all(ext.setdefault(v, t) is t
+                if all((ext.setdefault(v, t) if isinstance(v, Variable) else v) is t
                        for v, t in zip(atom.terms, fact.terms)):
                     extended.append(ext)
         subs = extended
@@ -406,7 +409,7 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
         for position, rule in enumerate(rules):
             if hc is None and not rule.is_deterministic:
                 continue
-            for sub in match_conjunction(rule.body, {}, facts):
+            for sub in _naive_matches(rule.body, facts):
                 trigger = Trigger(rule, sub)
                 if trigger not in processed:
                     key = tuple(repr(sub[v]) for v in rule.body_vars)
@@ -538,12 +541,7 @@ def naive_entails(rules: RuleSet, database, query, budget=None) -> str:
     if tree.status != COMPLETE:
         return "unknown"
     for result in results(tree):
-        facts = FactSet(result)
-        matched = False
-        for _ in match_conjunction(query.atoms, {}, facts):
-            matched = True
-            break
-        if not matched:
+        if not _naive_matches(query.atoms, result):
             return "no"
     return "yes"
 
@@ -617,7 +615,7 @@ def is_loaded(trigger: Trigger, facts: FactSet) -> bool:
 
 def satisfies(facts: FactSet, rule: Rule) -> bool:
     """True iff every loaded trigger of the rule is obsolete."""
-    for sub in match_conjunction(rule.body, {}, facts):
+    for sub in _naive_matches(rule.body, facts):
         if not is_obsolete(Trigger(rule, sub), facts):
             return False
     return True

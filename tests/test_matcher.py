@@ -29,9 +29,9 @@ from chase_sentinel.model import (Atom, Query, RuleError, apply_atoms, constant,
                                   functional, skolem_symbol, variable)
 from chase_sentinel.termination import critical_instance
 
-from conftest import (bike_subset, is_loaded, match_pinned, oracle_matches,
-                      outputs, perfbench_module, random_rule_set, rules_from,
-                      satisfies)
+from conftest import (_naive_matches, bike_subset, is_loaded, match_pinned,
+                      oracle_matches, outputs, perfbench_module,
+                      random_rule_set, rules_from, satisfies)
 from test_engine_check import bench_cases, sweep_cases, wide_databases
 
 
@@ -55,8 +55,8 @@ def test_fact_set_candidates_partition_by_first_argument():
                      atom("R", "b", "a")])
     assert set(facts.candidates("R", constant("a"))) == {
         atom("R", "a", "b"), atom("R", "a", "c")}
-    assert facts.count("R") == 3
-    assert facts.count("R", constant("b")) == 1
+    assert len(facts.candidates("R")) == 3
+    assert len(facts.candidates("R", constant("b"))) == 1
     assert facts.candidates("S") == ()
 
 
@@ -137,6 +137,42 @@ def test_match_conjunction_repeated_variables():
     assert [s[variable("X")] for s in subs] == [constant("a")]
 
 
+def test_match_conjunction_enumerates_like_naive_matches():
+    # The public join's contract, checked in exact order against the
+    # nested-loop oracle: patterns with constants, a ground functional term
+    # and repeated variables, under bases that bind pattern variables and
+    # variables outside the pattern. The empty pattern yields dict(base)
+    # once, so it never misses.
+    rng = random.Random(29)
+    a, b, c = (constant(n) for n in "abc")
+    fa = functional(skolem_symbol("q", 1, "Y", 1), (a,))
+    X, Y, Z, W = (variable(n) for n in "XYZW")
+    bases = ({}, {X: a}, {X: fa, Y: b}, {W: c}, {X: b, W: a})
+    seen: collections.Counter = collections.Counter()
+    for _ in range(600):
+        pattern = tuple(Atom(rng.choice("TR"), tuple(
+            rng.choice((a, b, fa, X, Y, Z)) for _ in range(2)))
+            for _ in range(rng.randint(0, 3)))
+        facts = FactSet(Atom(rng.choice("TR"), tuple(
+            rng.choice((a, b, c, fa)) for _ in range(2)))
+            for _ in range(rng.randint(0, 16)))
+        base = rng.choice(bases)
+        got = list(match_conjunction(pattern, base, facts))
+        assert got == _naive_matches(pattern, facts, base), (pattern, base, list(facts))
+        terms = [t for q in pattern for t in q.terms]
+        for case, met in (
+                ("constant", any(t in (a, b) for t in terms)),
+                ("functional", fa in terms),
+                ("repeat", any(terms.count(v) > 1 for v in (X, Y, Z))),
+                ("base inside", any(v in terms for v in base)),
+                ("base outside", any(v not in terms for v in base)),
+                ("empty", not pattern)):
+            if met:
+                seen[case, bool(got)] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 11, seen
+    assert list(match_conjunction((), {X: a}, FactSet())) == [{X: a}]
+
+
 def test_trigger_outputs_and_frontier_image():
     rules = bike_subset(2)
     r1 = rules.by_id["r1"]
@@ -180,37 +216,46 @@ def test_is_obsolete_matches_any_disjunct_with_any_witness():
     assert not is_obsolete(lam, split)
 
 
-def _pinned_branch(rule, idx, fact, facts, answer):
-    """Which part of the compiled join answers this call, read off the rule."""
+def _chain_cases(rule, idx, fact, facts):
+    """The cases of the compiled chain that pinning body atom idx of the
+    rule to the fact meets, read off the rule and the facts: the pinned
+    atom's repeats failing; no rest; rests of several atoms; each rest atom
+    a keyed or unkeyed step by whether an earlier atom binds its first term;
+    and, for the first rest atom, a whole step (every term bound) whose
+    fact is there or not, and candidates it reads that fail on a bound term
+    or else on a repeated unbound one."""
     pinned = rule.body[idx]
     rest = rule.body[:idx] + rule.body[idx + 1:]
     base: dict = {}
-    if any(base.setdefault(pat, val) != val
+    if any(base.setdefault(pat, val) is not val
            for pat, val in zip(pinned.terms, fact.terms)):
         return {"pinned repeat"}
     if not rest:
         return {"no rest"}
-    if len(rest) > 1:
-        return {"fallback"}
+    cases = {"multi-step"} if len(rest) > 1 else set()
+    bound = set(base)
+    for atom in rest:
+        cases.add("keyed step" if atom.terms[0] in bound else "unkeyed step")
+        bound.update(atom.terms)
     atom = rest[0]
     if all(t in base for t in atom.terms):
-        return {"all-bound scan hit" if answer else "all-bound scan miss"}
-    branches = {"scan"}
-    if answer and any(i and t in base for i, t in enumerate(atom.terms)):
-        branches.add("bound scan")
-    for cand in facts.candidates(atom.predicate):
-        if all(base.get(t, val) == val for t, val in zip(atom.terms, cand.terms)):
-            binding = dict(base)
-            if any(binding.setdefault(t, val) != val
-                   for t, val in zip(atom.terms, cand.terms)):
-                branches.add("rest repeat")
-    return branches
+        there = Atom(atom.predicate, tuple(base[t] for t in atom.terms)) in facts
+        cases.add("whole hit" if there else "whole miss")
+    for cand in facts.candidates(atom.predicate, base.get(atom.terms[0])):
+        pairs = list(zip(atom.terms, cand.terms))
+        binding = dict(base)
+        if any(t in base and base[t] is not val for t, val in pairs):
+            cases.add("bound miss")
+        elif any(binding.setdefault(t, val) is not val for t, val in pairs):
+            cases.add("repeat miss")
+    return cases
 
 
-def test_match_pinned_enumerates_like_match_conjunction():
-    # Bodies of one, two and three atoms cover the direct yield, the inline
-    # scan and the fallback join; repeated variables cover the unifier. The
-    # larger sets that follow must reach every part of the compiled join.
+def test_match_pinned_enumerates_like_naive_matches():
+    # Bodies of one, two and three atoms cover chains of no step, of one
+    # and of two; repeated variables cover the repeat checks. Per pinned
+    # atom, the compiled join must give the nested-loop oracle's matches in
+    # its order, and the sets that follow must reach every case of the chain.
     rng = random.Random(12)
     consts = [constant(n) for n in ("a", "b", "c")]
     long_bodies = rules_from(
@@ -218,7 +263,7 @@ def test_match_pinned_enumerates_like_match_conjunction():
         "P(X, X), Q(X, Y) -> R(Y) .\n"
         "Q(X, Y), P(Y, Y) -> R(X) .\n")
     compared = 0
-    branches: set = set()
+    cases: set = set()
     for i in range(160):
         if i < 80:
             rules = long_bodies if i % 4 == 0 else random_rule_set(rng)
@@ -234,12 +279,11 @@ def test_match_pinned_enumerates_like_match_conjunction():
             pinned = []
             for rule, idx in rules.body_index.get(fact.predicate, ()):
                 base: dict = {}
-                clash = any(base.setdefault(pat, val) != val
+                clash = any(base.setdefault(pat, val) is not val
                             for pat, val in zip(rule.body[idx].terms, fact.terms))
-                expected = [] if clash else list(
-                    match_conjunction(rule.body, base, facts))
+                expected = [] if clash else _naive_matches(rule.body, facts, base)
                 assert match_pinned(rule, idx, fact, facts) == expected
-                branches |= _pinned_branch(rule, idx, fact, facts, expected)
+                cases |= _chain_cases(rule, idx, fact, facts)
                 pinned += [(rule, *(sub[v] for v in rule.body_vars))
                            for sub in expected]
                 compared += 1
@@ -247,9 +291,9 @@ def test_match_pinned_enumerates_like_match_conjunction():
             # and drops a pair met again through another body atom.
             assert list(discover(rules, facts, [fact])) == list(dict.fromkeys(pinned))
     assert compared >= 1500
-    assert branches == {"no rest", "all-bound scan hit", "all-bound scan miss",
-                        "scan", "bound scan", "pinned repeat", "rest repeat",
-                        "fallback"}
+    assert cases == {"pinned repeat", "no rest", "whole hit", "whole miss",
+                     "keyed step", "unkeyed step", "bound miss", "repeat miss",
+                     "multi-step"}
 
     rules = rules_from("P(X, Y) -> R(X) .\n")
     absent = atom("P", "a", "b")
@@ -273,7 +317,7 @@ def _frontier_branch(rule, idx, fact, facts, answer, seen):
         # The runner stops at the first of several matches.
         return {"first match"} if len(answer) > 1 else set()
     if len(rest) > 1:
-        return {"fallback"}
+        return {"multi-step"}
     atom = rest[0]
     branches = {"scan"}
     for cand in facts.candidates(atom.predicate):
@@ -287,7 +331,7 @@ def _frontier_branch(rule, idx, fact, facts, answer, seen):
 
 def test_frontier_keys_project_the_pinned_joins():
     # Per fact, the build-side runner yields the first occurrences of the
-    # (rule, *frontier image) keys of the pinned match_conjunction results,
+    # (rule, *frontier image) keys of the pinned _naive_matches results,
     # less the keys already seen, and adds them to the seen set, which is
     # carried from fact to fact. The first rule set gives three-atom bodies
     # whose pinned atom binds the frontier, or does not.
@@ -315,8 +359,7 @@ def test_frontier_keys_project_the_pinned_joins():
                 base: dict = {}
                 clash = any(base.setdefault(pat, val) != val
                             for pat, val in zip(rule.body[idx].terms, fact.terms))
-                answer = [] if clash else list(
-                    match_conjunction(rule.body, base, facts))
+                answer = [] if clash else _naive_matches(rule.body, facts, base)
                 branches |= _frontier_branch(rule, idx, fact, facts, answer, known)
                 for sub in answer:
                     key = (rule, *(sub[v] for v in rule.frontier))
@@ -328,7 +371,7 @@ def test_frontier_keys_project_the_pinned_joins():
             assert seen == known
     assert compared >= 1500
     assert branches == {"pinned repeat", "seen key", "no rest", "first match",
-                        "scan", "rest repeat", "fallback"}
+                        "scan", "rest repeat", "multi-step"}
 
     # A fact that is not in the facts pins nothing.
     rules = rules_from("P(X, Y) -> R(X) .\n")
@@ -339,7 +382,7 @@ def test_body_keys_carry_seen_across_facts():
     # discover's projection of the pinned joins, run with one seen set
     # carried from fact to fact as one discover call carries its own: per
     # fact, the first occurrences of the (rule, *body image) keys of the
-    # pinned match_conjunction results, less the keys already seen. When the
+    # pinned _naive_matches results, less the keys already seen. When the
     # pinned atom binds the whole body, a seen key skips the join.
     rng = random.Random(14)
     consts = [constant(n) for n in ("a", "b", "c")]
@@ -369,7 +412,7 @@ def test_body_keys_carry_seen_across_facts():
                 if all(v in base for v in rule.body_vars) and \
                         (rule, *(base[v] for v in rule.body_vars)) in known:
                     skipped += 1
-                for sub in match_conjunction(rule.body, base, facts):
+                for sub in _naive_matches(rule.body, facts, base):
                     key = (rule, *(sub[v] for v in rule.body_vars))
                     if key not in known:
                         known.add(key)
@@ -591,21 +634,22 @@ def discovery_order_cases(sets: int, structures, stratified: bool, three: int):
 
 def check_discovery_order(cases) -> collections.Counter:
     """Full-mode discover on each (rules, facts) case must yield exactly the
-    keys of match_conjunction's matches, rule by rule, in its order.
-    Returns counts of the fact sets, the keys, and the bodies of two or
-    more atoms whose least fact count is not 0, by where that count sits:
-    on tied atoms ("tie"), on one atom that is not the first ("moved"), or
-    on the first alone ("first")."""
+    keys of _naive_matches' matches, the nested loop in body order, rule by
+    rule, in its order. Returns counts of the fact sets, the keys, and the
+    bodies of two or more atoms whose least number of candidates is not 0,
+    by where that number sits: on tied atoms ("tie"), on one atom that is
+    not the first ("moved"), or on the first alone ("first"), so that
+    orders a most-selective-first join would change are seen."""
     seen: collections.Counter = collections.Counter()
     for rules, facts in cases:
         expected = [(rule, *map(sub.__getitem__, rule.body_vars))
                     for rule in rules
-                    for sub in match_conjunction(rule.body, {}, facts)]
+                    for sub in _naive_matches(rule.body, facts)]
         assert list(discover(rules, facts)) == expected, (rules, list(facts))
         seen["sets"] += 1
         seen["keys"] += len(expected)
         for rule in rules:
-            counts = [facts.count(a.predicate) for a in rule.body]
+            counts = [len(facts.candidates(a.predicate)) for a in rule.body]
             least = min(counts)
             if len(counts) > 1 and least:
                 seen["tie" if counts.count(least) > 1 else
@@ -613,14 +657,14 @@ def check_discovery_order(cases) -> collections.Counter:
     return seen
 
 
-def test_full_discover_enumerates_like_match_conjunction():
-    # A full call pins each rule's atom of least (fact count, index), the
-    # planner's first atom, and must give match_conjunction's matches in
-    # its order: on random sets, on the long bodies of
-    # test_match_pinned_enumerates_like_match_conjunction, whose rests of
-    # two atoms are planned again, and on the cases of CI's discovery order
-    # sweep, which runs 3,000 sample sets, structures 0-89, the stratified
-    # sets and 300 sets of three-atom bodies. Fact counts tie and differ.
+def test_full_discover_enumerates_like_naive_matches():
+    # A full call pins each rule's first body atom and must give the
+    # nested-loop oracle's matches in body order: on random sets, on the
+    # long bodies of test_match_pinned_enumerates_like_naive_matches, whose
+    # rests of two atoms are chains of two steps, and on the cases of CI's
+    # discovery order sweep, which runs 3,000 sample sets, structures 0-89,
+    # the stratified sets and 300 sets of three-atom bodies. Candidate
+    # counts tie and differ.
     rng = random.Random(13)
     consts = [constant(n) for n in "abc"]
     long_bodies = rules_from(
@@ -696,7 +740,7 @@ def test_compiled_queries_find_exactly_the_matches_through_new_facts():
     # Queries, unlike rule bodies, hold ground terms: in the pinned atom,
     # next to repeated variables, in the atoms walked after it, repeated
     # across atoms, and functional. The template walk on a compiled query
-    # must agree with match_conjunction on the whole fact set, and pinned to
+    # must agree with _naive_matches on the whole fact set, and pinned to
     # the new facts must find exactly the matches that need one.
     rng = random.Random(23)
     a, b, c = (constant(n) for n in ("a", "b", "c"))
@@ -743,13 +787,13 @@ def test_compiled_queries_find_exactly_the_matches_through_new_facts():
             for (_, slots), q in zip(template, atoms):
                 assert [image[s] if s.__class__ is int else s
                         for s in slots] == list(q.terms)
-            whole = list(match_conjunction(atoms, {}, facts))
+            whole = _naive_matches(atoms, facts)
             assert _holds(template, image, {}, facts) == bool(whole)
             # Every match maps some atom to some fact.
             assert obsolete_through((template,), image, list(facts),
                                     facts) == bool(whole)
             full += bool(whole)
-            fresh = key(whole) - key(match_conjunction(atoms, {}, old))
+            fresh = key(whole) - key(_naive_matches(atoms, old))
             assert obsolete_through((template,), image, new, facts) == bool(fresh)
             matched += bool(fresh)
             fresh_by_query[n] += bool(fresh)
