@@ -89,7 +89,6 @@ from .matcher import (FactSet, Trigger, frontier_keys, is_obsolete,
                       obsolete_through)
 from .model import (
     STAR_NAME,
-    UC_PREFIX,
     Atom,
     Constant,
     ConstantMapping,
@@ -462,7 +461,7 @@ class UnblockabilityCache:
 def _is_abstract(t: Term) -> bool:
     """Whether t is the special constant or a per-symbol constant."""
     return t.__class__ is Constant and \
-        (t.name == STAR_NAME or t.name.startswith(UC_PREFIX))  # type: ignore[attr-defined]
+        (t.symbol is not None or t.name == STAR_NAME)  # type: ignore[attr-defined]
 
 
 def _is_unblockable(

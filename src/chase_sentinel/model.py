@@ -3,14 +3,20 @@
 Terms, atoms, rules, substitutions, skolemization, and the term-level
 measures (depth, subterm cyclicity, birth facts, term skeletons) that the
 rest of the package builds on. Terms and skolem symbols are interned: the
-factories `constant`, `variable`, `functional` and `skolem_symbol` are the
-only way to build them, and they compare and hash by identity. `gc_paused`
-is the collector pause that parsing, the checks and the chase run in.
+factories `constant`, `variable`, `functional`, `skolem_symbol` and
+`uc_constant` are the only way to build them, and they compare and hash by
+identity. The intern tables hold their terms and symbols weakly: one is
+rebuilt only after nothing holds it, so identity equality stays exact, and
+memory does not grow with the number of rule sets a process has seen.
+Caches keyed by terms hold their keys and are freed with their owner.
+`gc_paused` is the collector pause that parsing, the checks and the chase
+run in.
 """
 from __future__ import annotations
 
 import functools
 import gc
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
@@ -83,17 +89,21 @@ class UnknownSymbolError(KeyError):
 class Term:
     """Base class for constants, variables, and functional terms.
 
-    Terms are interned: the factories `constant`, `variable` and
-    `functional` return the one object per term, so equality and hashing
-    are the built-in identity ones. A term built by calling a class
-    directly equals no interned term. ``depth`` is 1 for non-functional
-    terms, else 1 + the maximal argument depth. ``_nest`` maps every skolem
-    symbol occurring in the term to the maximal number of its occurrences
-    on one root-to-leaf path, which makes the cyclicity predicates
-    O(#symbols).
+    Terms are interned: the factories `constant`, `variable`,
+    `functional` and `uc_constant` return the one object per term, so
+    equality and hashing are the built-in identity ones. A term built by
+    calling a class directly equals no interned term. The intern table
+    holds a term weakly, so a term is rebuilt only after nothing holds it:
+    whoever can compare two terms holds both, and so sees the one object.
+    Caches keyed by terms (`RuleSet._birth_cache`, `RuleSet.seeds`,
+    `RuleSet.unblockability`) hold their keys and are freed with their
+    rule set. ``depth`` is 1 for non-functional terms, else 1 + the maximal
+    argument depth. ``_nest`` maps every skolem symbol occurring in the
+    term to the maximal number of its occurrences on one root-to-leaf path,
+    which makes the cyclicity predicates O(#symbols).
     """
 
-    __slots__ = ("depth", "is_ground", "_nest")
+    __slots__ = ("depth", "is_ground", "_nest", "__weakref__")
 
     depth: int
     is_ground: bool
@@ -101,10 +111,16 @@ class Term:
 
 
 class Constant(Term):
-    __slots__ = ("name",)
+    """A constant; ``symbol`` is f for the fresh constant c_f of
+    `uc_constant`, and None for every other constant."""
+
+    __slots__ = ("name", "symbol")
+
+    symbol: SkolemSymbol | None
 
     def __init__(self, name: str):
         self.name = name
+        self.symbol = None
         self.depth = 1
         self.is_ground = True
         self._nest = _EMPTY_NEST
@@ -130,7 +146,7 @@ class SkolemSymbol:
     """Function symbol unique for one (rule, disjunct, existential variable);
     interned by `skolem_symbol` like the terms."""
 
-    __slots__ = ("rule_id", "disjunct", "var", "arity")
+    __slots__ = ("rule_id", "disjunct", "var", "arity", "__weakref__")
 
     def __init__(self, rule_id: str, disjunct: int, var: str, arity: int):
         self.rule_id = rule_id
@@ -167,30 +183,55 @@ class FunctionalTerm(Term):
 
 
 _EMPTY_NEST: Mapping[SkolemSymbol, int] = {}
+_T = TypeVar("_T")
 
 # Intern tables. They are the only place that decides term identity, so
-# terms and skolem symbols must be built through the four factories below
-# and never by calling their classes.
-_TERMS: dict[object, Term] = {}
-_SYMBOLS: dict[tuple[str, int, str, int], SkolemSymbol] = {}
-# The symbol of each fresh per-symbol constant, filled by `uc_constant`.
-_UC_SYMBOLS: dict[Constant, SkolemSymbol] = {}
+# terms and skolem symbols must be built through the five factories below
+# and never by calling their classes. Each value is an _Entry, a weak
+# reference to the one object for its key, so a term or symbol is rebuilt
+# only after nothing holds it. A lookup stays in C: `r = table.get(key)`,
+# then `r()` when r is set. When the object dies, _drop deletes its entry,
+# unless a newer object took the key in the meantime. A key holds the
+# terms and symbol it is made of, which the object holds anyway.
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+_TERMS: dict[object, _Entry] = {}
+_SYMBOLS: dict[tuple[str, int, str, int], _Entry] = {}
+
+
+def _drop(entry: _Entry) -> None:
+    # Term keys are pairs and symbol keys 4-tuples, so a key names its table.
+    table = _SYMBOLS if len(entry.key) == 4 else _TERMS
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+def _intern(table: dict, key: object, obj: _T) -> _T:
+    entry = table[key] = _Entry(obj, _drop)
+    entry.key = key
+    return obj
 
 
 def constant(name: str) -> Constant:
     key = ("c", name)
-    t = _TERMS.get(key)
-    if t is None:
-        t = _TERMS[key] = Constant(name)
-    return t  # type: ignore[return-value]
+    r = _TERMS.get(key)
+    if r is not None:
+        t = r()
+        if t is not None:
+            return t  # type: ignore[return-value]
+    return _intern(_TERMS, key, Constant(name))
 
 
 def variable(name: str) -> Variable:
     key = ("v", name)
-    t = _TERMS.get(key)
-    if t is None:
-        t = _TERMS[key] = Variable(name)
-    return t  # type: ignore[return-value]
+    r = _TERMS.get(key)
+    if r is not None:
+        t = r()
+        if t is not None:
+            return t  # type: ignore[return-value]
+    return _intern(_TERMS, key, Variable(name))
 
 
 def skolem_symbol(rule_id: str, disjunct: int, var: str, arity: int) -> SkolemSymbol:
@@ -199,19 +240,23 @@ def skolem_symbol(rule_id: str, disjunct: int, var: str, arity: int) -> SkolemSy
     # size agrees too. Resolution back to a rule always goes through one
     # rule set's symbol index, never through the shared table.
     key = (rule_id, disjunct, var, arity)
-    s = _SYMBOLS.get(key)
-    if s is None:
-        s = _SYMBOLS[key] = SkolemSymbol(rule_id, disjunct, var, arity)
-    return s
+    r = _SYMBOLS.get(key)
+    if r is not None:
+        s = r()
+        if s is not None:
+            return s  # type: ignore[return-value]
+    return _intern(_SYMBOLS, key, SkolemSymbol(rule_id, disjunct, var, arity))
 
 
 def functional(symbol: SkolemSymbol, args: Sequence[Term]) -> FunctionalTerm:
     args = tuple(args)
     key = (symbol, args)
-    t = _TERMS.get(key)
-    if t is None:
-        t = _TERMS[key] = FunctionalTerm(symbol, args)
-    return t  # type: ignore[return-value]
+    r = _TERMS.get(key)
+    if r is not None:
+        t = r()
+        if t is not None:
+            return t  # type: ignore[return-value]
+    return _intern(_TERMS, key, FunctionalTerm(symbol, args))
 
 
 def star() -> Constant:
@@ -219,17 +264,24 @@ def star() -> Constant:
 
 
 def uc_constant(symbol: SkolemSymbol) -> Constant:
-    """The fresh constant c_f, one per skolem symbol."""
-    c = constant(f"{UC_PREFIX}{symbol.rule_id}_{symbol.disjunct}_{symbol.var}")
-    _UC_SYMBOLS.setdefault(c, symbol)
-    return c
+    """The fresh constant c_f, one per skolem symbol. Symbols that differ
+    only in arity get constants of the same name, which are distinct. The
+    constant holds its symbol; the symbol does not point back."""
+    key = ("uc", symbol)
+    r = _TERMS.get(key)
+    if r is not None:
+        c = r()
+        if c is not None:
+            return c  # type: ignore[return-value]
+    c = Constant(f"{UC_PREFIX}{symbol.rule_id}_{symbol.disjunct}_{symbol.var}")
+    c.symbol = symbol
+    return _intern(_TERMS, key, c)
 
 
 def uc_symbol(c: Constant) -> SkolemSymbol | None:
     """The symbol f of the fresh constant c_f, or None for any other
-    constant; of symbols that differ only in arity, and so share c_f, the
-    first one asked for."""
-    return _UC_SYMBOLS.get(c)
+    constant."""
+    return c.symbol
 
 
 def db_constant(var_name: str) -> Constant:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import chase_sentinel
-from chase_sentinel import corpus_dir
+from chase_sentinel import corpus_dir, model
 from chase_sentinel.chase import entails, run_chase
 from chase_sentinel.cli import classify_rules
 from chase_sentinel.cyclicity import check
@@ -37,6 +37,7 @@ from chase_sentinel.model import (
     star,
     subterms,
     uc_constant,
+    uc_symbol,
     variable,
 )
 from chase_sentinel.matcher import Trigger
@@ -71,9 +72,12 @@ def test_terms_are_interned():
 
 def test_terms_are_built_only_through_the_factories():
     # Interning decides term identity, so a term class called directly makes
-    # a term that equals no interned one. Only the factories may call them.
-    factories = {"Constant": "constant", "Variable": "variable",
-                 "FunctionalTerm": "functional", "SkolemSymbol": "skolem_symbol"}
+    # a term that equals no interned one. Only the factories may call them;
+    # uc_constant is the second factory of constants.
+    factories = {("Constant", "constant"), ("Constant", "uc_constant"),
+                 ("Variable", "variable"), ("FunctionalTerm", "functional"),
+                 ("SkolemSymbol", "skolem_symbol")}
+    classes = {cls for cls, _ in factories}
     package = Path(chase_sentinel.__file__).parent
     calls = []
     for path in sorted(package.glob("*.py")):
@@ -87,9 +91,9 @@ def test_terms_are_built_only_through_the_factories():
             callee = node.func
             name = callee.id if isinstance(callee, ast.Name) else \
                 getattr(callee, "attr", None)
-            if name in factories:
+            if name in classes:
                 calls.append((path.name, owner.get(node), name, node.lineno))
-    allowed = {("model.py", factory, cls) for cls, factory in factories.items()}
+    allowed = {("model.py", factory, cls) for cls, factory in factories}
     stray = sorted({(f, cls, line) for f, where, cls, line in calls
                     if (f, where, cls) not in allowed})
     assert not stray
@@ -98,11 +102,54 @@ def test_terms_are_built_only_through_the_factories():
 
 def test_symbol_identity_includes_arity():
     # Independent rule sets reuse ids and variable names freely; the same
-    # textual symbol with a different argument count must stay distinct.
+    # textual symbol with a different argument count must stay distinct,
+    # and so must its fresh constant c_f, which shares the name and leads
+    # back to its own symbol.
     one = skolem_symbol("r1", 1, "Y", 1)
     two = skolem_symbol("r1", 1, "Y", 2)
     assert one is not two
     assert one != two
+    c_one, c_two = uc_constant(one), uc_constant(two)
+    assert c_one is not c_two
+    assert uc_constant(one) is c_one and uc_constant(two) is c_two
+    assert uc_symbol(c_one) is one and uc_symbol(c_two) is two
+    assert repr(c_one) == repr(c_two) == "__uc_r1_1_Y"
+    assert uc_symbol(constant("a")) is None and uc_symbol(star()) is None
+
+
+def test_intern_tables_forget_dropped_rule_sets():
+    # The tables hold terms and symbols weakly. Parsing and classifying 60
+    # distinct generator sets and a 512-rule stratified set, then dropping
+    # them, leaves the tables near their starting sizes, while a term and a
+    # symbol still held are the ones their factories return.
+    generators = perfbench_module("generators")
+    texts = [generators.random_rule_set(random.Random(i), random.Random(i), 16).text
+             for i in range(1, 61)]
+    texts.append(generators.stratified_rule_set(
+        random.Random("stratified/512"), 512).text)
+    gc.collect()
+    terms, symbols = len(model._TERMS), len(model._SYMBOLS)
+    kept = gone = None
+    for text in texts:
+        rules = parse(text).rules
+        classify_rules(rules, timeout=0.05)
+        if kept is None:
+            symbol = min(rules.symbol_index, key=repr)
+            image = tuple(constant(f"kept{j}") for j in range(symbol.arity))
+            term = functional(symbol, image)
+            kept = symbol, image, term
+            # A dropped term's key, which holds its parts but not the term.
+            gone = (symbol, (term,) * symbol.arity)
+            functional(*gone)
+    del rules
+    gc.collect()
+    assert len(model._TERMS) <= terms + 10
+    assert len(model._SYMBOLS) <= symbols + 10
+    symbol, image, term = kept
+    assert skolem_symbol(symbol.rule_id, symbol.disjunct, symbol.var,
+                         symbol.arity) is symbol
+    assert functional(symbol, image) is term
+    assert gone not in model._TERMS
 
 
 def test_term_depth_counts_nestings():
@@ -232,7 +279,8 @@ def test_skolemized_heads_match_the_reference():
 def test_parsing_interns_no_non_ground_skolem_term():
     # Rules hold skolem symbols in templates, not the terms f(frontier): a
     # fresh interpreter parses a 512-rule stratified set and then counts the
-    # non-ground functional terms in the intern table.
+    # live non-ground functional terms in the intern table, whose entries
+    # are weak references.
     code = (
         "import random, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
@@ -243,7 +291,7 @@ def test_parsing_interns_no_non_ground_skolem_term():
         "rules = parse(text).rules\n"
         "print(sum(r.is_generating for r in rules), sum(\n"
         "    t.__class__ is FunctionalTerm and not t.is_ground\n"
-        "    for t in list(_TERMS.values())))\n")
+        "    for t in [r() for r in list(_TERMS.values())] if t is not None))\n")
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code, str(root / "perfbench")],
