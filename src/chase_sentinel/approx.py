@@ -86,7 +86,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .chase import HeadChoice
 from .matcher import (FactSet, Trigger, frontier_keys, is_obsolete,
-                      obsolete_through)
+                      obsolete_through, pinned_head_chains)
 from .model import (
     STAR_NAME,
     Atom,
@@ -522,7 +522,7 @@ def _is_unblockable(
         steps = _batches(rules, trigger, kind, hc, terms, seed)
         facts, _, queued = next(steps)
         answer = not (is_obsolete(trigger, facts) or any(
-            obsolete_through(rule.sk_heads, image, batch, facts)
+            obsolete_through(pinned_head_chains(rule), image, batch, facts)
             for _, batch, _ in steps))
         cache.triggers += len(queued)
     finally:

@@ -21,18 +21,18 @@ FactSet holds the label of the branch being extended and one `Queues` its
 keys, and a fork copies neither. Both are marked before a fork and undone
 to the marks when a later sibling resumes.
 `run_chase` and `entails` share one expansion loop. `entails` compiles
-the query into a template, tests the root with the obsolescence walk and
-each child through the facts it adds (`matcher.obsolete_through`), closes
-the branches that match and stops at the first saturated branch that does
-not.
+the query into join chains (`matcher.compile_query`), tests each vertex
+through the facts it adds (`matcher.obsolete_through`), the root's being
+the database, closes the branches that match and stops at the first
+saturated branch that does not.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .matcher import (FactSet, Queues, Trigger, _holds, compile_query,
-                      discover, enqueue, obsolete_through, pop_active)
+from .matcher import (FactSet, Queues, Trigger, compile_query, discover,
+                      enqueue, obsolete_through, pop_active)
 from .model import Atom, Query, Rule, RuleSet, gc_paused
 
 __all__ = [
@@ -203,9 +203,10 @@ def _expand(
     tree.vertices.append(vertex)
 
     if query is not None:
-        query_template, query_image = compile_query(query.atoms)
-        # An empty query holds in every label.
-        if not query_template or _holds(query_template, query_image, {}, facts):
+        query_chains, query_image = compile_query(query.atoms)
+        # An empty query holds in every label, and another in the root's
+        # iff some match maps an atom to a fact of the database.
+        if not query_chains or obsolete_through(query_chains, query_image, seed, facts):
             return tree, False
 
     # A non-generating rule's outputs hold only terms of its parent's label,
@@ -261,7 +262,7 @@ def _expand(
                 pending.extend((sibling, fact_mark, queue_mark)
                                for sibling in reversed(tree.vertices[first + 1:]))
         while vertex is None or (query is not None and obsolete_through(
-                (query_template,), query_image, vertex.new_facts, facts)):
+                query_chains, query_image, vertex.new_facts, facts)):
             if not pending:
                 return tree, False
             vertex, fact_mark, queue_mark = pending.pop()

@@ -9,10 +9,11 @@ to each body atom of its predicate, new fact by new fact and, per fact, in
 body-index order. No loop meets a trigger twice, so none keeps a seen set
 for triggers.
 
-One compiler, `_compile_chain`, turns the body atoms a pin leaves, or a
-pattern of `match_conjunction`, into a chain of steps in written order,
-and one runner, `_chain`, extends a row of bound terms through each step's
-candidates. So every join is the nested loop over the atoms in written
+One compiler, `_compile_chain`, turns the body atoms a pin leaves, a
+pattern of `match_conjunction`, a head disjunct or a query into a chain
+of steps in written order, and one runner, `_chain`, extends a row of
+bound terms through each step's candidates, or a pinned fact. So every
+join and existence test is the nested loop over the atoms in written
 order, each atom's candidates in insertion order: a full `discover` call
 yields the keys of `match_conjunction(rule.body, {}, facts)`'s matches in
 their order.
@@ -35,26 +36,22 @@ queues datalog keys ahead of the others in a `Queues`, and `pop_active`
 pops the first key that is not obsolete and returns it with its outputs.
 `FactSet` and `Queues` only grow at their ends, so each can `mark` a point
 and `undo` back to it: the chase backtracks this way. Obsolescence
-is stated once, per head disjunct, in `disjunct_holds`, on the rule's
-compiled head templates (Rule.sk_heads) and a frontier image: an
-existential-free disjunct is looked up as its output, an existential one
-walked atom by atom through the fact index (`_holds`). `pop_active` reads
-each popped key's frontier image off the key with rule.key_frontier and
-asks each disjunct, passing the disjunct's output when that is the
-grounded head, so the one build serves the test and the caller;
-`is_obsolete` asks every disjunct of a trigger. `obsolete_through` is the
-same walk pinned to new facts, the semi-naive test of the unblockability
-builds.
-
-A query match is the same walk: `compile_query` makes a query one
-template whose ground terms are int slots into an image and whose
-variables are slots that `_holds` binds like symbol slots.
+is stated once, per head disjunct, in `disjunct_holds`, on a frontier
+image: an existential-free disjunct is looked up as its output, and an
+existential one runs its chain, held by the rule, on rows that start with
+the image. `pop_active` reads each popped key's frontier image off the
+key with rule.key_frontier and asks each disjunct, passing the
+disjunct's output when that is the grounded head, so the one build
+serves the test and the caller; `is_obsolete` asks every disjunct of a
+trigger. `obsolete_through` is the same test with one atom pinned to a
+new fact, the semi-naive test of the unblockability builds
+(`pinned_head_chains`) and of a query (`compile_query`).
 
 Patterns hold only variables and ground terms. `Rule` ensures this for
 bodies and heads (they hold variables only) and `compile_query` for queries
 (they may hold ground terms too), so a chain reads each bound term off its
-row position, or a template its other slots off its own binding, and
-terms are compared by identity, which interning makes exact.
+row position, and terms are compared by identity, which interning makes
+exact.
 """
 from __future__ import annotations
 
@@ -67,9 +64,7 @@ from .model import (
     Rule,
     RuleError,
     RuleSet,
-    SkolemSymbol,
     Substitution,
-    Template,
     Term,
     Variable,
 )
@@ -80,6 +75,7 @@ __all__ = [
     "Queues",
     "match_conjunction",
     "discover",
+    "pinned_head_chains",
     "disjunct_holds",
     "is_obsolete",
     "obsolete_through",
@@ -87,6 +83,9 @@ __all__ = [
     "pop_active",
     "compile_query",
 ]
+
+# A compiled join: the steps of _compile_chain, which _chain runs.
+Chain = tuple[tuple, ...]
 
 
 class FactSet:
@@ -242,7 +241,8 @@ def match_conjunction(
             if t.__class__ is not Variable or t in base:
                 where.setdefault(t, len(where))
     row = tuple([base.get(t, t) for t in where])  # type: ignore[call-overload]
-    steps, where = _compile_chain(pattern, where, len(row))
+    steps, where = _compile_chain(
+        [(a.predicate, a.terms) for a in pattern], where, len(row))
     for found in _chain(steps, row, facts) if steps else (row,):
         sub = dict(base)
         for t, i in where.items():
@@ -251,26 +251,27 @@ def match_conjunction(
         yield sub
 
 
-def _compile_chain(atoms: Sequence[Atom], where: dict[Term, int],
-                   width: int) -> tuple[tuple[tuple, ...], dict[Term, int]]:
-    """The one compiler of joins: the atoms, in written order, as steps of
-    a chain that `_chain` runs over rows of width `width`, whose position
-    where[t] holds the term bound to t. Each step (predicate, arity, key,
-    bound, repeats) reads the candidates of its predicate, through the
-    (predicate, first argument) index on row[key] when its first term is
-    bound (key is None otherwise), and keeps a candidate whose terms ct have
-    ct[i] equal to row[p] for each (i, p) in bound and ct[i] equal to ct[j]
-    for each (i, j) in repeats, a later occurrence of an unbound term paired
-    with its first; the row then grows by ct. Also returns where extended
-    with the position of every term of the atoms."""
+def _compile_chain(atoms: Iterable[tuple[str, Sequence]], where: dict,
+                   width: int) -> tuple[Chain, dict]:
+    """The one compiler of joins: the (predicate, terms) atoms, in written
+    order, as steps of a chain that `_chain` runs over rows of width
+    `width`, whose position where[t] holds the term bound to t: a term is a
+    variable, a ground query term or a template slot. Each step
+    (predicate, arity, key, bound, repeats) reads the candidates of its
+    predicate, through the (predicate, first argument) index on row[key]
+    when its first term is bound (key is None otherwise), and keeps a
+    candidate whose terms ct have ct[i] equal to row[p] for each (i, p) in
+    bound and ct[i] equal to ct[j] for each (i, j) in repeats, a later
+    occurrence of an unbound term paired with its first; the row then
+    grows by ct. Also returns where extended with the position of every
+    term of the atoms."""
     where = dict(where)
     steps = []
-    for atom in atoms:
-        terms = atom.terms
+    for predicate, terms in atoms:
         key = where.get(terms[0])
         bound: list[tuple[int, int]] = []
         repeats: list[tuple[int, int]] = []
-        first: dict[Term, int] = {}
+        first: dict = {}
         for i, t in enumerate(terms):
             if t in where:
                 if i:
@@ -282,23 +283,31 @@ def _compile_chain(atoms: Sequence[Atom], where: dict[Term, int],
         for t, i in first.items():
             where[t] = width + i
         width += len(terms)
-        steps.append((atom.predicate, len(terms), key, tuple(bound),
+        steps.append((predicate, len(terms), key, tuple(bound),
                       tuple(repeats)))
     return tuple(steps), where
 
 
-def _chain(steps: tuple[tuple, ...], row: tuple, facts: FactSet,
-           at: int = 0) -> Iterator[tuple]:
+def _chain(steps: Chain, row: tuple, facts: FactSet,
+           at: int = 0, pinned: Atom | None = None) -> Iterator[tuple]:
     """The one runner of compiled chains: each extension of row by the terms
     of a candidate of every step from steps[at] on, depth first in
-    candidate order. A module-level generator and not a closure: a nested
-    chain refers to itself through its cell, and that cycle would keep
-    every fact set it read alive until the next cyclic garbage collection.
-    Terms are compared by identity, which interning makes exact."""
+    candidate order; a pinned fact of steps[at]'s predicate is that step's
+    one candidate, still checked against row[key] when the step is keyed.
+    A module-level generator and not a closure: a nested chain refers to
+    itself through its cell, and that cycle would keep every fact set it
+    read alive until the next cyclic garbage collection. Terms are
+    compared by identity, which interning makes exact."""
     predicate, arity, key, bound, repeats = steps[at]
     at += 1
     last = at == len(steps)
-    for cand in facts.candidates(predicate, None if key is None else row[key]):
+    if pinned is None:
+        candidates = facts.candidates(predicate, None if key is None else row[key])
+    elif key is None or pinned.terms[0] is row[key]:
+        candidates = (pinned,)
+    else:
+        return
+    for cand in candidates:
         ct = cand.terms
         if len(ct) != arity:
             continue
@@ -314,6 +323,28 @@ def _chain(steps: tuple[tuple, ...], row: tuple, facts: FactSet,
                     yield row + ct
                 else:
                     yield from _chain(steps, row + ct, facts, at)
+
+
+def _rotations(conjunctions: Iterable[Sequence[tuple[str, Sequence]]],
+               where: dict) -> tuple[Chain, ...]:
+    """Each conjunction compiled by _compile_chain once with each atom
+    first, over rows that start with len(where) bound terms, to run on a
+    fact of that atom's predicate pinned to its first step."""
+    return tuple([
+        _compile_chain((atom, *atoms[:j], *atoms[j + 1:]), where, len(where))[0]
+        for atoms in conjunctions for j, atom in enumerate(atoms)])
+
+
+def pinned_head_chains(rule: Rule) -> tuple[Chain, ...]:
+    """The _rotations of the rule's head disjuncts (Rule.sk_heads) over
+    its frontier image, bound as in `disjunct_holds`, for
+    `obsolete_through`; compiled on first use and kept in
+    rule.pinned_chains, so they are freed with the rule. Only the
+    unblockability builds pin, so most rules compile none."""
+    if rule.pinned_chains is None:
+        rule.pinned_chains = _rotations(
+            rule.sk_heads, {i: i for i in range(len(rule.frontier))})
+    return rule.pinned_chains
 
 
 class _PinPlan(NamedTuple):
@@ -336,7 +367,7 @@ class _PinPlan(NamedTuple):
 
     arity: int
     repeats: tuple[tuple[int, int], ...]
-    steps: tuple[tuple, ...]
+    steps: Chain
     frontier: tuple[itemgetter, bool]
     body: tuple[itemgetter, bool]
 
@@ -352,7 +383,8 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
     projections of the rows."""
     body = rule.body
     steps, where = _compile_chain(
-        (body[idx], *body[:idx], *body[idx + 1:]), {}, 1)
+        [(a.predicate, a.terms) for a in (body[idx], *body[:idx], *body[idx + 1:])],
+        {}, 1)
     _, n, _, _, repeats = steps[0]
     return _PinPlan(n, repeats, steps[1:],
                     _projection(tuple([where[v] for v in rule.frontier]), n),
@@ -472,64 +504,30 @@ def disjunct_holds(rule: Rule, disjunct: int, image: tuple[Term, ...],
     with this frontier image matches into the facts: the obsolescence rule,
     one disjunct at a time.
 
-    The match is read off the disjunct's template in rule.sk_heads: a
-    frontier slot must hold the image's term, and a symbol slot stands for
-    its existential variable, which may take any term of the fact set, the
-    same one in every atom (_holds). A disjunct without existential
-    variables is ground under the image, where it equals its output
-    rule.output(disjunct, image), so its atoms are looked up one by one
-    instead. A caller that has built that output already passes it as
+    The match runs the disjunct's chain on rows that start with the image:
+    a frontier slot, an int, is bound at its position in the image, and a
+    symbol slot stands for its existential variable, which may take any
+    term of the fact set, the same one in every atom. The chains of the
+    rule's existential disjuncts are compiled on its first test and kept
+    in rule.chains, so they are freed with the rule. A disjunct without
+    existential variables is ground under the image, where it equals its
+    output rule.output(disjunct, image), so its atoms are looked up one by
+    one instead. A caller that has built that output already passes it as
     `out`.
     """
     if rule.heads[disjunct - 1].existential_vars:
-        return _holds(rule.sk_heads[disjunct - 1], image, {}, facts)
+        if rule.chains is None:
+            where = {i: i for i in range(len(rule.frontier))}
+            rule.chains = tuple([
+                _compile_chain(template, where, len(where))[0]
+                if head.existential_vars else ()
+                for template, head in zip(rule.sk_heads, rule.heads)])
+        return next(_chain(rule.chains[disjunct - 1], image, facts),
+                    None) is not None
     for atom in rule.output(disjunct, image) if out is None else out:
         if atom not in facts:
             return False
     return True
-
-
-def _holds(atoms: Template, image: tuple[Term, ...],
-           bound: dict[SkolemSymbol | Variable, Term], facts: FactSet,
-           pool: Sequence[Atom] | None = None) -> bool:
-    """Whether the template atoms map into the facts with each int slot s
-    on image[s] and each other slot, a symbol or a query variable, on one
-    term throughout, extending bound, the terms of the slots met so far.
-
-    The first atom's candidates are pool when given, else read through the
-    (predicate, first argument) index when its first slot is an int or a
-    bound slot, else all facts of its predicate. The answer is a boolean,
-    so the atom order does not change it, and terms are compared by
-    identity, which interning makes exact.
-    """
-    predicate, slots = atoms[0]
-    rest = atoms[1:]
-    if pool is None:
-        first = slots[0]
-        pool = facts.candidates(predicate, image[first] if first.__class__ is int
-                                else bound.get(first))  # type: ignore[arg-type]
-    arity = len(slots)
-    for fact in pool:
-        terms = fact.terms
-        if len(terms) != arity:
-            continue
-        binding = bound
-        for s, t in zip(slots, terms):
-            if s.__class__ is int:
-                if image[s] is not t:  # type: ignore[index]
-                    break
-            else:
-                held = binding.get(s)  # type: ignore[arg-type]
-                if held is None:
-                    if binding is bound:
-                        binding = dict(bound)
-                    binding[s] = t  # type: ignore[index]
-                elif held is not t:
-                    break
-        else:
-            if not rest or _holds(rest, image, binding, facts):
-                return True
-    return False
 
 
 def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
@@ -543,21 +541,19 @@ def is_obsolete(trigger: Trigger, facts: FactSet) -> bool:
     return False
 
 
-def obsolete_through(templates: Sequence[Template], image: tuple[Term, ...],
+def obsolete_through(chains: Iterable[Chain], image: tuple[Term, ...],
                      new_facts: Iterable[Atom], facts: FactSet) -> bool:
-    """True iff some template holds (`_holds`) under the image with one of
-    its atoms on a new fact (already in the facts). Each new fact is pinned
-    to each template atom of its predicate, and `_holds` walks the others.
-    On rule.sk_heads and a frontier image it is the semi-naive step of
-    `is_obsolete`; on a compiled query, of its match."""
+    """True iff some conjunction matches under the image with one of its
+    atoms on a new fact (already in the facts): each new fact is pinned to
+    each of the conjunctions' _rotations whose first step has its
+    predicate. On pinned_head_chains(rule) and a frontier image it is the
+    semi-naive step of `is_obsolete`; on a compiled query, of its match."""
     for fact in new_facts:
         predicate = fact.predicate
-        for template in templates:
-            for j, atom in enumerate(template):
-                if atom[0] == predicate and _holds(
-                        (atom, *template[:j], *template[j + 1:]) if j else template,
-                        image, {}, facts, (fact,)):
-                    return True
+        for steps in chains:
+            if steps[0][0] == predicate and next(
+                    _chain(steps, image, facts, 0, fact), None) is not None:
+                return True
     return False
 
 
@@ -632,18 +628,16 @@ def pop_active(queues: Queues,
     return None
 
 
-def compile_query(atoms: Sequence[Atom]) -> tuple[Template, tuple[Term, ...]]:
-    """A query as one template and the image of its distinct ground terms:
-    a ground term is an int slot into the image, a variable a slot keyed
-    by itself, which `_holds` binds as it binds a symbol slot. Query terms
-    must be variables or ground terms."""
+def compile_query(atoms: Sequence[Atom]) -> tuple[tuple[Chain, ...], tuple[Term, ...]]:
+    """A query's _rotations and the image of its distinct ground terms, in
+    order of first occurrence, which their rows start with: a ground term
+    is bound at its position in the image, and a variable at its first
+    occurrence. Query terms must be variables or ground terms."""
     where: dict[Term, int] = {}
-    template = []
     for atom in atoms:
         for t in atom.terms:
-            if not (t.is_ground or t.__class__ is Variable):
+            if t.is_ground:
+                where.setdefault(t, len(where))
+            elif t.__class__ is not Variable:
                 raise RuleError(f"query term is neither a variable nor ground: {t!r}")
-        template.append((atom.predicate, tuple([
-            t if t.__class__ is Variable else where.setdefault(t, len(where))
-            for t in atom.terms])))
-    return tuple(template), tuple(where)
+    return _rotations([[(a.predicate, a.terms) for a in atoms]], where), tuple(where)

@@ -434,10 +434,10 @@ class HeadDisjunct:
     atoms: tuple[Atom, ...]
 
 
-# A compiled conjunction, one (predicate, slots) pair per atom. A slot is an
-# int, a position in an image, or an unknown that takes one term throughout:
-# a skolem symbol in Rule.sk_heads, a variable in matcher.compile_query.
-Template = tuple[tuple[str, tuple[int | SkolemSymbol | Variable, ...]], ...]
+# A head disjunct compiled for a frontier image, one (predicate, slots) pair
+# per atom. A slot is an int, a position in the image, or the skolem symbol
+# of an existential variable, which takes one term throughout.
+Template = tuple[tuple[str, tuple[int | SkolemSymbol, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -467,7 +467,8 @@ class Rule:
     templates: a frontier slot must hold the image's term and a symbol slot
     stands for its existential variable, so a trigger is tested on its
     frontier image alone. key_frontier, compiled next to them, reads that
-    image off a (rule, *body image) key.
+    image off a (rule, *body image) key. The matcher compiles the templates
+    into join chains on first use, held in chains and pinned_chains.
     """
 
     __slots__ = (
@@ -483,6 +484,8 @@ class Rule:
         "sk_heads",
         "sk_symbols",
         "key_frontier",
+        "chains",
+        "pinned_chains",
     )
 
     def __init__(self, rule_id: str, body: Sequence[Atom],
@@ -561,6 +564,7 @@ class Rule:
             self.key_frontier = itemgetter(slice(start, start + arity))
         else:
             self.key_frontier = itemgetter(*at)
+        self.chains = self.pinned_chains = None
 
     def output(self, disjunct: int, image: tuple[Term, ...]) -> tuple[Atom, ...]:
         """The skolemized output of one head disjunct (1-based) for a

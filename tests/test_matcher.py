@@ -8,7 +8,6 @@ import pytest
 from chase_sentinel import matcher
 from chase_sentinel.matcher import (
     _BODY,
-    _holds,
     FactSet,
     Queues,
     Trigger,
@@ -22,6 +21,7 @@ from chase_sentinel.matcher import (
     is_obsolete,
     match_conjunction,
     obsolete_through,
+    pinned_head_chains,
     pop_active,
 )
 from chase_sentinel.chase import entails
@@ -565,7 +565,7 @@ def check_obsolescence(n: int) -> collections.Counter:
                 if len(set(symbols)) < len(symbols):
                     seen["shared", answer] += 1
             new = [f for f in facts if rng.random() < 0.4]
-            assert obsolete_through(rule.sk_heads, image, new, facts) == any(
+            assert obsolete_through(pinned_head_chains(rule), image, new, facts) == any(
                 not set(atoms).isdisjoint(new) for _, atoms in matches), \
                 (rules, facts, new, lam)
     return seen
@@ -574,7 +574,7 @@ def check_obsolescence(n: int) -> collections.Counter:
 def test_is_obsolete_agrees_with_brute_force_on_random_sets():
     # CI's obsolescence sweep runs 3,000 cases. Every bucket must be seen
     # answering both ways: existential-free disjuncts by lookup, existential
-    # ones by the template walk, from the unindexed scan of a symbol in a
+    # ones by their compiled chains, from the unindexed scan of a symbol in a
     # first slot and through the binding of a symbol met twice.
     seen = check_obsolescence(300)
     for existential in (False, True):
@@ -738,10 +738,11 @@ def test_semi_naive_discovery_equals_naive_discovery():
 
 def test_compiled_queries_find_exactly_the_matches_through_new_facts():
     # Queries, unlike rule bodies, hold ground terms: in the pinned atom,
-    # next to repeated variables, in the atoms walked after it, repeated
-    # across atoms, and functional. The template walk on a compiled query
-    # must agree with _naive_matches on the whole fact set, and pinned to
-    # the new facts must find exactly the matches that need one.
+    # next to repeated variables, in the atoms joined after it, repeated
+    # across atoms, and functional. The chains of a compiled query, pinned
+    # as entails pins them, to the database at the root and to a child's
+    # new facts below it, must agree with _naive_matches on the whole fact
+    # set and find exactly the matches that need a new fact.
     rng = random.Random(23)
     a, b, c = (constant(n) for n in ("a", "b", "c"))
     fa = functional(skolem_symbol("q", 1, "Y", 1), (a,))
@@ -778,23 +779,22 @@ def test_compiled_queries_find_exactly_the_matches_through_new_facts():
         facts = FactSet(list(old))
         new = facts.update(draw(rng.randint(1, 5)))
         for n, atoms in enumerate(queries):
-            template, image = compile_query(atoms)
-            # Ground terms are int slots into the image, in order of first
-            # occurrence; variables are slots of their own.
+            chains, image = compile_query(atoms)
+            # The image holds the ground terms in order of first occurrence.
+            # Chain j has one step per atom, atom j's first and then the
+            # others in written order.
             assert image == tuple(dict.fromkeys(
                 t for q in atoms for t in q.terms if t.is_ground))
-            assert [p for p, _ in template] == [q.predicate for q in atoms]
-            for (_, slots), q in zip(template, atoms):
-                assert [image[s] if s.__class__ is int else s
-                        for s in slots] == list(q.terms)
+            assert [[(p, k) for p, k, *_ in steps] for steps in chains] == [
+                [(q.predicate, q.arity) for q in (atoms[j], *atoms[:j], *atoms[j + 1:])]
+                for j in range(len(atoms))]
             whole = _naive_matches(atoms, facts)
-            assert _holds(template, image, {}, facts) == bool(whole)
             # Every match maps some atom to some fact.
-            assert obsolete_through((template,), image, list(facts),
+            assert obsolete_through(chains, image, list(facts),
                                     facts) == bool(whole)
             full += bool(whole)
             fresh = key(whole) - key(_naive_matches(atoms, old))
-            assert obsolete_through((template,), image, new, facts) == bool(fresh)
+            assert obsolete_through(chains, image, new, facts) == bool(fresh)
             matched += bool(fresh)
             fresh_by_query[n] += bool(fresh)
     assert full >= 100 and matched >= 50, (full, matched)
