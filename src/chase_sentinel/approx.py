@@ -14,9 +14,11 @@ trigger's body variables therefore map to terms that need no abstracting,
 and only the skolem terms of its output do. The fixpoint relies on this: it
 fills the rule's templates (Rule.sk_heads), and a build states only how a
 symbol slot is abstracted: it reads the term off the skeleton or falls
-back to the symbol's replacement, so no skolem term is ever built there.
+back to the symbol's replacement, so filling a slot builds no skolem term.
 That per-symbol map is the one statement of the abstraction; the pivot's
-own outputs are abstracted through it too.
+own outputs are abstracted through it too. Exclusion compares raw outputs
+(Rule.output) only where the abstracted ones are equal, and the intern
+tables forget the skolem terms built for that once nothing holds them.
 
 Those templates, and the comparison with the pivot's output, read a
 trigger only on its rule's frontier image. A build therefore works on
@@ -65,14 +67,16 @@ build is several times cheaper and serves every head choice, so a UC
 question asks it first and builds under UC only when star blocks.
 
 The fixpoint is one loop that hands out each batch of new facts, starting
-with the seed. build_over_approx drains it. An unblockability check only
-asks whether the pivot is obsolete for the fixpoint, and stops at the
-first batch that makes it so: obsolescence is monotone in the fact set and
-the facts only grow, so the pivot is obsolete for the fixpoint iff it is
-for some prefix of batches. The check is complete batch by batch: at the
-first such prefix, some match of a head disjunct uses a fact of the last
-batch, or the pivot would be obsolete one batch earlier. So the seed is
-tested whole and each later batch only through matches using its facts.
+with the pivot's birth facts that the seed lacks. build_over_approx drains
+it. An unblockability check only asks whether the pivot is obsolete for
+the fixpoint, and tests it semi-naively, as semi-naive evaluation tests
+only what each step adds: obsolescence is monotone in the fact set and the
+facts only grow, so the pivot is obsolete for the fixpoint iff it is for
+the seed or for the seed plus some prefix of batches. At the first such
+prefix, some match of a head disjunct uses a fact of the last batch, or
+the pivot would be obsolete one batch earlier. So the seed is tested once,
+off the pivot alone (_seed_blocks), and each batch, the births first, only
+through matches using its facts (matcher.obsolete_through).
 
 Reversible constant mappings transport unblockability between triggers of
 the same rule, which is what lets a finite search certify infinitely many
@@ -82,11 +86,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .chase import HeadChoice
-from .matcher import (FactSet, Trigger, frontier_keys, is_obsolete,
-                      obsolete_through, pinned_head_chains)
+from .matcher import (FactSet, Trigger, frontier_keys, obsolete_through,
+                      pinned_head_chains)
 from .model import (
     STAR_NAME,
     Atom,
@@ -102,8 +105,10 @@ from .model import (
     star,
     subterms,
     uc_constant,
-    variable,
 )
+
+if TYPE_CHECKING:
+    from .chase import HeadChoice
 
 __all__ = [
     "STAR",
@@ -181,12 +186,15 @@ def _seed(rules: RuleSet, terms: frozenset[Term]) -> _Seed:
 
 
 def _seed_blocks(pivot: Trigger) -> bool:
-    """Whether the seed over U makes the pivot obsolete, read off
-    the pivot alone: some head disjunct's universal variables all map to
-    constants. The skeleton holds every constant a frontier variable maps
-    to, so these lie in U; with the disjunct's existential variables sent
-    to the special constant, also in U, each of its atoms is a fact over U,
-    and the seed holds every such fact for every predicate."""
+    """Whether the seed over U makes the pivot obsolete, read off the pivot
+    alone: iff some head disjunct's universal variables all map to
+    constants. If they do, the skeleton holds those constants, so they lie
+    in U; with the disjunct's existential variables sent to the special
+    constant, also in U, each of its atoms is a fact over U, and the seed
+    holds every such fact for every predicate. Conversely, U holds only
+    constants, so a match into the facts over U maps every universal
+    variable of its disjunct to a constant. A match that uses any other
+    fact uses a birth fact the seed lacks or a fact of a later batch."""
     sigma = pivot.substitution
     return any(all(sigma[t].__class__ is Constant
                    for a in d.atoms for t in a.terms
@@ -200,20 +208,16 @@ def _seed_blocks(pivot: Trigger) -> bool:
 # they are for every skolem term, else the replacement.
 _Fills = Mapping[SkolemSymbol, tuple[Mapping[tuple[Term, ...], Term], Term]]
 
-# What a raw-output fill gives a skolem term that the pivot's outputs do not
-# hold. Pivot outputs are ground, so no pivot atom holds it.
-_ABSENT = variable("_absent")
 
-
-def _fills(rules: RuleSet, known: Iterable[Term],
-           replacement: Callable[[SkolemSymbol], Term]) -> _Fills:
-    """The _Fills of every skolem symbol of the rules, its known terms
-    being those among `known`."""
+def _fills(rules: RuleSet, kind: str, terms: Iterable[Term]) -> _Fills:
+    """The _Fills of every skolem symbol of the rules under the abstraction
+    `kind`, its known terms being those of the skeleton `terms`."""
     by_symbol: dict[SkolemSymbol, dict[tuple[Term, ...], Term]] = {}
-    for t in known:
+    for t in terms:
         if t.__class__ is FunctionalTerm:
             by_symbol.setdefault(t.symbol, {})[t.args] = t  # type: ignore[attr-defined]
-    return {sym: (by_symbol.get(sym, {}), replacement(sym))
+    return {sym: (by_symbol.get(sym, {}),
+                  uc_constant(sym) if kind == UC else star())
             for sym in rules.symbol_index}
 
 
@@ -250,14 +254,14 @@ def build_over_approx(
     Every term of the fact set is a fixed point of the abstraction: a
     skeleton term, a fresh per-symbol constant or the special constant.
     Body variables of a trigger therefore map to terms that need no
-    abstracting, and only the skolem terms of its output do. Those are
-    never built: the build fills each rule's templates through one map from
-    each skolem symbol to its skeleton terms and its replacement, and a
-    symbol slot takes the skeleton term over the frontier image or the
-    replacement. Exclusion still compares unabstracted outputs; since
-    abstraction is a function, only triggers whose abstracted output equals
-    the pivot's abstracted output can be excluded, and only those are
-    compared exactly.
+    abstracting, and only the skolem terms of its output do. The build
+    fills each rule's templates through one map from each skolem symbol to
+    its skeleton terms and its replacement, and a symbol slot takes the
+    skeleton term over the frontier image or the replacement, so filling
+    builds no skolem term. Exclusion still compares unabstracted outputs;
+    since abstraction is a function, only triggers whose abstracted output
+    equals the pivot's abstracted output can be excluded, and only those
+    have their raw output built (Rule.output) and compared exactly.
 
     A loaded trigger's contribution and its exclusion read it only on the
     rule's frontier image, so the fixpoint queues each (rule, *frontier
@@ -266,7 +270,7 @@ def build_over_approx(
     of a body into U is loaded: the seed's keys over U are enumerated
     directly. All are counted, and only those that can add a fact are
     popped (see _batches). Only the matches through birth facts outside U,
-    and then through each new fact, are joined, by matcher.frontier_keys:
+    and then through each new batch, are joined, by matcher.frontier_keys:
     it yields keys and not substitutions, and stops at the first match when
     the pinned atom binds the whole frontier. Exclusion depends only on the
     trigger, so the result is the least fixpoint of a monotone operator and
@@ -281,10 +285,9 @@ def build_over_approx(
     terms = skeleton(pivot, rules)
     seed = _seed(rules, terms)
     try:
-        for facts, _, queued in _batches(rules, pivot, kind, hc, terms, seed):
+        for _ in _batches(rules, pivot, kind, hc, terms, seed):
             pass
-        # The key set is live: it is read once the fixpoint is done.
-        return OverApproximation(FactSet(facts), len(queued))
+        return OverApproximation(FactSet(seed.facts), len(seed.queued))
     finally:
         seed.undo()
 
@@ -296,17 +299,18 @@ def _batches(
     hc: HeadChoice | None,
     terms: frozenset[Term],
     seed: _Seed,
-) -> Iterator[tuple[FactSet, Iterable[Atom], set[tuple]]]:
+) -> Iterator[list[Atom]]:
     """The fixpoint of build_over_approx, one batch of new facts at a time.
 
-    Yields (facts, batch, queued): the fact set so far, the facts just added
-    to it and the live set of queued keys. The first batch is the seed (the
-    whole fact set), handed out once its keys over U are queued; each later
-    one is what one loaded key added, handed out before its matches are
-    queued. Draining the generator runs the fixpoint to its end.
+    Yields each list of facts just added to seed.facts. The first is the
+    pivot's birth facts that the seed lacks, handed out once the seed keys
+    to pop are queued; each later one is what one loaded key added, handed
+    out before its matches are queued. Draining the generator runs the
+    fixpoint to its end.
 
     The facts and the queued keys are those of the kept `seed` of the
-    pivot's skeleton `terms`. The generator adds to both and appends each
+    pivot's skeleton `terms`, which the caller reads off it as seed.facts
+    and seed.queued. The generator adds to both and appends each
     key it queues to seed.added; the caller owns the build and calls
     seed.undo in a finally clause, whether it drains the generator, stops
     at some batch or raises, and resumes no generator after that.
@@ -322,20 +326,12 @@ def _batches(
     popped, in product order, and none when there are none. Any other rule
     pops all its seed keys.
 
-    Exclusion compares a key's raw output with the pivot's without building
-    a skolem term: the key's template is filled a second time through raw
-    fills, which give a symbol slot f the term f(image) when the pivot's
-    outputs hold it, and _ABSENT otherwise. This is exact. If the raw
-    output equals the pivot's, each of its skolem terms is a term of the
-    pivot's outputs, so the raw fill is the raw output. If it does not,
-    either some slot got _ABSENT, which no atom of the ground pivot output
-    holds, or every slot got its own term and the raw fill is the raw
-    output; either way the raw fill differs from the pivot's output too.
-    Only the pivot's own outputs are interned.
+    Exclusion compares a key's abstracted output with the pivot's first,
+    and its raw output, Rule.output, only where they are equal.
     """
     facts, queued, added, order = seed.facts, seed.queued, seed.added, seed.order
     births = facts.update(sorted(birth_facts(pivot, rules), key=repr))
-    fills = _fills(rules, terms, uc_constant if kind == UC else lambda _: star())
+    fills = _fills(rules, kind, terms)
 
     # No Trigger is built: every frontier image comes from U or from matching
     # into a FactSet, which holds only ground atoms, so its check could not
@@ -358,18 +354,16 @@ def _batches(
                 images, key=lambda args: [order[t] for t in args]))
         else:
             queue.extend(keys)
-    yield facts, facts, queued
+    yield births
 
-    # The pivot's outputs per disjunct, raw and abstracted, and the raw
-    # fills of their terms. The pivot's frontier image occurs in its birth
-    # facts, so its terms are skeleton terms, which need no abstracting.
+    # The pivot's outputs per disjunct, raw and abstracted. The pivot's
+    # frontier image occurs in its birth facts, so its terms are skeleton
+    # terms, which need no abstracting.
     pivot_image = pivot.frontier_image()
     raw_outs = {i: frozenset(pivot.rule.output(i, pivot_image))
                 for i in range(1, pivot.rule.branching + 1)}
     abs_outs = {i: frozenset(_fill(template, pivot_image, fills))
                 for i, template in enumerate(pivot.rule.sk_heads, start=1)}
-    raw_fills = _fills(rules, (t for out in raw_outs.values() for a in out
-                               for t in a.terms), lambda _: _ABSENT)
     if hc is not None:
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
@@ -378,23 +372,22 @@ def _batches(
     for key in itertools.chain(queue, added):
         rule, image = key[0], key[1:]
         if hc is not None:
-            template = rule.sk_heads[hc.choice(rule) - 1]
-            contribution = _fill(template, image, fills)
+            disjunct = hc.choice(rule)
+            contribution = _fill(rule.sk_heads[disjunct - 1], image, fills)
             if contribution[0] in pivot_abs and frozenset(contribution) == pivot_abs \
-                    and frozenset(_fill(template, image, raw_fills)) == pivot_raw:
+                    and frozenset(rule.output(disjunct, image)) == pivot_raw:
                 continue
         else:
             outs = tuple(_fill(template, image, fills) for template in rule.sk_heads)
             if rule.id == pivot.rule.id and all(
                     frozenset(outs[i - 1]) == abs_outs[i] and
-                    frozenset(_fill(rule.sk_heads[i - 1], image, raw_fills))
-                    == raw_outs[i]
+                    frozenset(rule.output(i, image)) == raw_outs[i]
                     for i in raw_outs):
                 continue
             contribution = tuple(a for o in outs for a in o)
         new = facts.update(contribution)
         if new:
-            yield facts, new, queued
+            yield new
             added.extend(frontier_keys(rules, facts, new, queued))
 
 
@@ -472,22 +465,23 @@ def _is_unblockable(
     cache: UnblockabilityCache,
 ) -> bool:
     """Whether the trigger is not obsolete for its build's fixpoint, worked
-    out from the build's batches and stopped at the first that blocks it.
+    out semi-naively and stopped at the first batch that blocks it.
 
     Obsolescence is monotone in the fact set and the build's facts only
-    grow, so the trigger is obsolete for the fixpoint iff it is for some
-    prefix of batches. At the first such prefix, the match of a head
-    disjunct uses a fact of the last batch, or the trigger would already be
-    obsolete one batch earlier. So after testing the seed whole, it is
-    enough to test each later batch semi-naively, by
-    matcher.obsolete_through: each new fact pinned to each atom of the
-    rule's templates, filled from the trigger's frontier image.
+    grow, so the trigger is obsolete for the fixpoint iff it is for the seed
+    or for the seed plus some prefix of batches. At the first such prefix,
+    the match of a head disjunct uses a fact of the last batch, or the
+    trigger would already be obsolete one batch earlier. So the seed is
+    tested once, exactly and without a build (_seed_blocks), and then each
+    batch, the birth facts first, by matcher.obsolete_through: each new
+    fact pinned to each atom of the rule's head chains (pinned_head_chains),
+    on rows that start with the trigger's frontier image.
 
-    A trigger the seed blocks (_seed_blocks) is answered without a build.
-    Any other build runs on the rule set's kept seed for its universe, and
-    this function owns it: it undoes the build in a finally clause once the
-    answer is known, at the first blocking batch or at the end, or on a
-    raise, so every exit leaves the seed as it was.
+    A trigger the seed blocks is answered without a build. Any other build
+    runs on the rule set's kept seed for its universe, and this function
+    owns it: it undoes the build in a finally clause once the answer is
+    known, at the first blocking batch or at the end, or on a raise, so
+    every exit leaves the seed as it was.
 
     A UC question is first asked as the conjunctive star question for the
     same trigger, under no head choice, and a star-unblockable trigger is
@@ -515,16 +509,14 @@ def _is_unblockable(
         cache.star_answers += 1
         cache.entries[key] = True
         return True
-    rule = trigger.rule
+    chains = pinned_head_chains(trigger.rule)
     image = trigger.frontier_image()
     seed = _seed(rules, terms)
     try:
-        steps = _batches(rules, trigger, kind, hc, terms, seed)
-        facts, _, queued = next(steps)
-        answer = not (is_obsolete(trigger, facts) or any(
-            obsolete_through(pinned_head_chains(rule), image, batch, facts)
-            for _, batch, _ in steps))
-        cache.triggers += len(queued)
+        answer = not any(
+            obsolete_through(chains, image, batch, seed.facts)
+            for batch in _batches(rules, trigger, kind, hc, terms, seed))
+        cache.triggers += len(seed.queued)
     finally:
         seed.undo()
     cache.builds += 1

@@ -130,9 +130,8 @@ class ChaseVertex:
 
 
 class ChaseTree:
-    def __init__(self, rules: RuleSet, database: tuple[Atom, ...]):
+    def __init__(self, rules: RuleSet):
         self.rules = rules
-        self.database = database
         self.vertices: list[ChaseVertex] = []
         self.status = COMPLETE
         self.exhausted: str | None = None  # the budget that stopped it, if any
@@ -198,7 +197,7 @@ def _expand(
         rules.check_fact(fact)
         if facts.add(fact):
             seed.append(fact)
-    tree = ChaseTree(rules, tuple(seed))
+    tree = ChaseTree(rules)
     vertex = ChaseVertex(0, None, 0, None, None, tuple(seed))
     tree.vertices.append(vertex)
 

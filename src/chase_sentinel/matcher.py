@@ -43,9 +43,12 @@ the image. `pop_active` reads each popped key's frontier image off the
 key with rule.key_frontier and asks each disjunct, passing the
 disjunct's output when that is the grounded head, so the one build
 serves the test and the caller; `is_obsolete` asks every disjunct of a
-trigger. `obsolete_through` is the same test with one atom pinned to a
-new fact, the semi-naive test of the unblockability builds
-(`pinned_head_chains`) and of a query (`compile_query`).
+trigger. Nothing in the package calls `is_obsolete`: it stays public as
+the test on a whole fact set, which the tests check the others against
+and the benchmark's traced runs count. `obsolete_through` is the same
+test with one atom pinned to a new fact, the semi-naive test of the
+unblockability builds (`pinned_head_chains`) and of a query
+(`compile_query`).
 
 Patterns hold only variables and ground terms. `Rule` ensures this for
 bodies and heads (they hold variables only) and `compile_query` for queries

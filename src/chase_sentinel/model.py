@@ -50,7 +50,6 @@ __all__ = [
     "skolem_symbol",
     "star",
     "uc_constant",
-    "uc_symbol",
     "db_constant",
     "is_reserved_name",
     "apply_term",
@@ -276,12 +275,6 @@ def uc_constant(symbol: SkolemSymbol) -> Constant:
     c = Constant(f"{UC_PREFIX}{symbol.rule_id}_{symbol.disjunct}_{symbol.var}")
     c.symbol = symbol
     return _intern(_TERMS, key, c)
-
-
-def uc_symbol(c: Constant) -> SkolemSymbol | None:
-    """The symbol f of the fresh constant c_f, or None for any other
-    constant."""
-    return c.symbol
 
 
 def db_constant(var_name: str) -> Constant:

@@ -46,7 +46,6 @@ from .model import (
     constant,
     gc_paused,
     is_reserved_name,
-    uc_symbol,
     variable,
 )
 
@@ -274,9 +273,8 @@ class Namer:
                 return "*"
             if name.startswith(DB_PREFIX):
                 return "c_" + name[len(DB_PREFIX):]
-            symbol = uc_symbol(t)
-            if symbol is not None:
-                return "c" + self.symbol(symbol)[1:]
+            if t.symbol is not None:
+                return "c" + self.symbol(t.symbol)[1:]
             return name
         if isinstance(t, Variable):
             return t.name

@@ -15,10 +15,10 @@ The plain discipline ("mfa") never drops a trigger and is the coarser,
 unconditionally sound variant: `matcher.discover` finds each trigger's key
 once per saturation, and the chase's step `matcher.pop_active` pops keys
 from one `matcher.Queues`, datalog first, testing each on its frontier
-image against `derived` in the default mode and against the empty set,
-where none is obsolete, in the plain one. The saturation never backtracks,
-so it never marks or undoes; its queues keep the keys already popped, as
-the chase's do.
+image against the derived facts in the default mode and against the
+empty set, where none is obsolete, in the plain one. The saturation never
+backtracks, so it never marks or undoes; its queues keep the keys already
+popped, as the chase's do.
 """
 from __future__ import annotations
 
@@ -81,11 +81,11 @@ def check_acyclic(
 
     seed_constant = star()
     facts = FactSet(critical_instance(rules))
-    # The derived portion: everything added beyond the critical seed. A fact
-    # belongs to the seed exactly when every argument is the special
-    # constant, so seed re-derivations stay out of this set.
-    derived = FactSet()
-    blocking = derived if mode == RMFA_LIKE else FactSet()
+    # What triggers are blocked against: in the default mode the derived
+    # portion, everything added beyond the critical seed, and in the plain
+    # one nothing. A fact belongs to the seed exactly when every argument is
+    # the special constant, so seed re-derivations stay out of this set.
+    blocking = FactSet()
     known_terms: set[Term] = {seed_constant}
     applied = 0
     queues = Queues()
@@ -115,9 +115,10 @@ def check_acyclic(
             return verdict(RESOURCE_EXHAUSTED, None)
         applied += 1
         new = facts.update(output)
-        for atom in new:
-            if any(t != seed_constant for t in atom.terms):
-                derived.add(atom)
+        if mode == RMFA_LIKE:
+            for atom in new:
+                if any(t != seed_constant for t in atom.terms):
+                    blocking.add(atom)
         for t in new_subterms(new, known_terms):
             if is_k_cyclic(t, k):
                 return verdict(NOT_DETECTED, t)

@@ -1,6 +1,9 @@
 import gc
 import itertools
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -12,6 +15,8 @@ from chase_sentinel.approx import (
     UnblockabilityCache,
     _is_unblockable,
     _Seed,
+    _seed,
+    _seed_blocks,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
@@ -423,10 +428,12 @@ def test_head_choice_excludes_other_rules_with_the_pivot_output(kind):
 
 @pytest.mark.parametrize("kind", ["star", "uc"])
 def test_uninterned_skolem_terms_are_abstracted_not_excluded(kind):
-    # r6 shares the pivot's body image. Its skolem term f_Qkept(f_U(c)) is
-    # never built, so it equals no pivot term: the trigger is kept and the
-    # slot becomes the replacement, which under star makes its abstracted
-    # output equal to the pivot's. The symbol is renamed per case, so that
+    # r6 shares the pivot's body image. Under star its abstracted output
+    # equals the pivot's, so the build compares raw outputs and builds the
+    # skolem term f_Qkept(f_U(c)) for that; it equals no pivot term, so the
+    # trigger is kept and the slot becomes the replacement. The build keeps
+    # no term it built only to compare: the intern table holds none before
+    # the build and none after it. The symbol is renamed per case, so that
     # no other test (nor the oracle run of this one) has built the term.
     var = f"Qkept{kind}"
     rules, pivot, fuc = exclusion_case(
@@ -548,19 +555,24 @@ def test_star_step_skips_pivots_with_abstract_constants_in_their_skeleton():
     assert cache.star_answers == 1
 
 
-def uc_refinement_checks(structures) -> tuple[int, int]:
-    """Check the UC answer of _is_unblockable, which asks the star build
-    first, against the pivot's obsolescence for the whole UC fixpoint, for
-    the sample triggers of the given classify-random structures under hc_1
-    and hc_2, each with a fresh cache. Returns the number of checks and of
-    answers that the star build gave."""
-    checks = star_answers = 0
+def uc_refinement_checks(structures) -> tuple[int, int, int]:
+    """Check the answers of _is_unblockable, each with a fresh cache,
+    against the pivot's obsolescence for the whole fixpoint, for the sample
+    triggers of the given classify-random structures: the star answer, and
+    the UC answer under hc_1 and hc_2, which asks the star build first.
+    Returns the number of UC checks, of star checks and of UC answers that
+    the star build gave."""
+    checks = star_checks = star_answers = 0
     for i in structures:
         rules = bench_rule_set(i)
         hcs = [HeadChoice.uniform(rules, j) for j in (1, 2)]
         for pivot in sample_triggers(rules):
             if pivot.rule.is_datalog:
                 continue
+            assert _is_unblockable(rules, STAR, None, pivot, UnblockabilityCache()) == (
+                not is_obsolete(pivot, build_over_approx(
+                    rules, pivot, STAR).facts)), (i, pivot)
+            star_checks += 1
             for hc in hcs:
                 cache = UnblockabilityCache()
                 assert _is_unblockable(rules, UC, hc, pivot, cache) == (
@@ -568,13 +580,42 @@ def uc_refinement_checks(structures) -> tuple[int, int]:
                         rules, pivot, UC, hc).facts)), (i, pivot, hc)
                 checks += 1
                 star_answers += cache.star_answers
-    return checks, star_answers
+    return checks, star_checks, star_answers
 
 
 def test_uc_answers_equal_whole_fixpoint_answers():
-    # 364 checks and 22 star answers today; CI runs structures 0-89.
-    checks, star_answers = uc_refinement_checks(range(0, 90, 9))
-    assert checks >= 350 and star_answers >= 20
+    # 364 UC checks, 182 star checks and 22 star answers today; CI runs
+    # structures 0-89.
+    checks, star_checks, star_answers = uc_refinement_checks(range(0, 90, 9))
+    assert checks >= 350 and star_checks >= 175 and star_answers >= 20
+
+
+def test_seed_blocks_iff_the_seed_makes_the_pivot_obsolete():
+    # _seed_blocks is the seed half of the unblockability test, read off the
+    # pivot alone, and must be exact: on the sample triggers of every ninth
+    # classify-random structure it must equal the pivot's obsolescence for
+    # the kept seed over its universe.
+    answers = {True: 0, False: 0}
+    for i in range(0, 90, 9):
+        rules = bench_rule_set(i)
+        for pivot in sample_triggers(rules):
+            if pivot.rule.is_datalog:
+                continue
+            blocks = _seed_blocks(pivot)
+            assert blocks == is_obsolete(
+                pivot, _seed(rules, skeleton(pivot, rules)).facts), (i, pivot)
+            answers[blocks] += 1
+    # 156 blocked and 26 not today.
+    assert answers[True] >= 150 and answers[False] >= 25
+
+
+def test_importing_approx_leaves_the_chase_engine_unloaded():
+    # approx reads HeadChoice only in annotations.
+    code = ("import sys, chase_sentinel.approx; "
+            "sys.exit('chase_sentinel.chase' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(approx_module.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unblockability_cache_canonicalizes_constant_renamings():

@@ -38,7 +38,6 @@ from chase_sentinel.model import (
     star,
     subterms,
     uc_constant,
-    uc_symbol,
     variable,
 )
 from chase_sentinel.matcher import Trigger
@@ -113,9 +112,9 @@ def test_symbol_identity_includes_arity():
     c_one, c_two = uc_constant(one), uc_constant(two)
     assert c_one is not c_two
     assert uc_constant(one) is c_one and uc_constant(two) is c_two
-    assert uc_symbol(c_one) is one and uc_symbol(c_two) is two
+    assert c_one.symbol is one and c_two.symbol is two
     assert repr(c_one) == repr(c_two) == "__uc_r1_1_Y"
-    assert uc_symbol(constant("a")) is None and uc_symbol(star()) is None
+    assert constant("a").symbol is None and star().symbol is None
 
 
 def test_intern_tables_forget_dropped_rule_sets():
