@@ -13,7 +13,12 @@ A saturation runs in semi-naive rounds on `matcher.discover`: the first
 round matches every rule, each later one finds only the keys of triggers
 that use a fact the previous round added. A round sorts its keys on rule
 position, then body image reprs, so every witness is the one that
-re-matching every rule each round finds.
+re-matching every rule each round finds. The watch tests each argument of
+each fact a trigger adds, in order, with `model.is_rho_cyclic`, and keeps
+no record of the terms it has seen. This is exact: an output's arguments
+are terms of the trigger's image or skolem terms over its frontier image,
+so no output adds a term with a new proper subterm, and an older term was
+tested when it arrived, without stopping the run.
 
 Three notions are provided: the full search over all head choices, the
 cheaper search over the uniform head choices hc_1..hc_b only, and the
@@ -56,7 +61,6 @@ from .model import (
     gc_paused,
     is_cyclic,
     is_rho_cyclic,
-    new_subterms,
     skeleton,
     subterms,
 )
@@ -188,18 +192,17 @@ def _saturate(
     seed = rule_database(rho)
     seed_key = (rho, *seed.substitution.values())
 
-    known_terms: set[Term] = set(facts.terms())
     position = {rule: i for i, rule in enumerate(rules)}
 
     def record(trigger: Trigger) -> bool:
-        """Apply one trigger; returns True when a cyclic term was found.
-        An old fact's terms were walked when it was added."""
+        """Apply one trigger; returns True when a cyclic term was found."""
         new = facts.update(_out(hc, trigger))
         run.provenance.append(AppliedTrigger(trigger, tuple(new)))
-        for t in new_subterms(new, known_terms):
-            if is_rho_cyclic(t, rho):
-                run.cyclic_term = t
-                return True
+        for fact in new:
+            for t in fact.terms:
+                if is_rho_cyclic(t, rho):
+                    run.cyclic_term = t
+                    return True
         return False
 
     if record(seed):

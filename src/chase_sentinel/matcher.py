@@ -150,15 +150,6 @@ class FactSet:
             return self._by_pred_arg0.get((predicate, first), ())
         return self._by_pred.get(predicate, ())
 
-    def terms(self) -> list[Term]:
-        """Distinct argument terms in first-seen order."""
-        seen: dict[Term, None] = {}
-        for fact in self._order:
-            for t in fact.terms:
-                if t not in seen:
-                    seen[t] = None
-        return list(seen)
-
     def __contains__(self, fact: Atom) -> bool:
         return fact in self._order
 

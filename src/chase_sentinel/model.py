@@ -5,10 +5,11 @@ measures (depth, subterm cyclicity, birth facts, term skeletons) that the
 rest of the package builds on. Terms and skolem symbols are interned: the
 factories `constant`, `variable`, `functional`, `skolem_symbol` and
 `uc_constant` are the only way to build them, and they compare and hash by
-identity. The intern tables hold their terms and symbols weakly: one is
-rebuilt only after nothing holds it, so identity equality stays exact, and
-memory does not grow with the number of rule sets a process has seen.
-Caches keyed by terms hold their keys and are freed with their owner.
+identity. One intern table records them all, and holds each weakly: an
+object is rebuilt only after nothing holds it, so identity equality stays
+exact, and memory does not grow with the number of rule sets a process has
+seen. Nothing else keeps a record of the terms built so far. Caches keyed
+by terms hold their keys and are freed with their owner.
 `gc_paused` is the collector pause that parsing, the checks and the chase
 run in.
 """
@@ -56,7 +57,6 @@ __all__ = [
     "apply_atom",
     "compose",
     "subterms",
-    "new_subterms",
     "is_cyclic",
     "is_k_cyclic",
     "is_rho_cyclic",
@@ -117,9 +117,9 @@ class Constant(Term):
 
     symbol: SkolemSymbol | None
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, symbol: SkolemSymbol | None = None):
         self.name = name
-        self.symbol = None
+        self.symbol = symbol
         self.depth = 1
         self.is_ground = True
         self._nest = _EMPTY_NEST
@@ -184,53 +184,46 @@ class FunctionalTerm(Term):
 _EMPTY_NEST: Mapping[SkolemSymbol, int] = {}
 _T = TypeVar("_T")
 
-# Intern tables. They are the only place that decides term identity, so
-# terms and skolem symbols must be built through the five factories below
-# and never by calling their classes. Each value is an _Entry, a weak
-# reference to the one object for its key, so a term or symbol is rebuilt
-# only after nothing holds it. A lookup stays in C: `r = table.get(key)`,
-# then `r()` when r is set. When the object dies, _drop deletes its entry,
-# unless a newer object took the key in the meantime. A key holds the
-# terms and symbol it is made of, which the object holds anyway.
+# The intern table, the one record of terms and skolem symbols, and the
+# only place that decides their identity: both must be built through the
+# five factories below and never by calling their classes. Term keys are
+# pairs and symbol keys 4-tuples, so the two never collide. Each value is
+# an _Entry, a weak reference to the one object for its key, so an object
+# is rebuilt only after nothing holds it. When it dies, _drop deletes its
+# entry, unless a newer object took the key in the meantime. A key holds
+# the terms and symbol it is made of, which the object holds anyway.
 class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-_TERMS: dict[object, _Entry] = {}
-_SYMBOLS: dict[tuple[str, int, str, int], _Entry] = {}
+_TABLE: dict[tuple, _Entry] = {}
 
 
 def _drop(entry: _Entry) -> None:
-    # Term keys are pairs and symbol keys 4-tuples, so a key names its table.
-    table = _SYMBOLS if len(entry.key) == 4 else _TERMS
-    if table.get(entry.key) is entry:
-        del table[entry.key]
+    if _TABLE.get(entry.key) is entry:
+        del _TABLE[entry.key]
 
 
-def _intern(table: dict, key: object, obj: _T) -> _T:
-    entry = table[key] = _Entry(obj, _drop)
+def _find(key: tuple):
+    """The live object interned under key, or None."""
+    r = _TABLE.get(key)
+    return None if r is None else r()
+
+
+def _intern(key: tuple, obj: _T) -> _T:
+    entry = _TABLE[key] = _Entry(obj, _drop)
     entry.key = key
     return obj
 
 
 def constant(name: str) -> Constant:
     key = ("c", name)
-    r = _TERMS.get(key)
-    if r is not None:
-        t = r()
-        if t is not None:
-            return t  # type: ignore[return-value]
-    return _intern(_TERMS, key, Constant(name))
+    return _find(key) or _intern(key, Constant(name))
 
 
 def variable(name: str) -> Variable:
     key = ("v", name)
-    r = _TERMS.get(key)
-    if r is not None:
-        t = r()
-        if t is not None:
-            return t  # type: ignore[return-value]
-    return _intern(_TERMS, key, Variable(name))
+    return _find(key) or _intern(key, Variable(name))
 
 
 def skolem_symbol(rule_id: str, disjunct: int, var: str, arity: int) -> SkolemSymbol:
@@ -239,23 +232,13 @@ def skolem_symbol(rule_id: str, disjunct: int, var: str, arity: int) -> SkolemSy
     # size agrees too. Resolution back to a rule always goes through one
     # rule set's symbol index, never through the shared table.
     key = (rule_id, disjunct, var, arity)
-    r = _SYMBOLS.get(key)
-    if r is not None:
-        s = r()
-        if s is not None:
-            return s  # type: ignore[return-value]
-    return _intern(_SYMBOLS, key, SkolemSymbol(rule_id, disjunct, var, arity))
+    return _find(key) or _intern(key, SkolemSymbol(rule_id, disjunct, var, arity))
 
 
 def functional(symbol: SkolemSymbol, args: Sequence[Term]) -> FunctionalTerm:
     args = tuple(args)
     key = (symbol, args)
-    r = _TERMS.get(key)
-    if r is not None:
-        t = r()
-        if t is not None:
-            return t  # type: ignore[return-value]
-    return _intern(_TERMS, key, FunctionalTerm(symbol, args))
+    return _find(key) or _intern(key, FunctionalTerm(symbol, args))
 
 
 def star() -> Constant:
@@ -267,14 +250,8 @@ def uc_constant(symbol: SkolemSymbol) -> Constant:
     only in arity get constants of the same name, which are distinct. The
     constant holds its symbol; the symbol does not point back."""
     key = ("uc", symbol)
-    r = _TERMS.get(key)
-    if r is not None:
-        c = r()
-        if c is not None:
-            return c  # type: ignore[return-value]
-    c = Constant(f"{UC_PREFIX}{symbol.rule_id}_{symbol.disjunct}_{symbol.var}")
-    c.symbol = symbol
-    return _intern(_TERMS, key, c)
+    return _find(key) or _intern(key, Constant(
+        f"{UC_PREFIX}{symbol.rule_id}_{symbol.disjunct}_{symbol.var}", symbol))
 
 
 def db_constant(var_name: str) -> Constant:
@@ -287,23 +264,8 @@ def is_reserved_name(name: str) -> bool:
 
 
 def subterms(t: Term) -> Iterator[Term]:
-    """Yield t and every subterm once, in left-to-right preorder; the first
-    cyclic term a saturation reports depends on this order."""
-    return _walk(t, set())
-
-
-def new_subterms(atoms: Iterable[Atom], known: set[Term]) -> Iterator[Term]:
-    """Yield each subterm of the atoms' arguments not in known, argument by
-    argument in the order of `subterms`, adding it to known as it is
-    yielded. known must be closed under subterms, since a known term's
-    subterms are not walked; it stays so unless the caller stops early."""
-    for atom in atoms:
-        for arg in atom.terms:
-            yield from _walk(arg, known)
-
-
-def _walk(t: Term, seen: set[Term]) -> Iterator[Term]:
-    """t's preorder, skipping each term in seen with its subterms."""
+    """Yield t and every subterm once, in left-to-right preorder."""
+    seen: set[Term] = set()
     stack = [t]
     while stack:
         cur = stack.pop()

@@ -19,6 +19,14 @@ image against the derived facts in the default mode and against the
 empty set, where none is obsolete, in the plain one. The saturation never
 backtracks, so it never marks or undoes; its queues keep the keys already
 popped, as the chase's do.
+
+The watch tests each argument of each newly added fact, in order, with
+`model.is_k_cyclic`, and keeps no record of the terms it has seen. This is
+exact. Every argument of an output is a term of the trigger's image or a
+skolem term over its frontier image, so an output adds no term with a new
+proper subterm; and an older term was tested when it arrived, without
+stopping the run. So the first k-cyclic argument is the first k-cyclic term
+the saturation builds.
 """
 from __future__ import annotations
 
@@ -27,8 +35,7 @@ from dataclasses import dataclass
 
 from .cyclicity import SearchBudget
 from .matcher import FactSet, Queues, discover, enqueue, pop_active
-from .model import (Atom, RuleSet, Term, gc_paused, is_k_cyclic, new_subterms,
-                    star)
+from .model import Atom, RuleSet, Term, gc_paused, is_k_cyclic, star
 
 __all__ = ["AcyclicityVerdict", "check_acyclic", "critical_instance",
            "RMFA_LIKE", "MFA"]
@@ -86,7 +93,6 @@ def check_acyclic(
     # one nothing. A fact belongs to the seed exactly when every argument is
     # the special constant, so seed re-derivations stay out of this set.
     blocking = FactSet()
-    known_terms: set[Term] = {seed_constant}
     applied = 0
     queues = Queues()
 
@@ -119,9 +125,10 @@ def check_acyclic(
             for atom in new:
                 if any(t != seed_constant for t in atom.terms):
                     blocking.add(atom)
-        for t in new_subterms(new, known_terms):
-            if is_k_cyclic(t, k):
-                return verdict(NOT_DETECTED, t)
+        for atom in new:
+            for t in atom.terms:
+                if is_k_cyclic(t, k):
+                    return verdict(NOT_DETECTED, t)
         if new:
             enqueue(queues, discover(rules, facts, new))
     return verdict(TERMINATING, None)

@@ -54,7 +54,7 @@ from chase_sentinel.model import (
     subterms,
     uc_constant,
 )
-from chase_sentinel.ruleio import Namer, ParseError, parse
+from chase_sentinel.ruleio import Namer, ParseError, parse, render
 
 # ---------------------------------------------------------------------------
 # Canonical rule sets
@@ -100,6 +100,33 @@ P(X, Y) -> T(Y) | R(X, Y, Z) .
 
 def rules_from(text: str) -> RuleSet:
     return parse(text).rules
+
+
+def presentation_text(rules: RuleSet, seed: object = None,
+                      prefix: str = "S") -> str:
+    """The rules rendered with every predicate renamed to prefix and a
+    number. With a seed, in one presentation shuffle drawn from
+    random.Random(seed): the rule order, the body atoms of each rule and the
+    numbering of the predicates are permuted. Disjunct order, and the atom
+    order within a disjunct, are kept, since RPC_s's uniform head choices
+    read disjunct order. Parsing the text gives the rules their ids anew."""
+    rng = random.Random(seed)
+    order, predicates = list(rules), list(rules.predicates)
+    if seed is not None:
+        rng.shuffle(order)
+        rng.shuffle(predicates)
+    name = {p: f"{prefix}{j}" for j, p in enumerate(predicates)}
+
+    def renamed(atoms: Iterable[Atom]) -> list[Atom]:
+        return [Atom(name[a.predicate], a.terms) for a in atoms]
+
+    shuffled = []
+    for i, rule in enumerate(order, start=1):
+        body = renamed(rule.body)
+        if seed is not None:
+            rng.shuffle(body)
+        shuffled.append(Rule(f"r{i}", body, [renamed(h.atoms) for h in rule.heads]))
+    return render(RuleSet(shuffled))
 
 
 def bike_subset(n: int) -> RuleSet:

@@ -27,7 +27,7 @@ from chase_sentinel.chase import HeadChoice
 from chase_sentinel.cli import classify_rules
 from chase_sentinel.matcher import FactSet, Trigger, discover, is_obsolete
 from chase_sentinel.model import (
-    _TERMS,
+    _TABLE,
     Atom,
     Constant,
     ConstantMapping,
@@ -440,11 +440,11 @@ def test_uninterned_skolem_terms_are_abstracted_not_excluded(kind):
         "r5", EXCLUSION_RULES.replace("Qkept", var))
     kept = sk(rules, "r6", var)
     key = (kept, (fuc,))
-    assert key not in _TERMS
+    assert key not in _TABLE
     replacement = star() if kind == "star" else uc_constant(kept)
     hc1 = HeadChoice.uniform(rules, 1)
     got = set(build_over_approx(rules, pivot, kind, hc1).facts)
-    assert key not in _TERMS
+    assert key not in _TABLE
     assert Atom("R", (fuc, replacement)) in got
     assert got == naive_over_approx(rules, pivot, kind, hc1)
 

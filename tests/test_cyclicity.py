@@ -138,6 +138,21 @@ def test_drpc_on_the_self_loop():
     assert dict(prefix.g.items()) == {c_x: functional(f_y, (c_x,))}
 
 
+def test_drpc_watch_reads_both_argument_positions():
+    # The fresh term lands in argument 1 of the first loop and in argument
+    # 2 of the second, so a watch that skips a position misses it there and
+    # runs into the trigger budget instead.
+    for text, x in (("P(X, Y) -> P(Z, X) .\n", "X"),
+                    ("P(X, Y) -> P(Y, Z) .\n", "Y")):
+        rules = rules_from(text)
+        rho = rules.by_id["r1"]
+        (f_z,) = rho.sk_symbols
+        run = drpc_fact_set(rules, rho, SearchBudget(max_triggers=200))
+        assert run.cyclic_term is functional(
+            f_z, (functional(f_z, (db_constant(x),)),)), text
+        assert len(run.provenance) == 2 and not run.truncated
+
+
 def test_check_rpcs_on_the_bike_rules(bike2):
     verdict = check(bike2, "RPC_s")
     assert verdict.result == CYCLIC

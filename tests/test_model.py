@@ -21,6 +21,7 @@ from chase_sentinel.model import (
     Rule,
     RuleError,
     RuleSet,
+    SkolemSymbol,
     apply_atom,
     apply_atoms,
     apply_term,
@@ -118,7 +119,7 @@ def test_symbol_identity_includes_arity():
 
 
 def test_intern_tables_forget_dropped_rule_sets():
-    # The tables hold terms and symbols weakly. Every skolem symbol of 60
+    # The table holds terms and symbols weakly. Every skolem symbol of 60
     # distinct generator sets and a 512-rule stratified set is dead once
     # its set is parsed, classified and dropped, so nothing the checks keep,
     # such as a rule's compiled head chains, holds one. The first set also
@@ -136,7 +137,8 @@ def test_intern_tables_forget_dropped_rule_sets():
     kept = gone = None
     for text in texts:
         gc.collect()
-        held = {s for r in list(model._SYMBOLS.values()) if (s := r()) is not None}
+        held = {s for r in list(model._TABLE.values())
+                if isinstance(s := r(), SkolemSymbol)}
         rules = parse(text).rules
         symbols.extend(weakref.ref(s) for s in rules.symbol_index if s not in held)
         del held
@@ -164,7 +166,7 @@ def test_intern_tables_forget_dropped_rule_sets():
     assert skolem_symbol(symbol.rule_id, symbol.disjunct, symbol.var,
                          symbol.arity) is symbol
     assert functional(symbol, image) is term
-    assert gone not in model._TERMS
+    assert gone not in model._TABLE
 
 
 def test_term_depth_counts_nestings():
@@ -300,13 +302,13 @@ def test_parsing_interns_no_non_ground_skolem_term():
         "import random, sys\n"
         "sys.path.insert(0, sys.argv[1])\n"
         "from generators import stratified_rule_set\n"
-        "from chase_sentinel.model import _TERMS, FunctionalTerm\n"
+        "from chase_sentinel.model import _TABLE, FunctionalTerm\n"
         "from chase_sentinel.ruleio import parse\n"
         "text = stratified_rule_set(random.Random('stratified/512'), 512).text\n"
         "rules = parse(text).rules\n"
         "print(sum(r.is_generating for r in rules), sum(\n"
         "    t.__class__ is FunctionalTerm and not t.is_ground\n"
-        "    for t in [r() for r in list(_TERMS.values())] if t is not None))\n")
+        "    for t in [r() for r in list(_TABLE.values())] if t is not None))\n")
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", code, str(root / "perfbench")],

@@ -1,10 +1,11 @@
+import itertools
 import random
 import time
 
 import pytest
 
 from chase_sentinel.cyclicity import SearchBudget
-from chase_sentinel.model import Atom, is_k_cyclic, star
+from chase_sentinel.model import Atom, functional, is_k_cyclic, star
 from chase_sentinel.termination import (
     MFA,
     RMFA_LIKE,
@@ -51,6 +52,21 @@ def test_self_loop_is_k_cyclic_for_every_k():
         verdict = check_acyclic(rules, k=k)
         assert verdict.result == "not-detected"
         assert verdict.cyclic_term.depth == k + 2
+    # The fresh term lands in argument 1 of the first loop and in argument
+    # 2 of the second, so a watch that skips a position misses it there and
+    # runs into the trigger budget instead.
+    for text in ("P(X, Y) -> P(Z, X) .\n", "P(X, Y) -> P(Y, Z) .\n"):
+        rules = rules_from(text)
+        (symbol,) = rules.rules[0].sk_symbols
+        for mode, k in itertools.product((RMFA_LIKE, MFA), (1, 2, 3)):
+            verdict = check_acyclic(rules, k=k, mode=mode,
+                                    budget=SearchBudget(max_triggers=200))
+            assert verdict.result == "not-detected", (text, mode, k)
+            term = star()
+            for _ in range(k + 1):
+                term = functional(symbol, (term,))
+            assert verdict.cyclic_term is term
+            assert verdict.stats["applied"] == k + 1
 
 
 def test_datalog_rules_terminate_trivially():
