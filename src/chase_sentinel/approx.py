@@ -186,20 +186,21 @@ def _seed(rules: RuleSet, terms: frozenset[Term]) -> _Seed:
 
 
 def _seed_blocks(pivot: Trigger) -> bool:
-    """Whether the seed over U makes the pivot obsolete, read off the pivot
-    alone: iff some head disjunct's universal variables all map to
-    constants. If they do, the skeleton holds those constants, so they lie
-    in U; with the disjunct's existential variables sent to the special
-    constant, also in U, each of its atoms is a fact over U, and the seed
-    holds every such fact for every predicate. Conversely, U holds only
-    constants, so a match into the facts over U maps every universal
-    variable of its disjunct to a constant. A match that uses any other
-    fact uses a birth fact the seed lacks or a fact of a later batch."""
-    sigma = pivot.substitution
-    return any(all(sigma[t].__class__ is Constant
-                   for a in d.atoms for t in a.terms
-                   if t not in d.existential_vars)
-               for d in pivot.rule.heads)
+    """Whether the seed over U makes the pivot obsolete, read off the
+    pivot's frontier image alone: iff some head disjunct's universal
+    variables, its template's int slots, all map to constants. If they do,
+    the skeleton holds those constants, so they lie in U; with the
+    disjunct's existential variables sent to the special constant, also in
+    U, each of its atoms is a fact over U, and the seed holds every such
+    fact for every predicate. Conversely, U holds only constants, so a
+    match into the facts over U maps every universal variable of its
+    disjunct to a constant. A match that uses any other fact uses a birth
+    fact the seed lacks or a fact of a later batch."""
+    image = pivot.frontier_image()
+    return any(all(image[s].__class__ is Constant  # type: ignore[index]
+                   for _, slots in template for s in slots
+                   if s.__class__ is int)
+               for template in pivot.rule.sk_heads)
 
 
 # How a build fills the symbol slots of the rules' templates: per skolem
@@ -400,9 +401,10 @@ class UnblockabilityCache:
 
     Triggers that differ only by a bijective renaming of ordinary constants
     have the same unblockability (the renaming is reversible in both
-    directions), and the build, its exclusion and the obsolescence test
-    read a trigger only on its rule's frontier. So entries are keyed by the
-    constant-canonical shape of the frontier image. The special constant
+    directions). The skeleton, the seed test, the build, its exclusion and
+    the obsolescence test all read a trigger through its frontier_image()
+    and never its substitution, so entries are keyed by the rule and the
+    constant-canonical shape of that image. The special constant
     and the per-symbol constants are no ordinary constants: every seed
     holds the first, and the fills make the others, so they are keyed as
     themselves. `hits` counts answers served from the memo,
@@ -445,8 +447,7 @@ class UnblockabilityCache:
     def key(self, kind: str, hc: HeadChoice | None, trigger: Trigger) -> object:
         renaming: dict[Constant, int] = {}
         shape = tuple(
-            self._shape(trigger.substitution[v], renaming)
-            for v in trigger.rule.frontier)
+            self._shape(t, renaming) for t in trigger.frontier_image())
         sig = hc.signature() if hc is not None else None
         return (kind, sig, trigger.rule.id, shape)
 

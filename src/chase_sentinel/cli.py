@@ -151,12 +151,6 @@ def _load_rules_and_data(rules_path: str, data_path: str | None,
 # ---------------------------------------------------------------------------
 # Report rendering
 
-def _render_mapping(g, namer: Namer) -> str:
-    pairs = sorted(g.items(), key=lambda kv: kv[0].name)
-    return "[" + ", ".join(
-        f"{namer.term(c)}/{namer.term(t)}" for c, t in pairs) + "]"
-
-
 def _witness_json(prefix: CyclicityPrefix, namer: Namer) -> dict:
     head_choice = None
     if prefix.hc is not None:
@@ -168,8 +162,7 @@ def _witness_json(prefix: CyclicityPrefix, namer: Namer) -> dict:
             {
                 "rule": t.rule.id,
                 "substitution": {
-                    v.name: namer.term(t.substitution[v])
-                    for v in t.rule.body_vars
+                    v.name: namer.term(x) for v, x in t.substitution.items()
                 },
             }
             for t in prefix.triggers
@@ -187,7 +180,7 @@ def _witness_lines(prefix: CyclicityPrefix, namer: Namer) -> list[str]:
     lines.append("  triggers:")
     for t in prefix.triggers:
         lines.append(f"    {namer.trigger(t)}")
-    lines.append(f"  g: {_render_mapping(prefix.g, namer)}")
+    lines.append(f"  g: {namer.substitution(prefix.g)}")
     lines.append(f"  cyclic term: {namer.term(prefix.cyclic_term)}")
     return lines
 

@@ -62,7 +62,6 @@ from .model import (
     is_cyclic,
     is_rho_cyclic,
     skeleton,
-    subterms,
 )
 
 __all__ = [
@@ -190,7 +189,6 @@ def _saturate(
     rules, rho, hc, facts = run.rules, run.rho, run.hc, run.facts
     deterministic_only = hc is None
     seed = rule_database(rho)
-    seed_key = (rho, *seed.substitution.values())
 
     position = {rule: i for i, rule in enumerate(rules)}
 
@@ -212,7 +210,7 @@ def _saturate(
     found = discover(rules, facts)
     while True:
         mark = len(run.provenance)
-        candidates = [key for key in found if key != seed_key and (
+        candidates = [key for key in found if key != seed and (
             key[0].is_deterministic or not deterministic_only)]
         candidates.sort(key=lambda k: (position[k[0]], tuple(map(repr, k[1:]))))
         for key in candidates:
@@ -330,13 +328,13 @@ def extract_prefix(run: SaturationRun) -> CyclicityPrefix:
         frontier_facts.extend(run.provenance[src].trigger.body_facts())
     triggers = tuple(run.provenance[i].trigger for i in sorted(keep))
 
-    seed = triggers[0]
-    last = triggers[-1]
+    seed = triggers[0].substitution
+    last = triggers[-1].substitution
     mapping: dict[Constant, Term] = {}
     for v in run.rho.body_vars:
-        c = seed.substitution[v]
+        c = seed[v]
         assert isinstance(c, Constant)
-        target = last.substitution[v]
+        target = last[v]
         if mapping.setdefault(c, target) != target:
             raise InternalInconsistencyError(
                 f"constant mapping ill-defined at {c!r}")
@@ -354,15 +352,13 @@ def _validate_prefix(run: SaturationRun, triggers: Sequence[Trigger],
                 raise InternalInconsistencyError(
                     f"prefix trigger {pos} is not loaded during replay")
         facts.update(_out(run.hc, trigger))
-    if compose(g, triggers[0].substitution) != dict(triggers[-1].substitution):
+    if compose(g, triggers[0].substitution) != triggers[-1].substitution:
         raise InternalInconsistencyError("constant mapping does not close the loop")
-    if not any(
-        is_rho_cyclic(t, run.rho)
-        for atom in _out(run.hc, triggers[-1])
-        for arg in atom.terms
-        for t in subterms(arg)
-    ):
-        raise InternalInconsistencyError("final output carries no cyclic term")
+    term = run.cyclic_term
+    if not is_rho_cyclic(term, run.rho) or not any(
+            term in atom.terms for atom in _out(run.hc, triggers[-1])):
+        raise InternalInconsistencyError(
+            f"final output does not carry the reported cyclic term {term!r}")
     for trigger in triggers[1:]:
         certificate = check_reversible(g, skeleton(trigger, run.rules))
         if not certificate.reversible:

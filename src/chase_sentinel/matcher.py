@@ -19,10 +19,11 @@ yields the keys of `match_conjunction(rule.body, {}, facts)`'s matches in
 their order.
 
 A trigger travels from `discover` through its pop as the key (rule, *body
-image), the image of rule.body_vars in order. Keys are read off a FactSet,
-so they are ground, and `Trigger.of_key` builds a trigger only where
-something reads one: a chase vertex's `trigger`, or the saturation's
-unblockability test.
+image), the image of rule.body_vars in order. A `Trigger` is that key: a
+tuple that adds only methods, so `Trigger.of_key` copies the key's items
+into it and no more, and a trigger equals its key. Keys are read off a
+FactSet, so they are ground; a chase vertex's `trigger` and the
+saturation's unblockability test read them as triggers.
 
 Pinning a fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). A rule set's joins are compiled together on first
@@ -107,10 +108,10 @@ class FactSet:
 
     def add(self, fact: Atom) -> bool:
         """Insert one fact; returns True when it was not present before."""
-        if not fact.is_ground:
-            raise RuleError(f"not a fact: {fact!r}")
         if fact in self._order:
             return False
+        if not fact.is_ground:
+            raise RuleError(f"not a fact: {fact!r}")
         self._order[fact] = None
         self._by_pred.setdefault(fact.predicate, []).append(fact)
         self._by_pred_arg0.setdefault((fact.predicate, fact.terms[0]), []).append(fact)
@@ -166,27 +167,37 @@ class FactSet:
         return f"FactSet({len(self)} facts)"
 
 
-class Trigger:
-    """A rule paired with a total substitution for its body variables; equal
-    to another with the same rule and body image."""
+class Trigger(tuple):
+    """A rule paired with a ground image of its body variables: the key
+    (rule, *body image) itself, so equal to another trigger, or to a key,
+    with the same rule object and image."""
 
-    __slots__ = ("rule", "substitution")
+    __slots__ = ()
 
-    def __init__(self, rule: Rule, substitution: Substitution):
-        sub = {v: substitution[v] for v in rule.body_vars}
-        for v, t in sub.items():
+    def __new__(cls, rule: Rule, substitution: Substitution) -> "Trigger":
+        image = [substitution[v] for v in rule.body_vars]
+        for v, t in zip(rule.body_vars, image):
             if not t.is_ground:
                 raise RuleError(f"trigger substitution must be ground, {v!r} -> {t!r}")
-        self.rule = rule
-        self.substitution = sub
+        return tuple.__new__(cls, (rule, *image))
 
     @classmethod
     def of_key(cls, key: tuple) -> "Trigger":
         """The trigger of a ground (rule, *body image) key, unchecked."""
-        trigger = cls.__new__(cls)
-        rule = trigger.rule = key[0]
-        trigger.substitution = dict(zip(rule.body_vars, key[1:]))
-        return trigger
+        return tuple.__new__(cls, key)
+
+    def __getnewargs__(self) -> tuple[Rule, dict[Variable, Term]]:
+        """The arguments that copies and pickles rebuild the trigger from."""
+        return self.rule, self.substitution
+
+    @property
+    def rule(self) -> Rule:
+        return self[0]
+
+    @property
+    def substitution(self) -> dict[Variable, Term]:
+        """The body variables mapped to their images, built on each read."""
+        return dict(zip(self.rule.body_vars, self[1:]))
 
     def body_facts(self) -> tuple[Atom, ...]:
         sigma = self.substitution
@@ -197,22 +208,14 @@ class Trigger:
 
     def frontier_image(self) -> tuple[Term, ...]:
         """The image of rule.frontier, in order."""
-        return tuple(map(self.substitution.__getitem__, self.rule.frontier))
+        return self.rule.key_frontier(self)
 
     def out(self, disjunct: int) -> tuple[Atom, ...]:
         """Skolemized output of one head disjunct (1-based), by Rule.output."""
         return self.rule.output(disjunct, self.frontier_image())
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Trigger) and other.rule.id == self.rule.id \
-            and other.substitution == self.substitution
-
-    def __hash__(self) -> int:
-        return hash((self.rule.id, *self.substitution.values()))
-
     def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{v.name}/{self.substitution[v]!r}" for v in self.rule.body_vars)
+        inner = ", ".join(f"{v.name}/{t!r}" for v, t in self.substitution.items())
         return f"<{self.rule.id}, [{inner}]>"
 
 
@@ -235,8 +238,7 @@ def match_conjunction(
             if t.__class__ is not Variable or t in base:
                 where.setdefault(t, len(where))
     row = tuple([base.get(t, t) for t in where])  # type: ignore[call-overload]
-    steps, where = _compile_chain(
-        [(a.predicate, a.terms) for a in pattern], where, len(row))
+    steps, where = _compile_chain(pattern, where, len(row))
     for found in _chain(steps, row, facts) if steps else (row,):
         sub = dict(base)
         for t, i in where.items():
@@ -376,9 +378,8 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
     repeats a pinned fact is checked on, the others the chain, with both
     projections of the rows."""
     body = rule.body
-    steps, where = _compile_chain(
-        [(a.predicate, a.terms) for a in (body[idx], *body[:idx], *body[idx + 1:])],
-        {}, 1)
+    steps, where = _compile_chain((body[idx], *body[:idx], *body[idx + 1:]),
+                                  {}, 1)
     _, n, _, _, repeats = steps[0]
     return _PinPlan(n, repeats, steps[1:],
                     _projection(tuple([where[v] for v in rule.frontier]), n),
@@ -634,4 +635,4 @@ def compile_query(atoms: Sequence[Atom]) -> tuple[tuple[Chain, ...], tuple[Term,
                 where.setdefault(t, len(where))
             elif t.__class__ is not Variable:
                 raise RuleError(f"query term is neither a variable nor ground: {t!r}")
-    return _rotations([[(a.predicate, a.terms) for a in atoms]], where), tuple(where)
+    return _rotations([atoms], where), tuple(where)

@@ -9,7 +9,10 @@ identity. One intern table records them all, and holds each weakly: an
 object is rebuilt only after nothing holds it, so identity equality stays
 exact, and memory does not grow with the number of rule sets a process has
 seen. Nothing else keeps a record of the terms built so far. Caches keyed
-by terms hold their keys and are freed with their owner.
+by terms hold their keys and are freed with their owner. Atoms and the
+matcher's triggers have no identity of their own: an atom is the tuple
+(predicate, terms) and a trigger the tuple (rule, *body image), so both
+compare and hash as tuples, which interning makes exact.
 `gc_paused` is the collector pause that parsing, the checks and the chase
 run in.
 """
@@ -21,7 +24,7 @@ import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
-                    Sequence, TypeVar)
+                    NamedTuple, Sequence, TypeVar)
 
 if TYPE_CHECKING:
     from .approx import UnblockabilityCache, _Seed
@@ -94,6 +97,8 @@ class Term:
     calling a class directly equals no interned term. The intern table
     holds a term weakly, so a term is rebuilt only after nothing holds it:
     whoever can compare two terms holds both, and so sees the one object.
+    Atoms and triggers are tuples of terms and compare as tuples, term by
+    term through this identity equality.
     Caches keyed by terms (`RuleSet._birth_cache`, `RuleSet.seeds`,
     `RuleSet.unblockability`) hold their keys and are freed with their
     rule set. ``depth`` is 1 for non-functional terms, else 1 + the maximal
@@ -280,33 +285,20 @@ def subterms(t: Term) -> Iterator[Term]:
 # ---------------------------------------------------------------------------
 # Atoms and substitutions
 
-class Atom:
-    """Predicate applied to terms; a fact is a variable-free atom."""
+class Atom(NamedTuple):
+    """Predicate applied to a tuple of terms; a fact is a variable-free
+    atom. An atom is the (predicate, terms) pair and equals it."""
 
-    __slots__ = ("predicate", "terms", "is_ground", "_hash")
-
-    def __init__(self, predicate: str, terms: Sequence[Term]):
-        self.predicate = predicate
-        self.terms = tuple(terms)
-        self.is_ground = all(t.is_ground for t in self.terms)
-        self._hash = hash((predicate, self.terms))
+    predicate: str
+    terms: tuple[Term, ...]
 
     @property
     def arity(self) -> int:
         return len(self.terms)
 
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        return (
-            isinstance(other, Atom)
-            and other._hash == self._hash
-            and other.predicate == self.predicate
-            and other.terms == self.terms
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def is_ground(self) -> bool:
+        return all(t.is_ground for t in self.terms)
 
     def __repr__(self) -> str:
         return f"{self.predicate}({', '.join(map(repr, self.terms))})"
@@ -635,10 +627,9 @@ def birth_facts(x: Term | Trigger, rules: RuleSet) -> frozenset[Atom]:
     """Birth facts of a term, or of a trigger (union over frontier images)."""
     if isinstance(x, Term):
         return _birth_of_term(x, rules)
-    sub = x.substitution
     acc: set[Atom] = set()
-    for v in x.rule.frontier:
-        acc |= _birth_of_term(sub[v], rules)
+    for t in x.frontier_image():
+        acc |= _birth_of_term(t, rules)
     return frozenset(acc)
 
 
@@ -649,14 +640,12 @@ def skeleton(trigger: Trigger, rules: RuleSet) -> frozenset[Term]:
     frontier variable maps to. Subterm closure is required so reversibility
     checks can run on skeletons directly.
     """
-    sub = trigger.substitution
     base: set[Term] = set()
     for atom in birth_facts(trigger, rules):
         base.update(atom.terms)
-    for v in trigger.rule.frontier:
-        image = sub[v]
-        if isinstance(image, Constant):
-            base.add(image)
+    for t in trigger.frontier_image():
+        if isinstance(t, Constant):
+            base.add(t)
     closed: set[Term] = set()
     for t in base:
         closed.update(subterms(t))

@@ -158,7 +158,7 @@ class _Parser:
         elif known != len(terms):
             raise _error(self.text, f"predicate {name} used with arity {len(terms)}, "
                          f"previously {known}", i)
-        return Atom(name, terms)
+        return Atom(name, tuple(terms))
 
     def parse_conjunction(self) -> list[Atom]:
         atoms = [self.parse_atom()]
@@ -200,13 +200,7 @@ class _Parser:
                 heads.append(self.parse_head())
             self.expect_dot()
             rules.append(self.build_rule(atoms, heads, start, len(rules) + 1))
-        try:
-            rule_set = RuleSet(rules)
-        except RuleError as exc:
-            raise _error(self.text, str(exc), 0) from exc
-        for fact in facts:
-            rule_set.check_fact(fact)
-        return SourceProgram(rule_set, tuple(facts), tuple(queries))
+        return SourceProgram(RuleSet(rules), tuple(facts), tuple(queries))
 
     def parse_head(self) -> list[Atom]:
         if self.tokens[self.pos] in (".", "|"):
@@ -286,8 +280,9 @@ class Namer:
         return f"{a.predicate}({', '.join(self.term(t) for t in a.terms)})"
 
     def substitution(self, sigma) -> str:
+        """A mapping of variables or constants to terms, sorted by name."""
         inner = ", ".join(
-            f"{x.name}/{self.term(t)}"
+            f"{self.term(x)}/{self.term(t)}"
             for x, t in sorted(sigma.items(), key=lambda kv: kv[0].name))
         return f"[{inner}]"
 

@@ -285,11 +285,24 @@ def test_extract_prefix_traps_corrupted_logs(bike2):
         AppliedTrigger(
             Trigger(a.trigger.rule, {v: rename.apply(t)
                                      for v, t in a.trigger.substitution.items()}),
-            tuple(Atom(f.predicate, [rename.apply(t) for t in f.terms])
+            tuple(Atom(f.predicate, tuple(rename.apply(t) for t in f.terms))
                   for f in a.new))
         for a in run.provenance]
     with pytest.raises(InternalInconsistencyError,
                        match="prefix trigger 0 is not loaded"):
+        extract_prefix(run)
+
+
+def test_extract_prefix_checks_the_reported_cyclic_term(bike2):
+    # The reported term wrapped once more in its own symbol is still
+    # rho-cyclic, but no argument of the final output.
+    run = rpc_fact_set(bike2, HeadChoice.uniform(bike2, 1), bike2.by_id["r1"])
+    t = run.cyclic_term
+    assert is_rho_cyclic(t, run.rho)
+    extract_prefix(run)
+    run.cyclic_term = functional(t.symbol, (t, *t.args[1:]))
+    assert is_rho_cyclic(run.cyclic_term, run.rho)
+    with pytest.raises(InternalInconsistencyError, match="reported cyclic term"):
         extract_prefix(run)
 
 

@@ -10,9 +10,15 @@ rule sets of any size.
 - Disjoint union: for rule sets A and B over disjoint predicates, `mfa`
   certifies A ∪ B iff it certifies both, and DRPC and RPC_s find A ∪ B
   cyclic iff they find A or B cyclic.
+- Entailment: an `entails` answer does not change when the rule order is
+  shuffled. The leaves of every complete restricted chase tree form a
+  universal model set, whatever the order triggers were applied in, so
+  each decides the same queries. Whether the chase stops within a budget
+  does depend on that order.
 
-Only decided verdicts are compared: a pair of runs is skipped when either
-side is "resource-exhausted". The checks return the number of decided
+Only decided answers are compared: a pair of runs is skipped when either
+side is "resource-exhausted", or "unknown" for entailment. The checks
+return the number of decided
 comparisons with the mismatches, so that a floor on the first keeps budgets
 from emptying a check.
 """
@@ -25,12 +31,15 @@ from typing import Iterable
 
 import pytest
 
+from chase_sentinel.chase import COMPLETE, ChaseBudget, entails, results, run_chase
 from chase_sentinel.cyclicity import CYCLIC, DRPC, RPC_S, SearchBudget, check
-from chase_sentinel.model import RuleSet
+from chase_sentinel.model import RuleSet, constant
+from chase_sentinel.ruleio import parse, render
 from chase_sentinel.termination import (MFA, RESOURCE_EXHAUSTED, RMFA_LIKE,
                                         TERMINATING, check_acyclic)
 
 from conftest import bench_text, perfbench_module, presentation_text, rules_from
+from test_chase import _random_instances, _random_query
 
 BUDGET = SearchBudget(max_triggers=3000, max_term_depth=6)
 NOTIONS = (MFA, DRPC, RPC_S)
@@ -121,6 +130,36 @@ def union_checks(pairs: Iterable[tuple[int, int]]):
     return decided, mismatches
 
 
+def entailment_checks(count: int):
+    """Compare the entails answers of `count` random instances
+    (test_chase._random_instances), four queries each
+    (test_chase._random_query), with those of the rules in a shuffled
+    order, re-parsed from their rendering; the database and the query stay
+    as they are. Returns the number of decided comparisons and the
+    mismatches, as (instance, query, before, after)."""
+    rng = random.Random("entailment-presentation")
+    consts = [constant(n) for n in ("a", "b", "c")]
+    budget = ChaseBudget(max_vertices=400, max_term_depth=3)
+    decided, mismatches = 0, []
+    for n, (rules, db) in enumerate(_random_instances(rng, count)):
+        order = list(rules)
+        rng.shuffle(order)
+        shuffled = parse(render(RuleSet(order))).rules
+        tree = run_chase(rules, db, budget)
+        sets = results(tree) if tree.status == COMPLETE else []
+        for _ in range(4):
+            query = _random_query(rng, rules, consts,
+                                  rng.choice(sets) if sets else None)
+            before = entails(rules, db, query, budget)
+            after = entails(shuffled, db, query, budget)
+            if "unknown" in (before, after):
+                continue
+            decided += 1
+            if before != after:
+                mismatches.append((n, query, before, after))
+    return decided, mismatches
+
+
 def test_verdicts_do_not_depend_on_presentation():
     # Every third classify-random structure, one shuffle each.
     decided, mismatches = presentation_checks(bench_cases(range(0, 90, 3)), 1)
@@ -144,6 +183,12 @@ def test_disjoint_unions_compose_verdicts():
     decided, mismatches = union_checks(union_pairs(10))
     assert mismatches == []
     assert decided >= 20, decided
+
+
+def test_entailment_does_not_depend_on_rule_order():
+    decided, mismatches = entailment_checks(150)
+    assert mismatches == []
+    assert decided >= 500, decided
 
 
 # (structure, shuffle) pairs under which rmfa-like changes its verdict:

@@ -1,4 +1,5 @@
 import collections
+import copy
 import gc
 import random
 import weakref
@@ -185,6 +186,27 @@ def test_trigger_outputs_and_frontier_image():
     assert lam.out(2) == (atom("Spare", "d"),)
     assert outputs(lam) == (lam.out(1), lam.out(2))
     assert lam.frontier_image() == (d,)
+
+
+def test_triggers_and_atoms_are_the_tuples_they_hold():
+    # A trigger is its (rule, *body image) key, and an atom its
+    # (predicate, terms) pair; both compare as the tuples, so a trigger's
+    # rule is compared by identity and a term by its interned object.
+    text = "A(X, Y) -> B(Y, Z) .\n"
+    rule = rules_from(text).by_id["r1"]
+    a, b = constant("a"), constant("b")
+    key = (rule, a, b)
+    lam = Trigger.of_key(key)
+    assert lam == key and hash(lam) == hash(key)
+    assert all(x is y for x, y in zip(lam, key, strict=True))
+    assert lam.rule is rule and lam.substitution == {variable("X"): a, variable("Y"): b}
+    assert copy.copy(lam) == lam and type(copy.copy(lam)) is Trigger
+    again = rules_from(text).by_id["r1"]
+    assert Trigger(again, lam.substitution) != lam
+    assert Atom("B", (b, a)) == ("B", (b, a))
+    assert hash(Atom("B", (b, a))) == hash(("B", (b, a)))
+    with pytest.raises(RuleError, match="must be ground"):
+        Trigger(rule, {variable("X"): a, variable("Y"): variable("W")})
 
 
 def test_is_loaded():
