@@ -81,15 +81,20 @@ through matches using its facts (matcher.obsolete_through).
 Reversible constant mappings transport unblockability between triggers of
 the same rule, which is what lets a finite search certify infinitely many
 trigger repetitions.
+
+The term measures that only these builds and the cyclicity witnesses read
+live here too: a term's or a trigger's birth facts (`birth_facts`) and a
+trigger's skeleton (`skeleton`). The module imports only `model` and
+`matcher`, which holds the `Trigger` and `HeadChoice` it reads.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from .matcher import (FactSet, Trigger, frontier_keys, obsolete_through,
-                      pinned_head_chains)
+from .matcher import (FactSet, HeadChoice, Trigger, frontier_keys,
+                      obsolete_through, pinned_head_chains)
 from .model import (
     STAR_NAME,
     Atom,
@@ -100,15 +105,10 @@ from .model import (
     SkolemSymbol,
     Template,
     Term,
-    birth_facts,
-    skeleton,
     star,
     subterms,
     uc_constant,
 )
-
-if TYPE_CHECKING:
-    from .chase import HeadChoice
 
 __all__ = [
     "STAR",
@@ -121,10 +121,65 @@ __all__ = [
     "check_reversible",
     "UnblockabilityCache",
     "unblockability_cache",
+    "UnknownSymbolError",
+    "birth_facts",
+    "skeleton",
 ]
 
 STAR = "star"
 UC = "uc"
+
+
+class UnknownSymbolError(KeyError):
+    """A skolem symbol does not belong to the rule set at hand."""
+
+
+def _birth_of_term(t: Term, rules: RuleSet) -> frozenset[Atom]:
+    cached = rules._birth_cache.get(t)
+    if cached is not None:
+        return cached
+    if not isinstance(t, FunctionalTerm):
+        result: frozenset[Atom] = frozenset()
+    else:
+        entry = rules.symbol_index.get(t.symbol)
+        if entry is None:
+            raise UnknownSymbolError(f"symbol {t.symbol!r} is not from this rule set")
+        rule, disjunct = entry
+        acc: set[Atom] = set(rule.output(disjunct, t.args))
+        for arg in t.args:
+            acc |= _birth_of_term(arg, rules)
+        result = frozenset(acc)
+    rules._birth_cache[t] = result
+    return result
+
+
+def birth_facts(x: Term | Trigger, rules: RuleSet) -> frozenset[Atom]:
+    """Birth facts of a term, or of a trigger (union over frontier images)."""
+    if isinstance(x, Term):
+        return _birth_of_term(x, rules)
+    acc: set[Atom] = set()
+    for t in x.frontier_image():
+        acc |= _birth_of_term(t, rules)
+    return frozenset(acc)
+
+
+def skeleton(trigger: Trigger, rules: RuleSet) -> frozenset[Term]:
+    """Term skeleton of a trigger, closed under subterms.
+
+    Contains every term of the trigger's birth facts plus every constant a
+    frontier variable maps to. Subterm closure is required so reversibility
+    checks can run on skeletons directly.
+    """
+    base: set[Term] = set()
+    for atom in birth_facts(trigger, rules):
+        base.update(atom.terms)
+    for t in trigger.frontier_image():
+        if isinstance(t, Constant):
+            base.add(t)
+    closed: set[Term] = set()
+    for t in base:
+        closed.update(subterms(t))
+    return frozenset(closed)
 
 
 @dataclass

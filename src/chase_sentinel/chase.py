@@ -29,14 +29,13 @@ saturated branch that does not.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .matcher import (FactSet, Queues, Trigger, compile_query, discover,
                       enqueue, obsolete_through, pop_active)
-from .model import Atom, Query, Rule, RuleSet, gc_paused
+from .model import Atom, Query, RuleSet, gc_paused
 
 __all__ = [
-    "HeadChoice",
     "ChaseBudget",
     "ChaseVertex",
     "ChaseTree",
@@ -57,47 +56,6 @@ TERM_DEPTH = "term-depth"
 
 class IncompleteTreeError(RuntimeError):
     """Raised when an operation needs a fully expanded chase tree."""
-
-
-class HeadChoice:
-    """Total map from rules to one of their head disjuncts (1-based)."""
-
-    __slots__ = ("choices",)
-
-    def __init__(self, rules: RuleSet, choices: Mapping[str, int]):
-        self.choices: dict[str, int] = {}
-        for rule in rules:
-            i = choices.get(rule.id)
-            if i is None:
-                raise ValueError(f"head choice undefined for rule {rule.id}")
-            if not 1 <= i <= rule.branching:
-                raise ValueError(
-                    f"head choice {i} out of range for rule {rule.id} "
-                    f"(branching {rule.branching})")
-            self.choices[rule.id] = i
-
-    @classmethod
-    def uniform(cls, rules: RuleSet, i: int) -> "HeadChoice":
-        """hc_i: pick disjunct i where available, else the last one."""
-        if i < 1:
-            raise ValueError("head choice index must be >= 1")
-        return cls(rules, {r.id: min(i, r.branching) for r in rules})
-
-    def choice(self, rule: Rule) -> int:
-        return self.choices[rule.id]
-
-    def out(self, trigger: Trigger) -> tuple[Atom, ...]:
-        return trigger.out(self.choice(trigger.rule))
-
-    def signature(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self.choices.items()))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, HeadChoice) and other.choices == self.choices
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{rid}:{i}" for rid, i in sorted(self.choices.items()))
-        return f"HeadChoice({inner})"
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
                     entails, results, run_chase)
-from .cyclicity import (
-    CYCLIC,
-    CyclicityPrefix,
-    SearchBudget,
-    Verdict,
-    check,
-)
+from .cyclicity import CYCLIC, CyclicityPrefix, Verdict, check
 from .model import Atom, Query, Rule, RuleSet, gc_paused
 from .ruleio import Namer, ParseError, SourceProgram, parse, parse_query
-from .termination import (
-    TERMINATING as ACYCLIC_TERMINATING,
-    AcyclicityVerdict,
-    check_acyclic,
-)
+from .termination import (TERMINATING, AcyclicityVerdict, SearchBudget,
+                          check_acyclic)
 
 __all__ = ["main", "ClassificationReport", "SoundnessViolationError"]
 
@@ -50,7 +41,6 @@ EXIT_SOUNDNESS = 1
 EXIT_PARSE = 2
 EXIT_IO = 3
 
-TERMINATING = "terminating"
 NEVER_TERMINATING = "never-terminating"
 UNKNOWN = "unknown"
 
@@ -83,7 +73,7 @@ def _combined_verdict(notion_results: Sequence) -> str:
     cyclic = any(
         isinstance(v, Verdict) and v.result == CYCLIC for v in notion_results)
     terminating = any(
-        isinstance(v, AcyclicityVerdict) and v.result == ACYCLIC_TERMINATING
+        isinstance(v, AcyclicityVerdict) and v.result == TERMINATING
         for v in notion_results)
     if cyclic and terminating:
         raise SoundnessViolationError(
@@ -263,7 +253,7 @@ def classify_rules(
     notion_results: list = []
     for verdict in _run_stages(rules, stages, k, deadline, term_depth):
         notion_results.append(verdict)
-        if verdict.result in (ACYCLIC_TERMINATING, CYCLIC):
+        if verdict.result in (TERMINATING, CYCLIC):
             break
 
     combined = _combined_verdict(notion_results)

@@ -45,10 +45,10 @@ from .approx import (
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
+    skeleton,
     unblockability_cache,
 )
-from .chase import HeadChoice
-from .matcher import FactSet, Trigger, discover
+from .matcher import FactSet, HeadChoice, Trigger, discover
 from .model import (
     Atom,
     ConstantMapping,
@@ -56,16 +56,14 @@ from .model import (
     Rule,
     RuleSet,
     Term,
-    compose,
     db_constant,
     gc_paused,
     is_cyclic,
     is_rho_cyclic,
-    skeleton,
 )
+from .termination import NOT_DETECTED, RESOURCE_EXHAUSTED, SearchBudget
 
 __all__ = [
-    "SearchBudget",
     "AppliedTrigger",
     "SaturationRun",
     "CyclicityPrefix",
@@ -87,8 +85,6 @@ RPC_S = "RPC_s"
 DRPC = "DRPC"
 
 CYCLIC = "cyclic"
-NOT_DETECTED = "not-detected"
-RESOURCE_EXHAUSTED = "resource-exhausted"
 
 _NOTION_ALIASES = {
     "rpc": RPC,
@@ -106,24 +102,7 @@ def rule_database(rule: Rule) -> Trigger:
     """The seed trigger of the rule's database: every body variable x is
     frozen to the fresh constant c_x, and its body_facts() are the
     database."""
-    return Trigger(rule, {v: db_constant(v.name) for v in rule.body_vars})
-
-
-@dataclass(frozen=True)
-class SearchBudget:
-    """Limits of one search. The deadline is an absolute `time.monotonic()`
-    value, not a duration, so every stage and saturation that shares the
-    budget stops at the same instant: one value bounds a whole run. It is
-    read before each trigger and each new (head choice, pivot) pair; an
-    unblockability build in progress is not interrupted."""
-
-    max_triggers: int | None = 1_000_000
-    max_term_depth: int | None = 8
-    deadline: float | None = None
-
-    def expired(self) -> bool:
-        """Whether the deadline has passed."""
-        return self.deadline is not None and time.monotonic() > self.deadline
+    return Trigger.of_key((rule, *[db_constant(v.name) for v in rule.body_vars]))
 
 
 @dataclass(frozen=True)
@@ -328,13 +307,11 @@ def extract_prefix(run: SaturationRun) -> CyclicityPrefix:
         frontier_facts.extend(run.provenance[src].trigger.body_facts())
     triggers = tuple(run.provenance[i].trigger for i in sorted(keep))
 
-    seed = triggers[0].substitution
-    last = triggers[-1].substitution
+    # The seed and the last trigger are both rho's, so their images pair
+    # up variable by variable.
     mapping: dict[Constant, Term] = {}
-    for v in run.rho.body_vars:
-        c = seed[v]
+    for c, target in zip(triggers[0][1:], triggers[-1][1:]):
         assert isinstance(c, Constant)
-        target = last[v]
         if mapping.setdefault(c, target) != target:
             raise InternalInconsistencyError(
                 f"constant mapping ill-defined at {c!r}")
@@ -352,7 +329,7 @@ def _validate_prefix(run: SaturationRun, triggers: Sequence[Trigger],
                 raise InternalInconsistencyError(
                     f"prefix trigger {pos} is not loaded during replay")
         facts.update(_out(run.hc, trigger))
-    if compose(g, triggers[0].substitution) != triggers[-1].substitution:
+    if tuple(map(g.apply, triggers[0][1:])) != triggers[-1][1:]:
         raise InternalInconsistencyError("constant mapping does not close the loop")
     term = run.cyclic_term
     if not is_rho_cyclic(term, run.rho) or not any(
@@ -370,19 +347,18 @@ def unroll_prefix(prefix: CyclicityPrefix, repetitions: int) -> list[Trigger]:
     """First repetitions blocks of the induced infinite sequence.
 
     Block j repeats the non-seed triggers with the constant mapping applied
-    j-1 times, so the result has 1 + (len(prefix) - 1) * repetitions
-    triggers and repetitions = 1 returns the prefix itself.
+    j-1 times to their images, so the result has 1 + (len(prefix) - 1) *
+    repetitions triggers and repetitions = 1 returns the prefix itself.
+    The range of g is ground, so every image stays ground.
     """
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    g = prefix.g
     out = [prefix.triggers[0]]
     for j in range(1, repetitions + 1):
         for trigger in prefix.triggers[1:]:
-            sub = {
-                v: prefix.g.apply_power(t, j - 1)
-                for v, t in trigger.substitution.items()
-            }
-            out.append(Trigger(trigger.rule, sub))
+            out.append(Trigger.of_key((trigger[0], *[
+                g.apply_power(t, j - 1) for t in trigger[1:]])))
     return out
 
 

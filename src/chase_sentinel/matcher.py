@@ -23,7 +23,9 @@ image), the image of rule.body_vars in order. A `Trigger` is that key: a
 tuple that adds only methods, so `Trigger.of_key` copies the key's items
 into it and no more, and a trigger equals its key. Keys are read off a
 FactSet, so they are ground; a chase vertex's `trigger` and the
-saturation's unblockability test read them as triggers.
+saturation's unblockability test read them as triggers. A `HeadChoice`
+picks one head disjunct per rule, and so one output per trigger: the
+cyclicity notions and the over-approximation builds read it.
 
 Pinning a fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). A rule set's joins are compiled together on first
@@ -61,7 +63,7 @@ from __future__ import annotations
 
 import functools
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     Atom,
@@ -76,6 +78,7 @@ from .model import (
 __all__ = [
     "FactSet",
     "Trigger",
+    "HeadChoice",
     "Queues",
     "match_conjunction",
     "discover",
@@ -217,6 +220,53 @@ class Trigger(tuple):
     def __repr__(self) -> str:
         inner = ", ".join(f"{v.name}/{t!r}" for v, t in self.substitution.items())
         return f"<{self.rule.id}, [{inner}]>"
+
+
+class HeadChoice:
+    """Total map from rules to one of their head disjuncts (1-based). Its
+    sorted (rule id, disjunct) pairs, made once, are its signature, its
+    equality and its hash."""
+
+    __slots__ = ("choices", "_signature")
+
+    def __init__(self, rules: RuleSet, choices: Mapping[str, int]):
+        self.choices: dict[str, int] = {}
+        for rule in rules:
+            i = choices.get(rule.id)
+            if i is None:
+                raise ValueError(f"head choice undefined for rule {rule.id}")
+            if not 1 <= i <= rule.branching:
+                raise ValueError(
+                    f"head choice {i} out of range for rule {rule.id} "
+                    f"(branching {rule.branching})")
+            self.choices[rule.id] = i
+        self._signature = tuple(sorted(self.choices.items()))
+
+    @classmethod
+    def uniform(cls, rules: RuleSet, i: int) -> "HeadChoice":
+        """hc_i: pick disjunct i where available, else the last one."""
+        if i < 1:
+            raise ValueError("head choice index must be >= 1")
+        return cls(rules, {r.id: min(i, r.branching) for r in rules})
+
+    def choice(self, rule: Rule) -> int:
+        return self.choices[rule.id]
+
+    def out(self, trigger: Trigger) -> tuple[Atom, ...]:
+        return trigger.out(self.choice(trigger.rule))
+
+    def signature(self) -> tuple[tuple[str, int], ...]:
+        return self._signature
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, HeadChoice) and other._signature == self._signature
+
+    def __hash__(self) -> int:
+        return hash(self._signature)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{rid}:{i}" for rid, i in self._signature)
+        return f"HeadChoice({inner})"
 
 
 def match_conjunction(

@@ -1,18 +1,18 @@
-"""Core symbolic vocabulary.
+"""Core symbolic vocabulary, the bottom layer: it imports no other module
+of the package.
 
-Terms, atoms, rules, substitutions, skolemization, and the term-level
-measures (depth, subterm cyclicity, birth facts, term skeletons) that the
-rest of the package builds on. Terms and skolem symbols are interned: the
+Terms, atoms, rules, rule sets, constant mappings, skolemization, and the
+term-level measures (depth, subterm cyclicity) that the rest of the
+package builds on. Terms and skolem symbols are interned: the
 factories `constant`, `variable`, `functional`, `skolem_symbol` and
 `uc_constant` are the only way to build them, and they compare and hash by
 identity. One intern table records them all, and holds each weakly: an
 object is rebuilt only after nothing holds it, so identity equality stays
 exact, and memory does not grow with the number of rule sets a process has
 seen. Nothing else keeps a record of the terms built so far. Caches keyed
-by terms hold their keys and are freed with their owner. Atoms and the
-matcher's triggers have no identity of their own: an atom is the tuple
-(predicate, terms) and a trigger the tuple (rule, *body image), so both
-compare and hash as tuples, which interning makes exact.
+by terms hold their keys and are freed with their owner. An atom has no
+identity of its own: it is the tuple (predicate, terms), so it compares
+and hashes as a tuple, which interning makes exact.
 `gc_paused` is the collector pause that parsing, the checks and the chase
 run in.
 """
@@ -23,12 +23,11 @@ import gc
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
-                    NamedTuple, Sequence, TypeVar)
+from typing import (TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple,
+                    Sequence, TypeVar)
 
 if TYPE_CHECKING:
     from .approx import UnblockabilityCache, _Seed
-    from .matcher import Trigger
 
 __all__ = [
     "STAR_NAME",
@@ -47,7 +46,6 @@ __all__ = [
     "RuleSet",
     "ConstantMapping",
     "RuleError",
-    "UnknownSymbolError",
     "constant",
     "variable",
     "functional",
@@ -56,15 +54,10 @@ __all__ = [
     "uc_constant",
     "db_constant",
     "is_reserved_name",
-    "apply_term",
-    "apply_atom",
-    "compose",
     "subterms",
     "is_cyclic",
     "is_k_cyclic",
     "is_rho_cyclic",
-    "birth_facts",
-    "skeleton",
     "gc_paused",
 ]
 
@@ -81,10 +74,6 @@ class RuleError(ValueError):
     """A rule violates a structural invariant."""
 
 
-class UnknownSymbolError(KeyError):
-    """A skolem symbol does not belong to the rule set at hand."""
-
-
 # ---------------------------------------------------------------------------
 # Terms
 
@@ -97,8 +86,8 @@ class Term:
     calling a class directly equals no interned term. The intern table
     holds a term weakly, so a term is rebuilt only after nothing holds it:
     whoever can compare two terms holds both, and so sees the one object.
-    Atoms and triggers are tuples of terms and compare as tuples, term by
-    term through this identity equality.
+    Atoms are tuples of terms and compare as tuples, term by term through
+    this identity equality.
     Caches keyed by terms (`RuleSet._birth_cache`, `RuleSet.seeds`,
     `RuleSet.unblockability`) hold their keys and are freed with their
     rule set. ``depth`` is 1 for non-functional terms, else 1 + the maximal
@@ -307,30 +296,6 @@ class Atom(NamedTuple):
 Substitution = Mapping[Variable, Term]
 
 
-def apply_term(sigma: Substitution, t: Term) -> Term:
-    if t.is_ground:
-        return t
-    if isinstance(t, Variable):
-        return sigma.get(t, t)
-    assert isinstance(t, FunctionalTerm)
-    return functional(t.symbol, tuple(apply_term(sigma, a) for a in t.args))
-
-
-def apply_atom(sigma: Substitution, atom: Atom) -> Atom:
-    if atom.is_ground:
-        return atom
-    return Atom(atom.predicate, tuple(apply_term(sigma, t) for t in atom.terms))
-
-
-def apply_atoms(sigma: Substitution, atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    return tuple(apply_atom(sigma, a) for a in atoms)
-
-
-def compose(g: "ConstantMapping", sigma: Substitution) -> dict[Variable, Term]:
-    """g composed with sigma: apply sigma first, then g."""
-    return {x: g.apply(t) for x, t in sigma.items()}
-
-
 class ConstantMapping:
     """Partial map from constants to ground terms, applied syntactically.
 
@@ -365,6 +330,9 @@ class ConstantMapping:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ConstantMapping) and other.mapping == self.mapping
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.mapping.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{c!r} -> {t!r}" for c, t in sorted(
@@ -412,7 +380,7 @@ class Rule:
     no non-ground skolem term is built; over-approximation builds fill the
     same templates with abstracted terms. Obsolescence matches the same
     templates: a frontier slot must hold the image's term and a symbol slot
-    stands for its existential variable, so a trigger is tested on its
+    stands for its existential variable, so obsolescence is tested on a
     frontier image alone. key_frontier, compiled next to them, reads that
     image off a (rule, *body image) key. The matcher compiles the templates
     into join chains on first use, held in chains and pinned_chains.
@@ -555,8 +523,8 @@ class RuleSet:
         # The compiled pinned joins of body_index, per predicate, filled on
         # first use by matcher's runner; approx's UnblockabilityCache, made
         # on first use; approx's kept build seeds, one per universe, made
-        # on first use and restored by each build; and the birth facts of
-        # each term. All are freed with the rule set.
+        # on first use and restored by each build; and approx's birth facts
+        # of each term. All are freed with the rule set.
         self.pinned_joins: dict[str, list] = {}
         self.unblockability: UnblockabilityCache | None = None
         self.seeds: dict[tuple[Term, ...], _Seed] = {}
@@ -602,54 +570,6 @@ def is_rho_cyclic(t: Term, rho: Rule) -> bool:
     return any(
         sym in arg._nest for arg in t.args for sym in rho.sk_symbols
     )
-
-
-def _birth_of_term(t: Term, rules: RuleSet) -> frozenset[Atom]:
-    cached = rules._birth_cache.get(t)
-    if cached is not None:
-        return cached
-    if not isinstance(t, FunctionalTerm):
-        result: frozenset[Atom] = frozenset()
-    else:
-        entry = rules.symbol_index.get(t.symbol)
-        if entry is None:
-            raise UnknownSymbolError(f"symbol {t.symbol!r} is not from this rule set")
-        rule, disjunct = entry
-        acc: set[Atom] = set(rule.output(disjunct, t.args))
-        for arg in t.args:
-            acc |= _birth_of_term(arg, rules)
-        result = frozenset(acc)
-    rules._birth_cache[t] = result
-    return result
-
-
-def birth_facts(x: Term | Trigger, rules: RuleSet) -> frozenset[Atom]:
-    """Birth facts of a term, or of a trigger (union over frontier images)."""
-    if isinstance(x, Term):
-        return _birth_of_term(x, rules)
-    acc: set[Atom] = set()
-    for t in x.frontier_image():
-        acc |= _birth_of_term(t, rules)
-    return frozenset(acc)
-
-
-def skeleton(trigger: Trigger, rules: RuleSet) -> frozenset[Term]:
-    """Term skeleton of a trigger, closed under subterms.
-
-    Contains every term of the trigger's birth facts plus every constant a
-    frontier variable maps to. Subterm closure is required so reversibility
-    checks can run on skeletons directly.
-    """
-    base: set[Term] = set()
-    for atom in birth_facts(trigger, rules):
-        base.update(atom.terms)
-    for t in trigger.frontier_image():
-        if isinstance(t, Constant):
-            base.add(t)
-    closed: set[Term] = set()
-    for t in base:
-        closed.update(subterms(t))
-    return frozenset(closed)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,9 @@
 """Acyclicity check: sufficient conditions for chase termination.
 
+The first stage of the pipeline; it imports only `model` and `matcher`.
+It is the one home of what every stage shares: `SearchBudget` and the
+result words `TERMINATING`, `NOT_DETECTED` and `RESOURCE_EXHAUSTED`.
+
 The check saturates the skolemized rules from the critical instance, the
 database holding every fact built from the rule set's predicates and the
 special constant, reading disjunction conjunctively. If saturation finishes
@@ -33,12 +37,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .cyclicity import SearchBudget
 from .matcher import FactSet, Queues, discover, enqueue, pop_active
 from .model import Atom, RuleSet, Term, gc_paused, is_k_cyclic, star
 
-__all__ = ["AcyclicityVerdict", "check_acyclic", "critical_instance",
-           "RMFA_LIKE", "MFA"]
+__all__ = ["SearchBudget", "AcyclicityVerdict", "check_acyclic",
+           "critical_instance", "RMFA_LIKE", "MFA", "TERMINATING",
+           "NOT_DETECTED", "RESOURCE_EXHAUSTED"]
 
 TERMINATING = "terminating"
 NOT_DETECTED = "not-detected"
@@ -46,6 +50,23 @@ RESOURCE_EXHAUSTED = "resource-exhausted"
 
 RMFA_LIKE = "rmfa-like"
 MFA = "mfa"
+
+
+@dataclass(frozen=True)
+class SearchBudget:
+    """Limits of one search. The deadline is an absolute `time.monotonic()`
+    value, not a duration, so every stage and saturation that shares the
+    budget stops at the same instant: one value bounds a whole run. It is
+    read before each trigger and each new (head choice, pivot) pair; an
+    unblockability build in progress is not interrupted."""
+
+    max_triggers: int | None = 1_000_000
+    max_term_depth: int | None = 8
+    deadline: float | None = None
+
+    def expired(self) -> bool:
+        """Whether the deadline has passed."""
+        return self.deadline is not None and time.monotonic() > self.deadline
 
 
 @dataclass

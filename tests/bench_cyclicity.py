@@ -25,8 +25,9 @@ import sys
 from pathlib import Path
 
 from chase_sentinel import cli
-from chase_sentinel.cyclicity import DRPC, RPC_S, SearchBudget, check
+from chase_sentinel.cyclicity import DRPC, RPC_S, check
 from chase_sentinel.ruleio import Namer
+from chase_sentinel.termination import SearchBudget
 
 from conftest import bench_rule_set
 

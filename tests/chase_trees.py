@@ -31,9 +31,8 @@ from pathlib import Path
 
 from chase_sentinel import corpus_dir
 from chase_sentinel.chase import run_chase
-from chase_sentinel.cyclicity import SearchBudget
 from chase_sentinel.ruleio import Namer, parse
-from chase_sentinel.termination import MFA, RMFA_LIKE, check_acyclic
+from chase_sentinel.termination import MFA, RMFA_LIKE, SearchBudget, check_acyclic
 
 from conftest import bench_rule_set, perfbench_module, rules_from, trace_lines
 

@@ -18,17 +18,18 @@ from typing import Iterable, Iterator, Sequence
 
 import pytest
 
-from chase_sentinel.approx import ReversibilityCertificate, check_reversible
+from chase_sentinel.approx import (ReversibilityCertificate, birth_facts,
+                                   check_reversible, skeleton)
 from chase_sentinel.chase import (
     COMPLETE,
     ChaseTree,
     ChaseVertex,
-    HeadChoice,
     results,
     run_chase,
 )
 from chase_sentinel.matcher import (
     FactSet,
+    HeadChoice,
     Trigger,
     _BODY,
     _compile_pinned,
@@ -45,11 +46,9 @@ from chase_sentinel.model import (
     RuleSet,
     Term,
     Variable,
-    apply_atom,
-    birth_facts,
+    functional,
     is_cyclic,
     is_rho_cyclic,
-    skeleton,
     star,
     subterms,
     uc_constant,
@@ -258,6 +257,28 @@ def sample_triggers(rules: RuleSet, depth_cap: int = 3,
 # ---------------------------------------------------------------------------
 # Naive oracles
 
+def apply_term(sigma: dict[Variable, Term], t: Term) -> Term:
+    """t with every variable in dom(sigma) replaced, also inside functional
+    terms: the substitution that Rule.output's templates compile away."""
+    if t.is_ground:
+        return t
+    if isinstance(t, Variable):
+        return sigma.get(t, t)
+    assert isinstance(t, FunctionalTerm)
+    return functional(t.symbol, tuple(apply_term(sigma, a) for a in t.args))
+
+
+def apply_atom(sigma: dict[Variable, Term], atom: Atom) -> Atom:
+    if atom.is_ground:
+        return atom
+    return Atom(atom.predicate, tuple(apply_term(sigma, t) for t in atom.terms))
+
+
+def apply_atoms(sigma: dict[Variable, Term],
+                atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    return tuple(apply_atom(sigma, a) for a in atoms)
+
+
 def oracle_matches(trigger: Trigger,
                    facts: FactSet) -> Iterator[tuple[int, tuple[Atom, ...]]]:
     """Every match of a head disjunct into the facts, by brute force: for
@@ -414,7 +435,8 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
     and canonical substitution, until a round finds none or an output holds
     a rho-cyclic term. The reference for the semi-naive rounds of the
     stubbed saturation engines; injectivity and budgets are as theirs."""
-    from chase_sentinel.cyclicity import SearchBudget, rule_database
+    from chase_sentinel.cyclicity import rule_database
+    from chase_sentinel.termination import SearchBudget
 
     budget = budget or SearchBudget()
     seed = rule_database(rho)
@@ -506,9 +528,9 @@ def naive_rpc(rules: RuleSet, budget=None, notion: str = "RPC"):
     Returns (result, witness, saturations)."""
     from dataclasses import replace
 
-    from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
-                                          RESOURCE_EXHAUSTED, SearchBudget,
-                                          extract_prefix)
+    from chase_sentinel.cyclicity import CYCLIC, extract_prefix
+    from chase_sentinel.termination import (NOT_DETECTED, RESOURCE_EXHAUSTED,
+                                            SearchBudget)
 
     budget = budget or SearchBudget()
     assert budget.deadline is None
@@ -539,8 +561,8 @@ def in_order_check(rules: RuleSet, notion: str, budget=None):
     """A cyclicity notion as its pairs saturated one after another, each to
     its end, in the notion's order, up to the first cyclic one. Returns
     (result, witness)."""
-    from chase_sentinel.cyclicity import (CYCLIC, NOT_DETECTED,
-                                          RESOURCE_EXHAUSTED, extract_prefix)
+    from chase_sentinel.cyclicity import CYCLIC, extract_prefix
+    from chase_sentinel.termination import NOT_DETECTED, RESOURCE_EXHAUSTED
 
     truncated = False
     for hc, rho in notion_pairs(rules, notion):

@@ -20,12 +20,12 @@ from chase_sentinel.approx import (
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
+    skeleton,
 )
 from chase_sentinel.chase import (
     BUDGET_EXHAUSTED,
     COMPLETE,
     ChaseBudget,
-    HeadChoice,
     entails,
     results,
     run_chase,
@@ -34,7 +34,6 @@ from chase_sentinel.cli import classify_rules
 from chase_sentinel.cyclicity import (
     CYCLIC,
     NOT_DETECTED,
-    SearchBudget,
     check,
     rpc_fact_set,
     rule_database,
@@ -42,6 +41,7 @@ from chase_sentinel.cyclicity import (
 )
 from chase_sentinel.matcher import (
     FactSet,
+    HeadChoice,
     Trigger,
     is_obsolete,
     match_conjunction,
@@ -54,13 +54,13 @@ from chase_sentinel.model import (
     db_constant,
     functional,
     is_rho_cyclic,
-    skeleton,
     star,
     subterms,
     uc_constant,
     variable,
 )
-from chase_sentinel.termination import MFA, TERMINATING, check_acyclic
+from chase_sentinel.termination import (MFA, TERMINATING, SearchBudget,
+                                        check_acyclic)
 
 from conftest import (
     bench_rule_set,

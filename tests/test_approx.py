@@ -1,9 +1,6 @@
 import gc
 import itertools
-import os
 import random
-import subprocess
-import sys
 import weakref
 
 import pytest
@@ -17,25 +14,25 @@ from chase_sentinel.approx import (
     _Seed,
     _seed,
     _seed_blocks,
+    birth_facts,
     build_over_approx,
     check_reversible,
     is_star_unblockable,
     is_uc_unblockable,
+    skeleton,
     unblockability_cache,
 )
-from chase_sentinel.chase import HeadChoice
 from chase_sentinel.cli import classify_rules
-from chase_sentinel.matcher import FactSet, Trigger, discover, is_obsolete
+from chase_sentinel.matcher import (FactSet, HeadChoice, Trigger, discover,
+                                    is_obsolete)
 from chase_sentinel.model import (
     _TABLE,
     Atom,
     Constant,
     ConstantMapping,
-    birth_facts,
     constant,
     db_constant,
     functional,
-    skeleton,
     star,
     subterms,
     uc_constant,
@@ -607,15 +604,6 @@ def test_seed_blocks_iff_the_seed_makes_the_pivot_obsolete():
             answers[blocks] += 1
     # 156 blocked and 26 not today.
     assert answers[True] >= 150 and answers[False] >= 25
-
-
-def test_importing_approx_leaves_the_chase_engine_unloaded():
-    # approx reads HeadChoice only in annotations.
-    code = ("import sys, chase_sentinel.approx; "
-            "sys.exit('chase_sentinel.chase' in sys.modules)")
-    src = os.path.dirname(os.path.dirname(approx_module.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_unblockability_cache_canonicalizes_constant_renamings():

@@ -12,13 +12,12 @@ from chase_sentinel.chase import (
     TERM_DEPTH,
     VERTICES,
     ChaseBudget,
-    HeadChoice,
     IncompleteTreeError,
     entails,
     results,
     run_chase,
 )
-from chase_sentinel.matcher import is_obsolete
+from chase_sentinel.matcher import HeadChoice, is_obsolete
 from chase_sentinel.model import (Atom, Query, constant, functional,
                                   skolem_symbol, variable)
 from chase_sentinel.ruleio import parse

@@ -20,8 +20,9 @@ from chase_sentinel.cli import (
     classify_rules,
     main,
 )
-from chase_sentinel.cyclicity import RESOURCE_EXHAUSTED, SearchBudget, Verdict, check
-from chase_sentinel.termination import AcyclicityVerdict
+from chase_sentinel.cyclicity import Verdict, check
+from chase_sentinel.termination import (RESOURCE_EXHAUSTED, AcyclicityVerdict,
+                                        SearchBudget)
 
 import corpus_classify
 from conftest import BIKE_RULES, perfbench_module, rules_from

@@ -7,14 +7,12 @@ import pytest
 
 import chase_sentinel.cyclicity as cyc
 from chase_sentinel import corpus_dir
-from chase_sentinel.chase import HeadChoice
 from chase_sentinel.cyclicity import (
     AppliedTrigger,
     CYCLIC,
     InternalInconsistencyError,
     NOT_DETECTED,
     RESOURCE_EXHAUSTED,
-    SearchBudget,
     check,
     drpc_fact_set,
     extract_prefix,
@@ -22,7 +20,7 @@ from chase_sentinel.cyclicity import (
     rule_database,
     unroll_prefix,
 )
-from chase_sentinel.matcher import FactSet, Trigger
+from chase_sentinel.matcher import FactSet, HeadChoice, Trigger
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
@@ -34,6 +32,7 @@ from chase_sentinel.model import (
     variable,
 )
 from chase_sentinel.ruleio import parse
+from chase_sentinel.termination import SearchBudget
 
 import bench_cyclicity
 from conftest import (bench_rule_set, bike_subset, in_order_check, is_loaded,
@@ -490,6 +489,26 @@ def test_repeated_checks_on_one_rule_set_match_fresh_rule_sets(monkeypatch):
     # 650 builds, 1,785 second-check hits and 42 cyclic verdicts today.
     assert sets == 53
     assert built >= 550 and hits >= 1300 and cyclic >= 30
+
+
+def test_witnesses_hash_and_repeat_across_checks():
+    # A witness is a frozen dataclass and hashes through its fields, the
+    # head choice and the constant mapping among them. Two checks of one
+    # rule set give equal witnesses with equal hashes, and the witnesses of
+    # distinct (rule set, notion) pairs are distinct.
+    witnesses = set()
+    found = {cyc.DRPC: 0, cyc.RPC_S: 0}
+    for path in sorted(corpus_dir().glob("*.drls")):
+        rules = parse(path.read_text(encoding="utf-8")).rules
+        for notion in found:
+            first, second = (check(rules, notion, bench_cyclicity.BUDGET).witness
+                             for _ in range(2))
+            assert first == second and hash(first) == hash(second), (path, notion)
+            if first is not None:
+                witnesses.update((first, second))
+                found[notion] += 1
+    assert len(witnesses) == sum(found.values())
+    assert found == {cyc.DRPC: 2, cyc.RPC_S: 6}
 
 
 def test_bench_verdicts_replay_golden_fixture():

@@ -19,10 +19,11 @@ import pytest
 from chase_sentinel import corpus_dir
 from chase_sentinel.chase import (BUDGET_EXHAUSTED, COMPLETE, TERM_DEPTH, VERTICES,
                                   ChaseBudget, run_chase)
-from chase_sentinel.cyclicity import CYCLIC, SearchBudget, check, rule_database
+from chase_sentinel.cyclicity import CYCLIC, check, rule_database
 from chase_sentinel.model import Atom, constant
 from chase_sentinel.ruleio import parse
-from chase_sentinel.termination import MFA, RMFA_LIKE, TERMINATING, check_acyclic
+from chase_sentinel.termination import (MFA, RMFA_LIKE, TERMINATING, SearchBudget,
+                                        check_acyclic)
 
 from conftest import bench_rule_set, random_rule_set, rules_from
 

@@ -32,11 +32,12 @@ from typing import Iterable
 import pytest
 
 from chase_sentinel.chase import COMPLETE, ChaseBudget, entails, results, run_chase
-from chase_sentinel.cyclicity import CYCLIC, DRPC, RPC_S, SearchBudget, check
+from chase_sentinel.cyclicity import CYCLIC, DRPC, RPC_S, check
 from chase_sentinel.model import RuleSet, constant
 from chase_sentinel.ruleio import parse, render
 from chase_sentinel.termination import (MFA, RESOURCE_EXHAUSTED, RMFA_LIKE,
-                                        TERMINATING, check_acyclic)
+                                        TERMINATING, SearchBudget,
+                                        check_acyclic)
 
 from conftest import bench_text, perfbench_module, presentation_text, rules_from
 from test_chase import _random_instances, _random_query

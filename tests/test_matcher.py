@@ -26,12 +26,12 @@ from chase_sentinel.matcher import (
     pop_active,
 )
 from chase_sentinel.chase import entails
-from chase_sentinel.model import (Atom, Query, RuleError, apply_atoms, constant,
-                                  functional, skolem_symbol, variable)
+from chase_sentinel.model import (Atom, Query, RuleError, constant, functional,
+                                  skolem_symbol, variable)
 from chase_sentinel.termination import critical_instance
 
-from conftest import (_naive_matches, bike_subset, is_loaded, match_pinned,
-                      oracle_matches, outputs, perfbench_module,
+from conftest import (_naive_matches, apply_atoms, bike_subset, is_loaded,
+                      match_pinned, oracle_matches, outputs, perfbench_module,
                       random_rule_set, rules_from, satisfies)
 from test_engine_check import bench_cases, sweep_cases, wide_databases
 

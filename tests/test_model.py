@@ -11,6 +11,7 @@ import pytest
 
 import chase_sentinel
 from chase_sentinel import corpus_dir, model
+from chase_sentinel.approx import birth_facts, skeleton
 from chase_sentinel.chase import ChaseBudget, entails, run_chase
 from chase_sentinel.cli import classify_rules
 from chase_sentinel.cyclicity import check
@@ -22,11 +23,6 @@ from chase_sentinel.model import (
     RuleError,
     RuleSet,
     SkolemSymbol,
-    apply_atom,
-    apply_atoms,
-    apply_term,
-    birth_facts,
-    compose,
     constant,
     db_constant,
     functional,
@@ -34,7 +30,6 @@ from chase_sentinel.model import (
     is_cyclic,
     is_k_cyclic,
     is_rho_cyclic,
-    skeleton,
     skolem_symbol,
     star,
     subterms,
@@ -45,7 +40,8 @@ from chase_sentinel.matcher import Trigger
 from chase_sentinel.ruleio import ParseError, parse, render
 from chase_sentinel.termination import check_acyclic, critical_instance
 
-from conftest import (bench_text, bike_subset, perfbench_module, random_rule_set,
+from conftest import (apply_atom, apply_atoms, apply_term, bench_text,
+                      bike_subset, perfbench_module, random_rule_set,
                       rules_from)
 
 
@@ -99,6 +95,35 @@ def test_terms_are_built_only_through_the_factories():
                     if (f, where, cls) not in allowed})
     assert not stray
     assert {(f, where, cls) for f, where, cls, _ in calls} >= allowed
+
+
+# The package's modules, each with the modules it may load: itself and the
+# layers below it, model -> {matcher, ruleio} -> {chase, termination,
+# approx} -> cyclicity -> cli.
+_LAYERS = {
+    "model": {"model"},
+    "matcher": {"model", "matcher"},
+    "ruleio": {"model", "ruleio"},
+    "chase": {"model", "matcher", "chase"},
+    "termination": {"model", "matcher", "termination"},
+    "approx": {"model", "matcher", "approx"},
+    "cyclicity": {"model", "matcher", "termination", "approx", "cyclicity"},
+    "cli": {"model", "matcher", "ruleio", "chase", "termination", "approx",
+            "cyclicity", "cli"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(_LAYERS))
+def test_each_module_loads_only_the_layers_below_it(module):
+    # Imported alone in a fresh interpreter, under -W error.
+    code = (f"import sys, chase_sentinel.{module}; "
+            "print(*(m for m in sys.modules if m.startswith('chase_sentinel.')))")
+    src = str(Path(chase_sentinel.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    loaded = {m.removeprefix("chase_sentinel.") for m in out.split()}
+    assert module in loaded and loaded <= _LAYERS[module]
 
 
 def test_symbol_identity_includes_arity():
@@ -372,7 +397,7 @@ def test_rule_set_rejects_duplicate_ids_and_arity_clashes():
                            for r in bad])
 
 
-def test_substitution_application_and_compose():
+def test_substitution_application():
     x, y = variable("X"), variable("Y")
     a = constant("a")
     f = skolem_symbol("r1", 1, "U", 1)
@@ -380,10 +405,6 @@ def test_substitution_application_and_compose():
     assert apply_term(sigma, x) == a
     assert apply_atom(sigma, Atom("R", (x, y))) == Atom(
         "R", (a, functional(f, (a,))))
-    g = ConstantMapping({a: functional(f, (a,))})
-    composed = compose(g, sigma)
-    assert composed[x] == functional(f, (a,))
-    assert composed[y] == functional(f, (functional(f, (a,)),))
 
 
 def test_constant_mapping_rewrites_inside_functional_terms():

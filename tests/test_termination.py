@@ -4,11 +4,11 @@ import time
 
 import pytest
 
-from chase_sentinel.cyclicity import SearchBudget
 from chase_sentinel.model import Atom, functional, is_k_cyclic, star
 from chase_sentinel.termination import (
     MFA,
     RMFA_LIKE,
+    SearchBudget,
     check_acyclic,
     critical_instance,
 )
