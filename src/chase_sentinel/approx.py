@@ -207,10 +207,9 @@ class _Seed:
     def __init__(self, rules: RuleSet, universe: tuple[Term, ...]):
         # Each term of U by its position: product order sorts by these.
         self.order = {t: i for i, t in enumerate(universe)}
-        self.facts = FactSet()
-        for predicate, arity in rules.predicates.items():
-            for combo in itertools.product(universe, repeat=arity):
-                self.facts.add(Atom(predicate, combo))
+        self.facts = FactSet(
+            Atom(predicate, combo) for predicate, arity in rules.predicates.items()
+            for combo in itertools.product(universe, repeat=arity))
         self.keys = [[(rule, *combo) for combo in
                       itertools.product(universe, repeat=len(rule.frontier))]
                      for rule in rules]

@@ -17,9 +17,11 @@ obsolete and is passed over for good, and the test at the pop is exact.
 Each child pins only the facts its disjunct added, new fact by new fact
 and, per fact, in body-index order, so a branch meets each trigger once.
 The search is depth-first with a trail, as in Prolog's backtracking: one
-FactSet holds the label of the branch being extended and one `Queues` its
-keys, and a fork copies neither. Both are marked before a fork and undone
-to the marks when a later sibling resumes.
+FactSet, the insertion-ordered dict of the facts with its two indexes,
+holds the label of the branch being extended, and one `Queues` its keys;
+a fork copies neither. Both are marked before a fork and undone to the
+marks when a later sibling resumes, and each child's output enters the
+label through one `FactSet.update` call.
 `run_chase` and `entails` share one expansion loop. `entails` compiles
 the query into join chains (`matcher.compile_query`), tests each vertex
 through the facts it adds (`matcher.obsolete_through`), the root's being
@@ -80,7 +82,7 @@ class ChaseVertex:
     @property
     def trigger(self) -> Trigger | None:
         """The trigger of `key`, built on each read."""
-        return None if self.key is None else Trigger.of_key(self.key)
+        return None if self.key is None else Trigger(self.key)
 
     @property
     def is_leaf(self) -> bool:
@@ -170,6 +172,7 @@ def _expand(
     # which the database and earlier generating outputs supplied. So only
     # generating outputs are scanned for the term-depth budget, unless the
     # database itself holds a term deeper than it.
+    max_vertices, max_depth = budget.max_vertices, budget.max_depth
     max_term_depth = budget.max_term_depth
     scan_all = max_term_depth is not None and any(
         t.depth > max_term_depth for fact in seed for t in fact.terms)
@@ -187,11 +190,10 @@ def _expand(
         else:
             key, outputs = popped
             rule = key[0]
-            if budget.max_depth is not None and vertex.depth >= budget.max_depth:
+            if max_depth is not None and vertex.depth >= max_depth:
                 return tree._stop(DEPTH), False
             first = len(tree.vertices)
-            if budget.max_vertices is not None and \
-                    first + rule.branching > budget.max_vertices:
+            if max_vertices is not None and first + rule.branching > max_vertices:
                 return tree._stop(VERTICES), False
             if max_term_depth is not None and (scan_all or rule.is_generating):
                 for out in outputs:
@@ -203,7 +205,7 @@ def _expand(
             # Later disjuncts' facts are read off the parent's label before
             # the first disjunct's are added to it.
             later = [tuple(dict.fromkeys([f for f in out if f not in facts]))
-                     for out in outputs[1:]]
+                     for out in outputs[1:]] if rule.branching > 1 else ()
             fact_mark = facts.mark()
             vertex = ChaseVertex(first, parent.id, depth, key, 1,
                                  tuple(facts.update(outputs[0])))

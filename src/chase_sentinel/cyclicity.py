@@ -102,7 +102,7 @@ def rule_database(rule: Rule) -> Trigger:
     """The seed trigger of the rule's database: every body variable x is
     frozen to the fresh constant c_x, and its body_facts() are the
     database."""
-    return Trigger.of_key((rule, *[db_constant(v.name) for v in rule.body_vars]))
+    return Trigger((rule, *[db_constant(v.name) for v in rule.body_vars]))
 
 
 @dataclass(frozen=True)
@@ -206,7 +206,7 @@ def _saturate(
             if injectivity_guard and key[0].id == rho.id:
                 if len(set(image)) != len(image):
                     continue
-            trigger = Trigger.of_key(key)
+            trigger = Trigger(key)
             if not (is_star_unblockable(rules, trigger) if hc is None
                     else is_uc_unblockable(rules, hc, trigger)):
                 continue
@@ -357,7 +357,7 @@ def unroll_prefix(prefix: CyclicityPrefix, repetitions: int) -> list[Trigger]:
     out = [prefix.triggers[0]]
     for j in range(1, repetitions + 1):
         for trigger in prefix.triggers[1:]:
-            out.append(Trigger.of_key((trigger[0], *[
+            out.append(Trigger((trigger[0], *[
                 g.apply_power(t, j - 1) for t in trigger[1:]])))
     return out
 

@@ -20,12 +20,13 @@ their order.
 
 A trigger travels from `discover` through its pop as the key (rule, *body
 image), the image of rule.body_vars in order. A `Trigger` is that key: a
-tuple that adds only methods, so `Trigger.of_key` copies the key's items
-into it and no more, and a trigger equals its key. Keys are read off a
-FactSet, so they are ground; a chase vertex's `trigger` and the
-saturation's unblockability test read them as triggers. A `HeadChoice`
-picks one head disjunct per rule, and so one output per trigger: the
-cyclicity notions and the over-approximation builds read it.
+tuple that adds only methods, so `Trigger(key)` is the tuple's own
+constructor, which copies the key's items and checks nothing, and a
+trigger equals its key. Keys are read off a FactSet, so they are ground; a
+chase vertex's `trigger` and the saturation's unblockability test read
+them as triggers. A `HeadChoice` picks one head disjunct per rule, and so
+one output per trigger: the cyclicity notions and the over-approximation
+builds read it.
 
 Pinning a fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). A rule set's joins are compiled together on first
@@ -37,16 +38,19 @@ with it. `_pinned_keys` runs them and projects each row onto a key:
 The chase and the acyclicity check share the step around it: `enqueue`
 queues datalog keys ahead of the others in a `Queues`, and `pop_active`
 pops the first key that is not obsolete and returns it with its outputs.
-`FactSet` and `Queues` only grow at their ends, so each can `mark` a point
-and `undo` back to it: the chase backtracks this way. Obsolescence
+A `FactSet` is the insertion-ordered dict of its facts, with an index by
+predicate and one by (predicate, first argument) beside it, so membership
+is a dict lookup; `update`, the bulk insert, appends each new fact to both
+indexes. `FactSet` and `Queues` only grow at their ends, so each can `mark`
+a point and `undo` back to it: the chase backtracks this way. Obsolescence
 is stated once, per head disjunct, in `disjunct_holds`, on a frontier
 image: an existential-free disjunct is looked up as its output, and an
 existential one runs its chain, held by the rule, on rows that start with
-the image. `pop_active` reads each popped key's frontier image off the
-key with rule.key_frontier and asks each disjunct, passing the
-disjunct's output when that is the grounded head, so the one build
-serves the test and the caller; `is_obsolete` asks every disjunct of a
-trigger. Nothing in the package calls `is_obsolete`: it stays public as
+the image; rule.existential says which is which. `pop_active` reads each
+popped key's frontier image off the key with rule.key_frontier and asks
+each disjunct, passing the disjunct's output when that is the grounded
+head, so the one build serves the test and the caller; `is_obsolete` asks
+every disjunct of a trigger. Nothing in the package calls `is_obsolete`: it stays public as
 the test on a whole fact set, which the tests check the others against
 and the benchmark's traced runs count. `obsolete_through` is the same
 test with one atom pinned to a new fact, the semi-naive test of the
@@ -95,49 +99,67 @@ __all__ = [
 Chain = tuple[tuple, ...]
 
 
-class FactSet:
+class FactSet(dict):
     """Insertion-ordered set of facts, indexed by predicate and first
-    argument. Facts are only added, or dropped newest first by `undo`, so
-    each index list keeps its facts in insertion order."""
+    argument: the dict from each fact to None, so membership, size,
+    iteration and `mark` are the dict's own. Facts enter only through `add`
+    and `update`, the bulk insert, and leave only newest first by `undo`, so
+    each index list keeps its facts in insertion order; the dict's own
+    mutators would bypass the indexes. Equality and hashing are by
+    identity, as for any object."""
 
-    __slots__ = ("_order", "_by_pred", "_by_pred_arg0")
+    __slots__ = ("_by_pred", "_by_pred_arg0")
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__  # type: ignore[assignment]
 
     def __init__(self, facts: Iterable[Atom] = ()):
-        self._order: dict[Atom, None] = {}
         self._by_pred: dict[str, list[Atom]] = {}
         self._by_pred_arg0: dict[tuple[str, Term], list[Atom]] = {}
-        for f in facts:
-            self.add(f)
+        self.update(facts)
 
     def add(self, fact: Atom) -> bool:
         """Insert one fact; returns True when it was not present before."""
-        if fact in self._order:
+        if fact in self:
             return False
         if not fact.is_ground:
             raise RuleError(f"not a fact: {fact!r}")
-        self._order[fact] = None
+        self[fact] = None
         self._by_pred.setdefault(fact.predicate, []).append(fact)
         self._by_pred_arg0.setdefault((fact.predicate, fact.terms[0]), []).append(fact)
         return True
 
-    def update(self, facts: Iterable[Atom]) -> list[Atom]:
-        """Insert many facts; returns the ones that were new, in order."""
-        return [f for f in facts if self.add(f)]
+    def update(self, facts: Iterable[Atom]) -> list[Atom]:  # type: ignore[override]
+        """Insert many facts, each checked ground as `add` does; returns the
+        ones that were new, in order."""
+        new = []
+        by_pred = self._by_pred
+        by_pred_arg0 = self._by_pred_arg0
+        for fact in facts:
+            if fact in self:
+                continue
+            predicate, terms = fact
+            for t in terms:
+                if not t.is_ground:
+                    raise RuleError(f"not a fact: {fact!r}")
+            self[fact] = None
+            new.append(fact)
+            by_pred.setdefault(predicate, []).append(fact)
+            by_pred_arg0.setdefault((predicate, terms[0]), []).append(fact)
+        return new
 
-    def mark(self) -> int:
-        """A point to come back to with `undo`: the number of facts."""
-        return len(self._order)
+    # A point to come back to with `undo`: the number of facts.
+    mark = dict.__len__
 
     def undo(self, mark: int) -> None:
         """Drop every fact added since `mark`, newest first. Facts and index
         lists only ever grow at their ends, so each dropped fact is the last
         entry of its two index lists; an index list left empty is deleted,
         which leaves the set as if those facts had never been added."""
-        order = self._order
         by_pred = self._by_pred
         by_pred_arg0 = self._by_pred_arg0
-        while len(order) > mark:
-            fact = order.popitem()[0]
+        while len(self) > mark:
+            fact = self.popitem()[0]
             predicate = fact.predicate
             entries = by_pred[predicate]
             entries.pop()
@@ -154,15 +176,6 @@ class FactSet:
             return self._by_pred_arg0.get((predicate, first), ())
         return self._by_pred.get(predicate, ())
 
-    def __contains__(self, fact: Atom) -> bool:
-        return fact in self._order
-
-    def __iter__(self) -> Iterator[Atom]:
-        return iter(self._order)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
     def __le__(self, other: "FactSet") -> bool:
         return all(f in other for f in self)
 
@@ -173,25 +186,11 @@ class FactSet:
 class Trigger(tuple):
     """A rule paired with a ground image of its body variables: the key
     (rule, *body image) itself, so equal to another trigger, or to a key,
-    with the same rule object and image."""
+    with the same rule object and image. `Trigger(key)` is the tuple's own
+    constructor and checks nothing: keys are read off fact sets, so they
+    are ground. Copies and pickles rebuild it the same way."""
 
     __slots__ = ()
-
-    def __new__(cls, rule: Rule, substitution: Substitution) -> "Trigger":
-        image = [substitution[v] for v in rule.body_vars]
-        for v, t in zip(rule.body_vars, image):
-            if not t.is_ground:
-                raise RuleError(f"trigger substitution must be ground, {v!r} -> {t!r}")
-        return tuple.__new__(cls, (rule, *image))
-
-    @classmethod
-    def of_key(cls, key: tuple) -> "Trigger":
-        """The trigger of a ground (rule, *body image) key, unchecked."""
-        return tuple.__new__(cls, key)
-
-    def __getnewargs__(self) -> tuple[Rule, dict[Variable, Term]]:
-        """The arguments that copies and pickles rebuild the trigger from."""
-        return self.rule, self.substitution
 
     @property
     def rule(self) -> Rule:
@@ -560,13 +559,13 @@ def disjunct_holds(rule: Rule, disjunct: int, image: tuple[Term, ...],
     one instead. A caller that has built that output already passes it as
     `out`.
     """
-    if rule.heads[disjunct - 1].existential_vars:
+    if rule.existential[disjunct - 1]:
         if rule.chains is None:
             where = {i: i for i in range(len(rule.frontier))}
             rule.chains = tuple([
                 _compile_chain(template, where, len(where))[0]
-                if head.existential_vars else ()
-                for template, head in zip(rule.sk_heads, rule.heads)])
+                if existential else ()
+                for template, existential in zip(rule.sk_heads, rule.existential)])
         return next(_chain(rule.chains[disjunct - 1], image, facts),
                     None) is not None
     for atom in rule.output(disjunct, image) if out is None else out:
@@ -634,9 +633,9 @@ class Queues:
 
 def enqueue(queues: Queues, keys: Iterable[tuple]) -> None:
     """Queue datalog keys in the first list, the others in the second."""
-    lists = queues.keys
+    datalog, other = queues.keys
     for key in keys:
-        lists[not key[0].is_datalog].append(key)
+        (datalog if key[0].is_datalog else other).append(key)
 
 
 def pop_active(queues: Queues,
@@ -659,16 +658,17 @@ def pop_active(queues: Queues,
             rule = key[0]
             image = rule.key_frontier(key)
             outputs = []
-            for i, head in enumerate(rule.heads, 1):
-                out = None if head.existential_vars else rule.output(i, image)
+            for i, existential in enumerate(rule.existential, 1):
+                out = None if existential else rule.output(i, image)
                 if tested and disjunct_holds(rule, i, image, facts, out):
                     break
                 outputs.append(out)
             else:
                 heads[q] = at
-                return key, [
-                    rule.output(i, image) if out is None else out
-                    for i, out in enumerate(outputs, 1)]
+                if rule.is_generating:
+                    outputs = [rule.output(i, image) if out is None else out
+                               for i, out in enumerate(outputs, 1)]
+                return key, outputs
         heads[q] = at
     return None
 

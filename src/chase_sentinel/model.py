@@ -384,6 +384,7 @@ class Rule:
     frontier image alone. key_frontier, compiled next to them, reads that
     image off a (rule, *body image) key. The matcher compiles the templates
     into join chains on first use, held in chains and pinned_chains.
+    existential says, per disjunct, whether it has existential variables.
     """
 
     __slots__ = (
@@ -393,6 +394,7 @@ class Rule:
         "body_vars",
         "frontier",
         "branching",
+        "existential",
         "is_deterministic",
         "is_generating",
         "is_datalog",
@@ -446,6 +448,7 @@ class Rule:
         self.frontier = tuple([v for v in body_vars if v in head_vars])
 
         self.branching = len(self.heads)
+        self.existential = tuple([bool(h.existential_vars) for h in self.heads])
         self.is_deterministic = self.branching == 1
         self.is_generating = bool(used_existentials)
         self.is_datalog = self.is_deterministic and not self.is_generating

@@ -143,9 +143,8 @@ def check_acyclic(
         applied += 1
         new = facts.update(output)
         if mode == RMFA_LIKE:
-            for atom in new:
-                if any(t != seed_constant for t in atom.terms):
-                    blocking.add(atom)
+            blocking.update([atom for atom in new
+                             if any(t is not seed_constant for t in atom.terms)])
         for atom in new:
             for t in atom.terms:
                 if is_k_cyclic(t, k):

@@ -14,7 +14,7 @@ import itertools
 import random
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import pytest
 
@@ -230,6 +230,17 @@ def bench_rule_set(i: int) -> RuleSet:
     return rules_from(bench_text(i))
 
 
+def trigger_of(rule: Rule, substitution: Mapping[Variable, Term]) -> Trigger:
+    """The trigger of the rule under a substitution of its body variables,
+    which must be ground: the check that `Trigger(key)` leaves to the fact
+    sets keys are read off."""
+    image = [substitution[v] for v in rule.body_vars]
+    for v, t in zip(rule.body_vars, image):
+        if not t.is_ground:
+            raise RuleError(f"trigger substitution must be ground, {v!r} -> {t!r}")
+    return Trigger((rule, *image))
+
+
 def sample_triggers(rules: RuleSet, depth_cap: int = 3,
                     limit: int = 24) -> list[Trigger]:
     """A few loaded triggers per rule, grown from each generating rule's
@@ -245,7 +256,7 @@ def sample_triggers(rules: RuleSet, depth_cap: int = 3,
         facts.update(seed.out(1))
         for rule in rules:
             for sub in _naive_matches(rule.body, facts):
-                lam = Trigger(rule, sub)
+                lam = trigger_of(rule, sub)
                 if max((t.depth for t in lam.frontier_image()), default=0) \
                         <= depth_cap:
                     out.append(lam)
@@ -374,7 +385,7 @@ def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
         derived: list[Atom] = []
         for rule in rules:
             for sub in _naive_matches(rule.body, facts):
-                lam = Trigger(rule, sub)
+                lam = trigger_of(rule, sub)
                 if hc is not None:
                     out = hc.out(lam)
                     if frozenset(out) == pivot_out:
@@ -417,7 +428,7 @@ def naive_saturation(rules: RuleSet, rho, hc=None,
                     continue
                 if any(t.depth > depth_cap for t in combo):
                     continue
-                lam = Trigger(rule, dict(zip(rule.body_vars, combo)))
+                lam = trigger_of(rule, dict(zip(rule.body_vars, combo)))
                 if not all(f in facts for f in lam.body_facts()):
                     continue
                 out = hc.out(lam) if hc is not None else lam.out(1)
@@ -459,7 +470,7 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
             if hc is None and not rule.is_deterministic:
                 continue
             for sub in _naive_matches(rule.body, facts):
-                trigger = Trigger(rule, sub)
+                trigger = trigger_of(rule, sub)
                 if trigger not in processed:
                     key = tuple(repr(sub[v]) for v in rule.body_vars)
                     candidates.append(((position, key), trigger))
@@ -665,7 +676,7 @@ def is_loaded(trigger: Trigger, facts: FactSet) -> bool:
 def satisfies(facts: FactSet, rule: Rule) -> bool:
     """True iff every loaded trigger of the rule is obsolete."""
     for sub in _naive_matches(rule.body, facts):
-        if not is_obsolete(Trigger(rule, sub), facts):
+        if not is_obsolete(trigger_of(rule, sub), facts):
             return False
     return True
 
@@ -693,4 +704,4 @@ def transport_trigger(rules: RuleSet, trigger: Trigger, g: ConstantMapping) -> T
     if not certificate.reversible:
         raise NotReversibleError(certificate)
     moved = {v: g.apply(t) for v, t in trigger.substitution.items()}
-    return Trigger(trigger.rule, moved)
+    return trigger_of(trigger.rule, moved)

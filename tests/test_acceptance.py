@@ -42,7 +42,6 @@ from chase_sentinel.cyclicity import (
 from chase_sentinel.matcher import (
     FactSet,
     HeadChoice,
-    Trigger,
     is_obsolete,
     match_conjunction,
 )
@@ -74,6 +73,7 @@ from conftest import (
     random_rule_set,
     rules_from,
     sample_triggers,
+    trigger_of,
 )
 
 X, Y = variable("X"), variable("Y")
@@ -85,7 +85,7 @@ def sk(rule, var):
 
 def bike_pivot(rules):
     fvd = functional(sk(rules.by_id["r1"], "V"), (constant("d"),))
-    return Trigger(rules.by_id["r2"], {X: fvd})
+    return trigger_of(rules.by_id["r2"], {X: fvd})
 
 
 def test_criterion_01_bike_chase_results_and_entailment(bike4):
@@ -184,7 +184,7 @@ def test_criterion_04_over_approximation_golden_sets():
 def test_criterion_05_uc_and_star_unblockability_separate(uc_star):
     r1 = uc_star.by_id["r1"]
     c_y = db_constant("Y")
-    lam = Trigger(r1, {X: c_y, Y: functional(next(iter(r1.sk_symbols)), (c_y,))})
+    lam = trigger_of(r1, {X: c_y, Y: functional(next(iter(r1.sk_symbols)), (c_y,))})
     assert is_uc_unblockable(uc_star, HeadChoice.uniform(uc_star, 1), lam)
     assert not is_star_unblockable(uc_star, lam)
 
@@ -195,7 +195,7 @@ def test_criterion_06_reversibility_counterexamples(guard_rules, cond3):
     f_v = next(iter(guard_rules.by_id["r2"].sk_symbols))
     c_x, c_y = db_constant("X"), db_constant("Y")
     fu = functional(f_u, (c_x, c_y))
-    skel = skeleton(Trigger(r1, {X: c_x, Y: fu}), guard_rules)
+    skel = skeleton(trigger_of(r1, {X: c_x, Y: fu}), guard_rules)
     assert skel == frozenset({c_x, c_y, fu})
     image = functional(f_v, (fu,))
     cert = check_reversible(ConstantMapping({c_x: image, c_y: image}), skel)
@@ -462,13 +462,13 @@ def test_criterion_10_oracle_equivalence(monkeypatch):
             if rule.is_generating:
                 for sub in itertools.islice(
                         match_conjunction(rule.body, {}, facts), 2):
-                    facts.update(Trigger(rule, sub).out(1))
+                    facts.update(trigger_of(rule, sub).out(1))
                 break
         if len({t for fact in facts for t in fact.terms}) > 12:
             continue
         for rule in rules:
             for sub in match_conjunction(rule.body, {}, facts):
-                lam = Trigger(rule, sub)
+                lam = trigger_of(rule, sub)
                 assert is_obsolete(lam, facts) == oracle_obsolete(lam, facts)
                 checked += 1
     assert checked >= 100

@@ -23,8 +23,7 @@ from chase_sentinel.approx import (
     unblockability_cache,
 )
 from chase_sentinel.cli import classify_rules
-from chase_sentinel.matcher import (FactSet, HeadChoice, Trigger, discover,
-                                    is_obsolete)
+from chase_sentinel.matcher import FactSet, HeadChoice, discover, is_obsolete
 from chase_sentinel.model import (
     _TABLE,
     Atom,
@@ -51,6 +50,7 @@ from conftest import (
     rules_from,
     sample_triggers,
     transport_trigger,
+    trigger_of,
 )
 
 
@@ -59,7 +59,7 @@ def bike_pivot(rules):
     r1 = rules.by_id["r1"]
     f_v = next(s for s in r1.sk_symbols if s.var == "V")
     fvd = functional(f_v, (constant("d"),))
-    return Trigger(rules.by_id["r2"], {variable("X"): fvd})
+    return trigger_of(rules.by_id["r2"], {variable("X"): fvd})
 
 
 def bike_abstraction(kind):
@@ -359,7 +359,7 @@ def warm_seed_checks(structures) -> tuple[int, int]:
             got = build_over_approx(rules, pivot, kind, hc)
             warm += len(rules.seeds) == kept
             fresh_rules = rules_from(text)
-            fresh = build_over_approx(fresh_rules, Trigger(
+            fresh = build_over_approx(fresh_rules, trigger_of(
                 fresh_rules.by_id[pivot.rule.id], pivot.substitution), kind, hc)
             facts = set(got.facts)
             assert facts == set(fresh.facts) and got.triggers == fresh.triggers, \
@@ -401,7 +401,7 @@ def exclusion_case(pivot_rule, text=EXCLUSION_RULES):
     rules = rules_from(text)
     c = constant("c")
     fuc = functional(sk(rules, "r1", "U"), (c,))
-    pivot = Trigger(rules.by_id[pivot_rule],
+    pivot = trigger_of(rules.by_id[pivot_rule],
                     {variable("X"): c, variable("Y"): fuc})
     return rules, pivot, fuc
 
@@ -476,7 +476,7 @@ def test_star_unblockability_of_the_bike_pivot():
 def test_datalog_triggers_are_always_unblockable():
     rules = bike_subset(4)
     r3 = rules.by_id["r3"]
-    lam = Trigger(r3, {variable("X"): constant("d"),
+    lam = trigger_of(r3, {variable("X"): constant("d"),
                        variable("Y"): constant("e")})
     assert is_star_unblockable(rules, lam)
     for i in (1, 2):
@@ -489,7 +489,7 @@ def test_uc_and_star_unblockability_separate(uc_star):
     r1 = uc_star.by_id["r1"]
     f_u = next(iter(r1.sk_symbols))
     c_y = db_constant("Y")
-    lam = Trigger(r1, {variable("X"): c_y,
+    lam = trigger_of(r1, {variable("X"): c_y,
                        variable("Y"): functional(f_u, (c_y,))})
     assert is_uc_unblockable(uc_star, HeadChoice.uniform(uc_star, 1), lam)
     assert not is_star_unblockable(uc_star, lam)
@@ -535,7 +535,7 @@ def test_star_step_skips_pivots_with_abstract_constants_in_their_skeleton():
     rules = bike_subset(2)
     hc1 = HeadChoice.uniform(rules, 1)
     f_v = next(s for s in rules.by_id["r1"].sk_symbols if s.var == "V")
-    lam = Trigger(rules.by_id["r2"],
+    lam = trigger_of(rules.by_id["r2"],
                   {variable("X"): functional(f_v, (star(),))})
     assert star() in skeleton(lam, rules)
     cache = unblockability_cache(rules)
@@ -546,7 +546,7 @@ def test_star_step_skips_pivots_with_abstract_constants_in_their_skeleton():
     assert [key[0] for key in cache.entries] == [UC]
 
     # The same trigger on a fresh constant takes the star step.
-    lam_d = Trigger(rules.by_id["r2"],
+    lam_d = trigger_of(rules.by_id["r2"],
                     {variable("X"): functional(f_v, (constant("d"),))})
     assert is_uc_unblockable(rules, hc1, lam_d) == answer
     assert cache.star_answers == 1
@@ -612,9 +612,9 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     cache = unblockability_cache(rules)
     r1 = rules.by_id["r1"]
     f_v = next(iter(r1.sk_symbols))
-    lam_d = Trigger(rules.by_id["r2"],
+    lam_d = trigger_of(rules.by_id["r2"],
                     {variable("X"): functional(f_v, (constant("d"),))})
-    lam_e = Trigger(rules.by_id["r2"],
+    lam_e = trigger_of(rules.by_id["r2"],
                     {variable("X"): functional(f_v, (constant("e"),))})
 
     def uc_entries():
@@ -638,8 +638,8 @@ def test_unblockability_cache_canonicalizes_constant_renamings():
     cache = unblockability_cache(rules)
     c, d = constant("c"), constant("d")
     rule = rules.by_id["r1"]
-    lam_cc = Trigger(rule, {variable("X"): c, variable("Z"): c})
-    lam_cd = Trigger(rule, {variable("X"): c, variable("Z"): d})
+    lam_cc = trigger_of(rule, {variable("X"): c, variable("Z"): c})
+    lam_cd = trigger_of(rule, {variable("X"): c, variable("Z"): d})
     assert is_star_unblockable(rules, lam_cc) == is_star_unblockable(rules, lam_cd)
     assert len(cache.entries) == 1
     # X maps to a constant, so R(c, *) is a seed fact and the answer needs
@@ -664,7 +664,7 @@ def test_unblockability_cache_keys_abstract_constants_as_themselves():
                          if isinstance(c, Constant)}
             for c in sorted(constants, key=repr):
                 g = ConstantMapping({c: star()})
-                starred = Trigger(lam.rule, {v: g.apply(t)
+                starred = trigger_of(lam.rule, {v: g.apply(t)
                                              for v, t in lam.substitution.items()})
                 fresh = [_is_unblockable(rules, STAR, None, t,
                                          UnblockabilityCache())
@@ -702,7 +702,7 @@ def test_reversibility_condition_two(guard_rules):
     f_v = next(iter(r2.sk_symbols))
     c_x, c_y = db_constant("X"), db_constant("Y")
     fu = functional(f_u, (c_x, c_y))
-    lam = Trigger(r1, {variable("X"): c_x, variable("Y"): fu})
+    lam = trigger_of(r1, {variable("X"): c_x, variable("Y"): fu})
     skel = skeleton(lam, guard_rules)
     assert skel == frozenset({c_x, c_y, fu})
     image = functional(f_v, (fu,))
@@ -742,7 +742,7 @@ def test_transport_applies_the_mapping_to_the_substitution():
     f_v = next(iter(r1.sk_symbols))
     f_w = next(iter(rules.by_id["r2"].sk_symbols))
     c_x = db_constant("X")
-    lam = Trigger(r1, {variable("X"): c_x})
+    lam = trigger_of(r1, {variable("X"): c_x})
     g = ConstantMapping({c_x: functional(f_w, (functional(f_v, (c_x,)),))})
     moved = transport_trigger(rules, lam, g)
     assert moved.rule is r1
@@ -760,7 +760,7 @@ def test_transport_rejects_non_reversible_mappings(guard_rules):
     f_v = next(iter(r2.sk_symbols))
     c_x, c_y = db_constant("X"), db_constant("Y")
     fu = functional(f_u, (c_x, c_y))
-    lam = Trigger(r1, {variable("X"): c_x, variable("Y"): fu})
+    lam = trigger_of(r1, {variable("X"): c_x, variable("Y"): fu})
     image = functional(f_v, (fu,))
     with pytest.raises(NotReversibleError) as err:
         transport_trigger(guard_rules, lam,

@@ -18,8 +18,8 @@ from chase_sentinel.chase import (
     run_chase,
 )
 from chase_sentinel.matcher import HeadChoice, is_obsolete
-from chase_sentinel.model import (Atom, Query, constant, functional,
-                                  skolem_symbol, variable)
+from chase_sentinel.model import (Atom, Query, RuleError, constant,
+                                  functional, skolem_symbol, variable)
 from chase_sentinel.ruleio import parse
 
 import chase_trees
@@ -366,6 +366,18 @@ def test_dot_and_trace_render(bike4):
 def test_facts_are_validated_against_rule_arities(bike4):
     with pytest.raises(Exception):
         run_chase(bike4, [atom("Engine", "d", "e")])
+
+
+def test_database_facts_must_be_ground(bike4):
+    # run_chase and entails both check each database fact with
+    # RuleSet.check_fact before it enters the root's label.
+    loose = Atom("Engine", (variable("X"),))
+    query = Query((atom("Engine", "d"),))
+    for call in (lambda db: run_chase(bike4, db),
+                 lambda db: entails(bike4, db, query)):
+        with pytest.raises(RuleError, match="not a fact") as raised:
+            call([atom("Engine", "d"), loose])
+        assert raised.traceback[-1].name == "check_fact"
 
 
 def test_chase_trees_and_acyclicity_counts_replay_golden_fixture():

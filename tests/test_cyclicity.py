@@ -20,7 +20,7 @@ from chase_sentinel.cyclicity import (
     rule_database,
     unroll_prefix,
 )
-from chase_sentinel.matcher import FactSet, HeadChoice, Trigger
+from chase_sentinel.matcher import FactSet, HeadChoice
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
@@ -36,7 +36,8 @@ from chase_sentinel.termination import SearchBudget
 
 import bench_cyclicity
 from conftest import (bench_rule_set, bike_subset, in_order_check, is_loaded,
-                      naive_rpc, random_rule_set, rematch_saturation, rules_from)
+                      naive_rpc, random_rule_set, rematch_saturation, rules_from,
+                      trigger_of)
 
 
 X, Y = variable("X"), variable("Y")
@@ -271,7 +272,7 @@ def test_extract_prefix_traps_corrupted_logs(bike2):
     run = rpc_fact_set(bike2, hc1, bike2.by_id["r1"])
     assert run.cyclic_term is not None
     entry = run.provenance[1]
-    bad = Trigger(entry.trigger.rule, {X: db_constant("Y")})
+    bad = trigger_of(entry.trigger.rule, {X: db_constant("Y")})
     run.provenance[1] = AppliedTrigger(bad, entry.new)
     with pytest.raises(InternalInconsistencyError):
         extract_prefix(run)
@@ -282,7 +283,7 @@ def test_extract_prefix_traps_corrupted_logs(bike2):
                               for v in run.rho.body_vars})
     run.provenance = [
         AppliedTrigger(
-            Trigger(a.trigger.rule, {v: rename.apply(t)
+            trigger_of(a.trigger.rule, {v: rename.apply(t)
                                      for v, t in a.trigger.substitution.items()}),
             tuple(Atom(f.predicate, tuple(rename.apply(t) for t in f.terms))
                   for f in a.new))

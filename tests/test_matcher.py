@@ -1,6 +1,7 @@
 import collections
 import copy
 import gc
+import pickle
 import random
 import weakref
 
@@ -32,7 +33,7 @@ from chase_sentinel.termination import critical_instance
 
 from conftest import (_naive_matches, apply_atoms, bike_subset, is_loaded,
                       match_pinned, oracle_matches, outputs, perfbench_module,
-                      random_rule_set, rules_from, satisfies)
+                      random_rule_set, rules_from, satisfies, trigger_of)
 from test_engine_check import bench_cases, sweep_cases, wide_databases
 
 
@@ -51,6 +52,25 @@ def test_fact_set_basics():
     assert FactSet([atom("A", "a")]) <= facts
 
 
+def test_fact_sets_take_only_ground_atoms():
+    # Each way a fact enters a FactSet checks that it is ground: add, the
+    # constructor and update, the bulk insert, which checks every new fact
+    # of its batch and keeps the facts it inserted before the bad one.
+    loose = Atom("A", (constant("a"), variable("X")))
+    ground = atom("A", "a", "b")
+    facts = FactSet()
+    with pytest.raises(RuleError, match="not a fact"):
+        facts.add(loose)
+    with pytest.raises(RuleError, match="not a fact"):
+        FactSet([ground, loose])
+    deep = Atom("B", (functional(skolem_symbol("q", 1, "Y", 1), (variable("X"),)),))
+    for bad in (loose, deep):
+        with pytest.raises(RuleError, match="not a fact"):
+            facts.update([ground, ground, bad])
+    assert list(facts) == [ground] and facts.candidates("A") == [ground]
+    assert loose not in facts and not facts.candidates("B")
+
+
 def test_fact_set_candidates_partition_by_first_argument():
     facts = FactSet([atom("R", "a", "b"), atom("R", "a", "c"),
                      atom("R", "b", "a")])
@@ -61,39 +81,62 @@ def test_fact_set_candidates_partition_by_first_argument():
     assert facts.candidates("S") == ()
 
 
-def test_mark_and_undo_restore_fact_sets_and_queues():
-    # Random runs of adds, marks and undos, the way the chase forks and
-    # resumes: an undo goes back to any mark still on the trail, and a mark
-    # may be undone to more than once. After each undo the fact set equals
-    # one rebuilt from the facts that survive, in iteration order, length
-    # and both indexes, and the queues hold the keys and heads they held at
-    # the mark.
+def check_fact_set_trail(runs: int) -> collections.Counter:
+    """Random runs of adds, update batches, marks and undos, the way the
+    chase forks and resumes: an undo goes back to any mark still on the
+    trail, and a mark may be undone to more than once. A list of the facts
+    in insertion order is the model. A batch may repeat a fact and hold
+    facts already present, and update must return exactly the model's new
+    facts, in order. After each step the fact set iterates as the model,
+    and after each undo it also equals one rebuilt from the model in both
+    indexes, and the queues hold the keys and heads they held at the mark.
+    Returns the counts of undos, pops and batches, and of batches that
+    repeated a fact or held a present one."""
     rng = random.Random(41)
     consts = [constant(n) for n in "abcd"]
     preds = [("P", 1), ("R", 2), ("S", 2)]
     rules = rules_from("P(X) -> R(X, X) .\nR(X, Y) -> S(X, Z) .\n")
     datalog, generating = rules.rules
 
+    def fact():
+        pred, arity = rng.choice(preds)
+        return Atom(pred, tuple(rng.choices(consts, k=arity)))
+
     def snapshot(queues):
         return [list(keys) for keys in queues.keys], list(queues.heads)
 
-    undos = popped = 0
-    for _ in range(300):
+    seen: collections.Counter = collections.Counter()
+    for _ in range(runs):
         facts, queues = FactSet(), Queues()
+        model: list[Atom] = []
         trail = []
         for _ in range(rng.randint(5, 40)):
             op = rng.random()
-            if op < 0.45:
-                pred, arity = rng.choice(preds)
-                facts.add(Atom(pred, tuple(rng.choices(consts, k=arity))))
+            if op < 0.3:
+                f = fact()
+                added = facts.add(f)
+                assert added == (f not in model)
+                if added:
+                    model.append(f)
+            elif op < 0.45:
+                batch = [fact() for _ in range(rng.randint(0, 4))]
+                if batch or model:
+                    batch += rng.choices(batch + model, k=rng.randint(0, 2))
+                rng.shuffle(batch)
+                new = [f for f in dict.fromkeys(batch) if f not in model]
+                assert facts.update(batch) == new
+                seen["updates"] += 1
+                seen["repeats"] += len(set(batch)) < len(batch)
+                seen["present"] += len(new) < len(set(batch))
+                model += new
             elif op < 0.6:
                 rule = rng.choice((datalog, generating))
                 enqueue(queues, [(rule, *rng.choices(consts, k=len(rule.body_vars)))
                                  for _ in range(rng.randint(1, 3))])
             elif op < 0.7:
-                popped += pop_active(queues, FactSet()) is not None
+                seen["pops"] += pop_active(queues, FactSet()) is not None
             elif op < 0.85 or not trail:
-                trail.append((facts.mark(), queues.mark(), list(facts),
+                trail.append((facts.mark(), queues.mark(), list(model),
                               snapshot(queues)))
             else:
                 j = rng.randrange(len(trail))
@@ -101,15 +144,22 @@ def test_mark_and_undo_restore_fact_sets_and_queues():
                 fact_mark, queue_mark, kept, queued = trail[j]
                 facts.undo(fact_mark)
                 queues.undo(queue_mark)
+                model = list(kept)
                 rebuilt = FactSet(kept)
-                assert list(facts) == kept and len(facts) == len(kept)
                 for pred, _ in preds:
                     assert facts.candidates(pred) == rebuilt.candidates(pred)
                     for t in consts:
                         assert facts.candidates(pred, t) == rebuilt.candidates(pred, t)
                 assert snapshot(queues) == queued
-                undos += 1
-    assert undos >= 800 and popped >= 300
+                seen["undos"] += 1
+            assert list(facts) == model and len(facts) == facts.mark() == len(model)
+    return seen
+
+
+def test_mark_and_undo_restore_fact_sets_and_queues():
+    seen = check_fact_set_trail(300)
+    assert seen["undos"] >= 800 and seen["pops"] >= 300, seen
+    assert min(seen[k] for k in ("updates", "repeats", "present")) >= 300, seen
 
 
 def test_match_conjunction_joins_and_respects_base():
@@ -178,7 +228,7 @@ def test_trigger_outputs_and_frontier_image():
     rules = bike_subset(2)
     r1 = rules.by_id["r1"]
     d = constant("d")
-    lam = Trigger(r1, {variable("X"): d})
+    lam = trigger_of(r1, {variable("X"): d})
     f_v = next(iter(r1.sk_symbols))
     fvd = functional(f_v, (d,))
     assert lam.body_facts() == (atom("Engine", "d"),)
@@ -196,22 +246,41 @@ def test_triggers_and_atoms_are_the_tuples_they_hold():
     rule = rules_from(text).by_id["r1"]
     a, b = constant("a"), constant("b")
     key = (rule, a, b)
-    lam = Trigger.of_key(key)
+    lam = Trigger(key)
     assert lam == key and hash(lam) == hash(key)
     assert all(x is y for x, y in zip(lam, key, strict=True))
     assert lam.rule is rule and lam.substitution == {variable("X"): a, variable("Y"): b}
-    assert copy.copy(lam) == lam and type(copy.copy(lam)) is Trigger
     again = rules_from(text).by_id["r1"]
-    assert Trigger(again, lam.substitution) != lam
+    assert trigger_of(again, lam.substitution) != lam
     assert Atom("B", (b, a)) == ("B", (b, a))
     assert hash(Atom("B", (b, a))) == hash(("B", (b, a)))
     with pytest.raises(RuleError, match="must be ground"):
-        Trigger(rule, {variable("X"): a, variable("Y"): variable("W")})
+        trigger_of(rule, {variable("X"): a, variable("Y"): variable("W")})
+
+
+def test_triggers_round_trip_through_copy_and_pickle():
+    # Trigger(key) is the tuple's own constructor, so copies and pickles
+    # rebuild a trigger through the tuple's __getnewargs__. A shallow copy
+    # holds the same rule and terms, so it equals the trigger. A deep copy
+    # and a pickle copy the rule and the terms too, which are then equal to
+    # no interned object, so they agree with it in type, rule id, rendering
+    # and outputs.
+    rule = rules_from("A(X, Y) -> B(Y, Z) .\n").by_id["r1"]
+    fb = functional(next(iter(rule.sk_symbols)), (constant("b"),))
+    lam = Trigger((rule, constant("a"), fb))
+    shallow = copy.copy(lam)
+    assert type(shallow) is Trigger and shallow == lam
+    assert all(x is y for x, y in zip(shallow, lam, strict=True))
+    for again in (copy.deepcopy(lam), pickle.loads(pickle.dumps(lam))):
+        assert type(again) is Trigger and len(again) == len(lam)
+        assert again.rule is not rule and again.rule.id == rule.id
+        assert repr(again) == repr(lam) == "<r1, [X/a, Y/f[r1.1.Z](b)]>"
+        assert repr(again.out(1)) == repr(lam.out(1))
 
 
 def test_is_loaded():
     rules = bike_subset(2)
-    lam = Trigger(rules.by_id["r1"], {variable("X"): constant("d")})
+    lam = trigger_of(rules.by_id["r1"], {variable("X"): constant("d")})
     assert not is_loaded(lam, FactSet())
     assert is_loaded(lam, FactSet([atom("Engine", "d")]))
 
@@ -219,7 +288,7 @@ def test_is_loaded():
 def test_is_obsolete_matches_any_disjunct_with_any_witness():
     rules = bike_subset(2)
     d = constant("d")
-    lam = Trigger(rules.by_id["r1"], {variable("X"): d})
+    lam = trigger_of(rules.by_id["r1"], {variable("X"): d})
     base = FactSet([atom("Engine", "d")])
     assert not is_obsolete(lam, base)
 
@@ -467,7 +536,7 @@ def test_pop_active_pops_datalog_keys_first_and_drops_obsolete_ones(monkeypatch)
         for key in expected:
             popped, outs = pop_active(queues, facts)
             assert popped == key
-            trigger = Trigger.of_key(key)
+            trigger = Trigger(key)
             assert outs == [trigger.out(i) for i in range(1, key[0].branching + 1)]
         assert pop_active(queues, facts) is None
         assert not queues
@@ -475,15 +544,26 @@ def test_pop_active_pops_datalog_keys_first_and_drops_obsolete_ones(monkeypatch)
         assert queues.heads == [2, 3]
         assert queues.keys == ([(r3, a), (r3, b)], [(r1, a), (r2, a), (r2, b)])
 
+    # pop_active tests each disjunct through matcher.disjunct_holds, so a
+    # guard in its place sees every test. It must answer some, or it would
+    # guard nothing; it must not see one against the empty set, where no
+    # disjunct holds.
+    tests = []
+
+    def guarded(rule, disjunct, image, facts, out=None):
+        if not facts:
+            raise AssertionError("a disjunct was tested against the empty set")
+        tests.append((rule, disjunct))
+        return disjunct_holds(rule, disjunct, image, facts, out)
+
+    monkeypatch.setattr(matcher, "disjunct_holds", guarded)
     # Datalog keys first. B(a) makes r3's key on a obsolete, C(a, c) r1's
     # and D(b) r2's on b: each is dropped and never returned.
     pops(facts, [(r3, b), (r2, a)])
-
-    def no_test(*args):
-        raise AssertionError("a disjunct was tested against the empty set")
-
-    monkeypatch.setattr(matcher, "disjunct_holds", no_test)
+    answered = [(r3, 1), (r3, 1), (r1, 1), (r2, 1), (r2, 2), (r2, 1)]
+    assert tests == answered
     pops(FactSet(), [(r3, a), (r3, b), (r1, a), (r2, a), (r2, b)])
+    assert tests == answered
 
 
 def test_pinned_joins_are_freed_with_their_rule_set():
@@ -565,7 +645,7 @@ def check_obsolescence(n: int) -> collections.Counter:
     seen: collections.Counter = collections.Counter()
     for rng, rules, facts in _obsolescence_cases(n):
         for key in discover(rules, facts):
-            lam = Trigger.of_key(key)
+            lam = Trigger(key)
             rule = lam.rule
             image = rule.key_frontier(key)
             matches = list(oracle_matches(lam, facts))

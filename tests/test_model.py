@@ -36,13 +36,12 @@ from chase_sentinel.model import (
     uc_constant,
     variable,
 )
-from chase_sentinel.matcher import Trigger
 from chase_sentinel.ruleio import ParseError, parse, render
 from chase_sentinel.termination import check_acyclic, critical_instance
 
 from conftest import (apply_atom, apply_atoms, apply_term, bench_text,
                       bike_subset, perfbench_module, random_rule_set,
-                      rules_from)
+                      rules_from, trigger_of)
 
 
 def test_terms_are_interned():
@@ -62,7 +61,7 @@ def test_terms_are_interned():
     assert f_y is skolem_symbol("r1", 1, "Y", 1)
     assert apply_term({x: a}, functional(f, (x,))) is functional(f, (a,))
     assert ConstantMapping({a: b}).apply(functional(f, (a,))) is functional(f, (b,))
-    (out,) = Trigger(rule, {x: a}).out(1)
+    (out,) = trigger_of(rule, {x: a}).out(1)
     assert out.terms[0] is a
     assert out.terms[1] is functional(f_y, (a,))
 
@@ -276,7 +275,7 @@ def test_skolemized_heads_use_frontier_arguments():
     fvd = functional(f_v, (d,))
     assert r1.output(1, (d,)) == (Atom("IsIn", (d, fvd)), Atom("Bike", (fvd,)))
     assert r1.output(2, (d,)) == (Atom("Spare", (d,)),)
-    assert Trigger(r1, {variable("X"): d}).out(1) == r1.output(1, (d,))
+    assert trigger_of(r1, {variable("X"): d}).out(1) == r1.output(1, (d,))
 
 
 def _construction_sets():
@@ -438,7 +437,7 @@ def test_birth_facts_of_term_and_trigger():
     fvd = functional(f_v, (d,))
     assert birth_facts(fvd, rules) == frozenset(
         {Atom("IsIn", (d, fvd)), Atom("Bike", (fvd,))})
-    lam = Trigger(r2, {variable("X"): fvd})
+    lam = trigger_of(r2, {variable("X"): fvd})
     assert birth_facts(lam, rules) == birth_facts(fvd, rules)
     assert birth_facts(d, rules) == frozenset()
 
@@ -450,9 +449,9 @@ def test_skeleton_is_subterm_closed_and_keeps_frontier_constants():
     r2 = rules.by_id["r2"]
     f_v = next(iter(r1.sk_symbols))
     fvd = functional(f_v, (d,))
-    lam = Trigger(r2, {variable("X"): fvd})
+    lam = trigger_of(r2, {variable("X"): fvd})
     assert skeleton(lam, rules) == frozenset({d, fvd})
-    base = Trigger(r1, {variable("X"): d})
+    base = trigger_of(r1, {variable("X"): d})
     assert skeleton(base, rules) == frozenset({d})
 
 

@@ -4,10 +4,9 @@ import pytest
 
 from chase_sentinel.model import (Atom, Rule, RuleSet, constant, functional,
                                   uc_constant, variable)
-from chase_sentinel.matcher import Trigger
 from chase_sentinel.ruleio import Namer, ParseError, parse, render
 
-from conftest import BIKE_RULES
+from conftest import BIKE_RULES, trigger_of
 from parse_texts import GOLDEN, outcome
 
 
@@ -113,7 +112,7 @@ def test_namer_pretty_prints_symbols_terms_triggers():
     t = functional(f_v, (constant("d"),))
     assert names.symbol(f_v) == "f_V"
     assert names.term(t) == "f_V(d)"
-    lam = Trigger(r2, {variable("X"): t})
+    lam = trigger_of(r2, {variable("X"): t})
     assert names.trigger(lam) == "<r2, [X/f_V(d)]>"
     assert names.substitution(lam.substitution) == "[X/f_V(d)]"
 
