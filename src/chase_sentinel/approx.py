@@ -45,10 +45,9 @@ of a contributed symbol: only those keys are popped, none when there is
 no such term. Every other rule pops all its seed keys.
 
 Later keys come from matcher.frontier_keys, pinned to the pivot's birth
-facts and then to each new batch: it reads images straight off the facts,
-and stops at the first match when the pinned atom binds the frontier. Only
-the resulting fixpoint as a set is specified, not the order in which its
-facts were added.
+facts and then to each new batch: it reads images straight off the facts
+and drops the keys already queued. Only the resulting fixpoint as a set
+is specified, not the order in which its facts were added.
 
 The star build answers a unique-constants (UC) question when it can. Let h
 send every per-symbol constant c_f to the special constant and fix every
@@ -326,12 +325,11 @@ def build_over_approx(
     directly. All are counted, and only those that can add a fact are
     popped (see _batches). Only the matches through birth facts outside U,
     and then through each new batch, are joined, by matcher.frontier_keys:
-    it yields keys and not substitutions, and stops at the first match when
-    the pinned atom binds the whole frontier. Exclusion depends only on the
-    trigger, so the result is the least fixpoint of a monotone operator and
-    does not depend on queue order; only the fact set as a set is
-    specified, not its insertion order. The number of keys is returned as
-    OverApproximation.triggers.
+    it yields keys and not substitutions, and drops the keys already
+    queued. Exclusion depends only on the trigger, so the result is the
+    least fixpoint of a monotone operator and does not depend on queue
+    order; only the fact set as a set is specified, not its insertion
+    order. The number of keys is returned as OverApproximation.triggers.
 
     The build runs on the kept seed and undoes its additions in a
     try/finally, so the returned facts are a copy: later builds reuse the

@@ -17,7 +17,7 @@ obsolete and is passed over for good, and the test at the pop is exact.
 Each child pins only the facts its disjunct added, new fact by new fact
 and, per fact, in body-index order, so a branch meets each trigger once.
 The search is depth-first with a trail, as in Prolog's backtracking: one
-FactSet, the insertion-ordered dict of the facts with its two indexes,
+FactSet, the insertion-ordered dict of the facts with its index,
 holds the label of the branch being extended, and one `Queues` its keys;
 a fork copies neither. Both are marked before a fork and undone to the
 marks when a later sibling resumes, and each child's output enters the
@@ -151,14 +151,13 @@ def _expand(
     happened. Without a query every branch runs until it is saturated.
     """
     budget = budget or ChaseBudget()
-    facts = FactSet()
-    seed: list[Atom] = []
+    database = tuple(database)
     for fact in database:
         rules.check_fact(fact)
-        if facts.add(fact):
-            seed.append(fact)
+    facts = FactSet()
+    seed = tuple(facts.update(database))
     tree = ChaseTree(rules)
-    vertex = ChaseVertex(0, None, 0, None, None, tuple(seed))
+    vertex = ChaseVertex(0, None, 0, None, None, seed)
     tree.vertices.append(vertex)
 
     if query is not None:

@@ -31,37 +31,40 @@ builds read it.
 Pinning a fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). A rule set's joins are compiled together on first
 use and held by the rule set next to its body index, so they are freed
-with it. `_pinned_keys` runs them and projects each row onto a key:
-(rule, *body image) for `discover` and (rule, *frontier image) for
-`frontier_keys`, as builds read only the frontier.
+with it. `_pinned_keys` runs them, one loop for every plan, and projects
+each row onto a key: (rule, *body image) for `discover` and (rule,
+*frontier image) for `frontier_keys`, as builds read only the frontier;
+a key already seen is dropped.
 
 The chase and the acyclicity check share the step around it: `enqueue`
 queues datalog keys ahead of the others in a `Queues`, and `pop_active`
 pops the first key that is not obsolete and returns it with its outputs.
-A `FactSet` is the insertion-ordered dict of its facts, with an index by
-predicate and one by (predicate, first argument) beside it, so membership
-is a dict lookup; `update`, the bulk insert, appends each new fact to both
-indexes. `FactSet` and `Queues` only grow at their ends, so each can `mark`
-a point and `undo` back to it: the chase backtracks this way. Obsolescence
-is stated once, per head disjunct, in `disjunct_holds`, on a frontier
-image: an existential-free disjunct is looked up as its output, and an
-existential one runs its chain, held by the rule, on rows that start with
-the image; rule.existential says which is which. `pop_active` reads each
-popped key's frontier image off the key with rule.key_frontier and asks
-each disjunct, passing the disjunct's output when that is the grounded
-head, so the one build serves the test and the caller; `is_obsolete` asks
-every disjunct of a trigger. Nothing in the package calls `is_obsolete`: it stays public as
-the test on a whole fact set, which the tests check the others against
-and the benchmark's traced runs count. `obsolete_through` is the same
-test with one atom pinned to a new fact, the semi-naive test of the
-unblockability builds (`pinned_head_chains`) and of a query
+A `FactSet` is the insertion-ordered dict of its facts, with one index
+beside it from each lookup, a predicate or a (predicate, first argument)
+pair, to its facts, so membership is a dict lookup; `update`, the one way
+in, appends each new fact under both of its lookups. `FactSet` and
+`Queues` only grow at their ends, so each can `mark` a point and `undo`
+back to it: the chase backtracks this way. Obsolescence is stated once,
+per head disjunct, in `disjunct_holds`, on a frontier image: an
+existential-free disjunct is looked up as its output, and an existential
+one runs its chain, held by the rule, on rows that start with the image;
+rule.existential says which is which. `pop_active` reads each popped
+key's frontier image off the key with rule.key_frontier and asks each
+disjunct, passing the disjunct's output when that is the grounded head,
+so the one build serves the test and the caller; `is_obsolete` asks every
+disjunct of a trigger. Nothing in the package calls `is_obsolete`: it
+stays public as the test on a whole fact set, which the tests check the
+others against and the benchmark's traced runs count. `obsolete_through`
+is the same test with one atom pinned to a new fact, the semi-naive test
+of the unblockability builds (`pinned_head_chains`) and of a query
 (`compile_query`).
 
-Patterns hold only variables and ground terms. `Rule` ensures this for
-bodies and heads (they hold variables only) and `compile_query` for queries
-(they may hold ground terms too), so a chain reads each bound term off its
-row position, and terms are compared by identity, which interning makes
-exact.
+Patterns hold only variables and ground terms, and every atom, pattern or
+fact, has a first term. `Rule` ensures this for bodies and heads (they
+hold variables only), `compile_query` for queries (they may hold ground
+terms too) and `FactSet.update` for facts, so a chain reads each bound
+term off its row position and looks a keyed step up by its first term,
+and terms are compared by identity, which interning makes exact.
 """
 from __future__ import annotations
 
@@ -100,52 +103,43 @@ Chain = tuple[tuple, ...]
 
 
 class FactSet(dict):
-    """Insertion-ordered set of facts, indexed by predicate and first
-    argument: the dict from each fact to None, so membership, size,
-    iteration and `mark` are the dict's own. Facts enter only through `add`
-    and `update`, the bulk insert, and leave only newest first by `undo`, so
-    each index list keeps its facts in insertion order; the dict's own
-    mutators would bypass the indexes. Equality and hashing are by
-    identity, as for any object."""
+    """Insertion-ordered set of facts, indexed by lookup: the dict from each
+    fact to None, so membership, size, iteration and `mark` are the dict's
+    own. A fact is a ground atom with at least one term. The one index maps
+    each lookup, a predicate or a (predicate, first argument) pair, to its
+    facts in insertion order; a str never equals a tuple, so the two kinds
+    of lookup cannot collide. Facts enter only through `update` and leave
+    only newest first by `undo`, so each index list keeps its facts in
+    insertion order; the dict's own mutators would bypass the index.
+    Equality and hashing are by identity, as for any object."""
 
-    __slots__ = ("_by_pred", "_by_pred_arg0")
+    __slots__ = ("_index",)
     __eq__ = object.__eq__
     __ne__ = object.__ne__
     __hash__ = object.__hash__  # type: ignore[assignment]
 
     def __init__(self, facts: Iterable[Atom] = ()):
-        self._by_pred: dict[str, list[Atom]] = {}
-        self._by_pred_arg0: dict[tuple[str, Term], list[Atom]] = {}
+        self._index: dict[str | tuple[str, Term], list[Atom]] = {}
         self.update(facts)
 
-    def add(self, fact: Atom) -> bool:
-        """Insert one fact; returns True when it was not present before."""
-        if fact in self:
-            return False
-        if not fact.is_ground:
-            raise RuleError(f"not a fact: {fact!r}")
-        self[fact] = None
-        self._by_pred.setdefault(fact.predicate, []).append(fact)
-        self._by_pred_arg0.setdefault((fact.predicate, fact.terms[0]), []).append(fact)
-        return True
-
     def update(self, facts: Iterable[Atom]) -> list[Atom]:  # type: ignore[override]
-        """Insert many facts, each checked ground as `add` does; returns the
-        ones that were new, in order."""
+        """Insert facts, each checked to be a fact before it goes in;
+        returns the ones that were new, in order."""
         new = []
-        by_pred = self._by_pred
-        by_pred_arg0 = self._by_pred_arg0
+        index = self._index
         for fact in facts:
             if fact in self:
                 continue
             predicate, terms = fact
+            if not terms:
+                raise RuleError(f"not a fact: {fact!r}")
             for t in terms:
                 if not t.is_ground:
                     raise RuleError(f"not a fact: {fact!r}")
             self[fact] = None
             new.append(fact)
-            by_pred.setdefault(predicate, []).append(fact)
-            by_pred_arg0.setdefault((predicate, terms[0]), []).append(fact)
+            index.setdefault(predicate, []).append(fact)
+            index.setdefault((predicate, terms[0]), []).append(fact)
         return new
 
     # A point to come back to with `undo`: the number of facts.
@@ -154,30 +148,21 @@ class FactSet(dict):
     def undo(self, mark: int) -> None:
         """Drop every fact added since `mark`, newest first. Facts and index
         lists only ever grow at their ends, so each dropped fact is the last
-        entry of its two index lists; an index list left empty is deleted,
-        which leaves the set as if those facts had never been added."""
-        by_pred = self._by_pred
-        by_pred_arg0 = self._by_pred_arg0
+        entry of both its lists; a list left empty is deleted, which leaves
+        the set as if those facts had never been added."""
+        index = self._index
         while len(self) > mark:
-            fact = self.popitem()[0]
-            predicate = fact.predicate
-            entries = by_pred[predicate]
-            entries.pop()
-            if not entries:
-                del by_pred[predicate]
-            key = (predicate, fact.terms[0])
-            entries = by_pred_arg0[key]
-            entries.pop()
-            if not entries:
-                del by_pred_arg0[key]
+            predicate, terms = self.popitem()[0]
+            for lookup in (predicate, (predicate, terms[0])):
+                entries = index[lookup]
+                entries.pop()
+                if not entries:
+                    del index[lookup]
 
     def candidates(self, predicate: str, first: Term | None = None) -> Sequence[Atom]:
-        if first is not None:
-            return self._by_pred_arg0.get((predicate, first), ())
-        return self._by_pred.get(predicate, ())
-
-    def __le__(self, other: "FactSet") -> bool:
-        return all(f in other for f in self)
+        """The facts of the predicate, or of the predicate with this first
+        argument, in insertion order."""
+        return self._index.get(predicate if first is None else (predicate, first), ())
 
     def __repr__(self) -> str:
         return f"FactSet({len(self)} facts)"
@@ -400,10 +385,8 @@ class _PinPlan(NamedTuple):
     variable of the pinned atom with its first. steps is the chain of the
     other body atoms, in body order, over rows (rule, *fact terms, ...).
 
-    frontier and body project a row onto rule.frontier and onto
-    rule.body_vars, as (image, whole) pairs: image reads a (rule, *image)
-    key off a row, and whole says whether the pinned atom binds every
-    variable, so that every row gives the key image((rule, *fact terms)).
+    frontier and body are the getters that read the (rule, *frontier
+    image) and (rule, *body image) keys off a row.
 
     Plans are tuples and not closures: the dozen cells of a closure per plan
     gave the garbage collector enough to scan to slow 512-1024-rule sets by
@@ -413,8 +396,8 @@ class _PinPlan(NamedTuple):
     arity: int
     repeats: tuple[tuple[int, int], ...]
     steps: Chain
-    frontier: tuple[itemgetter, bool]
-    body: tuple[itemgetter, bool]
+    frontier: itemgetter
+    body: itemgetter
 
 
 _FRONTIER = _PinPlan._fields.index("frontier")
@@ -431,19 +414,18 @@ def _compile_pinned(rule: Rule, idx: int) -> _PinPlan:
                                   {}, 1)
     _, n, _, _, repeats = steps[0]
     return _PinPlan(n, repeats, steps[1:],
-                    _projection(tuple([where[v] for v in rule.frontier]), n),
-                    _projection(tuple([where[v] for v in rule.body_vars]), n))
+                    _projection(tuple([where[v] for v in rule.frontier])),
+                    _projection(tuple([where[v] for v in rule.body_vars])))
 
 
 @functools.cache
-def _projection(positions: tuple[int, ...], n: int) -> tuple[itemgetter, bool]:
-    """The (image, whole) pair of a projection onto the variables at these
-    positions of a row (rule, *n fact terms, ...). Position 0 is the rule,
-    so an empty frontier's key is the rule alone. Equal pairs are shared: a
-    pair and a getter per plan gave the garbage collector enough to scan to
-    slow 512-1024-rule sets by a few percent."""
-    image = itemgetter(0, *positions) if positions else itemgetter(slice(1))
-    return image, max(positions, default=0) <= n
+def _projection(positions: tuple[int, ...]) -> itemgetter:
+    """The getter of the key (rule, *the terms at these positions) of a row
+    (rule, ...). Position 0 is the rule, so an empty frontier's key is the
+    rule alone. Equal getters are shared: a getter per plan gave the
+    garbage collector enough to scan to slow 512-1024-rule sets by a few
+    percent."""
+    return itemgetter(0, *positions) if positions else itemgetter(slice(1))
 
 
 def _joins(rules: RuleSet) -> dict[str, list[tuple[Rule, _PinPlan]]]:
@@ -463,8 +445,9 @@ def _pinned_keys(joins: dict[str, Sequence[tuple[Rule, _PinPlan]]],
                  projection: int) -> Iterator[tuple]:
     """The runner of the compiled pinned joins. For each new fact (in the
     facts) and each plan that joins holds for its predicate, it projects
-    the rows that _chain extends from (rule, *fact terms) through the plan
-    field at index projection, and yields the keys not in seen, in
+    the rows that _chain extends from (rule, *fact terms), or that row
+    alone when no body atom is left after the pin, through the plan field
+    at index projection, and yields the keys not in seen, in
     first-occurrence order, adding each to seen. Keys are read straight off
     the pinned fact and the candidates, which the facts' live index lists
     hold."""
@@ -480,22 +463,12 @@ def _pinned_keys(joins: dict[str, Sequence[tuple[Rule, _PinPlan]]],
                 if ft[i] is not ft[j]:
                     break
             else:
-                image, whole = plan[projection]
                 row = (rule, *ft)
-                if whole:
-                    # Every row gives this one key: a seen key needs no
-                    # join, and an unseen one only the first row.
-                    found = image(row)
-                    if found in seen or steps and next(
-                            _chain(steps, row, facts), None) is None:
-                        continue
-                    seen.add(found)
-                    yield found
-                else:
-                    for found in map(image, _chain(steps, row, facts)):
-                        if found not in seen:
-                            seen.add(found)
-                            yield found
+                for found in map(plan[projection],
+                                 _chain(steps, row, facts) if steps else (row,)):
+                    if found not in seen:
+                        seen.add(found)
+                        yield found
 
 
 def _first_atom_keys(rules: RuleSet, facts: FactSet) -> Iterator[tuple]:
@@ -677,9 +650,12 @@ def compile_query(atoms: Sequence[Atom]) -> tuple[tuple[Chain, ...], tuple[Term,
     """A query's _rotations and the image of its distinct ground terms, in
     order of first occurrence, which their rows start with: a ground term
     is bound at its position in the image, and a variable at its first
-    occurrence. Query terms must be variables or ground terms."""
+    occurrence. Query terms must be variables or ground terms, and each
+    atom needs one."""
     where: dict[Term, int] = {}
     for atom in atoms:
+        if not atom.terms:
+            raise RuleError(f"query atom {atom!r} has no terms")
         for t in atom.terms:
             if t.is_ground:
                 where.setdefault(t, len(where))

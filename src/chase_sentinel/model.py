@@ -366,12 +366,12 @@ class Rule:
     """One disjunctive existential rule, built from its body atoms and the
     atoms of each head disjunct.
 
-    Bodies and heads are constant- and function-free. A disjunct's
-    existential variables are its variables that do not occur in the body,
-    in order of first occurrence; no two disjuncts share one. The frontier
-    lists the body variables shared with some head, ordered by first
-    occurrence in the body; skolem terms take exactly this tuple as
-    arguments.
+    Bodies and heads are constant- and function-free, and each of their
+    atoms has at least one term. A disjunct's existential variables are its
+    variables that do not occur in the body, in order of first occurrence;
+    no two disjuncts share one. The frontier lists the body variables
+    shared with some head, ordered by first occurrence in the body; skolem
+    terms take exactly this tuple as arguments.
 
     The skolemized heads are compiled once into sk_heads, one Template per
     disjunct. A slot is the position of a frontier variable in the
@@ -413,6 +413,10 @@ class Rule:
             raise RuleError(f"rule {rule_id}: empty body")
         if not head_atoms or not all(head_atoms):
             raise RuleError(f"rule {rule_id}: empty head")
+        nullary = next((a for atoms in (body, *head_atoms) for a in atoms
+                        if not a.terms), None)
+        if nullary is not None:
+            raise RuleError(f"rule {rule_id}: atom {nullary!r} has no terms")
         # The distinct terms of the body and of each disjunct, in order of
         # first occurrence; every check below reads these, and looks back
         # at the atoms only to name one in an error.
@@ -540,7 +544,7 @@ class RuleSet:
         return len(self.rules)
 
     def check_fact(self, fact: Atom) -> None:
-        if not fact.is_ground:
+        if not fact.terms or not fact.is_ground:
             raise RuleError(f"not a fact: {fact!r}")
         known = self.predicates.get(fact.predicate)
         if known is not None and known != fact.arity:

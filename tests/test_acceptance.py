@@ -456,8 +456,8 @@ def test_criterion_10_oracle_equivalence(monkeypatch):
         preds = sorted(rules.predicates.items())
         for _ in range(rng.randint(2, 6)):
             pred, arity = rng.choice(preds)
-            facts.add(Atom(pred, tuple(
-                rng.choice(consts) for _ in range(arity))))
+            facts.update([Atom(pred, tuple(
+                rng.choice(consts) for _ in range(arity)))])
         for rule in rules:
             if rule.is_generating:
                 for sub in itertools.islice(

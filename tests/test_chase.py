@@ -370,14 +370,16 @@ def test_facts_are_validated_against_rule_arities(bike4):
 
 def test_database_facts_must_be_ground(bike4):
     # run_chase and entails both check each database fact with
-    # RuleSet.check_fact before it enters the root's label.
+    # RuleSet.check_fact before it enters the root's label, and a fact
+    # needs a term even when the rules do not use its predicate.
     loose = Atom("Engine", (variable("X"),))
     query = Query((atom("Engine", "d"),))
     for call in (lambda db: run_chase(bike4, db),
                  lambda db: entails(bike4, db, query)):
-        with pytest.raises(RuleError, match="not a fact") as raised:
-            call([atom("Engine", "d"), loose])
-        assert raised.traceback[-1].name == "check_fact"
+        for bad in (loose, Atom("Unused", ())):
+            with pytest.raises(RuleError, match="not a fact") as raised:
+                call([atom("Engine", "d"), bad])
+            assert raised.traceback[-1].name == "check_fact"
 
 
 def test_chase_trees_and_acyclicity_counts_replay_golden_fixture():

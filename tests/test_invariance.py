@@ -1,10 +1,11 @@
 """Metamorphic relations of the verdicts, which need no oracle and so reach
 rule sets of any size.
 
-- Presentation: the verdicts of `mfa`, DRPC and RPC_s do not change under a
-  presentation shuffle (`conftest.presentation_text`). Each is read off a
-  least fixpoint of a monotone operator, and each trigger's unblockability
-  off the rule set and the trigger alone. `rmfa-like` blocks against the
+- Presentation: the verdicts of `mfa`, DRPC, RPC_s and RPC do not change
+  under a presentation shuffle (`conftest.presentation_text`). Each is
+  read off a least fixpoint of a monotone operator, and each trigger's
+  unblockability off the rule set and the trigger alone. RPC takes every
+  head choice, so its checks run under a deadline. `rmfa-like` blocks against the
   facts derived so far, which depend on the order of derivation, so its
   verdict can change (ROADMAP item 1).
 - Disjoint union: for rule sets A and B over disjoint predicates, `mfa`
@@ -32,7 +33,7 @@ from typing import Iterable
 import pytest
 
 from chase_sentinel.chase import COMPLETE, ChaseBudget, entails, results, run_chase
-from chase_sentinel.cyclicity import CYCLIC, DRPC, RPC_S, check
+from chase_sentinel.cyclicity import CYCLIC, DRPC, RPC, RPC_S, check
 from chase_sentinel.model import RuleSet, constant
 from chase_sentinel.ruleio import parse, render
 from chase_sentinel.termination import (MFA, RESOURCE_EXHAUSTED, RMFA_LIKE,
@@ -166,6 +167,15 @@ def test_verdicts_do_not_depend_on_presentation():
     decided, mismatches = presentation_checks(bench_cases(range(0, 90, 3)), 1)
     assert mismatches == []
     assert decided >= 60, decided
+
+
+def test_rpc_verdicts_do_not_depend_on_presentation():
+    # RPC on every third classify-random structure, one shuffle each, with
+    # a 1 s deadline per check.
+    decided, mismatches = presentation_checks(
+        bench_cases(range(0, 90, 3)), 1, notions=(RPC,), seconds=1.0)
+    assert mismatches == []
+    assert decided >= 25, decided
 
 
 def test_presentation_shuffles_move_rules_and_body_atoms():

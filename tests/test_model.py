@@ -367,6 +367,9 @@ def test_rule_construction_errors():
          "rule r1: existential variable reused across disjuncts"),
         ([], [[Atom("B", (x,))]], "rule r1: empty body"),
         ([Atom("A", (x,))], [[]], "rule r1: empty head"),
+        ([Atom("P", ())], [[Atom("Q", ())]], "rule r1: atom P() has no terms"),
+        ([Atom("A", (x,))], [[Atom("B", (x,)), Atom("Q", ())]],
+         "rule r1: atom Q() has no terms"),
     ]
     for body, heads, message in cases:
         with pytest.raises(RuleError) as err:
