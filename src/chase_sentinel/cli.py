@@ -8,8 +8,10 @@ rule files into a summary table.
 Exit codes: 0 on successful analysis, 1 on an internal soundness violation
 (a rule set judged both terminating and never-terminating, which would
 falsify a theorem and is surfaced loudly), 2 on parse errors, 3 on I/O
-errors. The environment variable CHASE_SENTINEL_LOG selects a logging level
-(DEBUG, INFO, ...) for trace output on stderr.
+errors. `batch` gives a file with a violation an error row, in the table
+and the CSV, analyses the other files, and then exits 1. The environment
+variable CHASE_SENTINEL_LOG selects a logging level (DEBUG, INFO, ...) for
+trace output on stderr.
 """
 from __future__ import annotations
 
@@ -363,6 +365,7 @@ class BatchRow:
     combined: str
     ms: int
     error: str | None = None
+    violation: bool = False
 
 
 def _analyze_file(path: Path, k: int, timeout: float | None,
@@ -380,10 +383,16 @@ def _analyze_file(path: Path, k: int, timeout: float | None,
     rules = program.rules
     deadline = None if timeout is None else start + timeout
     acyclic, drpc, rpcs = _run_stages(rules, _PIPELINE, k, deadline, term_depth)
-    combined = _combined_verdict([acyclic, drpc, rpcs])
+    fields = (path.name, _bucket(rules), acyclic.result, drpc.result, rpcs.result)
+    try:
+        combined = _combined_verdict([acyclic, drpc, rpcs])
+    except SoundnessViolationError as exc:
+        log.error("%s: internal soundness violation: %s", path.name, exc)
+        return BatchRow(*fields, "error", elapsed(),
+                        error=f"internal soundness violation: {exc}",
+                        violation=True)
     log.info("%s: %s", path.name, combined)
-    return BatchRow(path.name, _bucket(rules), acyclic.result, drpc.result,
-                    rpcs.result, combined, elapsed())
+    return BatchRow(*fields, combined, elapsed())
 
 
 _COLUMNS = ("file", "bucket", "acyclic", "drpc", "rpcs", "combined", "ms")
@@ -448,6 +457,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         except OSError as exc:
             raise CommandError(f"{args.csv}: {exc.strerror or exc}", EXIT_IO)
 
+    if any(r.violation for r in rows):
+        return EXIT_SOUNDNESS
     analyzed = sum(1 for r in rows if r.error is None)
     if files and analyzed == 0:
         return EXIT_IO

@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import functools
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Container, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .model import (
     Atom,
@@ -260,17 +260,14 @@ def match_conjunction(
 ) -> Iterator[dict[Variable, Term]]:
     """Enumerate extensions of base mapping the pattern into the fact set.
 
-    Pattern terms are variables or ground terms. Yields dictionaries
-    covering dom(base) plus every pattern variable, in the order of the
-    nested loop over the pattern atoms in written order, each atom's facts
-    in insertion order; the empty pattern yields dict(base) once. Base
-    values and ground terms are bound row positions of one compiled chain.
+    Pattern terms must be variables or ground terms, and each atom needs
+    one, as in `compile_query`. Yields dictionaries covering dom(base) plus
+    every pattern variable, in the order of the nested loop over the
+    pattern atoms in written order, each atom's facts in insertion order;
+    the empty pattern yields dict(base) once. Base values and ground terms
+    are bound row positions of one compiled chain.
     """
-    where: dict[Term, int] = {}
-    for atom in pattern:
-        for t in atom.terms:
-            if t.__class__ is not Variable or t in base:
-                where.setdefault(t, len(where))
+    where = _bound_terms(pattern, "pattern", base)
     row = tuple([base.get(t, t) for t in where])  # type: ignore[call-overload]
     steps, where = _compile_chain(pattern, where, len(row))
     for found in _chain(steps, row, facts) if steps else (row,):
@@ -279,6 +276,29 @@ def match_conjunction(
             if t.__class__ is Variable:
                 sub[t] = found[i]  # type: ignore[index]
         yield sub
+
+
+def _bound_terms(atoms: Sequence[Atom], kind: str,
+                 bound: Container[Term] = ()) -> dict[Term, int]:
+    """The ground terms of the atoms and their variables in bound, each
+    with its position in order of first occurrence: the row positions a
+    pattern or query binds before its chain runs. Raises RuleError, naming
+    the kind of atom, on an atom with no terms, which a keyed step could not
+    look up, and on a term that is neither a variable nor ground, which
+    identity comparison would silently misread."""
+    where: dict[Term, int] = {}
+    for atom in atoms:
+        if not atom.terms:
+            raise RuleError(f"{kind} atom {atom!r} has no terms")
+        for t in atom.terms:
+            if t.__class__ is Variable:
+                if t in bound:
+                    where.setdefault(t, len(where))
+            elif t.is_ground:
+                where.setdefault(t, len(where))
+            else:
+                raise RuleError(f"{kind} term is neither a variable nor ground: {t!r}")
+    return where
 
 
 def _compile_chain(atoms: Iterable[tuple[str, Sequence]], where: dict,
@@ -652,13 +672,5 @@ def compile_query(atoms: Sequence[Atom]) -> tuple[tuple[Chain, ...], tuple[Term,
     is bound at its position in the image, and a variable at its first
     occurrence. Query terms must be variables or ground terms, and each
     atom needs one."""
-    where: dict[Term, int] = {}
-    for atom in atoms:
-        if not atom.terms:
-            raise RuleError(f"query atom {atom!r} has no terms")
-        for t in atom.terms:
-            if t.is_ground:
-                where.setdefault(t, len(where))
-            elif t.__class__ is not Variable:
-                raise RuleError(f"query term is neither a variable nor ground: {t!r}")
+    where = _bound_terms(atoms, "query")
     return _rotations([atoms], where), tuple(where)

@@ -343,8 +343,10 @@ class ConstantMapping:
 # ---------------------------------------------------------------------------
 # Rules
 
-@dataclass(frozen=True)
-class HeadDisjunct:
+class HeadDisjunct(NamedTuple):
+    """One head disjunct of a rule: its existential variables, in order of
+    first occurrence, and its atoms."""
+
     existential_vars: tuple[Variable, ...]
     atoms: tuple[Atom, ...]
 
@@ -385,6 +387,14 @@ class Rule:
     image off a (rule, *body image) key. The matcher compiles the templates
     into join chains on first use, held in chains and pinned_chains.
     existential says, per disjunct, whether it has existential variables.
+
+    Construction reads each atom's terms once, into the distinct terms of
+    the body and of each disjunct, and derives all of the above from
+    those. The scans that name an offending atom in a RuleError run only
+    once a fault is seen, so a well-formed rule never pays for them. The
+    checks come in a fixed order: an empty body, an empty head, an atom
+    with no terms, a term that is not a variable, an existential variable
+    in two disjuncts, a generating rule without a frontier.
     """
 
     __slots__ = (
@@ -413,76 +423,74 @@ class Rule:
             raise RuleError(f"rule {rule_id}: empty body")
         if not head_atoms or not all(head_atoms):
             raise RuleError(f"rule {rule_id}: empty head")
-        nullary = next((a for atoms in (body, *head_atoms) for a in atoms
-                        if not a.terms), None)
-        if nullary is not None:
-            raise RuleError(f"rule {rule_id}: atom {nullary!r} has no terms")
-        # The distinct terms of the body and of each disjunct, in order of
-        # first occurrence; every check below reads these, and looks back
-        # at the atoms only to name one in an error.
-        body_vars = {t: None for atom in body for t in atom.terms}
-        head_terms = [{t: None for atom in h for t in atom.terms}
-                      for h in head_atoms]
-        for terms in (body_vars, *head_terms):
+        # One pass over the atoms: the distinct terms of the body and of
+        # each disjunct, in order of first occurrence, which everything
+        # below reads. A fault, an atom with no terms or a distinct term
+        # that is not a variable, is only detected here: _atom_fault then
+        # scans the atoms again to name the first faulty atom.
+        body_vars = {t: None for _, terms in body for t in terms}
+        head_terms = [{t: None for _, terms in atoms for t in terms}
+                      for atoms in head_atoms]
+        head_vars = set().union(*head_terms)
+        for atoms in (body, *head_atoms):
+            for _, terms in atoms:
+                if not terms:
+                    raise _atom_fault(rule_id, body, head_atoms)
+        for terms in (body_vars, head_vars):
             for t in terms:
                 if t.__class__ is not Variable:
-                    atom = next(a for atoms in (body, *head_atoms) for a in atoms
-                                if t in a.terms)
-                    raise RuleError(
-                        f"rule {rule_id}: rules are constant- and function-free, "
-                        f"found {t!r} in {atom!r}"
-                    )
+                    raise _atom_fault(rule_id, body, head_atoms)
         self.id = rule_id
         self.body = body
         self.body_vars = tuple(body_vars)  # type: ignore[arg-type]
-
-        used_existentials: set[Variable] = set()
-        disjuncts: list[HeadDisjunct] = []
-        for atoms, terms in zip(head_atoms, head_terms):
-            evars = tuple([t for t in terms if t not in body_vars])
-            if not used_existentials.isdisjoint(evars):
-                raise RuleError(
-                    f"rule {rule_id}: existential variable reused across disjuncts"
-                )
-            used_existentials.update(evars)
-            disjuncts.append(HeadDisjunct(evars, atoms))  # type: ignore[arg-type]
-        self.heads = tuple(disjuncts)
-
-        head_vars = set().union(*head_terms)
         self.frontier = tuple([v for v in body_vars if v in head_vars])
-
-        self.branching = len(self.heads)
-        self.existential = tuple([bool(h.existential_vars) for h in self.heads])
-        self.is_deterministic = self.branching == 1
-        self.is_generating = bool(used_existentials)
-        self.is_datalog = self.is_deterministic and not self.is_generating
-        if self.is_generating and not self.frontier:
+        arity = len(self.frontier)
+        existentials = [tuple([t for t in terms if t not in body_vars])
+                        for terms in head_terms]
+        used_existentials = set().union(*existentials)
+        if len(used_existentials) < sum(map(len, existentials)):
+            raise RuleError(
+                f"rule {rule_id}: existential variable reused across disjuncts"
+            )
+        if used_existentials and not arity:
             raise RuleError(
                 f"rule {rule_id}: a generating rule needs a body variable that is "
                 f"shared with the head (skolem symbols have arity >= 1)"
             )
 
-        arity = len(self.frontier)
+        # Each disjunct's template: a frontier variable's slot is its
+        # position in the frontier, an existential one's its skolem symbol.
         position: dict[Variable, int | SkolemSymbol] = {
             v: i for i, v in enumerate(self.frontier)}
+        disjuncts: list[HeadDisjunct] = []
         sk_heads: list[Template] = []
-        symbols: set[SkolemSymbol] = set()
-        for i, h in enumerate(self.heads, start=1):
-            slot = dict(position)
-            for y in h.existential_vars:
-                sym = slot[y] = skolem_symbol(rule_id, i, y.name, arity)
-                symbols.add(sym)
-            sk_heads.append(tuple([
-                (a.predicate, tuple([slot[t] for t in a.terms]))  # type: ignore[index]
-                for a in h.atoms]))
+        symbols: list[SkolemSymbol] = []
+        for i, (atoms, evars) in enumerate(zip(head_atoms, existentials), start=1):
+            slot = position
+            if evars:
+                slot = dict(position)
+                for y in evars:
+                    sym = slot[y] = skolem_symbol(rule_id, i, y.name, arity)
+                    symbols.append(sym)
+            disjuncts.append(HeadDisjunct(evars, atoms))  # type: ignore[arg-type]
+            get = slot.__getitem__
+            sk_heads.append(tuple([(predicate, tuple(map(get, terms)))
+                                   for predicate, terms in atoms]))
+        self.heads = tuple(disjuncts)
         self.sk_heads = tuple(sk_heads)
         self.sk_symbols = frozenset(symbols)
-        # The frontier is a subsequence of body_vars. A run of consecutive
-        # key positions, the empty one included, is read as a slice, so
-        # that the getter returns a tuple for every frontier size.
-        at = [1 + i for i, v in enumerate(self.body_vars) if v in head_vars]
+        self.branching = len(self.heads)
+        self.existential = tuple(map(bool, existentials))
+        self.is_deterministic = self.branching == 1
+        self.is_generating = bool(used_existentials)
+        self.is_datalog = self.is_deterministic and not self.is_generating
+        # The frontier is a subsequence of body_vars, whose key positions
+        # start at 1. A run of consecutive positions, the empty one
+        # included, is read as a slice, so that the getter returns a tuple
+        # for every frontier size.
+        at = [i for i, v in enumerate(self.body_vars, 1) if v in head_vars]
         start = at[0] if at else 1
-        if at == list(range(start, start + arity)):
+        if not at or at[-1] - start == arity - 1:
             self.key_frontier = itemgetter(slice(start, start + arity))
         else:
             self.key_frontier = itemgetter(*at)
@@ -502,6 +510,22 @@ class Rule:
         return f"Rule({self.id})"
 
 
+def _atom_fault(rule_id: str, body: tuple[Atom, ...],
+                head_atoms: tuple[tuple[Atom, ...], ...]) -> RuleError:
+    """The error of a rule with an atom that has no terms or a term that
+    is not a variable. It names the first atom with no terms, or else the
+    first term that is not a variable and the atom it occurs in first,
+    reading the body and then each disjunct in order."""
+    nullary = next((a for atoms in (body, *head_atoms) for a in atoms
+                    if not a.terms), None)
+    if nullary is not None:
+        return RuleError(f"rule {rule_id}: atom {nullary!r} has no terms")
+    atom, t = next((a, t) for atoms in (body, *head_atoms) for a in atoms
+                   for t in a.terms if t.__class__ is not Variable)
+    return RuleError(f"rule {rule_id}: rules are constant- and function-free, "
+                     f"found {t!r} in {atom!r}")
+
+
 class RuleSet:
     """An ordered set of rules with derived indexes and its own caches."""
 
@@ -516,12 +540,12 @@ class RuleSet:
                 raise RuleError(f"duplicate rule id {rule.id}")
             self.by_id[rule.id] = rule
             for atoms in (rule.body, *[h.atoms for h in rule.heads]):
-                for atom in atoms:
-                    known = self.predicates.setdefault(atom.predicate, atom.arity)
-                    if known != atom.arity:
+                for predicate, terms in atoms:
+                    known = self.predicates.setdefault(predicate, len(terms))
+                    if known != len(terms):
                         raise RuleError(
-                            f"predicate {atom.predicate} used with arities "
-                            f"{known} and {atom.arity}"
+                            f"predicate {predicate} used with arities "
+                            f"{known} and {len(terms)}"
                         )
             for sym in rule.sk_symbols:
                 self.symbol_index[sym] = (rule, sym.disjunct)

@@ -24,13 +24,20 @@ empty set, where none is obsolete, in the plain one. The saturation never
 backtracks, so it never marks or undoes; its queues keep the keys already
 popped, as the chase's do.
 
-The watch tests each argument of each newly added fact, in order, with
-`model.is_k_cyclic`, and keeps no record of the terms it has seen. This is
-exact. Every argument of an output is a term of the trigger's image or a
-skolem term over its frontier image, so an output adds no term with a new
-proper subterm; and an older term was tested when it arrived, without
-stopping the run. So the first k-cyclic argument is the first k-cyclic term
-the saturation builds.
+The watch runs only on pops of generating rules: it scans their output
+for the term depth bound, and tests each functional argument of each newly
+added fact, in order, with `model.is_k_cyclic`, keeping no record of the
+terms it has seen. This is exact. Every argument of an output is a term of
+the trigger's image or a skolem term over its frontier image, so an output
+adds no term with a new proper subterm, and a non-generating output adds
+no term at all. Every term thus arrived in the critical instance, which
+holds only the special constant, neither functional nor deeper than 1, or
+in a generating output, where it was scanned and tested without stopping
+the run. So the first k-cyclic argument is the first k-cyclic term the
+saturation builds, and the first output past the depth bound is the first
+one the watch sees. A bound below 1, which the special constant itself
+exceeds, stops the first pop of any rule. `chase` narrows its own depth
+scan by the same argument.
 """
 from __future__ import annotations
 
@@ -38,7 +45,8 @@ import time
 from dataclasses import dataclass
 
 from .matcher import FactSet, Queues, discover, enqueue, pop_active
-from .model import Atom, RuleSet, Term, gc_paused, is_k_cyclic, star
+from .model import (Atom, FunctionalTerm, RuleSet, Term, gc_paused,
+                    is_k_cyclic, star)
 
 __all__ = ["SearchBudget", "AcyclicityVerdict", "check_acyclic",
            "critical_instance", "RMFA_LIKE", "MFA", "TERMINATING",
@@ -107,15 +115,19 @@ def check_acyclic(
     budget = budget or SearchBudget()
     start = time.monotonic()
 
-    seed_constant = star()
     facts = FactSet(critical_instance(rules))
     # What triggers are blocked against: in the default mode the derived
     # portion, everything added beyond the critical seed, and in the plain
-    # one nothing. A fact belongs to the seed exactly when every argument is
-    # the special constant, so seed re-derivations stay out of this set.
+    # one nothing. Every predicate's seed fact is in the critical instance
+    # from the start, so `update` never returns one: the new facts it
+    # returns are all derived, and go in unfiltered.
     blocking = FactSet()
     applied = 0
     queues = Queues()
+    # Only a generating output can add a term past the bound, unless the
+    # special constant, the critical instance's one term, is past it too.
+    max_term_depth = budget.max_term_depth
+    scan_all = max_term_depth is not None and star().depth > max_term_depth
 
     def verdict(result: str, term: Term | None) -> AcyclicityVerdict:
         stats = {
@@ -135,20 +147,21 @@ def check_acyclic(
         popped = pop_active(queues, blocking)
         if popped is None:
             break
+        generating = popped[0][0].is_generating
         output = [atom for out in popped[1] for atom in out]
-        if budget.max_term_depth is not None and any(
-            t.depth > budget.max_term_depth for atom in output for t in atom.terms
+        if max_term_depth is not None and (generating or scan_all) and any(
+            t.depth > max_term_depth for _, terms in output for t in terms
         ):
             return verdict(RESOURCE_EXHAUSTED, None)
         applied += 1
         new = facts.update(output)
         if mode == RMFA_LIKE:
-            blocking.update([atom for atom in new
-                             if any(t is not seed_constant for t in atom.terms)])
-        for atom in new:
-            for t in atom.terms:
-                if is_k_cyclic(t, k):
-                    return verdict(NOT_DETECTED, t)
+            blocking.update(new)
+        if generating:
+            for _, terms in new:
+                for t in terms:
+                    if t.__class__ is FunctionalTerm and is_k_cyclic(t, k):
+                        return verdict(NOT_DETECTED, t)
         if new:
             enqueue(queues, discover(rules, facts, new))
     return verdict(TERMINATING, None)

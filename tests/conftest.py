@@ -30,11 +30,15 @@ from chase_sentinel.chase import (
 from chase_sentinel.matcher import (
     FactSet,
     HeadChoice,
+    Queues,
     Trigger,
     _BODY,
     _compile_pinned,
     _pinned_keys,
+    discover,
+    enqueue,
     is_obsolete,
+    pop_active,
 )
 from chase_sentinel.model import (
     Atom,
@@ -48,12 +52,16 @@ from chase_sentinel.model import (
     Variable,
     functional,
     is_cyclic,
+    is_k_cyclic,
     is_rho_cyclic,
     star,
     subterms,
     uc_constant,
 )
 from chase_sentinel.ruleio import Namer, ParseError, parse, render
+from chase_sentinel.termination import (MFA, NOT_DETECTED, RESOURCE_EXHAUSTED,
+                                        RMFA_LIKE, TERMINATING, SearchBudget,
+                                        critical_instance)
 
 # ---------------------------------------------------------------------------
 # Canonical rule sets
@@ -439,6 +447,45 @@ def naive_saturation(rules: RuleSet, rho, hc=None,
     return facts
 
 
+def reference_acyclic(rules: RuleSet, k: int, budget: SearchBudget,
+                      mode: str) -> tuple[str, int, int, Term | None]:
+    """check_acyclic without its deadline and with the watch on every
+    argument: every pop, of any rule, scans its whole output for the term
+    depth bound and tests every argument of every new fact for a k-cyclic
+    term, and the blocking set of the default mode leaves out each new fact
+    whose arguments are all the special constant. Returns (result, applied,
+    facts, first k-cyclic term), the reference for check_acyclic's watch,
+    which tests only what a generating pop can add."""
+    assert mode in (RMFA_LIKE, MFA)
+    facts = FactSet(critical_instance(rules))
+    blocking = FactSet()
+    applied = 0
+    queues = Queues()
+    enqueue(queues, discover(rules, facts))
+    while queues:
+        if budget.max_triggers is not None and applied >= budget.max_triggers:
+            return RESOURCE_EXHAUSTED, applied, len(facts), None
+        popped = pop_active(queues, blocking)
+        if popped is None:
+            break
+        output = [atom for out in popped[1] for atom in out]
+        if budget.max_term_depth is not None and any(
+                t.depth > budget.max_term_depth for atom in output for t in atom.terms):
+            return RESOURCE_EXHAUSTED, applied, len(facts), None
+        applied += 1
+        new = facts.update(output)
+        if mode == RMFA_LIKE:
+            blocking.update([atom for atom in new
+                             if any(t is not star() for t in atom.terms)])
+        for atom in new:
+            for t in atom.terms:
+                if is_k_cyclic(t, k):
+                    return NOT_DETECTED, applied, len(facts), t
+        if new:
+            enqueue(queues, discover(rules, facts, new))
+    return TERMINATING, applied, len(facts), None
+
+
 def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigger]:
     """The triggers a saturation applies, in order, with blocking switched
     off: every round re-matches every rule against all facts, drops the
@@ -447,7 +494,6 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
     a rho-cyclic term. The reference for the semi-naive rounds of the
     stubbed saturation engines; injectivity and budgets are as theirs."""
     from chase_sentinel.cyclicity import rule_database
-    from chase_sentinel.termination import SearchBudget
 
     budget = budget or SearchBudget()
     seed = rule_database(rho)
@@ -540,8 +586,6 @@ def naive_rpc(rules: RuleSet, budget=None, notion: str = "RPC"):
     from dataclasses import replace
 
     from chase_sentinel.cyclicity import CYCLIC, extract_prefix
-    from chase_sentinel.termination import (NOT_DETECTED, RESOURCE_EXHAUSTED,
-                                            SearchBudget)
 
     budget = budget or SearchBudget()
     assert budget.deadline is None
@@ -573,7 +617,6 @@ def in_order_check(rules: RuleSet, notion: str, budget=None):
     its end, in the notion's order, up to the first cyclic one. Returns
     (result, witness)."""
     from chase_sentinel.cyclicity import CYCLIC, extract_prefix
-    from chase_sentinel.termination import NOT_DETECTED, RESOURCE_EXHAUSTED
 
     truncated = False
     for hc, rho in notion_pairs(rules, notion):

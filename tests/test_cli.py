@@ -15,6 +15,7 @@ from chase_sentinel.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SOUNDNESS,
     SoundnessViolationError,
     _combined_verdict,
     classify_rules,
@@ -25,7 +26,7 @@ from chase_sentinel.termination import (RESOURCE_EXHAUSTED, AcyclicityVerdict,
                                         SearchBudget)
 
 import corpus_classify
-from conftest import BIKE_RULES, perfbench_module, rules_from
+from conftest import BIKE_RULES, bench_text, perfbench_module, rules_from
 
 
 CORPUS = corpus_dir()
@@ -348,6 +349,33 @@ def test_batch_reports_broken_files(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "total: 1 analyzed, 1 failed" in out
     assert "broken.drls" in out
+
+
+def test_batch_survives_a_soundness_violation(tmp_path, capsys):
+    # rmfa-like certifies bench structure 54 while RPC_s finds a witness
+    # (ROADMAP item 1). batch runs every stage on every file, so the
+    # structure gets an error row, in the table and the CSV, the corpus
+    # file beside it is still analysed, and the exit code says a violation
+    # was seen.
+    write(tmp_path, "structure-54.drls", bench_text(54))
+    write(tmp_path, "example1.drls", Path(EXAMPLE).read_text())
+    csv_path = tmp_path / "out.csv"
+    assert main(["batch", str(tmp_path), "--csv", str(csv_path)]) == EXIT_SOUNDNESS
+    out = capsys.readouterr().out
+    # A table row's cells, with the bucket split in two, such as "disj 1-4".
+    rows = {cells[0]: cells for cells in map(str.split, out.splitlines())
+            if cells and cells[0].endswith(".drls")}
+    assert rows["structure-54.drls"][3:7] == ["terminating", "not-detected",
+                                                "cyclic", "error"]
+    assert rows["example1.drls"][6] == "terminating"
+    assert ("error structure-54.drls: internal soundness violation: rule set "
+            "judged both never-terminating and terminating") in out
+    assert "total: 1 analyzed, 1 failed" in out
+    with open(csv_path, newline="") as handle:
+        by_file = {r[0]: r for r in list(csv.reader(handle))[1:]}
+    assert by_file["structure-54.drls"][2:6] == ["terminating", "not-detected",
+                                                 "cyclic", "error"]
+    assert by_file["example1.drls"][5] == "terminating"
 
 
 def test_batch_on_all_broken_dir(tmp_path, capsys):

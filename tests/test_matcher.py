@@ -931,3 +931,30 @@ def test_query_terms_must_be_variables_or_ground():
         compile_query((Atom("A", (X,)), nullary))
     with pytest.raises(RuleError, match="has no terms"):
         entails(rules, [atom("A", "a")], Query((nullary,)))
+
+
+def test_pattern_atoms_need_a_term():
+    # A keyed step is looked up by its atom's first term, so a pattern atom
+    # with none is refused, as every other entry point refuses it, and not
+    # read past its end.
+    facts = FactSet([atom("A", "a")])
+    with pytest.raises(RuleError, match=r"^pattern atom P\(\) has no terms$"):
+        list(match_conjunction([Atom("A", (variable("X"),)), Atom("P", ())], {}, facts))
+
+
+def test_pattern_terms_must_be_variables_or_ground():
+    # Matching compares pattern terms by identity, so a functional term
+    # with a variable in it would match nothing and be silently misread;
+    # it is refused, here too under a base that binds its variable. A
+    # ground functional term is matched as any ground term.
+    f = skolem_symbol("q", 1, "Y", 1)
+    X, Z = variable("X"), variable("Z")
+    a = constant("a")
+    fa = functional(f, (a,))
+    facts = FactSet([atom("A", "a"), Atom("B", (fa,))])
+    bad = Atom("B", (functional(f, (X,)),))
+    for base in ({}, {X: a}):
+        with pytest.raises(RuleError, match="neither a variable nor ground"):
+            list(match_conjunction([Atom("A", (Z,)), bad], base, facts))
+    assert list(match_conjunction([Atom("B", (fa,)), Atom("A", (Z,))], {}, facts)) \
+        == [{Z: a}]

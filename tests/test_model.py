@@ -1,10 +1,12 @@
 import ast
 import gc
+import itertools
 import os
 import random
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,6 +44,7 @@ from chase_sentinel.termination import check_acyclic, critical_instance
 from conftest import (apply_atom, apply_atoms, apply_term, bench_text,
                       bike_subset, perfbench_module, random_rule_set,
                       rules_from, trigger_of)
+from test_termination import watch_cases
 
 
 def test_terms_are_interned():
@@ -375,6 +378,201 @@ def test_rule_construction_errors():
         with pytest.raises(RuleError) as err:
             Rule("r1", body, heads)
         assert str(err.value) == message
+
+
+def test_rule_errors_name_the_first_fault():
+    # Rules that break two checks in different atoms: the message names the
+    # check that comes first, in the order empty body, empty head, an atom
+    # with no terms, a term that is not a variable, an existential variable
+    # in two disjuncts, a generating rule without a frontier; between two
+    # atoms with no terms, or two bad terms, the one read first.
+    x, y, u = variable("X"), variable("Y"), variable("U")
+    a, b = constant("a"), constant("b")
+    fx = functional(skolem_symbol("g", 1, "Y", 1), (x,))
+    cases = [
+        ([], [[Atom("Q", ())]], "rule r1: empty body"),
+        ([Atom("P", ())], [[Atom("B", (x,))], []], "rule r1: empty head"),
+        ([Atom("A", (x, a))], [[Atom("B", (x,))], [Atom("Q", ())]],
+         "rule r1: atom Q() has no terms"),
+        ([Atom("A", (x,)), Atom("P", ())], [[Atom("B", (b,))]],
+         "rule r1: atom P() has no terms"),
+        ([Atom("A", (x,)), Atom("P", ())], [[Atom("Q", ())]],
+         "rule r1: atom P() has no terms"),
+        ([Atom("A", (x,)), Atom("C", (x, a))], [[Atom("B", (fx, b))]],
+         "rule r1: rules are constant- and function-free, found a in C(?X, a)"),
+        ([Atom("A", (x, b)), Atom("C", (a, x))], [[Atom("B", (x,))]],
+         "rule r1: rules are constant- and function-free, found b in A(?X, b)"),
+        ([Atom("A", (x,))], [[Atom("B", (x, b))], [Atom("B", (a, x)), Atom("C", (b,))]],
+         "rule r1: rules are constant- and function-free, found b in B(?X, b)"),
+        ([Atom("A", (x,))], [[Atom("B", (x, u))], [Atom("C", (fx,))]],
+         "rule r1: rules are constant- and function-free, "
+         "found f[g.1.Y](?X) in C(f[g.1.Y](?X))"),
+        ([Atom("A", (x,))], [[Atom("B", (x, a))], [Atom("B", (u,))], [Atom("C", (u,))]],
+         "rule r1: rules are constant- and function-free, found a in B(?X, a)"),
+        ([Atom("A", (x,))], [[Atom("B", (u,))], [Atom("C", (u,))], [Atom("Q", ())]],
+         "rule r1: atom Q() has no terms"),
+        ([Atom("A", (x,))], [[Atom("B", (u,))], [Atom("C", (u, y))]],
+         "rule r1: existential variable reused across disjuncts"),
+    ]
+    for body, heads, message in cases:
+        with pytest.raises(RuleError) as err:
+            Rule("r1", body, heads)
+        assert str(err.value) == message
+        assert naive_rule("r1", body, heads) == message
+
+
+def naive_rule(rule_id: str, body, heads):
+    """What Rule(rule_id, body, heads) holds, derived term by term in
+    reading order: body_vars, frontier, the (existential variables, atoms)
+    pair of each disjunct, sk_heads, sk_symbols and the frontier image that
+    key_frontier reads off the key (None, *body image) whose body image is
+    one distinct constant per body variable. When the rule breaks a check,
+    the message of its RuleError instead: the first failing check, in the
+    order of test_rule_errors_name_the_first_fault."""
+    heads = [list(h) for h in heads]
+    atoms = [*body, *itertools.chain.from_iterable(heads)]
+    if not body:
+        return f"rule {rule_id}: empty body"
+    if not heads or not all(heads):
+        return f"rule {rule_id}: empty head"
+    for atom in atoms:
+        if not atom.terms:
+            return f"rule {rule_id}: atom {atom!r} has no terms"
+    for atom in atoms:
+        for t in atom.terms:
+            if not isinstance(t, model.Variable):
+                return (f"rule {rule_id}: rules are constant- and function-free, "
+                        f"found {t!r} in {atom!r}")
+    body_vars: list = []
+    for t in itertools.chain.from_iterable(atom.terms for atom in body):
+        if t not in body_vars:
+            body_vars.append(t)
+    existentials: list[list] = []
+    for h in heads:
+        ex: list = []
+        for t in itertools.chain.from_iterable(atom.terms for atom in h):
+            if t not in body_vars and t not in ex:
+                ex.append(t)
+        if any(y in earlier for earlier in existentials for y in ex):
+            return f"rule {rule_id}: existential variable reused across disjuncts"
+        existentials.append(ex)
+    frontier = [v for v in body_vars
+                if any(v in atom.terms for h in heads for atom in h)]
+    if any(existentials) and not frontier:
+        return (f"rule {rule_id}: a generating rule needs a body variable that is "
+                f"shared with the head (skolem symbols have arity >= 1)")
+    symbols = [{y: skolem_symbol(rule_id, i, y.name, len(frontier)) for y in ex}
+               for i, ex in enumerate(existentials, start=1)]
+    sk_heads = tuple(
+        tuple((atom.predicate, tuple(frontier.index(t) if t in frontier else sym[t]
+                                     for t in atom.terms))
+              for atom in h)
+        for h, sym in zip(heads, symbols))
+    image = [constant(f"k{j}") for j in range(len(body_vars))]
+    return {
+        "body_vars": tuple(body_vars),
+        "frontier": tuple(frontier),
+        "heads": [(tuple(ex), tuple(h)) for ex, h in zip(existentials, heads)],
+        "sk_heads": sk_heads,
+        "sk_symbols": frozenset(f for sym in symbols for f in sym.values()),
+        "key_frontier": tuple(image[body_vars.index(v)] for v in frontier),
+    }
+
+
+def rule_parts(rule: Rule) -> dict:
+    """The attributes of rule that naive_rule derives."""
+    image = [constant(f"k{j}") for j in range(len(rule.body_vars))]
+    return {
+        "body_vars": rule.body_vars,
+        "frontier": rule.frontier,
+        "heads": [(h.existential_vars, h.atoms) for h in rule.heads],
+        "sk_heads": rule.sk_heads,
+        "sk_symbols": rule.sk_symbols,
+        "key_frontier": rule.key_frontier((None, *image)),
+    }
+
+
+def random_rule_drafts(rng: random.Random, n: int, faults: float):
+    """n (rule id, body, heads) drafts: 1-3 body atoms of arity 1-3 over
+    X, Y, Z and W, so variables repeat, and 1-3 disjuncts of 1-3 atoms over
+    the body's variables and the disjunct's own existential variables. With
+    probability `faults` a draft then takes one or two faults: a constant,
+    a ground or non-ground functional term, an atom with no terms, an
+    existential variable of another disjunct, or a disjunct that shares no
+    body variable."""
+    g = skolem_symbol("g", 1, "Y", 1)
+    for i in range(n):
+        body = [Atom(f"B{rng.randint(0, 2)}", tuple(
+                    variable(rng.choice("XYZW")) for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 3))]
+        names = sorted({t.name for atom in body for t in atom.terms})
+        heads = []
+        for d in range(1, rng.randint(1, 3) + 1):
+            pool = names + [f"U{d}", f"V{d}"]
+            heads.append([Atom(f"H{rng.randint(0, 2)}", tuple(
+                              variable(rng.choice(pool)) for _ in range(rng.randint(1, 3))))
+                          for _ in range(rng.randint(1, 3))])
+        for _ in range(rng.randint(1, 2) if rng.random() < faults else 0):
+            atoms = rng.choice([body, *heads])
+            j = rng.randrange(len(atoms))
+            terms = list(atoms[j].terms)
+            kind = rng.choice(("constant", "functional", "nullary", "reuse", "no frontier"))
+            if kind == "nullary":
+                terms = []
+            elif kind == "reuse":
+                terms.append(variable(f"U{rng.randint(1, len(heads))}"))
+            elif kind == "no frontier":
+                d = rng.randrange(len(heads))
+                heads[d] = [Atom("H9", (variable(f"U{d + 1}"),))]
+                continue
+            elif terms:
+                terms[rng.randrange(len(terms))] = (
+                    constant(rng.choice("ab")) if kind == "constant"
+                    else functional(g, (rng.choice((constant("a"), variable("X"))),)))
+            atoms[j] = Atom(atoms[j].predicate, tuple(terms))
+        yield f"r{i}", body, heads
+
+
+# The checks of naive_rule that a draft with a body and disjuncts can fail,
+# by the word after the rule id in their messages.
+ERROR_KINDS = {"atom": "no terms", "rules": "not a variable",
+               "existential": "reused", "a": "no frontier"}
+
+
+def check_rules_against_reference(drafts) -> Counter:
+    """Rule on each (rule id, body, heads) draft against naive_rule: the same
+    attributes, or a RuleError with the same message. Returns counts of the
+    rules built, by number of disjuncts and with repeated body variables,
+    and of the errors, by the check that failed."""
+    seen: Counter = Counter()
+    for rule_id, body, heads in drafts:
+        expected = naive_rule(rule_id, body, heads)
+        try:
+            rule = Rule(rule_id, body, heads)
+        except RuleError as exc:
+            assert str(exc) == expected, (rule_id, body, heads)
+            seen["error " + ERROR_KINDS[str(exc).split(" ")[2]]] += 1
+            continue
+        assert rule_parts(rule) == expected, (rule_id, body, heads)
+        seen["built"] += 1
+        seen[f"{rule.branching} disjuncts"] += 1
+        terms = [t for atom in body for t in atom.terms]
+        seen["repeats"] += len(set(terms)) < len(terms)
+    return seen
+
+
+def test_rules_match_the_naive_derivation():
+    seen = check_rules_against_reference(
+        random_rule_drafts(random.Random(41), 3000, faults=0.3))
+    assert min(seen[f"{d} disjuncts"] for d in (1, 2, 3)) >= 500, seen
+    assert seen["repeats"] >= 1000, seen
+    assert min(seen["error " + kind] for kind in ERROR_KINDS.values()) >= 20, seen
+    # The rules of the 400 sample sets and of every ninth structure; CI
+    # runs the first 3,000 sets and the six stratified sets.
+    seen = check_rules_against_reference(
+        (rule.id, rule.body, [h.atoms for h in rule.heads])
+        for rules in watch_cases(400, range(0, 90, 9), False) for rule in rules)
+    assert seen["built"] >= 800, seen
 
 
 def test_generating_rule_needs_frontier():

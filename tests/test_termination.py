@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -7,13 +8,17 @@ import pytest
 from chase_sentinel.model import Atom, functional, is_k_cyclic, star
 from chase_sentinel.termination import (
     MFA,
+    NOT_DETECTED,
+    RESOURCE_EXHAUSTED,
     RMFA_LIKE,
     SearchBudget,
     check_acyclic,
     critical_instance,
 )
 
-from conftest import bench_rule_set, random_rule_set, rules_from
+from conftest import (bench_rule_set, perfbench_module, random_rule_set,
+                      reference_acyclic, rules_from)
+from test_engine_check import bench_cases, sweep_cases
 
 
 def test_critical_instance_covers_every_predicate(bike4):
@@ -131,3 +136,55 @@ def test_mfa_certificate_implies_a_smaller_default_certificate():
         assert fine.stats["applied"] <= coarse.stats["applied"], rules
         assert fine.stats["facts"] <= coarse.stats["facts"], rules
     assert certified >= 200
+
+
+def watch_cases(sets: int, structures, stratified: bool):
+    """The first `sets` sample sets of tests/test_engine_check.py, the
+    given classify-random structures and, when `stratified`, the six
+    stratified sets of 512, 768 and 1024 rules."""
+    for _, rules in (*sweep_cases(sets), *bench_cases(structures)):
+        yield rules
+    if stratified:
+        generate = perfbench_module("generators").stratified_rule_set
+        for n in (512, 768, 1024):
+            for seed in (1, 2):
+                yield rules_from(generate(random.Random(f"stratified/{n}/{seed}"), n).text)
+
+
+def check_acyclic_watch(cases) -> collections.Counter:
+    """check_acyclic on each rule set of cases, in both modes with k = 2
+    and term depth bounds 2, 3 and 8, against conftest.reference_acyclic,
+    whose watch scans every argument of every pop. The result, the applied
+    and fact counts and the first k-cyclic term must agree. Returns counts
+    of the sets and rules compared, the depth trips and the k-cyclic
+    verdicts."""
+    seen: collections.Counter = collections.Counter()
+    for rules in cases:
+        seen["sets"] += 1
+        seen["rules"] += len(rules)
+        for mode, depth in itertools.product((RMFA_LIKE, MFA), (2, 3, 8)):
+            budget = SearchBudget(max_term_depth=depth)
+            verdict = check_acyclic(rules, budget=budget, mode=mode)
+            got = (verdict.result, verdict.stats["applied"],
+                   verdict.stats["facts"], verdict.cyclic_term)
+            assert got == reference_acyclic(rules, 2, budget, mode), (mode, depth, rules)
+            seen["depth trips"] += verdict.result == RESOURCE_EXHAUSTED
+            seen["k-cyclic"] += verdict.result == NOT_DETECTED
+    return seen
+
+
+def test_the_watch_tests_exactly_what_a_generating_pop_adds():
+    # The first 400 sample sets and every ninth structure; CI runs the
+    # first 3,000 sets and the six stratified sets.
+    seen = check_acyclic_watch(watch_cases(400, range(0, 90, 9), False))
+    assert seen["depth trips"] >= 450 and seen["k-cyclic"] >= 180, seen
+    # A bound below the special constant's depth trips on the first pop,
+    # of a datalog rule too.
+    for text in ("A(X) -> B(X) .\n", "A(X) -> R(X, Y), A(Y) .\n"):
+        rules = rules_from(text)
+        for mode in (RMFA_LIKE, MFA):
+            budget = SearchBudget(max_term_depth=0)
+            verdict = check_acyclic(rules, budget=budget, mode=mode)
+            assert verdict.result == RESOURCE_EXHAUSTED
+            assert (verdict.result, verdict.stats["applied"], verdict.stats["facts"],
+                    verdict.cyclic_term) == reference_acyclic(rules, 2, budget, mode)
