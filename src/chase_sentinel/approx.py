@@ -104,6 +104,7 @@ from .model import (
     SkolemSymbol,
     Template,
     Term,
+    new_atom,
     star,
     subterms,
     uc_constant,
@@ -207,7 +208,8 @@ class _Seed:
         # Each term of U by its position: product order sorts by these.
         self.order = {t: i for i, t in enumerate(universe)}
         self.facts = FactSet(
-            Atom(predicate, combo) for predicate, arity in rules.predicates.items()
+            new_atom((predicate, combo))
+            for predicate, arity in rules.predicates.items()
             for combo in itertools.product(universe, repeat=arity))
         self.keys = [[(rule, *combo) for combo in
                       itertools.product(universe, repeat=len(rule.frontier))]
@@ -278,13 +280,20 @@ def _fills(rules: RuleSet, kind: str, terms: Iterable[Term]) -> _Fills:
 def _fill(template: Template, image: tuple[Term, ...],
           fills: _Fills) -> tuple[Atom, ...]:
     """One disjunct's output for a frontier image, its symbol slots filled
-    through `fills`."""
-    return tuple([
-        Atom(predicate, tuple([
-            image[s] if s.__class__ is int  # type: ignore[index]
-            else (f := fills[s])[0].get(image, f[1])  # type: ignore[index]
-            for s in slots]))
-        for predicate, slots in template])
+    through `fills`. Like Rule.output, it runs per key and is one loop that
+    builds each atom through `new_atom`, so a call runs one Python frame on
+    CPython 3.11."""
+    out = []
+    for predicate, slots in template:
+        terms = []
+        for s in slots:
+            if s.__class__ is int:
+                terms.append(image[s])  # type: ignore[index]
+            else:
+                known, replacement = fills[s]  # type: ignore[index]
+                terms.append(known.get(image, replacement))
+        out.append(new_atom((predicate, tuple(terms))))
+    return tuple(out)
 
 
 def build_over_approx(

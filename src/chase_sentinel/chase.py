@@ -196,9 +196,10 @@ def _expand(
                 return tree._stop(VERTICES), False
             if max_term_depth is not None and (scan_all or rule.is_generating):
                 for out in outputs:
-                    for atom in out:
-                        if any(t.depth > max_term_depth for t in atom.terms):
-                            return tree._stop(TERM_DEPTH), False
+                    for _, terms in out:
+                        for t in terms:
+                            if t.depth > max_term_depth:
+                                return tree._stop(TERM_DEPTH), False
             parent = vertex
             depth = parent.depth + 1
             # Later disjuncts' facts are read off the parent's label before

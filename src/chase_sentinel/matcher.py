@@ -80,6 +80,7 @@ from .model import (
     Substitution,
     Term,
     Variable,
+    new_atom,
 )
 
 __all__ = [
@@ -189,8 +190,8 @@ class Trigger(tuple):
     def body_facts(self) -> tuple[Atom, ...]:
         sigma = self.substitution
         return tuple(
-            Atom(a.predicate, tuple(sigma[t] for t in a.terms))  # type: ignore[index]
-            for a in self.rule.body
+            new_atom((predicate, tuple(sigma[t] for t in terms)))  # type: ignore[index]
+            for predicate, terms in self.rule.body
         )
 
     def frontier_image(self) -> tuple[Term, ...]:

@@ -12,7 +12,13 @@ exact, and memory does not grow with the number of rule sets a process has
 seen. Nothing else keeps a record of the terms built so far. Caches keyed
 by terms hold their keys and are freed with their owner. An atom has no
 identity of its own: it is the tuple (predicate, terms), so it compares
-and hashes as a tuple, which interning makes exact.
+and hashes as a tuple, which interning makes exact. The package builds
+every atom through `new_atom`, the tuple constructor bound to `Atom`,
+which runs no Python frame; `Atom(predicate, terms)`, the NamedTuple's
+generated constructor, runs one and stays the public way in. The per-key
+kernels that fill templates (`Rule.output`, `approx._fill`) are plain
+loops, not comprehensions, for the same reason: CPython 3.11 runs each
+comprehension in a frame of its own (PEP 709 inlines them only from 3.12).
 `gc_paused` is the collector pause that parsing, the checks and the chase
 run in.
 """
@@ -293,6 +299,10 @@ class Atom(NamedTuple):
         return f"{self.predicate}({', '.join(map(repr, self.terms))})"
 
 
+# The package's one way to build an atom: new_atom((predicate, terms)) is
+# Atom(predicate, terms) without the generated __new__'s Python frame.
+new_atom = functools.partial(tuple.__new__, Atom)
+
 Substitution = Mapping[Variable, Term]
 
 
@@ -498,13 +508,23 @@ class Rule:
 
     def output(self, disjunct: int, image: tuple[Term, ...]) -> tuple[Atom, ...]:
         """The skolemized output of one head disjunct (1-based) for a
-        ground frontier image."""
-        return tuple([
-            Atom(predicate, tuple([
-                image[s] if s.__class__ is int  # type: ignore[index]
-                else functional(s, image)  # type: ignore[arg-type]
-                for s in slots]))
-            for predicate, slots in self.sk_heads[disjunct - 1]])
+        ground frontier image.
+
+        It runs once per applied trigger in every fixpoint, so it is one
+        loop that builds each atom through `new_atom`: on CPython 3.11 a
+        call runs one Python frame, and `functional`'s per symbol slot,
+        where comprehensions and Atom's own constructor would add one per
+        atom."""
+        out = []
+        for predicate, slots in self.sk_heads[disjunct - 1]:
+            terms = []
+            for s in slots:
+                if s.__class__ is int:
+                    terms.append(image[s])  # type: ignore[index]
+                else:
+                    terms.append(functional(s, image))  # type: ignore[arg-type]
+            out.append(new_atom((predicate, tuple(terms))))
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"Rule({self.id})"

@@ -46,6 +46,7 @@ from .model import (
     constant,
     gc_paused,
     is_reserved_name,
+    new_atom,
     variable,
 )
 
@@ -158,7 +159,7 @@ class _Parser:
         elif known != len(terms):
             raise _error(self.text, f"predicate {name} used with arity {len(terms)}, "
                          f"previously {known}", i)
-        return Atom(name, tuple(terms))
+        return new_atom((name, tuple(terms)))
 
     def parse_conjunction(self) -> list[Atom]:
         atoms = [self.parse_atom()]

@@ -25,19 +25,23 @@ backtracks, so it never marks or undoes; its queues keep the keys already
 popped, as the chase's do.
 
 The watch runs only on pops of generating rules: it scans their output
-for the term depth bound, and tests each functional argument of each newly
-added fact, in order, with `model.is_k_cyclic`, keeping no record of the
-terms it has seen. This is exact. Every argument of an output is a term of
-the trigger's image or a skolem term over its frontier image, so an output
-adds no term with a new proper subterm, and a non-generating output adds
-no term at all. Every term thus arrived in the critical instance, which
-holds only the special constant, neither functional nor deeper than 1, or
-in a generating output, where it was scanned and tested without stopping
-the run. So the first k-cyclic argument is the first k-cyclic term the
-saturation builds, and the first output past the depth bound is the first
-one the watch sees. A bound below 1, which the special constant itself
-exceeds, stops the first pop of any rule. `chase` narrows its own depth
-scan by the same argument.
+for the term depth bound, and tests with `model.is_k_cyclic`, in order,
+each argument of each newly added fact that is a functional term over one
+of the popped rule's skolem symbols, keeping no record of the terms it has
+seen. This is exact. Every argument of an output is a term of the
+trigger's image or a skolem term f(frontier image), f a symbol of the
+rule, so an output adds no term with a new proper subterm, and a
+non-generating output adds no term at all. Every term thus arrived in the
+critical instance, which holds only the special constant, neither
+functional nor deeper than 1, or as a skolem term of a generating output,
+where it was scanned and tested without stopping the run. The arguments
+the watch skips are image terms, which passed the test when they arrived,
+and an image term over one of the rule's symbols is tested again in
+vain. So the first k-cyclic argument tested is the first k-cyclic term
+the saturation builds, and the first output past the depth bound is the
+first one the watch sees. A bound below 1, which the special constant
+itself exceeds, stops the first pop of any rule. `chase` narrows its own
+depth scan by the same argument.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 
 from .matcher import FactSet, Queues, discover, enqueue, pop_active
 from .model import (Atom, FunctionalTerm, RuleSet, Term, gc_paused,
-                    is_k_cyclic, star)
+                    is_k_cyclic, new_atom, star)
 
 __all__ = ["SearchBudget", "AcyclicityVerdict", "check_acyclic",
            "critical_instance", "RMFA_LIKE", "MFA", "TERMINATING",
@@ -88,7 +92,7 @@ class AcyclicityVerdict:
 def critical_instance(rules: RuleSet) -> list[Atom]:
     """One fact per predicate, every argument the special constant."""
     return [
-        Atom(predicate, (star(),) * arity)
+        new_atom((predicate, (star(),) * arity))
         for predicate, arity in rules.predicates.items()
     ]
 
@@ -147,20 +151,26 @@ def check_acyclic(
         popped = pop_active(queues, blocking)
         if popped is None:
             break
-        generating = popped[0][0].is_generating
-        output = [atom for out in popped[1] for atom in out]
-        if max_term_depth is not None and (generating or scan_all) and any(
-            t.depth > max_term_depth for _, terms in output for t in terms
-        ):
-            return verdict(RESOURCE_EXHAUSTED, None)
+        key, outputs = popped
+        rule = key[0]
+        output: list[Atom] = []
+        for out in outputs:
+            output += out
+        if max_term_depth is not None and (rule.is_generating or scan_all):
+            for _, terms in output:
+                for t in terms:
+                    if t.depth > max_term_depth:
+                        return verdict(RESOURCE_EXHAUSTED, None)
         applied += 1
         new = facts.update(output)
         if mode == RMFA_LIKE:
             blocking.update(new)
-        if generating:
+        if rule.is_generating:
+            symbols = rule.sk_symbols
             for _, terms in new:
                 for t in terms:
-                    if t.__class__ is FunctionalTerm and is_k_cyclic(t, k):
+                    if t.__class__ is FunctionalTerm and \
+                            t.symbol in symbols and is_k_cyclic(t, k):  # type: ignore[attr-defined]
                         return verdict(NOT_DETECTED, t)
         if new:
             enqueue(queues, discover(rules, facts, new))

@@ -58,8 +58,8 @@ from chase_sentinel.model import (
     uc_constant,
     variable,
 )
-from chase_sentinel.termination import (MFA, TERMINATING, SearchBudget,
-                                        check_acyclic)
+from chase_sentinel.termination import (MFA, RMFA_LIKE, TERMINATING,
+                                        SearchBudget, check_acyclic)
 
 from conftest import (
     bench_rule_set,
@@ -394,6 +394,46 @@ def test_criterion_09_rmfa_like_clause_on_benchmark_structures():
         assert not (rmfa.result == TERMINATING and
                     CYCLIC in (rpcs.result, drpc.result)), \
             f"set {i}: rmfa-like terminating and cyclic"
+
+
+# ROADMAP item 19's table budget, with no deadline, so every verdict below
+# is deterministic.
+TABLE_BUDGET = SearchBudget(max_triggers=3000, max_term_depth=6)
+
+
+def cross_notion_conflicts(mode: str, structures) -> tuple[int, list[int]]:
+    """The classify-random structures that check_acyclic certifies in
+    mode, counted, and those of them that DRPC or RPC_s finds cyclic, all
+    under TABLE_BUDGET. A set the mode does not certify cannot conflict, so
+    only certified sets are checked for cyclicity."""
+    certified, conflicts = 0, []
+    for i in structures:
+        rules = bench_rule_set(i)
+        if check_acyclic(rules, k=2, budget=TABLE_BUDGET, mode=mode).result \
+                != TERMINATING:
+            continue
+        certified += 1
+        if any(check(rules, notion, TABLE_BUDGET).result == CYCLIC
+               for notion in ("DRPC", "RPC_s")):
+            conflicts.append(i)
+    return certified, conflicts
+
+
+def test_no_certified_structure_is_found_cyclic():
+    # ROADMAP item 19: no rule set is both acyclicity-terminating and DRPC-
+    # or RPC_s-cyclic, on structures 0-119. rmfa-like certifies structure
+    # 54, which RPC_s finds cyclic (ROADMAP item 1); any other conflict is
+    # new and fails here.
+    certified, conflicts = cross_notion_conflicts(MFA, range(120))
+    assert certified >= 9 and conflicts == []
+    certified, conflicts = cross_notion_conflicts(RMFA_LIKE, range(120))
+    assert certified >= 27 and set(conflicts) <= {54}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_rmfa_like_does_not_certify_a_cyclic_structure():
+    # Structure 54, rmfa-like's one conflict on structures 0-119.
+    assert cross_notion_conflicts(RMFA_LIKE, [54]) == (1, [])
 
 
 def test_criterion_10_oracle_equivalence(monkeypatch):

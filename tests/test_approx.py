@@ -11,6 +11,7 @@ from chase_sentinel.approx import (
     UC,
     UnblockabilityCache,
     _is_unblockable,
+    _fill,
     _Seed,
     _seed,
     _seed_blocks,
@@ -52,6 +53,7 @@ from conftest import (
     transport_trigger,
     trigger_of,
 )
+from test_model import _construction_sets, frontier_images
 
 
 def bike_pivot(rules):
@@ -456,6 +458,26 @@ def test_conjunctive_exclusion_needs_every_disjunct(kind):
     assert Atom("S", (fuc,)) in got
     assert Atom("T", (star(), fuc)) in got
     assert got == naive_over_approx(rules, pivot, kind)
+
+
+def test_fill_with_the_skolem_terms_is_the_output():
+    # When each symbol's known term over an image is its skolem term over
+    # that image, _fill builds what Rule.output builds, atom for atom and
+    # type for type, on the rules and images of
+    # test_model.test_skolemized_heads_match_the_reference.
+    compared = 0
+    for rules in _construction_sets():
+        for rule in rules:
+            for image in frontier_images(len(rule.frontier)):
+                fills = {s: ({image: functional(s, image)}, star())
+                         for s in rule.sk_symbols}
+                for i, template in enumerate(rule.sk_heads, start=1):
+                    filled, out = _fill(template, image, fills), rule.output(i, image)
+                    assert filled == out, (rule, i, image)
+                    assert list(map(type, filled)) == list(map(type, out)), \
+                        (rule, i, image)
+                    compared += 1
+    assert compared >= 8000, compared
 
 
 def test_uc_unblockability_depends_on_the_closing_rule():

@@ -292,22 +292,27 @@ def _construction_sets():
     return sets
 
 
+def frontier_images(n: int) -> list[tuple]:
+    """Ground images of a frontier of n variables: distinct constants, one
+    constant throughout, skolem terms, and skolem terms alternating with a
+    constant, so that repeated and nested arguments are covered."""
+    a, b = constant("a"), constant("b")
+    g = skolem_symbol("g", 1, "Y", 2)
+    skolem = tuple(functional(g, (a, constant(f"c{j}"))) for j in range(n))
+    return [tuple(constant(f"c{j}") for j in range(n)), (a,) * n, skolem,
+            tuple(b if j % 2 else t for j, t in enumerate(skolem))]
+
+
 def test_skolemized_heads_match_the_reference():
     # The reference skolemizes a disjunct on a ground frontier image: each
     # frontier variable maps to its image term and each existential y to
-    # f_y(image). Images are distinct constants, one constant throughout,
-    # and skolem terms, so that repeated and nested arguments are covered.
-    # key_frontier must read the same frontier off a body image key.
-    a, b = constant("a"), constant("b")
-    g = skolem_symbol("g", 1, "Y", 2)
+    # f_y(image). key_frontier must read the same frontier off a body
+    # image key.
     for rules in _construction_sets():
         for rule in rules:
             n = len(rule.frontier)
-            images = [tuple(constant(f"c{j}") for j in range(n)), (a,) * n,
-                      tuple(functional(g, (a, constant(f"c{j}"))) for j in range(n))]
-            images.append(tuple(b if j % 2 else t for j, t in enumerate(images[2])))
             for i, h in enumerate(rule.heads, start=1):
-                for image in images:
+                for image in frontier_images(n):
                     sigma = dict(zip(rule.frontier, image))
                     sigma.update({y: functional(skolem_symbol(rule.id, i, y.name, n),
                                                 image)
@@ -541,9 +546,12 @@ ERROR_KINDS = {"atom": "no terms", "rules": "not a variable",
 
 def check_rules_against_reference(drafts) -> Counter:
     """Rule on each (rule id, body, heads) draft against naive_rule: the same
-    attributes, or a RuleError with the same message. Returns counts of the
-    rules built, by number of disjuncts and with repeated body variables,
-    and of the errors, by the check that failed."""
+    attributes, or a RuleError with the same message. Each rule built must
+    also give, on every disjunct, the substitution reference's output
+    (conftest.apply_atoms) for each of its frontier_images, with every atom
+    of type Atom. Returns counts of the rules built, by number of disjuncts
+    and with repeated body variables, of the outputs compared, and of the
+    errors, by the check that failed."""
     seen: Counter = Counter()
     for rule_id, body, heads in drafts:
         expected = naive_rule(rule_id, body, heads)
@@ -554,6 +562,16 @@ def check_rules_against_reference(drafts) -> Counter:
             seen["error " + ERROR_KINDS[str(exc).split(" ")[2]]] += 1
             continue
         assert rule_parts(rule) == expected, (rule_id, body, heads)
+        n = len(rule.frontier)
+        for image in frontier_images(n):
+            for i, h in enumerate(rule.heads, start=1):
+                sigma = dict(zip(rule.frontier, image))
+                sigma.update({y: functional(skolem_symbol(rule_id, i, y.name, n), image)
+                              for y in h.existential_vars})
+                out = rule.output(i, image)
+                assert out == apply_atoms(sigma, h.atoms), (rule, i, image)
+                assert all(type(atom) is Atom for atom in out), (rule, i, image)
+                seen["outputs"] += 1
         seen["built"] += 1
         seen[f"{rule.branching} disjuncts"] += 1
         terms = [t for atom in body for t in atom.terms]
@@ -567,12 +585,13 @@ def test_rules_match_the_naive_derivation():
     assert min(seen[f"{d} disjuncts"] for d in (1, 2, 3)) >= 500, seen
     assert seen["repeats"] >= 1000, seen
     assert min(seen["error " + kind] for kind in ERROR_KINDS.values()) >= 20, seen
+    assert seen["outputs"] >= 16000, seen
     # The rules of the 400 sample sets and of every ninth structure; CI
     # runs the first 3,000 sets and the six stratified sets.
     seen = check_rules_against_reference(
         (rule.id, rule.body, [h.atoms for h in rule.heads])
         for rules in watch_cases(400, range(0, 90, 9), False) for rule in rules)
-    assert seen["built"] >= 800, seen
+    assert seen["built"] >= 800 and seen["outputs"] >= 4000, seen
 
 
 def test_generating_rule_needs_frontier():
