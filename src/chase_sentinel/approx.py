@@ -45,8 +45,9 @@ of a contributed symbol: only those keys are popped, none when there is
 no such term. Every other rule pops all its seed keys.
 
 Later keys come from matcher.frontier_keys, pinned to the pivot's birth
-facts and then to each new batch: it reads images straight off the facts
-and drops the keys already queued. Only the resulting fixpoint as a set
+facts and then to each new batch: it reads images straight off the facts,
+drops the keys already queued and appends the others to the list the
+build is reading. Only the resulting fixpoint as a set
 is specified, not the order in which its facts were added.
 
 The star build answers a unique-constants (UC) question when it can. Let h
@@ -334,8 +335,8 @@ def build_over_approx(
     directly. All are counted, and only those that can add a fact are
     popped (see _batches). Only the matches through birth facts outside U,
     and then through each new batch, are joined, by matcher.frontier_keys:
-    it yields keys and not substitutions, and drops the keys already
-    queued. Exclusion depends only on the trigger, so the result is the
+    it appends keys and not substitutions to seed.added, and drops the
+    keys already queued. Exclusion depends only on the trigger, so the result is the
     least fixpoint of a monotone operator and does not depend on queue
     order; only the fact set as a set is specified, not its insertion
     order. The number of keys is returned as OverApproximation.triggers.
@@ -430,7 +431,7 @@ def _batches(
         chosen = hc.choice(pivot.rule)
         pivot_abs, pivot_raw = abs_outs[chosen], raw_outs[chosen]
 
-    added.extend(frontier_keys(rules, facts, births, queued))
+    frontier_keys(rules, facts, births, queued, added)
     for key in itertools.chain(queue, added):
         rule, image = key[0], key[1:]
         if hc is not None:
@@ -450,7 +451,7 @@ def _batches(
         new = facts.update(contribution)
         if new:
             yield new
-            added.extend(frontier_keys(rules, facts, new, queued))
+            frontier_keys(rules, facts, new, queued, added)
 
 
 # ---------------------------------------------------------------------------

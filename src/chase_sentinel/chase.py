@@ -6,12 +6,12 @@ only once every datalog rule is satisfied, expansion creates one child per
 head disjunct, and triggers are consumed from FIFO queues so every loaded
 trigger is eventually applied or found obsolete on every branch (fairness).
 A branch takes its triggers by the trigger step it shares with the
-acyclicity check: `matcher.discover` finds their keys, `matcher.enqueue`
-queues datalog keys apart from the others, and `matcher.pop_active` tests
-each key it pops on its frontier image and returns the first key not
-obsolete for the label it would extend, datalog first, with the outputs
-its children add. A vertex keeps that key; its `trigger` is built from it
-only when read.
+acyclicity check: `matcher.enqueue` discovers their keys straight into
+the branch's queues, datalog keys apart from the others, and
+`matcher.pop_active` tests each key it pops on its frontier image and
+returns the first key not obsolete for the label it would extend, datalog
+first, with the outputs its children add. A vertex keeps that key; its
+`trigger` is built from it only when read.
 Labels only grow along a branch, so a trigger found obsolete stays
 obsolete and is passed over for good, and the test at the pop is exact.
 Each child pins only the facts its disjunct added, new fact by new fact
@@ -21,7 +21,8 @@ FactSet, the insertion-ordered dict of the facts with its index,
 holds the label of the branch being extended, and one `Queues` its keys;
 a fork copies neither. Both are marked before a fork and undone to the
 marks when a later sibling resumes, and each child's output enters the
-label through one `FactSet.update` call.
+label through one `FactSet.update` call. A lone child, the one child of a
+single-disjunct trigger, takes no marks, since nothing resumes there.
 `run_chase` and `entails` share one expansion loop. `entails` compiles
 the query into join chains (`matcher.compile_query`), tests each vertex
 through the facts it adds (`matcher.obsolete_through`), the root's being
@@ -33,8 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .matcher import (FactSet, Queues, Trigger, compile_query, discover,
-                      enqueue, obsolete_through, pop_active)
+from .matcher import (FactSet, Queues, Trigger, compile_query, enqueue,
+                      obsolete_through, pop_active)
 from .model import Atom, Query, RuleSet, gc_paused
 
 __all__ = [
@@ -177,7 +178,7 @@ def _expand(
         t.depth > max_term_depth for fact in seed for t in fact.terms)
 
     queues = Queues()
-    enqueue(queues, discover(rules, facts))
+    enqueue(queues, rules, facts)
     pending: list[tuple[ChaseVertex, int, tuple[int, int, int, int]]] = []
 
     while True:
@@ -203,21 +204,23 @@ def _expand(
             parent = vertex
             depth = parent.depth + 1
             # Later disjuncts' facts are read off the parent's label before
-            # the first disjunct's are added to it.
+            # the first disjunct's are added to it, and the marks a waiting
+            # sibling resumes from are taken then too.
             later = [tuple(dict.fromkeys([f for f in out if f not in facts]))
                      for out in outputs[1:]] if rule.branching > 1 else ()
-            fact_mark = facts.mark()
+            if later:
+                fact_mark, queue_mark = facts.mark(), queues.mark()
             vertex = ChaseVertex(first, parent.id, depth, key, 1,
                                  tuple(facts.update(outputs[0])))
             tree.vertices.append(vertex)
-            for i, new in enumerate(later, 2):
-                tree.vertices.append(
-                    ChaseVertex(first + i - 1, parent.id, depth, key, i, new))
-            parent.children.extend(range(first, len(tree.vertices)))
-            # The first child goes on at once, the others wait their turn,
-            # second child on top.
+            parent.children.append(first)
             if later:
-                queue_mark = queues.mark()
+                tree.vertices.extend(
+                    ChaseVertex(first + i - 1, parent.id, depth, key, i, new)
+                    for i, new in enumerate(later, 2))
+                parent.children.extend(range(first + 1, len(tree.vertices)))
+                # The first child goes on at once, the others wait their
+                # turn, second child on top.
                 pending.extend((sibling, fact_mark, queue_mark)
                                for sibling in reversed(tree.vertices[first + 1:]))
         while vertex is None or (query is not None and obsolete_through(
@@ -228,7 +231,7 @@ def _expand(
             facts.undo(fact_mark)
             queues.undo(queue_mark)
             facts.update(vertex.new_facts)
-        enqueue(queues, discover(rules, facts, vertex.new_facts))
+        enqueue(queues, rules, facts, vertex.new_facts)
 
 
 @gc_paused

@@ -159,7 +159,7 @@ def _saturate(
     rules take part and the star abstraction is used.
 
     A trigger new in a round uses a fact the previous round added, since
-    every other loaded trigger was a candidate before, and discover yields
+    every other loaded trigger was a candidate before, and discover returns
     its key in no other round. Only the seed comes back, from the opening
     full match. A round sorts keys, totally since distinct terms of one
     rule set have distinct reprs, and builds a Trigger only for a key that

@@ -1,13 +1,15 @@
 """Fact storage, conjunction matching and trigger discovery.
 
-`discover` is the trigger discovery behind the fixpoint loops: the chase,
-the acyclicity check and the cyclicity saturation take its keys, and the
-over-approximation builds their own through `frontier_keys`. All run the
-compiled pinned joins. A full call pins each rule's first body atom to
-each of its facts in insertion order; a semi-naive call pins each new fact
-to each body atom of its predicate, new fact by new fact and, per fact, in
-body-index order. No loop meets a trigger twice, so none keeps a seen set
-for triggers.
+One discovery routine serves the four fixpoint loops. `_pinned_keys` runs
+the compiled pinned joins and appends each key it finds to a list of the
+caller's: `enqueue` writes the keys of the chase and the acyclicity check
+straight into their `Queues`, `discover` returns them as a list for the
+cyclicity saturation's rounds, and `frontier_keys` appends the
+over-approximation builds' keys to the list the build is reading. A full
+call pins each rule's first body atom to each of its facts in insertion
+order; a semi-naive call pins each new fact to each body atom of its
+predicate, new fact by new fact and, per fact, in body-index order. No
+loop meets a trigger twice, so none keeps a seen set for triggers.
 
 One compiler, `_compile_chain`, turns the body atoms a pin leaves, a
 pattern of `match_conjunction`, a head disjunct or a query into a chain
@@ -15,11 +17,11 @@ of steps in written order, and one runner, `_chain`, extends a row of
 bound terms through each step's candidates, or a pinned fact. So every
 join and existence test is the nested loop over the atoms in written
 order, each atom's candidates in insertion order: a full `discover` call
-yields the keys of `match_conjunction(rule.body, {}, facts)`'s matches in
+returns the keys of `match_conjunction(rule.body, {}, facts)`'s matches in
 their order.
 
-A trigger travels from `discover` through its pop as the key (rule, *body
-image), the image of rule.body_vars in order. A `Trigger` is that key: a
+A trigger travels from its discovery through its pop as the key (rule,
+*body image), the image of rule.body_vars in order. A `Trigger` is that key: a
 tuple that adds only methods, so `Trigger(key)` is the tuple's own
 constructor, which copies the key's items and checks nothing, and a
 trigger equals its key. Keys are read off a FactSet, so they are ground; a
@@ -32,13 +34,18 @@ Pinning a fact to body atom idx of a rule is a join whose shape depends
 only on (rule, idx). A rule set's joins are compiled together on first
 use and held by the rule set next to its body index, so they are freed
 with it. `_pinned_keys` runs them, one loop for every plan, and projects
-each row onto a key: (rule, *body image) for `discover` and (rule,
-*frontier image) for `frontier_keys`, as builds read only the frontier;
-a key already seen is dropped.
+each row onto a key: (rule, *body image) for `discover` and `enqueue`, and
+(rule, *frontier image) for `frontier_keys`, as builds read only the
+frontier; a key already seen is dropped. It picks the list a plan's keys
+go to once per plan, by its rule's `is_datalog`, and it is a plain
+function, not a generator: the joins read the facts' live index lists,
+and as every call runs to its end before it returns, no caller can add a
+fact while one is still being read.
 
 The chase and the acyclicity check share the step around it: `enqueue`
-queues datalog keys ahead of the others in a `Queues`, and `pop_active`
-pops the first key that is not obsolete and returns it with its outputs.
+appends datalog keys to the first list of a `Queues` and the others to
+the second, and `pop_active` pops the first key that is not obsolete and
+returns it with its outputs.
 A `FactSet` is the insertion-ordered dict of its facts, with one index
 beside it from each lookup, a predicate or a (predicate, first argument)
 pair, to its facts, so membership is a dict lookup; `update`, the one way
@@ -139,8 +146,11 @@ class FactSet(dict):
                     raise RuleError(f"not a fact: {fact!r}")
             self[fact] = None
             new.append(fact)
-            index.setdefault(predicate, []).append(fact)
-            index.setdefault((predicate, terms[0]), []).append(fact)
+            # An index list is never empty, as undo deletes an emptied
+            # one, so a new list is built only for a new lookup.
+            (index.get(predicate) or index.setdefault(predicate, [])).append(fact)
+            (index.get((predicate, terms[0])) or
+             index.setdefault((predicate, terms[0]), [])).append(fact)
         return new
 
     # A point to come back to with `undo`: the number of facts.
@@ -463,20 +473,22 @@ def _joins(rules: RuleSet) -> dict[str, list[tuple[Rule, _PinPlan]]]:
 
 def _pinned_keys(joins: dict[str, Sequence[tuple[Rule, _PinPlan]]],
                  facts: FactSet, new_facts: Iterable[Atom], seen: set[tuple],
-                 projection: int) -> Iterator[tuple]:
+                 projection: int, datalog: list[tuple], other: list[tuple]) -> None:
     """The runner of the compiled pinned joins. For each new fact (in the
     facts) and each plan that joins holds for its predicate, it projects
     the rows that _chain extends from (rule, *fact terms), or that row
     alone when no body atom is left after the pin, through the plan field
-    at index projection, and yields the keys not in seen, in
-    first-occurrence order, adding each to seen. Keys are read straight off
-    the pinned fact and the candidates, which the facts' live index lists
-    hold."""
+    at index projection, and appends the keys not in seen, in
+    first-occurrence order, to datalog when the plan's rule is datalog and
+    to other when not, adding each to seen; a caller that wants one list
+    passes it twice. The joins read the facts' live index lists, and a
+    call runs to its end before it returns, so no key is read after a
+    caller adds facts."""
     for fact in new_facts:
         if fact not in facts:
             continue
-        ft = fact.terms
-        for rule, plan in joins.get(fact.predicate, ()):
+        predicate, ft = fact
+        for rule, plan in joins.get(predicate, ()):
             arity, repeats, steps, _, _ = plan
             if len(ft) != arity:
                 continue
@@ -484,56 +496,67 @@ def _pinned_keys(joins: dict[str, Sequence[tuple[Rule, _PinPlan]]],
                 if ft[i] is not ft[j]:
                     break
             else:
+                out = datalog if rule.is_datalog else other
                 row = (rule, *ft)
                 for found in map(plan[projection],
                                  _chain(steps, row, facts) if steps else (row,)):
                     if found not in seen:
                         seen.add(found)
-                        yield found
+                        out.append(found)
 
 
-def _first_atom_keys(rules: RuleSet, facts: FactSet) -> Iterator[tuple]:
-    """Rule by rule, the first body atom pinned to each fact of its
-    predicate, in insertion order."""
+def _discover(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom] | None,
+              datalog: list[tuple], other: list[tuple]) -> None:
+    """The (rule, *body image) keys of the loaded triggers, as _pinned_keys
+    appends them, at most once per call: when new_facts is None, every
+    trigger, rule by rule with the first body atom pinned to each fact of
+    its predicate in insertion order, under a seen set per rule, as no two
+    facts pinned to one atom give one key; else each trigger that uses a
+    new fact (already in the facts), pinned to each body atom of its
+    predicate, under a seen set of the call's own."""
     joins = _joins(rules)
-    seen: set[tuple] = set()
+    if new_facts is not None:
+        _pinned_keys(joins, facts, new_facts, set(), _BODY, datalog, other)
+        return
     for rule in rules:
         predicate = rule.body[0].predicate
         pair = joins[predicate][rules.body_index[predicate].index((rule, 0))]
-        yield from _pinned_keys({predicate: (pair,)}, facts,
-                                facts.candidates(predicate), seen, _BODY)
+        _pinned_keys({predicate: (pair,)}, facts, facts.candidates(predicate),
+                     set(), _BODY, datalog, other)
 
 
 def discover(
     rules: RuleSet,
     facts: FactSet,
     new_facts: Iterable[Atom] | None = None,
-) -> Iterator[tuple]:
-    """The (rule, *body image) keys of the loaded triggers, as _pinned_keys
-    finds them under a seen set of the call's own, at most once per call:
-    when new_facts is None, every trigger, in the order of [(rule, *body
-    image) for rule in rules for each match of match_conjunction(rule.body,
-    {}, facts)], the nested loop in body order (_first_atom_keys); else
-    each trigger that uses a new fact (already in the facts), pinned to
-    each body atom of its predicate.
+) -> list[tuple]:
+    """The (rule, *body image) keys of the loaded triggers, each at most
+    once per call: when new_facts is None, every trigger, in the order of
+    [(rule, *body image) for rule in rules for each match of
+    match_conjunction(rule.body, {}, facts)], the nested loop in body
+    order; else each trigger that uses a new fact (already in the facts),
+    pinned to each body atom of its predicate, new fact by new fact and,
+    per fact, in body-index order.
 
-    The chase, the acyclicity check and the cyclicity saturation each
-    consume a call before adding facts, as the joins read the facts' live
-    index lists, and then pin exactly the facts they added. A pinned
-    trigger uses a fact the earlier calls never saw, and a later call pins
-    only facts this one never saw, so no key comes back.
+    The list is complete when it is returned, so facts added later do not
+    reach it. The cyclicity saturation takes its rounds from it, and the
+    chase and the acyclicity check queue the same keys through `enqueue`.
+    Each then pins exactly the facts it added. A pinned trigger uses a
+    fact the earlier calls never saw, and a later call pins only facts
+    this one never saw, so no key comes back.
     """
-    if new_facts is None:
-        return _first_atom_keys(rules, facts)
-    return _pinned_keys(_joins(rules), facts, new_facts, set(), _BODY)
+    keys: list[tuple] = []
+    _discover(rules, facts, new_facts, keys, keys)
+    return keys
 
 
 def frontier_keys(rules: RuleSet, facts: FactSet, new_facts: Iterable[Atom],
-                  seen: set[tuple]) -> Iterator[tuple]:
-    """The _pinned_keys (rule, *frontier image) keys of the new facts: the
-    over-approximation builds' discovery, with the build's set of queued
-    keys as seen."""
-    return _pinned_keys(_joins(rules), facts, new_facts, seen, _FRONTIER)
+                  seen: set[tuple], out: list[tuple]) -> None:
+    """Append to out the _pinned_keys (rule, *frontier image) keys of the
+    new facts: the over-approximation builds' discovery, with the build's
+    set of queued keys as seen. out may be the list the build is reading
+    its keys from: keys go only at its end."""
+    _pinned_keys(_joins(rules), facts, new_facts, seen, _FRONTIER, out, out)
 
 
 def disjunct_holds(rule: Rule, disjunct: int, image: tuple[Term, ...],
@@ -597,7 +620,8 @@ def obsolete_through(chains: Iterable[Chain], image: tuple[Term, ...],
 
 class Queues:
     """The trigger keys of a fixpoint loop: datalog keys in one list, the
-    others in a second, each read from its own head index. Lists only grow,
+    others in a second, each read from its own head index. `enqueue`
+    discovers keys straight into the two lists of `keys`. Lists only grow,
     and a pop only moves a head, so `mark` and `undo` restore any earlier
     state: the chase's pending siblings come back to their parent's queues
     this way."""
@@ -625,11 +649,14 @@ class Queues:
         self.heads[:] = mark[2:]
 
 
-def enqueue(queues: Queues, keys: Iterable[tuple]) -> None:
-    """Queue datalog keys in the first list, the others in the second."""
+def enqueue(queues: Queues, rules: RuleSet, facts: FactSet,
+            new_facts: Iterable[Atom] | None = None) -> None:
+    """Queue the keys that `discover` returns for the same arguments, in
+    its order, datalog keys at the end of the first list and the others at
+    the end of the second: the discovery of the chase and the acyclicity
+    check, which writes each key straight into its list."""
     datalog, other = queues.keys
-    for key in keys:
-        (datalog if key[0].is_datalog else other).append(key)
+    _discover(rules, facts, new_facts, datalog, other)
 
 
 def pop_active(queues: Queues,

@@ -167,15 +167,16 @@ class FunctionalTerm(Term):
             )
         self.symbol = symbol
         self.args = args
-        self.depth = 1 + max(a.depth for a in args)
-        self.is_ground = all(a.is_ground for a in args)
-        nest: dict[SkolemSymbol, int] = {}
+        # One pass over the arguments, with no generator frame per field.
+        depth, ground, nest = 0, True, {}
         for a in args:
+            depth = a.depth if a.depth > depth else depth
+            ground = ground and a.is_ground
             for sym, count in a._nest.items():
                 if count > nest.get(sym, 0):
                     nest[sym] = count
         nest[symbol] = nest.get(symbol, 0) + 1
-        self._nest = nest
+        self.depth, self.is_ground, self._nest = depth + 1, ground, nest
 
     def __repr__(self) -> str:
         return f"{self.symbol!r}({', '.join(map(repr, self.args))})"

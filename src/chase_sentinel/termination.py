@@ -16,11 +16,11 @@ when its head already matches into the derived portion of the saturation,
 the facts outside the critical seed; restriction-aware blocking keeps the
 check from drowning in the seed facts, which satisfy every head vacuously.
 The plain discipline ("mfa") never drops a trigger and is the coarser,
-unconditionally sound variant: `matcher.discover` finds each trigger's key
-once per saturation, and the chase's step `matcher.pop_active` pops keys
-from one `matcher.Queues`, datalog first, testing each on its frontier
-image against the derived facts in the default mode and against the
-empty set, where none is obsolete, in the plain one. The saturation never
+unconditionally sound variant: `matcher.enqueue` discovers each trigger's
+key once per saturation, straight into one `matcher.Queues`, and the
+chase's step `matcher.pop_active` pops them, datalog first, testing each
+on its frontier image against the derived facts in the default mode and
+against the empty set, where none is obsolete, in the plain one. The saturation never
 backtracks, so it never marks or undoes; its queues keep the keys already
 popped, as the chase's do.
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .matcher import FactSet, Queues, discover, enqueue, pop_active
+from .matcher import FactSet, Queues, enqueue, pop_active
 from .model import (Atom, FunctionalTerm, RuleSet, Term, gc_paused,
                     is_k_cyclic, new_atom, star)
 
@@ -142,7 +142,7 @@ def check_acyclic(
         }
         return AcyclicityVerdict(k, result, term, stats)
 
-    enqueue(queues, discover(rules, facts))
+    enqueue(queues, rules, facts)
     while queues:
         if budget.expired():
             return verdict(RESOURCE_EXHAUSTED, None)
@@ -173,5 +173,5 @@ def check_acyclic(
                             t.symbol in symbols and is_k_cyclic(t, k):  # type: ignore[attr-defined]
                         return verdict(NOT_DETECTED, t)
         if new:
-            enqueue(queues, discover(rules, facts, new))
+            enqueue(queues, rules, facts, new)
     return verdict(TERMINATING, None)

@@ -35,7 +35,6 @@ from chase_sentinel.matcher import (
     _BODY,
     _compile_pinned,
     _pinned_keys,
-    discover,
     enqueue,
     is_obsolete,
     pop_active,
@@ -461,7 +460,7 @@ def reference_acyclic(rules: RuleSet, k: int, budget: SearchBudget,
     blocking = FactSet()
     applied = 0
     queues = Queues()
-    enqueue(queues, discover(rules, facts))
+    enqueue(queues, rules, facts)
     while queues:
         if budget.max_triggers is not None and applied >= budget.max_triggers:
             return RESOURCE_EXHAUSTED, applied, len(facts), None
@@ -482,7 +481,7 @@ def reference_acyclic(rules: RuleSet, k: int, budget: SearchBudget,
                 if is_k_cyclic(t, k):
                     return NOT_DETECTED, applied, len(facts), t
         if new:
-            enqueue(queues, discover(rules, facts, new))
+            enqueue(queues, rules, facts, new)
     return TERMINATING, applied, len(facts), None
 
 
@@ -730,8 +729,17 @@ def match_pinned(rule: Rule, idx: int, fact: Atom,
     to fact, compiled on the spot and run alone by the runner behind
     `discover`, under the body projection and a fresh seen set."""
     one = {rule.body[idx].predicate: [(rule, _compile_pinned(rule, idx))]}
-    return [dict(zip(rule.body_vars, key[1:]))
-            for key in _pinned_keys(one, facts, [fact], set(), _BODY)]
+    keys: list[tuple] = []
+    _pinned_keys(one, facts, [fact], set(), _BODY, keys, keys)
+    return [dict(zip(rule.body_vars, key[1:])) for key in keys]
+
+
+def queue_keys(queues: Queues, keys: Iterable[tuple]) -> None:
+    """Append hand-made keys to the queues as `enqueue` appends the keys it
+    discovers: datalog keys to the first list, the others to the second."""
+    datalog, other = queues.keys
+    for key in keys:
+        (datalog if key[0].is_datalog else other).append(key)
 
 
 class NotReversibleError(ValueError):

@@ -33,7 +33,8 @@ from chase_sentinel.termination import critical_instance
 
 from conftest import (_naive_matches, apply_atoms, bike_subset, is_loaded,
                       match_pinned, oracle_matches, outputs, perfbench_module,
-                      random_rule_set, rules_from, satisfies, trigger_of)
+                      queue_keys, random_rule_set, rules_from, satisfies,
+                      trigger_of)
 from test_engine_check import bench_cases, sweep_cases, wide_databases
 
 
@@ -136,8 +137,8 @@ def check_fact_set_trail(runs: int) -> collections.Counter:
                 model += new
             elif op < 0.6:
                 rule = rng.choice((datalog, generating))
-                enqueue(queues, [(rule, *rng.choices(consts, k=len(rule.body_vars)))
-                                 for _ in range(rng.randint(1, 3))])
+                queue_keys(queues, [(rule, *rng.choices(consts, k=len(rule.body_vars)))
+                                    for _ in range(rng.randint(1, 3))])
             elif op < 0.7:
                 seen["pops"] += pop_active(queues, FactSet()) is not None
             elif op < 0.85 or not trail:
@@ -458,7 +459,9 @@ def test_frontier_keys_project_the_pinned_joins():
                         known.add(key)
                         wanted.append(key)
                 compared += 1
-            assert list(frontier_keys(rules, facts, [fact], seen)) == wanted
+            got: list = []
+            frontier_keys(rules, facts, [fact], seen, got)
+            assert got == wanted
             assert seen == known
     assert compared >= 1500
     assert branches == {"pinned repeat", "no rest", "scan", "rest repeat",
@@ -466,7 +469,9 @@ def test_frontier_keys_project_the_pinned_joins():
 
     # A fact that is not in the facts pins nothing.
     rules = rules_from("P(X, Y) -> R(X) .\n")
-    assert list(frontier_keys(rules, FactSet(), [atom("P", "a", "b")], set())) == []
+    got = []
+    frontier_keys(rules, FactSet(), [atom("P", "a", "b")], set(), got)
+    assert got == []
 
 
 def test_body_keys_carry_seen_across_facts():
@@ -509,7 +514,8 @@ def test_body_keys_carry_seen_across_facts():
                     if key not in known:
                         known.add(key)
                         wanted.append(key)
-            got = list(_pinned_keys(_joins(rules), facts, [fact], seen, _BODY))
+            got: list = []
+            _pinned_keys(_joins(rules), facts, [fact], seen, _BODY, got, got)
             assert got == wanted
             assert seen == known
             keys += got
@@ -525,14 +531,14 @@ def test_pop_active_pops_datalog_keys_first_and_drops_obsolete_ones(monkeypatch)
         "A(X) -> B(X) .\n")
     r1, r2, r3 = rules.rules
     a, b = constant("a"), constant("b")
-    facts = FactSet([atom("A", "a"), atom("A", "b"), atom("B", "a"),
-                     atom("C", "a", "c"), atom("D", "b")])
-    keys = list(discover(rules, facts))
+    database = FactSet([atom("A", "a"), atom("A", "b"), atom("B", "a"),
+                        atom("C", "a", "c"), atom("D", "b")])
+    keys = list(discover(rules, database))
     assert keys == [(r1, a), (r2, a), (r2, b), (r3, a), (r3, b)]
 
     def pops(facts, expected):
         queues = Queues()
-        enqueue(queues, keys)
+        enqueue(queues, rules, database)
         assert queues.keys == ([(r3, a), (r3, b)], [(r1, a), (r2, a), (r2, b)])
         for key in expected:
             popped, outs = pop_active(queues, facts)
@@ -560,7 +566,7 @@ def test_pop_active_pops_datalog_keys_first_and_drops_obsolete_ones(monkeypatch)
     monkeypatch.setattr(matcher, "disjunct_holds", guarded)
     # Datalog keys first. B(a) makes r3's key on a obsolete, C(a, c) r1's
     # and D(b) r2's on b: each is dropped and never returned.
-    pops(facts, [(r3, b), (r2, a)])
+    pops(database, [(r3, b), (r2, a)])
     answered = [(r3, 1), (r3, 1), (r1, 1), (r2, 1), (r2, 2), (r2, 1)]
     assert tests == answered
     pops(FactSet(), [(r3, a), (r3, b), (r1, a), (r2, a), (r2, b)])
@@ -784,6 +790,103 @@ def test_full_discover_enumerates_like_naive_matches():
     seen = check_discovery_order(discovery_order_cases(300, range(0, 90, 9), False, 30))
     assert seen["sets"] == 4 * 310 + 30 and seen["keys"] >= 4000, seen
     assert min(seen[b] for b in ("tie", "moved", "first")) >= 200, seen
+
+
+def _split(keys):
+    """The keys in queue order: datalog keys, then the others."""
+    return ([k for k in keys if k[0].is_datalog],
+            [k for k in keys if not k[0].is_datalog])
+
+
+def _frontier_growth(rules, batches, live: bool):
+    """The frontier keys of the batches added one by one, the next batch
+    added each time a key is read from the list of keys, as _batches reads
+    it, and the rest once the list runs out. With live, frontier_keys
+    appends to that list while it is read; else each call's keys are
+    collected in a list of their own and then appended. Returns the list,
+    the seen set and the facts."""
+    facts, seen, added = FactSet(), set(), []
+    pending = iter(batches)
+
+    def pin(batch):
+        new = facts.update(batch)
+        if live:
+            frontier_keys(rules, facts, new, seen, added)
+        else:
+            found = []
+            frontier_keys(rules, facts, new, seen, found)
+            added.extend(found)
+
+    pin(next(pending))
+    for _ in added:
+        batch = next(pending, None)
+        if batch is None:
+            break
+        pin(batch)
+    for batch in pending:
+        pin(batch)
+    return added, seen, facts
+
+
+def check_enqueue_routing(cases) -> collections.Counter:
+    """On each (rules, facts) case, with the facts cut at a random point,
+    enqueue must add to Queues.keys exactly discover's list for the same
+    arguments, datalog keys to the first list and the others to the
+    second, each in discover's order, after the keys already queued: a
+    hand-made key or two, then a full call on the facts before the cut,
+    then a semi-naive one on the facts after it. frontier_keys appending
+    into the list being read, as _batches does, must give the keys of
+    collect-then-extend, each frontier key over all the facts once.
+    Returns the counts of the cases and of the keys queued in each list
+    and grown."""
+    rng = random.Random(19)
+    seen: collections.Counter = collections.Counter()
+    for rules, facts in cases:
+        ordered = list(facts)
+        cut = rng.randint(0, len(ordered))
+        queues = Queues()
+        rule = rng.choice(rules.rules)
+        queue_keys(queues, [(rule, *rng.choices(ordered[0].terms, k=len(rule.body_vars)))
+                            for _ in range(rng.randint(0, 2))])
+        expected = tuple(map(list, queues.keys))
+        grown = FactSet(ordered[:cut])
+        for later in (False, True):
+            new = grown.update(ordered[cut:]) if later else None
+            for queued, keys in zip(expected, _split(discover(rules, grown, new))):
+                queued += keys
+            enqueue(queues, rules, grown, new)
+            assert queues.keys == expected, (rules, ordered, cut)
+        seen["sets"] += 1
+        seen["datalog"] += len(expected[0])
+        seen["other"] += len(expected[1])
+
+        cuts = sorted(rng.sample(range(1, len(ordered)), min(3, len(ordered) - 1)))
+        batches = [ordered[i:j] for i, j in zip([0, *cuts], [*cuts, len(ordered)])]
+        live, found, final = _frontier_growth(rules, batches, True)
+        assert (live, found) == _frontier_growth(rules, batches, False)[:2]
+        assert len(set(live)) == len(live) and set(live) == found == {
+            (key[0], *key[0].key_frontier(key)) for key in discover(rules, final)}
+        seen["grown"] += len(live)
+    return seen
+
+
+def test_enqueue_routes_discovered_keys_in_order():
+    # Random sets mixing datalog and non-datalog rules, and the cases of
+    # CI's discovery order sweep, which also runs this check on 3,000
+    # sample sets and structures 0-89.
+    rng = random.Random(29)
+    consts = [constant(n) for n in "abc"]
+    random_cases = []
+    for _ in range(200):
+        rules = random_rule_set(rng, max_rules=8)
+        random_cases.append((rules, _random_facts(rng, rules, consts, (1, 14))))
+    seen = check_enqueue_routing(random_cases)
+    assert seen["datalog"] >= 100 and seen["other"] >= 700, seen
+    assert seen["grown"] >= 500, seen
+    seen = check_enqueue_routing(discovery_order_cases(300, range(0, 90, 9), False, 30))
+    assert seen["sets"] == 4 * 310 + 30, seen
+    assert seen["datalog"] >= 800 and seen["other"] >= 4000, seen
+    assert seen["grown"] >= 3000, seen
 
 
 def test_semi_naive_discovery_equals_naive_discovery():

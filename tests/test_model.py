@@ -20,6 +20,7 @@ from chase_sentinel.cyclicity import check
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
+    FunctionalTerm,
     Query,
     Rule,
     RuleError,
@@ -202,6 +203,51 @@ def test_term_depth_counts_nestings():
     assert a.depth == 1
     assert functional(f, (a,)).depth == 2
     assert functional(f, (functional(f, (a,)),)).depth == 3
+
+
+def _root_to_leaf_symbols(t):
+    """The skolem symbols on each root-to-leaf path of t, root first."""
+    if t.__class__ is not FunctionalTerm:
+        yield []
+        return
+    for arg in t.args:
+        for path in _root_to_leaf_symbols(arg):
+            yield [t.symbol, *path]
+
+
+def test_functional_term_fields_match_a_naive_recomputation():
+    # A functional term computes depth, groundness and _nest in one pass
+    # over its arguments' fields. Random nested terms over symbols of arity
+    # 1-3, ordinary, fresh and variable leaves must give the fields read
+    # off the whole term: the longest path, every leaf ground, and per
+    # symbol its most occurrences on one root-to-leaf path.
+    rng = random.Random(43)
+    symbols = [skolem_symbol(f"nest{i}", 1, "Y", arity)
+               for i, arity in enumerate((1, 2, 3, 1, 2))]
+    leaves = [constant("a"), constant("b"), variable("X"),
+              uc_constant(symbols[0]), star()]
+    pool = list(leaves)
+    seen = Counter()
+    for _ in range(3000):
+        symbol = rng.choice(symbols)
+        args = tuple(rng.choice(rng.choices((leaves, pool[-12:], pool),
+                                            (3, 5, 2))[0])
+                     for _ in range(symbol.arity))
+        t = functional(symbol, args)
+        if t.depth < 7:
+            pool.append(t)
+        paths = list(_root_to_leaf_symbols(t))
+        assert t.depth == max(map(len, paths)) + 1
+        assert t.is_ground == all(leaf.is_ground for leaf in subterms(t)
+                                  if leaf.__class__ is not FunctionalTerm)
+        assert dict(t._nest) == {s: max(path.count(s) for path in paths)
+                                 for s in {s for path in paths for s in path}}
+        seen["ground" if t.is_ground else "open"] += 1
+        seen["shallow" if t.depth <= 3 else "deep"] += 1
+        seen["repeat"] += max(t._nest.values()) >= 3
+    assert seen["ground"] >= 1200 and seen["open"] >= 1200, seen
+    assert seen["shallow"] >= 700 and seen["deep"] >= 1800, seen
+    assert seen["repeat"] >= 600, seen
 
 
 def test_cyclicity_measures():
