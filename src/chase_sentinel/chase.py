@@ -10,7 +10,8 @@ acyclicity check: `matcher.enqueue` discovers their keys straight into
 the branch's queues, datalog keys apart from the others, and
 `matcher.pop_active` tests each key it pops on its frontier image and
 returns the first key not obsolete for the label it would extend, datalog
-first, with the outputs its children add. A vertex keeps that key; its
+first, with the outputs its children add, or with None when they would
+pass the term-depth budget. A vertex keeps that key; its
 `trigger` is built from it only when read.
 Labels only grow along a branch, so a trigger found obsolete stays
 obsolete and is passed over for good, and the test at the pop is exact.
@@ -168,21 +169,14 @@ def _expand(
         if not query_chains or obsolete_through(query_chains, query_image, seed, facts):
             return tree, False
 
-    # A non-generating rule's outputs hold only terms of its parent's label,
-    # which the database and earlier generating outputs supplied. So only
-    # generating outputs are scanned for the term-depth budget, unless the
-    # database itself holds a term deeper than it.
     max_vertices, max_depth = budget.max_vertices, budget.max_depth
     max_term_depth = budget.max_term_depth
-    scan_all = max_term_depth is not None and any(
-        t.depth > max_term_depth for fact in seed for t in fact.terms)
-
     queues = Queues()
     enqueue(queues, rules, facts)
     pending: list[tuple[ChaseVertex, int, tuple[int, int, int, int]]] = []
 
     while True:
-        popped = pop_active(queues, facts)
+        popped = pop_active(queues, facts, max_term_depth)
         if popped is None:
             if query is not None:
                 return tree, True
@@ -195,12 +189,8 @@ def _expand(
             first = len(tree.vertices)
             if max_vertices is not None and first + rule.branching > max_vertices:
                 return tree._stop(VERTICES), False
-            if max_term_depth is not None and (scan_all or rule.is_generating):
-                for out in outputs:
-                    for _, terms in out:
-                        for t in terms:
-                            if t.depth > max_term_depth:
-                                return tree._stop(TERM_DEPTH), False
+            if outputs is None:
+                return tree._stop(TERM_DEPTH), False
             parent = vertex
             depth = parent.depth + 1
             # Later disjuncts' facts are read off the parent's label before

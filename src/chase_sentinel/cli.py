@@ -131,7 +131,8 @@ def _load_rules_and_data(rules_path: str, data_path: str | None,
             for atom in atoms))
         _check_arities(arities, path, program.facts)
         extra = list(program.rules)
-        if extra and any(r.id in {s.id for s in rules} for r in extra):
+        ids = {r.id for r in rules}
+        if any(r.id in ids for r in extra):
             offset = len(rules)
             extra = [Rule(f"r{offset + i}", r.body, [h.atoms for h in r.heads])
                      for i, r in enumerate(extra, start=1)]

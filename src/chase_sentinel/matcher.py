@@ -45,7 +45,9 @@ fact while one is still being read.
 The chase and the acyclicity check share the step around it: `enqueue`
 appends datalog keys to the first list of a `Queues` and the others to
 the second, and `pop_active` pops the first key that is not obsolete and
-returns it with its outputs.
+returns it with its outputs. Both loops stop at a term-depth bound, and
+`pop_active` is where it is tested: on the popped key's frontier image,
+which bounds every term its outputs can hold.
 A `FactSet` is the insertion-ordered dict of its facts, with one index
 beside it from each lookup, a predicate or a (predicate, first argument)
 pair, to its facts, so membership is a dict lookup; `update`, the one way
@@ -659,8 +661,8 @@ def enqueue(queues: Queues, rules: RuleSet, facts: FactSet,
     _discover(rules, facts, new_facts, datalog, other)
 
 
-def pop_active(queues: Queues,
-               facts: FactSet) -> tuple[tuple, list[tuple[Atom, ...]]] | None:
+def pop_active(queues: Queues, facts: FactSet, max_term_depth: int | None = None,
+               ) -> tuple[tuple, list[tuple[Atom, ...]] | None] | None:
     """The first key, datalog keys first, that is not obsolete for the
     facts, with the output of each head disjunct; None once both lists are
     read to the end. A key is tested on the frontier image that
@@ -668,6 +670,17 @@ def pop_active(queues: Queues,
     passed over for good: facts only grow along a branch. An
     existential-free disjunct's output is built once, for its test and the
     caller. No disjunct holds in an empty set, so none is tested there.
+
+    With a max_term_depth, a key whose outputs would hold a term deeper
+    than it is returned with None for its outputs. This is the term-depth
+    budget of the chase and of the acyclicity check, and the one place
+    either tests it, on the same image. Every argument of an output is a
+    term of the image or a skolem term f(image), every frontier variable
+    occurs in some disjunct, a generating rule has an existential variable
+    in some disjunct, and `Rule` admits no empty frontier. So the deepest
+    output term is one deeper than the deepest image term when the rule is
+    generating, and as deep when not: the test is exact on every pop,
+    whatever terms the facts held from the start.
     """
     tested = bool(facts)
     heads = queues.heads
@@ -686,6 +699,11 @@ def pop_active(queues: Queues,
                 outputs.append(out)
             else:
                 heads[q] = at
+                if max_term_depth is not None:
+                    limit = max_term_depth - rule.is_generating
+                    for t in image:
+                        if t.depth > limit:
+                            return key, None
                 if rule.is_generating:
                     outputs = [rule.output(i, image) if out is None else out
                                for i, out in enumerate(outputs, 1)]

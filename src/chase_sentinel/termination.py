@@ -22,31 +22,30 @@ chase's step `matcher.pop_active` pops them, datalog first, testing each
 on its frontier image against the derived facts in the default mode and
 against the empty set, where none is obsolete, in the plain one. The saturation never
 backtracks, so it never marks or undoes; its queues keep the keys already
-popped, as the chase's do.
+popped, as the chase's do. `matcher.pop_active` also tests the budget's
+term depth bound on the same frontier image, and a pop that would pass
+it ends the check.
 
-The watch runs only on pops of generating rules: it scans their output
-for the term depth bound, and tests with `model.is_k_cyclic`, in order,
-each argument of each newly added fact that is a functional term over one
-of the popped rule's skolem symbols, keeping no record of the terms it has
-seen. This is exact. Every argument of an output is a term of the
-trigger's image or a skolem term f(frontier image), f a symbol of the
-rule, so an output adds no term with a new proper subterm, and a
-non-generating output adds no term at all. Every term thus arrived in the
-critical instance, which holds only the special constant, neither
-functional nor deeper than 1, or as a skolem term of a generating output,
-where it was scanned and tested without stopping the run. The arguments
-the watch skips are image terms, which passed the test when they arrived,
-and an image term over one of the rule's symbols is tested again in
-vain. So the first k-cyclic argument tested is the first k-cyclic term
-the saturation builds, and the first output past the depth bound is the
-first one the watch sees. A bound below 1, which the special constant
-itself exceeds, stops the first pop of any rule. `chase` narrows its own
-depth scan by the same argument.
+The k-cyclic watch runs only on pops of generating rules: it tests with
+`model.is_k_cyclic`, in order, each argument of each newly added fact
+that is a functional term over one of the popped rule's skolem symbols,
+keeping no record of the terms it has seen. This is exact. Every argument
+of an output is a term of the trigger's image or a skolem term
+f(frontier image), f a symbol of the rule, so an output adds no term with
+a new proper subterm, and a non-generating output adds no term at all.
+Every term thus arrived in the critical instance, whose one term, the
+special constant, is not functional, or as a skolem term of a generating
+output, where it was tested without stopping the run. The arguments the
+watch skips are image terms, which passed the test when they arrived, and
+an image term over one of the rule's symbols is tested again in vain. So
+the first k-cyclic argument tested is the first k-cyclic term the
+saturation builds.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from .matcher import FactSet, Queues, enqueue, pop_active
 from .model import (Atom, FunctionalTerm, RuleSet, Term, gc_paused,
@@ -128,10 +127,6 @@ def check_acyclic(
     blocking = FactSet()
     applied = 0
     queues = Queues()
-    # Only a generating output can add a term past the bound, unless the
-    # special constant, the critical instance's one term, is past it too.
-    max_term_depth = budget.max_term_depth
-    scan_all = max_term_depth is not None and star().depth > max_term_depth
 
     def verdict(result: str, term: Term | None) -> AcyclicityVerdict:
         stats = {
@@ -148,21 +143,15 @@ def check_acyclic(
             return verdict(RESOURCE_EXHAUSTED, None)
         if budget.max_triggers is not None and applied >= budget.max_triggers:
             return verdict(RESOURCE_EXHAUSTED, None)
-        popped = pop_active(queues, blocking)
+        popped = pop_active(queues, blocking, budget.max_term_depth)
         if popped is None:
             break
         key, outputs = popped
         rule = key[0]
-        output: list[Atom] = []
-        for out in outputs:
-            output += out
-        if max_term_depth is not None and (rule.is_generating or scan_all):
-            for _, terms in output:
-                for t in terms:
-                    if t.depth > max_term_depth:
-                        return verdict(RESOURCE_EXHAUSTED, None)
+        if outputs is None:
+            return verdict(RESOURCE_EXHAUSTED, None)
         applied += 1
-        new = facts.update(output)
+        new = facts.update(chain.from_iterable(outputs))
         if mode == RMFA_LIKE:
             blocking.update(new)
         if rule.is_generating:

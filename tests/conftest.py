@@ -49,10 +49,12 @@ from chase_sentinel.model import (
     RuleSet,
     Term,
     Variable,
+    constant,
     functional,
     is_cyclic,
     is_k_cyclic,
     is_rho_cyclic,
+    skolem_symbol,
     star,
     subterms,
     uc_constant,
@@ -453,8 +455,9 @@ def reference_acyclic(rules: RuleSet, k: int, budget: SearchBudget,
     depth bound and tests every argument of every new fact for a k-cyclic
     term, and the blocking set of the default mode leaves out each new fact
     whose arguments are all the special constant. Returns (result, applied,
-    facts, first k-cyclic term), the reference for check_acyclic's watch,
-    which tests only what a generating pop can add."""
+    facts, first k-cyclic term), the reference for check_acyclic, whose
+    bound matcher.pop_active reads off each pop's frontier image and whose
+    watch tests only what a generating pop can add."""
     assert mode in (RMFA_LIKE, MFA)
     facts = FactSet(critical_instance(rules))
     blocking = FactSet()
@@ -703,6 +706,21 @@ def trace_lines(tree: ChaseTree) -> list[str]:
 def outputs(trigger: Trigger) -> tuple[tuple[Atom, ...], ...]:
     """The output of every head disjunct, in order."""
     return tuple(trigger.out(i) for i in range(1, trigger.rule.branching + 1))
+
+
+def deeper_than(key: tuple, bound: int) -> bool:
+    """Whether some atom of the outputs of the key's trigger holds a term
+    deeper than bound: the term-depth budget's test, scanned atom by atom."""
+    return any(t.depth > bound for out in outputs(Trigger(key))
+               for fact in out for t in fact.terms)
+
+
+def deep_term(depth: int) -> Term:
+    """A functional term of this depth over the constant a."""
+    t: Term = constant("a")
+    for _ in range(depth - 1):
+        t = functional(skolem_symbol("db", 1, "Y", 1), (t,))
+    return t
 
 
 def map_atom(g: ConstantMapping, atom: Atom) -> Atom:

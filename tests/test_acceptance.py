@@ -5,8 +5,10 @@ exact chase results on the bundled rule families through the randomized
 theorem-shaped property suites. Golden values are spelled out inline so a
 regression points straight at the guarantee it broke.
 """
+import dataclasses
 import functools
 import itertools
+import json
 import random
 import time
 
@@ -33,7 +35,9 @@ from chase_sentinel.chase import (
 from chase_sentinel.cli import classify_rules
 from chase_sentinel.cyclicity import (
     CYCLIC,
+    DRPC,
     NOT_DETECTED,
+    RPC_S,
     check,
     rpc_fact_set,
     rule_database,
@@ -58,8 +62,8 @@ from chase_sentinel.model import (
     uc_constant,
     variable,
 )
-from chase_sentinel.termination import (MFA, RMFA_LIKE, TERMINATING,
-                                        SearchBudget, check_acyclic)
+from chase_sentinel.termination import (MFA, RESOURCE_EXHAUSTED, RMFA_LIKE,
+                                        TERMINATING, SearchBudget, check_acyclic)
 
 from conftest import (
     bench_rule_set,
@@ -75,6 +79,8 @@ from conftest import (
     sample_triggers,
     trigger_of,
 )
+import generality
+from test_engine_check import bench_cases
 
 X, Y = variable("X"), variable("Y")
 
@@ -401,39 +407,65 @@ def test_criterion_09_rmfa_like_clause_on_benchmark_structures():
 TABLE_BUDGET = SearchBudget(max_triggers=3000, max_term_depth=6)
 
 
-def cross_notion_conflicts(mode: str, structures) -> tuple[int, list[int]]:
-    """The classify-random structures that check_acyclic certifies in
-    mode, counted, and those of them that DRPC or RPC_s finds cyclic, all
-    under TABLE_BUDGET. A set the mode does not certify cannot conflict, so
-    only certified sets are checked for cyclicity."""
-    certified, conflicts = 0, []
-    for i in structures:
-        rules = bench_rule_set(i)
+def cross_notion_conflicts(mode: str, cases, notions=(DRPC, RPC_S),
+                           seconds: float | None = None) -> tuple[int, int, list]:
+    """The (key, rules) cases that check_acyclic certifies in mode, counted,
+    the comparisons decided on them and the keys of those that a notion of
+    notions finds cyclic, all under TABLE_BUDGET; with seconds, each
+    cyclicity check also gets a deadline that far ahead. A set the mode does
+    not certify cannot conflict, so only certified sets are checked for
+    cyclicity, with every notion. A comparison is decided when the notion's
+    check does not run out of budget."""
+    certified, decided, conflicts = 0, 0, []
+    for key, rules in cases:
         if check_acyclic(rules, k=2, budget=TABLE_BUDGET, mode=mode).result \
                 != TERMINATING:
             continue
         certified += 1
-        if any(check(rules, notion, TABLE_BUDGET).result == CYCLIC
-               for notion in ("DRPC", "RPC_s")):
-            conflicts.append(i)
-    return certified, conflicts
+        answers = []
+        for notion in notions:
+            budget = TABLE_BUDGET if seconds is None else dataclasses.replace(
+                TABLE_BUDGET, deadline=time.monotonic() + seconds)
+            answers.append(check(rules, notion, budget).result)
+        decided += sum(answer != RESOURCE_EXHAUSTED for answer in answers)
+        if CYCLIC in answers:
+            conflicts.append(key)
+    return certified, decided, conflicts
 
 
 def test_no_certified_structure_is_found_cyclic():
     # ROADMAP item 19: no rule set is both acyclicity-terminating and DRPC-
     # or RPC_s-cyclic, on structures 0-119. rmfa-like certifies structure
     # 54, which RPC_s finds cyclic (ROADMAP item 1); any other conflict is
-    # new and fails here.
-    certified, conflicts = cross_notion_conflicts(MFA, range(120))
-    assert certified >= 9 and conflicts == []
-    certified, conflicts = cross_notion_conflicts(RMFA_LIKE, range(120))
+    # new and fails here. CI runs the relation, with RPC, on the first
+    # 3,000 sample sets.
+    certified, decided, conflicts = cross_notion_conflicts(MFA, bench_cases(range(120)))
+    assert certified >= 9 and decided == 2 * certified and conflicts == []
+    certified, _, conflicts = cross_notion_conflicts(RMFA_LIKE, bench_cases(range(120)))
     assert certified >= 27 and set(conflicts) <= {54}
+
+
+def test_generality_record_replays_golden_fixture():
+    """tests/data/generality_golden.json holds each notion's verdict word
+    on structures 0-119 under the table budget: the paper's generality
+    table. This replays every column but RPC, the slowest; CI replays RPC
+    too. Running tests/generality.py as a script records it again;
+    re-record it only together with a CHANGES.md note that names each
+    verdict that moved."""
+    want = json.loads(generality.GOLDEN.read_text(encoding="utf-8"))
+    assert len(want) == 120
+    assert all(sorted(row) == sorted(generality.COLUMNS) for row in want.values())
+    columns = [column for column in generality.COLUMNS if column != cyc.RPC]
+    assert generality.outcomes(columns) == {
+        name: {column: row[column] for column in columns}
+        for name, row in want.items()}
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_rmfa_like_does_not_certify_a_cyclic_structure():
     # Structure 54, rmfa-like's one conflict on structures 0-119.
-    assert cross_notion_conflicts(RMFA_LIKE, [54]) == (1, [])
+    certified, _, conflicts = cross_notion_conflicts(RMFA_LIKE, bench_cases([54]))
+    assert (certified, conflicts) == (1, [])
 
 
 def test_criterion_10_oracle_equivalence(monkeypatch):

@@ -1,4 +1,6 @@
+import collections
 import gc
+import itertools
 import json
 import random
 import tracemalloc
@@ -13,19 +15,21 @@ from chase_sentinel.chase import (
     VERTICES,
     ChaseBudget,
     IncompleteTreeError,
+    _expand,
     entails,
     results,
     run_chase,
 )
 from chase_sentinel.matcher import HeadChoice, is_obsolete
 from chase_sentinel.model import (Atom, Query, RuleError, constant,
-                                  functional, skolem_symbol, variable)
+                                  functional, variable)
 from chase_sentinel.ruleio import parse
 
 import chase_trees
-from conftest import (hc_branch, is_loaded, label, naive_entails,
-                      perfbench_module, random_rule_set, rules_from, satisfies,
-                      trace_lines)
+from conftest import (bench_rule_set, deep_term, deeper_than, hc_branch, is_loaded,
+                      label, naive_entails, perfbench_module, random_rule_set,
+                      rules_from, satisfies, trace_lines)
+from test_engine_check import sweep_cases, wide_databases
 
 
 def atom(pred, *names):
@@ -131,13 +135,10 @@ def test_max_term_depth_budget():
 
 
 def test_term_depth_budget_trips_on_a_copied_deep_database_term():
-    # Only generating outputs are scanned for term depth, unless the
-    # database holds a term deeper than the budget: then a datalog rule that
-    # copies it trips the budget, and a term that no rule copies does not.
-    f = skolem_symbol("db", 1, "Y", 1)
-    deep = constant("a")
-    for _ in range(4):
-        deep = functional(f, (deep,))
+    # A database term deeper than the budget trips it once a datalog rule
+    # copies it, as the term is then in the pop's frontier image; a term
+    # that no rule copies does not.
+    deep = deep_term(5)
     budget = ChaseBudget(max_term_depth=3)
     copied = run_chase(rules_from("A(X) -> B(X) .\n"), [Atom("A", (deep,))], budget)
     assert copied.status == BUDGET_EXHAUSTED
@@ -146,6 +147,99 @@ def test_term_depth_budget_trips_on_a_copied_deep_database_term():
                      [Atom("A", (constant("a"),)), Atom("C", (deep,))], budget)
     assert kept.status == COMPLETE
     assert Atom("B", (constant("a"),)) in results(kept)[0]
+
+
+def first_deep_pop(tree, bound):
+    """The key and first child id of the first pop of the tree whose
+    outputs hold a term deeper than bound, or None when no pop's do. A pop
+    is a block of children that share a parent and a key, in vertex-id
+    order, and its outputs are scanned by conftest.deeper_than."""
+    for (_, key), block in itertools.groupby(tree.vertices[1:],
+                                             lambda v: (v.parent, v.key)):
+        if deeper_than(key, bound):
+            return key, next(block).id
+    return None
+
+
+def _rows(vertices):
+    return [(v.id, v.parent, v.depth, v.key, v.disjunct, v.new_facts)
+            for v in vertices]
+
+
+def _check_cut(full, cut, bound):
+    """cut, a run under term depth bound, against full, the same run
+    without it: cut must be full up to full's first_deep_pop and stop there
+    on the term-depth budget, or be full itself when no pop of full is deep.
+    Returns the key of that pop, or None."""
+    deep = first_deep_pop(full, bound)
+    if deep is None:
+        assert _rows(cut.vertices) == _rows(full.vertices)
+        assert [v.children for v in cut.vertices] == [v.children for v in full.vertices]
+        assert (cut.status, cut.exhausted) == (full.status, full.exhausted)
+        return None
+    key, first = deep
+    assert _rows(cut.vertices) == _rows(full.vertices[:first])
+    assert (cut.status, cut.exhausted) == (BUDGET_EXHAUSTED, TERM_DEPTH)
+    return key
+
+
+def term_depth_cases(sets, structures, seeds):
+    """(key, rules) of the first `sets` sample sets of
+    tests/test_engine_check.py, the given classify-random structures and
+    the 64-rule generator sets of the given seeds."""
+    generators = perfbench_module("generators")
+    for i, rules in sweep_cases(sets):
+        yield f"set-{i}", rules
+    for i in structures:
+        yield f"structure-{i}", bench_rule_set(i)
+    for s in seeds:
+        yield f"seed-{s}", rules_from(generators.random_rule_set(
+            random.Random(s), random.Random(0), 64).text)
+
+
+def check_term_depth_bound(cases) -> collections.Counter:
+    """The chase's term-depth budget against first_deep_pop. Each case is
+    chased from 3 wide databases; in about half of them each argument
+    is, with probability 0.3, a term one or two deeper than the bound. With
+    V vertices and bound d drawn per database, run_chase under
+    ChaseBudget(V, max_term_depth=d) must be the run under
+    max_term_depth=None cut at that run's first deep pop (see
+    _check_cut), and so must the query-directed run of a random query;
+    entails must then answer "unknown", or, when no pop is deep, what it
+    answers without the bound. Returns counts of the trees that stopped on
+    a generating pop, on a non-generating one, which copies a deep
+    database term, and on no pop."""
+    seen: collections.Counter = collections.Counter()
+    consts = [constant(n) for n in ("a", "b", "c")]
+    for key, rules in cases:
+        rng = random.Random(f"term-depth/{key}")
+        for db in wide_databases(key, rules, 3):
+            bound = rng.randint(1, 4)
+            if rng.random() < 0.5:
+                db = [Atom(fact.predicate, tuple(
+                    deep_term(bound + rng.randint(1, 2)) if rng.random() < 0.3 else t
+                    for t in fact.terms)) for fact in db]
+            vertices = rng.choice((50, 300))
+            unbounded = ChaseBudget(max_vertices=vertices, max_term_depth=None)
+            bounded = ChaseBudget(max_vertices=vertices, max_term_depth=bound)
+            stop = _check_cut(run_chase(rules, db, unbounded),
+                              run_chase(rules, db, bounded), bound)
+            seen["no trip" if stop is None else
+                 "generating" if stop[0].is_generating else "copied"] += 1
+            query = _random_query(rng, rules, consts, None)
+            stop = _check_cut(_expand(rules, db, unbounded, query)[0],
+                              _expand(rules, db, bounded, query)[0], bound)
+            want = "unknown" if stop else entails(rules, db, query, unbounded)
+            assert entails(rules, db, query, bounded) == want, (key, db, query)
+    return seen
+
+
+def test_term_depth_budget_stops_at_the_first_deep_pop():
+    # The first 300 sample sets, structures 0-29 and 64-rule seeds 1-8;
+    # CI runs the first 3,000 sets.
+    seen = check_term_depth_bound(term_depth_cases(300, range(30), range(1, 9)))
+    assert seen["generating"] >= 300 and seen["copied"] >= 35, seen
+    assert seen["no trip"] >= 550, seen
 
 
 def _random_instances(rng, count):

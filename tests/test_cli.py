@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -185,6 +186,18 @@ def test_chase_merges_data_file(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "status: complete" in out
     assert "Engine(e)" in out
+
+
+def test_chase_renumbers_clashing_rule_ids_of_the_data_file(tmp_path, capsys):
+    # Both files number their rules from r1, so the data file's rules are
+    # renumbered past the rules file's: its rule fires as r3.
+    rules = write(tmp_path, "rules.drls", "A(X) -> B(X) .\nB(X) -> C(X) .\n")
+    data = write(tmp_path, "data.drls", "C(X) -> D(X) .\nA(a) .\n")
+    dot = tmp_path / "tree.dot"
+    assert main(["chase", rules, data, "--dot", str(dot)]) == EXIT_OK
+    assert "D(a)" in capsys.readouterr().out
+    labels = re.findall(r'label="<(r\d+),', dot.read_text())
+    assert labels == ["r1", "r2", "r3"]
 
 
 def test_chase_budget_notice(tmp_path, capsys):

@@ -31,7 +31,8 @@ from chase_sentinel.model import (Atom, Query, RuleError, constant, functional,
                                   skolem_symbol, variable)
 from chase_sentinel.termination import critical_instance
 
-from conftest import (_naive_matches, apply_atoms, bike_subset, is_loaded,
+from conftest import (_naive_matches, apply_atoms, bike_subset, deep_term,
+                      deeper_than, is_loaded,
                       match_pinned, oracle_matches, outputs, perfbench_module,
                       queue_keys, random_rule_set, rules_from, satisfies,
                       trigger_of)
@@ -692,6 +693,31 @@ def test_is_obsolete_agrees_with_brute_force_on_random_sets():
                 assert seen[existential, atoms, answer] >= 40, seen
     for bucket in ("first", "shared"):
         assert seen[bucket, False] >= 100 and seen[bucket, True] >= 100, seen
+
+
+def test_pop_active_trips_the_term_depth_bound_exactly_on_deep_outputs():
+    # Under a bound, pop_active pops the keys it pops without one, in the
+    # same order, and returns None for a key's outputs exactly when some
+    # atom of some disjunct's output on the key's frontier image holds a
+    # term deeper than the bound. The facts hold terms of depth 1-4, so a
+    # non-generating key can trip on a deep frontier image too.
+    rng = random.Random(13)
+    terms = [constant("b"), *map(deep_term, range(1, 5))]
+    seen = collections.Counter()
+    for _ in range(400):
+        rules = random_rule_set(rng, max_rules=8)
+        facts = _random_facts(rng, rules, terms, (2, 10))
+        bound = rng.randint(0, 4)
+        bounded, unbounded = Queues(), Queues()
+        enqueue(bounded, rules, facts)
+        enqueue(unbounded, rules, facts)
+        while (popped := pop_active(unbounded, facts)) is not None:
+            key, outs = popped
+            deep = deeper_than(key, bound)
+            assert pop_active(bounded, facts, bound) == (key, None if deep else outs)
+            seen[key[0].is_generating, deep] += 1
+        assert pop_active(bounded, facts, bound) is None
+    assert min(seen[g, d] for g in (False, True) for d in (False, True)) >= 50, seen
 
 
 def _three_atom_rule_set(rng: random.Random):
