@@ -105,6 +105,7 @@ from .model import (
     SkolemSymbol,
     Template,
     Term,
+    facts_over,
     new_atom,
     star,
     subterms,
@@ -198,8 +199,9 @@ class OverApproximation:
 class _Seed:
     """What a build starts from that depends only on its rule set and its
     universe U, kept in RuleSet.seeds: every fact over U, predicate by
-    predicate in product order, and each rule's (rule, *frontier image)
-    keys over U in product order, in a list per rule and all in `queued`.
+    predicate in product order (`model.facts_over`), and each rule's
+    (rule, *frontier image) keys over U in product order, in a list per
+    rule and all in `queued`.
     A build adds to `facts` and `queued` and appends each key it queues to
     `added`, the trail that `undo` reads to put both back as they were."""
 
@@ -208,10 +210,7 @@ class _Seed:
     def __init__(self, rules: RuleSet, universe: tuple[Term, ...]):
         # Each term of U by its position: product order sorts by these.
         self.order = {t: i for i, t in enumerate(universe)}
-        self.facts = FactSet(
-            new_atom((predicate, combo))
-            for predicate, arity in rules.predicates.items()
-            for combo in itertools.product(universe, repeat=arity))
+        self.facts = FactSet(facts_over(rules, universe))
         self.keys = [[(rule, *combo) for combo in
                       itertools.product(universe, repeat=len(rule.frontier))]
                      for rule in rules]

@@ -103,10 +103,6 @@ class ChaseTree:
         self.exhausted = budget
         return self
 
-    @property
-    def root(self) -> ChaseVertex:
-        return self.vertices[0]
-
     def leaves(self) -> list[ChaseVertex]:
         return [v for v in self.vertices if v.is_leaf]
 

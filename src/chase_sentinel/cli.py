@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
                     entails, results, run_chase)
-from .cyclicity import CYCLIC, CyclicityPrefix, Verdict, check
+from .cyclicity import CYCLIC, CyclicityPrefix, check
 from .model import Atom, Query, Rule, RuleSet, gc_paused
 from .ruleio import Namer, ParseError, SourceProgram, parse, parse_query
 from .termination import (TERMINATING, AcyclicityVerdict, SearchBudget,
@@ -72,11 +72,10 @@ class ClassificationReport:
 
 
 def _combined_verdict(notion_results: Sequence) -> str:
-    cyclic = any(
-        isinstance(v, Verdict) and v.result == CYCLIC for v in notion_results)
-    terminating = any(
-        isinstance(v, AcyclicityVerdict) and v.result == TERMINATING
-        for v in notion_results)
+    """The combined verdict, read off the result words: only the
+    acyclicity check says terminating, and only a cyclicity check cyclic."""
+    words = {v.result for v in notion_results}
+    cyclic, terminating = CYCLIC in words, TERMINATING in words
     if cyclic and terminating:
         raise SoundnessViolationError(
             "rule set judged both never-terminating and terminating")
@@ -358,11 +357,12 @@ def _bucket(rules: RuleSet) -> str:
 
 @dataclass
 class BatchRow:
+    """One file's row; `stages` holds the result of each stage of
+    _PIPELINE, in its order."""
+
     file: str
     bucket: str
-    acyclic: str
-    drpc: str
-    rpcs: str
+    stages: tuple[str, ...]
     combined: str
     ms: int
     error: str | None = None
@@ -379,14 +379,14 @@ def _analyze_file(path: Path, k: int, timeout: float | None,
     try:
         program = _load_program(str(path))
     except CommandError as exc:
-        return BatchRow(path.name, "-", "-", "-", "-", "error", elapsed(),
-                        error=str(exc))
+        return BatchRow(path.name, "-", ("-",) * len(_PIPELINE), "error",
+                        elapsed(), error=str(exc))
     rules = program.rules
     deadline = None if timeout is None else start + timeout
-    acyclic, drpc, rpcs = _run_stages(rules, _PIPELINE, k, deadline, term_depth)
-    fields = (path.name, _bucket(rules), acyclic.result, drpc.result, rpcs.result)
+    verdicts = list(_run_stages(rules, _PIPELINE, k, deadline, term_depth))
+    fields = (path.name, _bucket(rules), tuple(v.result for v in verdicts))
     try:
-        combined = _combined_verdict([acyclic, drpc, rpcs])
+        combined = _combined_verdict(verdicts)
     except SoundnessViolationError as exc:
         log.error("%s: internal soundness violation: %s", path.name, exc)
         return BatchRow(*fields, "error", elapsed(),
@@ -396,12 +396,11 @@ def _analyze_file(path: Path, k: int, timeout: float | None,
     return BatchRow(*fields, combined, elapsed())
 
 
-_COLUMNS = ("file", "bucket", "acyclic", "drpc", "rpcs", "combined", "ms")
+_COLUMNS = ("file", "bucket", *_PIPELINE, "combined", "ms")
 
 
 def _cells(row: BatchRow) -> list[str]:
-    return [row.file, row.bucket, row.acyclic, row.drpc, row.rpcs,
-            row.combined, str(row.ms)]
+    return [row.file, row.bucket, *row.stages, row.combined, str(row.ms)]
 
 
 def _format_table(rows: list[BatchRow]) -> list[str]:

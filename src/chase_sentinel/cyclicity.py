@@ -58,7 +58,7 @@ from .model import (
     Term,
     db_constant,
     gc_paused,
-    is_cyclic,
+    is_k_cyclic,
     is_rho_cyclic,
 )
 from .termination import NOT_DETECTED, RESOURCE_EXHAUSTED, SearchBudget
@@ -132,7 +132,7 @@ class SaturationRun:
 def _out(hc: HeadChoice | None, trigger: Trigger) -> tuple[Atom, ...]:
     """The trigger's output under the head choice; without one, only
     deterministic rules take part, so their one disjunct."""
-    return trigger.out(1) if hc is None else hc.out(trigger)
+    return trigger.out(1 if hc is None else hc.choice(trigger.rule))
 
 
 def _pair_run(rules: RuleSet, rho: Rule, hc: HeadChoice | None) -> SaturationRun:
@@ -197,7 +197,7 @@ def _saturate(
                 run.truncated = True
                 return
             image = key[1:]
-            if any(is_cyclic(t) for t in image):
+            if any(is_k_cyclic(t, 1) for t in image):
                 continue
             if budget.max_term_depth is not None and \
                     any(t.depth > budget.max_term_depth for t in image):

@@ -62,11 +62,11 @@ key's frontier image off the key with rule.key_frontier and asks each
 disjunct, passing the disjunct's output when that is the grounded head,
 so the one build serves the test and the caller; `is_obsolete` asks every
 disjunct of a trigger. Nothing in the package calls `is_obsolete`: it
-stays public as the test on a whole fact set, which the tests check the
-others against and the benchmark's traced runs count. `obsolete_through`
-is the same test with one atom pinned to a new fact, the semi-naive test
-of the unblockability builds (`pinned_head_chains`) and of a query
-(`compile_query`).
+stays public because the benchmark wraps it by name and the tests check
+the others against it, until the package keeps its own per-layer
+counters. `obsolete_through` is the same test with one atom pinned to a
+new fact, the semi-naive test of the unblockability builds
+(`pinned_head_chains`) and of a query (`compile_query`).
 
 Patterns hold only variables and ground terms, and every atom, pattern or
 fact, has a first term. `Rule` ensures this for bodies and heads (they
@@ -248,9 +248,6 @@ class HeadChoice:
 
     def choice(self, rule: Rule) -> int:
         return self.choices[rule.id]
-
-    def out(self, trigger: Trigger) -> tuple[Atom, ...]:
-        return trigger.out(self.choice(trigger.rule))
 
     def signature(self) -> tuple[tuple[str, int], ...]:
         return self._signature

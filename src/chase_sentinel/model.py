@@ -1,12 +1,12 @@
 """Core symbolic vocabulary, the bottom layer: it imports no other module
 of the package.
 
-Terms, atoms, rules, rule sets, constant mappings, skolemization, and the
-term-level measures (depth, subterm cyclicity) that the rest of the
-package builds on. Terms and skolem symbols are interned: the
-factories `constant`, `variable`, `functional`, `skolem_symbol` and
-`uc_constant` are the only way to build them, and they compare and hash by
-identity. One intern table records them all, and holds each weakly: an
+Terms, atoms, rules, rule sets, constant mappings, skolemization, the
+facts over a universe of terms (`facts_over`), and the term-level
+measures (depth, subterm cyclicity) that the rest of the package builds
+on. Terms and skolem symbols are interned: the factories `constant`,
+`variable`, `functional`, `skolem_symbol` and `uc_constant` are the only
+way to build them, and they compare and hash by identity. One intern table records them all, and holds each weakly: an
 object is rebuilt only after nothing holds it, so identity equality stays
 exact, and memory does not grow with the number of rule sets a process has
 seen. Nothing else keeps a record of the terms built so far. Caches keyed
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import weakref
 from dataclasses import dataclass
 from operator import itemgetter
@@ -61,7 +62,7 @@ __all__ = [
     "db_constant",
     "is_reserved_name",
     "subterms",
-    "is_cyclic",
+    "facts_over",
     "is_k_cyclic",
     "is_rho_cyclic",
     "gc_paused",
@@ -598,13 +599,18 @@ class RuleSet:
             )
 
 
+def facts_over(rules: RuleSet, universe: Sequence[Term]) -> list[Atom]:
+    """Every fact over the rule set's predicates and the terms of the
+    universe, predicate by predicate, each in product order: over the
+    special constant alone the critical instance, over a pivot's
+    constants plus the special constant an over-approximation's seed."""
+    return [new_atom((predicate, combo))
+            for predicate, arity in rules.predicates.items()
+            for combo in itertools.product(universe, repeat=arity)]
+
+
 # ---------------------------------------------------------------------------
 # Term measures
-
-def is_cyclic(t: Term) -> bool:
-    """True iff some subterm f(s) has f occurring again inside s."""
-    return any(count >= 2 for count in t._nest.values())
-
 
 def is_k_cyclic(t: Term, k: int) -> bool:
     """True iff one root-to-leaf path carries the same symbol k + 1 times."""

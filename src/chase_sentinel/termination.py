@@ -6,10 +6,12 @@ result words `TERMINATING`, `NOT_DETECTED` and `RESOURCE_EXHAUSTED`.
 
 The check saturates the skolemized rules from the critical instance, the
 database holding every fact built from the rule set's predicates and the
-special constant, reading disjunction conjunctively. If saturation finishes
-without ever creating a k-cyclic term (k + 1 nested occurrences of one
-skolem symbol), every restricted chase tree of the rule set is finite, for
-any database.
+special constant, reading disjunction conjunctively. The critical
+instance is the over-approximation seed over the one-constant universe
+{*}, and `model.facts_over` builds both. If saturation finishes without
+ever creating a k-cyclic term (k + 1 nested occurrences of one skolem
+symbol), every restricted chase tree of the rule set is finite, for any
+database.
 
 Two disciplines are offered. The default one ("rmfa-like") drops a trigger
 when its head already matches into the derived portion of the saturation,
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .matcher import FactSet, Queues, enqueue, pop_active
-from .model import (Atom, FunctionalTerm, RuleSet, Term, gc_paused,
-                    is_k_cyclic, new_atom, star)
+from .model import (Atom, FunctionalTerm, RuleSet, Term, facts_over,
+                    gc_paused, is_k_cyclic, star)
 
 __all__ = ["SearchBudget", "AcyclicityVerdict", "check_acyclic",
            "critical_instance", "RMFA_LIKE", "MFA", "TERMINATING",
@@ -69,7 +71,14 @@ class SearchBudget:
     value, not a duration, so every stage and saturation that shares the
     budget stops at the same instant: one value bounds a whole run. It is
     read before each trigger and each new (head choice, pivot) pair; an
-    unblockability build in progress is not interrupted."""
+    unblockability build in progress is not interrupted.
+
+    max_term_depth means one thing in each stage. The acyclicity check
+    never builds a term deeper than it: `matcher.pop_active` hands back a
+    trigger whose outputs would hold one, and the check ends with
+    "resource-exhausted". A cyclicity saturation skips only a trigger
+    whose body image holds a term deeper than it, and marks itself
+    truncated, so it can build a term one level deeper than the bound."""
 
     max_triggers: int | None = 1_000_000
     max_term_depth: int | None = 8
@@ -89,11 +98,9 @@ class AcyclicityVerdict:
 
 
 def critical_instance(rules: RuleSet) -> list[Atom]:
-    """One fact per predicate, every argument the special constant."""
-    return [
-        new_atom((predicate, (star(),) * arity))
-        for predicate, arity in rules.predicates.items()
-    ]
+    """One fact per predicate, every argument the special constant: the
+    facts over the universe {*}."""
+    return facts_over(rules, (star(),))
 
 
 @gc_paused

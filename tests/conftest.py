@@ -51,13 +51,13 @@ from chase_sentinel.model import (
     Variable,
     constant,
     functional,
-    is_cyclic,
     is_k_cyclic,
     is_rho_cyclic,
     skolem_symbol,
     star,
     subterms,
     uc_constant,
+    variable,
 )
 from chase_sentinel.ruleio import Namer, ParseError, parse, render
 from chase_sentinel.termination import (MFA, NOT_DETECTED, RESOURCE_EXHAUSTED,
@@ -146,11 +146,6 @@ def bike_subset(n: int) -> RuleSet:
 @pytest.fixture
 def bike4() -> RuleSet:
     return bike_subset(4)
-
-
-@pytest.fixture
-def bike3() -> RuleSet:
-    return bike_subset(3)
 
 
 @pytest.fixture
@@ -384,7 +379,7 @@ def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
     facts.update(birth_facts(pivot, rules))
 
     if hc is not None:
-        pivot_out = frozenset(hc.out(pivot))
+        pivot_out = frozenset(pivot.out(hc.choice(pivot.rule)))
     else:
         pivot_outs = tuple(frozenset(o) for o in outputs(pivot))
 
@@ -396,7 +391,7 @@ def naive_over_approx(rules: RuleSet, pivot: Trigger, kind: str,
             for sub in _naive_matches(rule.body, facts):
                 lam = trigger_of(rule, sub)
                 if hc is not None:
-                    out = hc.out(lam)
+                    out = lam.out(hc.choice(rule))
                     if frozenset(out) == pivot_out:
                         continue
                     derived += [habs(a) for a in out]
@@ -422,7 +417,7 @@ def naive_saturation(rules: RuleSet, rho, hc=None,
 
     seed = rule_database(rho)
     facts: set[Atom] = set(seed.body_facts())
-    facts.update(hc.out(seed) if hc is not None else seed.out(1))
+    facts.update(seed.out(1 if hc is None else hc.choice(rho)))
 
     deterministic_only = hc is None
     changed = True
@@ -433,14 +428,14 @@ def naive_saturation(rules: RuleSet, rho, hc=None,
             if deterministic_only and not rule.is_deterministic:
                 continue
             for combo in itertools.product(pool, repeat=len(rule.body_vars)):
-                if any(is_cyclic(t) for t in combo):
+                if any(is_k_cyclic(t, 1) for t in combo):
                     continue
                 if any(t.depth > depth_cap for t in combo):
                     continue
                 lam = trigger_of(rule, dict(zip(rule.body_vars, combo)))
                 if not all(f in facts for f in lam.body_facts()):
                     continue
-                out = hc.out(lam) if hc is not None else lam.out(1)
+                out = lam.out(1 if hc is None else hc.choice(rule))
                 for a in out:
                     if a not in facts:
                         facts.add(a)
@@ -504,7 +499,7 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
 
     def apply(trigger: Trigger) -> bool:
         applied.append(trigger)
-        out = hc.out(trigger) if hc is not None else trigger.out(1)
+        out = trigger.out(1 if hc is None else hc.choice(trigger.rule))
         facts.update(out)
         return any(is_rho_cyclic(t, rho)
                    for a in out for x in a.terms for t in subterms(x))
@@ -528,7 +523,7 @@ def rematch_saturation(rules: RuleSet, rho, hc=None, budget=None) -> list[Trigge
         for _, trigger in candidates:
             processed.add(trigger)
             image = list(trigger.substitution.values())
-            if any(is_cyclic(t) for t in image):
+            if any(is_k_cyclic(t, 1) for t in image):
                 continue
             if budget.max_term_depth is not None and \
                     any(t.depth > budget.max_term_depth for t in image):
@@ -629,15 +624,6 @@ def in_order_check(rules: RuleSet, notion: str, budget=None):
     return (RESOURCE_EXHAUSTED if truncated else NOT_DETECTED), None
 
 
-def terms_of(facts) -> set[Term]:
-    """Every subterm appearing in some fact of the collection."""
-    acc: set[Term] = set()
-    for a in facts:
-        for t in a.terms:
-            acc.update(subterms(t))
-    return acc
-
-
 def naive_entails(rules: RuleSet, database, query, budget=None) -> str:
     """Entailment read off the whole chase tree: "yes" when every result
     set admits a match, "no" when one does not, "unknown" when the tree is
@@ -654,9 +640,22 @@ def naive_entails(rules: RuleSet, database, query, budget=None) -> str:
 # ---------------------------------------------------------------------------
 # Helpers only tests call
 
+def atom(pred: str, *names: str) -> Atom:
+    """The fact pred(names), each name a constant."""
+    return Atom(pred, tuple(constant(n) for n in names))
+
+
+def bike_pivot(rules: RuleSet) -> Trigger:
+    """The canonical pivot: the engine-regenerating trigger on the fresh bike."""
+    r1 = rules.by_id["r1"]
+    f_v = next(s for s in r1.sk_symbols if s.var == "V")
+    fvd = functional(f_v, (constant("d"),))
+    return trigger_of(rules.by_id["r2"], {variable("X"): fvd})
+
+
 def hc_branch(tree: ChaseTree, hc: HeadChoice) -> list[ChaseVertex]:
     """The unique root-to-leaf path that always follows hc's disjunct."""
-    path = [tree.root]
+    path = [tree.vertices[0]]
     while path[-1].children:
         vertex = path[-1]
         first_child = tree.vertices[vertex.children[0]]

@@ -67,6 +67,7 @@ from chase_sentinel.termination import (MFA, RESOURCE_EXHAUSTED, RMFA_LIKE,
 
 from conftest import (
     bench_rule_set,
+    bike_pivot,
     bike_subset,
     is_loaded,
     map_atom,
@@ -87,11 +88,6 @@ X, Y = variable("X"), variable("Y")
 
 def sk(rule, var):
     return next(s for s in rule.sk_symbols if s.var == var)
-
-
-def bike_pivot(rules):
-    fvd = functional(sk(rules.by_id["r1"], "V"), (constant("d"),))
-    return trigger_of(rules.by_id["r2"], {X: fvd})
 
 
 def test_criterion_01_bike_chase_results_and_entailment(bike4):
@@ -269,8 +265,8 @@ def _assert_witness_grows(prefix, i):
     replay = FactSet(rule_database(prefix.rho).body_facts())
     for lam in rolled:
         assert is_loaded(lam, replay), f"set {i}: replay not loaded"
-        replay.update(prefix.hc.out(lam) if prefix.hc is not None
-                      else lam.out(1))
+        replay.update(lam.out(
+            1 if prefix.hc is None else prefix.hc.choice(lam.rule)))
     maxes = [
         max(max(t.depth for t in lam.substitution.values())
             for lam in rolled[1 + j * block:1 + (j + 1) * block])

@@ -44,6 +44,7 @@ from conftest import (
     _oracle_abstract,
     bench_rule_set,
     bench_text,
+    bike_pivot,
     bike_subset,
     map_atom,
     naive_over_approx,
@@ -54,14 +55,6 @@ from conftest import (
     trigger_of,
 )
 from test_model import _construction_sets, frontier_images
-
-
-def bike_pivot(rules):
-    """The canonical pivot: the engine-regenerating trigger on the fresh bike."""
-    r1 = rules.by_id["r1"]
-    f_v = next(s for s in r1.sk_symbols if s.var == "V")
-    fvd = functional(f_v, (constant("d"),))
-    return trigger_of(rules.by_id["r2"], {variable("X"): fvd})
 
 
 def bike_abstraction(kind):
@@ -94,58 +87,6 @@ def test_uc_abstraction_names_fresh_terms_per_symbol():
     assert abstract(functional(f_v, (constant("e"),))) == uc_constant(f_v)
     assert abstract(uc_constant(f_w)) == uc_constant(f_w)
     assert abstract(constant("e")) == star()
-
-
-def expected_uc_facts(rules):
-    """The unique-constants over-approximation for the bike pivot, spelled
-    out: the dense block over {d, star}, the pivot's birth facts, and the
-    seven abstracted trigger outputs."""
-    d = constant("d")
-    f_v = next(s for s in rules.by_id["r1"].sk_symbols if s.var == "V")
-    f_w = next(s for s in rules.by_id["r2"].sk_symbols if s.var == "W")
-    fvd = functional(f_v, (d,))
-    c_v, c_w = uc_constant(f_v), uc_constant(f_w)
-    expected = set()
-    for pred, arity in rules.predicates.items():
-        for combo in itertools.product((d, star()), repeat=arity):
-            expected.add(Atom(pred, combo))
-    expected |= {Atom("IsIn", (d, fvd)), Atom("Bike", (fvd,))}
-    expected |= {
-        Atom("IsIn", (star(), c_v)),
-        Atom("Bike", (c_v,)),
-        Atom("IsIn", (c_w, c_v)),
-        Atom("Has", (star(), c_w)),
-        Atom("Has", (d, c_w)),
-        Atom("Has", (c_v, c_w)),
-        Atom("Engine", (c_w,)),
-    }
-    return expected, c_v, c_w
-
-
-def test_uc_over_approximation_golden_set():
-    rules = bike_subset(2)
-    pivot = bike_pivot(rules)
-    hc1 = HeadChoice.uniform(rules, 1)
-    expected, c_v, c_w = expected_uc_facts(rules)
-
-    with_hc = build_over_approx(rules, pivot, UC, hc1)
-    assert set(with_hc.facts) == expected
-
-    conj = build_over_approx(rules, pivot, UC)
-    assert set(conj.facts) == expected | {Atom("Spare", (c_w,))}
-
-
-def test_star_over_approximation_is_the_constant_collapse():
-    rules = bike_subset(2)
-    pivot = bike_pivot(rules)
-    hc1 = HeadChoice.uniform(rules, 1)
-    expected, c_v, c_w = expected_uc_facts(rules)
-    collapse = ConstantMapping({c_v: star(), c_w: star()})
-    collapsed = {map_atom(collapse, a) for a in expected}
-
-    for hc in (hc1, None):
-        approx = build_over_approx(rules, pivot, STAR, hc)
-        assert set(approx.facts) == collapsed
 
 
 def test_hc_set_is_contained_in_the_conjunctive_set():
@@ -480,16 +421,6 @@ def test_fill_with_the_skolem_terms_is_the_output():
     assert compared >= 8000, compared
 
 
-def test_uc_unblockability_depends_on_the_closing_rule():
-    # The regeneration trigger survives in the two-rule set but is blocked
-    # once IsIn gets flipped into Has by the third rule.
-    two = bike_subset(2)
-    three = bike_subset(3)
-    assert is_uc_unblockable(two, HeadChoice.uniform(two, 1), bike_pivot(two))
-    assert not is_uc_unblockable(
-        three, HeadChoice.uniform(three, 1), bike_pivot(three))
-
-
 def test_star_unblockability_of_the_bike_pivot():
     rules = bike_subset(2)
     assert is_star_unblockable(rules, bike_pivot(rules))
@@ -503,18 +434,6 @@ def test_datalog_triggers_are_always_unblockable():
     assert is_star_unblockable(rules, lam)
     for i in (1, 2):
         assert is_uc_unblockable(rules, HeadChoice.uniform(rules, i), lam)
-
-
-def test_uc_and_star_unblockability_separate(uc_star):
-    # The successor trigger one step into the relation: blocked under the
-    # star collapse, alive under unique constants.
-    r1 = uc_star.by_id["r1"]
-    f_u = next(iter(r1.sk_symbols))
-    c_y = db_constant("Y")
-    lam = trigger_of(r1, {variable("X"): c_y,
-                       variable("Y"): functional(f_u, (c_y,))})
-    assert is_uc_unblockable(uc_star, HeadChoice.uniform(uc_star, 1), lam)
-    assert not is_star_unblockable(uc_star, lam)
 
 
 def test_star_unblockability_implies_uc_unblockability():

@@ -26,14 +26,10 @@ from chase_sentinel.model import (Atom, Query, RuleError, constant,
 from chase_sentinel.ruleio import parse
 
 import chase_trees
-from conftest import (bench_rule_set, deep_term, deeper_than, hc_branch, is_loaded,
-                      label, naive_entails, perfbench_module, random_rule_set,
-                      rules_from, satisfies, trace_lines)
+from conftest import (atom, bench_rule_set, deep_term, deeper_than, hc_branch,
+                      is_loaded, label, naive_entails, perfbench_module,
+                      random_rule_set, rules_from, satisfies, trace_lines)
 from test_engine_check import sweep_cases, wide_databases
-
-
-def atom(pred, *names):
-    return Atom(pred, tuple(constant(n) for n in names))
 
 
 def test_bike_rules_chase_shape_and_results(bike4):
@@ -84,7 +80,7 @@ def test_obsolete_triggers_are_dropped_at_dequeue():
 def test_disjunction_branches_once_per_disjunct():
     rules = rules_from("A(X) -> B(X) | C(X) | D(X) .\n")
     tree = run_chase(rules, [atom("A", "a")])
-    assert len(tree.root.children) == 3
+    assert len(tree.vertices[0].children) == 3
     assert {frozenset(r) for r in results(tree)} == {
         frozenset({atom("A", "a"), atom("B", "a")}),
         frozenset({atom("A", "a"), atom("C", "a")}),

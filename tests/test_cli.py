@@ -233,6 +233,13 @@ def test_chase_writes_dot(tmp_path, capsys):
     assert "->" in text
 
 
+def test_chase_reports_a_dot_file_it_cannot_write(tmp_path, capsys):
+    dot = tmp_path / "missing" / "x.dot"
+    assert main(["chase", EXAMPLE, "--dot", str(dot)]) == EXIT_IO
+    assert capsys.readouterr().err == \
+        f"chase-sentinel: {dot}: No such file or directory\n"
+
+
 def test_entails(tmp_path, capsys):
     rules = write(tmp_path, "rules.drls", BIKE_RULES)
     data = write(tmp_path, "data.drls", "Engine(d) .\n")
@@ -355,6 +362,17 @@ def test_batch_table_summary_and_csv(tmp_path, capsys):
     assert by_file["closure.drls"][5] == "terminating"
 
 
+def test_batch_reports_a_csv_file_it_cannot_write(tmp_path, capsys):
+    # The table and the summary are printed before the CSV is written.
+    write(tmp_path, "loop.drls", "A(X) -> R(X, Y), A(Y) .\n")
+    csv_path = tmp_path / "missing" / "x.csv"
+    assert main(["batch", str(tmp_path), "--csv", str(csv_path)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "total: 1 analyzed, 0 failed" in captured.out
+    assert captured.err == \
+        f"chase-sentinel: {csv_path}: No such file or directory\n"
+
+
 def test_batch_reports_broken_files(tmp_path, capsys):
     write(tmp_path, "ok.drls", "A(X) -> B(X) .\n")
     write(tmp_path, "broken.drls", "A(X) ->\n")
@@ -412,6 +430,24 @@ def test_cli_module_runs_under_warnings_as_errors():
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == "combined: never-terminating"
+
+
+@pytest.mark.parametrize("level", ["DEBUG", "chatty"])
+def test_the_log_variable_prints_one_line_per_stage(level):
+    # A word that names no logging level falls back to INFO. Each case runs
+    # in a process of its own, since logging.basicConfig configures a
+    # process only once.
+    src = str(Path(chase_sentinel.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "chase_sentinel.cli", "classify", LOOP],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src, CHASE_SENTINEL_LOG=level))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "INFO chase_sentinel: acyclic: not-detected",
+        "INFO chase_sentinel: drpc: not-detected",
+        "INFO chase_sentinel: rpcs: cyclic",
+    ]
 
 
 def test_corpus_ships_with_the_package():

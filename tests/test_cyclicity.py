@@ -32,7 +32,7 @@ from chase_sentinel.model import (
     variable,
 )
 from chase_sentinel.ruleio import parse
-from chase_sentinel.termination import SearchBudget
+from chase_sentinel.termination import SearchBudget, check_acyclic
 
 import bench_cyclicity
 from conftest import (bench_rule_set, bike_subset, in_order_check, is_loaded,
@@ -221,6 +221,24 @@ def test_budget_exhaustion_is_a_verdict(bike2):
     assert timed.stats["saturations"] == 0
 
 
+def test_term_depth_bounds_outputs_in_the_acyclicity_check_and_images_in_a_saturation():
+    # The budget's two meanings, pinned as they are (ROADMAP leftovers).
+    # The acyclicity check never builds a term deeper than the bound: the
+    # depth-3 output of the second generating pop ends it. A saturation
+    # skips only triggers whose body image is too deep, so the pivot r2's
+    # seed, of image depth 1, and then r3's trigger on f(c_X), of image
+    # depth 2, both apply, and the second builds a depth-3 term.
+    rules = rules_from("A(X) -> B(Y), L(X, Y) .\n"
+                       "B(X) -> C(Y), M(X, Y) .\n"
+                       "C(X) -> D(Y), N(X, Y) .\n")
+    budget = SearchBudget(max_term_depth=2)
+    assert check_acyclic(rules, 2, budget).result == RESOURCE_EXHAUSTED
+    run = drpc_fact_set(rules, rules.by_id["r2"], budget)
+    assert not run.truncated
+    assert [applied.trigger.rule.id for applied in run.provenance] == ["r2", "r3"]
+    assert max(t.depth for fact in run.facts for t in fact.terms) == 3
+
+
 def test_a_saturation_suspended_past_its_deadline_truncates_on_resume(bike2):
     # The deadline is absolute: a saturation suspended after its seed until
     # the deadline has passed, as check suspends a pair between rounds,
@@ -251,7 +269,7 @@ def test_unroll_repeats_with_mapping_powers(bike2):
     depths = []
     for trigger in rolled:
         assert is_loaded(trigger, replay)
-        replay.update(prefix.hc.out(trigger))
+        replay.update(trigger.out(prefix.hc.choice(trigger.rule)))
         depths.append(max(t.depth for t in trigger.frontier_image()))
     assert depths[1::2] == sorted(depths[1::2])
     assert depths[-1] > depths[1]
@@ -396,7 +414,8 @@ def replay_witness(prefix):
     facts = FactSet(rule_database(prefix.rho).body_facts())
     for trigger in unroll_prefix(prefix, 3):
         assert is_loaded(trigger, facts)
-        facts.update(trigger.out(1) if prefix.hc is None else prefix.hc.out(trigger))
+        facts.update(trigger.out(
+            1 if prefix.hc is None else prefix.hc.choice(trigger.rule)))
 
 
 def check_schedule_agreement(structures):

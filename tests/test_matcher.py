@@ -31,16 +31,12 @@ from chase_sentinel.model import (Atom, Query, RuleError, constant, functional,
                                   skolem_symbol, variable)
 from chase_sentinel.termination import critical_instance
 
-from conftest import (_naive_matches, apply_atoms, bike_subset, deep_term,
+from conftest import (_naive_matches, apply_atoms, atom, bike_subset, deep_term,
                       deeper_than, is_loaded,
                       match_pinned, oracle_matches, outputs, perfbench_module,
                       queue_keys, random_rule_set, rules_from, satisfies,
                       trigger_of)
 from test_engine_check import bench_cases, sweep_cases, wide_databases
-
-
-def atom(pred, *names):
-    return Atom(pred, tuple(constant(n) for n in names))
 
 
 def test_fact_set_basics():
