@@ -6,21 +6,21 @@ facts over a universe of terms (`facts_over`), and the term-level
 measures (depth, subterm cyclicity) that the rest of the package builds
 on. Terms and skolem symbols are interned: the factories `constant`,
 `variable`, `functional`, `skolem_symbol` and `uc_constant` are the only
-way to build them, and they compare and hash by identity. One intern table records them all, and holds each weakly: an
-object is rebuilt only after nothing holds it, so identity equality stays
-exact, and memory does not grow with the number of rule sets a process has
-seen. Nothing else keeps a record of the terms built so far. Caches keyed
-by terms hold their keys and are freed with their owner. An atom has no
-identity of its own: it is the tuple (predicate, terms), so it compares
-and hashes as a tuple, which interning makes exact. The package builds
-every atom through `new_atom`, the tuple constructor bound to `Atom`,
-which runs no Python frame; `Atom(predicate, terms)`, the NamedTuple's
-generated constructor, runs one and stays the public way in. The per-key
-kernels that fill templates (`Rule.output`, `approx._fill`) are plain
-loops, not comprehensions, for the same reason: CPython 3.11 runs each
-comprehension in a frame of its own (PEP 709 inlines them only from 3.12).
-`gc_paused` is the collector pause that parsing, the checks and the chase
-run in.
+way to build them, and they compare and hash by identity. One intern table
+records them all, and holds each weakly: an object is rebuilt only after
+nothing holds it, so identity equality stays exact, and memory does not
+grow with the number of rule sets a process has seen. Nothing else keeps a
+record of the terms built so far. Caches keyed by terms hold their keys
+and are freed with their owner. An atom has no identity of its own: it is
+the tuple (predicate, terms), so it compares and hashes as a tuple, which
+interning makes exact. The package builds every atom through `new_atom`,
+the tuple constructor bound to `Atom`, which runs no Python frame;
+`Atom(predicate, terms)`, the NamedTuple's generated constructor, runs one
+and stays the public way in. The per-key kernels that fill templates
+(`Rule.output`, `approx._fill`) are plain loops, not comprehensions, for
+the same reason: CPython 3.11 runs each comprehension in a frame of its
+own (PEP 709 inlines them only from 3.12). `gc_paused` is the collector
+pause that parsing, the checks and the chase run in.
 """
 from __future__ import annotations
 

@@ -73,12 +73,13 @@ class SearchBudget:
     read before each trigger and each new (head choice, pivot) pair; an
     unblockability build in progress is not interrupted.
 
-    max_term_depth means one thing in each stage. The acyclicity check
-    never builds a term deeper than it: `matcher.pop_active` hands back a
-    trigger whose outputs would hold one, and the check ends with
-    "resource-exhausted". A cyclicity saturation skips only a trigger
-    whose body image holds a term deeper than it, and marks itself
-    truncated, so it can build a term one level deeper than the bound."""
+    max_term_depth means a different thing in the acyclicity check and in a
+    saturation. The acyclicity check never builds a term deeper than it:
+    `matcher.pop_active` hands back a trigger whose outputs would hold one,
+    and the check ends with "resource-exhausted". A cyclicity saturation
+    skips only a trigger whose body image holds a term deeper than it, and
+    marks itself truncated, so it can build a term one level deeper than the
+    bound."""
 
     max_triggers: int | None = 1_000_000
     max_term_depth: int | None = 8

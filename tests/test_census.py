@@ -53,23 +53,26 @@ UNREACHED = {
 }
 
 
-def defined_functions() -> set[str]:
+def defined_functions() -> dict[tuple[str, int, str], str]:
     """Every function and method defined in the package's source files, as
-    module.qualname, the qualname written as a code object names it."""
-    found = set()
+    module.qualname, keyed by what its code object says of it: the module,
+    the first line (its first decorator's, when it has one) and the name."""
+    found = {}
 
-    def visit(node: ast.AST, prefix: str) -> None:
+    def visit(node: ast.AST, stem: str, prefix: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                found.add(prefix + child.name)
-                visit(child, f"{prefix}{child.name}.<locals>.")
+                first = min(n.lineno for n in [child, *child.decorator_list])
+                found[stem, first, child.name] = prefix + child.name
+                visit(child, stem, f"{prefix}{child.name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
-                visit(child, f"{prefix}{child.name}.")
+                visit(child, stem, f"{prefix}{child.name}.")
             else:
-                visit(child, prefix)
+                visit(child, stem, prefix)
 
     for path in sorted(PACKAGE.glob("*.py")):
-        visit(ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        visit(tree, path.stem, f"{path.stem}.")
     return found
 
 
@@ -143,13 +146,15 @@ def test_the_commands_reach_every_function_but_the_listed_ones(tmp_path, monkeyp
         workload_passes(monkeypatch)
     finally:
         sys.setprofile(None)
+    defined = defined_functions()
     reached = set()
     for code in codes:
-        if Path(code.co_filename).resolve().parent == PACKAGE:
-            name = f"{Path(code.co_filename).stem}.{code.co_qualname}"
+        path = Path(code.co_filename).resolve()
+        name = defined.get((path.stem, code.co_firstlineno, code.co_name))
+        if path.parent == PACKAGE and name:
             # A nested function runs only after the function around it
             # ran, which may have been at import, as `gc_paused` runs.
             while name:
                 reached.add(name)
                 name = name.rpartition(".<locals>.")[0]
-    assert defined_functions() - reached == UNREACHED
+    assert set(defined.values()) - reached == UNREACHED
