@@ -31,8 +31,9 @@ from .chase import (BUDGET_EXHAUSTED, DEPTH, TERM_DEPTH, VERTICES, ChaseBudget,
 from .cyclicity import CYCLIC, CyclicityPrefix, check
 from .model import Atom, Query, Rule, RuleSet, gc_paused
 from .ruleio import Namer, ParseError, SourceProgram, parse, parse_query
-from .termination import (TERMINATING, AcyclicityVerdict, SearchBudget,
-                          check_acyclic)
+from .termination import (RMFA_LIKE, TERMINATING, WEAKLY_ACYCLIC,
+                          AcyclicityVerdict, SearchBudget, check_acyclic,
+                          weakly_acyclic)
 
 __all__ = ["main", "ClassificationReport", "SoundnessViolationError"]
 
@@ -213,6 +214,20 @@ def _report_json(report: ClassificationReport, namer: Namer) -> dict:
 # ---------------------------------------------------------------------------
 # classify
 
+def _acyclic(rules: RuleSet, k: int, budget: SearchBudget) -> AcyclicityVerdict:
+    """The acyclicity stage: a weakly acyclic rule set is terminating with
+    no saturation, and any other goes on to `check_acyclic`. The verdict's
+    `elapsed_ms` covers both rungs."""
+    start = time.monotonic()
+    if weakly_acyclic(rules):
+        stats = {"mode": RMFA_LIKE, "rung": WEAKLY_ACYCLIC, "applied": 0, "facts": 0}
+        verdict = AcyclicityVerdict(k, TERMINATING, None, stats)
+    else:
+        verdict = check_acyclic(rules, k, budget)
+    verdict.stats["elapsed_ms"] = round((time.monotonic() - start) * 1000.0, 3)
+    return verdict
+
+
 def _run_stages(rules: RuleSet, stages: Sequence[str], k: int,
                 deadline: float | None, term_depth: int) -> Iterator:
     """Run the stages in order and yield each one's verdict. Every stage
@@ -221,7 +236,7 @@ def _run_stages(rules: RuleSet, stages: Sequence[str], k: int,
     budget = SearchBudget(max_term_depth=term_depth, deadline=deadline)
     for stage in stages:
         if stage == "acyclic":
-            verdict = check_acyclic(rules, k, budget)
+            verdict = _acyclic(rules, k, budget)
         else:
             verdict = check(rules, stage, budget)
         log.info("%s: %s", stage, verdict.result)

@@ -42,20 +42,41 @@ watch skips are image terms, which passed the test when they arrived, and
 an image term over one of the rule's symbols is tested again in vain. So
 the first k-cyclic argument tested is the first k-cyclic term the
 saturation builds.
+
+The pipeline's acyclicity stage, in `cli`, is a ladder of two rungs, and
+every verdict's `stats` names the rung that answered. The first rung,
+`weakly_acyclic`, reads the rule set alone: weak acyclicity (Fagin,
+Kolaitis, Miller and Popa, TCS 2005) asks that no cycle of the position
+graph over (predicate, position) pairs pass through a special edge. Weak
+acyclicity is contained in the plain discipline's certificates with k = 1
+(Cuenca Grau et al., JAIR 2013), so it certifies a set for every k >= 1,
+and whatever the term depth bound, since it builds no term. Only a set
+that is not weakly acyclic goes on to the second rung, the saturation
+`check_acyclic`, which the tests keep as the reference in both modes.
+
+The special edges follow the skolemization. A skolem term takes the
+rule's whole frontier, not the variables of its own disjunct, so a special
+edge runs from every body position of every frontier variable of the rule
+to every existential position of every disjunct. Normal edges run from
+each body position of a frontier variable to each head position of that
+variable, in any disjunct, since the saturation reads disjunction
+conjunctively.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from itertools import chain
+from typing import Hashable, Iterable, Mapping
 
 from .matcher import FactSet, Queues, enqueue, pop_active
 from .model import (Atom, FunctionalTerm, RuleSet, Term, facts_over,
                     gc_paused, is_k_cyclic, star)
 
 __all__ = ["SearchBudget", "AcyclicityVerdict", "check_acyclic",
-           "critical_instance", "RMFA_LIKE", "MFA", "TERMINATING",
-           "NOT_DETECTED", "RESOURCE_EXHAUSTED"]
+           "weakly_acyclic", "critical_instance", "RMFA_LIKE", "MFA",
+           "WEAKLY_ACYCLIC", "SATURATION", "TERMINATING", "NOT_DETECTED",
+           "RESOURCE_EXHAUSTED"]
 
 TERMINATING = "terminating"
 NOT_DETECTED = "not-detected"
@@ -63,6 +84,10 @@ RESOURCE_EXHAUSTED = "resource-exhausted"
 
 RMFA_LIKE = "rmfa-like"
 MFA = "mfa"
+
+# The rungs of the acyclicity stage, as its stats name them.
+WEAKLY_ACYCLIC = "weakly-acyclic"
+SATURATION = "saturation"
 
 
 @dataclass(frozen=True)
@@ -104,6 +129,88 @@ def critical_instance(rules: RuleSet) -> list[Atom]:
     return facts_over(rules, (star(),))
 
 
+def _components(succ: Mapping[Hashable, Iterable[Hashable]]) -> dict:
+    """Each node's strongly connected component, named by its root:
+    Tarjan's algorithm with an explicit stack of (node, successor
+    iterator) frames, so deep graphs do not recurse. Nodes reached only
+    as successors are included."""
+    index: dict = {}
+    low: dict = {}
+    component: dict = {}
+    stack: list = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if w not in index:
+                    index[w] = low[w] = len(index)
+                    stack.append(w)
+                    frames.append((w, iter(succ.get(w, ()))))
+                    break
+                if w not in component and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                frames.pop()
+                if frames:
+                    u = frames[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        component[w] = v
+                        if w == v:
+                            break
+    return component
+
+
+def weakly_acyclic(rules: RuleSet) -> bool:
+    """Whether no cycle of the position graph passes through a special
+    edge (see the module docstring).
+
+    A cycle of positions maps onto a cycle of predicates, so an edge can
+    lie on one only if its two predicates share a strongly connected
+    component of the predicate graph, body predicate to head predicate.
+    The position graph is built from those edges alone, once per call, and
+    then each special edge is checked once. Nothing is cached: the rule set
+    is read afresh on every call."""
+    predicates: dict[str, set[str]] = {p: set() for p in rules.predicates}
+    for rule in rules:
+        heads = {p for h in rule.heads for p, _ in h.atoms}
+        for p, _ in rule.body:
+            predicates[p] |= heads
+    cluster = _components(predicates)
+
+    graph: dict[tuple[str, int], set[tuple[str, int]]] = {}
+    special: set[tuple[tuple[str, int], tuple[str, int]]] = set()
+    for rule in rules:
+        body = {cluster[p] for p, _ in rule.body}
+        if not any(cluster[p] in body for h in rule.heads for p, _ in h.atoms):
+            continue
+        at: dict = {}
+        for p, terms in rule.body:
+            for i, t in enumerate(terms):
+                at.setdefault(t, []).append((p, i))
+        # The body positions of the frontier, which every skolem term reads.
+        frontier = [u for x in rule.frontier for u in at[x]]
+        for h in rule.heads:
+            for p, terms in h.atoms:
+                for j, t in enumerate(terms):
+                    sources = at.get(t)
+                    for u in frontier if sources is None else sources:
+                        if cluster[u[0]] == cluster[p]:
+                            graph.setdefault(u, set()).add((p, j))
+                            if sources is None:
+                                special.add((u, (p, j)))
+    component = _components(graph)
+    return all(component[u] != component[v] for u, v in special)
+
+
 @gc_paused
 def check_acyclic(
     rules: RuleSet,
@@ -139,6 +246,7 @@ def check_acyclic(
     def verdict(result: str, term: Term | None) -> AcyclicityVerdict:
         stats = {
             "mode": mode,
+            "rung": SATURATION,
             "applied": applied,
             "facts": len(facts),
             "elapsed_ms": round((time.monotonic() - start) * 1000.0, 3),

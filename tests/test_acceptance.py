@@ -457,6 +457,35 @@ def test_generality_record_replays_golden_fixture():
         for name, row in want.items()}
 
 
+def test_generality_record_orders_the_notions():
+    """The inclusions between notions, read off the generality fixture.
+
+    RPC_s ⊆ RPC is proved: RPC_s searches the uniform head choices, which
+    are head choices, so every (head choice, pivot) pair RPC_s finds cyclic
+    is one that RPC searches too. The trigger budget is per saturation and
+    a pair saturates as it does alone, so with no deadline RPC finds that
+    pair or an earlier one cyclic. `mfa` ⊆ `rmfa-like` is proved as well:
+    blocking only drops triggers, so the `rmfa-like` saturation stays
+    inside the `mfa` one and, under the same budget, reaches its fixpoint
+    whenever `mfa` does, with no k-cyclic term. DRPC ⊆ RPC_s is only
+    observed: DRPC abstracts
+    with the special constant and RPC_s with unique constants, and DRPC's
+    pivots are deterministic, so no argument here makes it hold on every
+    rule set; it is pinned on these 120 structures and fails loudly if a
+    change breaks it. The counts were 35 ⊆ 75 ⊆ 79 and 9 ⊆ 27."""
+    table = json.loads(generality.GOLDEN.read_text(encoding="utf-8"))
+
+    def having(column: str, word: str) -> set[str]:
+        return {name for name, row in table.items() if row[column] == word}
+
+    drpc, rpcs, rpc = (having(notion, CYCLIC) for notion in (DRPC, RPC_S, cyc.RPC))
+    mfa, rmfa_like = (having(mode, TERMINATING) for mode in (MFA, RMFA_LIKE))
+    assert rpcs <= rpc
+    assert drpc <= rpcs
+    assert mfa <= rmfa_like
+    assert drpc and mfa
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_rmfa_like_does_not_certify_a_cyclic_structure():
     # Structure 54, rmfa-like's one conflict on structures 0-119.

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import chase_sentinel
-from chase_sentinel import cli, corpus_dir, ruleio
+from chase_sentinel import cli, corpus_dir, matcher, ruleio
 
 from conftest import perfbench_module
 
@@ -134,6 +134,9 @@ def workload_passes(monkeypatch) -> None:
 
 
 def test_the_commands_reach_every_function_but_the_listed_ones(tmp_path, monkeypatch):
+    # A memoized function is entered only on a miss, so what earlier tests
+    # left in its cache must not decide whether the commands reach it.
+    matcher._projection.cache_clear()
     codes = set()
 
     def profile(frame, event, _arg):

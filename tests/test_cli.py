@@ -23,8 +23,10 @@ from chase_sentinel.cli import (
     main,
 )
 from chase_sentinel.cyclicity import Verdict, check
-from chase_sentinel.termination import (RESOURCE_EXHAUSTED, AcyclicityVerdict,
-                                        SearchBudget)
+from chase_sentinel.termination import (RESOURCE_EXHAUSTED, RMFA_LIKE, SATURATION,
+                                        TERMINATING, WEAKLY_ACYCLIC,
+                                        AcyclicityVerdict, SearchBudget,
+                                        check_acyclic)
 
 import corpus_classify
 from conftest import BIKE_RULES, bench_text, perfbench_module, rules_from
@@ -85,6 +87,7 @@ def test_classify_json_structure(capsys):
     assert witness["gLambda"] == {"c_X": "f_W(f_V(c_X))"}
     assert witness["cyclicTerm"] == "f_V(f_W(f_V(c_X)))"
     assert report["timings"]["totalMs"] >= 0
+    assert report["notionResults"][0]["stats"]["rung"] == SATURATION
     for result in report["notionResults"][1:]:
         stats = result["stats"]
         assert stats["approx_builds"] >= 0
@@ -93,6 +96,23 @@ def test_classify_json_structure(capsys):
         # so each build queues at least one trigger.
         assert stats["approx_triggers"] >= stats["approx_builds"]
     assert report["notionResults"][2]["stats"]["approx_builds"] >= 1
+
+
+def test_a_deep_weakly_acyclic_chain_is_certified_without_a_saturation():
+    # Each rule hangs a null one level deeper, so the saturation and both
+    # cyclicity stages trip term depth 8 and the pipeline used to answer
+    # unknown. The predicate graph is a chain, so the set is weakly acyclic,
+    # which holds whatever the depth bound.
+    text = "".join(f"P{i}(X) -> P{i + 1}(Y), R{i}(X, Y) .\n" for i in range(10))
+    rules = rules_from(text)
+    report = classify_rules(rules)
+    assert report.combined == TERMINATING
+    (verdict,) = report.notion_results
+    assert verdict.result == TERMINATING
+    assert {key: verdict.stats[key] for key in ("mode", "rung", "applied", "facts")} \
+        == {"mode": RMFA_LIKE, "rung": WEAKLY_ACYCLIC, "applied": 0, "facts": 0}
+    assert check_acyclic(rules).result == RESOURCE_EXHAUSTED
+    assert check(rules, "DRPC").result == RESOURCE_EXHAUSTED
 
 
 def test_classify_single_notion(capsys):
@@ -458,8 +478,8 @@ def test_corpus_ships_with_the_package():
 
 def test_corpus_classify_replays_golden_fixture():
     """tests/data/corpus_classify_golden.json holds what `classify --json`
-    printed at commit d1ce9da for each corpus file, once with the default
-    pipeline and once with `--notion rpc`, with the times and the path cut;
+    prints for each corpus file, once with the default pipeline and once
+    with `--notion rpc`, with the times and the path cut;
     running tests/corpus_classify.py as a script records it again. Re-record
     it only together with a CHANGES.md note that names each verdict that
     changed: making the default acyclicity mode sound on disjunctive rules

@@ -25,7 +25,6 @@ from chase_sentinel.model import (
     Atom,
     ConstantMapping,
     RuleSet,
-    constant,
     db_constant,
     functional,
     is_rho_cyclic,
@@ -35,8 +34,8 @@ from chase_sentinel.ruleio import parse
 from chase_sentinel.termination import SearchBudget, check_acyclic
 
 import bench_cyclicity
-from conftest import (bench_rule_set, bike_subset, in_order_check, is_loaded,
-                      naive_rpc, random_rule_set, rematch_saturation, rules_from,
+from conftest import (bench_rule_set, in_order_check, is_loaded, naive_rpc,
+                      random_rule_set, rematch_saturation, rules_from,
                       trigger_of)
 
 

@@ -11,13 +11,17 @@ from chase_sentinel.termination import (
     NOT_DETECTED,
     RESOURCE_EXHAUSTED,
     RMFA_LIKE,
+    SATURATION,
+    TERMINATING,
     SearchBudget,
     check_acyclic,
     critical_instance,
+    weakly_acyclic,
 )
 
 from conftest import (bench_rule_set, perfbench_module, random_rule_set,
                       reference_acyclic, rules_from)
+from test_acceptance import TABLE_BUDGET
 from test_engine_check import bench_cases, sweep_cases
 
 
@@ -39,6 +43,7 @@ def test_bike_rules_certified_terminating(bike4):
         assert verdict.cyclic_term is None
         assert verdict.k == k
     assert verdict.stats["mode"] == RMFA_LIKE
+    assert verdict.stats["rung"] == SATURATION
     assert verdict.stats["applied"] >= 1
 
 
@@ -188,3 +193,110 @@ def test_the_watch_tests_exactly_what_a_generating_pop_adds():
             assert verdict.result == RESOURCE_EXHAUSTED
             assert (verdict.result, verdict.stats["applied"], verdict.stats["facts"],
                     verdict.cyclic_term) == reference_acyclic(rules, 2, budget, mode)
+
+
+def naive_weakly_acyclic(rules) -> bool:
+    """Weak acyclicity read off the whole position graph: every edge of
+    every rule, and a special edge (u, v) lies on a cycle iff u can be
+    reached from v, found by a search from v. A special edge runs from
+    every body position of every frontier variable, since a skolem term
+    takes the whole frontier."""
+    normal, special = set(), set()
+    for rule in rules:
+        at = collections.defaultdict(list)
+        for p, terms in rule.body:
+            for i, t in enumerate(terms):
+                at[t].append((p, i))
+        frontier = [u for x in rule.frontier for u in at[x]]
+        for h in rule.heads:
+            for p, terms in h.atoms:
+                for j, t in enumerate(terms):
+                    if t in at:
+                        normal.update((u, (p, j)) for u in at[t])
+                    else:
+                        special.update((u, (p, j)) for u in frontier)
+    succ = collections.defaultdict(set)
+    for u, v in normal | special:
+        succ[u].add(v)
+    for u, v in special:
+        seen, todo = {v}, [v]
+        while todo:
+            for w in succ[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if u in seen:
+            return False
+    return True
+
+
+def check_weak_acyclicity(cases) -> tuple[int, list]:
+    """weakly_acyclic on each (key, rules) case, and on each weakly acyclic
+    one check_acyclic in mfa mode with k = 2 under the table budget.
+    Returns the number of weakly acyclic sets and the keys of those that
+    mfa does not certify. Weak acyclicity is contained in MFA (Cuenca Grau
+    et al., JAIR 2013), so the list must be empty while the sets' terms stay
+    within the budget's depth."""
+    weak, uncertified = 0, []
+    for key, rules in cases:
+        if weakly_acyclic(rules):
+            weak += 1
+            if check_acyclic(rules, k=2, budget=TABLE_BUDGET,
+                             mode=MFA).result != TERMINATING:
+                uncertified.append(key)
+    return weak, uncertified
+
+
+def test_weakly_acyclic_sets_are_mfa_certified():
+    # The first 400 sample sets and the 512-rule stratified set of the
+    # chase tree fixture; CI runs the first 3,000 sample sets.
+    generate = perfbench_module("generators").stratified_rule_set
+    stratified = rules_from(generate(random.Random("stratified/512/1"), 512).text)
+    weak, uncertified = check_weak_acyclicity(
+        [*sweep_cases(400), ("stratified-512-1", stratified)])
+    assert uncertified == []
+    assert weak >= 140
+
+
+def test_weak_acyclicity_agrees_with_the_whole_position_graph():
+    # The first 400 sample sets and every structure of 0-119, none of which
+    # is weakly acyclic.
+    cases = [rules for _, rules in sweep_cases(400)]
+    cases += [bench_rule_set(i) for i in range(120)]
+    answers = collections.Counter()
+    for rules in cases:
+        answer = weakly_acyclic(rules)
+        assert answer == naive_weakly_acyclic(rules), rules
+        answers[answer] += 1
+    assert answers[True] >= 140 and answers[False] >= 350
+
+
+@pytest.mark.parametrize("text, weak", [
+    # A datalog cycle has no special edge.
+    ("Edge(X, Y) -> Path(X, Y) .\nPath(X, Y), Edge(Y, Z) -> Path(X, Z) .\n", True),
+    # A and B form a cycle of predicates, but the null lands in B's second
+    # position, which no rule reads back.
+    ("A(X) -> B(X, Y) .\nB(X, Y) -> A(X) .\n", True),
+    ("A(X) -> R(X, Y), A(Y) .\n", False),
+    ("P(X, Y) -> P(Y, Z) .\n", False),
+    # The trap: the null of disjunct 1 takes the frontier variable Y, which
+    # only disjunct 2 mentions. The special edge from P1's position to
+    # itself closes a cycle, so a rule that drew special edges only from
+    # each disjunct's own variables would call this set weakly acyclic.
+    ("P1(Y) -> P1(V) | P1(Y), P0(Y, U, Y) .\n", False),
+])
+def test_special_edges_start_at_the_whole_frontier(text, weak):
+    rules = rules_from(text)
+    assert weakly_acyclic(rules) is weak
+    assert naive_weakly_acyclic(rules) is weak
+    mfa = check_acyclic(rules, k=2, budget=TABLE_BUDGET, mode=MFA).result
+    assert mfa == (TERMINATING if weak else NOT_DETECTED)
+
+
+def test_weak_acyclicity_runs_on_graphs_deeper_than_the_recursion_limit():
+    # A ring of 3,000 predicates, each copying the one before, and a rule
+    # that hangs a null off the ring: weakly acyclic when the null leaves
+    # the ring, not when it travels round to the frontier's position.
+    ring = "".join(f"P{i}(X, Y) -> P{(i + 1) % 3000}(X, Y) .\n" for i in range(3000))
+    assert weakly_acyclic(rules_from(ring + "P0(X, Y) -> Q(Y, Z) .\n"))
+    assert not weakly_acyclic(rules_from(ring + "P0(X, Y) -> P1(Y, Z) .\n"))
