@@ -461,9 +461,13 @@ def _projection(positions: tuple[int, ...]) -> itemgetter:
 def _joins(rules: RuleSet) -> dict[str, list[tuple[Rule, _PinPlan]]]:
     """The compiled joins of every body atom, per predicate in body_index
     order, all compiled on first use and kept in rules.pinned_joins, so
-    they live and die with the rule set."""
+    they live and die with the rule set. The first call also compiles
+    every rule (Rule.sk_heads), so the fixpoints, which all start here,
+    read only plain Rules."""
     joins = rules.pinned_joins
     if not joins:
+        for rule in rules:
+            rule.sk_heads
         for predicate, pins in rules.body_index.items():
             joins[predicate] = [(rule, _compile_pinned(rule, idx))
                                 for rule, idx in pins]

@@ -19,8 +19,11 @@ the tuple constructor bound to `Atom`, which runs no Python frame;
 and stays the public way in. The per-key kernels that fill templates
 (`Rule.output`, `approx._fill`) are plain loops, not comprehensions, for
 the same reason: CPython 3.11 runs each comprehension in a frame of its
-own (PEP 709 inlines them only from 3.12). `gc_paused` is the collector
-pause that parsing, the checks and the chase run in.
+own (PEP 709 inlines them only from 3.12). A rule is built from its
+syntax alone, and compiles its skolem symbols and templates on first use
+(see `Rule`), so a parse followed by a verdict read off the syntax
+interns no skolem symbol. `gc_paused` is the collector pause that
+parsing, the checks and the chase run in.
 """
 from __future__ import annotations
 
@@ -387,24 +390,37 @@ class Rule:
     shared with some head, ordered by first occurrence in the body; skolem
     terms take exactly this tuple as arguments.
 
-    The skolemized heads are compiled once into sk_heads, one Template per
-    disjunct. A slot is the position of a frontier variable in the
+    Construction builds and checks only the syntax: body_vars, frontier,
+    heads, existential, branching and the three is_* flags. The first read
+    of sk_heads, sk_symbols or key_frontier runs _compile, which interns
+    the rule's skolem symbols into sk_symbols and compiles the skolemized
+    heads into sk_heads, one Template per disjunct, and key_frontier.
+    Until then the rule's class is _Uncompiled, whose __getattr__ runs
+    _compile and makes the rule a plain Rule again. The hook sits on that
+    subclass and not on Rule, because CPython 3.11 specialises the hot
+    loops' slot reads, once per key, only on a class without __getattr__.
+    matcher's first compile of a rule set's joins compiles every rule, and
+    every fixpoint starts there, so the fixpoints read only plain Rules,
+    and a verdict read off the syntax alone (termination.weakly_acyclic)
+    compiles none.
+
+    A template slot is the position of a frontier variable in the
     frontier or the skolem symbol f of an existential one. `output` fills a
     template from a ground frontier image, a symbol slot with f(image), so
     no non-ground skolem term is built; over-approximation builds fill the
     same templates with abstracted terms. Obsolescence matches the same
     templates: a frontier slot must hold the image's term and a symbol slot
     stands for its existential variable, so obsolescence is tested on a
-    frontier image alone. key_frontier, compiled next to them, reads that
-    image off a (rule, *body image) key. The matcher compiles the templates
+    frontier image alone. key_frontier reads that image off a
+    (rule, *body image) key. The matcher compiles the templates
     into join chains on first use, held in chains and pinned_chains.
     existential says, per disjunct, whether it has existential variables.
 
     Construction reads each atom's terms once, into the distinct terms of
-    the body and of each disjunct, and derives all of the above from
-    those. The scans that name an offending atom in a RuleError run only
-    once a fault is seen, so a well-formed rule never pays for them. The
-    checks come in a fixed order: an empty body, an empty head, an atom
+    the body and of each disjunct, and derives the syntax from those;
+    _compile reads only that syntax. The scans that name an offending atom
+    in a RuleError run only once a fault is seen, so a well-formed rule
+    never pays for them. The checks come in a fixed order: an empty body, an empty head, an atom
     with no terms, a term that is not a variable, an existential variable
     in two disjuncts, a generating rule without a frontier.
     """
@@ -456,7 +472,6 @@ class Rule:
         self.body = body
         self.body_vars = tuple(body_vars)  # type: ignore[arg-type]
         self.frontier = tuple([v for v in body_vars if v in head_vars])
-        arity = len(self.frontier)
         existentials = [tuple([t for t in terms if t not in body_vars])
                         for terms in head_terms]
         used_existentials = set().union(*existentials)
@@ -464,49 +479,53 @@ class Rule:
             raise RuleError(
                 f"rule {rule_id}: existential variable reused across disjuncts"
             )
-        if used_existentials and not arity:
+        if used_existentials and not self.frontier:
             raise RuleError(
                 f"rule {rule_id}: a generating rule needs a body variable that is "
                 f"shared with the head (skolem symbols have arity >= 1)"
             )
 
-        # Each disjunct's template: a frontier variable's slot is its
-        # position in the frontier, an existential one's its skolem symbol.
-        position: dict[Variable, int | SkolemSymbol] = {
-            v: i for i, v in enumerate(self.frontier)}
-        disjuncts: list[HeadDisjunct] = []
-        sk_heads: list[Template] = []
-        symbols: list[SkolemSymbol] = []
-        for i, (atoms, evars) in enumerate(zip(head_atoms, existentials), start=1):
-            slot = position
-            if evars:
-                slot = dict(position)
-                for y in evars:
-                    sym = slot[y] = skolem_symbol(rule_id, i, y.name, arity)
-                    symbols.append(sym)
-            disjuncts.append(HeadDisjunct(evars, atoms))  # type: ignore[arg-type]
-            get = slot.__getitem__
-            sk_heads.append(tuple([(predicate, tuple(map(get, terms)))
-                                   for predicate, terms in atoms]))
-        self.heads = tuple(disjuncts)
-        self.sk_heads = tuple(sk_heads)
-        self.sk_symbols = frozenset(symbols)
+        self.heads = tuple([HeadDisjunct(evars, atoms)  # type: ignore[arg-type]
+                            for atoms, evars in zip(head_atoms, existentials)])
         self.branching = len(self.heads)
         self.existential = tuple(map(bool, existentials))
         self.is_deterministic = self.branching == 1
         self.is_generating = bool(used_existentials)
         self.is_datalog = self.is_deterministic and not self.is_generating
+        self.chains = self.pinned_chains = None
+        self.__class__ = _Uncompiled
+
+    def _compile(self) -> None:
+        """Build sk_symbols, sk_heads and key_frontier from the syntax."""
+        # Each disjunct's template: a frontier variable's slot is its
+        # position in the frontier, an existential one's its skolem symbol.
+        arity = len(self.frontier)
+        position: dict[Variable, int | SkolemSymbol] = {
+            v: i for i, v in enumerate(self.frontier)}
+        sk_heads: list[Template] = []
+        symbols: list[SkolemSymbol] = []
+        for i, (evars, atoms) in enumerate(self.heads, start=1):
+            slot = position
+            if evars:
+                slot = dict(position)
+                for y in evars:
+                    sym = slot[y] = skolem_symbol(self.id, i, y.name, arity)
+                    symbols.append(sym)
+            get = slot.__getitem__
+            sk_heads.append(tuple([(predicate, tuple(map(get, terms)))
+                                   for predicate, terms in atoms]))
+        self.sk_heads = tuple(sk_heads)
+        self.sk_symbols = frozenset(symbols)
         # The frontier is a subsequence of body_vars, whose key positions
         # start at 1. A run of consecutive positions, the empty one
         # included, is read as a slice, so that the getter returns a tuple
         # for every frontier size.
-        at = [i for i, v in enumerate(self.body_vars, 1) if v in head_vars]
+        at = [i for i, v in enumerate(self.body_vars, 1) if v in position]
         start = at[0] if at else 1
         if not at or at[-1] - start == arity - 1:
             self.key_frontier = itemgetter(slice(start, start + arity))
         else:
             self.key_frontier = itemgetter(*at)
-        self.chains = self.pinned_chains = None
 
     def output(self, disjunct: int, image: tuple[Term, ...]) -> tuple[Atom, ...]:
         """The skolemized output of one head disjunct (1-based) for a
@@ -532,6 +551,21 @@ class Rule:
         return f"Rule({self.id})"
 
 
+class _Uncompiled(Rule):
+    """The class of a Rule from construction until its first read of
+    sk_heads, sk_symbols or key_frontier, which compiles it and makes it a
+    plain Rule (see Rule for why the hook is not on Rule itself)."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name not in ("sk_heads", "sk_symbols", "key_frontier"):
+            raise AttributeError(f"'Rule' object has no attribute {name!r}")
+        self._compile()
+        self.__class__ = Rule
+        return getattr(self, name)
+
+
 def _atom_fault(rule_id: str, body: tuple[Atom, ...],
                 head_atoms: tuple[tuple[Atom, ...], ...]) -> RuleError:
     """The error of a rule with an atom that has no terms or a term that
@@ -555,7 +589,6 @@ class RuleSet:
         self.rules = tuple(rules)
         self.by_id: dict[str, Rule] = {}
         self.predicates: dict[str, int] = {}
-        self.symbol_index: dict[SkolemSymbol, tuple[Rule, int]] = {}
         self.body_index: dict[str, list[tuple[Rule, int]]] = {}
         for rule in self.rules:
             if rule.id in self.by_id:
@@ -569,8 +602,6 @@ class RuleSet:
                             f"predicate {predicate} used with arities "
                             f"{known} and {len(terms)}"
                         )
-            for sym in rule.sk_symbols:
-                self.symbol_index[sym] = (rule, sym.disjunct)
             for idx, atom in enumerate(rule.body):
                 self.body_index.setdefault(atom.predicate, []).append((rule, idx))
         # The compiled pinned joins of body_index, per predicate, filled on
@@ -582,6 +613,13 @@ class RuleSet:
         self.unblockability: UnblockabilityCache | None = None
         self.seeds: dict[tuple[Term, ...], _Seed] = {}
         self._birth_cache: dict[Term, frozenset[Atom]] = {}
+
+    @functools.cached_property
+    def symbol_index(self) -> dict[SkolemSymbol, tuple[Rule, int]]:
+        """Each rule's skolem symbols, with the rule and the disjunct they
+        belong to; built on first read, which compiles every rule."""
+        return {sym: (rule, sym.disjunct)
+                for rule in self.rules for sym in rule.sk_symbols}
 
     def __iter__(self) -> Iterator[Rule]:
         return iter(self.rules)

@@ -26,6 +26,7 @@ when it is raised, by running the same pattern again up to the failing token.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -251,10 +252,17 @@ class Namer:
     """
 
     def __init__(self, rules: RuleSet):
+        self._rules = rules
+
+    @functools.cached_property
+    def _var_counts(self) -> dict[str, int]:
+        """The number of symbols per existential variable name, counted when
+        the first symbol is named: reading symbol_index compiles every rule,
+        which a report that names no symbol never needs."""
         counts: dict[str, int] = {}
-        for sym in rules.symbol_index:
+        for sym in self._rules.symbol_index:
             counts[sym.var] = counts.get(sym.var, 0) + 1
-        self._var_counts = counts
+        return counts
 
     def symbol(self, sym: SkolemSymbol) -> str:
         if self._var_counts.get(sym.var, 2) == 1:

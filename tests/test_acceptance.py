@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -81,7 +82,7 @@ from conftest import (
     trigger_of,
 )
 import generality
-from test_engine_check import bench_cases
+from test_engine_check import bench_cases, sweep_cases
 
 X, Y = variable("X"), variable("Y")
 
@@ -427,6 +428,46 @@ def cross_notion_conflicts(mode: str, cases, notions=(DRPC, RPC_S),
         if CYCLIC in answers:
             conflicts.append(key)
     return certified, decided, conflicts
+
+
+def generality_order_violations(cases, seconds: float | None = None
+                                ) -> tuple[Counter, list]:
+    """DRPC ⊆ RPC_s ⊆ RPC as a relation on (key, rules) cases: every
+    notion's check runs under TABLE_BUDGET, with seconds a deadline that
+    far ahead of each check, and a notion is compared with the next on a
+    case only when neither check ran out of budget. Returns the counts of
+    cyclic verdicts per notion and of decided comparisons, and the
+    (key, notion, containing notion) of each comparison where the first
+    finds the case cyclic and the second does not. RPC_s ⊆ RPC is proved
+    (test_generality_record_orders_the_notions); DRPC ⊆ RPC_s is only
+    observed, so a violation of it is a finding to look at, not a proof of
+    a fault."""
+    seen: Counter = Counter()
+    violations = []
+    for key, rules in cases:
+        answers = {}
+        for notion in (DRPC, RPC_S, cyc.RPC):
+            budget = TABLE_BUDGET if seconds is None else dataclasses.replace(
+                TABLE_BUDGET, deadline=time.monotonic() + seconds)
+            answers[notion] = check(rules, notion, budget).result
+            seen[notion] += answers[notion] == CYCLIC
+        for notion, containing in ((DRPC, RPC_S), (RPC_S, cyc.RPC)):
+            if RESOURCE_EXHAUSTED in (answers[notion], answers[containing]):
+                continue
+            seen["decided"] += 1
+            if answers[notion] == CYCLIC != answers[containing]:
+                violations.append((key, notion, containing))
+    return seen, violations
+
+
+def test_sample_sets_keep_the_generality_order():
+    # ROADMAP item 24: DRPC ⊆ RPC_s ⊆ RPC on the first 300 sample sets,
+    # with no deadline, so every comparison is decided; CI's "Generality
+    # order sweep" runs all 3,000 with a 1 s deadline per check. 18, 29
+    # and 30 sets were cyclic.
+    seen, violations = generality_order_violations(sweep_cases(300))
+    assert violations == [] and seen["decided"] == 600
+    assert seen[DRPC] >= 15 and seen[RPC_S] >= 25 and seen[cyc.RPC] >= 25
 
 
 def test_no_certified_structure_is_found_cyclic():

@@ -13,10 +13,11 @@ import pytest
 
 import chase_sentinel
 from chase_sentinel import corpus_dir, model
-from chase_sentinel.approx import birth_facts, skeleton
+from chase_sentinel.approx import (birth_facts, is_star_unblockable, skeleton,
+                                   unblockability_cache)
 from chase_sentinel.chase import ChaseBudget, entails, run_chase
 from chase_sentinel.cli import classify_rules
-from chase_sentinel.cyclicity import check
+from chase_sentinel.cyclicity import RPC_S, check, rule_database
 from chase_sentinel.model import (
     Atom,
     ConstantMapping,
@@ -39,11 +40,12 @@ from chase_sentinel.model import (
     variable,
 )
 from chase_sentinel.ruleio import ParseError, parse, render
-from chase_sentinel.termination import check_acyclic, critical_instance
+from chase_sentinel.termination import (TERMINATING, WEAKLY_ACYCLIC, SearchBudget,
+                                        check_acyclic, critical_instance)
 
 from conftest import (apply_atom, apply_atoms, apply_term, bench_text,
                       bike_subset, perfbench_module, random_rule_set,
-                      rules_from, trigger_of)
+                      rules_from, sample_triggers, trigger_of)
 from test_termination import watch_cases
 
 
@@ -407,6 +409,66 @@ def test_rule_attributes_survive_a_render_round_trip():
         assert list(map(attributes, again)) == list(map(attributes, rules))
 
 
+def test_a_weakly_acyclic_verdict_compiles_no_rule():
+    # classify answers the 512-rule stratified set at the weak acyclicity
+    # rung, which reads only the syntax, and neither its report nor the
+    # rule set rendered back through a Namer names a symbol, so no rule is
+    # compiled (a compiled rule is a plain Rule) and no skolem symbol of
+    # the set is interned. Symbols that something outside the test already
+    # held are left out. The first fixpoint, check_acyclic, compiles every
+    # rule.
+    generate = perfbench_module("generators").stratified_rule_set
+    text = generate(random.Random("stratified/512/1"), 512).text
+    gc.collect()
+    held = set(model._TABLE)
+    rules = rules_from(text)
+    fresh = {(rule.id, i, y.name, len(rule.frontier))
+             for rule in rules for i, h in enumerate(rule.heads, start=1)
+             for y in h.existential_vars} - held
+    (verdict,) = classify_rules(rules).notion_results
+    assert (verdict.result, verdict.stats["rung"]) == (TERMINATING, WEAKLY_ACYCLIC)
+    assert render(rules) == text
+    assert not any(type(rule) is Rule for rule in rules)
+    assert len(fresh) >= 100 and not fresh & set(model._TABLE)
+    check_acyclic(rules, k=2)
+    assert all(type(rule) is Rule for rule in rules)
+    assert fresh <= set(model._TABLE)
+
+
+def test_fixpoints_leave_no_rule_with_a_lookup_hook():
+    # The hot loops read rule slots once per key, and CPython 3.11
+    # specialises those reads only on a class without __getattr__. So after
+    # each kind of fixpoint, each on a freshly parsed set, no class of any
+    # rule's type may define one. The chase starts from the first rule's
+    # database, so some rules never fire and are compiled only because
+    # every fixpoint compiles the whole set.
+    def hooked(rules: RuleSet) -> list:
+        return [rule for rule in rules
+                if any("__getattr__" in vars(c) for c in type(rule).__mro__)]
+
+    def unblockability_build(rules: RuleSet) -> None:
+        cache = unblockability_cache(rules)
+        for lam in sample_triggers(rules):
+            is_star_unblockable(rules, lam)
+            if cache.builds:
+                return
+        raise AssertionError("no unblockability build ran")
+
+    budget = SearchBudget(max_triggers=3000, max_term_depth=6)
+    operations = [
+        lambda rules: run_chase(rules, rule_database(rules.rules[0]).body_facts(),
+                                ChaseBudget(max_vertices=200)),
+        lambda rules: check_acyclic(rules, k=2, budget=budget),
+        lambda rules: check(rules, RPC_S, budget),
+        unblockability_build,
+    ]
+    for i in range(0, 120, 20):
+        for operation in operations:
+            rules = rules_from(bench_text(i))
+            operation(rules)
+            assert not hooked(rules), (i, operation)
+
+
 def test_rule_construction_errors():
     # Rules built directly, not parsed: one case per check, and where a
     # rule breaks two checks, the one named is the first in this order.
@@ -473,9 +535,13 @@ def test_rule_errors_name_the_first_fault():
 def naive_rule(rule_id: str, body, heads):
     """What Rule(rule_id, body, heads) holds, derived term by term in
     reading order: body_vars, frontier, the (existential variables, atoms)
-    pair of each disjunct, sk_heads, sk_symbols and the frontier image that
+    pair of each disjunct, sk_heads, sk_symbols, the frontier image that
     key_frontier reads off the key (None, *body image) whose body image is
-    one distinct constant per body variable. When the rule breaks a check,
+    one distinct constant per body variable, and own_symbol_index: the
+    (rule id, disjunct) of each symbol, or the message of the RuleError
+    that rejects the rule's own RuleSet, whose one check on a single rule
+    is that each predicate keeps the arity it is first read with, body
+    first. When the rule breaks a check of Rule,
     the message of its RuleError instead: the first failing check, in the
     order of test_rule_errors_name_the_first_fault."""
     heads = [list(h) for h in heads]
@@ -518,14 +584,24 @@ def naive_rule(rule_id: str, body, heads):
               for atom in h)
         for h, sym in zip(heads, symbols))
     image = [constant(f"k{j}") for j in range(len(body_vars))]
-    return {
+    parts = {
         "body_vars": tuple(body_vars),
         "frontier": tuple(frontier),
         "heads": [(tuple(ex), tuple(h)) for ex, h in zip(existentials, heads)],
         "sk_heads": sk_heads,
         "sk_symbols": frozenset(f for sym in symbols for f in sym.values()),
         "key_frontier": tuple(image[body_vars.index(v)] for v in frontier),
+        "symbol_index": {f: (rule_id, i) for i, sym in enumerate(symbols, start=1)
+                         for f in sym.values()},
     }
+    arities: dict = {}
+    for atom in atoms:
+        known = arities.setdefault(atom.predicate, len(atom.terms))
+        if known != len(atom.terms):
+            parts["symbol_index"] = (f"predicate {atom.predicate} used with "
+                                     f"arities {known} and {len(atom.terms)}")
+            break
+    return parts
 
 
 def rule_parts(rule: Rule) -> dict:
@@ -538,7 +614,18 @@ def rule_parts(rule: Rule) -> dict:
         "sk_heads": rule.sk_heads,
         "sk_symbols": rule.sk_symbols,
         "key_frontier": rule.key_frontier((None, *image)),
+        "symbol_index": own_symbol_index(rule),
     }
+
+
+def own_symbol_index(rule: Rule) -> dict | str:
+    """The (rule id, disjunct) of each symbol in the symbol_index of
+    RuleSet([rule]), or the message of the RuleError that rejects it."""
+    try:
+        rules = RuleSet([rule])
+    except RuleError as exc:
+        return str(exc)
+    return {f: (r.id, d) for f, (r, d) in rules.symbol_index.items()}
 
 
 def random_rule_drafts(rng: random.Random, n: int, faults: float):
@@ -588,14 +675,28 @@ ERROR_KINDS = {"atom": "no terms", "rules": "not a variable",
                "existential": "reused", "a": "no frontier"}
 
 
+# The reads that compile a rule (Rule._compile): check_rules_against_reference
+# makes each in turn the first read of a rule it builds. The last compiles
+# only a rule that its own RuleSet accepts.
+FIRST_READS = (
+    lambda rule: rule.key_frontier,
+    lambda rule: rule.sk_symbols,
+    lambda rule: rule.output(1, frontier_images(len(rule.frontier))[0]),
+    own_symbol_index,
+)
+
+
 def check_rules_against_reference(drafts) -> Counter:
     """Rule on each (rule id, body, heads) draft against naive_rule: the same
-    attributes, or a RuleError with the same message. Each rule built must
-    also give, on every disjunct, the substitution reference's output
-    (conftest.apply_atoms) for each of its frontier_images, with every atom
-    of type Atom. Returns counts of the rules built, by number of disjuncts
-    and with repeated body variables, of the outputs compared, and of the
-    errors, by the check that failed."""
+    attributes, or a RuleError with the same message. A rule is compiled on
+    its first read of a compiled part, so each rule built is first read
+    through the next of FIRST_READS in turn, and only then compared. Each
+    rule built must also give, on every disjunct, the substitution
+    reference's output (conftest.apply_atoms) for each of its
+    frontier_images, with every atom of type Atom. Returns counts of the
+    rules built, by number of disjuncts, with repeated body variables and
+    by the first read that compiled them, of the outputs compared, and of
+    the errors, by the check that failed."""
     seen: Counter = Counter()
     for rule_id, body, heads in drafts:
         expected = naive_rule(rule_id, body, heads)
@@ -605,7 +706,12 @@ def check_rules_against_reference(drafts) -> Counter:
             assert str(exc) == expected, (rule_id, body, heads)
             seen["error " + ERROR_KINDS[str(exc).split(" ")[2]]] += 1
             continue
+        assert type(rule) is not Rule, rule
+        turn = seen["built"] % len(FIRST_READS)
+        first = FIRST_READS[turn](rule)
+        seen[f"compiled by read {turn}"] += type(rule) is Rule
         assert rule_parts(rule) == expected, (rule_id, body, heads)
+        assert FIRST_READS[turn](rule) == first, rule
         n = len(rule.frontier)
         for image in frontier_images(n):
             for i, h in enumerate(rule.heads, start=1):
@@ -630,12 +736,16 @@ def test_rules_match_the_naive_derivation():
     assert seen["repeats"] >= 1000, seen
     assert min(seen["error " + kind] for kind in ERROR_KINDS.values()) >= 20, seen
     assert seen["outputs"] >= 16000, seen
+    assert min(seen[f"compiled by read {t}"] for t in range(len(FIRST_READS))) \
+        >= 100, seen
     # The rules of the 400 sample sets and of every ninth structure; CI
     # runs the first 3,000 sets and the six stratified sets.
     seen = check_rules_against_reference(
         (rule.id, rule.body, [h.atoms for h in rule.heads])
         for rules in watch_cases(400, range(0, 90, 9), False) for rule in rules)
     assert seen["built"] >= 800 and seen["outputs"] >= 4000, seen
+    assert min(seen[f"compiled by read {t}"] for t in range(len(FIRST_READS))) \
+        >= 200, seen
 
 
 def test_generating_rule_needs_frontier():
