@@ -16,10 +16,12 @@ the tuple (predicate, terms), so it compares and hashes as a tuple, which
 interning makes exact. The package builds every atom through `new_atom`,
 the tuple constructor bound to `Atom`, which runs no Python frame;
 `Atom(predicate, terms)`, the NamedTuple's generated constructor, runs one
-and stays the public way in. The per-key kernels that fill templates
-(`Rule.output`, `approx._fill`) are plain loops, not comprehensions, for
-the same reason: CPython 3.11 runs each comprehension in a frame of its
-own (PEP 709 inlines them only from 3.12). A rule is built from its
+and stays the public way in. `Rule` builds its head disjuncts the same
+way, through `_new_head`. The per-key kernels that fill templates
+(`Rule.output`, `approx._fill`) and the construction of rules and rule
+sets are plain loops, not comprehensions, for the same reason: CPython
+3.11 runs each comprehension in a frame of its own (PEP 709 inlines them
+only from 3.12). A rule is built from its
 syntax alone, and compiles its skolem symbols and templates on first use
 (see `Rule`), so a parse followed by a verdict read off the syntax
 interns no skolem symbol. `gc_paused` is the collector pause that
@@ -32,7 +34,7 @@ import gc
 import itertools
 import weakref
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import (TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple,
                     Sequence, TypeVar)
 
@@ -366,6 +368,12 @@ class HeadDisjunct(NamedTuple):
     atoms: tuple[Atom, ...]
 
 
+# _new_head((existential_vars, atoms)) is HeadDisjunct(existential_vars,
+# atoms) without the generated __new__'s Python frame, as new_atom is.
+_new_head = functools.partial(tuple.__new__, HeadDisjunct)
+_DISJUNCT_ATOMS = attrgetter("atoms")
+
+
 # A head disjunct compiled for a frontier image, one (predicate, slots) pair
 # per atom. A slot is an int, a position in the image, or the skolem symbol
 # of an existential variable, which takes one term throughout.
@@ -455,43 +463,73 @@ class Rule:
         # each disjunct, in order of first occurrence, which everything
         # below reads. A fault, an atom with no terms or a distinct term
         # that is not a variable, is only detected here: _atom_fault then
-        # scans the atoms again to name the first faulty atom.
-        body_vars = {t: None for _, terms in body for t in terms}
-        head_terms = [{t: None for _, terms in atoms for t in terms}
-                      for atoms in head_atoms]
-        head_vars = set().union(*head_terms)
-        for atoms in (body, *head_atoms):
+        # scans the atoms again to name the first faulty atom. These are
+        # plain loops: CPython 3.11 runs each comprehension in a frame of
+        # its own.
+        faulty = False
+        body_vars: dict[Term, None] = {}
+        for _, terms in body:
+            if not terms:
+                faulty = True
+            for t in terms:
+                body_vars[t] = None
+        head_terms = []
+        head_vars: set[Term] = set()
+        for atoms in head_atoms:
+            distinct: dict[Term, None] = {}
             for _, terms in atoms:
                 if not terms:
-                    raise _atom_fault(rule_id, body, head_atoms)
+                    faulty = True
+                for t in terms:
+                    distinct[t] = None
+            head_terms.append(distinct)
+            head_vars.update(distinct)
         for terms in (body_vars, head_vars):
             for t in terms:
                 if t.__class__ is not Variable:
-                    raise _atom_fault(rule_id, body, head_atoms)
-        self.id = rule_id
-        self.body = body
-        self.body_vars = tuple(body_vars)  # type: ignore[arg-type]
-        self.frontier = tuple([v for v in body_vars if v in head_vars])
-        existentials = [tuple([t for t in terms if t not in body_vars])
-                        for terms in head_terms]
-        used_existentials = set().union(*existentials)
-        if len(used_existentials) < sum(map(len, existentials)):
+                    faulty = True
+        if faulty:
+            raise _atom_fault(rule_id, body, head_atoms)
+        frontier = []
+        for v in body_vars:
+            if v in head_vars:
+                frontier.append(v)
+        # A disjunct's existential variables are its distinct terms that are
+        # not body variables, so they are reused across disjuncts iff there
+        # are more of them, summed over the disjuncts, than head variables
+        # outside the frontier.
+        disjuncts = []
+        existential = []
+        reused = len(frontier) - len(head_vars)
+        for atoms, terms in zip(head_atoms, head_terms):
+            evars = []
+            for t in terms:
+                if t not in body_vars:
+                    evars.append(t)
+            reused += len(evars)
+            disjuncts.append(_new_head((tuple(evars), atoms)))
+            existential.append(bool(evars))
+        if reused:
             raise RuleError(
                 f"rule {rule_id}: existential variable reused across disjuncts"
             )
-        if used_existentials and not self.frontier:
+        is_generating = len(head_vars) > len(frontier)
+        if is_generating and not frontier:
             raise RuleError(
                 f"rule {rule_id}: a generating rule needs a body variable that is "
                 f"shared with the head (skolem symbols have arity >= 1)"
             )
 
-        self.heads = tuple([HeadDisjunct(evars, atoms)  # type: ignore[arg-type]
-                            for atoms, evars in zip(head_atoms, existentials)])
-        self.branching = len(self.heads)
-        self.existential = tuple(map(bool, existentials))
+        self.id = rule_id
+        self.body = body
+        self.body_vars = tuple(body_vars)  # type: ignore[arg-type]
+        self.frontier = tuple(frontier)
+        self.heads = tuple(disjuncts)
+        self.branching = len(disjuncts)
+        self.existential = tuple(existential)
         self.is_deterministic = self.branching == 1
-        self.is_generating = bool(used_existentials)
-        self.is_datalog = self.is_deterministic and not self.is_generating
+        self.is_generating = is_generating
+        self.is_datalog = self.is_deterministic and not is_generating
         self.chains = self.pinned_chains = None
         self.__class__ = _Uncompiled
 
@@ -583,27 +621,35 @@ def _atom_fault(rule_id: str, body: tuple[Atom, ...],
 
 
 class RuleSet:
-    """An ordered set of rules with derived indexes and its own caches."""
+    """An ordered set of rules with derived indexes and its own caches.
+
+    Construction checks that rule ids are distinct and that each predicate
+    keeps one arity, reading each rule's body and then its disjuncts, and
+    builds by_id and predicates, in plain loops. The two indexes that only
+    evaluation reads are built on first read: body_index, read when
+    matcher first compiles the set's joins, and symbol_index, which
+    compiles every rule. So a verdict read off the syntax alone
+    (termination.weakly_acyclic) builds neither.
+    """
 
     def __init__(self, rules: Sequence[Rule]):
         self.rules = tuple(rules)
-        self.by_id: dict[str, Rule] = {}
-        self.predicates: dict[str, int] = {}
-        self.body_index: dict[str, list[tuple[Rule, int]]] = {}
+        by_id: dict[str, Rule] = {}
+        predicates: dict[str, int] = {}
         for rule in self.rules:
-            if rule.id in self.by_id:
+            if rule.id in by_id:
                 raise RuleError(f"duplicate rule id {rule.id}")
-            self.by_id[rule.id] = rule
-            for atoms in (rule.body, *[h.atoms for h in rule.heads]):
+            by_id[rule.id] = rule
+            for atoms in (rule.body, *map(_DISJUNCT_ATOMS, rule.heads)):
                 for predicate, terms in atoms:
-                    known = self.predicates.setdefault(predicate, len(terms))
+                    known = predicates.setdefault(predicate, len(terms))
                     if known != len(terms):
                         raise RuleError(
                             f"predicate {predicate} used with arities "
                             f"{known} and {len(terms)}"
                         )
-            for idx, atom in enumerate(rule.body):
-                self.body_index.setdefault(atom.predicate, []).append((rule, idx))
+        self.by_id = by_id
+        self.predicates = predicates
         # The compiled pinned joins of body_index, per predicate, filled on
         # first use by matcher's runner; approx's UnblockabilityCache, made
         # on first use; approx's kept build seeds, one per universe, made
@@ -613,6 +659,16 @@ class RuleSet:
         self.unblockability: UnblockabilityCache | None = None
         self.seeds: dict[tuple[Term, ...], _Seed] = {}
         self._birth_cache: dict[Term, frozenset[Atom]] = {}
+
+    @functools.cached_property
+    def body_index(self) -> dict[str, list[tuple[Rule, int]]]:
+        """Each body atom's (rule, position in the body), per predicate, in
+        rule order; built on first read."""
+        index: dict[str, list[tuple[Rule, int]]] = {}
+        for rule in self.rules:
+            for idx, atom in enumerate(rule.body):
+                index.setdefault(atom.predicate, []).append((rule, idx))
+        return index
 
     @functools.cached_property
     def symbol_index(self) -> dict[SkolemSymbol, tuple[Rule, int]]:

@@ -17,12 +17,23 @@ works them out. Facts must be ground, rules must be constant-free, and every
 predicate must keep one arity across the whole program.
 
 One regular expression, run once with findall, splits the text into a flat
-list of token strings: each match skips whitespace and comments and keeps
-"->", an identifier or any other single character, and the empty string
-marks the end of input. Each distinct token is checked once, before any
-parsing, so every token left is punctuation or an identifier. Offsets are
-not kept: a ParseError names a 1-based line and column, worked out only
-when it is raised, by running the same pattern again up to the failing token.
+list of token strings. Each match skips whitespace (space, tab, carriage
+return and newline) and comments (from "%" to the end of the line), then
+keeps "->", an identifier (a run of characters that are alphanumeric by
+str.isalnum, or "_") or any other single character, and at the end of the
+text the empty string, which marks the end of input. A match that skips
+to the end keeps one empty string and the end itself another, so a text
+that ends in whitespace or a comment ends in two. Each distinct token is
+checked once, before any parsing, so every token left is punctuation or
+an identifier that starts with a letter or "_". Offsets are not kept: a
+ParseError names a 1-based line and column, worked out only when it is
+raised, by running the same pattern again up to the failing token.
+
+The parser walks the token list by index. Each conjunction is read in
+one loop, atom after atom, with no call per atom or per term, and each
+rule's disjuncts in one loop of parse_program; every check runs where
+its token is read, so the first fault in reading order is the one
+reported.
 """
 from __future__ import annotations
 
@@ -73,7 +84,9 @@ class SourceProgram:
 
 # The group is empty only at the end of the text. An identifier must start
 # with a letter or "_": [^\W\d] would also start one with a numeric like "²".
-_TOKEN = re.compile(r"(?:[ \t\r\n]+|%[^\n]*)*(->|\w+|.|)")
+# The skip reads whitespace, then each comment with the whitespace after
+# it, so the regex engine tries no alternation per skipped character.
+_TOKEN = re.compile(r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*(->|\w+|.|)")
 _PUNCT = frozenset(("->", "(", ")", ",", ".", "|", "?", ""))
 
 
@@ -125,49 +138,52 @@ class _Parser:
             raise self.expected("'.'", self.pos)
         self.pos += 1
 
-    def parse_atom(self) -> Atom:
-        tokens, i = self.tokens, self.pos
-        name = tokens[i]
-        known = self.arities.get(name)
-        if known is None:
-            if name in _PUNCT:
-                raise self.expected("a predicate name", i)
-            if is_reserved_name(name):
-                raise _error(self.text, f"identifier {name!r} is reserved", i)
-        if tokens[i + 1] != "(":
-            raise self.expected("'('", i + 1)
-        terms = []
-        j = i + 2
-        while True:
-            word = tokens[j]
-            term = self.terms.get(word)
-            if term is None:
-                if word in _PUNCT:
-                    raise self.expected("a term", j)
-                if is_reserved_name(word):
-                    raise _error(self.text, f"identifier {word!r} is reserved", j)
-                term = self.terms[word] = (
-                    variable(word) if word[0].isupper() else constant(word))
-            terms.append(term)
-            j += 2
-            if tokens[j - 1] != ",":
-                break
-        if tokens[j - 1] != ")":
-            raise self.expected("')'", j - 1)
-        self.pos = j
-        if known is None:
-            self.arities[name] = len(terms)
-        elif known != len(terms):
-            raise _error(self.text, f"predicate {name} used with arity {len(terms)}, "
-                         f"previously {known}", i)
-        return new_atom((name, tuple(terms)))
-
     def parse_conjunction(self) -> list[Atom]:
-        atoms = [self.parse_atom()]
-        while self.tokens[self.pos] == ",":
-            self.pos += 1
-            atoms.append(self.parse_atom())
-        return atoms
+        """The atoms of a conjunction, read in one loop with no call per
+        atom: a predicate name, "(", terms separated by ",", ")", and a ","
+        before each further atom. Each atom is checked in reading order:
+        its name, "(", each term, ")" and then the predicate's arity."""
+        tokens, arities, known_terms = self.tokens, self.arities, self.terms
+        atoms = []
+        i = self.pos
+        while True:
+            name = tokens[i]
+            known = arities.get(name)
+            if known is None:
+                if name in _PUNCT:
+                    raise self.expected("a predicate name", i)
+                if is_reserved_name(name):
+                    raise _error(self.text, f"identifier {name!r} is reserved", i)
+            if tokens[i + 1] != "(":
+                raise self.expected("'('", i + 1)
+            terms = []
+            j = i + 2
+            while True:
+                word = tokens[j]
+                term = known_terms.get(word)
+                if term is None:
+                    if word in _PUNCT:
+                        raise self.expected("a term", j)
+                    if is_reserved_name(word):
+                        raise _error(self.text, f"identifier {word!r} is reserved", j)
+                    term = known_terms[word] = (
+                        variable(word) if word[0].isupper() else constant(word))
+                terms.append(term)
+                j += 2
+                if tokens[j - 1] != ",":
+                    break
+            if tokens[j - 1] != ")":
+                raise self.expected("')'", j - 1)
+            if known is None:
+                arities[name] = len(terms)
+            elif known != len(terms):
+                raise _error(self.text, f"predicate {name} used with arity {len(terms)}, "
+                             f"previously {known}", i)
+            atoms.append(new_atom((name, tuple(terms))))
+            if tokens[j] != ",":
+                self.pos = j
+                return atoms
+            i = j + 1
 
     def parse_program(self) -> SourceProgram:
         tokens = self.tokens
@@ -196,25 +212,20 @@ class _Parser:
                 continue
             if tokens[i] != "->":
                 raise self.expected("'->' or '.'", i)
-            heads = [self.parse_head()]
-            while tokens[self.pos] == "|":
+            heads = []
+            while True:
+                if tokens[self.pos] in (".", "|"):
+                    raise _error(self.text, "empty head disjunct", self.pos)
+                heads.append(self.parse_conjunction())
+                if tokens[self.pos] != "|":
+                    break
                 self.pos += 1
-                heads.append(self.parse_head())
             self.expect_dot()
-            rules.append(self.build_rule(atoms, heads, start, len(rules) + 1))
+            try:
+                rules.append(Rule(f"r{len(rules) + 1}", atoms, heads))
+            except RuleError as exc:
+                raise _error(self.text, str(exc), start) from exc
         return SourceProgram(RuleSet(rules), tuple(facts), tuple(queries))
-
-    def parse_head(self) -> list[Atom]:
-        if self.tokens[self.pos] in (".", "|"):
-            raise _error(self.text, "empty head disjunct", self.pos)
-        return self.parse_conjunction()
-
-    def build_rule(self, body: list[Atom], heads: list[list[Atom]],
-                   start: int, index: int) -> Rule:
-        try:
-            return Rule(f"r{index}", body, heads)
-        except RuleError as exc:
-            raise _error(self.text, str(exc), start) from exc
 
 
 @gc_paused

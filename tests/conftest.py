@@ -110,6 +110,42 @@ def rules_from(text: str) -> RuleSet:
     return parse(text).rules
 
 
+def naive_tokens(text: str) -> list[str]:
+    """The tokens of a text as the ruleio docstring defines them, scanned
+    one character at a time: skip whitespace (space, tab, carriage return,
+    newline) and comments (from "%" to the end of the line), then keep
+    "->", an identifier (a run of characters that are str.isalnum or "_")
+    or any other single character. A skip that reaches the end of the text
+    keeps "", and the end itself keeps another "", so a text that ends in
+    whitespace or a comment ends in two."""
+    def word(c: str) -> bool:
+        return c.isalnum() or c == "_"
+
+    tokens: list[str] = []
+    i, n = 0, len(text)
+    while True:
+        start = i
+        while i < n and text[i] in " \t\r\n%":
+            if text[i] == "%":
+                while i < n and text[i] != "\n":
+                    i += 1
+            else:
+                i += 1
+        if i == n:
+            if i > start:
+                tokens.append("")
+            tokens.append("")
+            return tokens
+        if text.startswith("->", i):
+            j = i + 2
+        else:
+            j = i + 1
+            while word(text[i]) and j < n and word(text[j]):
+                j += 1
+        tokens.append(text[i:j])
+        i = j
+
+
 def presentation_text(rules: RuleSet, seed: object = None,
                       prefix: str = "S") -> str:
     """The rules rendered with every predicate renamed to prefix and a

@@ -413,10 +413,10 @@ def test_a_weakly_acyclic_verdict_compiles_no_rule():
     # classify answers the 512-rule stratified set at the weak acyclicity
     # rung, which reads only the syntax, and neither its report nor the
     # rule set rendered back through a Namer names a symbol, so no rule is
-    # compiled (a compiled rule is a plain Rule) and no skolem symbol of
-    # the set is interned. Symbols that something outside the test already
-    # held are left out. The first fixpoint, check_acyclic, compiles every
-    # rule.
+    # compiled (a compiled rule is a plain Rule), no skolem symbol of the
+    # set is interned and no body index is built. Symbols that something
+    # outside the test already held are left out. The first fixpoint,
+    # check_acyclic, compiles every rule and builds the body index.
     generate = perfbench_module("generators").stratified_rule_set
     text = generate(random.Random("stratified/512/1"), 512).text
     gc.collect()
@@ -430,9 +430,12 @@ def test_a_weakly_acyclic_verdict_compiles_no_rule():
     assert render(rules) == text
     assert not any(type(rule) is Rule for rule in rules)
     assert len(fresh) >= 100 and not fresh & set(model._TABLE)
+    # Nor is the rule set's body index built: only the matcher reads it.
+    assert "body_index" not in vars(rules)
     check_acyclic(rules, k=2)
     assert all(type(rule) is Rule for rule in rules)
     assert fresh <= set(model._TABLE)
+    assert "body_index" in vars(rules)
 
 
 def test_fixpoints_leave_no_rule_with_a_lookup_hook():
@@ -537,11 +540,13 @@ def naive_rule(rule_id: str, body, heads):
     reading order: body_vars, frontier, the (existential variables, atoms)
     pair of each disjunct, sk_heads, sk_symbols, the frontier image that
     key_frontier reads off the key (None, *body image) whose body image is
-    one distinct constant per body variable, and own_symbol_index: the
-    (rule id, disjunct) of each symbol, or the message of the RuleError
-    that rejects the rule's own RuleSet, whose one check on a single rule
-    is that each predicate keeps the arity it is first read with, body
-    first. When the rule breaks a check of Rule,
+    one distinct constant per body variable, and the two indexes of the
+    rule's own RuleSet: symbol_index, the (rule id, disjunct) of each
+    symbol, and body_index, the (rule id, position) of each body atom per
+    predicate; or, for both, the message of the RuleError that rejects
+    that RuleSet, whose one check on a single rule is that each predicate
+    keeps the arity it is first read with, body first. When the rule
+    breaks a check of Rule,
     the message of its RuleError instead: the first failing check, in the
     order of test_rule_errors_name_the_first_fault."""
     heads = [list(h) for h in heads]
@@ -593,13 +598,17 @@ def naive_rule(rule_id: str, body, heads):
         "key_frontier": tuple(image[body_vars.index(v)] for v in frontier),
         "symbol_index": {f: (rule_id, i) for i, sym in enumerate(symbols, start=1)
                          for f in sym.values()},
+        "body_index": {},
     }
+    for position, atom in enumerate(body):
+        parts["body_index"].setdefault(atom.predicate, []).append((rule_id, position))
     arities: dict = {}
     for atom in atoms:
         known = arities.setdefault(atom.predicate, len(atom.terms))
         if known != len(atom.terms):
-            parts["symbol_index"] = (f"predicate {atom.predicate} used with "
-                                     f"arities {known} and {len(atom.terms)}")
+            parts["symbol_index"] = parts["body_index"] = (
+                f"predicate {atom.predicate} used with arities {known} and "
+                f"{len(atom.terms)}")
             break
     return parts
 
@@ -615,6 +624,7 @@ def rule_parts(rule: Rule) -> dict:
         "sk_symbols": rule.sk_symbols,
         "key_frontier": rule.key_frontier((None, *image)),
         "symbol_index": own_symbol_index(rule),
+        "body_index": own_body_index(rule),
     }
 
 
@@ -628,42 +638,63 @@ def own_symbol_index(rule: Rule) -> dict | str:
     return {f: (r.id, d) for f, (r, d) in rules.symbol_index.items()}
 
 
+def own_body_index(rule: Rule) -> dict | str:
+    """The (rule id, position) of each body atom, per predicate, in the
+    body_index of RuleSet([rule]), or the message of the RuleError that
+    rejects it."""
+    try:
+        rules = RuleSet([rule])
+    except RuleError as exc:
+        return str(exc)
+    return {p: [(r.id, i) for r, i in pins] for p, pins in rules.body_index.items()}
+
+
 def random_rule_drafts(rng: random.Random, n: int, faults: float):
-    """n (rule id, body, heads) drafts: 1-3 body atoms of arity 1-3 over
-    X, Y, Z and W, so variables repeat, and 1-3 disjuncts of 1-3 atoms over
-    the body's variables and the disjunct's own existential variables. With
-    probability `faults` a draft then takes one or two faults: a constant,
-    a ground or non-ground functional term, an atom with no terms, an
-    existential variable of another disjunct, or a disjunct that shares no
-    body variable."""
+    """n (rule id, body, heads) drafts: 1-3 body atoms over B0-B2 and X, Y,
+    Z and W, so variables repeat, and 1-3 disjuncts of 1-3 atoms over H0-H2,
+    the body's variables and the disjunct's own existential variables. Each
+    predicate takes one arity of 1-3 per draft, so a draft that Rule
+    accepts is one that a parsed program can hold. With probability
+    `faults` a draft then takes one or two faults: a constant, a ground or
+    non-ground functional term, an atom with no terms, an existential
+    variable of another disjunct, a disjunct that shares no body variable,
+    or a copy of an atom with one more term, which gives its predicate a
+    second arity."""
     g = skolem_symbol("g", 1, "Y", 1)
     for i in range(n):
-        body = [Atom(f"B{rng.randint(0, 2)}", tuple(
-                    variable(rng.choice("XYZW")) for _ in range(rng.randint(1, 3))))
-                for _ in range(rng.randint(1, 3))]
+        arity = {f"{kind}{k}": rng.randint(1, 3) for kind in "BH" for k in range(3)}
+
+        def draw_atom(kind: str, pool) -> Atom:
+            predicate = f"{kind}{rng.randint(0, 2)}"
+            return Atom(predicate, tuple(variable(rng.choice(pool))
+                                         for _ in range(arity[predicate])))
+
+        body = [draw_atom("B", "XYZW") for _ in range(rng.randint(1, 3))]
         names = sorted({t.name for atom in body for t in atom.terms})
         heads = []
         for d in range(1, rng.randint(1, 3) + 1):
             pool = names + [f"U{d}", f"V{d}"]
-            heads.append([Atom(f"H{rng.randint(0, 2)}", tuple(
-                              variable(rng.choice(pool)) for _ in range(rng.randint(1, 3))))
-                          for _ in range(rng.randint(1, 3))])
+            heads.append([draw_atom("H", pool) for _ in range(rng.randint(1, 3))])
         for _ in range(rng.randint(1, 2) if rng.random() < faults else 0):
             atoms = rng.choice([body, *heads])
             j = rng.randrange(len(atoms))
             terms = list(atoms[j].terms)
-            kind = rng.choice(("constant", "functional", "nullary", "reuse", "no frontier"))
-            if kind == "nullary":
-                terms = []
-            elif kind == "reuse":
-                terms.append(variable(f"U{rng.randint(1, len(heads))}"))
-            elif kind == "no frontier":
+            kind = rng.choice(("constant", "functional", "nullary", "reuse",
+                               "no frontier", "arity"))
+            if kind == "no frontier":
                 d = rng.randrange(len(heads))
                 heads[d] = [Atom("H9", (variable(f"U{d + 1}"),))]
                 continue
+            if kind == "arity":
+                if terms:
+                    atoms.append(Atom(atoms[j].predicate, (*terms, terms[0])))
+                continue
+            if kind == "nullary":
+                terms = []
             elif terms:
                 terms[rng.randrange(len(terms))] = (
                     constant(rng.choice("ab")) if kind == "constant"
+                    else variable(f"U{rng.randint(1, len(heads))}") if kind == "reuse"
                     else functional(g, (rng.choice((constant("a"), variable("X"))),)))
             atoms[j] = Atom(atoms[j].predicate, tuple(terms))
         yield f"r{i}", body, heads
@@ -694,9 +725,10 @@ def check_rules_against_reference(drafts) -> Counter:
     rule built must also give, on every disjunct, the substitution
     reference's output (conftest.apply_atoms) for each of its
     frontier_images, with every atom of type Atom. Returns counts of the
-    rules built, by number of disjuncts, with repeated body variables and
-    by the first read that compiled them, of the outputs compared, and of
-    the errors, by the check that failed."""
+    rules built, by number of disjuncts, with repeated body variables, by
+    the first read that compiled them and whose own RuleSet rejects them,
+    of the outputs compared, and of the errors, by the check that
+    failed."""
     seen: Counter = Counter()
     for rule_id, body, heads in drafts:
         expected = naive_rule(rule_id, body, heads)
@@ -710,7 +742,9 @@ def check_rules_against_reference(drafts) -> Counter:
         turn = seen["built"] % len(FIRST_READS)
         first = FIRST_READS[turn](rule)
         seen[f"compiled by read {turn}"] += type(rule) is Rule
-        assert rule_parts(rule) == expected, (rule_id, body, heads)
+        parts = rule_parts(rule)
+        assert parts == expected, (rule_id, body, heads)
+        seen["rule set rejects"] += isinstance(parts["body_index"], str)
         assert FIRST_READS[turn](rule) == first, rule
         n = len(rule.frontier)
         for image in frontier_images(n):
@@ -736,8 +770,12 @@ def test_rules_match_the_naive_derivation():
     assert seen["repeats"] >= 1000, seen
     assert min(seen["error " + kind] for kind in ERROR_KINDS.values()) >= 20, seen
     assert seen["outputs"] >= 16000, seen
+    # Each draft keeps one arity per predicate, so most rules built reach
+    # their own RuleSet's indexes, and the arity fault still gets some
+    # rejected there.
     assert min(seen[f"compiled by read {t}"] for t in range(len(FIRST_READS))) \
-        >= 100, seen
+        >= 400, seen
+    assert seen["rule set rejects"] >= 50, seen
     # The rules of the 400 sample sets and of every ninth structure; CI
     # runs the first 3,000 sets and the six stratified sets.
     seen = check_rules_against_reference(
@@ -758,16 +796,51 @@ def test_rule_set_rejects_duplicate_ids_and_arity_clashes():
     # combined programmatically from separate programs.
     first = rules_from("A(X) -> B(X) .\n")
     second = rules_from("B(X) -> A(X) .\n")
-    with pytest.raises(RuleError):
+    with pytest.raises(RuleError) as err:
         RuleSet(list(first) + list(second))
+    assert str(err.value) == "duplicate rule id r1"
     clash = rules_from("C(X, Y) -> C(Y, X) .\n")
     renamed = [Rule("r9", r.body, [h.atoms for h in r.heads]) for r in first]
     merged = RuleSet(list(clash) + renamed)
     assert set(merged.by_id) == {"r1", "r9"}
     bad = rules_from("B(X, Y) -> B(Y, X) .\n")
-    with pytest.raises(RuleError):
+    with pytest.raises(RuleError) as err:
         RuleSet(renamed + [Rule("r8", r.body, [h.atoms for h in r.heads])
                            for r in bad])
+    assert str(err.value) == "predicate B used with arities 1 and 2"
+
+
+def test_rule_set_names_the_first_clash():
+    # RuleSet reads the rules in order, each one's id first and then its
+    # body and its disjuncts, and names the first clash it reads.
+    x, y = variable("X"), variable("Y")
+    cases = [
+        # A body clash is read before a head clash of the same rule.
+        ([("r1", [Atom("A", (x,))], [[Atom("B", (x,))]]),
+          ("r2", [Atom("C", (x,)), Atom("A", (x, y))], [[Atom("B", (x, y))]])],
+         "predicate A used with arities 1 and 2"),
+        # The first disjunct's clash is read before the second's.
+        ([("r1", [Atom("A", (x,))], [[Atom("B", (x,))], [Atom("C", (x,))]]),
+          ("r2", [Atom("D", (x,))], [[Atom("C", (x, x))], [Atom("B", (x, x))]])],
+         "predicate C used with arities 1 and 2"),
+        # The arity that a predicate is first read with is named first,
+        # within one rule too.
+        ([("r1", [Atom("A", (x, y)), Atom("A", (x,))], [[Atom("B", (x,))]])],
+         "predicate A used with arities 2 and 1"),
+        # An earlier rule's clash is read before a later duplicate id, and a
+        # duplicate id before the clashes of its own rule.
+        ([("r1", [Atom("A", (x,))], [[Atom("B", (x,))]]),
+          ("r2", [Atom("B", (x, y))], [[Atom("A", (x, y))]]),
+          ("r1", [Atom("A", (x,))], [[Atom("B", (x,))]])],
+         "predicate B used with arities 1 and 2"),
+        ([("r1", [Atom("A", (x,))], [[Atom("B", (x,))]]),
+          ("r1", [Atom("B", (x, y))], [[Atom("A", (x, y))]])],
+         "duplicate rule id r1"),
+    ]
+    for drafts, message in cases:
+        with pytest.raises(RuleError) as err:
+            RuleSet([Rule(*draft) for draft in drafts])
+        assert str(err.value) == message
 
 
 def test_substitution_application():

@@ -1,13 +1,15 @@
 import json
+import random
+from collections import Counter
 
 import pytest
 
 from chase_sentinel.model import (Atom, Rule, RuleSet, constant, functional,
                                   uc_constant, variable)
-from chase_sentinel.ruleio import Namer, ParseError, parse, render
+from chase_sentinel.ruleio import Namer, ParseError, _tokenize, parse, render
 
-from conftest import BIKE_RULES, trigger_of
-from parse_texts import GOLDEN, outcome
+from conftest import BIKE_RULES, naive_tokens, perfbench_module, trigger_of
+from parse_texts import GOLDEN, GOLDEN_COUNT, GOLDEN_SEED, outcome, texts
 
 
 FULL_PROGRAM = BIKE_RULES + "\nEngine(d) .\n? Spare(d) .\n"
@@ -157,3 +159,51 @@ def test_parser_replays_golden_fixture():
     assert sum(not want.startswith("error: ") for _, want in cases) >= 500
     wrong = [(text, want) for text, want in cases if outcome(text) != want]
     assert not wrong, wrong[:3]
+
+
+# The tokens that are punctuation, "" for the end of input among them.
+PUNCTUATION = ("->", "(", ")", ",", ".", "|", "?", "")
+
+
+def check_parser_sweep(sweep) -> Counter:
+    """Parse each text of sweep, and check three things. _tokenize gives
+    conftest.naive_tokens, or, when some token is neither punctuation nor
+    an identifier that starts with a letter or "_", a ParseError that names
+    the first character of the first such token. parse raises nothing but
+    ParseError. And a program that parses renders to a text that parses
+    back to the same rule ids and the same rendering. Returns counts of
+    the texts, of those that tokenize and of those that parse."""
+    seen: Counter = Counter()
+    for text in sweep:
+        seen["texts"] += 1
+        want = naive_tokens(text)
+        bad = [w for w in want
+               if w not in PUNCTUATION and not (w[0].isalpha() or w[0] == "_")]
+        try:
+            got = _tokenize(text)
+        except ParseError as exc:
+            assert bad and str(exc).endswith(
+                f": unexpected character {bad[0][0]!r}"), text
+        else:
+            assert got == want and not bad, text
+            seen["tokenized"] += 1
+        try:
+            rules = parse(text).rules
+        except ParseError:
+            continue
+        seen["parsed"] += 1
+        again = parse(render(rules)).rules
+        assert [r.id for r in again] == [r.id for r in rules], text
+        assert render(again) == render(rules), text
+    return seen
+
+
+def test_parser_sweep_on_the_golden_texts():
+    # The golden fixture's texts and one 512-rule stratified set; CI's
+    # "Parser sweep" runs 20,000 texts of another seed.
+    sweep = texts(GOLDEN_SEED, GOLDEN_COUNT)
+    sweep.append(perfbench_module("generators").stratified_rule_set(
+        random.Random("stratified/512"), 512).text)
+    seen = check_parser_sweep(sweep)
+    assert seen["texts"] == GOLDEN_COUNT + 1
+    assert seen["tokenized"] >= 1500 and seen["parsed"] >= 500, seen
